@@ -8,10 +8,14 @@ use std::hint::black_box;
 
 use kdap_core::facet::{merge_intervals, AnnealConfig};
 use kdap_core::{
-    explore, generate_star_nets, materialize, rank_star_nets, GenConfig, Kdap, RankMethod,
+    explore_subspace, generate_star_nets, materialize, rank_star_nets, GenConfig, Kdap, Planner,
+    RankMethod,
 };
 use kdap_datagen::{build_aw_online, Scale};
-use kdap_query::{group_by_categorical, AggFunc, JoinIndex, RowSet};
+use kdap_query::{
+    multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector, RowSet,
+    DENSE_GROUP_LIMIT,
+};
 use kdap_textindex::{SearchOptions, TextIndex};
 
 fn session() -> Kdap {
@@ -85,33 +89,31 @@ fn bench_explore(c: &mut Criterion) {
     g.bench_function("materialize_subspace", |b| {
         b.iter(|| black_box(materialize(kdap.warehouse(), kdap.join_index(), net)))
     });
+    let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
+    let mv = MeasureVector::build(kdap.warehouse(), kdap.measure());
+    let planner = Planner::naive();
+    let facets = |exec: &ExecConfig| {
+        explore_subspace(
+            kdap.warehouse(),
+            kdap.join_index(),
+            net,
+            &sub,
+            &mv,
+            kdap.facet_config(),
+            &planner,
+            exec,
+        )
+    };
     g.bench_function("facet_construction", |b| {
-        b.iter(|| {
-            black_box(explore(
-                kdap.warehouse(),
-                kdap.join_index(),
-                net,
-                kdap.measure(),
-                kdap.facet_config(),
-            ))
-        })
+        b.iter(|| black_box(facets(&ExecConfig::serial())))
     });
     for threads in [2usize, 4] {
         g.bench_with_input(
             BenchmarkId::new("facet_construction_threads", threads),
             &threads,
             |b, &t| {
-                let exec = kdap_query::ExecConfig::with_threads(t);
-                b.iter(|| {
-                    black_box(kdap_core::explore_with(
-                        kdap.warehouse(),
-                        kdap.join_index(),
-                        net,
-                        kdap.measure(),
-                        kdap.facet_config(),
-                        &exec,
-                    ))
-                })
+                let exec = ExecConfig::with_threads(t);
+                b.iter(|| black_box(facets(&exec)))
             },
         );
     }
@@ -128,21 +130,24 @@ fn bench_aggregation(c: &mut Criterion) {
         .unwrap();
     let path = kdap_bench::unique_fact_path(wh, "DimProductSubcategory");
     let all = RowSet::full(wh.fact_rows());
-    let measure = kdap.measure().clone();
-    // Warm the row-mapper cache so the bench measures the aggregation.
-    let _ = group_by_categorical(wh, jidx, fact, &path, attr, &all, &measure, AggFunc::Sum);
+    let mv = MeasureVector::build(wh, kdap.measure());
+    // Built outside the loop: the row mapper is memoized per path, so the
+    // bench measures the aggregation.
+    let specs = [FacetSpec::Categorical {
+        attr,
+        mapper: jidx.row_mapper(wh, fact, &path),
+    }];
     c.bench_function("aggregate/group_by_subcategory_60k_facts", |b| {
         b.iter(|| {
-            black_box(group_by_categorical(
+            let groups = multi_group_by_exec(
                 wh,
-                jidx,
-                fact,
-                &path,
-                attr,
+                &specs,
                 &all,
-                &measure,
-                AggFunc::Sum,
-            ))
+                &mv,
+                &ExecConfig::serial(),
+                DENSE_GROUP_LIMIT,
+            );
+            black_box(groups.map(|g| g[0].to_map(AggFunc::Sum)))
         })
     });
 }

@@ -15,10 +15,11 @@
 //!
 //! Run: `cargo run --release -p kdap-bench --bin exp_fig7`
 
-use kdap_bench::print_table;
-use kdap_core::facet::{merge_intervals, rank_dimension_attrs, AnnealConfig, NumericSeries};
-use kdap_core::{materialize, rollup_spaces, Kdap};
+use kdap_bench::{bucket_series, numeric_values, print_table, BucketSeries, RollupCase};
+use kdap_core::facet::{merge_intervals, path_for_attr, AnnealConfig};
+use kdap_core::{materialize, rollup_spaces, Kdap, MeasureVector};
 use kdap_datagen::{build_aw_online, build_aw_reseller, Scale};
+use kdap_query::Bucketizer;
 use kdap_warehouse::ColRef;
 
 const CHECKPOINTS: &[usize] = &[0, 10, 20, 30, 50, 75, 100, 150, 200, 300, 500];
@@ -77,37 +78,38 @@ fn main() {
     println!("(error = |corr(merged) − corr(basic intervals)| × 100; 40 basic intervals)");
 }
 
-/// Runs the differentiate phase and extracts the basic-interval series of
-/// one numerical attribute from the attribute-ranking machinery.
-fn numeric_series(kdap: &Kdap, query: &str, dim_name: &str, attr: ColRef) -> Option<NumericSeries> {
+/// Runs the differentiate phase and builds the basic-interval series of
+/// one numerical attribute over the top star net's subspace, against its
+/// worst-correlated roll-up space — what attribute ranking hands to the
+/// display merge.
+fn numeric_series(kdap: &Kdap, query: &str, dim_name: &str, attr: ColRef) -> Option<BucketSeries> {
     let ranked = kdap.interpret(query);
     let net = &ranked.first()?.net;
     eprintln!("  \"{query}\" → {}", net.display(kdap.warehouse()));
     let wh = kdap.warehouse();
     let jidx = kdap.join_index();
     let sub = materialize(wh, jidx, net);
-    if sub.is_empty() {
-        return None;
-    }
-    let rups = rollup_spaces(wh, jidx, net);
     let dim = wh.schema().dimension_by_name(dim_name)?;
-    let ranked_attrs = rank_dimension_attrs(
-        wh,
-        jidx,
-        net,
-        &sub,
-        &rups,
-        dim,
-        kdap.measure(),
-        kdap.facet_config(),
-    );
-    ranked_attrs
+    let path = path_for_attr(wh, net, dim, attr.table)?;
+    let buckets = Bucketizer::equal_width(
+        numeric_values(wh, jidx, &path, attr, &sub.rows),
+        kdap.facet_config().n_basic_intervals,
+    )?;
+    let mv = MeasureVector::build(wh, kdap.measure());
+    rollup_spaces(wh, jidx, net)
         .into_iter()
-        .find(|ra| ra.attr == attr)
-        .and_then(|ra| ra.numeric)
+        .map(|rup| {
+            let case = RollupCase {
+                label: query.to_string(),
+                ds: sub.rows.clone(),
+                rup: rup.rows,
+            };
+            bucket_series(wh, jidx, &case, attr, &path, &mv, &buckets)
+        })
+        .min_by(|a, b| a.correlation().total_cmp(&b.correlation()))
 }
 
-fn report_scenario(query: &str, column: &str, series: &NumericSeries) {
+fn report_scenario(query: &str, column: &str, series: &BucketSeries) {
     println!("### query \"{query}\", attribute domain {column}\n");
     let mut rows = Vec::new();
     for k in [5usize, 6, 7] {

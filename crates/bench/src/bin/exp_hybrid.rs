@@ -16,7 +16,7 @@
 //! Run: `cargo run --release -p kdap-bench --bin exp_hybrid`
 
 use kdap_bench::print_table;
-use kdap_core::{FacetOrder, Kdap};
+use kdap_core::{FacetOrder, Kdap, QueryOptions};
 use kdap_datagen::{build_aw_online, Scale};
 
 const SESSION: &[&str] = &[
@@ -36,8 +36,7 @@ fn main() {
     };
     eprintln!("building AW_ONLINE ({} facts)...", scale.facts);
     let wh = build_aw_online(scale, 42).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh).build().expect("measure defined");
-    kdap.facet_config_mut().top_k_attrs = 3;
+    let kdap = Kdap::builder(wh).build().expect("measure defined");
 
     println!("## Hybrid interface organization (§7) — layout churn vs interestingness\n");
     println!("session: {}\n", SESSION.join(" → "));
@@ -51,7 +50,11 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, order) in orders {
-        kdap.facet_config_mut().order = order;
+        let options = QueryOptions {
+            order: Some(order),
+            top_k_attrs: Some(3),
+            ..QueryOptions::default()
+        };
         // Layouts per query: dimension → ordered non-promoted attr names.
         let mut layouts: Vec<std::collections::BTreeMap<String, Vec<String>>> = Vec::new();
         let mut score_sum = 0.0;
@@ -59,7 +62,9 @@ fn main() {
         for q in SESSION {
             let ranked = kdap.interpret(q);
             let Some(r) = ranked.first() else { continue };
-            let ex = kdap.explore(&r.net).expect("star net evaluates");
+            let ex = kdap
+                .explore_with_options(&r.net, &options)
+                .expect("star net evaluates");
             let mut layout = std::collections::BTreeMap::new();
             for panel in &ex.panels {
                 let attrs: Vec<String> = panel

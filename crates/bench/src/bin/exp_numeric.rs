@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p kdap-bench --bin exp_numeric`
 
 use kdap_bench::print_table;
-use kdap_core::{Kdap, NumericConfig};
+use kdap_core::{GenConfig, Kdap, NumericConfig};
 use kdap_datagen::{build_aw_online, Scale};
 
 fn main() {
@@ -21,9 +21,23 @@ fn main() {
     } else {
         Scale::full()
     };
-    eprintln!("building AW_ONLINE ({} facts)...", scale.facts);
-    let wh = build_aw_online(scale, 42).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh).build().expect("measure defined");
+    // Two sessions over the same (seed-42) warehouse: text hits only, and
+    // text plus numeric hits.
+    eprintln!("building AW_ONLINE ({} facts) twice...", scale.facts);
+    let text_only = Kdap::builder(build_aw_online(scale, 42).expect("generator is valid"))
+        .build()
+        .expect("measure defined");
+    let numeric = GenConfig {
+        numeric: NumericConfig {
+            enabled: true,
+            ..NumericConfig::default()
+        },
+        ..GenConfig::default()
+    };
+    let kdap = Kdap::builder(build_aw_online(scale, 42).expect("generator is valid"))
+        .gen_config(numeric)
+        .build()
+        .expect("measure defined");
 
     println!("## Numeric hit candidates (§7 future work)\n");
 
@@ -42,11 +56,7 @@ fn main() {
     let queries = ["2001", price_kw.as_str(), "80000 California"];
     let mut rows = Vec::new();
     for q in queries {
-        let baseline = kdap.interpret(q).len();
-        kdap.gen_config_mut().numeric = NumericConfig {
-            enabled: true,
-            ..NumericConfig::default()
-        };
+        let baseline = text_only.interpret(q).len();
         let ranked = kdap.interpret(q);
         let numeric_count = ranked
             .iter()
@@ -70,7 +80,6 @@ fn main() {
             format!("{numeric_count}"),
             top,
         ]);
-        kdap.gen_config_mut().numeric = NumericConfig::default();
     }
     print_table(
         &[
@@ -84,10 +93,6 @@ fn main() {
     );
 
     // End-to-end: explore a numeric interpretation.
-    kdap.gen_config_mut().numeric = NumericConfig {
-        enabled: true,
-        ..NumericConfig::default()
-    };
     let ranked = kdap.interpret(&price_kw);
     if let Some(r) = ranked
         .iter()

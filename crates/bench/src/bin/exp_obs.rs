@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use kdap_bench::print_table;
-use kdap_core::{Exploration, Kdap, StarNet};
+use kdap_core::{Exploration, Kdap, QueryRequest, StarNet, Verb};
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
 };
@@ -157,7 +157,11 @@ fn run_db(
         .first()
         .map(|q| q.text())
         .unwrap_or_else(|| "workload".to_string());
-    let report = on.profile_query(&label).expect("profile succeeds");
+    let profile = on
+        .run(&QueryRequest::new(Verb::Profile, &label))
+        .expect("profile succeeds")
+        .profile
+        .expect("profile verb returns a profile");
     DbResult {
         db,
         facts,
@@ -165,8 +169,8 @@ fn run_db(
         off_ms,
         off2_ms,
         on_ms,
-        profile_stages: report.profile.len(),
-        profile_json: report.profile.to_json(),
+        profile_stages: profile.len(),
+        profile_json: profile.to_json(),
     }
 }
 

@@ -66,10 +66,16 @@ fn run_rung(
     let facts = wh.fact_rows();
     let warehouse_bytes = wh.approx_bytes();
     let queries = generate_workload(&wh, &WorkloadConfig::default());
-    let mut kdap = Kdap::builder(wh)
-        .memory_budget(budget_bytes)
-        .build()
-        .expect("measure");
+    // Sessions are immutable, so each thread count gets its own over a
+    // clone of the warehouse, each dropped before the next is built.
+    let session = |t: usize| {
+        Kdap::builder(wh.clone())
+            .threads(t)
+            .memory_budget(budget_bytes)
+            .build()
+            .expect("measure")
+    };
+    let first = session(threads[0]);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     eprintln!(
         "scale {scale}: {facts} facts · {:.1} MB compressed · built in {:.0} ms",
@@ -79,22 +85,22 @@ fn run_rung(
 
     let nets: Vec<StarNet> = queries
         .iter()
-        .filter_map(|q| kdap.interpret(&q.text()).into_iter().next())
+        .filter_map(|q| first.interpret(&q.text()).into_iter().next())
         .map(|r| r.net)
         .take(max_nets)
         .collect();
     assert!(!nets.is_empty(), "workload produced no interpretations");
 
-    // Warm once: plans, semi-join bitmaps, row mappers, measure vector.
-    // Every explore runs governed by the memory budget — a breach aborts
-    // the whole experiment, which is exactly the point.
-    for net in &nets {
-        kdap.explore(net).expect("warm explore within budget");
-    }
-
     let mut p50_ms = Vec::new();
+    let mut first = Some(first);
     for &t in threads {
-        kdap.set_threads(t);
+        let kdap = first.take().unwrap_or_else(|| session(t));
+        // Warm once: plans, semi-join bitmaps, row mappers, measure
+        // vector. Every explore runs governed by the memory budget — a
+        // breach aborts the whole experiment, which is exactly the point.
+        for net in &nets {
+            kdap.explore(net).expect("warm explore within budget");
+        }
         // Interleave rounds over the nets and keep each net's best, so
         // CPU-frequency drift across the run cancels; the rung's number
         // is the p50 over per-net minima.

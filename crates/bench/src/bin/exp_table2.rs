@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p kdap-bench --bin exp_table2 [-- --scale small]`
 
 use kdap_bench::print_table;
-use kdap_core::Kdap;
+use kdap_core::{FacetConfig, Kdap};
 use kdap_datagen::{build_aw_online, Scale};
 
 fn main() {
@@ -20,10 +20,15 @@ fn main() {
     };
     eprintln!("building AW_ONLINE ({} facts)...", scale.facts);
     let wh = build_aw_online(scale, 42).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh).build().expect("measure defined");
-    kdap.facet_config_mut().top_k_attrs = 4;
-    kdap.facet_config_mut().top_k_instances = 5;
-    kdap.facet_config_mut().display_intervals = 3;
+    let kdap = Kdap::builder(wh)
+        .facet_config(FacetConfig {
+            top_k_attrs: 4,
+            top_k_instances: 5,
+            display_intervals: 3,
+            ..FacetConfig::default()
+        })
+        .build()
+        .expect("measure defined");
 
     let ranked = kdap.interpret("California Mountain Bikes");
     let net = &ranked.first().expect("interpretations exist").net;

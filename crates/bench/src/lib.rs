@@ -8,8 +8,8 @@
 use kdap_core::{RankedStarNet, StarNet};
 use kdap_datagen::LabeledQuery;
 use kdap_query::{
-    group_by_buckets, paths_between, project_numeric, Bucketizer, JoinIndex, JoinPath, RowSet,
-    Selection, MAX_PATH_LEN,
+    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, JoinIndex,
+    JoinPath, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
 };
 use kdap_warehouse::{ColRef, Measure, Warehouse};
 
@@ -142,61 +142,83 @@ pub fn hierarchy_rollup_cases(
     cases
 }
 
-/// Correlation of the DS′/RUP aggregation series for a numerical
-/// attribute under a given bucketizer.
-pub fn bucketized_correlation(
+/// The numeric values of `attr` reached from `rows` along `path` — the
+/// domain a bucketizer spans ("the set of all distinct values projected
+/// from DS′", §5.2).
+pub fn numeric_values(
+    wh: &Warehouse,
+    jidx: &JoinIndex,
+    path: &JoinPath,
+    attr: ColRef,
+    rows: &RowSet,
+) -> Vec<f64> {
+    let mapper = jidx.row_mapper(wh, wh.schema().fact_table(), path);
+    let col = wh.column(attr);
+    rows.iter()
+        .filter_map(|row| mapper[row])
+        .filter_map(|target| col.get_float(target as usize))
+        .collect()
+}
+
+/// The SUM series of one roll-up case per bucket of a numerical
+/// attribute, with the DS′ bucket occupancy.
+pub struct BucketSeries {
+    pub ds: Vec<f64>,
+    pub rup: Vec<f64>,
+    occupancy: Vec<f64>,
+}
+
+impl BucketSeries {
+    /// Correlation of the DS′ and RUP series. §5.2.1: only segments that
+    /// exist in DS′ participate in the comparison — buckets with no DS′
+    /// fact are dropped from both series.
+    pub fn correlation(&self) -> f64 {
+        let (xs, ys): (Vec<f64>, Vec<f64>) = self
+            .ds
+            .iter()
+            .zip(&self.rup)
+            .zip(&self.occupancy)
+            .filter(|(_, &cnt)| cnt > 0.0)
+            .map(|((a, b), _)| (*a, *b))
+            .unzip();
+        kdap_core::pearson(&xs, &ys)
+    }
+}
+
+/// Scans both spaces of `case` once, bucketizing `attr` (reached along
+/// `attr_path`) with `buckets`.
+pub fn bucket_series(
     wh: &Warehouse,
     jidx: &JoinIndex,
     case: &RollupCase,
     attr: ColRef,
     attr_path: &JoinPath,
-    measure: &Measure,
+    mv: &MeasureVector,
     buckets: &Bucketizer,
-) -> f64 {
-    let fact = wh.schema().fact_table();
-    let x = group_by_buckets(
-        wh,
-        jidx,
-        fact,
-        attr_path,
+) -> BucketSeries {
+    let specs = [FacetSpec::Buckets {
         attr,
-        &case.ds,
-        measure,
-        kdap_query::AggFunc::Sum,
-        buckets,
-    );
-    let y = group_by_buckets(
-        wh,
-        jidx,
-        fact,
-        attr_path,
-        attr,
-        &case.rup,
-        measure,
-        kdap_query::AggFunc::Sum,
-        buckets,
-    );
-    // §5.2.1: only segments that exist in DS′ participate in the
-    // comparison — buckets with no DS′ fact are dropped from both series.
-    let occupancy = group_by_buckets(
-        wh,
-        jidx,
-        fact,
-        attr_path,
-        attr,
-        &case.ds,
-        measure,
-        kdap_query::AggFunc::Count,
-        buckets,
-    );
-    let (xs, ys): (Vec<f64>, Vec<f64>) = x
-        .iter()
-        .zip(&y)
-        .zip(&occupancy)
-        .filter(|(_, &cnt)| cnt > 0.0)
-        .map(|((a, b), _)| (*a, *b))
-        .unzip();
-    kdap_core::pearson(&xs, &ys)
+        mapper: jidx.row_mapper(wh, wh.schema().fact_table(), attr_path),
+        buckets: buckets.clone(),
+    }];
+    let scan = |rows: &RowSet| {
+        multi_group_by_exec(
+            wh,
+            &specs,
+            rows,
+            mv,
+            &ExecConfig::serial(),
+            DENSE_GROUP_LIMIT,
+        )
+        .expect("ungoverned scan")
+        .remove(0)
+    };
+    let ds = scan(&case.ds);
+    BucketSeries {
+        ds: ds.to_series(AggFunc::Sum),
+        rup: scan(&case.rup).to_series(AggFunc::Sum),
+        occupancy: ds.to_series(AggFunc::Count),
+    }
 }
 
 /// One sweep point of Figures 5/6: mean error (in percentage points of
@@ -218,21 +240,22 @@ pub fn bucket_sweep(
     measure: &Measure,
     bucket_counts: &[usize],
 ) -> Vec<SweepPoint> {
-    let fact = wh.schema().fact_table();
     let attr_path = unique_fact_path(wh, wh.table(attr.table).name());
+    let mv = MeasureVector::build(wh, measure);
+    let correlation = |case: &RollupCase, buckets: &Bucketizer| {
+        bucket_series(wh, jidx, case, attr, &attr_path, &mv, buckets).correlation()
+    };
 
     // Per-case ground truth: one bucket per distinct value in DS′.
     let truths: Vec<Option<(f64, Vec<f64>)>> = cases
         .iter()
         .map(|case| {
-            let values = project_numeric(wh, jidx, fact, &attr_path, attr, &case.ds);
+            let values = numeric_values(wh, jidx, &attr_path, attr, &case.ds);
             let gt_buckets = Bucketizer::per_distinct(values.iter().copied())?;
             if gt_buckets.n_buckets() < 3 {
                 return None;
             }
-            let corr =
-                bucketized_correlation(wh, jidx, case, attr, &attr_path, measure, &gt_buckets);
-            Some((corr, values))
+            Some((correlation(case, &gt_buckets), values))
         })
         .collect();
 
@@ -248,9 +271,7 @@ pub fn bucket_sweep(
                 let Some(buckets) = Bucketizer::equal_width(values.iter().copied(), n) else {
                     continue;
                 };
-                let corr =
-                    bucketized_correlation(wh, jidx, case, attr, &attr_path, measure, &buckets);
-                total += (corr - gt_corr).abs() * 100.0;
+                total += (correlation(case, &buckets) - gt_corr).abs() * 100.0;
                 counted += 1;
             }
             SweepPoint {

@@ -59,9 +59,6 @@ pub struct CliArgs {
     /// Worker threads for the parallel execution engine (1 = serial,
     /// 0 = all cores).
     pub threads: usize,
-    /// Plan optimizer (selectivity reordering, predicate fusion, semi-join
-    /// reuse); `--no-opt` turns it off for A/B comparison.
-    pub optimizer: bool,
     /// One-shot subcommand, or the console.
     pub mode: CliMode,
     /// `--profile`: enable the observability recorder; `explain` appends
@@ -96,7 +93,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut scale = 1usize;
     let mut seed = 42u64;
     let mut threads = 1usize;
-    let mut optimizer = true;
     let mut profile = false;
     let mut json = false;
     let mut timeout_ms = None;
@@ -153,7 +149,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                     .parse()
                     .map_err(|_| "--threads must be an integer".to_string())?;
             }
-            "--no-opt" => optimizer = false,
             "--profile" => profile = true,
             "--json" => json = true,
             "--timeout-ms" => {
@@ -238,7 +233,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         scale,
         seed,
         threads,
-        optimizer,
         mode,
         profile,
         json,
@@ -256,7 +250,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
 pub fn usage() -> String {
     "usage: kdap [profile <keywords…> | stats | serve | slow] \
      [--demo ebiz|aw-online|aw-reseller|trends] [--spec FILE] \
-     [--small] [--scale N] [--seed N] [--threads N] [--no-opt] [--profile] [--json] \
+     [--small] [--scale N] [--seed N] [--threads N] [--profile] [--json] \
      [--timeout-ms N] [--trace-out FILE] \
      [--listen ADDR] [--port N] [--workers N] [--max-inflight N] [--log stderr|FILE]"
         .to_string()
@@ -277,7 +271,6 @@ mod tests {
         assert!(!a.small);
         assert_eq!(a.seed, 42);
         assert_eq!(a.threads, 1);
-        assert!(a.optimizer);
         assert_eq!(a.mode, CliMode::Repl);
         assert!(!a.profile);
         assert!(!a.json);
@@ -391,14 +384,12 @@ mod tests {
             "7",
             "--threads",
             "4",
-            "--no-opt",
         ]))
         .unwrap();
         assert_eq!(a.source, DataSource::DemoAwOnline);
         assert!(a.small);
         assert_eq!(a.seed, 7);
         assert_eq!(a.threads, 4);
-        assert!(!a.optimizer);
     }
 
     #[test]

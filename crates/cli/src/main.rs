@@ -72,7 +72,6 @@ fn main() {
     let mut builder = Kdap::builder(wh)
         .cache_capacity(64)
         .threads(args.threads)
-        .optimizer(args.optimizer)
         .observability(observability);
     if let Some(ms) = args.timeout_ms {
         builder = builder.deadline(Duration::from_millis(ms));

@@ -371,8 +371,11 @@ mod tests {
     #[test]
     fn timed_out_query_reports_timeout_not_panic() {
         let wh = build_ebiz(EbizScale::small(), 7).unwrap();
-        let mut kdap = Kdap::builder(wh).cache_capacity(8).build().unwrap();
-        kdap.set_deadline(Some(std::time::Duration::ZERO));
+        let kdap = Kdap::builder(wh)
+            .cache_capacity(8)
+            .deadline(std::time::Duration::ZERO)
+            .build()
+            .unwrap();
         let mut r = Repl::new(kdap);
         let out = run(&mut r, "q columbus lcd");
         assert!(out.contains("timed out"), "{out}");

@@ -67,7 +67,7 @@ pub fn stats_text(kdap: &Kdap) -> String {
     ));
     out.push_str(&format!(
         "kernels: {} active ({} detected: {}){}\n",
-        kdap.kernel_tier().name(),
+        kdap_core::kernel::active_tier().name(),
         kdap_core::kernel::detected_tier().name(),
         kdap_core::kernel::detected_features().join(", "),
         if kdap_core::kernel::simd_disabled_by_env() {
@@ -140,7 +140,7 @@ pub fn stats_json(kdap: &Kdap) -> String {
     out.push_str(&format!(
         ",\n  \"kernel\": {{\"active\": \"{}\", \"detected\": \"{}\", \"features\": [{}], \
          \"no_simd_env\": {}}}",
-        kdap.kernel_tier().name(),
+        kdap_core::kernel::active_tier().name(),
         kdap_core::kernel::detected_tier().name(),
         kdap_core::kernel::detected_features()
             .iter()

@@ -23,11 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use kdap_obs::CacheCounters;
-use kdap_query::{ExecConfig, JoinIndex};
+use kdap_query::JoinIndex;
 use kdap_warehouse::Warehouse;
 
 use crate::interpret::StarNet;
-use crate::subspace::{materialize_with, Subspace};
+use crate::subspace::{materialize, Subspace};
 
 /// Upper bound on the number of shards; small capacities use fewer so the
 /// per-shard LRU never degenerates to zero slots.
@@ -85,25 +85,13 @@ impl SubspaceCache {
 
     /// Materializes `net`, serving repeats from the cache.
     pub fn materialize(&self, wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace {
-        self.materialize_with(wh, jidx, net, &ExecConfig::serial())
-    }
-
-    /// Materializes `net` with an explicit execution configuration,
-    /// serving repeats from the cache.
-    pub fn materialize_with(
-        &self,
-        wh: &Warehouse,
-        jidx: &JoinIndex,
-        net: &StarNet,
-        exec: &ExecConfig,
-    ) -> Subspace {
         let key = net.fingerprint();
         if let Some(sub) = self.get(&key) {
             return sub;
         }
         // Materialize outside the lock: concurrent sessions should not
         // serialize on the semi-join work.
-        let sub = materialize_with(wh, jidx, net, exec);
+        let sub = materialize(wh, jidx, net);
         self.insert(key, sub.clone());
         sub
     }

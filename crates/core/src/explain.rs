@@ -133,7 +133,7 @@ pub fn explain_planned(
 
 /// Kernel choice and observed group count of one fused facet spec.
 #[derive(Debug, Clone)]
-pub struct FacetKernelChoice {
+pub struct FacetScanChoice {
     /// `Table.Attr` display name of the candidate.
     pub attr: String,
     /// `dense` (accumulator array sized by dictionary cardinality),
@@ -148,7 +148,7 @@ pub struct FacetKernelChoice {
 /// single-pass pipeline performed versus what the per-facet pipeline
 /// would have paid for the same exploration, plus the dense-vs-hash
 /// kernel choice per deduplicated facet spec. Produced by
-/// [`Kdap::explain_explore`](crate::Kdap::explain_explore).
+/// [`Kdap::explain_explore_with`](crate::Kdap::explain_explore_with).
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Roll-up spaces of the star net (one per constraint; one full
@@ -162,7 +162,7 @@ pub struct ExploreReport {
     /// exploration (its actual early-exits accounted).
     pub scans_old: usize,
     /// Kernel choice per deduplicated facet spec, in evaluation order.
-    pub facets: Vec<FacetKernelChoice>,
+    pub facets: Vec<FacetScanChoice>,
     /// Session subspace-cache counters at report time, when the session
     /// caches subspaces.
     pub subspace_cache: Option<CacheCounters>,

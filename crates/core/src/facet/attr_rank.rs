@@ -9,16 +9,12 @@
 
 use std::collections::HashMap;
 
-use kdap_query::{
-    group_by_buckets, group_by_categorical, paths_between, project_categorical, project_numeric,
-    Bucketizer, JoinIndex, JoinPath,
-};
-use kdap_warehouse::{AttrKind, ColRef, Dimension, Measure, Warehouse};
+use kdap_query::{paths_between, Bucketizer, JoinPath};
+use kdap_warehouse::{AttrKind, ColRef, Dimension, Warehouse};
 
 use crate::facet::FacetConfig;
 use crate::interest::{combine_correlations, pearson};
 use crate::interpret::StarNet;
-use crate::subspace::Subspace;
 
 /// Basic-interval series of a numerical candidate, kept for the display
 /// merge phase (Algorithm 2 runs on these without further DBMS access).
@@ -106,8 +102,7 @@ fn shared_prefix(a: &JoinPath, b: &JoinPath) -> usize {
 /// One attribute-evaluation unit of work: a promoted (hit) attribute with
 /// the constraint's own path, or a declared group-by candidate with its
 /// chosen path. Tasks are collected up front so the explore phase can
-/// score them across worker threads; evaluation is a pure function of the
-/// task, so the assembled ranking is identical for every thread count.
+/// deduplicate them into scan specs before scoring.
 #[derive(Debug, Clone)]
 pub(crate) struct AttrTask {
     pub attr: ColRef,
@@ -154,38 +149,6 @@ pub(crate) fn collect_attr_tasks(wh: &Warehouse, net: &StarNet, dim: &Dimension)
     tasks
 }
 
-/// Scores one task against the roll-up spaces. Pure: no shared mutable
-/// state, safe to run from any worker thread.
-pub(crate) fn evaluate_attr_task(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
-    measure: &Measure,
-    cfg: &FacetConfig,
-    task: &AttrTask,
-) -> Option<RankedAttr> {
-    let scored = match task.kind {
-        AttrKind::Categorical => {
-            score_categorical(wh, jidx, sub, rups, &task.path, task.attr, measure, cfg)
-                .map(|corr| (corr, None))
-        }
-        AttrKind::Numerical => {
-            score_numerical(wh, jidx, sub, rups, &task.path, task.attr, measure, cfg)
-                .map(|(corr, series)| (corr, Some(series)))
-        }
-    };
-    scored.map(|(correlation, numeric)| RankedAttr {
-        attr: task.attr,
-        kind: task.kind,
-        path: task.path.clone(),
-        correlation,
-        score: cfg.mode.attr_score(correlation),
-        promoted: task.promoted,
-        numeric,
-    })
-}
-
 /// Assembles evaluated tasks into the final per-dimension ranking:
 /// first successful evaluation per attribute wins (promoted tasks come
 /// first in task order), then the configured ordering policy applies.
@@ -208,28 +171,6 @@ pub(crate) fn assemble_ranked(
     }
     sort_ranked(dim, cfg, &mut out);
     out
-}
-
-/// Ranks the group-by candidates of one dimension against the roll-up
-/// spaces. Promoted (hit) attributes come first; the rest are ordered by
-/// descending interestingness.
-#[allow(clippy::too_many_arguments)]
-pub fn rank_dimension_attrs(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    sub: &Subspace,
-    rups: &[Subspace],
-    dim: &Dimension,
-    measure: &Measure,
-    cfg: &FacetConfig,
-) -> Vec<RankedAttr> {
-    let tasks = collect_attr_tasks(wh, net, dim);
-    let results: Vec<Option<RankedAttr>> = tasks
-        .iter()
-        .map(|t| evaluate_attr_task(wh, jidx, sub, rups, measure, cfg, t))
-        .collect();
-    assemble_ranked(dim, cfg, &tasks, results)
 }
 
 /// Sorts a ranking in place: promoted first (they anchor navigation),
@@ -278,9 +219,8 @@ fn sort_ranked(dim: &Dimension, cfg: &FacetConfig, out: &mut [RankedAttr]) {
 /// The Eq. 1 correlation of one categorical attribute from precomputed
 /// group-by maps: the DS′ and RUP series are built over `DOM(DS′, attr)`
 /// only (segments absent from DS′ are not compared) and combined to the
-/// worst case. Shared by the per-facet kernels (which compute the maps
-/// with one scan each) and the fused kernel (which reads them out of a
-/// single scan).
+/// worst case. Shared by the explore pipeline (which reads the maps out
+/// of one fused scan) and the per-facet reference (one scan per map).
 pub(crate) fn categorical_correlation(
     dom: &[u32],
     x_map: &HashMap<u32, f64>,
@@ -323,91 +263,4 @@ pub(crate) fn numeric_worst_correlation(
         }
     }
     worst.map(|(corr, y)| (corr, y.clone()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn score_categorical(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
-    path: &JoinPath,
-    attr: ColRef,
-    measure: &Measure,
-    cfg: &FacetConfig,
-) -> Option<f64> {
-    let fact = wh.schema().fact_table();
-    let dom = project_categorical(wh, jidx, fact, path, attr, &sub.rows);
-    if dom.is_empty() {
-        return None;
-    }
-    let x_map = group_by_categorical(wh, jidx, fact, path, attr, &sub.rows, measure, cfg.agg);
-    let y_maps: Vec<HashMap<u32, f64>> = rups
-        .iter()
-        .map(|rup| group_by_categorical(wh, jidx, fact, path, attr, &rup.rows, measure, cfg.agg))
-        .collect();
-    categorical_correlation(&dom, &x_map, &y_maps)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn score_numerical(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
-    path: &JoinPath,
-    attr: ColRef,
-    measure: &Measure,
-    cfg: &FacetConfig,
-) -> Option<(f64, NumericSeries)> {
-    let fact = wh.schema().fact_table();
-    let values = project_numeric(wh, jidx, fact, path, attr, &sub.rows);
-    let bucketizer = Bucketizer::equal_width(values, cfg.n_basic_intervals)?;
-    let x = group_by_buckets(
-        wh,
-        jidx,
-        fact,
-        path,
-        attr,
-        &sub.rows,
-        measure,
-        cfg.agg,
-        &bucketizer,
-    );
-    let occupancy = group_by_buckets(
-        wh,
-        jidx,
-        fact,
-        path,
-        attr,
-        &sub.rows,
-        measure,
-        kdap_query::AggFunc::Count,
-        &bucketizer,
-    );
-    let rup_ys: Vec<Vec<f64>> = rups
-        .iter()
-        .map(|rup| {
-            group_by_buckets(
-                wh,
-                jidx,
-                fact,
-                path,
-                attr,
-                &rup.rows,
-                measure,
-                cfg.agg,
-                &bucketizer,
-            )
-        })
-        .collect();
-    let (corr, rup_series) = numeric_worst_correlation(&x, &occupancy, &rup_ys)?;
-    Some((
-        corr,
-        NumericSeries {
-            bucketizer,
-            ds: x,
-            rup: rup_series,
-        },
-    ))
 }

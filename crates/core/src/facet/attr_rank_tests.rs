@@ -3,10 +3,11 @@
 //! ranking mechanics in isolation.
 #![cfg(test)]
 
-use kdap_query::paths_between;
+use kdap_query::{paths_between, MeasureVector};
 use kdap_warehouse::AttrKind;
 
-use crate::facet::{path_for_attr, rank_dimension_attrs, FacetConfig};
+use crate::facet::per_facet::rank_dimension_attrs;
+use crate::facet::{path_for_attr, FacetConfig};
 use crate::interest::InterestMode;
 use crate::interpret::{generate_star_nets, GenConfig, StarNet};
 use crate::rollup::rollup_spaces;
@@ -29,8 +30,9 @@ fn ranked_for_dim(
     let sub = materialize(&fx.wh, &fx.jidx, net);
     let rups = rollup_spaces(&fx.wh, &fx.jidx, net);
     let dim = fx.wh.schema().dimension_by_name(dim_name).unwrap();
-    let measure = fx.wh.schema().measure_by_name("Revenue").unwrap().clone();
-    rank_dimension_attrs(&fx.wh, &fx.jidx, net, &sub, &rups, dim, &measure, cfg)
+    let measure = fx.wh.schema().measure_by_name("Revenue").unwrap();
+    let mv = MeasureVector::build(&fx.wh, measure);
+    rank_dimension_attrs(&fx.wh, &fx.jidx, net, &sub, &rups, dim, &mv, cfg)
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! The fused explore pipeline: single-pass vectorized facet aggregation.
+//! The explore pipeline: single-pass vectorized facet aggregation.
 //!
-//! The per-facet pipeline issues one group-by kernel call per candidate
-//! attribute per space, and each call re-scans the subspace bitmap,
-//! re-derives the fact→dimension row mapper, and re-evaluates the measure
-//! expression row by row. This module replaces all of that with a handful
-//! of fused scans over session-materialized inputs:
+//! Scoring one candidate attribute at a time would issue one group-by
+//! scan per candidate per space, each re-scanning the subspace bitmap,
+//! re-deriving the fact→dimension row mapper, and re-evaluating the
+//! measure expression row by row. This module answers a whole exploration
+//! with a handful of fused scans over session-materialized inputs:
 //!
 //! 1. **Scan A** over DS′: the total aggregate, every categorical
 //!    candidate's group stats, and every numerical candidate's domain —
@@ -15,16 +15,15 @@
 //!    aggregation series and the §5.2.1 occupancy filter.
 //! 3. **One scan per roll-up space**: totals plus every candidate's group
 //!    stats — shared by attribute scoring (Eq. 1) *and* instance ranking
-//!    (Eq. 2), which the per-facet pipeline recomputed from scratch in
-//!    its second stage.
+//!    (Eq. 2).
 //!
 //! Candidate `(attr, path)` pairs are deduplicated into one spec each, the
 //! measure is decoded once into a [`MeasureVector`], and row mappers are
-//! shared `Arc`s from the session's `JoinIndex` memo. Scoring and ranking
-//! run through the same helpers as the per-facet pipeline
+//! shared `Arc`s from the session's `JoinIndex` memo. The scoring math
 //! ([`categorical_correlation`], [`numeric_worst_correlation`],
-//! [`rank_instances_from`]), so the serial fused exploration is
-//! bit-identical to the per-facet one (`tests/facet_equivalence.rs`).
+//! [`rank_instances_from`]) is shared with the one-scan-per-facet
+//! reference in [`per_facet`](super::per_facet), which
+//! `tests/facet_equivalence.rs` holds this pipeline to field for field.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -36,13 +35,15 @@ use kdap_query::{
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
 use crate::error::KdapError;
-use crate::explain::{ExploreReport, FacetKernelChoice};
+use crate::explain::{ExploreReport, FacetScanChoice};
 use crate::facet::attr_rank::{
     assemble_ranked, categorical_correlation, collect_attr_tasks, numeric_worst_correlation,
     AttrTask, NumericSeries, RankedAttr,
 };
 use crate::facet::instance_rank::rank_instances_from;
-use crate::facet::{numeric_entries, Exploration, FacetAttr, FacetConfig, FacetEntry, FacetPanel};
+use crate::facet::{
+    numeric_entries, push_facet_attr, Exploration, FacetConfig, FacetEntry, FacetPanel,
+};
 use crate::interpret::StarNet;
 use crate::plan::Planner;
 use crate::rollup::try_rollup_spaces_planned;
@@ -61,8 +62,7 @@ enum SlotData {
         groups: usize,
     },
     Numerical {
-        /// `None` when the attribute has no finite value in DS′ (the
-        /// per-facet path's `Bucketizer::equal_width` returns `None`).
+        /// `None` when the attribute has no finite value in DS′.
         series: Option<NumSlot>,
     },
 }
@@ -78,17 +78,24 @@ struct NumSlot {
     groups: usize,
 }
 
-/// Runs the fused explore pipeline and reports its scan accounting.
+/// The explore phase over an already-materialized subspace: aggregates
+/// `sub`, builds its dynamic facets, and reports the scan accounting.
+///
+/// The roll-up spaces are compiled and executed through `planner`,
+/// sharing its semi-join cache with the differentiate phase that
+/// materialized the subspace; scans fan out over `exec`'s workers and
+/// poll its governance context. Results are identical for every thread
+/// count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_fused(
+pub fn explore_subspace(
     wh: &Warehouse,
     jidx: &JoinIndex,
     net: &StarNet,
     sub: &Subspace,
     mv: &MeasureVector,
     cfg: &FacetConfig,
-    exec: &ExecConfig,
     planner: &Planner,
+    exec: &ExecConfig,
 ) -> Result<(Exploration, ExploreReport), KdapError> {
     let schema = wh.schema();
     let fact = schema.fact_table();
@@ -272,8 +279,7 @@ pub(crate) fn explore_fused(
         })
         .collect();
 
-    // Stage 1: score every task from its slot's precomputed data — the
-    // same correlation helpers the per-facet kernels feed.
+    // Stage 1: score every task from its slot's precomputed data.
     let score_span = obs.span("explore.score");
     let task_slots: Vec<usize> = tasks
         .iter()
@@ -321,7 +327,7 @@ pub(crate) fn explore_fused(
         .collect();
 
     // Reassemble the per-dimension rankings and select the top-k
-    // attributes — identical to the per-facet pipeline.
+    // attributes.
     let mut per_dim: Vec<(Vec<AttrTask>, Vec<Option<RankedAttr>>)> =
         (0..dims.len()).map(|_| (Vec::new(), Vec::new())).collect();
     for ((di, task), result) in tasks.iter().zip(results) {
@@ -340,8 +346,7 @@ pub(crate) fn explore_fused(
     drop(score_span);
 
     // Stage 2: entries of every selected attribute — pure math over the
-    // scan results, no further scans (the per-facet pipeline re-scanned
-    // DS′ and every roll-up space per selected attribute here).
+    // scan results, no further scans.
     let entries_span = obs.span("explore.entries");
     let empty = HashSet::new();
     let mut panels: Vec<FacetPanel> = Vec::new();
@@ -370,37 +375,13 @@ pub(crate) fn explore_fused(
                 )
                 .into_iter()
                 .take(cfg.top_k_instances)
-                .map(|ri| FacetEntry {
-                    label: ri.label.to_string(),
-                    aggregate: ri.aggregate,
-                    score: ri.score,
-                    is_hit: ri.is_hit,
-                })
+                .map(FacetEntry::from)
                 .collect()
             }
             (AttrKind::Numerical, Some(series)) => numeric_entries(series, cfg),
             (AttrKind::Numerical, None) => Vec::new(),
         };
-        let facet_attr = FacetAttr {
-            attr: ra.attr,
-            name: wh.col_name(ra.attr),
-            kind: ra.kind,
-            correlation: ra.correlation,
-            score: ra.score,
-            promoted: ra.promoted,
-            entries,
-        };
-        let dimension = dims[*di].name.clone();
-        match panels.last_mut() {
-            Some(FacetPanel {
-                dimension: d,
-                attrs,
-            }) if *d == dimension => attrs.push(facet_attr),
-            _ => panels.push(FacetPanel {
-                dimension,
-                attrs: vec![facet_attr],
-            }),
-        }
+        push_facet_attr(&mut panels, wh, &dims[*di].name, ra, entries);
     }
 
     entries_span.rows_out(panels.iter().map(|p| p.attrs.len() as u64).sum());
@@ -426,8 +407,8 @@ pub(crate) fn explore_fused(
     ))
 }
 
-/// Scan accounting: what the fused pipeline did versus what the
-/// per-facet pipeline would have done for the same exploration.
+/// Scan accounting: what the fused pipeline did versus what one scan per
+/// facet per space would have cost for the same exploration.
 fn build_report(
     wh: &Warehouse,
     slots: &[(ColRef, JoinPath, AttrKind)],
@@ -466,12 +447,12 @@ fn build_report(
         .iter()
         .zip(slot_data)
         .filter_map(|((attr, _, _), data)| match data {
-            SlotData::Categorical { dense, groups, .. } => Some(FacetKernelChoice {
+            SlotData::Categorical { dense, groups, .. } => Some(FacetScanChoice {
                 attr: wh.col_name(*attr),
                 kernel: if *dense { "dense" } else { "hash" }.to_string(),
                 groups: *groups,
             }),
-            SlotData::Numerical { series: Some(ns) } => Some(FacetKernelChoice {
+            SlotData::Numerical { series: Some(ns) } => Some(FacetScanChoice {
                 attr: wh.col_name(*attr),
                 kernel: "buckets".to_string(),
                 groups: ns.groups,

@@ -17,11 +17,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use kdap_query::{aggregate_total, group_by_categorical, project_categorical, JoinIndex, JoinPath};
-use kdap_warehouse::{ColRef, Measure, Warehouse};
+use kdap_warehouse::{ColRef, Warehouse};
 
 use crate::facet::FacetConfig;
-use crate::subspace::Subspace;
 
 /// One ranked attribute instance.
 #[derive(Debug, Clone)]
@@ -42,46 +40,9 @@ pub struct RankedInstance {
     pub is_hit: bool,
 }
 
-/// Ranks the instances of one categorical attribute.
-#[allow(clippy::too_many_arguments)]
-pub fn rank_instances(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
-    path: &JoinPath,
-    attr: ColRef,
-    measure: &Measure,
-    cfg: &FacetConfig,
-    hit_codes: &HashSet<u32>,
-) -> Vec<RankedInstance> {
-    let fact = wh.schema().fact_table();
-    let dom = project_categorical(wh, jidx, fact, path, attr, &sub.rows);
-    if dom.is_empty() {
-        return Vec::new();
-    }
-    let g_ds = aggregate_total(wh, measure, &sub.rows, cfg.agg);
-    let x_map = group_by_categorical(wh, jidx, fact, path, attr, &sub.rows, measure, cfg.agg);
-
-    // Per roll-up space: total and per-category aggregates.
-    let rup_data: Vec<(f64, std::collections::HashMap<u32, f64>)> = rups
-        .iter()
-        .map(|rup| {
-            (
-                aggregate_total(wh, measure, &rup.rows, cfg.agg),
-                group_by_categorical(wh, jidx, fact, path, attr, &rup.rows, measure, cfg.agg),
-            )
-        })
-        .collect();
-    let rup_refs: Vec<(f64, &std::collections::HashMap<u32, f64>)> =
-        rup_data.iter().map(|(g, m)| (*g, m)).collect();
-    rank_instances_from(wh, attr, &dom, &x_map, g_ds, &rup_refs, cfg, hit_codes)
-}
-
 /// The pure Eq. 2 ranking over precomputed aggregates: `dom`, the DS′
 /// group-by map, the DS′ total, and per-roll-up `(total, group-by map)`
-/// pairs. [`rank_instances`] computes those inputs with per-facet kernel
-/// calls; the fused explore pipeline reads them out of its single scans.
+/// pairs, all read out of the explore pipeline's fused scans.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_instances_from(
     wh: &Warehouse,
@@ -150,121 +111,4 @@ pub(crate) fn rank_instances_from(
             .then(a.code.cmp(&b.code))
     });
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::interest::InterestMode;
-    use crate::interpret::{generate_star_nets, GenConfig, StarNet};
-    use crate::rollup::rollup_spaces;
-    use crate::subspace::materialize;
-    use crate::testutil::{ebiz_fixture, Fixture};
-
-    fn setup(
-        fx: &Fixture,
-    ) -> (
-        StarNet,
-        crate::subspace::Subspace,
-        Vec<crate::subspace::Subspace>,
-    ) {
-        let net = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default())
-            .into_iter()
-            .find(|n| n.display(&fx.wh).contains("STORE → LOC"))
-            .unwrap();
-        let sub = materialize(&fx.wh, &fx.jidx, &net);
-        let rups = rollup_spaces(&fx.wh, &fx.jidx, &net);
-        (net, sub, rups)
-    }
-
-    fn rank(fx: &Fixture, mode: InterestMode, hit_codes: &HashSet<u32>) -> Vec<RankedInstance> {
-        let (_, sub, rups) = setup(fx);
-        let attr = fx.wh.col_ref("PGROUP", "GroupName").unwrap();
-        let fact = fx.wh.schema().fact_table();
-        let path = kdap_query::paths_between(fx.wh.schema(), fact, attr.table, 8).remove(0);
-        let measure = fx.wh.schema().measure_by_name("Revenue").unwrap().clone();
-        let cfg = crate::facet::FacetConfig {
-            mode,
-            ..crate::facet::FacetConfig::default()
-        };
-        rank_instances(
-            &fx.wh, &fx.jidx, &sub, &rups, &path, attr, &measure, &cfg, hit_codes,
-        )
-    }
-
-    #[test]
-    fn shares_sum_to_one_over_the_domain() {
-        let fx = ebiz_fixture();
-        let ranked = rank(&fx, InterestMode::Surprise, &HashSet::new());
-        assert!(!ranked.is_empty());
-        let total_share: f64 = ranked.iter().map(|r| r.share).sum();
-        assert!((total_share - 1.0).abs() < 1e-9, "got {total_share}");
-    }
-
-    #[test]
-    fn eq2_deviation_is_share_minus_rollup_share() {
-        let fx = ebiz_fixture();
-        // The Columbus-store net rolls up city→state (Ohio), which in the
-        // fixture is the same subspace — every deviation is exactly 0.
-        let ranked = rank(&fx, InterestMode::Surprise, &HashSet::new());
-        for r in &ranked {
-            assert!(r.deviation.abs() < 1e-12, "{}: {}", r.label, r.deviation);
-        }
-    }
-
-    #[test]
-    fn hit_instances_are_pinned_first() {
-        let fx = ebiz_fixture();
-        let attr = fx.wh.col_ref("PGROUP", "GroupName").unwrap();
-        let plasma = fx
-            .wh
-            .column(attr)
-            .dict()
-            .unwrap()
-            .code_of("Plasma Displays")
-            .unwrap();
-        let hits: HashSet<u32> = [plasma].into_iter().collect();
-        let ranked = rank(&fx, InterestMode::Surprise, &hits);
-        assert_eq!(ranked[0].label.as_ref(), "Plasma Displays");
-        assert!(ranked[0].is_hit);
-        assert!(ranked[1..].iter().all(|r| !r.is_hit));
-    }
-
-    #[test]
-    fn modes_invert_the_ordering_key() {
-        let fx = ebiz_fixture();
-        let s = rank(&fx, InterestMode::Surprise, &HashSet::new());
-        let b = rank(&fx, InterestMode::Bellwether, &HashSet::new());
-        for (x, y) in s.iter().zip(&b) {
-            // Same deviations, negated ranking keys.
-            let y2 = b.iter().find(|r| r.code == x.code).unwrap();
-            assert!((x.score + y2.score).abs() < 1e-12);
-            let _ = y;
-        }
-    }
-
-    #[test]
-    fn empty_subspace_yields_no_instances() {
-        let fx = ebiz_fixture();
-        let attr = fx.wh.col_ref("PGROUP", "GroupName").unwrap();
-        let fact = fx.wh.schema().fact_table();
-        let path = kdap_query::paths_between(fx.wh.schema(), fact, attr.table, 8).remove(0);
-        let measure = fx.wh.schema().measure_by_name("Revenue").unwrap().clone();
-        let empty = crate::subspace::Subspace {
-            rows: kdap_query::RowSet::empty(fx.wh.fact_rows()),
-        };
-        let cfg = crate::facet::FacetConfig::default();
-        let ranked = rank_instances(
-            &fx.wh,
-            &fx.jidx,
-            &empty,
-            &[],
-            &path,
-            attr,
-            &measure,
-            &cfg,
-            &HashSet::new(),
-        );
-        assert!(ranked.is_empty());
-    }
 }

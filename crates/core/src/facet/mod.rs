@@ -10,25 +10,20 @@ pub mod anneal;
 pub mod attr_rank;
 #[cfg(test)]
 mod attr_rank_tests;
-pub(crate) mod fused;
+mod fused;
 pub mod instance_rank;
+#[doc(hidden)]
+pub mod per_facet;
 
-use std::collections::HashSet;
+use kdap_query::AggFunc;
+use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
-use kdap_query::{par_map, AggFunc, ExecConfig, JoinIndex};
-use kdap_warehouse::{AttrKind, ColRef, Measure, Warehouse};
-
-use crate::error::KdapError;
-use crate::facet::attr_rank::{assemble_ranked, collect_attr_tasks, evaluate_attr_task, AttrTask};
 use crate::interest::InterestMode;
-use crate::interpret::StarNet;
-use crate::plan::Planner;
-use crate::rollup::try_rollup_spaces_planned;
-use crate::subspace::{materialize_planned, Subspace};
 
 pub use anneal::{merge_intervals, merge_series, AnnealConfig, MergeResult};
-pub use attr_rank::{path_for_attr, rank_dimension_attrs, NumericSeries, RankedAttr};
-pub use instance_rank::{rank_instances, RankedInstance};
+pub use attr_rank::{path_for_attr, NumericSeries, RankedAttr};
+pub use fused::explore_subspace;
+pub use instance_rank::RankedInstance;
 
 /// How the selected group-by attributes are ordered inside a panel —
 /// the paper's §7 notes that fully dynamic organization "may become
@@ -50,28 +45,11 @@ pub enum FacetOrder {
     },
 }
 
-/// Which group-by kernel drives the explore phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FacetKernel {
-    /// One fused scan per space feeds the accumulators of every candidate
-    /// facet at once (dense arrays under the cardinality cutoff, hash
-    /// fallback above), over a measure vector decoded once and shared
-    /// `Arc` row mappers. The default.
-    #[default]
-    Fused,
-    /// One group-by kernel invocation per facet per space — the original
-    /// pipeline, kept as the property-tested oracle and as the baseline
-    /// for the `exp_explore` benchmark.
-    PerFacet,
-}
-
 /// Knobs of the explore phase.
 #[derive(Debug, Clone)]
 pub struct FacetConfig {
     /// Surprise or bellwether interestingness.
     pub mode: InterestMode,
-    /// Which group-by kernel runs the aggregation scans.
-    pub kernel: FacetKernel,
     /// Attribute ordering policy within a panel (§7 hybrid extension).
     pub order: FacetOrder,
     /// Aggregation function applied to the measure.
@@ -93,7 +71,6 @@ impl Default for FacetConfig {
     fn default() -> Self {
         FacetConfig {
             mode: InterestMode::Surprise,
-            kernel: FacetKernel::Fused,
             order: FacetOrder::Dynamic,
             agg: AggFunc::Sum,
             top_k_attrs: 3,
@@ -159,210 +136,43 @@ pub struct Exploration {
     pub panels: Vec<FacetPanel>,
 }
 
-/// Runs the complete explore phase for `net`.
-pub fn explore(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    measure: &Measure,
-    cfg: &FacetConfig,
-) -> Result<Exploration, KdapError> {
-    explore_with(wh, jidx, net, measure, cfg, &ExecConfig::serial())
-}
-
-/// Runs the complete explore phase with an explicit execution
-/// configuration.
-pub fn explore_with(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    measure: &Measure,
-    cfg: &FacetConfig,
-    exec: &ExecConfig,
-) -> Result<Exploration, KdapError> {
-    let planner = Planner::naive();
-    let sub = materialize_planned(wh, jidx, net, &planner, exec)?;
-    explore_subspace_planned(wh, jidx, net, &sub, measure, cfg, exec, &planner)
-}
-
-/// Explore phase over an already-materialized subspace.
-pub fn explore_subspace(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    sub: &Subspace,
-    measure: &Measure,
-    cfg: &FacetConfig,
-) -> Result<Exploration, KdapError> {
-    explore_subspace_with(wh, jidx, net, sub, measure, cfg, &ExecConfig::serial())
-}
-
-/// Explore phase over an already-materialized subspace, fanning the
-/// independent pieces of work out over `exec`'s worker threads.
-///
-/// Three stages parallelize: the per-constraint roll-up spaces, the
-/// attribute scoring tasks (flattened across all dimensions), and the
-/// per-attribute entry construction. Every task is a pure function of its
-/// inputs and results are reassembled in task order, so the output is
-/// identical for every thread count — `threads = 1` runs the exact serial
-/// pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_subspace_with(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    sub: &Subspace,
-    measure: &Measure,
-    cfg: &FacetConfig,
-    exec: &ExecConfig,
-) -> Result<Exploration, KdapError> {
-    explore_subspace_planned(wh, jidx, net, sub, measure, cfg, exec, &Planner::naive())
-}
-
-/// [`explore_subspace_with`] with an explicit [`Planner`]: the roll-up
-/// spaces are compiled and executed through it, sharing its semi-join
-/// cache with the differentiate phase that materialized the subspace.
-///
-/// Dispatches on [`FacetConfig::kernel`]: the fused single-pass pipeline
-/// (default) or the per-facet oracle. Both produce the same
-/// [`Exploration`] — the kernels are scan-for-scan equivalent and the
-/// fused serial path is bit-identical to the per-facet serial path
-/// (property-tested in `tests/facet_equivalence.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn explore_subspace_planned(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    sub: &Subspace,
-    measure: &Measure,
-    cfg: &FacetConfig,
-    exec: &ExecConfig,
-    planner: &Planner,
-) -> Result<Exploration, KdapError> {
-    match cfg.kernel {
-        FacetKernel::PerFacet => explore_per_facet(wh, jidx, net, sub, measure, cfg, exec, planner),
-        FacetKernel::Fused => {
-            let mv = kdap_query::MeasureVector::build(wh, measure);
-            fused::explore_fused(wh, jidx, net, sub, &mv, cfg, exec, planner).map(|(ex, _)| ex)
+impl From<RankedInstance> for FacetEntry {
+    fn from(ri: RankedInstance) -> Self {
+        FacetEntry {
+            label: ri.label.to_string(),
+            aggregate: ri.aggregate,
+            score: ri.score,
+            is_hit: ri.is_hit,
         }
     }
 }
 
-/// The original explore pipeline: one group-by kernel invocation per
-/// facet per space. Kept verbatim as the oracle the fused pipeline is
-/// equivalence-tested against.
-#[allow(clippy::too_many_arguments)]
-fn explore_per_facet(
+/// Appends one selected attribute to the panel of `dimension`, opening
+/// the panel when the attribute is its first (attributes arrive grouped
+/// by dimension, in display order).
+pub(crate) fn push_facet_attr(
+    panels: &mut Vec<FacetPanel>,
     wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    sub: &Subspace,
-    measure: &Measure,
-    cfg: &FacetConfig,
-    exec: &ExecConfig,
-    planner: &Planner,
-) -> Result<Exploration, KdapError> {
-    let schema = wh.schema();
-    let rups = try_rollup_spaces_planned(wh, jidx, net, planner, exec)?;
-    let total_aggregate = sub.aggregate_exec(wh, measure, cfg.agg, exec)?;
-
-    // Hit codes per attribute (to pin hit instances).
-    let mut hit_codes: std::collections::HashMap<ColRef, HashSet<u32>> =
-        std::collections::HashMap::new();
-    for c in &net.constraints {
-        hit_codes
-            .entry(c.group.attr)
-            .or_default()
-            .extend(c.group.codes());
+    dimension: &str,
+    ra: &RankedAttr,
+    entries: Vec<FacetEntry>,
+) {
+    let attr = FacetAttr {
+        attr: ra.attr,
+        name: wh.col_name(ra.attr),
+        kind: ra.kind,
+        correlation: ra.correlation,
+        score: ra.score,
+        promoted: ra.promoted,
+        entries,
+    };
+    match panels.last_mut() {
+        Some(panel) if panel.dimension == dimension => panel.attrs.push(attr),
+        _ => panels.push(FacetPanel {
+            dimension: dimension.to_string(),
+            attrs: vec![attr],
+        }),
     }
-
-    let mut dims: Vec<&kdap_warehouse::Dimension> = schema.dimensions().iter().collect();
-    dims.sort_by(|a, b| a.name.cmp(&b.name));
-
-    // Stage 1: score every group-by candidate of every dimension. The
-    // tasks flatten into one pool so narrow dimensions don't leave
-    // workers idle while a wide one finishes.
-    let tasks: Vec<(usize, AttrTask)> = dims
-        .iter()
-        .enumerate()
-        .flat_map(|(di, dim)| {
-            collect_attr_tasks(wh, net, dim)
-                .into_iter()
-                .map(move |t| (di, t))
-        })
-        .collect();
-    let results = par_map(exec, &tasks, |_, (_, task)| {
-        evaluate_attr_task(wh, jidx, sub, &rups, measure, cfg, task)
-    });
-
-    // Reassemble the per-dimension rankings (tasks are grouped by
-    // dimension in task order) and select the top-k attributes.
-    let mut per_dim: Vec<(Vec<AttrTask>, Vec<Option<RankedAttr>>)> =
-        (0..dims.len()).map(|_| (Vec::new(), Vec::new())).collect();
-    for ((di, task), result) in tasks.into_iter().zip(results) {
-        per_dim[di].0.push(task);
-        per_dim[di].1.push(result);
-    }
-    let mut selected: Vec<(usize, RankedAttr)> = Vec::new();
-    for (di, (dim, (dim_tasks, dim_results))) in dims.iter().zip(per_dim).enumerate() {
-        let ranked = assemble_ranked(dim, cfg, &dim_tasks, dim_results);
-        for ra in ranked.into_iter().take(cfg.top_k_attrs) {
-            selected.push((di, ra));
-        }
-    }
-
-    // Stage 2: build the entries of every selected attribute (instance
-    // ranking for categorical, Algorithm 2 merging for numerical).
-    let entry_lists = par_map(exec, &selected, |_, (_, ra)| {
-        match (&ra.kind, &ra.numeric) {
-            (AttrKind::Categorical, _) => {
-                let empty = HashSet::new();
-                let hits = hit_codes.get(&ra.attr).unwrap_or(&empty);
-                rank_instances(wh, jidx, sub, &rups, &ra.path, ra.attr, measure, cfg, hits)
-                    .into_iter()
-                    .take(cfg.top_k_instances)
-                    .map(|ri| FacetEntry {
-                        label: ri.label.to_string(),
-                        aggregate: ri.aggregate,
-                        score: ri.score,
-                        is_hit: ri.is_hit,
-                    })
-                    .collect()
-            }
-            (AttrKind::Numerical, Some(series)) => numeric_entries(series, cfg),
-            (AttrKind::Numerical, None) => Vec::new(),
-        }
-    });
-
-    let mut panels = Vec::new();
-    for ((di, ra), entries) in selected.into_iter().zip(entry_lists) {
-        let facet_attr = FacetAttr {
-            attr: ra.attr,
-            name: wh.col_name(ra.attr),
-            kind: ra.kind,
-            correlation: ra.correlation,
-            score: ra.score,
-            promoted: ra.promoted,
-            entries,
-        };
-        let dimension = dims[di].name.clone();
-        match panels.last_mut() {
-            Some(FacetPanel {
-                dimension: d,
-                attrs,
-            }) if *d == dimension => attrs.push(facet_attr),
-            _ => panels.push(FacetPanel {
-                dimension,
-                attrs: vec![facet_attr],
-            }),
-        }
-    }
-
-    Ok(Exploration {
-        subspace_size: sub.len(),
-        total_aggregate,
-        panels,
-    })
 }
 
 /// Merges the basic intervals of a numerical attribute into display
@@ -402,7 +212,10 @@ fn fmt_num(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::interpret::{generate_star_nets, GenConfig};
+    use crate::plan::Planner;
+    use crate::subspace::materialize;
     use crate::testutil::ebiz_fixture;
+    use kdap_query::{ExecConfig, MeasureVector};
 
     fn explore_query(query: &[&str], needle: &str, cfg: &FacetConfig) -> Exploration {
         let fx = ebiz_fixture();
@@ -411,8 +224,19 @@ mod tests {
             .iter()
             .find(|n| n.display(&fx.wh).contains(needle))
             .expect("net found");
-        let measure = fx.wh.schema().measure_by_name("Revenue").unwrap().clone();
-        explore(&fx.wh, &fx.jidx, net, &measure, cfg).unwrap()
+        let measure = fx.wh.schema().measure_by_name("Revenue").unwrap();
+        let (exploration, _) = explore_subspace(
+            &fx.wh,
+            &fx.jidx,
+            net,
+            &materialize(&fx.wh, &fx.jidx, net),
+            &MeasureVector::build(&fx.wh, measure),
+            cfg,
+            &Planner::naive(),
+            &ExecConfig::serial(),
+        )
+        .unwrap();
+        exploration
     }
 
     #[test]

@@ -33,12 +33,9 @@ pub use api::{
 };
 pub use cache::SubspaceCache;
 pub use error::KdapError;
-pub use explain::{
-    explain, explain_planned, ConstraintPlan, ExploreReport, FacetKernelChoice, Plan,
-};
+pub use explain::{explain, explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
 pub use facet::{
-    explore, explore_subspace, explore_subspace_planned, explore_subspace_with, explore_with,
-    AnnealConfig, Exploration, FacetAttr, FacetConfig, FacetEntry, FacetKernel, FacetOrder,
+    explore_subspace, AnnealConfig, Exploration, FacetAttr, FacetConfig, FacetEntry, FacetOrder,
     FacetPanel, MergeResult,
 };
 pub use governor::{record_breach, CancelToken, Governor};
@@ -51,14 +48,9 @@ pub use phrase::merged_group_pool;
 pub use plan::Planner;
 pub use rank::{rank_star_nets, score_star_net, RankMethod, RankedStarNet};
 pub use render::{render_exploration, render_interpretations};
-pub use rollup::{
-    rollup_constraint, rollup_spaces, rollup_spaces_with, try_rollup_spaces_planned, Rollup,
-};
-pub use session::{split_query, Kdap, KdapBuilder, ProfileReport};
-pub use subspace::{
-    materialize, materialize_batch, materialize_many, materialize_planned, materialize_with,
-    try_materialize_with, Subspace,
-};
+pub use rollup::{rollup_constraint, rollup_spaces, try_rollup_spaces_planned, Rollup};
+pub use session::{split_query, Kdap, KdapBuilder};
+pub use subspace::{materialize, materialize_planned, Subspace};
 
 pub use kdap_query::kernel;
 pub use kdap_query::{

@@ -118,11 +118,6 @@ impl Planner {
         self.cache.as_ref()
     }
 
-    /// `(hits, misses)` of the semi-join cache, when caching is enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
     /// Hit/miss/eviction counters of the semi-join cache, when caching is
     /// enabled.
     pub fn cache_counters(&self) -> Option<CacheCounters> {
@@ -154,7 +149,7 @@ mod tests {
             }
         }
         assert!(planner.cache().is_none());
-        assert!(planner.cache_stats().is_none());
+        assert!(planner.cache_counters().is_none());
     }
 
     #[test]
@@ -166,6 +161,6 @@ mod tests {
         assert_eq!(plan.steps.len(), 1);
         assert!(plan.steps[0].est_fraction() <= 1.0);
         assert!(planner.cache().is_some());
-        assert_eq!(planner.cache_stats(), Some((0, 0)));
+        assert_eq!(planner.cache_counters(), Some(CacheCounters::default()));
     }
 }

@@ -94,9 +94,14 @@ fn parent_codes(
 /// Materializes one roll-up space per hitted constraint: the star net with
 /// that constraint generalized (others unchanged). When the net has no
 /// roll-uppable constraint at all, the full dataspace serves as the single
-/// background space.
+/// background space. Serial, through the naive planner.
+///
+/// Panics if a constraint is malformed — impossible for nets produced by
+/// the interpreter; governed callers use [`try_rollup_spaces_planned`].
 pub fn rollup_spaces(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Vec<Subspace> {
-    rollup_spaces_with(wh, jidx, net, &ExecConfig::serial())
+    #[allow(clippy::expect_used)]
+    try_rollup_spaces_planned(wh, jidx, net, &Planner::naive(), &ExecConfig::serial())
+        .expect("roll-up selections evaluate on the fact table")
 }
 
 /// Builds the logical plan of the net with constraint `i` generalized:
@@ -118,28 +123,12 @@ fn rolled_logical(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) -> 
     LogicalPlan::from_selections(selections)
 }
 
-/// Like [`rollup_spaces`], but materializes the per-constraint roll-up
-/// spaces across worker threads. The spaces are independent of each other,
-/// so output order (one space per constraint, in constraint order) and
-/// contents are identical for every thread count.
-pub fn rollup_spaces_with(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    exec: &ExecConfig,
-) -> Vec<Subspace> {
-    // Documented panic: roll-ups of interpreter-produced nets are
-    // well-formed, and this convenience entry point is not meant for
-    // governed configs (those call `try_rollup_spaces_planned`).
-    #[allow(clippy::expect_used)]
-    try_rollup_spaces_planned(wh, jidx, net, &Planner::naive(), exec)
-        .expect("roll-up selections evaluate on the fact table")
-}
-
 /// Fallible, planner-driven roll-up materialization: each rolled plan is
 /// lowered by `planner` (shared parent-level constraints hit the
 /// planner's semi-join cache) and the per-constraint spaces evaluate
-/// across `exec`'s worker threads.
+/// across `exec`'s worker threads. The spaces are independent of each
+/// other, so output order (one space per constraint, in constraint order)
+/// and contents are identical for every thread count.
 pub fn try_rollup_spaces_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,

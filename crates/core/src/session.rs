@@ -10,8 +10,7 @@
 //! explore phase over several worker threads; `threads = 1` (the
 //! default) reproduces the serial pipeline bit for bit.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use kdap_obs::{CacheCounters, CacheOutcome, Obs, QueryProfile};
@@ -23,12 +22,12 @@ use crate::api::{InterpretationSummary, QueryOptions, QueryRequest, QueryRespons
 use crate::cache::SubspaceCache;
 use crate::error::KdapError;
 use crate::explain::ExploreReport;
-use crate::facet::{explore_subspace_planned, Exploration, FacetConfig, FacetKernel};
+use crate::facet::{explore_subspace, Exploration, FacetConfig};
 use crate::governor::{record_breach, CancelToken, Governor};
 use crate::interpret::{try_generate_star_nets, GenConfig, StarNet};
 use crate::plan::Planner;
 use crate::rank::{rank_star_nets, RankMethod, RankedStarNet};
-use crate::subspace::{materialize_batch, materialize_planned, Subspace};
+use crate::subspace::{materialize_planned, Subspace};
 
 /// Configures and constructs a [`Kdap`] session.
 ///
@@ -50,9 +49,7 @@ pub struct KdapBuilder {
     facet: FacetConfig,
     method: RankMethod,
     threads: usize,
-    optimizer: bool,
     observability: bool,
-    force_scalar: bool,
     deadline: Option<Duration>,
     memory_budget: Option<u64>,
     cancel: Option<CancelToken>,
@@ -70,9 +67,7 @@ impl KdapBuilder {
             facet: FacetConfig::default(),
             method: RankMethod::Standard,
             threads: 1,
-            optimizer: true,
             observability: false,
-            force_scalar: false,
             deadline: None,
             memory_budget: None,
             cancel: None,
@@ -120,29 +115,9 @@ impl KdapBuilder {
         self
     }
 
-    /// Forces the scalar kernel tier for this session (default: off),
-    /// overriding runtime CPU dispatch exactly like the `KDAP_NO_SIMD`
-    /// environment variable but scoped to one session. Results are
-    /// bit-identical either way; the scalar tier is the reference the
-    /// SIMD tiers are tested against.
-    pub fn force_scalar_kernels(mut self, force: bool) -> Self {
-        self.force_scalar = force;
-        self
-    }
-
-    /// Enables or disables the plan optimizer (default: enabled).
-    /// With the optimizer on, star nets execute through selectivity-
-    /// reordered, fused physical plans and share a per-session semi-join
-    /// cache; off reproduces the naive per-net evaluation exactly.
-    /// Results are identical either way.
-    pub fn optimizer(mut self, enabled: bool) -> Self {
-        self.optimizer = enabled;
-        self
-    }
-
     /// Enables or disables the observability recorder (default:
     /// disabled). Enabled, the session records per-stage timings into
-    /// query profiles ([`Kdap::profile_query`]) and metrics; disabled,
+    /// query profiles ([`Verb::Profile`]) and metrics; disabled,
     /// every instrumentation point is a no-op branch and results are
     /// bit-identical either way.
     pub fn observability(mut self, enabled: bool) -> Self {
@@ -207,13 +182,8 @@ impl KdapBuilder {
         } else {
             ExecConfig::with_threads(self.threads)
         }
-        .with_obs(obs.clone())
-        .with_force_scalar(self.force_scalar);
-        let mut planner = if self.optimizer {
-            Planner::optimized()
-        } else {
-            Planner::naive()
-        };
+        .with_obs(obs.clone());
+        let mut planner = Planner::optimized();
         planner.attach_obs(obs.clone());
         Ok(Kdap {
             wh: self.wh,
@@ -232,13 +202,15 @@ impl KdapBuilder {
                 memory_budget: self.memory_budget,
                 cancel: self.cancel.unwrap_or_default(),
             },
-            measure_vectors: Mutex::new(HashMap::new()),
+            measure_vector: OnceLock::new(),
         })
     }
 }
 
 /// A ready-to-query KDAP system over one warehouse: text index and join
-/// indexes are built once at construction (see [`KdapBuilder`]).
+/// indexes are built once at construction. A session is immutable:
+/// [`KdapBuilder`] configures it once, [`QueryOptions`] override it per
+/// call, so one `Arc<Kdap>` serves concurrent requests.
 pub struct Kdap {
     wh: Warehouse,
     index: TextIndex,
@@ -252,21 +224,15 @@ pub struct Kdap {
     planner: Planner,
     obs: Obs,
     governor: Governor,
-    /// Measure expressions decoded to flat `f64` vectors, memoized by
-    /// measure name for the life of the session — every fused exploration
-    /// of the same measure shares one decode.
-    measure_vectors: Mutex<HashMap<String, Arc<MeasureVector>>>,
+    /// The measure decoded to a flat `f64` vector on first use, for the
+    /// life of the session — every exploration shares one decode.
+    measure_vector: OnceLock<MeasureVector>,
 }
 
 impl Kdap {
     /// Starts a [`KdapBuilder`] over `wh`.
     pub fn builder(wh: Warehouse) -> KdapBuilder {
         KdapBuilder::new(wh)
-    }
-
-    /// Cache hit/miss counters, when the cache is enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// The underlying warehouse.
@@ -294,20 +260,9 @@ impl Kdap {
         &self.gen
     }
 
-    /// Mutable access to the differentiate-phase configuration.
-    pub fn gen_config_mut(&mut self) -> &mut GenConfig {
-        &mut self.gen
-    }
-
     /// The explore-phase configuration.
     pub fn facet_config(&self) -> &FacetConfig {
         &self.facet
-    }
-
-    /// Mutable access to the explore-phase configuration (interactive
-    /// sessions flip interestingness modes and facet ordering).
-    pub fn facet_config_mut(&mut self) -> &mut FacetConfig {
-        &mut self.facet
     }
 
     /// The star-net ranking method.
@@ -315,43 +270,9 @@ impl Kdap {
         self.method
     }
 
-    /// Changes the star-net ranking method.
-    pub fn set_rank_method(&mut self, method: RankMethod) {
-        self.method = method;
-    }
-
     /// The execution configuration of the parallel engine.
     pub fn exec_config(&self) -> &ExecConfig {
         &self.exec
-    }
-
-    /// Changes the worker-thread count (`1` = serial, `0` = all cores).
-    pub fn set_threads(&mut self, threads: usize) {
-        let force_scalar = self.exec.force_scalar;
-        self.exec = if threads == 1 {
-            ExecConfig::serial()
-        } else {
-            ExecConfig::with_threads(threads)
-        }
-        .with_obs(self.obs.clone())
-        .with_force_scalar(force_scalar);
-    }
-
-    /// The kernel tier this session's batch kernels dispatch to: the
-    /// process-wide detected tier unless the session (or `KDAP_NO_SIMD`)
-    /// forces the scalar reference tier.
-    pub fn kernel_tier(&self) -> kdap_query::KernelTier {
-        self.exec.kernel_tier()
-    }
-
-    /// Per-query wall-clock deadline (None = unlimited).
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.governor.deadline = deadline;
-    }
-
-    /// Per-query memory budget in bytes (None = unlimited).
-    pub fn set_memory_budget(&mut self, bytes: Option<u64>) {
-        self.governor.memory_budget = bytes;
     }
 
     /// A clonable handle that cancels the in-flight query when tripped
@@ -362,31 +283,12 @@ impl Kdap {
         self.governor.cancel.clone()
     }
 
-    /// Replaces the session's cancellation token. Interactive frontends
-    /// use this to scope a console signal handler to one session at a
-    /// time; sessions hosted in a server registry keep their private
-    /// token and receive per-request tokens via [`Kdap::run_cancellable`]
-    /// instead.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.governor.cancel = token;
-    }
-
-    /// The per-query execution config: the session's `exec` plus a fresh
-    /// governance context when limits are set or a cancel token has been
-    /// handed out. Fresh per query, so the deadline clock restarts here.
-    fn query_exec(&self) -> ExecConfig {
-        if self.governor.is_unlimited() && !self.governor.cancel.is_shared() {
-            self.exec.clone()
-        } else {
-            self.exec.clone().with_govern(self.governor.fresh_context())
-        }
-    }
-
     /// A request-scoped execution config: the session's `exec` governed
     /// by a [`Governor`] built from the request's overrides (`timeout_ms`
     /// / `budget_bytes` replace the session defaults when present) and an
     /// optional per-request cancel token (the server trips one on client
-    /// disconnect). A `timeout_ms` of 0 is an already-expired deadline.
+    /// disconnect). Fresh per call, so the deadline clock restarts here.
+    /// A `timeout_ms` of 0 is an already-expired deadline.
     fn request_exec(&self, options: &QueryOptions, cancel: Option<CancelToken>) -> ExecConfig {
         let deadline = options
             .timeout_ms
@@ -408,6 +310,14 @@ impl Kdap {
         self.exec.clone().with_govern(governor.fresh_context())
     }
 
+    /// Counts a governance breach in the obs metrics on its way out.
+    fn recorded<T>(&self, result: Result<T, KdapError>) -> Result<T, KdapError> {
+        if let Err(err) = &result {
+            record_breach(&self.obs, err);
+        }
+        result
+    }
+
     /// Differentiate phase — the **primary** entry point: parses the
     /// keyword query (double quotes group phrases, e.g. `"san jose" tv`),
     /// generates candidate star nets and returns them ranked.
@@ -421,11 +331,8 @@ impl Kdap {
     /// typed-error path; [`Kdap::interpret`] is the lossy convenience
     /// form.
     pub fn try_interpret(&self, query: &str) -> Result<Vec<RankedStarNet>, KdapError> {
-        let result = self.interpret_stage(query, self.method, &self.query_exec());
-        if let Err(err) = &result {
-            record_breach(&self.obs, err);
-        }
-        result
+        let exec = self.request_exec(&QueryOptions::default(), None);
+        self.recorded(self.interpret_stage(query, self.method, &exec))
     }
 
     /// Infallible convenience wrapper over [`Kdap::try_interpret`]:
@@ -437,7 +344,7 @@ impl Kdap {
     }
 
     /// The differentiate pipeline with explicit ranking method and
-    /// execution config — the request-scoped form `run()` uses.
+    /// execution config.
     fn interpret_stage(
         &self,
         query: &str,
@@ -463,56 +370,6 @@ impl Kdap {
         Ok(ranked)
     }
 
-    /// Materializes the subspaces of the top-`k` ranked interpretations
-    /// as one batch — each distinct `(group, path)` constraint across the
-    /// whole candidate set is evaluated at most once — warming the
-    /// subspace cache when it is enabled. Returned subspaces align with
-    /// the input order.
-    pub fn materialize_top(
-        &self,
-        ranked: &[RankedStarNet],
-        k: usize,
-    ) -> Result<Vec<Subspace>, KdapError> {
-        let exec = self.query_exec();
-        let result = self.materialize_top_inner(ranked, k, &exec);
-        if let Err(err) = &result {
-            record_breach(&self.obs, err);
-        }
-        result
-    }
-
-    fn materialize_top_inner(
-        &self,
-        ranked: &[RankedStarNet],
-        k: usize,
-        exec: &ExecConfig,
-    ) -> Result<Vec<Subspace>, KdapError> {
-        let nets: Vec<&StarNet> = ranked.iter().take(k).map(|r| &r.net).collect();
-        let Some(cache) = &self.cache else {
-            return materialize_batch(&self.wh, &self.jidx, &nets, &self.planner, exec);
-        };
-        // Serve warm interpretations from the subspace cache; batch the
-        // misses through the planner. The cache is written only after the
-        // whole batch succeeded, so a governed abort leaves it untouched.
-        let keys: Vec<String> = nets.iter().map(|n| n.fingerprint()).collect();
-        let mut out: Vec<Option<Subspace>> = keys.iter().map(|key| cache.get(key)).collect();
-        let missing: Vec<usize> = (0..nets.len()).filter(|&i| out[i].is_none()).collect();
-        let miss_nets: Vec<&StarNet> = missing.iter().map(|&i| nets[i]).collect();
-        let subs = materialize_batch(&self.wh, &self.jidx, &miss_nets, &self.planner, exec)?;
-        for (&i, sub) in missing.iter().zip(subs) {
-            cache.insert(keys[i].clone(), sub.clone());
-            out[i] = Some(sub);
-        }
-        Ok(out
-            .into_iter()
-            // Infallible: every index is either a cache hit or in `missing`.
-            .map(|s| {
-                #[allow(clippy::expect_used)]
-                s.expect("all slots filled")
-            })
-            .collect())
-    }
-
     fn materialize_net(&self, net: &StarNet, exec: &ExecConfig) -> Result<Subspace, KdapError> {
         let span = self.obs.span("materialize");
         let Some(cache) = &self.cache else {
@@ -536,72 +393,15 @@ impl Kdap {
     }
 
     /// Explore phase: aggregates the chosen interpretation's subspace and
-    /// constructs its dynamic facets.
+    /// constructs its dynamic facets, under the session configuration.
     pub fn explore(&self, net: &StarNet) -> Result<Exploration, KdapError> {
-        self.explore_with_measure(net, &self.measure)
-    }
-
-    /// Explore phase with an explicit measure (the paper extends to
-    /// user-defined measures and aggregation functions, §5).
-    ///
-    /// With the fused kernel (the default) the measure vector is served
-    /// from the session memo, so repeated explorations of the same
-    /// measure decode it exactly once.
-    pub fn explore_with_measure(
-        &self,
-        net: &StarNet,
-        measure: &Measure,
-    ) -> Result<Exploration, KdapError> {
-        let result = self.explore_with_measure_inner(net, measure);
-        if let Err(err) = &result {
-            record_breach(&self.obs, err);
-        }
-        result
-    }
-
-    fn explore_with_measure_inner(
-        &self,
-        net: &StarNet,
-        measure: &Measure,
-    ) -> Result<Exploration, KdapError> {
-        self.explore_stage(net, measure, &self.facet, &self.query_exec())
-    }
-
-    /// The explore pipeline with explicit facet and execution configs —
-    /// the request-scoped form `run()` and `explore_with_options()` use.
-    fn explore_stage(
-        &self,
-        net: &StarNet,
-        measure: &Measure,
-        facet: &FacetConfig,
-        exec: &ExecConfig,
-    ) -> Result<Exploration, KdapError> {
-        let _span = self.obs.span("explore");
-        match facet.kernel {
-            FacetKernel::PerFacet => {
-                let sub = self.materialize_net(net, exec)?;
-                explore_subspace_planned(
-                    &self.wh,
-                    &self.jidx,
-                    net,
-                    &sub,
-                    measure,
-                    facet,
-                    exec,
-                    &self.planner,
-                )
-            }
-            FacetKernel::Fused => self
-                .explore_instrumented(net, measure, facet, exec)
-                .map(|(ex, _)| ex),
-        }
+        self.explore_with_options(net, &QueryOptions::default())
     }
 
     /// Explore phase with per-request option overrides ([`QueryOptions`]
     /// from the `api` module) — the hook interactive frontends use for
-    /// drill/roll-up navigation so they never mutate [`FacetConfig`]
-    /// directly. Governance overrides (`timeout_ms`, `budget_bytes`)
-    /// apply to this call only.
+    /// drill/roll-up navigation. Governance overrides (`timeout_ms`,
+    /// `budget_bytes`) apply to this call only.
     pub fn explore_with_options(
         &self,
         net: &StarNet,
@@ -609,61 +409,55 @@ impl Kdap {
     ) -> Result<Exploration, KdapError> {
         let facet = options.apply_facet(self.facet.clone());
         let exec = self.request_exec(options, None);
-        let result = self.explore_stage(net, &self.measure, &facet, &exec);
-        if let Err(err) = &result {
-            record_breach(&self.obs, err);
-        }
-        result
+        self.recorded(self.explore_stage(net, &facet, &exec))
+            .map(|(ex, _)| ex)
     }
 
-    /// The session-memoized measure vector for `measure`, decoding it on
-    /// first request.
-    fn measure_vector(&self, measure: &Measure) -> Arc<MeasureVector> {
-        let mut cache = self
-            .measure_vectors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        cache
-            .entry(measure.name.clone())
-            .or_insert_with(|| Arc::new(MeasureVector::build(&self.wh, measure)))
-            .clone()
-    }
-
-    fn explore_instrumented(
+    /// The explore pipeline with explicit facet and execution configs:
+    /// materialize the net (through the subspace cache), then run the
+    /// fused facet scans.
+    fn explore_stage(
         &self,
         net: &StarNet,
-        measure: &Measure,
         facet: &FacetConfig,
         exec: &ExecConfig,
     ) -> Result<(Exploration, ExploreReport), KdapError> {
+        let _span = self.obs.span("explore");
         let sub = self.materialize_net(net, exec)?;
-        let mv = self.measure_vector(measure);
-        crate::facet::fused::explore_fused(
+        let mv = self
+            .measure_vector
+            .get_or_init(|| MeasureVector::build(&self.wh, &self.measure));
+        explore_subspace(
             &self.wh,
             &self.jidx,
             net,
             &sub,
-            &mv,
+            mv,
             facet,
-            exec,
             &self.planner,
+            exec,
         )
     }
 
-    /// EXPLAIN of the explore phase: runs the fused pipeline (whatever
-    /// the configured kernel) and returns the exploration together with
-    /// its scan accounting — scans fused vs. the per-facet equivalent,
-    /// and the dense/hash/buckets kernel choice per facet spec.
-    pub fn explain_explore(
+    /// [`Kdap::explore_stage`] with the session's cache counters stamped
+    /// into the report — the EXPLAIN form.
+    fn explain_explore_stage(
         &self,
         net: &StarNet,
+        facet: &FacetConfig,
+        exec: &ExecConfig,
     ) -> Result<(Exploration, ExploreReport), KdapError> {
-        self.explain_explore_with(net, &QueryOptions::default())
+        let (ex, mut report) = self.explore_stage(net, facet, exec)?;
+        report.subspace_cache = self.subspace_cache_counters();
+        report.semijoin_cache = self.semijoin_counters();
+        report.mapper_cache = Some(self.mapper_counters());
+        Ok((ex, report))
     }
 
-    /// [`Kdap::explain_explore`] with per-request option overrides, so
-    /// frontends replay EXPLAIN under the exact facet configuration of
-    /// the request being explained.
+    /// EXPLAIN of the explore phase under per-request option overrides:
+    /// the exploration together with its scan accounting — scans fused
+    /// vs. the per-facet equivalent, the dense/hash/buckets kernel choice
+    /// per facet spec, and the session's cache counters.
     pub fn explain_explore_with(
         &self,
         net: &StarNet,
@@ -671,33 +465,26 @@ impl Kdap {
     ) -> Result<(Exploration, ExploreReport), KdapError> {
         let facet = options.apply_facet(self.facet.clone());
         let exec = self.request_exec(options, None);
-        let (ex, mut report) = {
-            let _span = self.obs.span("explore");
-            self.explore_instrumented(net, &self.measure, &facet, &exec)?
-        };
-        report.subspace_cache = self.cache.as_ref().map(|c| c.counters());
-        report.semijoin_cache = self.planner.cache_counters();
-        report.mapper_cache = Some(self.jidx.mapper_counters());
-        Ok((ex, report))
+        self.recorded(self.explain_explore_stage(net, &facet, &exec))
     }
 
     /// EXPLAIN: the optimized physical plan of `net` with estimated vs.
     /// actual cardinalities and semi-join cache hits, executed through
-    /// this session's planner.
+    /// this session's planner under the session's governance limits.
     pub fn explain(&self, net: &StarNet) -> Result<crate::explain::Plan, KdapError> {
-        crate::explain::explain_planned(&self.wh, &self.jidx, net, &self.planner, &self.exec)
+        let exec = self.request_exec(&QueryOptions::default(), None);
+        self.recorded(crate::explain::explain_planned(
+            &self.wh,
+            &self.jidx,
+            net,
+            &self.planner,
+            &exec,
+        ))
     }
 
-    /// The session's planner (optimizer switches, statistics, semi-join
-    /// cache).
+    /// The session's planner (statistics and semi-join cache).
     pub fn planner(&self) -> &Planner {
         &self.planner
-    }
-
-    /// `(hits, misses)` of the semi-join cache, when the optimizer is
-    /// enabled.
-    pub fn semijoin_stats(&self) -> Option<(u64, u64)> {
-        self.planner.cache_stats()
     }
 
     /// The session's observability handle (disabled unless the session
@@ -712,8 +499,7 @@ impl Kdap {
         self.cache.as_ref().map(|c| c.counters())
     }
 
-    /// Semi-join-cache hit/miss/eviction counters, when the optimizer is
-    /// enabled.
+    /// Semi-join-cache hit/miss/eviction counters.
     pub fn semijoin_counters(&self) -> Option<CacheCounters> {
         self.planner.cache_counters()
     }
@@ -724,7 +510,7 @@ impl Kdap {
         self.cache.as_ref().map(|c| c.len())
     }
 
-    /// Number of entries in the planner's semi-join cache, when enabled.
+    /// Number of entries in the planner's semi-join cache.
     pub fn semijoin_cache_len(&self) -> Option<usize> {
         self.planner.cache().map(|c| c.len())
     }
@@ -755,9 +541,7 @@ impl Kdap {
     /// on the picked interpretation (profile under the session recorder,
     /// explain with plan and scan accounting). Request options override
     /// the session's ranking method, facet configuration and governance
-    /// limits for this call only; the session configuration is never
-    /// mutated, so one `Arc<Kdap>` serves concurrent requests with
-    /// differing options.
+    /// limits for this call only.
     ///
     /// Errors are typed [`KdapError`]s ([`crate::api::ApiError::from_kdap`]
     /// maps them onto HTTP statuses), and governance breaches are counted
@@ -776,35 +560,30 @@ impl Kdap {
         cancel: Option<CancelToken>,
     ) -> Result<QueryResponse, KdapError> {
         let exec = self.request_exec(&request.options, cancel);
-        let result = self.run_inner(request, &exec);
-        if let Err(err) = &result {
-            record_breach(&self.obs, err);
+        let profiling = request.verb == Verb::Profile;
+        if profiling {
+            self.obs.start_profile(&request.keywords);
         }
-        result
+        let result = self.recorded(self.run_stages(request, &exec));
+        // Taken on failure too: a failed query must not leave profile
+        // state behind.
+        let profile = profiling.then(|| self.obs.take_profile());
+        let mut response = result?;
+        if let Some(profile) = profile {
+            let mut profile = profile.unwrap_or_else(|| QueryProfile::empty(&request.keywords));
+            profile.trace_id = request.trace_id.clone();
+            response.profile = Some(profile);
+        }
+        Ok(response)
     }
 
-    fn run_inner(
+    fn run_stages(
         &self,
         request: &QueryRequest,
         exec: &ExecConfig,
     ) -> Result<QueryResponse, KdapError> {
         let method = request.options.rank.unwrap_or(self.method);
-        let facet = request.options.apply_facet(self.facet.clone());
-        let profiling = request.verb == Verb::Profile;
-        if profiling {
-            self.obs.start_profile(&request.keywords);
-        }
-        let ranked = self.interpret_stage(&request.keywords, method, exec);
-        // A failed differentiate must not leave profile state behind.
-        let ranked = match ranked {
-            Ok(ranked) => ranked,
-            Err(err) => {
-                if profiling {
-                    self.obs.take_profile();
-                }
-                return Err(err);
-            }
-        };
+        let ranked = self.interpret_stage(&request.keywords, method, exec)?;
         let n = ranked.len();
         let shown = if request.limit == 0 { n } else { request.limit };
         let interpretations = ranked
@@ -830,103 +609,35 @@ impl Kdap {
             report: None,
             profile: None,
         };
-        if request.verb != Verb::Differentiate {
-            let net = match response.ranked.get(request.pick.wrapping_sub(1)) {
-                Some(r) => r.net.clone(),
-                None => {
-                    if profiling {
-                        self.obs.take_profile();
-                    }
-                    return Err(KdapError::NoInterpretation {
-                        pick: request.pick,
-                        available: n,
-                    });
-                }
-            };
-            response.picked = Some(request.pick);
-            match request.verb {
-                Verb::Explain => {
-                    let explained = {
-                        let _span = self.obs.span("explore");
-                        self.explore_instrumented(&net, &self.measure, &facet, exec)
-                    };
-                    let (ex, mut report) = explained?;
-                    report.subspace_cache = self.cache.as_ref().map(|c| c.counters());
-                    report.semijoin_cache = self.planner.cache_counters();
-                    report.mapper_cache = Some(self.jidx.mapper_counters());
-                    response.plan = Some(self.explain(&net)?.render());
-                    response.report = Some(report.render());
-                    response.exploration = Some(ex);
-                }
-                _ => {
-                    let explored = self.explore_stage(&net, &self.measure, &facet, exec);
-                    let ex = match explored {
-                        Ok(ex) => ex,
-                        Err(err) => {
-                            if profiling {
-                                self.obs.take_profile();
-                            }
-                            return Err(err);
-                        }
-                    };
-                    response.exploration = Some(ex);
-                }
-            }
+        if request.verb == Verb::Differentiate {
+            return Ok(response);
         }
-        if profiling {
-            let mut profile = self
-                .obs
-                .take_profile()
-                .unwrap_or_else(|| QueryProfile::empty(&request.keywords));
-            profile.trace_id = request.trace_id.clone();
-            response.profile = Some(profile);
-        }
+        let Some(picked) = response.ranked.get(request.pick.wrapping_sub(1)) else {
+            return Err(KdapError::NoInterpretation {
+                pick: request.pick,
+                available: n,
+            });
+        };
+        let facet = request.options.apply_facet(self.facet.clone());
+        let ex = if request.verb == Verb::Explain {
+            let (ex, report) = self.explain_explore_stage(&picked.net, &facet, exec)?;
+            let plan = crate::explain::explain_planned(
+                &self.wh,
+                &self.jidx,
+                &picked.net,
+                &self.planner,
+                exec,
+            )?;
+            response.plan = Some(plan.render());
+            response.report = Some(report.render());
+            ex
+        } else {
+            self.explore_stage(&picked.net, &facet, exec)?.0
+        };
+        response.picked = Some(request.pick);
+        response.exploration = Some(ex);
         Ok(response)
     }
-
-    /// Runs the full differentiate → explore loop for `query` under the
-    /// session recorder and returns the ranked interpretations, the
-    /// exploration of the top one, and the per-stage timing profile.
-    ///
-    /// The profile is empty unless the session was built with
-    /// [`KdapBuilder::observability`] — instrumentation stays inert (and
-    /// results stay bit-identical) with the recorder off.
-    pub fn profile_query(&self, query: &str) -> Result<ProfileReport, KdapError> {
-        self.obs.start_profile(query);
-        let ranked = match self.try_interpret(query) {
-            Ok(ranked) => ranked,
-            // No usable keywords is an empty (not failed) profile run.
-            Err(KdapError::EmptyQuery) => Vec::new(),
-            Err(err) => return Err(err),
-        };
-        let exploration = match ranked.first() {
-            Some(top) => Some(self.explore(&top.net)?),
-            None => None,
-        };
-        let profile = self
-            .obs
-            .take_profile()
-            .unwrap_or_else(|| QueryProfile::empty(query));
-        Ok(ProfileReport {
-            ranked,
-            exploration,
-            profile,
-        })
-    }
-}
-
-/// The result of [`Kdap::profile_query`]: the query's ranked
-/// interpretations, the exploration of the top-ranked one (when any
-/// interpretation exists), and the recorded per-stage timing profile.
-#[derive(Debug, Clone)]
-pub struct ProfileReport {
-    /// Ranked star-net interpretations, best first.
-    pub ranked: Vec<RankedStarNet>,
-    /// Exploration of the top interpretation; `None` when the query
-    /// produced no interpretation at all.
-    pub exploration: Option<Exploration>,
-    /// The per-stage timing tree (empty when observability is off).
-    pub profile: QueryProfile,
 }
 
 /// The classic Lucene StandardAnalyzer stopword list. Keyword input made
@@ -1062,13 +773,16 @@ mod tests {
         let fx = ebiz_fixture();
         let kdap_plain = session();
         let kdap_cached = Kdap::builder(fx.wh).cache_capacity(16).build().unwrap();
-        assert_eq!(kdap_plain.cache_stats(), None);
+        assert_eq!(kdap_plain.subspace_cache_counters(), None);
         let ranked = kdap_cached.interpret("columbus");
         let a = kdap_cached.explore(&ranked[0].net).unwrap();
         let b = kdap_cached.explore(&ranked[0].net).unwrap();
         assert_eq!(a.subspace_size, b.subspace_size);
         assert_eq!(a.total_aggregate, b.total_aggregate);
-        assert_eq!(kdap_cached.cache_stats(), Some((1, 1)));
+        assert_eq!(
+            kdap_cached.subspace_cache_counters(),
+            Some(CacheCounters::new(1, 1, 0))
+        );
         // Same numbers as the uncached session.
         let ranked_p = kdap_plain.interpret("columbus");
         let c = kdap_plain.explore(&ranked_p[0].net).unwrap();
@@ -1092,62 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn materialize_top_warms_the_cache() {
-        let fx = ebiz_fixture();
-        let kdap = Kdap::builder(fx.wh)
-            .cache_capacity(16)
-            .threads(4)
-            .build()
-            .unwrap();
-        let ranked = kdap.interpret("columbus");
-        let subs = kdap.materialize_top(&ranked, 3).unwrap();
-        assert_eq!(subs.len(), 3.min(ranked.len()));
-        let (_, misses) = kdap.cache_stats().unwrap();
-        assert_eq!(misses, subs.len() as u64);
-        // Exploring a warmed interpretation hits the cache.
-        kdap.explore(&ranked[0].net).unwrap();
-        let (hits, _) = kdap.cache_stats().unwrap();
-        assert!(hits >= 1);
-    }
-
-    #[test]
-    fn explore_with_alternate_measure() {
-        let kdap = session();
-        let ranked = kdap.interpret("columbus");
-        let revenue = kdap.explore(&ranked[0].net).unwrap();
-        // COUNT-style measure: the fixture's only measure is Revenue, so
-        // synthesize a quantity measure over the fact column.
-        let qty = kdap
-            .warehouse()
-            .schema()
-            .measures()
-            .first()
-            .cloned()
-            .unwrap();
-        let again = kdap.explore_with_measure(&ranked[0].net, &qty).unwrap();
-        assert_eq!(revenue.total_aggregate, again.total_aggregate);
-        assert_eq!(revenue.subspace_size, again.subspace_size);
-    }
-
-    #[test]
-    fn optimizer_off_matches_optimizer_on() {
-        let fx = ebiz_fixture();
-        let on = session();
-        let off = Kdap::builder(fx.wh).optimizer(false).build().unwrap();
-        assert!(on.semijoin_stats().is_some());
-        assert_eq!(off.semijoin_stats(), None);
-        let ro = on.interpret("columbus lcd");
-        let rn = off.interpret("columbus lcd");
-        for (a, b) in ro.iter().zip(&rn) {
-            assert_eq!(on.explore(&a.net).unwrap(), off.explore(&b.net).unwrap());
-        }
-        // The optimized session reused shared constraints across nets.
-        let (hits, misses) = on.semijoin_stats().unwrap();
-        assert!(misses > 0);
-        assert!(hits + misses > 0);
-    }
-
-    #[test]
     fn session_explains_through_its_planner() {
         let kdap = session();
         let ranked = kdap.interpret("columbus lcd");
@@ -1161,8 +819,12 @@ mod tests {
         assert!(again.constraints.iter().all(|c| c.cache_hit));
     }
 
+    fn profile(kdap: &Kdap, query: &str) -> QueryResponse {
+        kdap.run(&QueryRequest::new(Verb::Profile, query)).unwrap()
+    }
+
     #[test]
-    fn profile_query_records_stage_tree() {
+    fn profile_records_stage_tree() {
         let fx = ebiz_fixture();
         let kdap = Kdap::builder(fx.wh)
             .cache_capacity(16)
@@ -1170,10 +832,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(kdap.obs().is_enabled());
-        let report = kdap.profile_query("columbus lcd").unwrap();
+        let report = profile(&kdap, "columbus lcd");
         assert!(!report.ranked.is_empty());
         assert!(report.exploration.is_some());
-        let stages = report.profile.stage_names();
+        let stages = report.profile.unwrap().stage_names();
         assert_eq!(stages[0], "differentiate");
         assert!(stages.iter().any(|s| s.trim() == "textindex.search"));
         assert!(stages.iter().any(|s| s.trim() == "rank_star_nets"));
@@ -1182,9 +844,8 @@ mod tests {
         assert!(stages.iter().any(|s| s.trim() == "plan.compile"));
         assert!(stages.iter().any(|s| s.trim() == "multi_group_by"));
         // Profiling again hits the subspace cache for the same net.
-        let again = kdap.profile_query("columbus lcd").unwrap();
+        let again = profile(&kdap, "columbus lcd").profile.unwrap();
         let hit = again
-            .profile
             .roots
             .iter()
             .flat_map(|r| r.children.iter())
@@ -1211,9 +872,12 @@ mod tests {
             .threads(4)
             .build()
             .unwrap();
-        let a = serial.profile_query("columbus lcd").unwrap();
-        let b = threaded.profile_query("columbus lcd").unwrap();
-        assert_eq!(a.profile.stage_names(), b.profile.stage_names());
+        let a = profile(&serial, "columbus lcd");
+        let b = profile(&threaded, "columbus lcd");
+        assert_eq!(
+            a.profile.unwrap().stage_names(),
+            b.profile.unwrap().stage_names()
+        );
         assert_eq!(a.exploration, b.exploration);
     }
 
@@ -1223,10 +887,10 @@ mod tests {
         let off = session();
         let on = Kdap::builder(fx.wh).observability(true).build().unwrap();
         assert!(!off.obs().is_enabled());
-        let ro = off.profile_query("columbus lcd").unwrap();
-        let rn = on.profile_query("columbus lcd").unwrap();
-        assert!(ro.profile.is_empty());
-        assert!(!rn.profile.is_empty());
+        let ro = profile(&off, "columbus lcd");
+        let rn = profile(&on, "columbus lcd");
+        assert!(ro.profile.as_ref().unwrap().is_empty());
+        assert!(!rn.profile.as_ref().unwrap().is_empty());
         assert_eq!(ro.ranked.len(), rn.ranked.len());
         for (a, b) in ro.ranked.iter().zip(&rn.ranked) {
             assert_eq!(a.score, b.score);
@@ -1240,7 +904,9 @@ mod tests {
         let fx = ebiz_fixture();
         let kdap = Kdap::builder(fx.wh).cache_capacity(16).build().unwrap();
         let ranked = kdap.interpret("columbus lcd");
-        let (_, report) = kdap.explain_explore(&ranked[0].net).unwrap();
+        let (_, report) = kdap
+            .explain_explore_with(&ranked[0].net, &QueryOptions::default())
+            .unwrap();
         let sub = report.subspace_cache.unwrap();
         assert_eq!(sub.misses, 1);
         assert!(report.semijoin_cache.is_some());
@@ -1406,14 +1072,36 @@ mod tests {
     }
 
     #[test]
-    fn config_accessors_round_trip() {
-        let mut kdap = session();
-        assert_eq!(kdap.rank_method(), RankMethod::Standard);
-        kdap.facet_config_mut().top_k_attrs = 1;
+    fn explain_is_governed_like_every_other_stage() {
+        let net = session().interpret("columbus lcd").remove(0).net;
+        let fx = ebiz_fixture();
+        let kdap = Kdap::builder(fx.wh)
+            .deadline(Duration::ZERO)
+            .observability(true)
+            .build()
+            .unwrap();
+        let err = kdap.explain(&net).unwrap_err();
+        assert!(matches!(err, KdapError::Timeout { .. }), "{err:?}");
+        assert_eq!(kdap.semijoin_cache_len(), Some(0));
+        let snap = kdap.obs().metrics_snapshot();
+        assert_eq!(snap.counters.get("governor.timeouts"), Some(&1));
+    }
+
+    #[test]
+    fn builder_configuration_is_what_the_session_reports() {
+        let fx = ebiz_fixture();
+        let kdap = Kdap::builder(fx.wh)
+            .threads(4)
+            .rank_method(RankMethod::Baseline)
+            .facet_config(FacetConfig {
+                top_k_attrs: 1,
+                ..FacetConfig::default()
+            })
+            .build()
+            .unwrap();
+        assert_eq!(kdap.rank_method(), RankMethod::Baseline);
         assert_eq!(kdap.facet_config().top_k_attrs, 1);
-        kdap.set_threads(4);
         assert!(!kdap.exec_config().is_serial());
-        kdap.set_threads(1);
-        assert!(kdap.exec_config().is_serial());
+        assert!(session().exec_config().is_serial());
     }
 }

@@ -8,17 +8,11 @@
 //!
 //! Star nets are not evaluated directly: they compile to a
 //! [`LogicalPlan`](kdap_query::LogicalPlan) which a [`Planner`] lowers to
-//! a physical plan (optionally reordered, fused, and cached). Batch
-//! materialization ([`materialize_batch`]) deduplicates shared physical
-//! steps across the whole candidate set, so each distinct `(group, path)`
-//! constraint is evaluated exactly once no matter how many nets share it.
-
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+//! a physical plan (optionally reordered, fused, and cached).
 
 use kdap_query::{
-    aggregate_total_exec, execute_plan, execute_step_raw, par_map, AggFunc, ExecConfig, JoinIndex,
-    PhysStep, PhysicalPlan, QueryError, RowSet, StepKey,
+    execute_plan, multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
+    RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{Measure, Warehouse};
 
@@ -51,71 +45,37 @@ impl Subspace {
         self.rows.is_empty()
     }
 
-    /// Aggregates the measure over the subspace.
+    /// Aggregates the measure over the subspace (the ungrouped one-spec
+    /// case of the group-by scan; decodes the measure on every call).
     pub fn aggregate(&self, wh: &Warehouse, measure: &Measure, func: AggFunc) -> f64 {
+        let mv = MeasureVector::build(wh, measure);
+        let specs = [FacetSpec::Total];
+        let exec = ExecConfig::serial();
         // A serial ungoverned config cannot breach any limit.
-        self.aggregate_exec(wh, measure, func, &ExecConfig::serial())
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Aggregates the measure with an explicit execution configuration.
-    /// Fails only when `exec` carries governance limits that fire
-    /// mid-scan.
-    pub fn aggregate_exec(
-        &self,
-        wh: &Warehouse,
-        measure: &Measure,
-        func: AggFunc,
-        exec: &ExecConfig,
-    ) -> Result<f64, KdapError> {
-        Ok(aggregate_total_exec(wh, measure, &self.rows, func, exec)?)
+        multi_group_by_exec(wh, &specs, &self.rows, &mv, &exec, DENSE_GROUP_LIMIT)
+            .map_or(f64::NAN, |groups| groups[0].total(func))
     }
 }
 
-/// Materializes a star net into its subspace.
+/// Materializes a star net into its subspace, serially through the naive
+/// planner (net order, no statistics, no cache) — the reference the
+/// planned paths are tested against.
 ///
 /// Panics if a constraint is malformed (attribute off its path's target
 /// table) — impossible for nets produced by the interpreter. Use
-/// [`try_materialize_with`] or [`materialize_planned`] for a fallible
-/// variant.
+/// [`materialize_planned`] for a fallible variant.
 pub fn materialize(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace {
-    materialize_with(wh, jidx, net, &ExecConfig::serial())
-}
-
-/// Materializes a star net, evaluating constraints across worker threads.
-///
-/// Each hit-group constraint is evaluated independently; the resulting
-/// fact bitmaps AND together, so the intersection order cannot change the
-/// result and `threads = 1` is bit-for-bit identical to any other setting.
-pub fn materialize_with(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    exec: &ExecConfig,
-) -> Subspace {
-    // Documented panic: interpreter-produced nets are well-formed, and
-    // this convenience entry point is not meant for governed configs —
-    // governed callers go through `materialize_planned`.
     #[allow(clippy::expect_used)]
-    try_materialize_with(wh, jidx, net, exec)
+    materialize_planned(wh, jidx, net, &Planner::naive(), &ExecConfig::serial())
         .expect("star-net constraints evaluate on the fact table")
-}
-
-/// Fallible [`materialize_with`]: evaluates the net through an
-/// unoptimized plan (net order, no cache).
-pub fn try_materialize_with(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    net: &StarNet,
-    exec: &ExecConfig,
-) -> Result<Subspace, KdapError> {
-    materialize_planned(wh, jidx, net, &Planner::naive(), exec)
 }
 
 /// Materializes a star net through a [`Planner`]: the net compiles to a
 /// logical plan, lowers to a physical plan (reordered / fused per the
 /// planner's config), and executes through the planner's semi-join cache
-/// when one is present.
+/// when one is present. Constraints evaluate independently across `exec`'s
+/// worker threads and their fact bitmaps AND together, so the result is
+/// identical for every thread count.
 pub fn materialize_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -127,97 +87,6 @@ pub fn materialize_planned(
     let plan = planner.plan(wh, net);
     let rows = execute_plan(wh, jidx, fact, &plan, planner.cache(), exec)?;
     Ok(Subspace { rows })
-}
-
-/// Materializes several star nets concurrently, preserving input order.
-/// Used to build the top-k candidate subspaces of the differentiate phase
-/// in parallel. Shared constraints are evaluated once (see
-/// [`materialize_batch`]).
-pub fn materialize_many(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    nets: &[&StarNet],
-    exec: &ExecConfig,
-) -> Vec<Subspace> {
-    // Documented panic: see `materialize_with`.
-    #[allow(clippy::expect_used)]
-    materialize_batch(wh, jidx, nets, &Planner::naive(), exec)
-        .expect("star-net constraints evaluate on the fact table")
-}
-
-/// Materializes a whole candidate set through one planner, evaluating
-/// each distinct physical step exactly once.
-///
-/// All nets compile and lower first; the distinct steps across all plans
-/// (by cache key, first-occurrence order) are evaluated across `exec`'s
-/// worker threads — through the planner's semi-join cache when present,
-/// so steps already cached by earlier batches are not re-evaluated
-/// either. Each net's subspace is then assembled by intersecting its
-/// steps' bitmaps.
-pub fn materialize_batch(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    nets: &[&StarNet],
-    planner: &Planner,
-    exec: &ExecConfig,
-) -> Result<Vec<Subspace>, KdapError> {
-    let fact = wh.schema().fact_table();
-    let plans: Vec<PhysicalPlan> = nets.iter().map(|net| planner.plan(wh, net)).collect();
-
-    let mut seen: HashSet<StepKey> = HashSet::new();
-    let mut distinct: Vec<&PhysStep> = Vec::new();
-    for plan in &plans {
-        for step in &plan.steps {
-            if seen.insert(step.key()) {
-                distinct.push(step);
-            }
-        }
-    }
-
-    let total = distinct.len() as u64;
-    let timed_step = |i: usize, s: &&PhysStep| {
-        exec.check_at("semijoin", i as u64, total)?;
-        execute_step_raw(wh, jidx, fact, s, planner.cache())
-    };
-    let results: Vec<Result<(Arc<RowSet>, bool), QueryError>> =
-        if exec.is_serial() || distinct.len() < 2 {
-            distinct
-                .iter()
-                .enumerate()
-                .map(|(i, s)| timed_step(i, s))
-                .collect()
-        } else {
-            par_map(exec, &distinct, timed_step)
-        };
-    // Fresh (uncached) results are committed to the semi-join cache only
-    // after every step of the batch succeeded: a query aborted by its
-    // deadline, token, or budget leaves the cache exactly as it found it.
-    let mut bitmaps: HashMap<StepKey, Arc<RowSet>> = HashMap::with_capacity(distinct.len());
-    let mut fresh: Vec<(StepKey, Arc<RowSet>)> = Vec::new();
-    for (step, result) in distinct.iter().zip(results) {
-        let (rows, cache_hit) = result?;
-        if !cache_hit {
-            exec.charge("semijoin", rows.heap_bytes())?;
-            fresh.push((step.key(), Arc::clone(&rows)));
-        }
-        bitmaps.insert(step.key(), rows);
-    }
-    if let Some(cache) = planner.cache() {
-        for (key, rows) in fresh {
-            cache.insert(key, rows);
-        }
-    }
-
-    Ok(plans
-        .iter()
-        .map(|plan| {
-            let mut rows = RowSet::full(wh.fact_rows());
-            for step in &plan.steps {
-                rows.intersect_with(&bitmaps[&step.key()]);
-            }
-            Subspace { rows }
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -311,20 +180,11 @@ mod tests {
             let exec = kdap_query::ExecConfig::with_threads(threads);
             for net in &nets {
                 let serial = materialize(&fx.wh, &fx.jidx, net);
-                let parallel = materialize_with(&fx.wh, &fx.jidx, net, &exec);
+                let parallel =
+                    materialize_planned(&fx.wh, &fx.jidx, net, &Planner::naive(), &exec).unwrap();
                 assert_eq!(
                     serial.rows.iter().collect::<Vec<_>>(),
                     parallel.rows.iter().collect::<Vec<_>>()
-                );
-            }
-            let refs: Vec<&StarNet> = nets.iter().collect();
-            let many = materialize_many(&fx.wh, &fx.jidx, &refs, &exec);
-            assert_eq!(many.len(), nets.len());
-            for (net, sub) in nets.iter().zip(&many) {
-                let serial = materialize(&fx.wh, &fx.jidx, net);
-                assert_eq!(
-                    serial.rows.iter().collect::<Vec<_>>(),
-                    sub.rows.iter().collect::<Vec<_>>()
                 );
             }
         }
@@ -359,33 +219,5 @@ mod tests {
                     .unwrap();
             assert_eq!(naive, planned);
         }
-    }
-
-    #[test]
-    fn batch_evaluates_each_distinct_constraint_once() {
-        let fx = ebiz_fixture();
-        let nets = generate_star_nets(
-            &fx.wh,
-            &fx.index,
-            &["columbus", "lcd"],
-            &GenConfig::default(),
-        );
-        // 4 nets sharing the single "lcd" constraint and 4 distinct
-        // "columbus" constraints → 5 distinct steps for 8 constraint
-        // instances.
-        let refs: Vec<&StarNet> = nets.iter().collect();
-        let planner = Planner::optimized();
-        let subs =
-            materialize_batch(&fx.wh, &fx.jidx, &refs, &planner, &ExecConfig::serial()).unwrap();
-        assert_eq!(subs.len(), 4);
-        let (hits, misses) = planner.cache_stats().unwrap();
-        assert_eq!((hits, misses), (0, 5), "each distinct step missed once");
-        for (net, sub) in nets.iter().zip(&subs) {
-            assert_eq!(&materialize(&fx.wh, &fx.jidx, net), sub);
-        }
-        // A second batch over the same nets hits the cache for every step.
-        materialize_batch(&fx.wh, &fx.jidx, &refs, &planner, &ExecConfig::serial()).unwrap();
-        let (hits, misses) = planner.cache_stats().unwrap();
-        assert_eq!((hits, misses), (5, 5));
     }
 }

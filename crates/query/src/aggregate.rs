@@ -1,50 +1,10 @@
-//! Group-by aggregation of a subspace along a join path.
+//! The vocabulary of group-by aggregation: aggregation functions, the
+//! streaming per-group accumulator, and the partitioning of numerical
+//! domains into *basic intervals* (§5.2.2).
 //!
-//! Given a fact-row set DS′, a join path to a dimension table, and a
-//! candidate group-by attribute, these functions produce the aggregation
-//! series that roll-up partitioning (§5.2) compares between DS′ and
-//! RUP(DS′). Both categorical domains (dictionary codes) and numerical
-//! domains (bucketized into *basic intervals*, §5.2.2) are supported.
-
-use std::collections::HashMap;
-
-use kdap_warehouse::{ColRef, Measure, TableId, Warehouse};
-
-use crate::bitmap::RowSet;
-use crate::error::QueryError;
-use crate::exec::{chunk_ranges, par_map, ExecConfig};
-use crate::path::JoinPath;
-use crate::semijoin::JoinIndex;
-
-/// Runs a chunked aggregation: polls governance per chunk (a single
-/// branch when ungoverned), then evaluates the fixed chunk ranges either
-/// serially or across `exec`'s workers. Both arms chunk identically and
-/// merge happens in the caller in chunk order, so results never depend on
-/// the thread count.
-fn run_chunked<R: Send>(
-    exec: &ExecConfig,
-    stage: &'static str,
-    nwords: usize,
-    accumulate: impl Fn(std::ops::Range<usize>) -> R + Sync,
-) -> Result<Vec<R>, QueryError> {
-    let ranges = chunk_ranges(nwords, AGG_CHUNK_WORDS);
-    let nchunks = ranges.len() as u64;
-    let checked = |i: usize, r: std::ops::Range<usize>| {
-        exec.check_at(stage, i as u64, nchunks)?;
-        Ok::<_, QueryError>(accumulate(r))
-    };
-    if exec.is_serial() || nwords < 2 * AGG_CHUNK_WORDS {
-        ranges
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| checked(i, r))
-            .collect()
-    } else {
-        par_map(exec, &ranges, |i, r| checked(i, r.clone()))
-            .into_iter()
-            .collect()
-    }
-}
+//! The one scan that feeds these is [`crate::multi_group_by_exec`]; the
+//! row-at-a-time single-attribute kernels it is property-tested against
+//! live in `tests/support/`.
 
 /// Bitmap words per parallel aggregation chunk (8192 rows). Small enough
 /// that even the 60k-fact synthetic warehouse splits into several chunks;
@@ -133,123 +93,6 @@ impl Accumulator {
     pub fn finish_opt(&self, func: AggFunc) -> Option<f64> {
         (self.count > 0).then(|| self.finish(func))
     }
-}
-
-/// Aggregate of the measure over an entire row set. Iterates via the
-/// word-skipping bitmap iterator, so sparse subspaces cost time
-/// proportional to their occupied words.
-pub fn aggregate_total(wh: &Warehouse, measure: &Measure, rows: &RowSet, func: AggFunc) -> f64 {
-    // A serial ungoverned config cannot breach any limit.
-    aggregate_total_exec(wh, measure, rows, func, &ExecConfig::serial()).unwrap_or(f64::NAN)
-}
-
-/// [`aggregate_total`] fanned out over `exec`'s workers: each worker
-/// accumulates a fixed word-range chunk, and the per-chunk accumulators
-/// are merged in chunk order. Governance (deadline / cancellation) is
-/// polled once per chunk.
-pub fn aggregate_total_exec(
-    wh: &Warehouse,
-    measure: &Measure,
-    rows: &RowSet,
-    func: AggFunc,
-    exec: &ExecConfig,
-) -> Result<f64, QueryError> {
-    let accumulate = |r: std::ops::Range<usize>| {
-        let mut acc = Accumulator::default();
-        rows.for_each_in_word_range(r, |row| {
-            if let Some(v) = wh.eval_measure(measure, row) {
-                acc.add(v);
-            }
-        });
-        acc
-    };
-    // Fixed chunk boundaries and chunk-order merging in BOTH arms: the
-    // result depends only on the data, never on the thread count, so
-    // serial and parallel sessions render byte-identical output.
-    let partials = run_chunked(exec, "aggregate_total", rows.n_words(), accumulate)?;
-    let mut total = Accumulator::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish(func))
-}
-
-/// Groups `rows` (origin-table rows) by the dictionary code of `attr`
-/// reached via `path`, aggregating the measure. Rows with NULL joins or
-/// NULL attribute values are skipped.
-#[allow(clippy::too_many_arguments)]
-pub fn group_by_categorical(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-    measure: &Measure,
-    func: AggFunc,
-) -> HashMap<u32, f64> {
-    group_by_categorical_exec(
-        wh,
-        idx,
-        origin,
-        path,
-        attr,
-        rows,
-        measure,
-        func,
-        &ExecConfig::serial(),
-    )
-    // A serial ungoverned config cannot breach any limit.
-    .unwrap_or_default()
-}
-
-/// [`group_by_categorical`] fanned out over `exec`'s workers: each worker
-/// builds group accumulators for a fixed word-range chunk of the bitmap,
-/// and the per-chunk maps are merged in chunk order. Governance is polled
-/// once per chunk.
-#[allow(clippy::too_many_arguments)]
-pub fn group_by_categorical_exec(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-    measure: &Measure,
-    func: AggFunc,
-    exec: &ExecConfig,
-) -> Result<HashMap<u32, f64>, QueryError> {
-    let mapper = idx.row_mapper(wh, origin, path);
-    let col = wh.column(attr);
-    let accumulate = |range: std::ops::Range<usize>| {
-        let mut groups: HashMap<u32, Accumulator> = HashMap::new();
-        rows.for_each_in_word_range(range, |row| {
-            let Some(target_row) = mapper[row] else {
-                return;
-            };
-            let Some(code) = col.get_code(target_row as usize) else {
-                return;
-            };
-            if let Some(v) = wh.eval_measure(measure, row) {
-                groups.entry(code).or_default().add(v);
-            }
-        });
-        groups
-    };
-    // Both arms chunk identically and merge in chunk order, so results
-    // never depend on the thread count (per-code accumulators make the
-    // within-chunk map iteration order irrelevant).
-    let partials = run_chunked(exec, "group_by", rows.n_words(), accumulate)?;
-    let mut merged: HashMap<u32, Accumulator> = HashMap::new();
-    for partial in partials {
-        for (code, acc) in partial {
-            merged.entry(code).or_default().merge(&acc);
-        }
-    }
-    Ok(merged
-        .into_iter()
-        .map(|(code, acc)| (code, acc.finish(func)))
-        .collect())
 }
 
 /// Partitioning of a numerical domain into basic intervals.
@@ -350,228 +193,9 @@ impl Bucketizer {
     }
 }
 
-/// Groups `rows` by bucketized numeric value of `attr` via `path`,
-/// aggregating the measure. Returns one aggregate per bucket (0 for empty
-/// buckets).
-#[allow(clippy::too_many_arguments)]
-pub fn group_by_buckets(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-    measure: &Measure,
-    func: AggFunc,
-    buckets: &Bucketizer,
-) -> Vec<f64> {
-    group_by_buckets_exec(
-        wh,
-        idx,
-        origin,
-        path,
-        attr,
-        rows,
-        measure,
-        func,
-        buckets,
-        &ExecConfig::serial(),
-    )
-    // A serial ungoverned config cannot breach any limit.
-    .unwrap_or_default()
-}
-
-/// [`group_by_buckets`] fanned out over `exec`'s workers: each worker
-/// fills a bucket-accumulator array for a fixed word-range chunk, and the
-/// per-chunk arrays are merged in chunk order. Governance is polled once
-/// per chunk and each chunk's bucket array is charged to the memory
-/// budget.
-#[allow(clippy::too_many_arguments)]
-pub fn group_by_buckets_exec(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-    measure: &Measure,
-    func: AggFunc,
-    buckets: &Bucketizer,
-    exec: &ExecConfig,
-) -> Result<Vec<f64>, QueryError> {
-    let mapper = idx.row_mapper(wh, origin, path);
-    let col = wh.column(attr);
-    let chunk_bytes = (buckets.n_buckets() * std::mem::size_of::<Accumulator>()) as u64;
-    let accumulate = |range: std::ops::Range<usize>| {
-        let mut accs = vec![Accumulator::default(); buckets.n_buckets()];
-        rows.for_each_in_word_range(range, |row| {
-            let Some(target_row) = mapper[row] else {
-                return;
-            };
-            let Some(v) = col.get_float(target_row as usize) else {
-                return;
-            };
-            let Some(b) = buckets.bucket_of(v) else {
-                return;
-            };
-            if let Some(m) = wh.eval_measure(measure, row) {
-                accs[b].add(m);
-            }
-        });
-        accs
-    };
-    // Both arms chunk identically and merge in chunk order, so results
-    // never depend on the thread count.
-    let partials = run_chunked(exec, "group_by", rows.n_words(), |r| {
-        exec.charge("group_by", chunk_bytes).map(|()| accumulate(r))
-    })?
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    let mut merged = vec![Accumulator::default(); buckets.n_buckets()];
-    for partial in &partials {
-        for (m, p) in merged.iter_mut().zip(partial) {
-            m.merge(p);
-        }
-    }
-    Ok(merged.iter().map(|a| a.finish(func)).collect())
-}
-
-/// Collects the numeric values of `attr` observed across `rows` via
-/// `path` (the domain the bucketizer spans — "the set of all distinct
-/// values projected from DS′", §5.2).
-pub fn project_numeric(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-) -> Vec<f64> {
-    let mapper = idx.row_mapper(wh, origin, path);
-    let col = wh.column(attr);
-    let mut out = Vec::new();
-    for row in rows.iter() {
-        if let Some(target_row) = mapper[row] {
-            if let Some(v) = col.get_float(target_row as usize) {
-                out.push(v);
-            }
-        }
-    }
-    out
-}
-
-/// Collects the distinct dictionary codes of `attr` observed across
-/// `rows` via `path` (DOM(DS′, attr), §5.2).
-pub fn project_categorical(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-) -> Vec<u32> {
-    let mapper = idx.row_mapper(wh, origin, path);
-    let col = wh.column(attr);
-    let mut seen = std::collections::HashSet::new();
-    for row in rows.iter() {
-        if let Some(target_row) = mapper[row] {
-            if let Some(code) = col.get_code(target_row as usize) {
-                seen.insert(code);
-            }
-        }
-    }
-    let mut out: Vec<u32> = seen.into_iter().collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdap_warehouse::{ValueType, WarehouseBuilder};
-
-    fn store_sales() -> Warehouse {
-        let mut b = WarehouseBuilder::new();
-        b.table(
-            "SALES",
-            &[
-                ("Id", ValueType::Int, false),
-                ("SKey", ValueType::Int, false),
-                ("Qty", ValueType::Int, false),
-                ("Price", ValueType::Float, false),
-            ],
-        )
-        .unwrap();
-        b.table(
-            "STORE",
-            &[
-                ("SKey", ValueType::Int, false),
-                ("City", ValueType::Str, true),
-                ("SqFt", ValueType::Float, false),
-            ],
-        )
-        .unwrap();
-        b.rows(
-            "STORE",
-            vec![
-                vec![1i64.into(), "Columbus".into(), 100.0.into()],
-                vec![2i64.into(), "Seattle".into(), 200.0.into()],
-                vec![3i64.into(), "Columbus".into(), 300.0.into()],
-            ],
-        )
-        .unwrap();
-        b.rows(
-            "SALES",
-            vec![
-                vec![0i64.into(), 1i64.into(), 1i64.into(), 10.0.into()],
-                vec![1i64.into(), 1i64.into(), 2i64.into(), 10.0.into()],
-                vec![2i64.into(), 2i64.into(), 1i64.into(), 50.0.into()],
-                vec![3i64.into(), 3i64.into(), 4i64.into(), 5.0.into()],
-            ],
-        )
-        .unwrap();
-        b.edge("SALES.SKey", "STORE.SKey", None, Some("Store"))
-            .unwrap();
-        b.dimension("Store", &["STORE"], vec![], vec![]).unwrap();
-        b.fact("SALES").unwrap();
-        b.measure_product("Revenue", "SALES.Price", "SALES.Qty")
-            .unwrap();
-        b.finish().unwrap()
-    }
-
-    fn setup() -> (Warehouse, JoinIndex, JoinPath, Measure) {
-        let wh = store_sales();
-        let idx = JoinIndex::build(&wh);
-        let fact = wh.schema().fact_table();
-        let store = wh.table_id("STORE").unwrap();
-        let path = crate::path::paths_between(wh.schema(), fact, store, 4).remove(0);
-        let measure = wh.schema().measure_by_name("Revenue").unwrap().clone();
-        (wh, idx, path, measure)
-    }
-
-    #[test]
-    fn total_aggregation() {
-        let (wh, _, _, measure) = setup();
-        let all = RowSet::full(wh.fact_rows());
-        assert_eq!(aggregate_total(&wh, &measure, &all, AggFunc::Sum), 100.0);
-        assert_eq!(aggregate_total(&wh, &measure, &all, AggFunc::Count), 4.0);
-        assert_eq!(aggregate_total(&wh, &measure, &all, AggFunc::Avg), 25.0);
-        assert_eq!(aggregate_total(&wh, &measure, &all, AggFunc::Min), 10.0);
-        assert_eq!(aggregate_total(&wh, &measure, &all, AggFunc::Max), 50.0);
-    }
-
-    #[test]
-    fn empty_set_aggregation_semantics() {
-        let (wh, _, _, measure) = setup();
-        let none = RowSet::empty(wh.fact_rows());
-        // SUM/COUNT over nothing are 0, per SQL.
-        assert_eq!(aggregate_total(&wh, &measure, &none, AggFunc::Sum), 0.0);
-        assert_eq!(aggregate_total(&wh, &measure, &none, AggFunc::Count), 0.0);
-        // MIN/MAX/AVG over nothing are undefined — NaN, never a fake 0.0.
-        assert!(aggregate_total(&wh, &measure, &none, AggFunc::Min).is_nan());
-        assert!(aggregate_total(&wh, &measure, &none, AggFunc::Max).is_nan());
-        assert!(aggregate_total(&wh, &measure, &none, AggFunc::Avg).is_nan());
-    }
 
     #[test]
     fn finish_opt_flags_empty_groups() {
@@ -586,67 +210,6 @@ mod tests {
         assert_eq!(acc.finish_opt(AggFunc::Max), Some(5.0));
         assert_eq!(acc.finish_opt(AggFunc::Avg), Some(4.0));
         assert_eq!(acc.finish_opt(AggFunc::Count), Some(2.0));
-    }
-
-    #[test]
-    fn categorical_group_by_city() {
-        let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
-        let attr = wh.col_ref("STORE", "City").unwrap();
-        let all = RowSet::full(wh.fact_rows());
-        let groups =
-            group_by_categorical(&wh, &idx, fact, &path, attr, &all, &measure, AggFunc::Sum);
-        let dict = wh.column(attr).dict().unwrap();
-        let columbus = dict.code_of("Columbus").unwrap();
-        let seattle = dict.code_of("Seattle").unwrap();
-        // Columbus: 10 + 20 + 20 = 50; Seattle: 50.
-        assert_eq!(groups[&columbus], 50.0);
-        assert_eq!(groups[&seattle], 50.0);
-    }
-
-    #[test]
-    fn categorical_group_by_respects_subspace() {
-        let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
-        let attr = wh.col_ref("STORE", "City").unwrap();
-        let subset = RowSet::from_rows(wh.fact_rows(), [0, 2]);
-        let groups = group_by_categorical(
-            &wh,
-            &idx,
-            fact,
-            &path,
-            attr,
-            &subset,
-            &measure,
-            AggFunc::Sum,
-        );
-        let dict = wh.column(attr).dict().unwrap();
-        assert_eq!(groups[&dict.code_of("Columbus").unwrap()], 10.0);
-        assert_eq!(groups[&dict.code_of("Seattle").unwrap()], 50.0);
-    }
-
-    #[test]
-    fn bucketized_group_by_sqft() {
-        let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
-        let attr = wh.col_ref("STORE", "SqFt").unwrap();
-        let all = RowSet::full(wh.fact_rows());
-        let values = project_numeric(&wh, &idx, fact, &path, attr, &all);
-        let buckets = Bucketizer::equal_width(values, 2).unwrap();
-        let series = group_by_buckets(
-            &wh,
-            &idx,
-            fact,
-            &path,
-            attr,
-            &all,
-            &measure,
-            AggFunc::Sum,
-            &buckets,
-        );
-        // Buckets are half-open: [100, 200) holds SqFt=100 (facts 0,1:
-        // 10+20); [200, 300] holds SqFt=200 and 300 (facts 2,3: 50+20).
-        assert_eq!(series, vec![30.0, 70.0]);
     }
 
     #[test]
@@ -675,69 +238,5 @@ mod tests {
         assert_eq!(b.bucket_of(5.0), Some(0));
         assert!(Bucketizer::equal_width(std::iter::empty(), 3).is_none());
         assert!(Bucketizer::per_distinct(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn exec_variants_match_serial() {
-        // The toy warehouse is one chunk; integer-ish revenues make f64
-        // sums exact, so serial and chunked schedules must agree exactly.
-        let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
-        let attr = wh.col_ref("STORE", "City").unwrap();
-        let sqft = wh.col_ref("STORE", "SqFt").unwrap();
-        let all = RowSet::full(wh.fact_rows());
-        let buckets =
-            Bucketizer::equal_width(project_numeric(&wh, &idx, fact, &path, sqft, &all), 2)
-                .unwrap();
-        for threads in [1, 2, 4] {
-            let exec = ExecConfig::with_threads(threads);
-            assert_eq!(
-                aggregate_total_exec(&wh, &measure, &all, AggFunc::Sum, &exec).unwrap(),
-                100.0
-            );
-            let groups = group_by_categorical_exec(
-                &wh,
-                &idx,
-                fact,
-                &path,
-                attr,
-                &all,
-                &measure,
-                AggFunc::Sum,
-                &exec,
-            )
-            .unwrap();
-            assert_eq!(
-                groups,
-                group_by_categorical(&wh, &idx, fact, &path, attr, &all, &measure, AggFunc::Sum)
-            );
-            let series = group_by_buckets_exec(
-                &wh,
-                &idx,
-                fact,
-                &path,
-                sqft,
-                &all,
-                &measure,
-                AggFunc::Sum,
-                &buckets,
-                &exec,
-            )
-            .unwrap();
-            assert_eq!(series, vec![30.0, 70.0]);
-        }
-    }
-
-    #[test]
-    fn projections() {
-        let (wh, idx, path, _) = setup();
-        let fact = wh.schema().fact_table();
-        let all = RowSet::full(wh.fact_rows());
-        let city = wh.col_ref("STORE", "City").unwrap();
-        let codes = project_categorical(&wh, &idx, fact, &path, city, &all);
-        assert_eq!(codes.len(), 2);
-        let sqft = wh.col_ref("STORE", "SqFt").unwrap();
-        let vals = project_numeric(&wh, &idx, fact, &path, sqft, &all);
-        assert_eq!(vals.len(), 4, "one per fact row");
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! The explore phase (§5) ranks *every* candidate group-by attribute over
 //! the chosen subspace and each of its roll-up spaces. Done naively that
-//! is one [`group_by_categorical`](crate::group_by_categorical) /
-//! [`group_by_buckets`](crate::group_by_buckets) call per attribute per
-//! space — each re-scanning the same bitmap, re-deriving the same row
-//! mappers, and re-evaluating the measure per row. This module fuses them:
-//! **one scan** of the row set feeds the accumulators of *all* facet
-//! specs at once, over session-materialized inputs — a [`MeasureVector`]
-//! decoded once per subspace and `Arc` row mappers memoized per
-//! `(origin, path)` in the [`JoinIndex`](crate::JoinIndex).
+//! is one group-by scan per attribute per space — each re-scanning the
+//! same bitmap, re-deriving the same row mappers, and re-evaluating the
+//! measure per row. This module fuses them: **one scan** of the row set
+//! feeds the accumulators of *all* facet specs at once, over
+//! session-materialized inputs — a [`MeasureVector`] decoded once per
+//! session and `Arc` row mappers memoized per `(origin, path)` in the
+//! [`JoinIndex`](crate::JoinIndex). A single-attribute group-by is the
+//! one-spec case of the same scan.
 //!
 //! Low-cardinality categorical attributes accumulate into **dense arrays
 //! sized by dictionary cardinality** (`stats[code as usize]`, no hashing);
@@ -18,24 +18,24 @@
 //! aggregation function afterwards (e.g. SUM for the series *and* COUNT
 //! for bucket occupancy).
 //!
-//! Parallel execution mirrors the per-facet kernels exactly: the same
-//! [`AGG_CHUNK_WORDS`] chunking of the bitmap with per-chunk partials
-//! merged in chunk order — in the serial arm too, so results depend only
-//! on the data, never on the thread count, and the fused kernel is
-//! bit-identical to the per-facet kernels at any thread count
-//! (property-tested in `tests/facet_equivalence.rs`).
+//! The bitmap is cut into fixed [`AGG_CHUNK_WORDS`]-word chunks whose
+//! partials merge in chunk order — in the serial arm too — so results
+//! depend only on the data, never on the thread count. That chunk-then-
+//! merge order is the engine's floating-point contract: the row-at-a-time
+//! oracle in `tests/support/` reproduces it, and
+//! `tests/facet_equivalence.rs` holds the scan to it bit for bit.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kdap_warehouse::{ColRef, KernelTier, Measure, Warehouse};
+use kdap_warehouse::{ColRef, Measure, Warehouse};
 
 use crate::aggregate::{Accumulator, AggFunc, Bucketizer, AGG_CHUNK_WORDS};
 use crate::bitmap::RowSet;
 use crate::error::QueryError;
 use crate::exec::{chunk_ranges, par_map, ExecConfig};
-use crate::kernel::{self, NULL_CODE};
+use crate::kernel::{self, KernelTier, NULL_CODE};
 
 /// Default dictionary-cardinality cutoff for the dense accumulator path.
 ///
@@ -134,9 +134,8 @@ pub enum FacetSpec {
 /// `rows` counts every row whose join reached a non-null attribute value
 /// — independent of whether the measure was NULL — which is what domain
 /// projection (`DOM(DS′, attr)`, §5.2) observes. `acc.count` only counts
-/// rows that contributed a measure value, which is what the per-facet
-/// group-by kernels key their result maps by. Both views come out of the
-/// same scan.
+/// rows that contributed a measure value, which is what the finished
+/// group-by maps are keyed by. Both views come out of the same scan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GroupStats {
     /// Measure accumulator over the group's non-null-measure rows.
@@ -303,9 +302,9 @@ impl FacetGroups {
         }
     }
 
-    /// Sorted dictionary codes present in the rows — exactly
-    /// [`project_categorical`](crate::project_categorical) (presence is a
-    /// reached non-null attribute value; the measure may be NULL).
+    /// Sorted dictionary codes present in the rows — `DOM(DS′, attr)`
+    /// (presence is a reached non-null attribute value; the measure may
+    /// be NULL).
     pub fn domain(&self) -> Vec<u32> {
         match self {
             FacetGroups::Dense { stats } => stats
@@ -327,9 +326,8 @@ impl FacetGroups {
         }
     }
 
-    /// Finished categorical aggregates keyed by code — exactly the map
-    /// [`group_by_categorical`](crate::group_by_categorical) returns
-    /// (groups whose every measure value was NULL are absent).
+    /// Finished categorical aggregates keyed by code (groups whose every
+    /// measure value was NULL are absent).
     pub fn to_map(&self, func: AggFunc) -> HashMap<u32, f64> {
         match self {
             FacetGroups::Dense { stats } => stats
@@ -347,8 +345,8 @@ impl FacetGroups {
         }
     }
 
-    /// Finished per-bucket aggregates — exactly the series
-    /// [`group_by_buckets`](crate::group_by_buckets) returns.
+    /// Finished per-bucket aggregates, one per basic interval (empty
+    /// buckets finish as the aggregate of no rows).
     pub fn to_series(&self, func: AggFunc) -> Vec<f64> {
         match self {
             FacetGroups::Buckets { stats } => stats.iter().map(|g| g.acc.finish(func)).collect(),
@@ -357,7 +355,8 @@ impl FacetGroups {
     }
 
     /// An equal-width bucketizer over the observed numerical domain —
-    /// exactly `Bucketizer::equal_width(project_numeric(..), n)`.
+    /// [`Bucketizer::equal_width`] of the projected values, without
+    /// materializing the projection.
     pub fn bucketizer(&self, n: usize) -> Option<Bucketizer> {
         match self {
             FacetGroups::Domain { min, max, any } => any.then_some(Bucketizer::EqualWidth {
@@ -369,8 +368,7 @@ impl FacetGroups {
         }
     }
 
-    /// Finished total aggregate — exactly
-    /// [`aggregate_total`](crate::aggregate_total) over the same rows.
+    /// Finished total aggregate over the row set.
     pub fn total(&self, func: AggFunc) -> f64 {
         match self {
             FacetGroups::Total { stats } => stats.acc.finish(func),
@@ -408,56 +406,10 @@ fn promote_to_sparse(g: &mut FacetGroups) {
     }
 }
 
-/// One categorical accumulation step with the dense bounds check: a code
-/// beyond the dense array (possible only with stale column statistics)
-/// promotes the partial to the hash path instead of indexing out of
-/// bounds, and bumps `oob`.
-#[inline]
-fn update_categorical(g: &mut FacetGroups, code: u32, measure: Option<f64>, oob: &mut u64) {
-    if let FacetGroups::Dense { stats } = g {
-        if let Some(s) = stats.get_mut(code as usize) {
-            s.rows += 1;
-            if let Some(v) = measure {
-                s.acc.add(v);
-            }
-            return;
-        }
-        *oob += 1;
-        promote_to_sparse(g);
-    }
-    let FacetGroups::Sparse { stats } = g else {
-        unreachable!("categorical groups are dense or sparse")
-    };
-    let s = stats.entry(code).or_default();
-    s.rows += 1;
-    if let Some(v) = measure {
-        s.acc.add(v);
-    }
-}
-
-/// Serial fused scan with the default dense cutoff; see
-/// [`multi_group_by_exec`].
-pub fn multi_group_by(
-    wh: &Warehouse,
-    specs: &[FacetSpec],
-    rows: &RowSet,
-    mv: &MeasureVector,
-) -> Result<Vec<FacetGroups>, QueryError> {
-    multi_group_by_exec(
-        wh,
-        specs,
-        rows,
-        mv,
-        &ExecConfig::serial(),
-        DENSE_GROUP_LIMIT,
-    )
-}
-
-/// One predecoded attribute column for the batch scan path.
+/// One spec's attribute column, predecoded once per scan.
 enum DecodedCol {
-    /// Total spec, or a column the spec's accessor cannot decode (e.g. a
-    /// categorical spec over a numeric column) — the batch path skips
-    /// every row, exactly like the per-row accessors returning `None`.
+    /// Total spec, or a column the spec cannot decode (e.g. a categorical
+    /// spec over a numeric column) — no row contributes.
     Missing,
     /// Dictionary codes per attribute-table row, NULL as [`NULL_CODE`].
     Codes(Vec<u32>),
@@ -473,11 +425,10 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Batch categorical accumulation over one chunk's gathered rows, with
-/// the same mid-scan dense→sparse promotion as [`update_categorical`]:
-/// the dense loop runs bounds-checked, and the first out-of-range code
-/// (stale statistics) promotes the partial and resumes sparsely from the
-/// same row.
+/// Categorical accumulation over one chunk's gathered rows. The dense
+/// loop runs bounds-checked: the first code beyond the dense array
+/// (possible only with stale column statistics) bumps `oob`, promotes the
+/// partial to the hash path and resumes sparsely from the same row.
 fn batch_categorical(
     g: &mut FacetGroups,
     codes: &[u32],
@@ -547,27 +498,26 @@ fn batch_categorical(
     }
 }
 
-/// Scans `rows` once, feeding every spec's accumulators per row.
+/// Scans `rows` once, feeding every spec's accumulators.
 ///
 /// Returns one [`FacetGroups`] per spec, in spec order. Categorical specs
 /// whose dictionary cardinality is at most `dense_limit` use dense
 /// arrays; larger ones fall back to hash maps. A dictionary code that
 /// nonetheless walks past a dense array (stale statistics) promotes that
 /// spec to the hash path mid-scan instead of indexing out of bounds.
-/// Parallel runs chunk the bitmap exactly like the per-facet kernels
-/// ([`AGG_CHUNK_WORDS`] words, serial below two chunks) and merge
-/// partials in chunk order, so output is independent of the thread count.
+/// The bitmap is cut into [`AGG_CHUNK_WORDS`]-word chunks (run serially
+/// below two chunks) whose partials merge in chunk order, so output is
+/// independent of the thread count.
 ///
-/// When the session's [`ExecConfig::kernel_tier`] is above Scalar, each
-/// chunk runs as a **batch**: the selected row indices are collected into
-/// a reusable buffer, their measure values gathered in one vectorized
-/// pass against predecoded attribute columns (bulk-unpacked through the
-/// dispatched kernels), and the per-spec accumulation runs as a tight
-/// loop per spec over those buffers. Because every gathered row is
-/// visited in the same ascending order and floating-point accumulation
-/// stays strictly sequential per group, the batch path is bit-identical
-/// to the per-row reference path (`force_scalar` / `KDAP_NO_SIMD`),
-/// which `tests/simd_equivalence.rs` proves.
+/// Each chunk runs as a **batch**: the selected row indices are collected
+/// into a reusable buffer, their measure values gathered in one pass
+/// against predecoded attribute columns (bulk-unpacked through the
+/// dispatched kernels, which fall back to their scalar twins on hosts
+/// without SIMD), and the per-spec accumulation runs as a tight loop per
+/// spec over those buffers. Every gathered row is visited in ascending
+/// order and floating-point accumulation stays strictly sequential per
+/// group, so every kernel tier produces the same bits
+/// (`tests/simd_equivalence.rs`).
 ///
 /// Governance (when `exec` carries a [`crate::QueryContext`]) is polled
 /// per chunk, and every chunk's accumulator allocation is charged to the
@@ -598,57 +548,36 @@ pub fn multi_group_by_exec_sized(
     dense_size: Option<usize>,
 ) -> Result<Vec<FacetGroups>, QueryError> {
     exec.check("multi_group_by")?;
-    let cols: Vec<_> = specs
-        .iter()
-        .map(|s| match s {
-            FacetSpec::Categorical { attr, .. }
-            | FacetSpec::Buckets { attr, .. }
-            | FacetSpec::NumericDomain { attr, .. } => Some(wh.column(*attr)),
-            FacetSpec::Total => None,
-        })
-        .collect();
-    // Tier dispatch: the per-row closure chain below is the retained
-    // scalar reference; everything else batches. Universes past u32 row
-    // indices keep the reference path (gather buffers index with u32).
-    let tier = exec.kernel_tier();
-    let use_batch = !tier.is_scalar() && rows.universe() <= u32::MAX as usize;
     // Predecode each spec's attribute column once per scan (codes with a
     // NULL sentinel, floats with NaN) so chunk workers only gather.
-    let decoded: Vec<DecodedCol> = if use_batch {
-        let mut bytes = 0u64;
-        let decoded: Vec<DecodedCol> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| match s {
-                FacetSpec::Categorical { .. } => {
-                    let mut codes = Vec::new();
-                    // Infallible for Str columns; numeric columns yield
-                    // Missing, matching get_code's permanent None.
-                    if cols[i].is_some_and(|c| c.unpack_codes_into(&mut codes)) {
-                        bytes += codes.len() as u64 * 4;
-                        DecodedCol::Codes(codes)
-                    } else {
-                        DecodedCol::Missing
-                    }
+    let mut decoded_bytes = 0u64;
+    let decoded: Vec<DecodedCol> = specs
+        .iter()
+        .map(|s| match s {
+            FacetSpec::Categorical { attr, .. } => {
+                let mut codes = Vec::new();
+                // Numeric columns have no codes: no row contributes.
+                if wh.column(*attr).unpack_codes_into(&mut codes) {
+                    decoded_bytes += codes.len() as u64 * 4;
+                    DecodedCol::Codes(codes)
+                } else {
+                    DecodedCol::Missing
                 }
-                FacetSpec::Buckets { .. } | FacetSpec::NumericDomain { .. } => {
-                    let mut vals = Vec::new();
-                    if cols[i].is_some_and(|c| c.unpack_floats_into(&mut vals)) {
-                        bytes += vals.len() as u64 * 8;
-                        DecodedCol::Floats(vals)
-                    } else {
-                        DecodedCol::Missing
-                    }
+            }
+            FacetSpec::Buckets { attr, .. } | FacetSpec::NumericDomain { attr, .. } => {
+                let mut vals = Vec::new();
+                if wh.column(*attr).unpack_floats_into(&mut vals) {
+                    decoded_bytes += vals.len() as u64 * 8;
+                    DecodedCol::Floats(vals)
+                } else {
+                    DecodedCol::Missing
                 }
-                FacetSpec::Total => DecodedCol::Missing,
-            })
-            .collect();
-        exec.charge("multi_group_by", bytes)?;
-        decoded
-    } else {
-        Vec::new()
-    };
-    let accumulate_batch = |range: std::ops::Range<usize>| {
+            }
+            FacetSpec::Total => DecodedCol::Missing,
+        })
+        .collect();
+    exec.charge("multi_group_by", decoded_bytes)?;
+    let accumulate = |range: std::ops::Range<usize>| {
         let mut groups: Vec<FacetGroups> = specs
             .iter()
             .map(|s| FacetGroups::new_for_sized(s, wh, dense_limit, dense_size))
@@ -720,84 +649,8 @@ pub fn multi_group_by_exec_sized(
                             }
                         }
                     }
-                    // Undecodable column: the accessors would return None
-                    // for every row — nothing to accumulate.
                     (_, DecodedCol::Missing) => {}
                     _ => unreachable!("decoded[i] was built from specs[i]"),
-                }
-            }
-        });
-        (groups, oob)
-    };
-    let accumulate = |range: std::ops::Range<usize>| {
-        if use_batch {
-            return accumulate_batch(range);
-        }
-        let mut groups: Vec<FacetGroups> = specs
-            .iter()
-            .map(|s| FacetGroups::new_for_sized(s, wh, dense_limit, dense_size))
-            .collect();
-        let mut oob = 0u64;
-        rows.for_each_in_word_range(range, |row| {
-            for (i, spec) in specs.iter().enumerate() {
-                let g = &mut groups[i];
-                match spec {
-                    FacetSpec::Categorical { mapper, .. } => {
-                        let Some(target_row) = mapper[row] else {
-                            continue;
-                        };
-                        let Some(code) = cols[i].and_then(|c| c.get_code(target_row as usize))
-                        else {
-                            continue;
-                        };
-                        update_categorical(g, code, mv.get(row), &mut oob);
-                    }
-                    FacetSpec::Buckets {
-                        mapper, buckets, ..
-                    } => {
-                        let FacetGroups::Buckets { stats } = g else {
-                            unreachable!("groups[i] was built from specs[i]")
-                        };
-                        let Some(target_row) = mapper[row] else {
-                            continue;
-                        };
-                        let Some(v) = cols[i].and_then(|c| c.get_float(target_row as usize)) else {
-                            continue;
-                        };
-                        let Some(b) = buckets.bucket_of(v) else {
-                            continue;
-                        };
-                        let s = &mut stats[b];
-                        s.rows += 1;
-                        if let Some(m) = mv.get(row) {
-                            s.acc.add(m);
-                        }
-                    }
-                    FacetSpec::NumericDomain { mapper, .. } => {
-                        let FacetGroups::Domain { min, max, any } = g else {
-                            unreachable!("groups[i] was built from specs[i]")
-                        };
-                        let Some(target_row) = mapper[row] else {
-                            continue;
-                        };
-                        let Some(v) = cols[i].and_then(|c| c.get_float(target_row as usize)) else {
-                            continue;
-                        };
-                        if v.is_finite() {
-                            *min = min.min(v);
-                            *max = max.max(v);
-                            *any = true;
-                        }
-                    }
-                    FacetSpec::Total => {
-                        let FacetGroups::Total { stats } = g else {
-                            unreachable!("groups[i] was built from specs[i]")
-                        };
-                        stats.rows += 1;
-                        if let Some(v) = mv.get(row) {
-                            stats.acc.add(v);
-                        }
-                    }
                 }
             }
         });
@@ -821,9 +674,8 @@ pub fn multi_group_by_exec_sized(
         let (groups, oob) = accumulate(range);
         Ok::<_, QueryError>((groups, oob, t.stop()))
     };
-    // Both arms chunk identically and merge in chunk order — the same
-    // discipline as the per-facet kernels — so the fused result depends
-    // only on the data, never on the thread count.
+    // Both arms chunk identically and merge in chunk order, so the result
+    // depends only on the data, never on the thread count.
     let partials: Vec<(Vec<FacetGroups>, u64, u64)> =
         if exec.is_serial() || nwords < 2 * AGG_CHUNK_WORDS {
             ranges
@@ -862,8 +714,8 @@ pub fn multi_group_by_exec_sized(
             .count();
         exec.obs.inc("query.agg_dense_dispatch", dense as u64);
         exec.obs.inc("query.agg_hash_dispatch", hash as u64);
-        // Which kernel tier ran this scan (batch path above Scalar).
-        exec.obs.inc(tier_metric_name(tier), 1);
+        // Which kernel tier the gather and unpack kernels dispatched to.
+        exec.obs.inc(tier_metric_name(kernel::active_tier()), 1);
         if oob_total > 0 {
             exec.obs.inc("query.agg_dense_oob_fallback", oob_total);
         }
@@ -886,7 +738,7 @@ pub fn multi_group_by_exec_sized(
                     ("chunks".into(), partials.len().to_string()),
                     ("dense".into(), dense.to_string()),
                     ("hash".into(), hash.to_string()),
-                    ("kernel".into(), tier.name().to_string()),
+                    ("kernel".into(), kernel::active_tier().name().to_string()),
                 ],
             },
         );
@@ -908,10 +760,6 @@ fn tier_metric_name(tier: KernelTier) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{
-        aggregate_total, group_by_buckets, group_by_categorical, project_categorical,
-        project_numeric,
-    };
     use crate::path::paths_between;
     use crate::semijoin::JoinIndex;
     use kdap_warehouse::{ValueType, WarehouseBuilder};
@@ -983,6 +831,24 @@ mod tests {
         (wh, idx, path, measure)
     }
 
+    /// Serial scan with the default dense cutoff.
+    fn scan(
+        wh: &Warehouse,
+        specs: &[FacetSpec],
+        rows: &RowSet,
+        mv: &MeasureVector,
+    ) -> Vec<FacetGroups> {
+        multi_group_by_exec(
+            wh,
+            specs,
+            rows,
+            mv,
+            &ExecConfig::serial(),
+            DENSE_GROUP_LIMIT,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn measure_vector_reproduces_eval_measure() {
         let (wh, _, _, measure) = setup();
@@ -995,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_scan_matches_per_facet_kernels() {
+    fn one_scan_answers_every_spec() {
         let (wh, idx, path, measure) = setup();
         let fact = wh.schema().fact_table();
         let city = wh.col_ref("STORE", "City").unwrap();
@@ -1003,8 +869,21 @@ mod tests {
         let all = RowSet::full(wh.fact_rows());
         let mv = MeasureVector::build(&wh, &measure);
         let mapper = idx.row_mapper(&wh, fact, &path);
-        let values = project_numeric(&wh, &idx, fact, &path, sqft, &all);
-        let buckets = Bucketizer::equal_width(values.iter().copied(), 2).unwrap();
+        let domain = FacetSpec::NumericDomain {
+            attr: sqft,
+            mapper: mapper.clone(),
+        };
+        let buckets = scan(&wh, std::slice::from_ref(&domain), &all, &mv)[0]
+            .bucketizer(2)
+            .unwrap();
+        assert_eq!(
+            buckets,
+            Bucketizer::EqualWidth {
+                min: 100.0,
+                max: 300.0,
+                n: 2
+            }
+        );
         let specs = vec![
             FacetSpec::Categorical {
                 attr: city,
@@ -1013,50 +892,57 @@ mod tests {
             FacetSpec::Buckets {
                 attr: sqft,
                 mapper: mapper.clone(),
-                buckets: buckets.clone(),
+                buckets,
             },
-            FacetSpec::NumericDomain {
-                attr: sqft,
-                mapper: mapper.clone(),
-            },
+            domain,
             FacetSpec::Total,
         ];
+        let dict = wh.column(city).dict().unwrap();
+        let columbus = dict.code_of("Columbus").unwrap();
+        let seattle = dict.code_of("Seattle").unwrap();
         for dense_limit in [DENSE_GROUP_LIMIT, 0] {
             let groups =
                 multi_group_by_exec(&wh, &specs, &all, &mv, &ExecConfig::serial(), dense_limit)
                     .unwrap();
             assert_eq!(groups[0].is_dense(), dense_limit > 0);
-            assert_eq!(
-                groups[0].to_map(AggFunc::Sum),
-                group_by_categorical(&wh, &idx, fact, &path, city, &all, &measure, AggFunc::Sum)
-            );
-            assert_eq!(
-                groups[0].domain(),
-                project_categorical(&wh, &idx, fact, &path, city, &all)
-            );
-            assert_eq!(
-                groups[1].to_series(AggFunc::Sum),
-                group_by_buckets(
-                    &wh,
-                    &idx,
-                    fact,
-                    &path,
-                    sqft,
-                    &all,
-                    &measure,
-                    AggFunc::Sum,
-                    &buckets
-                )
-            );
-            assert_eq!(
-                groups[2].bucketizer(2),
-                Bucketizer::equal_width(values.iter().copied(), 2)
-            );
-            assert_eq!(
-                groups[3].total(AggFunc::Sum),
-                aggregate_total(&wh, &measure, &all, AggFunc::Sum)
-            );
+            // Columbus: 10 + 20 + 20; Seattle: 50 (+ one NULL-measure row).
+            let map = groups[0].to_map(AggFunc::Sum);
+            assert_eq!(map.len(), 2);
+            assert_eq!(map[&columbus], 50.0);
+            assert_eq!(map[&seattle], 50.0);
+            let mut codes = vec![columbus, seattle];
+            codes.sort_unstable();
+            assert_eq!(groups[0].domain(), codes);
+            // Buckets are half-open: [100, 200) holds SqFt=100 (10 + 20);
+            // [200, 300] holds SqFt=200 and 300 (50 + 20).
+            assert_eq!(groups[1].to_series(AggFunc::Sum), vec![30.0, 70.0]);
+            assert_eq!(groups[1].to_series(AggFunc::Count), vec![2.0, 2.0]);
+            assert_eq!(groups[3].total(AggFunc::Sum), 100.0);
+            assert_eq!(groups[3].total(AggFunc::Count), 4.0);
+            assert_eq!(groups[3].total(AggFunc::Avg), 25.0);
+            assert_eq!(groups[3].total(AggFunc::Min), 10.0);
+            assert_eq!(groups[3].total(AggFunc::Max), 50.0);
         }
+        // A subset of the rows restricts every group.
+        let subset = RowSet::from_rows(wh.fact_rows(), [0, 2]);
+        let map = scan(&wh, &specs[..1], &subset, &mv)[0].to_map(AggFunc::Sum);
+        assert_eq!(map[&columbus], 10.0);
+        assert_eq!(map[&seattle], 50.0);
+    }
+
+    #[test]
+    fn empty_set_aggregation_semantics() {
+        let (wh, _, _, measure) = setup();
+        let mv = MeasureVector::build(&wh, &measure);
+        let none = RowSet::empty(wh.fact_rows());
+        let total = &scan(&wh, &[FacetSpec::Total], &none, &mv)[0];
+        // SUM/COUNT over nothing are 0, per SQL.
+        assert_eq!(total.total(AggFunc::Sum), 0.0);
+        assert_eq!(total.total(AggFunc::Count), 0.0);
+        // MIN/MAX/AVG over nothing are undefined — NaN, never a fake 0.0.
+        assert!(total.total(AggFunc::Min).is_nan());
+        assert!(total.total(AggFunc::Max).is_nan());
+        assert!(total.total(AggFunc::Avg).is_nan());
     }
 
     #[test]
@@ -1069,18 +955,17 @@ mod tests {
         // Only the NULL-measure fact (row 4, Seattle).
         let only_null = RowSet::from_rows(wh.fact_rows(), [4]);
         let specs = vec![FacetSpec::Categorical { attr: city, mapper }];
-        let groups = multi_group_by(&wh, &specs, &only_null, &mv).unwrap();
+        let groups = scan(&wh, &specs, &only_null, &mv);
         let seattle = wh.column(city).dict().unwrap().code_of("Seattle").unwrap();
         // Seattle is present in the domain…
         assert_eq!(groups[0].domain(), vec![seattle]);
         assert_eq!(groups[0].n_groups(), 1);
-        // …but contributes no aggregate, matching the per-facet kernel.
+        // …but contributes no aggregate.
         assert!(groups[0].to_map(AggFunc::Sum).is_empty());
     }
 
     #[test]
-    fn chunked_execution_matches_serial() {
-        // Build a row set wide enough to actually chunk (> 2 × 8192 rows).
+    fn threaded_execution_matches_serial() {
         let (wh, idx, path, measure) = setup();
         let fact = wh.schema().fact_table();
         let city = wh.col_ref("STORE", "City").unwrap();
@@ -1094,7 +979,7 @@ mod tests {
             FacetSpec::Total,
         ];
         let all = RowSet::full(wh.fact_rows());
-        let serial = multi_group_by(&wh, &specs, &all, &mv).unwrap();
+        let serial = scan(&wh, &specs, &all, &mv);
         for threads in [2, 4] {
             let exec = ExecConfig::with_threads(threads);
             let par =
@@ -1107,6 +992,16 @@ mod tests {
         }
     }
 
+    /// Feeds `(code, measure)` pairs through [`batch_categorical`] as one
+    /// chunk of rows `0..n` under an identity row mapper.
+    fn feed(g: &mut FacetGroups, touches: &[(u32, Option<f64>)], oob: &mut u64) {
+        let codes: Vec<u32> = touches.iter().map(|(c, _)| *c).collect();
+        let meas: Vec<f64> = touches.iter().map(|(_, m)| m.unwrap_or(f64::NAN)).collect();
+        let rows: Vec<u32> = (0..touches.len() as u32).collect();
+        let mapper: Vec<Option<u32>> = rows.iter().copied().map(Some).collect();
+        batch_categorical(g, &codes, &mapper, &rows, &meas, oob);
+    }
+
     #[test]
     fn out_of_range_code_promotes_to_sparse_instead_of_panicking() {
         // A dense partial sized for 2 codes sees code 7 — the stale-stats
@@ -1116,13 +1011,11 @@ mod tests {
             stats: vec![GroupStats::default(); 2],
         };
         let mut oob = 0;
-        update_categorical(&mut g, 1, Some(10.0), &mut oob);
+        feed(&mut g, &[(1, Some(10.0))], &mut oob);
         assert!(g.is_dense());
-        update_categorical(&mut g, 7, Some(5.0), &mut oob);
+        feed(&mut g, &[(7, Some(5.0)), (1, None)], &mut oob);
         assert_eq!(oob, 1);
         assert!(!g.is_dense());
-        update_categorical(&mut g, 1, None, &mut oob);
-        assert_eq!(oob, 1);
         let map = g.to_map(AggFunc::Sum);
         assert_eq!(map.get(&1), Some(&10.0));
         assert_eq!(map.get(&7), Some(&5.0));
@@ -1142,12 +1035,11 @@ mod tests {
         let mut dense = FacetGroups::Dense {
             stats: vec![GroupStats::default(); 2],
         };
-        update_categorical(&mut dense, 0, Some(3.0), &mut oob);
+        feed(&mut dense, &[(0, Some(3.0))], &mut oob);
         let mut sparse = FacetGroups::Sparse {
             stats: HashMap::new(),
         };
-        update_categorical(&mut sparse, 0, Some(4.0), &mut oob);
-        update_categorical(&mut sparse, 9, Some(1.0), &mut oob);
+        feed(&mut sparse, &[(0, Some(4.0)), (9, Some(1.0))], &mut oob);
 
         let mut a = dense.clone();
         a.merge(&sparse);

@@ -16,14 +16,13 @@
 //! Containers auto-convert at density thresholds: an array grows into a
 //! bitmap past [`ARRAY_MAX`], and every set-algebra result is
 //! re-canonicalized to the smallest of the three forms. The public API —
-//! `intersect/union/and_not`, their `try_` and `_exec` variants,
+//! `intersect/union/and_not`, their `try_` variants,
 //! `iter`/`iter_word_range` — is unchanged from the flat bitmap;
 //! word-granular entry points (`n_words`, `to_words`, `from_words`,
 //! `for_each_in_word_range`) keep the chunked kernels and their
 //! thread-count-invariant results working on top.
 
 use crate::error::QueryError;
-use crate::exec::{chunk_ranges, par_map, ExecConfig};
 use crate::kernel;
 
 /// Rows per block: matches the warehouse chunk size so one block of rows
@@ -36,11 +35,6 @@ const BLOCK_WORDS: usize = BLOCK_ROWS / 64;
 /// Largest array container: beyond this many rows a block converts to a
 /// bitmap (4096 × 2 bytes = the break-even point against 8 KiB bitmaps).
 pub const ARRAY_MAX: usize = 4096;
-
-/// Blocks per parallel chunk for the set-algebra kernels (1 MiB of
-/// rows). Chunking depends only on set size, so chunked results are
-/// identical for every thread count.
-const PAR_CHUNK_BLOCKS: usize = 16;
 
 /// Counts of each container type across a set of row sets — the
 /// compression telemetry surfaced by `kdap stats` and the HTTP stats
@@ -685,62 +679,6 @@ impl RowSet {
         Ok(())
     }
 
-    /// Applies a set operation block-by-block, fanning block ranges out
-    /// over `exec`'s workers. Each block's result depends only on the two
-    /// operand blocks, and results are written back in block order, so
-    /// the outcome is identical for every thread count.
-    fn zip_blocks_exec(&mut self, other: &RowSet, exec: &ExecConfig, op: SetOp) {
-        if exec.is_serial() || self.blocks.len() < 2 * PAR_CHUNK_BLOCKS {
-            self.zip_blocks(other, op);
-            return;
-        }
-        let ranges = chunk_ranges(self.blocks.len(), PAR_CHUNK_BLOCKS);
-        let blocks = &self.blocks;
-        let nrows = self.nrows;
-        let results: Vec<Vec<Container>> = par_map(exec, &ranges, |_, r| {
-            r.clone()
-                .map(|b| {
-                    let limit = (nrows - b * BLOCK_ROWS).min(BLOCK_ROWS);
-                    op_block(&blocks[b], &other.blocks[b], op, limit)
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(self.blocks.len());
-        for chunk in results {
-            out.extend(chunk);
-        }
-        self.blocks = out;
-    }
-
-    /// Chunked intersection over `exec`'s workers.
-    pub fn intersect_with_exec(
-        &mut self,
-        other: &RowSet,
-        exec: &ExecConfig,
-    ) -> Result<(), QueryError> {
-        self.check_universe(other)?;
-        self.zip_blocks_exec(other, exec, SetOp::And);
-        Ok(())
-    }
-
-    /// Chunked union over `exec`'s workers.
-    pub fn union_with_exec(&mut self, other: &RowSet, exec: &ExecConfig) -> Result<(), QueryError> {
-        self.check_universe(other)?;
-        self.zip_blocks_exec(other, exec, SetOp::Or);
-        Ok(())
-    }
-
-    /// Chunked difference over `exec`'s workers.
-    pub fn and_not_with_exec(
-        &mut self,
-        other: &RowSet,
-        exec: &ExecConfig,
-    ) -> Result<(), QueryError> {
-        self.check_universe(other)?;
-        self.zip_blocks_exec(other, exec, SetOp::AndNot);
-        Ok(())
-    }
-
     /// Iterates set rows in ascending order.
     pub fn iter(&self) -> RowIter<'_> {
         self.iter_word_range(0..self.n_words())
@@ -764,10 +702,10 @@ impl RowSet {
     /// (cleared first) as `u32` row indices, in ascending order — the
     /// gather-buffer feeder for batch kernels that want a materialized
     /// index list (one tight pass per block) instead of a per-row
-    /// callback. The universe must fit in `u32` (callers with > 4Bi rows
-    /// keep the callback path).
+    /// callback. Panics when the universe does not fit in `u32` (fact
+    /// rows are `u32` throughout the join index, so it always does).
     pub fn collect_rows_in_word_range(&self, words: std::ops::Range<usize>, out: &mut Vec<u32>) {
-        debug_assert!(self.nrows <= u32::MAX as usize + 1);
+        assert!(self.nrows <= u32::MAX as usize + 1, "universe exceeds u32");
         out.clear();
         self.for_each_in_word_range(words, |r| out.push(r as u32));
     }
@@ -1125,41 +1063,5 @@ mod tests {
         assert!(full.heap_bytes() < 2048, "{}", full.heap_bytes());
         assert!(sparse.heap_bytes() < 8192, "{}", sparse.heap_bytes());
         assert!(dense.heap_bytes() >= (n / 8) as u64);
-    }
-
-    #[test]
-    fn chunked_kernels_match_serial_for_all_thread_counts() {
-        // Big enough to split into multiple parallel chunks.
-        let n = PAR_CHUNK_BLOCKS * BLOCK_ROWS * 3 + 17;
-        let a = RowSet::from_rows(n, (0..n).filter(|r| r % 3 == 0));
-        let b = RowSet::from_rows(n, (0..n).filter(|r| r % 5 != 0));
-        #[allow(clippy::type_complexity)]
-        let ops: [(
-            fn(&mut RowSet, &RowSet),
-            fn(&mut RowSet, &RowSet, &ExecConfig),
-        ); 3] = [
-            (RowSet::intersect_with, |s, o, e| {
-                s.intersect_with_exec(o, e).unwrap()
-            }),
-            (RowSet::union_with, |s, o, e| {
-                s.union_with_exec(o, e).unwrap()
-            }),
-            (RowSet::and_not_with, |s, o, e| {
-                s.and_not_with_exec(o, e).unwrap()
-            }),
-        ];
-        for (serial_op, exec_op) in ops {
-            let mut expect = a.clone();
-            serial_op(&mut expect, &b);
-            for threads in [1, 2, 4, 8] {
-                let mut got = a.clone();
-                exec_op(&mut got, &b, &ExecConfig::with_threads(threads));
-                assert_eq!(got, expect, "threads={threads}");
-            }
-        }
-        let mut x = RowSet::empty(5);
-        assert!(x
-            .intersect_with_exec(&RowSet::empty(6), &ExecConfig::serial())
-            .is_err());
     }
 }

@@ -39,11 +39,6 @@ pub struct ExecConfig {
     /// Per-query governance (deadline / cancellation / memory budget);
     /// `None` by default, making every check a single branch.
     pub govern: Option<Arc<QueryContext>>,
-    /// Forces the scalar kernel tier for this session's queries even when
-    /// the CPU supports SIMD — the in-process twin of the `KDAP_NO_SIMD`
-    /// environment variable, used by equivalence tests and benches to
-    /// compare tiers side by side.
-    pub force_scalar: bool,
 }
 
 impl PartialEq for ExecConfig {
@@ -61,7 +56,6 @@ impl ExecConfig {
             threads: 1,
             obs: Obs::disabled(),
             govern: None,
-            force_scalar: false,
         }
     }
 
@@ -79,7 +73,6 @@ impl ExecConfig {
             threads: threads.max(1),
             obs: Obs::disabled(),
             govern: None,
-            force_scalar: false,
         }
     }
 
@@ -93,24 +86,6 @@ impl ExecConfig {
     pub fn with_govern(mut self, ctx: Arc<QueryContext>) -> Self {
         self.govern = Some(ctx);
         self
-    }
-
-    /// The same configuration with the scalar kernel tier forced on (or
-    /// off) for this session's batch kernels.
-    pub fn with_force_scalar(mut self, force: bool) -> Self {
-        self.force_scalar = force;
-        self
-    }
-
-    /// The kernel tier this configuration's batch kernels dispatch to:
-    /// the process-wide [`crate::kernel::active_tier`] unless
-    /// `force_scalar` pins the Scalar reference tier.
-    pub fn kernel_tier(&self) -> crate::kernel::KernelTier {
-        if self.force_scalar {
-            crate::kernel::KernelTier::Scalar
-        } else {
-            crate::kernel::active_tier()
-        }
     }
 
     /// True when kernels must take the serial code path.

@@ -20,15 +20,9 @@ pub mod path;
 pub mod plan;
 pub mod semijoin;
 
-pub use aggregate::Accumulator;
-pub use aggregate::{
-    aggregate_total, aggregate_total_exec, group_by_buckets, group_by_buckets_exec,
-    group_by_categorical, group_by_categorical_exec, project_categorical, project_numeric, AggFunc,
-    Bucketizer,
-};
+pub use aggregate::{Accumulator, AggFunc, Bucketizer};
 pub use aggregate_multi::{
-    multi_group_by, multi_group_by_exec, FacetGroups, FacetSpec, GroupStats, MeasureVector,
-    DENSE_GROUP_LIMIT,
+    multi_group_by_exec, FacetGroups, FacetSpec, GroupStats, MeasureVector, DENSE_GROUP_LIMIT,
 };
 pub use bitmap::{ContainerHistogram, RowSet};
 pub use error::QueryError;
@@ -37,8 +31,7 @@ pub use govern::{Breach, QueryContext};
 pub use kernel::KernelTier;
 pub use path::{fact_paths_by_table, paths_between, JoinPath, MAX_PATH_LEN};
 pub use plan::{
-    execute_plan, execute_plan_traced, execute_step, execute_step_raw, optimize, Fingerprint,
-    LogicalPlan, PhysStep, PhysicalPlan, PlanNode, PlannerConfig, SemijoinCache, StepKey,
-    StepTrace,
+    execute_plan, execute_plan_traced, optimize, Fingerprint, LogicalPlan, PhysStep, PhysicalPlan,
+    PlanNode, PlannerConfig, SemijoinCache, StepKey, StepTrace,
 };
 pub use semijoin::{JoinIndex, Predicate, RowMapper, Selection};

@@ -331,14 +331,6 @@ impl SemijoinCache {
         self.map.lock().entry(key).or_insert(rows);
     }
 
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Hit/miss/eviction counters. The cache is unbounded, so evictions
     /// only come from [`SemijoinCache::clear`].
     pub fn counters(&self) -> CacheCounters {
@@ -449,36 +441,13 @@ fn eval_step(
 }
 
 /// Evaluates one physical step through an optional cache, returning the
-/// fact bitmap and whether it came from the cache. This is the unit of
-/// work batch materialization deduplicates across plans.
-///
-/// A fresh result is inserted into the cache immediately. Coordinators
-/// that can abort mid-plan (governed queries) must use
-/// [`execute_step_raw`] and commit the staged results themselves, so an
-/// aborted query never publishes entries.
-pub fn execute_step(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    origin: TableId,
-    step: &PhysStep,
-    cache: Option<&SemijoinCache>,
-) -> Result<(Arc<RowSet>, bool), QueryError> {
-    let (rows, cache_hit) = execute_step_raw(wh, jidx, origin, step, cache)?;
-    if !cache_hit {
-        if let Some(cache) = cache {
-            cache.insert(step.key(), rows.clone());
-        }
-    }
-    Ok((rows, cache_hit))
-}
-
-/// [`execute_step`] without the cache insert: the cache is consulted
-/// (counting a hit or miss) but a freshly evaluated bitmap is NOT
-/// stored. The coordinator collects `(key, bitmap)` pairs of the misses
-/// and commits them only once every step of the plan (or batch) has
+/// fact bitmap and whether it came from the cache. The cache is consulted
+/// (counting a hit or miss) but a freshly evaluated bitmap is NOT stored:
+/// [`execute_plan_traced`] collects the `(key, bitmap)` pairs of the
+/// misses and commits them only once every step of the plan has
 /// succeeded — the invariant that keeps an aborted query from poisoning
 /// the [`SemijoinCache`] with partial state.
-pub fn execute_step_raw(
+fn execute_step_raw(
     wh: &Warehouse,
     jidx: &JoinIndex,
     origin: TableId,
@@ -791,7 +760,7 @@ mod tests {
                 .unwrap();
         assert!(traces[0].cache_hit);
         assert_eq!(traces[0].actual_rows, a.len());
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(cache.counters(), CacheCounters::new(1, 1, 0));
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());

@@ -6,8 +6,8 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use kdap_query::{
-    aggregate_total, group_by_categorical, paths_between, AggFunc, Bucketizer, JoinIndex, RowSet,
-    Selection,
+    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, JoinIndex,
+    MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{Value, ValueType, Warehouse, WarehouseBuilder};
 
@@ -91,7 +91,14 @@ proptest! {
         let attr = wh.col_ref("OUTER", "Label").unwrap();
         let measure = wh.schema().measure_by_name("M").unwrap().clone();
         let all = RowSet::full(wh.fact_rows());
-        let groups = group_by_categorical(&wh, &idx, fact, &path, attr, &all, &measure, AggFunc::Sum);
+        let mv = MeasureVector::build(&wh, &measure);
+        let scan = |spec: FacetSpec, rows: &RowSet| {
+            multi_group_by_exec(&wh, &[spec], rows, &mv, &ExecConfig::serial(), DENSE_GROUP_LIMIT)
+                .unwrap()
+                .remove(0)
+        };
+        let mapper = idx.row_mapper(&wh, fact, &path);
+        let groups = scan(FacetSpec::Categorical { attr, mapper }, &all).to_map(AggFunc::Sum);
         let group_total: f64 = groups.values().sum();
         // Joinable facts only (dangling fact keys fall out of the join).
         let joined = RowSet::from_rows(
@@ -102,7 +109,7 @@ proptest! {
                 .filter(|(_, d)| **d < n_dim)
                 .map(|(i, _)| i),
         );
-        let direct = aggregate_total(&wh, &measure, &joined, AggFunc::Sum);
+        let direct = scan(FacetSpec::Total, &joined).total(AggFunc::Sum);
         prop_assert!((group_total - direct).abs() < 1e-6, "{group_total} vs {direct}");
     }
 

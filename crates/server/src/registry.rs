@@ -134,7 +134,7 @@ impl TenantEngine {
         out.push_str(&format!(
             "  \"kernel\": {{\"active\": \"{}\", \"detected\": \"{}\", \"features\": [{}], \
              \"no_simd_env\": {}}},\n",
-            self.kdap.kernel_tier().name(),
+            kdap_core::kernel::active_tier().name(),
             kdap_core::kernel::detected_tier().name(),
             kdap_core::kernel::detected_features()
                 .iter()

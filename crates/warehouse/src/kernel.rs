@@ -17,8 +17,7 @@
 //! integers only — no float reassociation), which
 //! `tests/simd_equivalence.rs` proves property-style. Setting the
 //! `KDAP_NO_SIMD` environment variable forces the Scalar tier process-wide
-//! (checked once, cached); `ExecConfig::with_force_scalar` does the same
-//! per-session without touching the environment.
+//! (checked once, cached).
 
 use std::ops::Range;
 use std::sync::OnceLock;

@@ -21,7 +21,7 @@ use std::io::{BufRead, Write};
 
 use kdap_suite::core::interest::InterestMode;
 use kdap_suite::core::{
-    drill_down, materialize, remove_constraint, roll_up, Exploration, Kdap, StarNet,
+    drill_down, materialize, remove_constraint, roll_up, Exploration, Kdap, QueryOptions, StarNet,
 };
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 use kdap_suite::query::paths_between;
@@ -29,6 +29,8 @@ use kdap_suite::textindex::snippet;
 
 struct Repl {
     kdap: Kdap,
+    /// Console toggles, applied per explore call.
+    options: QueryOptions,
     interpretations: Vec<kdap_suite::core::RankedStarNet>,
     current: Option<StarNet>,
     exploration: Option<Exploration>,
@@ -40,6 +42,7 @@ fn main() {
     let wh = build_ebiz(EbizScale::full(), 42).expect("generator is valid");
     let mut repl = Repl {
         kdap: Kdap::builder(wh).build().expect("measure defined"),
+        options: QueryOptions::default(),
         interpretations: Vec::new(),
         current: None,
         exploration: None,
@@ -129,7 +132,7 @@ impl Repl {
             println!("no interpretation selected — use `q` then `pick`");
             return;
         };
-        let ex = match self.kdap.explore(net) {
+        let ex = match self.kdap.explore_with_options(net, &self.options) {
             Ok(ex) => ex,
             Err(e) => {
                 println!("explore failed: {e}");
@@ -292,8 +295,8 @@ impl Repl {
 
     fn mode(&mut self, arg: &str) {
         match arg.trim() {
-            "surprise" => self.kdap.facet_config_mut().mode = InterestMode::Surprise,
-            "bellwether" => self.kdap.facet_config_mut().mode = InterestMode::Bellwether,
+            "surprise" => self.options.mode = Some(InterestMode::Surprise),
+            "bellwether" => self.options.mode = Some(InterestMode::Bellwether),
             _ => {
                 println!("usage: mode surprise|bellwether");
                 return;

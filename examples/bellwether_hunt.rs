@@ -10,16 +10,21 @@
 //! Run: `cargo run --release --example bellwether_hunt`
 
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::Kdap;
+use kdap_suite::core::{FacetConfig, Kdap, QueryOptions};
 use kdap_suite::datagen::{build_aw_reseller, Scale};
 
 fn main() {
     println!("building AW_RESELLER (60k+ facts)...");
     let wh = build_aw_reseller(Scale::full(), 42).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh).build().expect("warehouse has a measure");
-    kdap.facet_config_mut().mode = InterestMode::Bellwether;
-    kdap.facet_config_mut().top_k_attrs = 3;
-    kdap.facet_config_mut().top_k_instances = 4;
+    let kdap = Kdap::builder(wh)
+        .facet_config(FacetConfig {
+            mode: InterestMode::Bellwether,
+            top_k_attrs: 3,
+            top_k_instances: 4,
+            ..FacetConfig::default()
+        })
+        .build()
+        .expect("warehouse has a measure");
 
     // The analyst zooms into one subcategory and asks: which partitions
     // of these sales behave like the whole Bikes category does?
@@ -55,8 +60,13 @@ fn main() {
 
     // Contrast with surprise mode on the same subspace: the ordering of
     // the two modes is exactly inverted.
-    kdap.facet_config_mut().mode = InterestMode::Surprise;
-    let ex2 = kdap.explore(net).expect("star net evaluates");
+    let surprise = QueryOptions {
+        mode: Some(InterestMode::Surprise),
+        ..QueryOptions::default()
+    };
+    let ex2 = kdap
+        .explore_with_options(net, &surprise)
+        .expect("star net evaluates");
     let most_surprising = ex2
         .panels
         .iter()

@@ -10,16 +10,21 @@
 //! Run: `cargo run --release --example surprise_analysis`
 
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::{Kdap, StarNet};
+use kdap_suite::core::{FacetConfig, Kdap, StarNet};
 use kdap_suite::datagen::{build_aw_online, Scale};
 
 fn main() {
     println!("building AW_ONLINE (60k+ facts)...");
     let wh = build_aw_online(Scale::full(), 42).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh).build().expect("warehouse has a measure");
-    kdap.facet_config_mut().mode = InterestMode::Surprise;
-    kdap.facet_config_mut().top_k_attrs = 3;
-    kdap.facet_config_mut().top_k_instances = 5;
+    let kdap = Kdap::builder(wh)
+        .facet_config(FacetConfig {
+            mode: InterestMode::Surprise,
+            top_k_attrs: 3,
+            top_k_instances: 5,
+            ..FacetConfig::default()
+        })
+        .build()
+        .expect("warehouse has a measure");
 
     let ranked = kdap.interpret("California Mountain Bikes");
     let net = ranked.first().expect("interpretations exist").net.clone();

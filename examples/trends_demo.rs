@@ -10,15 +10,20 @@
 //! Run: `cargo run --release --example trends_demo`
 
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::{render_exploration, Kdap};
+use kdap_suite::core::{render_exploration, FacetConfig, Kdap, QueryOptions};
 use kdap_suite::datagen::{build_trends, TrendsScale};
 
 fn main() {
     println!("building the query-log warehouse…");
     let wh = build_trends(TrendsScale::full(), 42).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh).build().expect("measure defined");
-    kdap.facet_config_mut().top_k_attrs = 2;
-    kdap.facet_config_mut().top_k_instances = 12;
+    let kdap = Kdap::builder(wh)
+        .facet_config(FacetConfig {
+            top_k_attrs: 2,
+            top_k_instances: 12,
+            ..FacetConfig::default()
+        })
+        .build()
+        .expect("measure defined");
 
     // --- The Google Trends experience: term → volume over time/place ---
     let query = "christmas gifts";
@@ -53,8 +58,13 @@ fn main() {
     println!("surprise-ranked facets of the \"{query}\" subspace:\n");
     println!("{}", render_exploration(&ex));
 
-    kdap.facet_config_mut().mode = InterestMode::Bellwether;
-    let ex2 = kdap.explore(net).expect("star net evaluates");
+    let bellwether = QueryOptions {
+        mode: Some(InterestMode::Bellwether),
+        ..QueryOptions::default()
+    };
+    let ex2 = kdap
+        .explore_with_options(net, &bellwether)
+        .expect("star net evaluates");
     let bell = ex2
         .panels
         .iter()

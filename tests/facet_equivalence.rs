@@ -1,147 +1,49 @@
-//! The single-pass multi-aggregate facet kernel is an *execution*
+//! The single-pass multi-aggregate facet scan is an *execution*
 //! strategy, never a *semantics* change: for any workload subspace, the
-//! fused scan must reproduce the per-facet kernels bit-for-bit — group
-//! maps, domains, bucket series, bucketizers and totals — across thread
-//! counts and across the dense-array / hash-fallback accumulator choice;
-//! and a whole fused exploration must equal the per-facet oracle
-//! pipeline field-for-field.
+//! fused scan must reproduce the row-at-a-time oracle of `tests/support`
+//! bit-for-bit — group maps, domains, bucket series, bucketizers and
+//! totals — across thread counts and across the dense-array /
+//! hash-fallback accumulator choice; and a whole exploration must equal
+//! the one-scan-per-facet reference pipeline field-for-field.
 
-use std::sync::OnceLock;
+mod support;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{materialize, FacetConfig, FacetKernel, Kdap, StarNet};
-use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+use kdap_suite::core::facet::per_facet::explore_per_facet;
+use kdap_suite::core::materialize;
 use kdap_suite::query::{
-    aggregate_total_exec, fact_paths_by_table, group_by_buckets_exec, group_by_categorical_exec,
-    multi_group_by_exec, project_categorical, project_numeric, AggFunc, Bucketizer, ExecConfig,
-    FacetSpec, JoinPath, MeasureVector, RowSet, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
+    multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetSpec, MeasureVector,
+    DENSE_GROUP_LIMIT,
 };
-use kdap_suite::warehouse::{ColRef, TableId, ValueType};
 
-struct Fixture {
-    /// Session on the default fused kernel.
-    fused: Kdap,
-    /// Session on the per-facet oracle kernel (identical seed-42 build).
-    per_facet: Kdap,
-    candidate_sets: Vec<Vec<StarNet>>,
-}
-
-/// One AW_ONLINE build shared by every proptest case: the warehouse is
-/// deterministic (seed 42), so the two sessions hold identical data.
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let wh = build_aw_online(Scale::small(), 42).expect("generator is valid");
-        let queries = generate_workload(&wh, &WorkloadConfig::default());
-        let fused = Kdap::builder(wh)
-            .threads(1)
-            .build()
-            .expect("measure defined");
-        let per_facet = Kdap::builder(build_aw_online(Scale::small(), 42).unwrap())
-            .threads(1)
-            .facet_config(FacetConfig {
-                kernel: FacetKernel::PerFacet,
-                ..FacetConfig::default()
-            })
-            .build()
-            .expect("measure defined");
-        let candidate_sets = queries
-            .iter()
-            .map(|q| {
-                fused
-                    .interpret(&q.text())
-                    .into_iter()
-                    .map(|r| r.net)
-                    .collect()
-            })
-            .filter(|nets: &Vec<StarNet>| !nets.is_empty())
-            .collect();
-        Fixture {
-            fused,
-            per_facet,
-            candidate_sets,
-        }
-    })
-}
-
-/// Every categorical and float attribute reachable from the fact table,
-/// as one fused spec list (plus a Total), each tagged with the join path
-/// the per-facet oracle kernels will walk.
-fn candidate_specs(kdap: &Kdap, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)> {
-    let wh = kdap.warehouse();
-    let jidx = kdap.join_index();
-    let schema = wh.schema();
-    let fact = schema.fact_table();
-    let by_table = fact_paths_by_table(schema, MAX_PATH_LEN);
-    let mut out = vec![(JoinPath::empty(), FacetSpec::Total)];
-    for t in 0..wh.tables().len() as u32 {
-        let tid = TableId(t);
-        if tid == fact {
-            continue;
-        }
-        let Some(path) = by_table.get(&tid).and_then(|paths| paths.first()) else {
-            continue;
-        };
-        let mapper = jidx.row_mapper(wh, fact, path);
-        for (c, col) in wh.tables()[t as usize].columns().iter().enumerate() {
-            let attr = ColRef::new(tid, c as u32);
-            if col.dict().is_some() {
-                out.push((
-                    path.clone(),
-                    FacetSpec::Categorical {
-                        attr,
-                        mapper: mapper.clone(),
-                    },
-                ));
-            } else if col.value_type() == ValueType::Float {
-                out.push((
-                    path.clone(),
-                    FacetSpec::NumericDomain {
-                        attr,
-                        mapper: mapper.clone(),
-                    },
-                ));
-                let values = project_numeric(wh, jidx, fact, path, attr, rows);
-                if let Some(buckets) = Bucketizer::equal_width(values.iter().copied(), 8) {
-                    out.push((
-                        path.clone(),
-                        FacetSpec::Buckets {
-                            attr,
-                            mapper: mapper.clone(),
-                            buckets,
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
+use support::{
+    aggregate_total, candidate_specs, group_by_buckets, group_by_categorical, project_categorical,
+    project_numeric, workload,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fused scan vs. per-facet kernels: identical group maps, domains,
-    /// bucket series, bucketizers and totals at every thread count, on
-    /// both the dense-array path and the hash fallback (forced by a
-    /// zero dense limit).
+    /// Fused scan vs. the single-attribute oracle: identical group maps,
+    /// domains, bucket series, bucketizers and totals at every thread
+    /// count, on both the dense-array path and the hash fallback (forced
+    /// by a zero dense limit).
     #[test]
     fn multi_aggregate_kernel_matches_per_facet_kernels(
         query_idx in 0usize..64,
         threads in proptest::sample::select(vec![1usize, 4]),
         dense in any::<bool>(),
     ) {
-        let fx = fixture();
-        let nets = &fx.candidate_sets[query_idx % fx.candidate_sets.len()];
-        let kdap = &fx.fused;
+        let fx = workload();
+        let kdap = &fx.serial;
         let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
         let fact = wh.schema().fact_table();
         let measure = kdap.measure();
         let mv = MeasureVector::build(wh, measure);
         let exec = ExecConfig::with_threads(threads);
         let dense_limit = if dense { DENSE_GROUP_LIMIT } else { 0 };
-        for net in nets.iter().take(2) {
+        for net in fx.nets(query_idx).iter().take(2) {
             let sub = materialize(wh, jidx, net);
             let tagged = candidate_specs(kdap, &sub.rows);
             let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
@@ -150,9 +52,7 @@ proptest! {
             for ((path, spec), fg) in tagged.iter().zip(&groups) {
                 match spec {
                     FacetSpec::Total => {
-                        let expect =
-                            aggregate_total_exec(wh, measure, &sub.rows, AggFunc::Sum, &exec)
-                                .unwrap();
+                        let expect = aggregate_total(wh, measure, &sub.rows).finish(AggFunc::Sum);
                         let got = fg.total(AggFunc::Sum);
                         prop_assert!(
                             got == expect || (got.is_nan() && expect.is_nan()),
@@ -163,12 +63,12 @@ proptest! {
                         if dense_limit > 0 {
                             prop_assert!(fg.is_dense());
                         }
+                        let expect = group_by_categorical(
+                            wh, jidx, fact, path, *attr, &sub.rows, measure,
+                        );
                         prop_assert_eq!(
                             fg.to_map(AggFunc::Sum),
-                            group_by_categorical_exec(
-                                wh, jidx, fact, path, *attr, &sub.rows, measure,
-                                AggFunc::Sum, &exec,
-                            ).unwrap()
+                            expect.iter().map(|(c, a)| (*c, a.finish(AggFunc::Sum))).collect()
                         );
                         prop_assert_eq!(
                             fg.domain(),
@@ -176,37 +76,41 @@ proptest! {
                         );
                     }
                     FacetSpec::Buckets { attr, buckets, .. } => {
+                        let expect = group_by_buckets(
+                            wh, jidx, fact, path, *attr, &sub.rows, measure, buckets,
+                        );
                         prop_assert_eq!(
                             fg.to_series(AggFunc::Sum),
-                            group_by_buckets_exec(
-                                wh, jidx, fact, path, *attr, &sub.rows, measure,
-                                AggFunc::Sum, buckets, &exec,
-                            ).unwrap()
+                            expect.iter().map(|a| a.finish(AggFunc::Sum)).collect::<Vec<_>>()
                         );
                     }
                     FacetSpec::NumericDomain { attr, .. } => {
                         let values = project_numeric(wh, jidx, fact, path, *attr, &sub.rows);
-                        prop_assert_eq!(
-                            fg.bucketizer(8),
-                            Bucketizer::equal_width(values.iter().copied(), 8)
-                        );
+                        prop_assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
                     }
                 }
             }
         }
     }
 
-    /// Whole-pipeline oracle check: a serial fused exploration equals the
-    /// serial per-facet exploration field-for-field — same panels, same
-    /// attribute scores, same instance lists, same aggregates.
+    /// Whole-pipeline check: an exploration through the session equals
+    /// the serial one-scan-per-facet reference field-for-field — same
+    /// panels, same attribute scores, same instance lists, same
+    /// aggregates — at every thread count.
     #[test]
-    fn fused_exploration_matches_per_facet_oracle(query_idx in 0usize..64) {
-        let fx = fixture();
-        let nets = &fx.candidate_sets[query_idx % fx.candidate_sets.len()];
-        for net in nets.iter().take(2) {
-            let fused = fx.fused.explore(net).expect("fused explore succeeds");
-            let oracle = fx.per_facet.explore(net).expect("per-facet explore succeeds");
-            prop_assert_eq!(fused, oracle);
+    fn fused_exploration_matches_per_facet_oracle(
+        query_idx in 0usize..64,
+        threads in proptest::sample::select(vec![1usize, 4]),
+    ) {
+        let fx = workload();
+        let kdap = fx.session(threads);
+        let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
+        let mv = MeasureVector::build(wh, kdap.measure());
+        for net in fx.nets(query_idx).iter().take(2) {
+            let fused = kdap.explore(net).expect("explore succeeds");
+            let sub = materialize(wh, jidx, net);
+            let reference = explore_per_facet(wh, jidx, net, &sub, &mv, kdap.facet_config());
+            prop_assert_eq!(fused, reference);
         }
     }
 }

@@ -5,24 +5,43 @@
 
 use std::time::Duration;
 
-use kdap_suite::core::{render_exploration, Kdap, KdapError};
+use kdap_suite::core::{
+    render_exploration, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest, Verb,
+};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 const THREADS: [usize; 2] = [1, 4];
 
-fn session(threads: usize) -> Kdap {
+fn builder(threads: usize) -> KdapBuilder {
     Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap())
         .cache_capacity(16)
         .threads(threads)
-        .build()
-        .unwrap()
+}
+
+fn session(threads: usize) -> Kdap {
+    builder(threads).build().unwrap()
+}
+
+/// Per-call governance overrides: an already-expired deadline.
+fn expired() -> QueryOptions {
+    QueryOptions {
+        timeout_ms: Some(0),
+        ..QueryOptions::default()
+    }
+}
+
+/// Per-call governance overrides: a one-byte memory budget.
+fn one_byte() -> QueryOptions {
+    QueryOptions {
+        budget_bytes: Some(1),
+        ..QueryOptions::default()
+    }
 }
 
 #[test]
 fn zero_deadline_times_out_differentiate() {
     for threads in THREADS {
-        let mut kdap = session(threads);
-        kdap.set_deadline(Some(Duration::ZERO));
+        let kdap = builder(threads).deadline(Duration::ZERO).build().unwrap();
         match kdap.try_interpret("columbus lcd") {
             Err(KdapError::Timeout { stage, .. }) => {
                 assert!(!stage.is_empty(), "breach reports its stage");
@@ -37,19 +56,23 @@ fn zero_deadline_times_out_differentiate() {
 #[test]
 fn zero_deadline_times_out_explore() {
     for threads in THREADS {
-        let mut kdap = session(threads);
+        let kdap = session(threads);
         let ranked = kdap.interpret("columbus");
         assert!(!ranked.is_empty());
         let net = ranked[0].net.clone();
-        kdap.set_deadline(Some(Duration::ZERO));
-        match kdap.explore(&net) {
+        match kdap.explore_with_options(&net, &expired()) {
             Err(KdapError::Timeout { stage, .. }) => assert!(!stage.is_empty()),
             other => panic!("expected Timeout with {threads} thread(s), got {other:?}"),
         }
-        // Clearing the deadline restores normal service: the deadline
-        // clock restarts per query, so earlier breaches leave no residue.
-        kdap.set_deadline(None);
+        // The override applied to that call only, and the deadline clock
+        // restarts per query, so earlier breaches leave no residue.
         kdap.explore(&net).expect("no deadline, no breach");
+        // A session-wide deadline from the builder governs every call.
+        let strict = builder(threads).deadline(Duration::ZERO).build().unwrap();
+        assert!(matches!(
+            strict.explore(&net),
+            Err(KdapError::Timeout { .. })
+        ));
     }
 }
 
@@ -106,11 +129,10 @@ fn cancellation_from_another_thread_stops_a_running_query() {
 #[test]
 fn tiny_budget_is_exceeded_and_reported() {
     for threads in THREADS {
-        let mut kdap = session(threads);
+        let kdap = session(threads);
         let ranked = kdap.interpret("columbus");
         let net = ranked[0].net.clone();
-        kdap.set_memory_budget(Some(1));
-        match kdap.explore(&net) {
+        match kdap.explore_with_options(&net, &one_byte()) {
             Err(KdapError::BudgetExceeded {
                 stage,
                 budget_bytes,
@@ -122,8 +144,13 @@ fn tiny_budget_is_exceeded_and_reported() {
             }
             other => panic!("expected BudgetExceeded with {threads} thread(s), got {other:?}"),
         }
-        kdap.set_memory_budget(None);
         kdap.explore(&net).expect("no budget, no breach");
+        // A session-wide budget from the builder governs every call.
+        let strict = builder(threads).memory_budget(1).build().unwrap();
+        assert!(matches!(
+            strict.explore(&net),
+            Err(KdapError::BudgetExceeded { .. })
+        ));
     }
 }
 
@@ -143,15 +170,12 @@ fn empty_and_stopword_queries_are_typed_errors() {
 
 #[test]
 fn breaches_increment_governor_counters() {
-    let mut kdap = Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap())
-        .cache_capacity(16)
-        .observability(true)
-        .build()
-        .unwrap();
-    kdap.set_deadline(Some(Duration::ZERO));
-    assert!(kdap.try_interpret("columbus lcd").is_err());
-    assert!(kdap.try_interpret("seattle").is_err());
-    kdap.set_deadline(None);
+    let kdap = builder(1).observability(true).build().unwrap();
+    for keywords in ["columbus lcd", "seattle"] {
+        let mut request = QueryRequest::new(Verb::Differentiate, keywords);
+        request.options = expired();
+        assert!(matches!(kdap.run(&request), Err(KdapError::Timeout { .. })));
+    }
     let token = kdap.cancel_token();
     token.cancel();
     let ranked_err = kdap.try_interpret("columbus");
@@ -167,7 +191,7 @@ fn breaches_increment_governor_counters() {
 #[test]
 fn timed_out_query_leaves_caches_unpoisoned() {
     for threads in THREADS {
-        let mut kdap = session(threads);
+        let kdap = session(threads);
         // Warm the caches with a successful exploration.
         let ranked = kdap.interpret("columbus");
         let warm = kdap.explore(&ranked[0].net).unwrap();
@@ -178,10 +202,9 @@ fn timed_out_query_leaves_caches_unpoisoned() {
         // A different query breaches the deadline before committing.
         let victim = kdap.interpret("seattle");
         assert!(!victim.is_empty());
-        kdap.set_deadline(Some(Duration::ZERO));
         for r in victim.iter().take(3) {
             assert!(matches!(
-                kdap.explore(&r.net),
+                kdap.explore_with_options(&r.net, &expired()),
                 Err(KdapError::Timeout { .. })
             ));
         }
@@ -190,7 +213,6 @@ fn timed_out_query_leaves_caches_unpoisoned() {
 
         // The surviving session renders the warm query exactly as a
         // control session that never ran the failed one.
-        kdap.set_deadline(None);
         let again = kdap.explore(&ranked[0].net).unwrap();
         let control = session(threads);
         let control_ranked = control.interpret("columbus");
@@ -204,16 +226,15 @@ fn timed_out_query_leaves_caches_unpoisoned() {
 #[test]
 fn budget_breach_leaves_caches_unpoisoned() {
     for threads in THREADS {
-        let mut kdap = session(threads);
+        let kdap = session(threads);
         let ranked = kdap.interpret("columbus");
         kdap.explore(&ranked[0].net).unwrap();
         let semijoin_len = kdap.semijoin_cache_len();
         let subspace_len = kdap.subspace_cache_len();
 
         let victim = kdap.interpret("seattle");
-        kdap.set_memory_budget(Some(1));
         for r in victim.iter().take(3) {
-            assert!(kdap.explore(&r.net).is_err());
+            assert!(kdap.explore_with_options(&r.net, &one_byte()).is_err());
         }
         assert_eq!(kdap.semijoin_cache_len(), semijoin_len);
         assert_eq!(kdap.subspace_cache_len(), subspace_len);

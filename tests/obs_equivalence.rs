@@ -5,7 +5,7 @@
 //! structure whether the kernels run on one worker or four (timings
 //! differ; the tree does not).
 
-use kdap_suite::core::Kdap;
+use kdap_suite::core::{Kdap, QueryRequest, QueryResponse, Verb};
 use kdap_suite::datagen::{build_ebiz, generate_workload, EbizScale, WorkloadConfig};
 
 fn sessions(threads: usize) -> (Kdap, Kdap) {
@@ -19,6 +19,11 @@ fn sessions(threads: usize) -> (Kdap, Kdap) {
         .build()
         .expect("measure defined");
     (off, on)
+}
+
+fn profile(kdap: &Kdap, keywords: &str) -> QueryResponse {
+    kdap.run(&QueryRequest::new(Verb::Profile, keywords))
+        .expect("profile succeeds")
 }
 
 #[test]
@@ -65,12 +70,13 @@ fn obs_on_off_results_are_bit_identical_across_thread_counts() {
 fn profile_stage_structure_is_stable_across_thread_counts() {
     let (_, on1) = sessions(1);
     let (_, on4) = sessions(4);
-    let p1 = on1.profile_query("columbus lcd").expect("profile succeeds");
-    let p4 = on4.profile_query("columbus lcd").expect("profile succeeds");
-    assert!(!p1.profile.is_empty(), "profile recorded no stages");
+    let p1 = profile(&on1, "columbus lcd");
+    let p4 = profile(&on4, "columbus lcd");
+    let (tree1, tree4) = (p1.profile.unwrap(), p4.profile.unwrap());
+    assert!(!tree1.is_empty(), "profile recorded no stages");
     assert_eq!(
-        p1.profile.stage_names(),
-        p4.profile.stage_names(),
+        tree1.stage_names(),
+        tree4.stage_names(),
         "profile tree shape must not depend on the worker count"
     );
     assert_eq!(p1.exploration, p4.exploration);
@@ -82,8 +88,8 @@ fn disabled_sessions_record_nothing() {
     assert!(!off.obs().is_enabled());
     // A profile request on a disabled session returns an empty tree
     // rather than erroring — the query itself still runs.
-    let report = off.profile_query("columbus lcd").expect("query still runs");
-    assert!(report.profile.is_empty());
+    let report = profile(&off, "columbus lcd");
+    assert!(report.profile.unwrap().is_empty());
     assert!(report.exploration.is_some());
     let snap = off.obs().metrics_snapshot();
     assert!(snap.counters.is_empty());

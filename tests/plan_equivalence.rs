@@ -2,16 +2,13 @@
 //! for any workload query, any planner configuration (reordering and
 //! fusion independently toggled, cache on or off), and any thread count,
 //! plan-compiled evaluation must produce fact-row sets bit-identical to
-//! the naive per-constraint semi-join cascade — both one net at a time
-//! and through the deduplicating batch path.
+//! the naive per-constraint semi-join cascade.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{
-    materialize, materialize_batch, materialize_planned, Kdap, Planner, PlannerConfig, StarNet,
-};
+use kdap_suite::core::{materialize, materialize_planned, Kdap, Planner, PlannerConfig, StarNet};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::query::ExecConfig;
 
@@ -72,35 +69,6 @@ proptest! {
                 planned.rows.to_words(),
                 "reorder={} fuse={} cached={} threads={}",
                 reorder, fuse_fact_local, cached, threads
-            );
-        }
-    }
-
-    /// Batch: deduplicated whole-candidate-set evaluation returns the same
-    /// subspaces, in the same order, as one-net-at-a-time naive runs.
-    #[test]
-    fn batch_materialization_matches_naive(
-        query_idx in 0usize..64,
-        reorder in any::<bool>(),
-        fuse_fact_local in any::<bool>(),
-        threads in proptest::sample::select(vec![1usize, 4]),
-    ) {
-        let fx = fixture();
-        let nets = &fx.candidate_sets[query_idx % fx.candidate_sets.len()];
-        let planner = Planner::new(PlannerConfig { reorder, fuse_fact_local }, true);
-        let exec = ExecConfig::with_threads(threads);
-        let (wh, jidx) = (fx.kdap.warehouse(), fx.kdap.join_index());
-        let refs: Vec<&StarNet> = nets.iter().collect();
-        let batched = materialize_batch(wh, jidx, &refs, &planner, &exec)
-            .expect("star nets evaluate");
-        prop_assert_eq!(batched.len(), nets.len());
-        for (net, sub) in nets.iter().zip(&batched) {
-            let naive = materialize(wh, jidx, net);
-            prop_assert_eq!(
-                naive.rows.to_words(),
-                sub.rows.to_words(),
-                "reorder={} fuse={} threads={}",
-                reorder, fuse_fact_local, threads
             );
         }
     }

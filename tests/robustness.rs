@@ -89,9 +89,17 @@ fn concurrent_sessions_share_cache_safely() {
     for sizes in &all {
         assert!(sizes.windows(2).all(|w| w[0] == w[1]));
     }
-    let (hits, misses) = kdap.cache_stats().unwrap();
-    assert_eq!(hits + misses, 20, "every explore hit the cache layer");
-    assert!(hits >= 16, "repeats were served from cache: {hits} hits");
+    let cache = kdap.subspace_cache_counters().unwrap();
+    assert_eq!(
+        cache.hits + cache.misses,
+        20,
+        "every explore hit the cache layer"
+    );
+    assert!(
+        cache.hits >= 16,
+        "repeats were served from cache: {} hits",
+        cache.hits
+    );
 }
 
 #[test]

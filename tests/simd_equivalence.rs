@@ -1,30 +1,36 @@
 //! The vectorized kernel layer is an *execution* strategy, never a
 //! *semantics* change: every dispatched kernel (bit-unpack, bitmap word
-//! ops, popcount/run canonicalization, measure gather, and the batch
-//! fused group-by built on them) must reproduce its scalar reference
-//! bit-for-bit — across bit widths, container shapes, null bitmaps,
-//! thread counts, and the dense-array / hash-fallback / mid-scan
-//! promotion accumulator paths. On hosts whose detected tier is already
-//! Scalar these checks degenerate to scalar-vs-scalar and pass trivially;
-//! CI additionally runs the whole suite under `KDAP_NO_SIMD=1`.
+//! ops, popcount/run canonicalization, measure gather) must reproduce its
+//! scalar reference bit-for-bit, and the batch group-by scan built on
+//! them must reproduce the row-at-a-time oracle of `tests/support` —
+//! across bit widths, container shapes, null bitmaps, thread counts, and
+//! the dense-array / hash-fallback / mid-scan promotion accumulator
+//! paths. On hosts whose detected tier is already Scalar the kernel
+//! checks degenerate to scalar-vs-scalar and pass trivially; CI
+//! additionally runs the whole suite under `KDAP_NO_SIMD=1`.
+
+mod support;
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{materialize, Kdap, StarNet};
-use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+use kdap_suite::core::{materialize, Kdap};
+use kdap_suite::datagen::{build_aw_online, Scale};
 use kdap_suite::obs::Obs;
 use kdap_suite::query::aggregate_multi::multi_group_by_exec_sized;
 use kdap_suite::query::bitmap::BLOCK_ROWS;
 use kdap_suite::query::kernel as qkernel;
 use kdap_suite::query::{
-    fact_paths_by_table, multi_group_by_exec, Bucketizer, ExecConfig, FacetGroups, FacetSpec,
-    MeasureVector, RowSet, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
+    multi_group_by_exec, Accumulator, ExecConfig, FacetGroups, FacetSpec, MeasureVector, RowSet,
+    DENSE_GROUP_LIMIT,
 };
 use kdap_suite::warehouse::kernel as wkernel;
-use kdap_suite::warehouse::{ColRef, TableId, ValueType};
+
+use support::{
+    aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical,
+    project_categorical, project_numeric, workload,
+};
 
 // ---------------------------------------------------------------------
 // Kernel level: decode
@@ -249,86 +255,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Fused group-by: forced-scalar reference vs dispatched batch path
+// Group-by scan: row-at-a-time oracle vs dispatched batch scan
 // ---------------------------------------------------------------------
-
-struct Fixture {
-    kdap: Kdap,
-    candidate_sets: Vec<Vec<StarNet>>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let wh = build_aw_online(Scale::small(), 42).expect("generator is valid");
-        let queries = generate_workload(&wh, &WorkloadConfig::default());
-        let kdap = Kdap::builder(wh)
-            .threads(1)
-            .build()
-            .expect("measure defined");
-        let candidate_sets = queries
-            .iter()
-            .map(|q| {
-                kdap.interpret(&q.text())
-                    .into_iter()
-                    .map(|r| r.net)
-                    .collect()
-            })
-            .filter(|nets: &Vec<StarNet>| !nets.is_empty())
-            .collect();
-        Fixture {
-            kdap,
-            candidate_sets,
-        }
-    })
-}
-
-/// Every categorical and float attribute reachable from the fact table
-/// as one fused spec list, plus a Total.
-fn candidate_specs(kdap: &Kdap, rows: &RowSet) -> Vec<FacetSpec> {
-    let wh = kdap.warehouse();
-    let jidx = kdap.join_index();
-    let schema = wh.schema();
-    let fact = schema.fact_table();
-    let by_table = fact_paths_by_table(schema, MAX_PATH_LEN);
-    let mut out = vec![FacetSpec::Total];
-    for t in 0..wh.tables().len() as u32 {
-        let tid = TableId(t);
-        if tid == fact {
-            continue;
-        }
-        let Some(path) = by_table.get(&tid).and_then(|paths| paths.first()) else {
-            continue;
-        };
-        let mapper = jidx.row_mapper(wh, fact, path);
-        for (c, col) in wh.tables()[t as usize].columns().iter().enumerate() {
-            let attr = ColRef::new(tid, c as u32);
-            if col.dict().is_some() {
-                out.push(FacetSpec::Categorical {
-                    attr,
-                    mapper: mapper.clone(),
-                });
-            } else if col.value_type() == ValueType::Float {
-                out.push(FacetSpec::NumericDomain {
-                    attr,
-                    mapper: mapper.clone(),
-                });
-                let values: Vec<f64> = rows
-                    .iter()
-                    .filter_map(|r| mapper[r].and_then(|t| col.get_float(t as usize)))
-                    .collect();
-                if let Some(buckets) = Bucketizer::equal_width(values.iter().copied(), 8) {
-                    out.push(FacetSpec::Buckets {
-                        attr,
-                        mapper: mapper.clone(),
-                        buckets,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
 
 /// Exact accumulator digest of one facet result: shape tag, then per
 /// touched group the presence count and the raw bit patterns of the
@@ -369,38 +297,129 @@ fn digest(fg: &FacetGroups) -> Vec<(u32, u64, u64, u64, u64, u64)> {
     }
 }
 
+/// The accumulators of a finished spec, keyed like the oracle's results
+/// (categorical: code; buckets: position; total: 0). Groups whose every
+/// measure value was NULL carry no accumulator on either side.
+fn accumulators(fg: &FacetGroups) -> BTreeMap<u32, Accumulator> {
+    match fg {
+        FacetGroups::Dense { stats } => stats
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.acc.count > 0)
+            .map(|(i, s)| (i as u32, s.acc))
+            .collect(),
+        // Buckets keep empty slots: the series is positional.
+        FacetGroups::Buckets { stats } => stats
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as u32, s.acc))
+            .collect(),
+        FacetGroups::Sparse { stats } => stats
+            .iter()
+            .filter(|(_, s)| s.acc.count > 0)
+            .map(|(k, s)| (*k, s.acc))
+            .collect(),
+        FacetGroups::Total { stats } => [(0, stats.acc)].into(),
+        FacetGroups::Domain { .. } => BTreeMap::new(),
+    }
+}
+
+/// Scans every candidate spec of `kdap` over `rows` in one engine pass
+/// and holds each result to the oracle: same groups, same domains, same
+/// accumulator bit patterns (count, sum, min, max).
+fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
+    let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
+    let fact = wh.schema().fact_table();
+    let measure = kdap.measure();
+    let mv = MeasureVector::build(wh, measure);
+    let exec = ExecConfig::with_threads(threads);
+    let tagged = candidate_specs(kdap, rows);
+    let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
+    let got = multi_group_by_exec(wh, &specs, rows, &mv, &exec, dense_limit).unwrap();
+    assert_eq!(got.len(), specs.len());
+    for (i, ((path, spec), fg)) in tagged.iter().zip(&got).enumerate() {
+        let want: BTreeMap<u32, Accumulator> = match spec {
+            FacetSpec::Total => [(0, aggregate_total(wh, measure, rows))].into(),
+            FacetSpec::Categorical { attr, .. } => {
+                assert_eq!(
+                    fg.domain(),
+                    project_categorical(wh, jidx, fact, path, *attr, rows)
+                );
+                group_by_categorical(wh, jidx, fact, path, *attr, rows, measure)
+                    .into_iter()
+                    .collect()
+            }
+            FacetSpec::Buckets { attr, buckets, .. } => {
+                group_by_buckets(wh, jidx, fact, path, *attr, rows, measure, buckets)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(b, acc)| (b as u32, acc))
+                    .collect()
+            }
+            FacetSpec::NumericDomain { attr, .. } => {
+                let values = project_numeric(wh, jidx, fact, path, *attr, rows);
+                let finite = || values.iter().copied().filter(|v| v.is_finite());
+                let FacetGroups::Domain { min, max, any } = fg else {
+                    panic!("domain spec yields a domain");
+                };
+                assert_eq!(*any, finite().next().is_some());
+                assert_eq!(*min, finite().fold(f64::INFINITY, f64::min));
+                assert_eq!(*max, finite().fold(f64::NEG_INFINITY, f64::max));
+                BTreeMap::new()
+            }
+        };
+        let got_bits: Vec<_> = accumulators(fg)
+            .iter()
+            .map(|(k, a)| (*k, bits(a)))
+            .collect();
+        let want_bits: Vec<_> = want.iter().map(|(k, a)| (*k, bits(a))).collect();
+        assert_eq!(
+            got_bits, want_bits,
+            "spec {i} ({spec:?}) threads={threads} dense_limit={dense_limit}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The batch (SIMD-dispatched) fused scan equals the forced-scalar
-    /// per-row reference bit-for-bit: same group presence counts, same
-    /// accumulator bit patterns, on both accumulator paths, at one and
-    /// four threads.
+    /// The batch (SIMD-dispatched) scan equals the scalar row-at-a-time
+    /// oracle bit-for-bit on workload subspaces, on both accumulator
+    /// paths, at one and four threads.
     #[test]
     fn fused_group_by_scalar_vs_dispatched_bit_identical(
         query_idx in 0usize..64,
         threads in proptest::sample::select(vec![1usize, 4]),
         dense in any::<bool>(),
     ) {
-        let fx = fixture();
-        let nets = &fx.candidate_sets[query_idx % fx.candidate_sets.len()];
-        let kdap = &fx.kdap;
-        let wh = kdap.warehouse();
-        let mv = MeasureVector::build(wh, kdap.measure());
+        let fx = workload();
+        let kdap = &fx.serial;
         let dense_limit = if dense { DENSE_GROUP_LIMIT } else { 0 };
-        let scalar_exec = ExecConfig::with_threads(threads).with_force_scalar(true);
-        let simd_exec = ExecConfig::with_threads(threads);
-        for net in nets.iter().take(2) {
-            let sub = materialize(wh, kdap.join_index(), net);
-            let specs = candidate_specs(kdap, &sub.rows);
-            let want =
-                multi_group_by_exec(wh, &specs, &sub.rows, &mv, &scalar_exec, dense_limit)
-                    .unwrap();
-            let got =
-                multi_group_by_exec(wh, &specs, &sub.rows, &mv, &simd_exec, dense_limit).unwrap();
-            prop_assert_eq!(want.len(), got.len());
-            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                prop_assert_eq!(digest(w), digest(g), "spec {} ({:?})", i, &specs[i]);
+        for net in fx.nets(query_idx).iter().take(2) {
+            let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
+            check_scan_against_oracle(kdap, &sub.rows, threads, dense_limit);
+        }
+    }
+}
+
+/// The floating-point contract on a warehouse wide enough to chunk
+/// (24k facts: two full 8192-row chunks and a partial one, which also
+/// takes the threaded arm): rows accumulate in ascending order within
+/// fixed chunks and partials merge in chunk order, so the scan equals the
+/// oracle bit-for-bit at any thread count — on the whole dataspace and on
+/// a scattered subset that leaves chunks unevenly filled.
+#[test]
+fn chunked_scan_keeps_the_chunk_then_merge_order() {
+    let wh = build_aw_online(Scale::small().scaled(10), 42).expect("generator is valid");
+    let kdap = Kdap::builder(wh).build().expect("measure defined");
+    let n = kdap.warehouse().fact_rows();
+    assert!(n > 2 * 8192, "fixture must span several chunks");
+    let all = RowSet::full(n);
+    let scattered = RowSet::from_rows(n, (0..n).filter(|r| r % 7 == 0 || r % 8192 < 40));
+    for rows in [&all, &scattered] {
+        for threads in [1usize, 4] {
+            for dense_limit in [DENSE_GROUP_LIMIT, 0] {
+                check_scan_against_oracle(&kdap, rows, threads, dense_limit);
             }
         }
     }
@@ -412,14 +431,12 @@ proptest! {
 
 /// Drives the out-of-bounds promotion path deterministically: a dense
 /// array sized for one code while the column holds many forces every
-/// scan — scalar and batch, serial and threaded — to promote mid-scan.
-/// The promoted result must equal the hash-path result bit-for-bit, the
-/// scalar and dispatched promoted results must match each other, and the
+/// scan — serial and threaded — to promote mid-scan. The promoted result
+/// must equal the hash-path result bit-for-bit, and the
 /// `agg_dense_oob_fallback` counter must record the promotions.
 #[test]
 fn oob_promotion_matches_hash_path_under_threads() {
-    let fx = fixture();
-    let kdap = &fx.kdap;
+    let kdap = &workload().serial;
     let wh = kdap.warehouse();
     let mv = MeasureVector::build(wh, kdap.measure());
     let rows = RowSet::full(wh.fact_rows());
@@ -427,6 +444,7 @@ fn oob_promotion_matches_hash_path_under_threads() {
     // one-slot dense array must promote.
     let spec = candidate_specs(kdap, &rows)
         .into_iter()
+        .map(|(_, s)| s)
         .find(|s| {
             let FacetSpec::Categorical { .. } = s else {
                 return false;
@@ -455,60 +473,28 @@ fn oob_promotion_matches_hash_path_under_threads() {
             0,
         )
         .unwrap();
-        for force_scalar in [true, false] {
-            let obs = Obs::enabled();
-            let exec = ExecConfig::with_threads(threads)
-                .with_obs(obs.clone())
-                .with_force_scalar(force_scalar);
-            let promoted = multi_group_by_exec_sized(
-                wh,
-                &specs,
-                &rows,
-                &mv,
-                &exec,
-                DENSE_GROUP_LIMIT,
-                Some(1),
-            )
-            .unwrap();
-            assert!(
-                matches!(promoted[0], FacetGroups::Sparse { .. }),
-                "dense array for 1 code must promote (threads={threads}, scalar={force_scalar})"
-            );
-            assert_eq!(
-                digest(&promoted[0]),
-                digest(&hash[0]),
-                "promoted ≡ hash (threads={threads}, scalar={force_scalar})"
-            );
-            let counters = obs.metrics_snapshot().counters;
-            let oob = counters
-                .get("query.agg_dense_oob_fallback")
-                .copied()
-                .unwrap_or(0);
-            assert!(
-                oob >= 1,
-                "promotion must be counted (threads={threads}, scalar={force_scalar}): {counters:?}"
-            );
-        }
+        let obs = Obs::enabled();
+        let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
+        let promoted =
+            multi_group_by_exec_sized(wh, &specs, &rows, &mv, &exec, DENSE_GROUP_LIMIT, Some(1))
+                .unwrap();
+        assert!(
+            matches!(promoted[0], FacetGroups::Sparse { .. }),
+            "dense array for 1 code must promote (threads={threads})"
+        );
+        assert_eq!(
+            digest(&promoted[0]),
+            digest(&hash[0]),
+            "promoted ≡ hash (threads={threads})"
+        );
+        let counters = obs.metrics_snapshot().counters;
+        let oob = counters
+            .get("query.agg_dense_oob_fallback")
+            .copied()
+            .unwrap_or(0);
+        assert!(
+            oob >= 1,
+            "promotion must be counted (threads={threads}): {counters:?}"
+        );
     }
-}
-
-/// The session builder's force-scalar switch pins the tier and survives
-/// thread-count changes; the env-independent detected tier is what the
-/// default session reports.
-#[test]
-fn session_force_scalar_pins_tier() {
-    let wh = build_aw_online(Scale::small(), 7).expect("generator is valid");
-    let mut kdap = Kdap::builder(wh)
-        .force_scalar_kernels(true)
-        .build()
-        .expect("measure defined");
-    assert!(kdap.kernel_tier().is_scalar());
-    kdap.set_threads(4);
-    assert!(
-        kdap.kernel_tier().is_scalar(),
-        "set_threads must preserve force_scalar"
-    );
-    let wh2 = build_aw_online(Scale::small(), 7).expect("generator is valid");
-    let default = Kdap::builder(wh2).build().expect("measure defined");
-    assert_eq!(default.kernel_tier(), wkernel::active_tier());
 }

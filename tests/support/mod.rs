@@ -1,0 +1,280 @@
+//! Shared test support: the row-at-a-time aggregation oracle and the
+//! AW_ONLINE workload fixture the equivalence suites sweep.
+//!
+//! The oracle is the engine's single-attribute group-by in its plainest
+//! form — one attribute, one row at a time through the public per-row
+//! accessors (`RowSet::iter_word_range`, `Column::get_code`/`get_float`,
+//! `Warehouse::eval_measure`): no batches, no predecoded columns, no
+//! gather or unpack kernels, no threads. It keeps exactly one thing in
+//! common with `multi_group_by_exec`, because it is the engine's
+//! documented floating-point contract: rows accumulate in ascending order
+//! within fixed [`CHUNK_WORDS`]-word (8192-row) chunks of the bitmap, and
+//! the per-chunk partials merge in chunk order.
+
+#![allow(dead_code)]
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
+
+use kdap_suite::core::{Kdap, StarNet};
+use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+use kdap_suite::query::{
+    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinIndex, JoinPath, RowSet,
+    MAX_PATH_LEN,
+};
+use kdap_suite::warehouse::{ColRef, Measure, TableId, ValueType, Warehouse};
+
+/// Bitmap words per accumulation chunk (8192 rows).
+const CHUNK_WORDS: usize = 128;
+
+/// The word ranges of `rows`' bitmap, one per chunk, in order.
+fn chunks(rows: &RowSet) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let n = rows.n_words();
+    (0..n)
+        .step_by(CHUNK_WORDS)
+        .map(move |w| w..(w + CHUNK_WORDS).min(n))
+}
+
+/// The bit patterns of an accumulator, for exact comparison.
+pub fn bits(acc: &Accumulator) -> (u64, u64, u64, u64) {
+    (
+        acc.count,
+        acc.sum.to_bits(),
+        acc.min.to_bits(),
+        acc.max.to_bits(),
+    )
+}
+
+/// The measure accumulated over an entire row set.
+pub fn aggregate_total(wh: &Warehouse, measure: &Measure, rows: &RowSet) -> Accumulator {
+    let mut total = Accumulator::default();
+    for chunk in chunks(rows) {
+        let mut partial = Accumulator::default();
+        for row in rows.iter_word_range(chunk) {
+            if let Some(v) = wh.eval_measure(measure, row) {
+                partial.add(v);
+            }
+        }
+        total.merge(&partial);
+    }
+    total
+}
+
+/// Groups `rows` (origin-table rows) by the dictionary code of `attr`
+/// reached via `path`, accumulating the measure. Rows with NULL joins,
+/// NULL attribute values or a NULL measure are skipped.
+pub fn group_by_categorical(
+    wh: &Warehouse,
+    idx: &JoinIndex,
+    origin: TableId,
+    path: &JoinPath,
+    attr: ColRef,
+    rows: &RowSet,
+    measure: &Measure,
+) -> HashMap<u32, Accumulator> {
+    let mapper = idx.row_mapper(wh, origin, path);
+    let col = wh.column(attr);
+    let mut merged: HashMap<u32, Accumulator> = HashMap::new();
+    for chunk in chunks(rows) {
+        let mut partial: HashMap<u32, Accumulator> = HashMap::new();
+        for row in rows.iter_word_range(chunk) {
+            let Some(code) = mapper[row].and_then(|t| col.get_code(t as usize)) else {
+                continue;
+            };
+            if let Some(v) = wh.eval_measure(measure, row) {
+                partial.entry(code).or_default().add(v);
+            }
+        }
+        for (code, acc) in partial {
+            merged.entry(code).or_default().merge(&acc);
+        }
+    }
+    merged
+}
+
+/// Groups `rows` by bucketized numeric value of `attr` via `path`,
+/// accumulating the measure: one accumulator per bucket.
+#[allow(clippy::too_many_arguments)]
+pub fn group_by_buckets(
+    wh: &Warehouse,
+    idx: &JoinIndex,
+    origin: TableId,
+    path: &JoinPath,
+    attr: ColRef,
+    rows: &RowSet,
+    measure: &Measure,
+    buckets: &Bucketizer,
+) -> Vec<Accumulator> {
+    let mapper = idx.row_mapper(wh, origin, path);
+    let col = wh.column(attr);
+    let mut merged = vec![Accumulator::default(); buckets.n_buckets()];
+    for chunk in chunks(rows) {
+        let mut partial = vec![Accumulator::default(); buckets.n_buckets()];
+        for row in rows.iter_word_range(chunk) {
+            let Some(b) = mapper[row]
+                .and_then(|t| col.get_float(t as usize))
+                .and_then(|v| buckets.bucket_of(v))
+            else {
+                continue;
+            };
+            if let Some(m) = wh.eval_measure(measure, row) {
+                partial[b].add(m);
+            }
+        }
+        for (m, p) in merged.iter_mut().zip(&partial) {
+            m.merge(p);
+        }
+    }
+    merged
+}
+
+/// The numeric values of `attr` observed across `rows` via `path` (the
+/// domain the bucketizer spans — "the set of all distinct values
+/// projected from DS′", §5.2).
+pub fn project_numeric(
+    wh: &Warehouse,
+    idx: &JoinIndex,
+    origin: TableId,
+    path: &JoinPath,
+    attr: ColRef,
+    rows: &RowSet,
+) -> Vec<f64> {
+    let mapper = idx.row_mapper(wh, origin, path);
+    let col = wh.column(attr);
+    rows.iter()
+        .filter_map(|row| mapper[row].and_then(|t| col.get_float(t as usize)))
+        .collect()
+}
+
+/// The sorted distinct dictionary codes of `attr` observed across `rows`
+/// via `path` (DOM(DS′, attr), §5.2).
+pub fn project_categorical(
+    wh: &Warehouse,
+    idx: &JoinIndex,
+    origin: TableId,
+    path: &JoinPath,
+    attr: ColRef,
+    rows: &RowSet,
+) -> Vec<u32> {
+    let mapper = idx.row_mapper(wh, origin, path);
+    let col = wh.column(attr);
+    let seen: BTreeSet<u32> = rows
+        .iter()
+        .filter_map(|row| mapper[row].and_then(|t| col.get_code(t as usize)))
+        .collect();
+    seen.into_iter().collect()
+}
+
+/// Every categorical and float attribute reachable from the fact table
+/// as one spec list (plus a Total), each tagged with the join path the
+/// oracle walks. Float attributes contribute a domain spec and, when
+/// they have a finite value in `rows`, an 8-bucket spec.
+pub fn candidate_specs(kdap: &Kdap, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)> {
+    let wh = kdap.warehouse();
+    let jidx = kdap.join_index();
+    let schema = wh.schema();
+    let fact = schema.fact_table();
+    let by_table = fact_paths_by_table(schema, MAX_PATH_LEN);
+    let mut out = vec![(JoinPath::empty(), FacetSpec::Total)];
+    for t in 0..wh.tables().len() as u32 {
+        let tid = TableId(t);
+        if tid == fact {
+            continue;
+        }
+        let Some(path) = by_table.get(&tid).and_then(|paths| paths.first()) else {
+            continue;
+        };
+        let mapper = jidx.row_mapper(wh, fact, path);
+        for (c, col) in wh.tables()[t as usize].columns().iter().enumerate() {
+            let attr = ColRef::new(tid, c as u32);
+            if col.dict().is_some() {
+                out.push((
+                    path.clone(),
+                    FacetSpec::Categorical {
+                        attr,
+                        mapper: mapper.clone(),
+                    },
+                ));
+            } else if col.value_type() == ValueType::Float {
+                out.push((
+                    path.clone(),
+                    FacetSpec::NumericDomain {
+                        attr,
+                        mapper: mapper.clone(),
+                    },
+                ));
+                let values = project_numeric(wh, jidx, fact, path, attr, rows);
+                if let Some(buckets) = Bucketizer::equal_width(values, 8) {
+                    out.push((
+                        path.clone(),
+                        FacetSpec::Buckets {
+                            attr,
+                            mapper: mapper.clone(),
+                            buckets,
+                        },
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// AW_ONLINE small (seed 42) behind a serial and a four-thread session,
+/// with the candidate star nets of the default workload.
+pub struct Workload {
+    /// Session at `threads = 1`.
+    pub serial: Kdap,
+    /// Session at `threads = 4` over an identical build.
+    pub threaded: Kdap,
+    /// The keyword text and ranked nets of every query that has any.
+    pub queries: Vec<(String, Vec<StarNet>)>,
+}
+
+impl Workload {
+    /// The session at the given thread count (1 or 4).
+    pub fn session(&self, threads: usize) -> &Kdap {
+        match threads {
+            1 => &self.serial,
+            4 => &self.threaded,
+            _ => panic!("the fixture holds sessions at 1 and 4 threads"),
+        }
+    }
+
+    /// The candidate nets of query `idx` (modulo the workload size).
+    pub fn nets(&self, idx: usize) -> &[StarNet] {
+        &self.queries[idx % self.queries.len()].1
+    }
+}
+
+/// One build per test binary, shared by every proptest case.
+pub fn workload() -> &'static Workload {
+    static WORKLOAD: OnceLock<Workload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| {
+        let session = |threads: usize| {
+            Kdap::builder(build_aw_online(Scale::small(), 42).expect("generator is valid"))
+                .threads(threads)
+                .observability(true)
+                .build()
+                .expect("measure defined")
+        };
+        let serial = session(1);
+        let queries = generate_workload(serial.warehouse(), &WorkloadConfig::default())
+            .iter()
+            .map(|q| {
+                let nets: Vec<StarNet> = serial
+                    .interpret(&q.text())
+                    .into_iter()
+                    .map(|r| r.net)
+                    .collect();
+                (q.text(), nets)
+            })
+            .filter(|(_, nets)| !nets.is_empty())
+            .collect();
+        Workload {
+            serial,
+            threaded: session(4),
+            queries,
+        }
+    })
+}
