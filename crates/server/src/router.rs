@@ -3,7 +3,7 @@
 //! access logging, and endpoint metrics.
 //!
 //! ```text
-//! GET  /healthz                    liveness + version/uptime/kernel
+//! GET  /healthz                    liveness + version/uptime/kernel/totals
 //! GET  /metrics                    Prometheus exposition, all tenants
 //! GET  /v1/{tenant}/stats          tenant metrics + cache state
 //! GET  /v1/{tenant}/slow           slow-query ledger
@@ -17,55 +17,46 @@
 //! 32 hex digits) or minted at this edge — that is echoed back in the
 //! `x-kdap-trace-id` response header, stamped into profiles and error
 //! bodies, and carried by access-log lines and slow-ledger entries.
+//!
+//! While a query runs, its connection is registered with the server's
+//! [`DisconnectMonitor`](crate::monitor::DisconnectMonitor): a client
+//! that hangs up has its query cancelled (`499`, counted as
+//! `http.disconnect_cancels`) instead of holding a worker. A client that
+//! half-closes its sending side after the request is indistinguishable
+//! from one that left and is treated the same way, so clients must keep
+//! the connection fully open until they have read the response.
 
-use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use kdap_core::api::{ApiError, QueryRequest, Verb, WireFormat};
 use kdap_core::CancelToken;
 use kdap_obs::{
-    chrome_trace, JsonLogger, LedgerEntry, LogLevel, PrometheusExport, QueryProfile, TraceId,
+    chrome_trace, LedgerEntry, LogLevel, PrometheusExport, QueryProfile, TraceId,
     PROMETHEUS_CONTENT_TYPE,
 };
 
 use crate::http::{Request, Response};
-use crate::registry::{EngineRegistry, TenantEngine};
+use crate::registry::TenantEngine;
+use crate::ServerState;
 
 /// Governance header: per-request deadline in milliseconds. The body
 /// field `timeout_ms` wins when both are present.
-pub const HDR_TIMEOUT_MS: &str = "x-kdap-timeout-ms";
+const HDR_TIMEOUT_MS: &str = "x-kdap-timeout-ms";
 /// Governance header: per-request memory budget in bytes. The body
 /// field `budget_bytes` wins when both are present.
-pub const HDR_BUDGET_BYTES: &str = "x-kdap-budget-bytes";
+const HDR_BUDGET_BYTES: &str = "x-kdap-budget-bytes";
 /// Trace header: client-supplied trace id (1 to 32 hex digits),
 /// minted at the edge when absent; echoed on every response.
-pub const HDR_TRACE_ID: &str = "x-kdap-trace-id";
-
-/// How often the disconnect watcher polls the client socket.
-const WATCH_INTERVAL: Duration = Duration::from_millis(5);
-
-/// Everything a worker hands the router per request: the tenant
-/// registry, admission cap, access logger, and server start instant.
-pub struct RouterContext<'a> {
-    /// Named engines served by this process.
-    pub registry: &'a EngineRegistry,
-    /// Maximum concurrently executing queries per tenant.
-    pub max_inflight: usize,
-    /// Structured access logger (disabled logger = zero-cost no-op).
-    pub logger: &'a JsonLogger,
-    /// When the server started, for `/healthz` uptime.
-    pub started: Instant,
-}
+const HDR_TRACE_ID: &str = "x-kdap-trace-id";
 
 /// Routes one parsed request to its handler and returns the response.
 /// `stream` is the client connection, watched for disconnect while a
 /// query runs. Error bodies are always JSON regardless of the
 /// negotiated result format, and carry the request's trace id.
-pub fn route(ctx: &RouterContext<'_>, request: &Request, stream: &TcpStream) -> Response {
+pub(crate) fn route(state: &ServerState, request: &Request, stream: &Arc<TcpStream>) -> Response {
     let timer = Instant::now();
     // The trace id is edge-minted or client-supplied; a client-supplied
     // id is kept byte-identical for the echo.
@@ -83,7 +74,7 @@ pub fn route(ctx: &RouterContext<'_>, request: &Request, stream: &TcpStream) -> 
     };
     let result = match trace_err {
         Some(err) => Err(err),
-        None => route_inner(ctx, &trace, request, stream),
+        None => route_inner(state, &trace, request, stream),
     };
     let mut breach = None;
     let response = match result {
@@ -95,7 +86,7 @@ pub fn route(ctx: &RouterContext<'_>, request: &Request, stream: &TcpStream) -> 
         }
     };
     let response = response.with_header(HDR_TRACE_ID, trace.clone());
-    if ctx.logger.is_enabled() {
+    if state.logger.is_enabled() {
         let level = match response.status {
             s if s >= 500 => LogLevel::Error,
             s if s >= 400 => LogLevel::Warn,
@@ -111,20 +102,20 @@ pub fn route(ctx: &RouterContext<'_>, request: &Request, stream: &TcpStream) -> 
         if let Some(code) = breach {
             fields.push(("breach", code.into()));
         }
-        ctx.logger.log(level, "access", &fields);
+        state.logger.log(level, "access", &fields);
     }
     response
 }
 
 fn route_inner(
-    ctx: &RouterContext<'_>,
+    state: &ServerState,
     trace: &str,
     request: &Request,
-    stream: &TcpStream,
+    stream: &Arc<TcpStream>,
 ) -> Result<Response, ApiError> {
     if request.path == "/healthz" {
         return match request.method.as_str() {
-            "GET" => Ok(Response::ok("application/json", healthz_json(ctx))),
+            "GET" => Ok(Response::ok("application/json", healthz_json(state))),
             _ => Err(method_not_allowed("GET")),
         };
     }
@@ -133,7 +124,7 @@ fn route_inner(
             return Err(method_not_allowed("GET"));
         }
         let mut export = PrometheusExport::new();
-        for tenant in ctx.registry.iter() {
+        for tenant in state.registry.iter() {
             export.add_obs(tenant.name(), tenant.http_obs());
             export.add_obs(tenant.name(), tenant.kdap().obs());
         }
@@ -153,10 +144,10 @@ fn route_inner(
             "routes are /v1/{tenant}/{differentiate|explore|profile|explain|stats|slow}",
         ));
     };
-    let Some(tenant) = ctx.registry.get(tenant_name) else {
+    let Some(tenant) = state.registry.get(tenant_name) else {
         return Err(ApiError::not_found(format!(
             "unknown tenant `{tenant_name}` (registered: {})",
-            ctx.registry.tenant_names().join(", ")
+            state.registry.tenant_names().join(", ")
         )));
     };
 
@@ -165,10 +156,11 @@ fn route_inner(
             return Err(method_not_allowed("GET"));
         }
         tenant.http_obs().inc("http.requests", 1);
-        tenant.http_obs().inc(&format!("http.{action}.requests"), 1);
         let body = if action == "stats" {
+            tenant.http_obs().inc("http.stats.requests", 1);
             tenant.stats_json()
         } else {
+            tenant.http_obs().inc("http.slow.requests", 1);
             tenant.slow_ledger().to_json()
         };
         return Ok(Response::ok("application/json", body));
@@ -182,34 +174,53 @@ fn route_inner(
     if request.method != "POST" {
         return Err(method_not_allowed("POST"));
     }
-    run_query(tenant, ctx.max_inflight, verb, trace, request, stream)
+    run_query(state, tenant, verb, trace, request, stream)
 }
 
 /// The `/healthz` body. Keeps the `"status": "ok"` shape older clients
-/// substring-match on, and adds version, uptime, kernel tier, and
-/// tenant count.
-fn healthz_json(ctx: &RouterContext<'_>) -> String {
+/// substring-match on, and adds version, uptime, kernel tier, tenant
+/// count, and the connection and request totals since start (this
+/// request included) — their ratio is the connection reuse.
+fn healthz_json(state: &ServerState) -> String {
     format!(
         "{{\"status\": \"ok\", \"version\": \"{}\", \"uptime_s\": {}, \
-         \"kernel\": \"{}\", \"tenants\": {}}}\n",
+         \"kernel\": \"{}\", \"tenants\": {}, \"connections\": {}, \"requests\": {}}}\n",
         env!("CARGO_PKG_VERSION"),
-        ctx.started.elapsed().as_secs(),
+        state.started.elapsed().as_secs(),
         kdap_core::kernel::active_tier().name(),
-        ctx.registry.len(),
+        state.registry.len(),
+        state.connections.load(Ordering::Relaxed),
+        state.requests.load(Ordering::Relaxed),
     )
 }
 
+/// The per-verb request counter and latency histogram names, spelled
+/// out so the request path formats no metric name.
+fn verb_metrics(verb: Verb) -> (&'static str, &'static str) {
+    match verb {
+        Verb::Differentiate => (
+            "http.differentiate.requests",
+            "http.differentiate.latency_ns",
+        ),
+        Verb::Explore => ("http.explore.requests", "http.explore.latency_ns"),
+        Verb::Profile => ("http.profile.requests", "http.profile.latency_ns"),
+        Verb::Explain => ("http.explain.requests", "http.explain.latency_ns"),
+    }
+}
+
 fn run_query(
+    state: &ServerState,
     tenant: &Arc<TenantEngine>,
-    max_inflight: usize,
     verb: Verb,
     trace: &str,
     request: &Request,
-    stream: &TcpStream,
+    stream: &Arc<TcpStream>,
 ) -> Result<Response, ApiError> {
-    let obs = tenant.http_obs().clone();
+    let max_inflight = state.max_inflight;
+    let obs = tenant.http_obs();
+    let (requests_counter, latency_histogram) = verb_metrics(verb);
     obs.inc("http.requests", 1);
-    obs.inc(&format!("http.{verb}.requests"), 1);
+    obs.inc(requests_counter, 1);
 
     // Everything that can fail cheaply fails before admission.
     // `format=trace` (Chrome trace-event JSON) only makes sense for
@@ -248,11 +259,17 @@ fn run_query(
     let _profile_guard = (verb == Verb::Profile).then(|| tenant.lock_profile());
 
     let token = CancelToken::new();
-    let _watcher = DisconnectWatcher::spawn(stream, token.clone());
+    let watch = state.monitor.watch(stream, token.clone());
     let timer = obs.timer();
-    let result = tenant.kdap().run_cancellable(&query, Some(token));
+    let result = tenant.kdap().run_cancellable(&query, Some(token.clone()));
     let latency_ns = timer.stop();
-    obs.record_ns(&format!("http.{verb}.latency_ns"), latency_ns);
+    // The socket is back in blocking mode before the response is written.
+    drop(watch);
+    obs.record_ns(latency_histogram, latency_ns);
+    // Nothing but the monitor can have tripped this request's token.
+    if token.is_cancelled() {
+        obs.inc("http.disconnect_cancels", 1);
+    }
 
     let ledger_entry =
         |status: u16, breach: Option<&str>, profile: Option<QueryProfile>| LedgerEntry {
@@ -313,63 +330,5 @@ fn header_u64(request: &Request, name: &str) -> Result<Option<u64>, ApiError> {
             .parse::<u64>()
             .map(Some)
             .map_err(|_| ApiError::bad_request(format!("`{name}` must be a non-negative integer"))),
-    }
-}
-
-/// Watches the client socket while a query runs and trips the query's
-/// cancel token when the peer disconnects, so abandoned requests stop
-/// consuming workers. The watcher owns a non-blocking clone of the
-/// stream; dropping it stops the poll thread and restores the original
-/// stream to blocking mode before the response is written.
-struct DisconnectWatcher<'a> {
-    stream: &'a TcpStream,
-    done: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl<'a> DisconnectWatcher<'a> {
-    fn spawn(stream: &'a TcpStream, token: CancelToken) -> Self {
-        let done = Arc::new(AtomicBool::new(false));
-        let handle = stream.try_clone().ok().and_then(|clone| {
-            clone.set_nonblocking(true).ok()?;
-            let done = Arc::clone(&done);
-            Some(thread::spawn(move || {
-                let mut buf = [0u8; 1];
-                while !done.load(Ordering::Relaxed) {
-                    match clone.peek(&mut buf) {
-                        // EOF: the client hung up; abort the query.
-                        Ok(0) => {
-                            token.cancel();
-                            break;
-                        }
-                        // Pipelined bytes: the peer is still connected.
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        Err(_) => {
-                            token.cancel();
-                            break;
-                        }
-                    }
-                    thread::sleep(WATCH_INTERVAL);
-                }
-            }))
-        });
-        DisconnectWatcher {
-            stream,
-            done,
-            handle,
-        }
-    }
-}
-
-impl Drop for DisconnectWatcher<'_> {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            handle.join().ok();
-        }
-        // The clone shares the socket's non-blocking flag; restore it so
-        // the response write blocks normally.
-        self.stream.set_nonblocking(false).ok();
     }
 }

@@ -382,6 +382,9 @@ fn healthz_reports_version_uptime_kernel_and_tenants() {
     assert_eq!(doc.get("tenants").and_then(|t| t.as_num()), Some(2.0));
     let kernel = doc.get("kernel").and_then(|k| k.as_str()).expect("kernel");
     assert!(!kernel.is_empty());
+    // Totals since start, this connection and this request included.
+    assert_eq!(doc.get("connections").and_then(|c| c.as_num()), Some(1.0));
+    assert_eq!(doc.get("requests").and_then(|r| r.as_num()), Some(1.0));
 
     server.shutdown();
 }
