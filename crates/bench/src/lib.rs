@@ -320,11 +320,81 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// The `"host"` object every committed `results/BENCH_*.json` carries, so
+/// a number can be traced to the machine and commit that produced it:
+/// cores, CPU features, detected and active kernel tier, git sha
+/// (`-dirty` when the tree has uncommitted changes), UTC date.
+pub fn host_json() -> String {
+    let git_sha = std::process::Command::new("git")
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=12",
+            "--exclude=*",
+        ])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or("unknown".to_string(), |s| s.trim().to_string());
+    let features: Vec<String> = kdap_core::kernel::detected_features()
+        .iter()
+        .map(|f| format!("\"{f}\""))
+        .collect();
+    let unix_secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    format!(
+        "{{\"available_parallelism\": {}, \"cpu_features\": [{}], \"detected_tier\": \"{}\", \
+         \"kernel_tier\": \"{}\", \"git_sha\": \"{git_sha}\", \"utc_date\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        features.join(", "),
+        kdap_core::kernel::detected_tier(),
+        kdap_core::kernel::active_tier(),
+        utc_date(unix_secs),
+    )
+}
+
+/// `YYYY-MM-DD` of a Unix timestamp (proleptic Gregorian, UTC).
+fn utc_date(unix_secs: u64) -> String {
+    // Howard Hinnant's civil-from-days.
+    let z = (unix_secs / 86_400) as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kdap_core::{generate_star_nets, rank_star_nets, GenConfig, RankMethod};
     use kdap_datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+
+    #[test]
+    fn host_stamp_names_every_field_and_dates_correctly() {
+        let host = host_json();
+        for key in [
+            "available_parallelism",
+            "cpu_features",
+            "detected_tier",
+            "kernel_tier",
+            "git_sha",
+            "utc_date",
+        ] {
+            assert!(host.contains(&format!("\"{key}\": ")), "{key} in {host}");
+        }
+        assert_eq!(utc_date(0), "1970-01-01");
+        assert_eq!(utc_date(951_782_400), "2000-02-29");
+        assert_eq!(utc_date(1_798_761_599), "2026-12-31");
+    }
 
     #[test]
     fn cumulative_curve_counts_correctly() {

@@ -88,12 +88,6 @@ pub struct Governor {
 }
 
 impl Governor {
-    /// True when no limit is configured — queries run ungoverned and
-    /// kernels skip even the per-chunk branch.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.memory_budget.is_none()
-    }
-
     /// A fresh per-query context carrying these limits. Called once at
     /// the top of each governed query so deadlines measure per-query
     /// time, not session lifetime.
@@ -140,7 +134,6 @@ mod tests {
             memory_budget: Some(1 << 20),
             cancel: CancelToken::new(),
         };
-        assert!(!g.is_unlimited());
         let ctx = g.fresh_context();
         assert!(ctx.check("stage").is_ok());
         g.cancel.cancel();

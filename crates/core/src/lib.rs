@@ -4,6 +4,7 @@
 //! 2007): keyword search meets OLAP aggregation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod api;

@@ -10,6 +10,7 @@
 //! bit-for-bit, so every experiment in `kdap-bench` is reproducible.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aw_online;
 pub mod aw_reseller;

@@ -129,12 +129,14 @@ impl From<bool> for LogValue {
     }
 }
 
+/// Events below this level are dropped.
+const MIN_LEVEL: LogLevel = LogLevel::Info;
+
 /// A JSONL event logger. Disabled loggers cost one branch per call;
 /// enabled loggers serialize outside the sink lock and write each event
 /// as exactly one line.
 pub struct JsonLogger {
     sink: Option<Mutex<Box<dyn Write + Send>>>,
-    min_level: LogLevel,
     dropped: AtomicU64,
 }
 
@@ -142,7 +144,6 @@ impl fmt::Debug for JsonLogger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JsonLogger")
             .field("enabled", &self.sink.is_some())
-            .field("min_level", &self.min_level)
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .finish()
     }
@@ -153,7 +154,6 @@ impl JsonLogger {
     pub fn disabled() -> Self {
         JsonLogger {
             sink: None,
-            min_level: LogLevel::Info,
             dropped: AtomicU64::new(0),
         }
     }
@@ -177,7 +177,6 @@ impl JsonLogger {
     pub fn to_writer(sink: Box<dyn Write + Send>) -> Self {
         JsonLogger {
             sink: Some(Mutex::new(sink)),
-            min_level: LogLevel::Info,
             dropped: AtomicU64::new(0),
         }
     }
@@ -190,12 +189,6 @@ impl JsonLogger {
             Some("stderr") => Ok(JsonLogger::to_stderr()),
             Some(path) => JsonLogger::to_file(path),
         }
-    }
-
-    /// Drops events below `level`.
-    pub fn with_min_level(mut self, level: LogLevel) -> Self {
-        self.min_level = level;
-        self
     }
 
     /// True when events are being written anywhere.
@@ -216,7 +209,7 @@ impl JsonLogger {
         let Some(sink) = &self.sink else {
             return;
         };
-        if level < self.min_level {
+        if level < MIN_LEVEL {
             return;
         }
         let ts_ms = SystemTime::now()
@@ -323,11 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn min_level_filters() {
+    fn events_below_the_level_floor_are_dropped() {
         let buf = Buf::default();
-        let log = JsonLogger::to_writer(Box::new(buf.clone())).with_min_level(LogLevel::Warn);
-        log.info("quiet", &[]);
-        log.warn("loud", &[]);
+        let log = JsonLogger::to_writer(Box::new(buf.clone()));
+        log.log(LogLevel::Debug, "quiet", &[]);
+        log.info("loud", &[]);
         let text = buf.text();
         assert!(!text.contains("quiet"));
         assert!(text.contains("loud"));

@@ -54,11 +54,6 @@ impl TraceId {
         }
         u128::from_str_radix(s, 16).ok().map(TraceId)
     }
-
-    /// The raw 128-bit value.
-    pub fn as_u128(&self) -> u128 {
-        self.0
-    }
 }
 
 impl fmt::Display for TraceId {

@@ -512,16 +512,16 @@ fn batch_categorical(
 /// Each chunk runs as a **batch**: the selected row indices are collected
 /// into a reusable buffer, their measure values gathered in one pass
 /// against predecoded attribute columns (bulk-unpacked through the
-/// dispatched kernels, which fall back to their scalar twins on hosts
-/// without SIMD), and the per-spec accumulation runs as a tight loop per
-/// spec over those buffers. Every gathered row is visited in ascending
-/// order and floating-point accumulation stays strictly sequential per
-/// group, so every kernel tier produces the same bits
-/// (`tests/simd_equivalence.rs`).
+/// dispatched [`kernel::unpack_words`]), and the per-spec accumulation
+/// runs as a tight loop per spec over those buffers. Every gathered row
+/// is visited in ascending order and floating-point accumulation stays
+/// strictly sequential per group, so every kernel tier produces the same
+/// bits (`tests/simd_equivalence.rs`).
 ///
 /// Governance (when `exec` carries a [`crate::QueryContext`]) is polled
 /// per chunk, and every chunk's accumulator allocation is charged to the
-/// memory budget; breaches return [`QueryError::Governed`].
+/// memory budget; breaches return [`QueryError::Governed`]. A row set
+/// over more rows than `mv` holds is a [`QueryError::UniverseMismatch`].
 pub fn multi_group_by_exec(
     wh: &Warehouse,
     specs: &[FacetSpec],
@@ -548,6 +548,13 @@ pub fn multi_group_by_exec_sized(
     dense_size: Option<usize>,
 ) -> Result<Vec<FacetGroups>, QueryError> {
     exec.check("multi_group_by")?;
+    // The scan indexes the measure vector by fact row.
+    if rows.universe() > mv.len() {
+        return Err(QueryError::UniverseMismatch {
+            left: rows.universe(),
+            right: mv.len(),
+        });
+    }
     // Predecode each spec's attribute column once per scan (codes with a
     // NULL sentinel, floats with NaN) so chunk workers only gather.
     let mut decoded_bytes = 0u64;
@@ -589,9 +596,11 @@ pub fn multi_group_by_exec_sized(
             if row_buf.is_empty() {
                 return;
             }
+            // Bounds-checked gather; the entry check makes every index
+            // valid, so the check never fires.
+            let measures = mv.as_slice();
             meas_buf.clear();
-            meas_buf.resize(row_buf.len(), 0.0);
-            kernel::gather_f64(mv.as_slice(), row_buf, meas_buf);
+            meas_buf.extend(row_buf.iter().map(|&r| measures[r as usize]));
             for (i, spec) in specs.iter().enumerate() {
                 let g = &mut groups[i];
                 match (spec, &decoded[i]) {
@@ -714,7 +723,7 @@ pub fn multi_group_by_exec_sized(
             .count();
         exec.obs.inc("query.agg_dense_dispatch", dense as u64);
         exec.obs.inc("query.agg_hash_dispatch", hash as u64);
-        // Which kernel tier the gather and unpack kernels dispatched to.
+        // Which kernel tier the unpack kernels dispatched to.
         exec.obs.inc(tier_metric_name(kernel::active_tier()), 1);
         if oob_total > 0 {
             exec.obs.inc("query.agg_dense_oob_fallback", oob_total);
@@ -751,8 +760,6 @@ pub fn multi_group_by_exec_sized(
 fn tier_metric_name(tier: KernelTier) -> &'static str {
     match tier {
         KernelTier::Scalar => "query.kernel_tier.scalar",
-        KernelTier::Sse2 => "query.kernel_tier.sse2",
-        KernelTier::Neon => "query.kernel_tier.neon",
         KernelTier::Avx2 => "query.kernel_tier.avx2",
     }
 }

@@ -15,12 +15,11 @@
 //!
 //! Containers auto-convert at density thresholds: an array grows into a
 //! bitmap past [`ARRAY_MAX`], and every set-algebra result is
-//! re-canonicalized to the smallest of the three forms. The public API —
-//! `intersect/union/and_not`, their `try_` variants,
-//! `iter`/`iter_word_range` — is unchanged from the flat bitmap;
-//! word-granular entry points (`n_words`, `to_words`, `from_words`,
-//! `for_each_in_word_range`) keep the chunked kernels and their
-//! thread-count-invariant results working on top.
+//! re-canonicalized to the smallest of the three forms. A subspace is a
+//! conjunction of keyword constraints, so the one set operation is
+//! [`RowSet::intersect_with`]; word-granular entry points (`n_words`,
+//! `to_words`, `from_words`, `for_each_in_word_range`) keep the chunked
+//! kernels and their thread-count-invariant results working on top.
 
 use crate::error::QueryError;
 use crate::kernel;
@@ -72,13 +71,6 @@ enum Container {
     Bitmap(Box<[u64]>),
     /// Sorted, disjoint, non-adjacent inclusive `(start, end)` runs.
     Run(Vec<(u16, u16)>),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SetOp {
-    And,
-    Or,
-    AndNot,
 }
 
 /// Sets bits `s..=e` in `words`.
@@ -352,122 +344,55 @@ impl Container {
     }
 }
 
-/// Combines two blocks. `limit` is the block's universe (rows valid in
+/// Intersects two blocks. `limit` is the block's universe (rows valid in
 /// it); inputs never hold bits past `limit`, so neither does the result.
-fn op_block(a: &Container, b: &Container, op: SetOp, limit: usize) -> Container {
+fn intersect_block(a: &Container, b: &Container, limit: usize) -> Container {
     // Cheap structural fast paths before any materialization.
-    match op {
-        SetOp::And => {
-            if a.is_empty() || b.is_empty() {
-                return Container::empty();
-            }
-            if a.covers_all(limit) {
-                return b.clone();
-            }
-            if b.covers_all(limit) {
-                return a.clone();
-            }
-        }
-        SetOp::Or => {
-            if a.covers_all(limit) || b.is_empty() {
-                return a.clone();
-            }
-            if b.covers_all(limit) || a.is_empty() {
-                return b.clone();
-            }
-        }
-        SetOp::AndNot => {
-            if a.is_empty() || b.covers_all(limit) {
-                return Container::empty();
-            }
-            if b.is_empty() {
-                return a.clone();
-            }
-        }
+    if a.is_empty() || b.is_empty() {
+        return Container::empty();
+    }
+    if a.covers_all(limit) {
+        return b.clone();
+    }
+    if b.covers_all(limit) {
+        return a.clone();
     }
     // Array-driven paths: probe or merge without touching full bitmaps.
-    match (a, b, op) {
-        (Container::Array(xs), Container::Array(ys), SetOp::And) => {
-            Container::Array(merge_arrays(xs, ys, SetOp::And))
-        }
-        (Container::Array(xs), Container::Array(ys), SetOp::AndNot) => {
-            Container::Array(merge_arrays(xs, ys, SetOp::AndNot))
-        }
-        (Container::Array(xs), Container::Array(ys), SetOp::Or) => {
-            let merged = merge_arrays(xs, ys, SetOp::Or);
-            if merged.len() <= ARRAY_MAX {
-                Container::Array(merged)
-            } else {
-                let mut out = Container::Array(merged).to_bitmap(limit);
-                if let Container::Bitmap(w) = &out {
-                    out = Container::from_words(w);
-                }
-                out
-            }
-        }
-        (Container::Array(xs), _, SetOp::And) => {
-            Container::Array(xs.iter().copied().filter(|&r| b.contains(r)).collect())
-        }
-        (Container::Array(xs), _, SetOp::AndNot) => {
-            Container::Array(xs.iter().copied().filter(|&r| !b.contains(r)).collect())
-        }
-        (_, Container::Array(ys), SetOp::And) => {
-            Container::Array(ys.iter().copied().filter(|&r| a.contains(r)).collect())
+    match (a, b) {
+        (Container::Array(xs), Container::Array(ys)) => Container::Array(intersect_arrays(xs, ys)),
+        (Container::Array(xs), other) | (other, Container::Array(xs)) => {
+            Container::Array(xs.iter().copied().filter(|&r| other.contains(r)).collect())
         }
         _ => {
-            // General path: materialize both sides to words, combine with
-            // one dispatched vectorized pass, re-canonicalize the result.
+            // General path: materialize both sides to words, AND them in
+            // one pass (a loop LLVM vectorizes), re-canonicalize.
             let n_words = limit.div_ceil(64);
             let mut wa = [0u64; BLOCK_WORDS];
             let mut wb = [0u64; BLOCK_WORDS];
             a.write_words(&mut wa[..n_words]);
             b.write_words(&mut wb[..n_words]);
-            match op {
-                SetOp::And => kernel::and_words(&mut wa[..n_words], &wb[..n_words]),
-                SetOp::Or => kernel::or_words(&mut wa[..n_words], &wb[..n_words]),
-                SetOp::AndNot => kernel::andnot_words(&mut wa[..n_words], &wb[..n_words]),
+            for (x, y) in wa[..n_words].iter_mut().zip(&wb[..n_words]) {
+                *x &= y;
             }
             Container::from_words(&wa[..n_words])
         }
     }
 }
 
-/// Merges two sorted arrays under `op`.
-fn merge_arrays(xs: &[u16], ys: &[u16], op: SetOp) -> Vec<u16> {
-    let mut out = Vec::with_capacity(match op {
-        SetOp::And => xs.len().min(ys.len()),
-        SetOp::Or => xs.len() + ys.len(),
-        SetOp::AndNot => xs.len(),
-    });
+/// Intersects two sorted arrays.
+fn intersect_arrays(xs: &[u16], ys: &[u16]) -> Vec<u16> {
+    let mut out = Vec::with_capacity(xs.len().min(ys.len()));
     let (mut i, mut j) = (0, 0);
     while i < xs.len() && j < ys.len() {
         match xs[i].cmp(&ys[j]) {
-            std::cmp::Ordering::Less => {
-                if op != SetOp::And {
-                    out.push(xs[i]);
-                }
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                if op == SetOp::Or {
-                    out.push(ys[j]);
-                }
-                j += 1;
-            }
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                if op != SetOp::AndNot {
-                    out.push(xs[i]);
-                }
+                out.push(xs[i]);
                 i += 1;
                 j += 1;
             }
         }
-    }
-    if op != SetOp::And {
-        out.extend_from_slice(&xs[i..]);
-    }
-    if op == SetOp::Or {
-        out.extend_from_slice(&ys[j..]);
     }
     out
 }
@@ -621,61 +546,19 @@ impl RowSet {
         self.blocks.iter().all(Container::is_empty)
     }
 
-    fn check_universe(&self, other: &RowSet) -> Result<(), QueryError> {
-        if self.nrows == other.nrows {
-            Ok(())
-        } else {
-            Err(QueryError::UniverseMismatch {
+    /// In-place intersection; sets over different universes are a typed
+    /// [`QueryError::UniverseMismatch`] and leave `self` untouched.
+    pub fn intersect_with(&mut self, other: &RowSet) -> Result<(), QueryError> {
+        if self.nrows != other.nrows {
+            return Err(QueryError::UniverseMismatch {
                 left: self.nrows,
                 right: other.nrows,
-            })
+            });
         }
-    }
-
-    fn zip_blocks(&mut self, other: &RowSet, op: SetOp) {
         for b in 0..self.blocks.len() {
             let limit = self.block_limit(b);
-            self.blocks[b] = op_block(&self.blocks[b], &other.blocks[b], op, limit);
+            self.blocks[b] = intersect_block(&self.blocks[b], &other.blocks[b], limit);
         }
-    }
-
-    /// In-place intersection. Panics on mismatched universes.
-    pub fn intersect_with(&mut self, other: &RowSet) {
-        assert_eq!(self.nrows, other.nrows, "universe mismatch");
-        self.zip_blocks(other, SetOp::And);
-    }
-
-    /// Fallible in-place intersection.
-    pub fn try_intersect_with(&mut self, other: &RowSet) -> Result<(), QueryError> {
-        self.check_universe(other)?;
-        self.zip_blocks(other, SetOp::And);
-        Ok(())
-    }
-
-    /// In-place union. Panics on mismatched universes.
-    pub fn union_with(&mut self, other: &RowSet) {
-        assert_eq!(self.nrows, other.nrows, "universe mismatch");
-        self.zip_blocks(other, SetOp::Or);
-    }
-
-    /// Fallible in-place union.
-    pub fn try_union_with(&mut self, other: &RowSet) -> Result<(), QueryError> {
-        self.check_universe(other)?;
-        self.zip_blocks(other, SetOp::Or);
-        Ok(())
-    }
-
-    /// In-place difference (`self \ other`). Panics on mismatched
-    /// universes.
-    pub fn and_not_with(&mut self, other: &RowSet) {
-        assert_eq!(self.nrows, other.nrows, "universe mismatch");
-        self.zip_blocks(other, SetOp::AndNot);
-    }
-
-    /// Fallible in-place difference.
-    pub fn try_and_not_with(&mut self, other: &RowSet) -> Result<(), QueryError> {
-        self.check_universe(other)?;
-        self.zip_blocks(other, SetOp::AndNot);
         Ok(())
     }
 
@@ -874,19 +757,14 @@ mod tests {
     }
 
     #[test]
-    fn set_algebra() {
-        let a = RowSet::from_rows(10, [1, 2, 3]);
-        let b = RowSet::from_rows(10, [2, 3, 4]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
+    fn intersection() {
+        let mut i = RowSet::from_rows(10, [1, 2, 3]);
+        i.intersect_with(&RowSet::from_rows(10, [2, 3, 4])).unwrap();
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn set_algebra_across_container_kinds() {
+    fn intersection_across_container_kinds() {
         let n = BLOCK_ROWS * 2 + 500;
         let full = RowSet::full(n); // runs
         let sparse = RowSet::from_rows(n, (0..n).step_by(1000)); // arrays
@@ -894,45 +772,44 @@ mod tests {
         for x in [&full, &sparse, &dense] {
             for y in [&full, &sparse, &dense] {
                 let mut i = x.clone();
-                i.intersect_with(y);
-                let mut u = x.clone();
-                u.union_with(y);
-                let mut d = x.clone();
-                d.and_not_with(y);
-                let xs: std::collections::HashSet<usize> = x.iter().collect();
+                i.intersect_with(y).unwrap();
                 let ys: std::collections::HashSet<usize> = y.iter().collect();
-                assert_eq!(i.len(), xs.intersection(&ys).count());
-                assert_eq!(u.len(), xs.union(&ys).count());
-                assert_eq!(d.len(), xs.difference(&ys).count());
+                let want: Vec<usize> = x.iter().filter(|r| ys.contains(r)).collect();
+                assert_eq!(i.iter().collect::<Vec<_>>(), want);
+                assert_eq!(i.len(), want.len());
             }
         }
     }
 
     #[test]
-    fn ops_canonicalize_to_smallest_container() {
+    fn intersection_canonicalizes_to_smallest_container() {
         let n = BLOCK_ROWS;
-        // Dense bitmap minus almost everything → tiny scattered array.
+        let canonical = |s: &RowSet| RowSet::from_words(n, s.to_words()).unwrap();
+        // Two dense bitmaps sharing ten scattered rows → tiny array.
         let mut a = RowSet::from_rows(n, (0..n).step_by(2));
-        let b = RowSet::from_rows(n, (20..n).step_by(2));
-        a.and_not_with(&b);
+        let b = RowSet::from_rows(n, (0..n).filter(|r| *r < 20 || r % 2 == 1));
+        assert_eq!(b.container_histogram().bitmaps, 1);
+        a.intersect_with(&b).unwrap();
         assert_eq!(
             a.iter().collect::<Vec<_>>(),
             (0..20).step_by(2).collect::<Vec<_>>()
         );
         assert_eq!(a.container_histogram().arrays, 1);
-        // Contiguous residuals canonicalize all the way to runs.
+        // Bitmap ∩ short run: the contiguous residual stays a run.
         let mut c = RowSet::from_rows(n, 0..n - 1);
-        c.and_not_with(&RowSet::from_rows(n, 10..n - 1));
+        c.intersect_with(&canonical(&RowSet::from_rows(n, 0..10)))
+            .unwrap();
         assert_eq!(c.len(), 10);
         assert_eq!(c.container_histogram().runs, 1);
-        // Two half-range unions → one run container.
-        let lo = RowSet::from_rows(n, 0..n / 2);
-        let hi = RowSet::from_rows(n, n / 2..n);
-        let mut u = lo.clone();
-        u.union_with(&hi);
-        assert_eq!(u.len(), n);
-        assert_eq!(u.container_histogram().runs, 1);
-        assert!(u.heap_bytes() < 64);
+        // Two overlapping insert-built bitmaps → one run container.
+        let mut lo = RowSet::from_rows(n, 0..3 * n / 4);
+        let hi = RowSet::from_rows(n, n / 4..n);
+        assert_eq!(lo.container_histogram().bitmaps, 1);
+        assert_eq!(hi.container_histogram().bitmaps, 1);
+        lo.intersect_with(&hi).unwrap();
+        assert_eq!(lo.len(), n / 2);
+        assert_eq!(lo.container_histogram().runs, 1);
+        assert!(lo.heap_bytes() < 64);
     }
 
     #[test]
@@ -942,27 +819,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "universe mismatch")]
-    fn mismatched_universe_panics() {
-        let mut a = RowSet::empty(5);
-        a.intersect_with(&RowSet::empty(6));
-    }
-
-    #[test]
-    fn try_variants_surface_typed_errors() {
-        let mut a = RowSet::empty(5);
-        let err = a.try_intersect_with(&RowSet::empty(6)).unwrap_err();
+    fn mismatched_universe_is_a_typed_error() {
+        let mut a = RowSet::from_rows(5, [1, 3]);
+        let err = a.intersect_with(&RowSet::empty(6)).unwrap_err();
         assert_eq!(err, QueryError::UniverseMismatch { left: 5, right: 6 });
-        assert!(a.try_union_with(&RowSet::empty(6)).is_err());
-        assert!(a.try_and_not_with(&RowSet::empty(6)).is_err());
-        assert!(a.try_intersect_with(&RowSet::full(5)).is_ok());
-    }
-
-    #[test]
-    fn and_not_removes_rows() {
-        let mut a = RowSet::from_rows(10, [1, 2, 3]);
-        a.and_not_with(&RowSet::from_rows(10, [2, 4]));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3], "untouched");
+        assert!(a.intersect_with(&RowSet::full(5)).is_ok());
     }
 
     #[test]
@@ -1007,7 +869,9 @@ mod tests {
         );
         assert_eq!(via_inserts, via_full);
         let mut different = via_full.clone();
-        different.and_not_with(&RowSet::from_rows(n, [77]));
+        different
+            .intersect_with(&RowSet::from_rows(n, (0..n).filter(|&r| r != 77)))
+            .unwrap();
         assert_ne!(different, via_full);
     }
 

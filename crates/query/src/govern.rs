@@ -81,12 +81,6 @@ impl QueryContext {
         }
     }
 
-    /// A context with no limits at all (checks always pass). Useful as a
-    /// neutral element in tests.
-    pub fn unlimited() -> Self {
-        QueryContext::new(None, None, Arc::new(AtomicBool::new(false)))
-    }
-
     /// Polls cancellation and the deadline. `stage` is the observability
     /// span name of the surrounding work; `completed`/`total` report the
     /// stage's chunk- or step-level progress (pass `0, 0` when the stage
@@ -171,7 +165,7 @@ mod tests {
 
     #[test]
     fn unlimited_context_always_passes() {
-        let ctx = QueryContext::unlimited();
+        let ctx = QueryContext::new(None, None, Arc::new(AtomicBool::new(false)));
         assert!(ctx.check("stage").is_ok());
         assert!(ctx.charge("stage", u64::MAX / 2).is_ok());
         assert!(!ctx.is_cancelled());

@@ -7,6 +7,7 @@
 //! materialization and facet construction in the KDAP core.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
@@ -15,7 +16,6 @@ pub mod bitmap;
 pub mod error;
 pub mod exec;
 pub mod govern;
-pub mod kernel;
 pub mod path;
 pub mod plan;
 pub mod semijoin;
@@ -28,7 +28,7 @@ pub use bitmap::{ContainerHistogram, RowSet};
 pub use error::QueryError;
 pub use exec::{chunk_ranges, par_map, ExecConfig};
 pub use govern::{Breach, QueryContext};
-pub use kernel::KernelTier;
+pub use kdap_warehouse::kernel::{self, KernelTier};
 pub use path::{fact_paths_by_table, paths_between, JoinPath, MAX_PATH_LEN};
 pub use plan::{
     execute_plan, execute_plan_traced, optimize, Fingerprint, LogicalPlan, PhysStep, PhysicalPlan,

@@ -228,7 +228,6 @@ mod tests {
     /// ITEM → PROD
     fn ebiz_mini() -> Warehouse {
         let mut b = WarehouseBuilder::new();
-        b.skip_integrity_check();
         b.table(
             "ITEM",
             &[

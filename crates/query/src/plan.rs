@@ -535,7 +535,7 @@ pub fn execute_plan_traced(
         if cache.is_some() && !cache_hit {
             fresh.push((step.key(), bitmap.clone()));
         }
-        rows.intersect_with(&bitmap);
+        rows.intersect_with(&bitmap)?;
         let est_fraction = step.est_fraction();
         if obs_on {
             if let Some(h) = &step_hist {
@@ -685,7 +685,9 @@ mod tests {
         let sels = vec![dim_selection(&wh, "Widget"), tag_selection(&wh, "hot")];
         let mut expect = RowSet::full(wh.fact_rows());
         for s in &sels {
-            expect.intersect_with(&s.try_eval(&wh, &jidx, fact).unwrap());
+            expect
+                .intersect_with(&s.try_eval(&wh, &jidx, fact).unwrap())
+                .unwrap();
         }
         let logical = LogicalPlan::from_selections(sels);
         let stats = StatsCatalog::new();

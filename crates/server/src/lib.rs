@@ -38,6 +38,7 @@
 //! [`Kdap::run_cancellable`]: kdap_core::Kdap::run_cancellable
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod http;

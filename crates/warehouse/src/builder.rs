@@ -45,7 +45,6 @@ pub struct WarehouseBuilder {
     dims: Vec<DimSpec>,
     measures: Vec<MeasureSpec>,
     fact: Option<String>,
-    check_integrity: bool,
 }
 
 impl Default for WarehouseBuilder {
@@ -55,7 +54,7 @@ impl Default for WarehouseBuilder {
 }
 
 impl WarehouseBuilder {
-    /// An empty builder with referential-integrity checking enabled.
+    /// An empty builder.
     pub fn new() -> Self {
         WarehouseBuilder {
             tables: Vec::new(),
@@ -64,14 +63,7 @@ impl WarehouseBuilder {
             dims: Vec::new(),
             measures: Vec::new(),
             fact: None,
-            check_integrity: true,
         }
-    }
-
-    /// Disables the (O(rows)) referential-integrity check at build time.
-    pub fn skip_integrity_check(&mut self) -> &mut Self {
-        self.check_integrity = false;
-        self
     }
 
     /// Declares a table with columns `(name, type, full-text searchable)`.
@@ -312,29 +304,26 @@ impl WarehouseBuilder {
 
         // Referential integrity: every non-null child key must exist among
         // the parent keys.
-        if self.check_integrity {
-            for e in &edges {
-                let parent_col =
-                    self.tables[e.parent.table.0 as usize].column(e.parent.col as usize);
-                let mut parent_keys = HashSet::with_capacity(parent_col.len());
-                for row in 0..parent_col.len() {
-                    if let Some(k) = parent_col.get_int(row) {
-                        parent_keys.insert(k);
-                    }
+        for e in &edges {
+            let parent_col = self.tables[e.parent.table.0 as usize].column(e.parent.col as usize);
+            let mut parent_keys = HashSet::with_capacity(parent_col.len());
+            for row in 0..parent_col.len() {
+                if let Some(k) = parent_col.get_int(row) {
+                    parent_keys.insert(k);
                 }
-                let child_col = self.tables[e.child.table.0 as usize].column(e.child.col as usize);
-                for row in 0..child_col.len() {
-                    if let Some(k) = child_col.get_int(row) {
-                        if !parent_keys.contains(&k) {
-                            return Err(WarehouseError::BrokenForeignKey {
-                                edge: format!(
-                                    "{} → {}",
-                                    self.edges[e.id.0 as usize].child,
-                                    self.edges[e.id.0 as usize].parent
-                                ),
-                                missing_key: k,
-                            });
-                        }
+            }
+            let child_col = self.tables[e.child.table.0 as usize].column(e.child.col as usize);
+            for row in 0..child_col.len() {
+                if let Some(k) = child_col.get_int(row) {
+                    if !parent_keys.contains(&k) {
+                        return Err(WarehouseError::BrokenForeignKey {
+                            edge: format!(
+                                "{} → {}",
+                                self.edges[e.id.0 as usize].child,
+                                self.edges[e.id.0 as usize].parent
+                            ),
+                            missing_key: k,
+                        });
                     }
                 }
             }
@@ -343,10 +332,8 @@ impl WarehouseBuilder {
         // Adjacency lists.
         let n = self.tables.len();
         let mut edges_by_child = vec![Vec::new(); n];
-        let mut edges_by_parent = vec![Vec::new(); n];
         for e in &edges {
             edges_by_child[e.child.table.0 as usize].push(e.id);
-            edges_by_parent[e.parent.table.0 as usize].push(e.id);
         }
 
         // Measures must read fact columns.
@@ -392,7 +379,6 @@ impl WarehouseBuilder {
                 dimensions,
                 measures,
                 edges_by_child,
-                edges_by_parent,
             },
         })
     }

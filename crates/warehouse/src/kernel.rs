@@ -1,23 +1,26 @@
-//! Runtime-dispatched vectorized decode kernels.
+//! The engine's one kernel module: CPU detection and the three kernels
+//! that earn hand-written SIMD.
 //!
-//! KDAP is zero-dependency, so instead of a SIMD crate this module does its
-//! own runtime CPU dispatch. At first use it probes the host once
-//! ([`detected_tier`]) and picks one of four [`KernelTier`]s:
+//! KDAP is zero-dependency, so instead of a SIMD crate this module does
+//! its own runtime CPU dispatch. At first use it probes the host once
+//! ([`detected_tier`]) and picks one of two [`KernelTier`]s:
 //!
-//! * **Avx2** — x86_64 with AVX2: hand-written `core::arch::x86_64`
-//!   intrinsics (32-byte lanes) for bulk code unpacking.
-//! * **Sse2** — any other x86_64 (SSE2 is baseline): batch kernels written
-//!   as fixed-trip-count safe Rust that LLVM auto-vectorizes at 128 bits.
-//! * **Neon** — aarch64 (NEON is baseline): the same batch kernels,
-//!   auto-vectorized to NEON.
-//! * **Scalar** — everything else, and the mandatory reference fallback.
+//! * **Avx2** — x86_64 with AVX2: `core::arch::x86_64` intrinsics for
+//!   [`unpack_words`], [`popcount_words`] and [`count_run_starts`].
+//! * **Scalar** — safe Rust, what every other host runs and what
+//!   `KDAP_NO_SIMD` forces (checked once, cached). Its unpack decodes one
+//!   packed word per fixed-trip loop, which LLVM vectorizes at the
+//!   target's baseline width.
 //!
-//! Every dispatched kernel has a public `_scalar` twin that is the
-//! semantic reference; all tiers are **bit-identical** (kernels here move
-//! integers only — no float reassociation), which
-//! `tests/simd_equivalence.rs` proves property-style. Setting the
-//! `KDAP_NO_SIMD` environment variable forces the Scalar tier process-wide
-//! (checked once, cached).
+//! A kernel is here only if its AVX2 arm measures at least 1.5× over the
+//! Scalar tier on the E15 bench (`exp_simd --check`); everything else the
+//! engine does over words or rows — bitmap AND, the measure gather — is a
+//! plain loop at its call site. Each dispatched kernel has a public
+//! `_scalar` twin (the Scalar tier's implementation); the tiers are
+//! **bit-identical** (integers only, no float reassociation), which
+//! `tests/simd_equivalence.rs` proves property-style against an
+//! independent oracle. All `unsafe` outside the CLI's signal hook lives
+//! in this file.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -30,12 +33,8 @@ pub const NULL_CODE: u32 = u32::MAX;
 /// The kernel implementation selected by runtime dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// Reference per-element loops; always available, always bit-identical.
+    /// Safe Rust; always available, always bit-identical.
     Scalar,
-    /// x86_64 baseline: batch kernels auto-vectorized at 128 bits.
-    Sse2,
-    /// aarch64 baseline: batch kernels auto-vectorized to NEON.
-    Neon,
     /// x86_64 with runtime-detected AVX2: explicit 256-bit intrinsics.
     Avx2,
 }
@@ -45,15 +44,8 @@ impl KernelTier {
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
-            KernelTier::Sse2 => "sse2",
-            KernelTier::Neon => "neon",
             KernelTier::Avx2 => "avx2",
         }
-    }
-
-    /// True when this tier is the scalar reference fallback.
-    pub fn is_scalar(self) -> bool {
-        self == KernelTier::Scalar
     }
 }
 
@@ -63,30 +55,17 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-fn detect() -> KernelTier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            KernelTier::Avx2
-        } else {
-            KernelTier::Sse2
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        KernelTier::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        KernelTier::Scalar
-    }
-}
-
 /// Best tier the host CPU supports, probed once and cached. Ignores
 /// `KDAP_NO_SIMD` — see [`active_tier`] for the tier kernels actually use.
 pub fn detected_tier() -> KernelTier {
     static DETECTED: OnceLock<KernelTier> = OnceLock::new();
-    *DETECTED.get_or_init(detect)
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return KernelTier::Avx2;
+        }
+        KernelTier::Scalar
+    })
 }
 
 /// True when `KDAP_NO_SIMD` is set (to anything except `0` or the empty
@@ -151,31 +130,9 @@ pub fn detected_features() -> &'static [&'static str] {
     })
 }
 
-#[inline]
-fn mask_for(bits: usize) -> u64 {
-    if bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// Scalar reference: decodes `len` codes bit-packed at `bits` per code
-/// (slot 0 in the low bits, `64 / bits` codes per word) from `words` into
-/// `out[..len]`. `bits` must be one of 1/2/4/8/16/32 and `words` must hold
-/// at least `len` packed codes.
-pub fn unpack_words_scalar(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
-    let bits = bits as usize;
-    let per_word = 64 / bits;
-    let mask = mask_for(bits);
-    for (i, slot) in out[..len].iter_mut().enumerate() {
-        *slot = ((words[i / per_word] >> ((i % per_word) * bits)) & mask) as u32;
-    }
-}
-
 /// Decodes one full packed word (`64 / bits` codes) into `out`. The match
 /// arms have fixed trip counts so LLVM unrolls and auto-vectorizes them at
-/// the target's native width (SSE2 on x86_64, NEON on aarch64).
+/// the target's baseline width (SSE2 on x86_64, NEON on aarch64).
 #[inline]
 fn unpack_full_word(w: u64, bits: usize, out: &mut [u32]) {
     match bits {
@@ -212,39 +169,88 @@ fn unpack_full_word(w: u64, bits: usize, out: &mut [u32]) {
     }
 }
 
-/// Batch unpack as fixed-trip-count safe Rust (the Sse2/Neon tier
-/// implementation — LLVM auto-vectorizes the full-word loops).
-pub fn unpack_words_unrolled(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
+/// Decodes the low `out.len()` codes of one packed word — the final,
+/// partial word of an unpack on either tier.
+#[inline]
+fn unpack_partial_word(mut w: u64, bits: usize, out: &mut [u32]) {
+    let mask = (1u64 << bits) - 1;
+    for slot in out {
+        *slot = (w & mask) as u32;
+        w >>= bits;
+    }
+}
+
+/// Scalar tier: decodes `len` codes bit-packed at `bits` per code (slot 0
+/// in the low bits, `64 / bits` codes per word) from `words` into
+/// `out[..len]`. `bits` must be one of 1/2/4/8/16/32 and `words` must hold
+/// at least `len` packed codes.
+pub fn unpack_words_scalar(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
     let bits = bits as usize;
     let per_word = 64 / bits;
     let n_full = len / per_word;
-    for i in 0..n_full {
-        unpack_full_word(words[i], bits, &mut out[i * per_word..(i + 1) * per_word]);
+    let (full, tail) = out[..len].split_at_mut(n_full * per_word);
+    for (chunk, &w) in full.chunks_exact_mut(per_word).zip(&words[..n_full]) {
+        unpack_full_word(w, bits, chunk);
     }
-    let done = n_full * per_word;
-    if done < len {
-        let mask = mask_for(bits);
-        let mut w = words[n_full];
-        for slot in out[done..len].iter_mut() {
-            *slot = (w & mask) as u32;
-            w >>= bits;
-        }
+    if !tail.is_empty() {
+        unpack_partial_word(words[n_full], bits, tail);
     }
 }
 
 /// Dispatched bulk unpack: decodes `len` codes packed at `bits` per code
 /// from `words` into `out[..len]` using the [`active_tier`] kernel.
-/// Bit-identical to [`unpack_words_scalar`] on every tier.
+/// Bit-identical to [`unpack_words_scalar`]; panics when `words` or `out`
+/// is too short for `len` codes.
 pub fn unpack_words(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 => {
+            // The intrinsics store through raw pointers: prove both
+            // extents once, here, with checked slicing.
+            let words = &words[..len.div_ceil(64 / bits as usize)];
+            let out = &mut out[..len];
             // SAFETY: active_tier() returned Avx2, so runtime detection
-            // proved the AVX2 target features are available on this CPU.
-            unsafe { avx2::unpack(words, bits, len, out) }
+            // proved AVX2; the slices above hold exactly `len` codes.
+            unsafe { avx2::unpack(words, bits, out) }
         }
-        KernelTier::Scalar => unpack_words_scalar(words, bits, len, out),
-        _ => unpack_words_unrolled(words, bits, len, out),
+        _ => unpack_words_scalar(words, bits, len, out),
+    }
+}
+
+/// Scalar tier: total set bits in `words`.
+pub fn popcount_words_scalar(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Dispatched population count over `words`.
+pub fn popcount_words(words: &[u64]) -> usize {
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: tier Avx2 is only returned after runtime detection.
+        KernelTier::Avx2 => unsafe { avx2::popcount_words(words) },
+        _ => popcount_words_scalar(words),
+    }
+}
+
+/// Scalar tier: number of 0→1 transitions across `words` (the run count
+/// of the bitmap, carrying the top bit across word boundaries).
+pub fn count_run_starts_scalar(words: &[u64]) -> usize {
+    let mut n = 0usize;
+    let mut carry = 0u64;
+    for &w in words {
+        n += (w & !((w << 1) | carry)).count_ones() as usize;
+        carry = w >> 63;
+    }
+    n
+}
+
+/// Dispatched run-start (0→1 transition) count over `words`.
+pub fn count_run_starts(words: &[u64]) -> usize {
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: tier Avx2 is only returned after runtime detection.
+        KernelTier::Avx2 => unsafe { avx2::count_run_starts(words) },
+        _ => count_run_starts_scalar(words),
     }
 }
 
@@ -292,19 +298,19 @@ pub fn for_each_null<F: FnMut(usize)>(nulls: &[u64], range: Range<usize>, mut f:
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Explicit AVX2 unpack kernels. Every function here requires the
-    //! caller to have proved AVX2 support via runtime detection.
+    //! Explicit AVX2 kernels. Every function here requires the caller to
+    //! have proved AVX2 support via runtime detection.
     use std::arch::x86_64::*;
 
-    /// Bulk unpack with 256-bit lanes.
+    /// Bulk unpack of `out.len()` codes with 256-bit lanes.
     ///
     /// # Safety
-    /// Caller must guarantee the CPU supports AVX2 (runtime-detected).
+    /// Caller must guarantee the CPU supports AVX2 (runtime-detected) and
+    /// that `words` holds at least `out.len()` codes packed at `bits`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn unpack(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
-        let bits_us = bits as usize;
-        let per_word = 64 / bits_us;
-        let n_full = len / per_word;
+    pub unsafe fn unpack(words: &[u64], bits: u8, out: &mut [u32]) {
+        let per_word = 64 / bits as usize;
+        let n_full = out.len() / per_word;
         match bits {
             1 => unpack_small::<1>(words, n_full, out),
             2 => unpack_small::<2>(words, n_full, out),
@@ -312,29 +318,26 @@ mod avx2 {
             8 => unpack8(words, n_full, out),
             16 => unpack16(words, n_full, out),
             _ => {
-                for (i, &w) in words[..n_full].iter().enumerate() {
-                    out[i * 2] = w as u32;
-                    out[i * 2 + 1] = (w >> 32) as u32;
+                for (pair, &w) in out.chunks_exact_mut(2).zip(&words[..n_full]) {
+                    pair[0] = w as u32;
+                    pair[1] = (w >> 32) as u32;
                 }
             }
         }
         let done = n_full * per_word;
-        if done < len {
-            let mask = super::mask_for(bits_us);
-            let mut w = words[n_full];
-            for slot in out[done..len].iter_mut() {
-                *slot = (w & mask) as u32;
-                w >>= bits;
-            }
+        if done < out.len() {
+            super::unpack_partial_word(words[n_full], bits as usize, &mut out[done..]);
         }
     }
 
     /// Widths 1/2/4: broadcast each 32-bit half of a word and shift out
     /// eight codes per `vpsrlvd`, masked to `BITS`.
+    ///
+    /// # Safety
+    /// AVX2, and `out` must hold `n_full * 64 / BITS` codes.
     #[target_feature(enable = "avx2")]
     unsafe fn unpack_small<const BITS: i32>(words: &[u64], n_full: usize, out: &mut [u32]) {
         let lanes_per_half = (32 / BITS as usize).div_ceil(8); // srlv rounds per 32-bit half
-        let per_word = 64 / BITS as usize;
         let mask = _mm256_set1_epi32((1 << BITS) - 1);
         let mut o = out.as_mut_ptr();
         for &w in &words[..n_full] {
@@ -357,11 +360,13 @@ mod avx2 {
                     o = o.add(8);
                 }
             }
-            debug_assert!(per_word == lanes_per_half * 16);
         }
     }
 
     /// Width 8: one packed word is eight bytes; zero-extend to 8×u32.
+    ///
+    /// # Safety
+    /// AVX2, `words.len() >= n_full` and `out.len() >= n_full * 8`.
     #[target_feature(enable = "avx2")]
     unsafe fn unpack8(words: &[u64], n_full: usize, out: &mut [u32]) {
         for i in 0..n_full {
@@ -372,6 +377,9 @@ mod avx2 {
     }
 
     /// Width 16: two packed words are eight u16s; zero-extend to 8×u32.
+    ///
+    /// # Safety
+    /// AVX2, `words.len() >= n_full` and `out.len() >= n_full * 4`.
     #[target_feature(enable = "avx2")]
     unsafe fn unpack16(words: &[u64], n_full: usize, out: &mut [u32]) {
         let n_pair = n_full / 2;
@@ -381,12 +389,87 @@ mod avx2 {
             _mm256_storeu_si256(out.as_mut_ptr().add(i * 8) as *mut __m256i, wide);
         }
         if n_full % 2 == 1 {
-            let w = words[n_full - 1];
-            let base = (n_full - 1) * 4;
-            for j in 0..4 {
-                out[base + j] = ((w >> (j * 16)) & 0xFFFF) as u32;
-            }
+            super::unpack_full_word(words[n_full - 1], 16, &mut out[(n_full - 1) * 4..]);
         }
+    }
+
+    /// Per-byte popcount of one 256-bit lane via the nibble-LUT trick,
+    /// horizontally summed into four u64 lanes by `vpsadbw`.
+    ///
+    /// # Safety
+    /// Caller must guarantee AVX2 (runtime-detected).
+    #[target_feature(enable = "avx2")]
+    unsafe fn popcount256(v: __m256i) -> __m256i {
+        let lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let low_mask = _mm256_set1_epi8(0x0f);
+        let lo = _mm256_and_si256(v, low_mask);
+        let hi = _mm256_and_si256(_mm256_srli_epi32::<4>(v), low_mask);
+        let cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
+        _mm256_sad_epu8(cnt, _mm256_setzero_si256())
+    }
+
+    /// # Safety
+    /// Caller must guarantee AVX2 (runtime-detected).
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum_epi64(v: __m256i) -> u64 {
+        let lo = _mm256_castsi256_si128(v);
+        let hi = _mm256_extracti128_si256::<1>(v);
+        let s = _mm_add_epi64(lo, hi);
+        (_mm_cvtsi128_si64(s) as u64).wrapping_add(_mm_extract_epi64::<1>(s) as u64)
+    }
+
+    /// # Safety
+    /// Caller must guarantee AVX2 (runtime-detected).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn popcount_words(words: &[u64]) -> usize {
+        let n4 = words.len() / 4 * 4;
+        let p = words.as_ptr();
+        let mut acc = _mm256_setzero_si256();
+        let mut i = 0;
+        while i < n4 {
+            let v = _mm256_loadu_si256(p.add(i) as *const __m256i);
+            acc = _mm256_add_epi64(acc, popcount256(v));
+            i += 4;
+        }
+        hsum_epi64(acc) as usize + super::popcount_words_scalar(&words[n4..])
+    }
+
+    /// Counts 0→1 transitions: for each word `w` with predecessor `p`,
+    /// the starts are `w & !((w << 1) | (p >> 63))` — the predecessor load
+    /// is just an offset-by-one unaligned load, so the whole pass
+    /// vectorizes despite the carry chain.
+    ///
+    /// # Safety
+    /// Caller must guarantee AVX2 (runtime-detected).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn count_run_starts(words: &[u64]) -> usize {
+        if words.is_empty() {
+            return 0;
+        }
+        let w0 = words[0];
+        let mut n = (w0 & !(w0 << 1)).count_ones() as usize;
+        let m = words.len() - 1; // words[1..] vectorized against words[0..]
+        let n4 = m / 4 * 4;
+        let p = words.as_ptr();
+        let mut acc = _mm256_setzero_si256();
+        let mut i = 0;
+        while i < n4 {
+            let w = _mm256_loadu_si256(p.add(1 + i) as *const __m256i);
+            let prev = _mm256_loadu_si256(p.add(i) as *const __m256i);
+            let shifted = _mm256_or_si256(_mm256_slli_epi64::<1>(w), _mm256_srli_epi64::<63>(prev));
+            let starts = _mm256_andnot_si256(shifted, w);
+            acc = _mm256_add_epi64(acc, popcount256(starts));
+            i += 4;
+        }
+        n += hsum_epi64(acc) as usize;
+        for k in (1 + n4)..words.len() {
+            let w = words[k];
+            n += (w & !((w << 1) | (words[k - 1] >> 63))).count_ones() as usize;
+        }
+        n
     }
 }
 
@@ -404,7 +487,7 @@ mod tests {
     }
 
     fn codes_for(bits: usize, len: usize) -> Vec<u32> {
-        let mask = mask_for(bits) as u32;
+        let mask = ((1u64 << bits) - 1) as u32;
         // Deterministic pseudo-random pattern touching the full width.
         (0..len)
             .map(|i| {
@@ -415,41 +498,54 @@ mod tests {
     }
 
     #[test]
-    fn all_tiers_unpack_bit_identically() {
+    fn both_tiers_unpack_what_was_packed() {
         for bits in [1usize, 2, 4, 8, 16, 32] {
-            // Lengths straddling word boundaries, incl. empty and partial words.
-            for len in [0usize, 1, 7, 63, 64, 65, 128, 1000, 4096 + 13] {
+            // Lengths straddling word boundaries, incl. empty and partial
+            // words, and one full sealed chunk.
+            for len in [0usize, 1, 7, 63, 64, 65, 128, 333, 1000, 4096 + 13, 65_536] {
                 let codes = codes_for(bits, len);
                 let words = pack(&codes, bits);
-                let mut scalar = vec![0u32; len];
-                let mut unrolled = vec![u32::MAX; len];
+                let mut scalar = vec![u32::MAX; len];
                 let mut dispatched = vec![123u32; len];
                 unpack_words_scalar(&words, bits as u8, len, &mut scalar);
-                unpack_words_unrolled(&words, bits as u8, len, &mut unrolled);
                 unpack_words(&words, bits as u8, len, &mut dispatched);
                 assert_eq!(scalar, codes, "scalar bits={bits} len={len}");
-                assert_eq!(unrolled, codes, "unrolled bits={bits} len={len}");
                 assert_eq!(dispatched, codes, "dispatched bits={bits} len={len}");
             }
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_unpack_matches_scalar_when_available() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for bits in [1usize, 2, 4, 8, 16, 32] {
-            for len in [1usize, 65, 333, 65_536] {
-                let codes = codes_for(bits, len);
-                let words = pack(&codes, bits);
-                let mut got = vec![0u32; len];
-                // SAFETY: guarded by is_x86_feature_detected above.
-                unsafe { avx2::unpack(&words, bits as u8, len, &mut got) };
-                assert_eq!(got, codes, "avx2 bits={bits} len={len}");
+    #[should_panic]
+    fn unpack_rejects_a_short_output_buffer_on_every_tier() {
+        let words = vec![u64::MAX; 4];
+        let mut out = vec![0u32; 16];
+        unpack_words(&words, 8, 32, &mut out);
+    }
+
+    #[test]
+    fn popcount_and_run_starts_match_scalar() {
+        for len in [0usize, 1, 4, 5, 1024, 1023] {
+            for seed in [1u64, 0xFFFF_FFFF_FFFF_FFFF, 0x8000_0000_0000_0001] {
+                let mut w: Vec<u64> = (0..len as u64)
+                    .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .collect();
+                if len > 2 {
+                    w[1] = u64::MAX; // exercise cross-word runs
+                    w[2] = 1;
+                }
+                assert_eq!(popcount_words(&w), popcount_words_scalar(&w), "len={len}");
+                assert_eq!(
+                    count_run_starts(&w),
+                    count_run_starts_scalar(&w),
+                    "len={len} seed={seed}"
+                );
             }
         }
+        // Known values: 0b0110 has one run; a run spanning words has one.
+        assert_eq!(count_run_starts(&[0b0110]), 1);
+        assert_eq!(count_run_starts(&[1 << 63, 1]), 1);
+        assert_eq!(count_run_starts(&[1 << 63, 2]), 2);
     }
 
     #[test]
@@ -491,7 +587,7 @@ mod tests {
         let active = active_tier();
         let detected = detected_tier();
         if simd_disabled_by_env() {
-            assert!(active.is_scalar());
+            assert_eq!(active, KernelTier::Scalar);
         } else {
             assert_eq!(active, detected);
         }

@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builder;
@@ -47,6 +48,7 @@ pub mod column;
 pub mod csv;
 pub mod describe;
 pub mod error;
+#[allow(unsafe_code)]
 pub mod kernel;
 pub mod schema;
 pub mod spec;

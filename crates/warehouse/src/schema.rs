@@ -163,8 +163,6 @@ pub struct Schema {
     pub(crate) measures: Vec<Measure>,
     /// For each table, outgoing edges (this table is the child).
     pub(crate) edges_by_child: Vec<Vec<EdgeId>>,
-    /// For each table, incoming edges (this table is the parent).
-    pub(crate) edges_by_parent: Vec<Vec<EdgeId>>,
 }
 
 impl Schema {
@@ -186,11 +184,6 @@ impl Schema {
     /// Edges whose child side is `table`.
     pub fn edges_from_child(&self, table: TableId) -> &[EdgeId] {
         &self.edges_by_child[table.0 as usize]
-    }
-
-    /// Edges whose parent side is `table`.
-    pub fn edges_into_parent(&self, table: TableId) -> &[EdgeId] {
-        &self.edges_by_parent[table.0 as usize]
     }
 
     /// All dimensions.

@@ -1,13 +1,13 @@
-//! The vectorized kernel layer is an *execution* strategy, never a
-//! *semantics* change: every dispatched kernel (bit-unpack, bitmap word
-//! ops, popcount/run canonicalization, measure gather) must reproduce its
-//! scalar reference bit-for-bit, and the batch group-by scan built on
-//! them must reproduce the row-at-a-time oracle of `tests/support` —
-//! across bit widths, container shapes, null bitmaps, thread counts, and
-//! the dense-array / hash-fallback / mid-scan promotion accumulator
-//! paths. On hosts whose detected tier is already Scalar the kernel
-//! checks degenerate to scalar-vs-scalar and pass trivially; CI
-//! additionally runs the whole suite under `KDAP_NO_SIMD=1`.
+//! The kernel tier is an *execution* strategy, never a *semantics*
+//! change: each dispatched kernel (bit-unpack, popcount, run-start count)
+//! must reproduce the Scalar tier bit-for-bit — and, for unpack, the
+//! independent div/mod oracle kept below — and the batch group-by scan
+//! built on them must reproduce the row-at-a-time oracle of
+//! `tests/support` — across bit widths, container shapes, null bitmaps,
+//! thread counts, and the dense-array / hash-fallback / mid-scan
+//! promotion accumulator paths. On hosts without AVX2 the dispatched side
+//! *is* the Scalar tier and those checks pass trivially; CI additionally
+//! runs the whole suite under `KDAP_NO_SIMD=1`.
 
 mod support;
 
@@ -20,142 +20,110 @@ use kdap_suite::datagen::{build_aw_online, Scale};
 use kdap_suite::obs::Obs;
 use kdap_suite::query::aggregate_multi::multi_group_by_exec_sized;
 use kdap_suite::query::bitmap::BLOCK_ROWS;
-use kdap_suite::query::kernel as qkernel;
 use kdap_suite::query::{
-    multi_group_by_exec, Accumulator, ExecConfig, FacetGroups, FacetSpec, MeasureVector, RowSet,
-    DENSE_GROUP_LIMIT,
+    multi_group_by_exec, Accumulator, ExecConfig, FacetGroups, FacetSpec, MeasureVector,
+    QueryError, RowSet, DENSE_GROUP_LIMIT,
 };
-use kdap_suite::warehouse::kernel as wkernel;
+use kdap_suite::warehouse::kernel;
 
 use support::{
     aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical,
     project_categorical, project_numeric, workload,
 };
 
+/// Deterministic pseudo-random words (splitmix64).
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// The unpack oracle: one divide, one modulo, one shift and one mask per
+/// code — `len` codes bit-packed at `bits` per code, slot 0 in the low
+/// bits, `64 / bits` codes per word.
+fn unpack_words_oracle(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
+    let bits = bits as usize;
+    let per_word = 64 / bits;
+    let mask = (1u64 << bits) - 1;
+    for (i, slot) in out[..len].iter_mut().enumerate() {
+        *slot = ((words[i / per_word] >> ((i % per_word) * bits)) & mask) as u32;
+    }
+}
+
 // ---------------------------------------------------------------------
-// Kernel level: decode
+// Kernel level
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bulk bit-unpack: the dispatched kernel equals the scalar
-    /// reference for every supported width, at every length (including
-    /// empty and partial final words), and null-sentinel application on
-    /// top of both yields identical buffers.
+    /// Bulk bit-unpack, three ways: the div/mod oracle, the Scalar tier
+    /// and the dispatched kernel agree for every supported width, at
+    /// every length (including empty and partial final words), from every
+    /// word offset a chunked decode starts at, and null-sentinel
+    /// application on top yields identical buffers.
     #[test]
     fn unpack_dispatch_matches_scalar(
         bits in proptest::sample::select(vec![1u8, 2, 4, 8, 16, 32]),
         len in 0usize..3000,
+        // 0..3: land within one code of a word boundary; else keep `len`.
+        near_boundary in 0usize..6,
+        word_start in 0usize..40,
         seed in any::<u64>(),
         null_every in 0usize..8,
     ) {
         let per_word = 64 / bits as usize;
-        let n_words = len.div_ceil(per_word);
-        // Deterministic pseudo-random words from the seed (splitmix64).
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+        let len = match near_boundary {
+            off @ 0..=2 => (len / per_word * per_word + off).saturating_sub(1),
+            _ => len,
         };
-        let words: Vec<u64> = (0..n_words).map(|_| next()).collect();
-        let mut scalar = vec![0u32; len];
+        let mut next = splitmix(seed);
+        // A ranged chunk decode (`PackedCodes::for_each_bulk`) hands the
+        // kernel `&words[word_start..]`: an offset start and more words
+        // than `len` codes need.
+        let words: Vec<u64> =
+            (0..word_start + len.div_ceil(per_word) + 3).map(|_| next()).collect();
+        let src = &words[word_start..];
+        let mut oracle = vec![0u32; len];
+        let mut scalar = vec![0x5555_5555u32; len];
         let mut dispatched = vec![0xAAAA_AAAAu32; len];
-        wkernel::unpack_words_scalar(&words, bits, len, &mut scalar);
-        wkernel::unpack_words(&words, bits, len, &mut dispatched);
-        prop_assert_eq!(&scalar, &dispatched);
-        // Null sentinel on top: same bits set, same sentinel writes.
+        unpack_words_oracle(src, bits, len, &mut oracle);
+        kernel::unpack_words_scalar(src, bits, len, &mut scalar);
+        kernel::unpack_words(src, bits, len, &mut dispatched);
+        prop_assert_eq!(&oracle, &scalar);
+        prop_assert_eq!(&oracle, &dispatched);
+        // Null sentinel on top: exactly the null rows read NULL_CODE.
         let null_words: Vec<u64> = (0..len.div_ceil(64))
             .map(|_| if null_every == 0 { 0 } else { next() })
             .collect();
-        wkernel::apply_null_sentinel(&null_words, &mut scalar);
-        wkernel::apply_null_sentinel(&null_words, &mut dispatched);
-        prop_assert_eq!(&scalar, &dispatched);
-        for (i, v) in scalar.iter().enumerate() {
+        kernel::apply_null_sentinel(&null_words, &mut dispatched);
+        for (i, (&got, &code)) in dispatched.iter().zip(&oracle).enumerate() {
             let is_null = null_words[i / 64] >> (i % 64) & 1 == 1;
-            prop_assert_eq!(is_null, *v == wkernel::NULL_CODE || *v == u32::MAX && is_null,
-                "row {}", i);
+            prop_assert_eq!(got, if is_null { kernel::NULL_CODE } else { code }, "row {}", i);
         }
     }
 
-    /// Bitmap word kernels: AND / OR / ANDNOT, popcount, and
-    /// run-start counting all match their scalar references on random
-    /// word blocks of every length up to beyond one container.
+    /// Canonicalization counts: popcount and run-start counting match the
+    /// Scalar tier on random word blocks of every length up to beyond one
+    /// container, with long runs spliced in so carries cross words.
     #[test]
     fn word_ops_dispatch_matches_scalar(
         n_words in 0usize..1100,
         seed in any::<u64>(),
+        solid in 0usize..64,
     ) {
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let a: Vec<u64> = (0..n_words).map(|_| next()).collect();
-        let b: Vec<u64> = (0..n_words).map(|_| next()).collect();
-        for op in 0..3 {
-            let mut want = a.clone();
-            let mut got = a.clone();
-            match op {
-                0 => {
-                    qkernel::and_words_scalar(&mut want, &b);
-                    qkernel::and_words(&mut got, &b);
-                }
-                1 => {
-                    qkernel::or_words_scalar(&mut want, &b);
-                    qkernel::or_words(&mut got, &b);
-                }
-                _ => {
-                    qkernel::andnot_words_scalar(&mut want, &b);
-                    qkernel::andnot_words(&mut got, &b);
-                }
-            }
-            prop_assert_eq!(want, got, "op {}", op);
+        let mut next = splitmix(seed);
+        let mut a: Vec<u64> = (0..n_words).map(|_| next()).collect();
+        for w in a.iter_mut().skip(seed as usize % 7).take(solid) {
+            *w = u64::MAX;
         }
-        prop_assert_eq!(qkernel::popcount_words_scalar(&a), qkernel::popcount_words(&a));
-        prop_assert_eq!(qkernel::count_run_starts_scalar(&a), qkernel::count_run_starts(&a));
-    }
-
-    /// Measure gather: the dispatched gather copies exact bit patterns
-    /// (including NaN NULL sentinels) for arbitrary index orders.
-    #[test]
-    fn gather_dispatch_matches_scalar(
-        n_values in 1usize..4000,
-        n_idx in 0usize..2000,
-        seed in any::<u64>(),
-    ) {
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        // Raw bit patterns: every eighth value is a NaN payload.
-        let values: Vec<f64> = (0..n_values)
-            .map(|i| {
-                if i % 8 == 7 {
-                    f64::from_bits(f64::NAN.to_bits() | (i as u64))
-                } else {
-                    f64::from_bits(next() & 0x7FEF_FFFF_FFFF_FFFF)
-                }
-            })
-            .collect();
-        let idx: Vec<u32> = (0..n_idx).map(|_| (next() as usize % n_values) as u32).collect();
-        let mut want = vec![0.0f64; n_idx];
-        let mut got = vec![0.0f64; n_idx];
-        qkernel::gather_f64_scalar(&values, &idx, &mut want);
-        qkernel::gather_f64(&values, &idx, &mut got);
-        let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(want_bits, got_bits);
+        prop_assert_eq!(kernel::popcount_words_scalar(&a), kernel::popcount_words(&a));
+        prop_assert_eq!(kernel::count_run_starts_scalar(&a), kernel::count_run_starts(&a));
     }
 }
 
@@ -173,14 +141,7 @@ fn fill_block(set: &mut RowSet, model: &mut [bool], block: usize, shape: u8, see
         return;
     }
     let span = limit - base;
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = splitmix(seed);
     let mut put = |row: usize| {
         set.insert(row);
         model[row] = true;
@@ -211,10 +172,9 @@ fn fill_block(set: &mut RowSet, model: &mut [bool], block: usize, shape: u8, see
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Set algebra over mixed container shapes equals the boolean-vector
-    /// model: intersection, union, and difference (all routed through the
-    /// dispatched word kernels), plus cardinality (dispatched popcount)
-    /// and membership after canonicalization.
+    /// Intersection over mixed container shapes equals the boolean-vector
+    /// model, as do cardinality (dispatched popcount) and membership
+    /// after canonicalization (dispatched run-start count).
     #[test]
     fn rowset_ops_match_naive_model(
         shapes_a in proptest::collection::vec(0u8..3, 3),
@@ -240,17 +200,14 @@ proptest! {
             assert_eq!(set.len(), want.len());
         };
         let mut and = a.clone();
-        and.intersect_with(&b);
+        and.intersect_with(&b).unwrap();
         let m_and: Vec<bool> = ma.iter().zip(&mb).map(|(&x, &y)| x && y).collect();
         check(&and, &m_and);
-        let mut or = a.clone();
-        or.union_with(&b);
-        let m_or: Vec<bool> = ma.iter().zip(&mb).map(|(&x, &y)| x || y).collect();
-        check(&or, &m_or);
-        let mut diff = a.clone();
-        diff.and_not_with(&b);
-        let m_diff: Vec<bool> = ma.iter().zip(&mb).map(|(&x, &y)| x && !y).collect();
-        check(&diff, &m_diff);
+        // The same operands in canonical form (run containers included).
+        let canonical = |s: &RowSet| RowSet::from_words(universe, s.to_words()).unwrap();
+        let mut and = canonical(&a);
+        and.intersect_with(&canonical(&b)).unwrap();
+        check(&and, &m_and);
     }
 }
 
@@ -422,6 +379,37 @@ fn chunked_scan_keeps_the_chunk_then_merge_order() {
                 check_scan_against_oracle(&kdap, rows, threads, dense_limit);
             }
         }
+    }
+}
+
+/// The scan's trust boundary: it indexes the measure vector by fact row,
+/// so a row set over more rows than the vector covers is a typed error at
+/// entry — never an out-of-bounds read — on either tier.
+#[test]
+fn row_set_wider_than_the_measure_vector_is_a_typed_error() {
+    let wh = build_aw_online(Scale::small().scaled(25), 42).expect("generator is valid");
+    let measure = wh.schema().measure_by_name("SalesRevenue").unwrap();
+    let mv = MeasureVector::build(&wh, measure);
+    assert_eq!(mv.len(), 60_000);
+    let rows = RowSet::full(70_000);
+    for threads in [1usize, 4] {
+        let exec = ExecConfig::with_threads(threads);
+        let err = multi_group_by_exec(
+            &wh,
+            &[FacetSpec::Total],
+            &rows,
+            &mv,
+            &exec,
+            DENSE_GROUP_LIMIT,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::UniverseMismatch {
+                left: 70_000,
+                right: 60_000
+            }
+        );
     }
 }
 
