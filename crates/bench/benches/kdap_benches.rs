@@ -124,18 +124,15 @@ fn bench_aggregation(c: &mut Criterion) {
     let kdap = session();
     let wh = kdap.warehouse();
     let jidx = kdap.join_index();
-    let fact = wh.schema().fact_table();
     let attr = wh
         .col_ref("DimProductSubcategory", "ProductSubcategoryName")
         .unwrap();
     let path = kdap_bench::unique_fact_path(wh, "DimProductSubcategory");
     let all = RowSet::full(wh.fact_rows());
     let mv = MeasureVector::build(wh, kdap.measure());
-    // Built outside the loop: the row mapper is memoized per path, so the
-    // bench measures the aggregation.
     let specs = [FacetSpec::Categorical {
         attr,
-        mapper: jidx.row_mapper(wh, fact, &path),
+        mapper: jidx.row_mapper(&path),
     }];
     c.bench_function("aggregate/group_by_subcategory_60k_facts", |b| {
         b.iter(|| {

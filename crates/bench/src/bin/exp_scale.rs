@@ -10,7 +10,7 @@
 //! budget, and records the p50 explore latency per thread count.
 //!
 //! Methodology: per rung, the session is warmed once over every net
-//! (plans, row mappers, the measure vector), then each net is explored
+//! (plans, the measure vector), then each net is explored
 //! `repeats` times per thread count — rounds interleaved over the nets,
 //! keeping each net's best round (the same best-of-N discipline as
 //! `exp_obs`, so frequency drift cancels instead of inflating a rung) —
@@ -95,7 +95,7 @@ fn run_rung(
     let mut first = Some(first);
     for &t in threads {
         let kdap = first.take().unwrap_or_else(|| session(t));
-        // Warm once: plans, semi-join bitmaps, row mappers, measure
+        // Warm once: plans, semi-join bitmaps, measure
         // vector. Every explore runs governed by the memory budget — a
         // breach aborts the whole experiment, which is exactly the point.
         for net in &nets {

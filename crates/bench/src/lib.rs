@@ -105,34 +105,32 @@ pub fn hierarchy_rollup_cases(
     let parent_path = unique_fact_path(wh, wh.table(parent_attr.table).name());
 
     // child code → parent code, via the child table rows.
-    let to_parent = if parent_attr.table == child_attr.table {
-        None
-    } else {
-        let sub = paths_between(schema, child_attr.table, parent_attr.table, 4)
-            .into_iter()
-            .next()
-            .expect("hierarchy levels are connected");
-        Some(jidx.row_mapper(wh, child_attr.table, &sub))
-    };
+    // (The empty path, i.e. the identity, when both levels share a table.)
+    let sub = paths_between(schema, child_attr.table, parent_attr.table, 4)
+        .into_iter()
+        .next()
+        .expect("hierarchy levels are connected");
+    let to_parent = jidx.row_mapper(&sub);
 
     let dict = child_col.dict().expect("categorical child level");
     let mut cases = Vec::new();
     for (code, value) in dict.iter() {
         let rows = child_col.rows_with_codes(&[code]);
-        let parent_code = rows.iter().find_map(|&r| match &to_parent {
-            None => parent_col.get_code(r),
-            Some(mapper) => mapper[r].and_then(|pr| parent_col.get_code(pr as usize)),
-        });
+        let parent_code = rows
+            .iter()
+            .find_map(|&r| parent_col.get_code(to_parent.get(r)? as usize));
         let Some(parent_code) = parent_code else {
             continue;
         };
-        let ds =
-            Selection::by_codes(child_path.clone(), child_attr, vec![code]).eval(wh, jidx, fact);
+        let ds = Selection::by_codes(child_path.clone(), child_attr, vec![code])
+            .try_eval(wh, jidx, fact)
+            .expect("the level lives on its own path's target");
         if ds.len() < min_facts {
             continue;
         }
         let rup = Selection::by_codes(parent_path.clone(), parent_attr, vec![parent_code])
-            .eval(wh, jidx, fact);
+            .try_eval(wh, jidx, fact)
+            .expect("the level lives on its own path's target");
         cases.push(RollupCase {
             label: value.to_string(),
             ds,
@@ -152,10 +150,10 @@ pub fn numeric_values(
     attr: ColRef,
     rows: &RowSet,
 ) -> Vec<f64> {
-    let mapper = jidx.row_mapper(wh, wh.schema().fact_table(), path);
+    let mapper = jidx.row_mapper(path);
     let col = wh.column(attr);
     rows.iter()
-        .filter_map(|row| mapper[row])
+        .filter_map(|row| mapper.get(row))
         .filter_map(|target| col.get_float(target as usize))
         .collect()
 }
@@ -198,7 +196,7 @@ pub fn bucket_series(
 ) -> BucketSeries {
     let specs = [FacetSpec::Buckets {
         attr,
-        mapper: jidx.row_mapper(wh, wh.schema().fact_table(), attr_path),
+        mapper: jidx.row_mapper(attr_path),
         buckets: buckets.clone(),
     }];
     let scan = |rows: &RowSet| {

@@ -213,26 +213,19 @@ impl Repl {
                     "text index: {} term(s) · {} posting(s) · avg doc len {:.1}",
                     ts.terms, ts.postings, ts.avg_doc_len
                 )?;
-                if let Some(c) = self.kdap.subspace_cache_counters() {
-                    writeln!(
-                        out,
-                        "subspace cache: {} hits / {} misses / {} evictions",
-                        c.hits, c.misses, c.evictions
-                    )?;
+                let caches = [
+                    ("subspace", self.kdap.subspace_cache_counters()),
+                    ("semi-join", self.kdap.semijoin_counters()),
+                ];
+                for (name, c) in caches {
+                    if let Some(c) = c {
+                        writeln!(
+                            out,
+                            "{name} cache: {} hits / {} misses / {} evictions",
+                            c.hits, c.misses, c.evictions
+                        )?;
+                    }
                 }
-                if let Some(c) = self.kdap.semijoin_counters() {
-                    writeln!(
-                        out,
-                        "semi-join cache: {} hits / {} misses / {} evictions",
-                        c.hits, c.misses, c.evictions
-                    )?;
-                }
-                let m = self.kdap.mapper_counters();
-                writeln!(
-                    out,
-                    "row-mapper cache: {} hits / {} misses",
-                    m.hits, m.misses
-                )?;
             }
             Command::Help => writeln!(
                 out,
@@ -470,7 +463,6 @@ mod tests {
         let out = run(&mut r, "stats");
         assert!(out.contains("subspace cache"), "{out}");
         assert!(out.contains("semi-join cache"), "{out}");
-        assert!(out.contains("row-mapper cache"), "{out}");
         assert!(out.contains("text index:"), "{out}");
         assert!(out.contains("facts:"), "{out}");
     }

@@ -169,8 +169,6 @@ pub struct ExploreReport {
     /// Session semi-join-cache counters at report time, when the planner
     /// caches step bitmaps.
     pub semijoin_cache: Option<CacheCounters>,
-    /// Row-mapper-cache counters of the session's join index.
-    pub mapper_cache: Option<CacheCounters>,
 }
 
 impl ExploreReport {
@@ -195,12 +193,10 @@ impl ExploreReport {
                 f.attr, f.kernel, f.groups
             ));
         }
-        let caches: [(&str, &Option<CacheCounters>); 3] = [
+        for (name, counters) in [
             ("subspace cache", &self.subspace_cache),
             ("semi-join cache", &self.semijoin_cache),
-            ("row-mapper cache", &self.mapper_cache),
-        ];
-        for (name, counters) in caches {
+        ] {
             if let Some(c) = counters {
                 out.push_str(&format!(
                     "      {:<16} {} hit(s) / {} miss(es) / {} eviction(s)\n",

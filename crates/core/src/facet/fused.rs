@@ -18,19 +18,18 @@
 //!    (Eq. 2).
 //!
 //! Candidate `(attr, path)` pairs are deduplicated into one spec each, the
-//! measure is decoded once into a [`MeasureVector`], and row mappers are
-//! shared `Arc`s from the session's `JoinIndex` memo. The scoring math
+//! measure is decoded once into a [`MeasureVector`], and row mappers
+//! share the arrays of the session's `JoinIndex`. The scoring math
 //! ([`categorical_correlation`], [`numeric_worst_correlation`],
 //! [`rank_instances_from`]) is shared with the one-scan-per-facet
 //! reference in [`per_facet`](super::per_facet), which
 //! `tests/facet_equivalence.rs` holds this pipeline to field for field.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use kdap_query::{
     multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetGroups, FacetSpec, JoinIndex,
-    JoinPath, MeasureVector, DENSE_GROUP_LIMIT,
+    JoinPath, MeasureVector, RowMapper, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
@@ -98,7 +97,6 @@ pub fn explore_subspace(
     exec: &ExecConfig,
 ) -> Result<(Exploration, ExploreReport), KdapError> {
     let schema = wh.schema();
-    let fact = schema.fact_table();
     let obs = exec.obs.clone();
     let rups = {
         let _s = obs.span("explore.rollups");
@@ -143,9 +141,9 @@ pub fn explore_subspace(
             slots.len() - 1
         });
     }
-    let mappers: Vec<Arc<Vec<Option<u32>>>> = slots
+    let mappers: Vec<RowMapper> = slots
         .iter()
-        .map(|(_, path, _)| jidx.row_mapper(wh, fact, path))
+        .map(|(_, path, _)| jidx.row_mapper(path))
         .collect();
 
     // Scan A over DS′: total + categorical groups + numerical domains.
@@ -469,6 +467,5 @@ fn build_report(
         facets,
         subspace_cache: None,
         semijoin_cache: None,
-        mapper_cache: None,
     }
 }

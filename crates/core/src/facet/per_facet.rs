@@ -162,7 +162,7 @@ fn score_categorical(
     mv: &MeasureVector,
     cfg: &FacetConfig,
 ) -> Option<f64> {
-    let mapper = jidx.row_mapper(wh, wh.schema().fact_table(), path);
+    let mapper = jidx.row_mapper(path);
     let spec = FacetSpec::Categorical { attr, mapper };
     let ds = scan(wh, spec.clone(), &sub.rows, mv);
     let dom = ds.domain();
@@ -187,7 +187,7 @@ fn score_numerical(
     mv: &MeasureVector,
     cfg: &FacetConfig,
 ) -> Option<(f64, NumericSeries)> {
-    let mapper = jidx.row_mapper(wh, wh.schema().fact_table(), path);
+    let mapper = jidx.row_mapper(path);
     let domain = FacetSpec::NumericDomain {
         attr,
         mapper: mapper.clone(),
@@ -229,7 +229,7 @@ pub fn rank_instances(
     cfg: &FacetConfig,
     hit_codes: &HashSet<u32>,
 ) -> Vec<RankedInstance> {
-    let mapper = jidx.row_mapper(wh, wh.schema().fact_table(), path);
+    let mapper = jidx.row_mapper(path);
     let spec = FacetSpec::Categorical { attr, mapper };
     let ds = scan(wh, spec.clone(), &sub.rows, mv);
     let g_ds = scan(wh, FacetSpec::Total, &sub.rows, mv).total(cfg.agg);

@@ -7,7 +7,7 @@
 //! refreshed by consulting the text engine again with the phrase query,
 //! since the per-keyword scores are obsolete after the merge.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use kdap_textindex::TextIndex;
 
@@ -27,10 +27,11 @@ pub fn merged_group_pool(index: &TextIndex, hit_sets: &[HitSet]) -> Vec<HitGroup
     let n = hit_sets.len();
     for i in 0..n {
         for j in (i + 1)..n {
-            // Attribute domains present in every hit set of the run.
-            let mut common: Option<HashSet<_>> = None;
+            // Attribute domains present in every hit set of the run — an
+            // ordered set: pool order is generation order, never a hash's.
+            let mut common: Option<BTreeSet<_>> = None;
             for hs in &hit_sets[i..=j] {
-                let attrs: HashSet<_> = hs.groups.iter().map(|g| g.attr).collect();
+                let attrs: BTreeSet<_> = hs.groups.iter().map(|g| g.attr).collect();
                 common = Some(match common {
                     None => attrs,
                     Some(c) => c.intersection(&attrs).copied().collect(),

@@ -19,6 +19,9 @@
 //! The baseline method averages the raw text-engine scores (Hristidis et
 //! al., VLDB'03 style).
 
+use kdap_query::JoinPath;
+use kdap_warehouse::ColRef;
+
 use crate::interpret::StarNet;
 
 /// Ranking methods evaluated in the paper's Figure 4.
@@ -107,8 +110,10 @@ pub struct RankedStarNet {
     pub score: f64,
 }
 
-/// Scores and sorts star nets (descending; deterministic tie-break on the
-/// rendered constraint count and generation order).
+/// Scores and sorts star nets: descending score, then fewer groups first,
+/// then by what the nets constrain ([`StarNet::fingerprint`] as the last
+/// word) — so the order depends on the nets alone, never on the order
+/// they were generated in.
 pub fn rank_star_nets(nets: Vec<StarNet>, method: RankMethod) -> Vec<RankedStarNet> {
     let mut ranked: Vec<RankedStarNet> = nets
         .into_iter()
@@ -117,12 +122,25 @@ pub fn rank_star_nets(nets: Vec<StarNet>, method: RankMethod) -> Vec<RankedStarN
             net,
         })
         .collect();
-    ranked.sort_by(|a, b| {
+    let by_score_then_size = |a: &RankedStarNet, b: &RankedStarNet| {
         b.score
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.net.n_groups().cmp(&b.net.n_groups()))
-    });
+    };
+    ranked.sort_by(by_score_then_size);
+    // Ties are the rule on ambiguous queries (one hit group along several
+    // join paths scores the same) and a fingerprint is a compile plus a
+    // `format!`: compare where the constraints sit first, in place.
+    fn sites(r: &RankedStarNet) -> impl Iterator<Item = (ColRef, &JoinPath)> {
+        r.net.constraints.iter().map(|c| (c.group.attr, &c.path))
+    }
+    for tied in ranked.chunk_by_mut(|a, b| by_score_then_size(a, b).is_eq()) {
+        tied.sort_by(|a, b| {
+            let by_fingerprint = || a.net.fingerprint().cmp(&b.net.fingerprint());
+            sites(a).cmp(sites(b)).then_with(by_fingerprint)
+        });
+    }
     ranked
 }
 

@@ -73,20 +73,14 @@ fn parent_codes(
 ) -> Option<(JoinPath, Vec<u32>)> {
     let selected_rows = wh.column(attr).rows_with_codes(codes);
     let parent_col = wh.column(parent_attr);
-    if parent_attr.table == attr.table {
-        let set: BTreeSet<u32> = selected_rows
-            .iter()
-            .filter_map(|&r| parent_col.get_code(r))
-            .collect();
-        return Some((JoinPath::empty(), set.into_iter().collect()));
-    }
-    // Snowflake: levels in different tables; walk child → parent edges.
+    // Levels in one table: the empty path, whose mapper is the identity.
+    // Snowflake: walk child → parent edges.
     let paths = paths_between(wh.schema(), attr.table, parent_attr.table, 4);
     let sub_path = paths.into_iter().next()?;
-    let mapper = jidx.row_mapper(wh, attr.table, &sub_path);
+    let mapper = jidx.row_mapper(&sub_path);
     let set: BTreeSet<u32> = selected_rows
         .iter()
-        .filter_map(|&r| mapper[r].and_then(|pr| parent_col.get_code(pr as usize)))
+        .filter_map(|&r| parent_col.get_code(mapper.get(r)? as usize))
         .collect();
     Some((sub_path, set.into_iter().collect()))
 }

@@ -7,7 +7,7 @@
 //! measure per row. This module fuses them: **one scan** of the row set
 //! feeds the accumulators of *all* facet specs at once, over
 //! session-materialized inputs — a [`MeasureVector`] decoded once per
-//! session and `Arc` row mappers memoized per `(origin, path)` in the
+//! session and [`RowMapper`]s sharing the arrays of the session's
 //! [`JoinIndex`](crate::JoinIndex). A single-attribute group-by is the
 //! one-spec case of the same scan.
 //!
@@ -27,7 +27,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use kdap_warehouse::{ColRef, Measure, Warehouse};
 
@@ -36,6 +35,7 @@ use crate::bitmap::RowSet;
 use crate::error::QueryError;
 use crate::exec::{chunk_ranges, par_map, ExecConfig};
 use crate::kernel::{self, KernelTier, NULL_CODE};
+use crate::semijoin::RowMapper;
 
 /// Default dictionary-cardinality cutoff for the dense accumulator path.
 ///
@@ -95,9 +95,9 @@ impl MeasureVector {
 /// One group-by requested from the fused scan.
 ///
 /// Every variant that reads an attribute carries its own fact→target row
-/// mapper (shared `Arc`s from the session's
-/// [`JoinIndex`](crate::JoinIndex) memo), so the scan itself touches no
-/// locks and builds no joins.
+/// mapper (sharing the arrays of the session's
+/// [`JoinIndex`](crate::JoinIndex)), so the scan itself touches no locks
+/// and builds no joins.
 #[derive(Debug, Clone)]
 pub enum FacetSpec {
     /// Group by the dictionary code of a categorical attribute.
@@ -105,14 +105,14 @@ pub enum FacetSpec {
         /// The group-by attribute.
         attr: ColRef,
         /// Fact row → attribute-table row.
-        mapper: Arc<Vec<Option<u32>>>,
+        mapper: RowMapper,
     },
     /// Group a numerical attribute into basic intervals.
     Buckets {
         /// The group-by attribute.
         attr: ColRef,
         /// Fact row → attribute-table row.
-        mapper: Arc<Vec<Option<u32>>>,
+        mapper: RowMapper,
         /// The interval partitioning.
         buckets: Bucketizer,
     },
@@ -122,7 +122,7 @@ pub enum FacetSpec {
         /// The attribute whose domain is measured.
         attr: ColRef,
         /// Fact row → attribute-table row.
-        mapper: Arc<Vec<Option<u32>>>,
+        mapper: RowMapper,
     },
     /// Total aggregate of the measure over the row set (no grouping).
     Total,
@@ -432,7 +432,7 @@ thread_local! {
 fn batch_categorical(
     g: &mut FacetGroups,
     codes: &[u32],
-    mapper: &[Option<u32>],
+    mapper: &RowMapper,
     row_buf: &[u32],
     meas_buf: &[f64],
     oob: &mut u64,
@@ -445,7 +445,7 @@ fn batch_categorical(
                 let mut hit_oob = false;
                 while k < len {
                     let row = row_buf[k] as usize;
-                    let Some(t) = mapper[row] else {
+                    let Some(t) = mapper.get(row) else {
                         k += 1;
                         continue;
                     };
@@ -478,7 +478,7 @@ fn batch_categorical(
                     let row = row_buf[k] as usize;
                     let m = meas_buf[k];
                     k += 1;
-                    let Some(t) = mapper[row] else {
+                    let Some(t) = mapper.get(row) else {
                         continue;
                     };
                     let code = codes[t as usize];
@@ -617,7 +617,7 @@ pub fn multi_group_by_exec_sized(
                             unreachable!("groups[i] was built from specs[i]")
                         };
                         for (k, &row) in row_buf.iter().enumerate() {
-                            let Some(t) = mapper[row as usize] else {
+                            let Some(t) = mapper.get(row as usize) else {
                                 continue;
                             };
                             let Some(b) = buckets.bucket_of(vals[t as usize]) else {
@@ -636,7 +636,7 @@ pub fn multi_group_by_exec_sized(
                             unreachable!("groups[i] was built from specs[i]")
                         };
                         for &row in row_buf.iter() {
-                            let Some(t) = mapper[row as usize] else {
+                            let Some(t) = mapper.get(row as usize) else {
                                 continue;
                             };
                             let v = vals[t as usize];
@@ -870,12 +870,11 @@ mod tests {
     #[test]
     fn one_scan_answers_every_spec() {
         let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
         let city = wh.col_ref("STORE", "City").unwrap();
         let sqft = wh.col_ref("STORE", "SqFt").unwrap();
         let all = RowSet::full(wh.fact_rows());
         let mv = MeasureVector::build(&wh, &measure);
-        let mapper = idx.row_mapper(&wh, fact, &path);
+        let mapper = idx.row_mapper(&path);
         let domain = FacetSpec::NumericDomain {
             attr: sqft,
             mapper: mapper.clone(),
@@ -955,10 +954,9 @@ mod tests {
     #[test]
     fn null_measure_rows_count_for_presence_not_aggregates() {
         let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
         let city = wh.col_ref("STORE", "City").unwrap();
         let mv = MeasureVector::build(&wh, &measure);
-        let mapper = idx.row_mapper(&wh, fact, &path);
+        let mapper = idx.row_mapper(&path);
         // Only the NULL-measure fact (row 4, Seattle).
         let only_null = RowSet::from_rows(wh.fact_rows(), [4]);
         let specs = vec![FacetSpec::Categorical { attr: city, mapper }];
@@ -974,10 +972,9 @@ mod tests {
     #[test]
     fn threaded_execution_matches_serial() {
         let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
         let city = wh.col_ref("STORE", "City").unwrap();
         let mv = MeasureVector::build(&wh, &measure);
-        let mapper = idx.row_mapper(&wh, fact, &path);
+        let mapper = idx.row_mapper(&path);
         let specs = vec![
             FacetSpec::Categorical {
                 attr: city,
@@ -1000,13 +997,12 @@ mod tests {
     }
 
     /// Feeds `(code, measure)` pairs through [`batch_categorical`] as one
-    /// chunk of rows `0..n` under an identity row mapper.
+    /// chunk of rows `0..n` under the identity row mapper.
     fn feed(g: &mut FacetGroups, touches: &[(u32, Option<f64>)], oob: &mut u64) {
         let codes: Vec<u32> = touches.iter().map(|(c, _)| *c).collect();
         let meas: Vec<f64> = touches.iter().map(|(_, m)| m.unwrap_or(f64::NAN)).collect();
         let rows: Vec<u32> = (0..touches.len() as u32).collect();
-        let mapper: Vec<Option<u32>> = rows.iter().copied().map(Some).collect();
-        batch_categorical(g, &codes, &mapper, &rows, &meas, oob);
+        batch_categorical(g, &codes, &RowMapper::default(), &rows, &meas, oob);
     }
 
     #[test]
@@ -1066,10 +1062,9 @@ mod tests {
         use std::sync::Arc;
 
         let (wh, idx, path, measure) = setup();
-        let fact = wh.schema().fact_table();
         let city = wh.col_ref("STORE", "City").unwrap();
         let mv = MeasureVector::build(&wh, &measure);
-        let mapper = idx.row_mapper(&wh, fact, &path);
+        let mapper = idx.row_mapper(&path);
         let specs = vec![FacetSpec::Categorical { attr: city, mapper }];
         let all = RowSet::full(wh.fact_rows());
 

@@ -119,55 +119,9 @@ pub fn paths_between(
     target: TableId,
     max_len: usize,
 ) -> Vec<JoinPath> {
-    let mut out = Vec::new();
-    if origin == target {
-        out.push(JoinPath::empty());
-    }
-    let mut stack: Vec<EdgeId> = Vec::new();
-    let mut visited: Vec<TableId> = vec![origin];
-    dfs(
-        schema,
-        origin,
-        target,
-        max_len,
-        &mut stack,
-        &mut visited,
-        &mut out,
-    );
-    out.sort();
-    out
-}
-
-fn dfs(
-    schema: &Schema,
-    at: TableId,
-    target: TableId,
-    max_len: usize,
-    stack: &mut Vec<EdgeId>,
-    visited: &mut Vec<TableId>,
-    out: &mut Vec<JoinPath>,
-) {
-    if stack.len() >= max_len {
-        return;
-    }
-    for &eid in schema.edges_from_child(at) {
-        let edge = schema.edge(eid);
-        let next = edge.parent.table;
-        // Simple paths only: a table appears at most once per path.
-        if visited.contains(&next) {
-            continue;
-        }
-        stack.push(eid);
-        if next == target {
-            out.push(JoinPath {
-                edges: stack.clone(),
-            });
-        }
-        visited.push(next);
-        dfs(schema, next, target, max_len, stack, visited, out);
-        visited.pop();
-        stack.pop();
-    }
+    paths_from(schema, origin, max_len)
+        .remove(&target)
+        .unwrap_or_default()
 }
 
 /// Enumerates all join paths from the fact table to every reachable table.
@@ -176,12 +130,22 @@ fn dfs(
 /// probes: "for each hit group, find all the join paths connecting to the
 /// fact table".
 pub fn fact_paths_by_table(schema: &Schema, max_len: usize) -> HashMap<TableId, Vec<JoinPath>> {
-    let fact = schema.fact_table();
+    paths_from(schema, schema.fact_table(), max_len)
+}
+
+/// Every simple join path of up to `max_len` edges leaving `origin`,
+/// sorted, by the table it ends at; `origin` itself is reached by the
+/// empty path.
+pub(crate) fn paths_from(
+    schema: &Schema,
+    origin: TableId,
+    max_len: usize,
+) -> HashMap<TableId, Vec<JoinPath>> {
     let mut out: HashMap<TableId, Vec<JoinPath>> = HashMap::new();
-    out.entry(fact).or_default().push(JoinPath::empty());
+    out.entry(origin).or_default().push(JoinPath::empty());
     let mut stack = Vec::new();
-    let mut visited = vec![fact];
-    collect_all(schema, fact, max_len, &mut stack, &mut visited, &mut out);
+    let mut visited = vec![origin];
+    collect_all(schema, origin, max_len, &mut stack, &mut visited, &mut out);
     for paths in out.values_mut() {
         paths.sort();
     }
@@ -202,6 +166,7 @@ fn collect_all(
     for &eid in schema.edges_from_child(at) {
         let edge = schema.edge(eid);
         let next = edge.parent.table;
+        // Simple paths only: a table appears at most once per path.
         if visited.contains(&next) {
             continue;
         }

@@ -3,173 +3,222 @@
 //! group-by aggregation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use kdap_obs::CacheCounters;
-use kdap_warehouse::{ColRef, EdgeId, TableId, Warehouse};
+use kdap_warehouse::{ColRef, EdgeId, FkEdge, TableId, Warehouse};
 
 use crate::bitmap::RowSet;
 use crate::error::QueryError;
-use crate::path::JoinPath;
+use crate::path::{paths_from, JoinPath, MAX_PATH_LEN};
 
-/// An origin→target row mapper: `mapper[origin_row]` is the row of the
-/// path's target table the origin row joins to, `None` when the join
-/// dead-ends.
-pub type RowMapper = Arc<Vec<Option<u32>>>;
+/// "No parent row": the child's key is NULL.
+const NO_ROW: u32 = u32::MAX;
 
-/// Precomputed per-edge hash indexes over a warehouse.
+/// An origin→target row mapper along one join path: `get(origin_row)` is
+/// the row of the path's target table the origin row joins to, `None`
+/// when the join dead-ends on a NULL key.
 ///
-/// For each FK edge `child.fk → parent.pk` we store both directions:
-/// * `children_by_key`: parent key → child row ids (semi-join *down*
-///   towards the fact table),
-/// * `parent_row_by_key`: key → parent row id (mapping fact rows *up* to
-///   dimension attributes).
+/// A mapper owns nothing sized by its origin table: it shares the arrays
+/// of the [`JoinIndex`] it came from, so a clone is two reference-count
+/// bumps and a lookup at most two array loads. The representation is
+/// private to this module; the default mapper is the empty path's, the
+/// identity.
+#[derive(Debug, Clone, Default)]
+pub struct RowMapper {
+    /// The path's first edge, child row → parent row; `None` for the
+    /// empty path.
+    first: Option<Arc<[u32]>>,
+    /// Every further hop, composed into one array over the first edge's
+    /// parent table; `None` for paths of at most one edge.
+    tail: Option<Arc<[u32]>>,
+}
+
+impl RowMapper {
+    /// The target-table row that `row` of the origin table joins to.
+    #[inline]
+    pub fn get(&self, row: usize) -> Option<u32> {
+        let Some(first) = &self.first else {
+            return Some(row as u32);
+        };
+        let at = first[row];
+        if at == NO_ROW {
+            return None;
+        }
+        let at = match &self.tail {
+            Some(tail) => tail[at as usize],
+            None => at,
+        };
+        (at != NO_ROW).then_some(at)
+    }
+}
+
+/// One FK edge `child.fk → parent.pk`, resolved to row ids both ways.
+struct EdgeIndex {
+    /// Child row → parent row, [`NO_ROW`] for a NULL key: the mapping
+    /// *up* from fact rows to dimension attributes.
+    parent_of: Arc<[u32]>,
+    /// CSR: the child rows of parent row `p`, ascending, are
+    /// `children[offsets[p]..offsets[p + 1]]` — the semi-join *down*
+    /// towards the fact table.
+    offsets: Vec<u32>,
+    children: Vec<u32>,
+}
+
+/// Every FK edge of a warehouse resolved to row ids, once.
 ///
-/// Built once per warehouse; all query operations borrow it.
+/// Immutable after [`JoinIndex::build`]: no query builds, locks or counts
+/// anything here, and a [`RowMapper`] for any enumerated path is assembled
+/// from the index's own arrays without allocating one.
 pub struct JoinIndex {
-    children_by_key: Vec<HashMap<i64, Vec<u32>>>,
-    parent_row_by_key: Vec<HashMap<i64, u32>>,
-    /// Memoized origin→target row mappers, keyed by `(origin, path)` —
-    /// the same path walked from different origin tables (e.g. the fact
-    /// table vs. a hierarchy level during roll-up) maps different rows.
-    mapper_cache: Mutex<HashMap<(TableId, JoinPath), RowMapper>>,
-    mapper_hits: AtomicU64,
-    mapper_misses: AtomicU64,
+    /// Indexed by [`EdgeId`].
+    edges: Vec<EdgeIndex>,
+    /// The hops after the first of every simple path of three to
+    /// [`MAX_PATH_LEN`] edges, composed into one array over the table
+    /// they start at (a dimension table) and keyed by those hops.
+    tails: HashMap<Vec<EdgeId>, Arc<[u32]>>,
 }
 
 impl JoinIndex {
-    /// Builds hash indexes for every edge of `wh`.
+    /// Resolves every edge of `wh`. The only hashing is one temporary
+    /// key → row map per distinct parent key column, shared by the edges
+    /// into it (role-playing ones such as Buyer/Seller) and dropped
+    /// before the next is built.
     pub fn build(wh: &Warehouse) -> Self {
         let schema = wh.schema();
-        let mut children_by_key = Vec::with_capacity(schema.edges().len());
-        let mut parent_row_by_key = Vec::with_capacity(schema.edges().len());
-        for edge in schema.edges() {
-            let child_col = wh.column(edge.child);
-            let mut by_key: HashMap<i64, Vec<u32>> = HashMap::new();
-            for row in 0..child_col.len() {
-                if let Some(k) = child_col.get_int(row) {
-                    by_key.entry(k).or_default().push(row as u32);
+        let mut by_parent: Vec<&FkEdge> = schema.edges().iter().collect();
+        by_parent.sort_by_key(|e| e.parent);
+        let mut edges: Vec<(EdgeId, EdgeIndex)> = Vec::with_capacity(by_parent.len());
+        for group in by_parent.chunk_by(|a, b| a.parent == b.parent) {
+            // One row per key: `WarehouseBuilder::finish` rejects a repeat.
+            let parent_col = wh.column(group[0].parent);
+            let row_of_key: HashMap<i64, u32> = (0..parent_col.len())
+                .filter_map(|row| Some((parent_col.get_int(row)?, row as u32)))
+                .collect();
+            for edge in group {
+                let index = index_edge(wh, edge.child, parent_col.len(), &row_of_key);
+                edges.push((edge.id, index));
+            }
+        }
+        edges.sort_by_key(|(id, _)| *id);
+        let mut idx = JoinIndex {
+            edges: edges.into_iter().map(|(_, index)| index).collect(),
+            tails: HashMap::new(),
+        };
+        // A tail starts where a first edge ends: at a parent table.
+        let mut starts: Vec<TableId> = by_parent.iter().map(|e| e.parent.table).collect();
+        starts.dedup();
+        for start in starts {
+            for tail in paths_from(schema, start, MAX_PATH_LEN - 1)
+                .into_values()
+                .flatten()
+            {
+                if tail.len() >= 2 {
+                    let composed = idx.compose(tail.edges());
+                    idx.tails.insert(tail.edges().to_vec(), composed);
                 }
             }
-            children_by_key.push(by_key);
-
-            let parent_col = wh.column(edge.parent);
-            let mut by_pk: HashMap<i64, u32> = HashMap::with_capacity(parent_col.len());
-            for row in 0..parent_col.len() {
-                if let Some(k) = parent_col.get_int(row) {
-                    // Last writer wins; builders guarantee unique PKs in
-                    // practice, and duplicates would be a data bug that the
-                    // integrity check surfaces elsewhere.
-                    by_pk.insert(k, row as u32);
-                }
-            }
-            parent_row_by_key.push(by_pk);
         }
-        JoinIndex {
-            children_by_key,
-            parent_row_by_key,
-            mapper_cache: Mutex::new(HashMap::new()),
-            mapper_hits: AtomicU64::new(0),
-            mapper_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Hit/miss/eviction counters of the row-mapper cache. Mappers are
-    /// never dropped, so evictions stay 0 for the index's lifetime.
-    pub fn mapper_counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.mapper_hits.load(Ordering::Relaxed),
-            misses: self.mapper_misses.load(Ordering::Relaxed),
-            evictions: 0,
-        }
-    }
-
-    /// Child rows of `edge` whose FK equals `key`.
-    pub fn children(&self, edge: EdgeId, key: i64) -> &[u32] {
-        self.children_by_key[edge.0 as usize]
-            .get(&key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// The parent row of `edge` with primary key `key`.
-    pub fn parent_row(&self, edge: EdgeId, key: i64) -> Option<u32> {
-        self.parent_row_by_key[edge.0 as usize].get(&key).copied()
+        idx
     }
 
     /// Semi-joins a set of *target-table* rows back down `path` to the
     /// path's origin table, returning the origin rows that reach any of
-    /// them. With the empty path this is just `target_rows` itself.
+    /// them. With the empty path this is just `target_rows` itself. A
+    /// set that is not over the rows of the path's target table is a
+    /// [`QueryError::UniverseMismatch`].
     pub fn rows_reaching(
         &self,
-        wh: &Warehouse,
-        origin: TableId,
         path: &JoinPath,
         target_rows: &RowSet,
-    ) -> RowSet {
-        let schema = wh.schema();
-        debug_assert_eq!(
-            target_rows.universe(),
-            wh.table(path.target_table(schema, origin)).nrows()
-        );
+    ) -> Result<RowSet, QueryError> {
         let mut current = target_rows.clone();
         // Walk edges from the target back to the origin.
         for &eid in path.edges().iter().rev() {
-            let edge = schema.edge(eid);
-            let parent_col = wh.column(edge.parent);
-            let child_nrows = wh.table(edge.child.table).nrows();
-            let mut next = RowSet::empty(child_nrows);
-            current.for_each_in_word_range(0..current.n_words(), |parent_row| {
-                if let Some(key) = parent_col.get_int(parent_row) {
-                    for &child_row in self.children(eid, key) {
-                        next.insert(child_row as usize);
-                    }
+            let edge = &self.edges[eid.0 as usize];
+            let parent_rows = edge.offsets.len() - 1;
+            if current.universe() != parent_rows {
+                return Err(QueryError::UniverseMismatch {
+                    left: current.universe(),
+                    right: parent_rows,
+                });
+            }
+            let mut next = RowSet::empty(edge.parent_of.len());
+            current.for_each_in_word_range(0..current.n_words(), |p| {
+                let range = edge.offsets[p] as usize..edge.offsets[p + 1] as usize;
+                for &child_row in &edge.children[range] {
+                    next.insert(child_row as usize);
                 }
             });
             current = next;
         }
-        current
+        Ok(current)
     }
 
-    /// For each row of the path's origin table, the row of the target
-    /// table it joins to (or `None` on a NULL FK along the way).
-    ///
-    /// Mappers are memoized per `(origin, path)` — facet construction
-    /// reuses the same dimension paths for every candidate attribute, so
-    /// each mapping is built once per session, not once per group-by.
-    pub fn row_mapper(
-        &self,
-        wh: &Warehouse,
-        origin: TableId,
-        path: &JoinPath,
-    ) -> Arc<Vec<Option<u32>>> {
-        if let Some(m) = self.mapper_cache.lock().get(&(origin, path.clone())) {
-            self.mapper_hits.fetch_add(1, Ordering::Relaxed);
-            return m.clone();
+    /// The origin→target row mapper of `path` (a valid chain, as
+    /// [`JoinPath::new`] guarantees). Only a path [`JoinIndex::build`] did
+    /// not foresee — longer than [`MAX_PATH_LEN`], or of three or more
+    /// hops and revisiting a table — composes an array here, and it is
+    /// not kept.
+    pub fn row_mapper(&self, path: &JoinPath) -> RowMapper {
+        let Some((first, rest)) = path.edges().split_first() else {
+            return RowMapper::default();
+        };
+        let tail = match rest {
+            [] => None,
+            [second] => Some(self.edges[second.0 as usize].parent_of.clone()),
+            _ => Some(match self.tails.get(rest) {
+                Some(composed) => composed.clone(),
+                None => self.compose(rest),
+            }),
+        };
+        RowMapper {
+            first: Some(self.edges[first.0 as usize].parent_of.clone()),
+            tail,
         }
-        self.mapper_misses.fetch_add(1, Ordering::Relaxed);
-        let schema = wh.schema();
-        let n = wh.table(origin).nrows();
-        let mut mapping: Vec<Option<u32>> = (0..n as u32).map(Some).collect();
-        for &eid in path.edges() {
-            let edge = schema.edge(eid);
-            let child_col = wh.column(edge.child);
-            for slot in mapping.iter_mut() {
-                *slot = slot.and_then(|row| {
-                    child_col
-                        .get_int(row as usize)
-                        .and_then(|key| self.parent_row(eid, key))
-                });
-            }
-        }
-        let mapping = Arc::new(mapping);
-        self.mapper_cache
-            .lock()
-            .insert((origin, path.clone()), mapping.clone());
-        mapping
+    }
+
+    /// The hops of the non-empty `chain` applied in order, as one array
+    /// over the rows of the table it starts at.
+    fn compose(&self, chain: &[EdgeId]) -> Arc<[u32]> {
+        let hop = |e: &EdgeId| &self.edges[e.0 as usize].parent_of;
+        chain[1..].iter().fold(hop(&chain[0]).clone(), |so_far, e| {
+            // `NO_ROW` lies past the end of every array, so it maps to itself.
+            let next = |&p: &u32| hop(e).get(p as usize).copied().unwrap_or(NO_ROW);
+            so_far.iter().map(next).collect()
+        })
+    }
+}
+
+/// Resolves every key of `child` through `row_of_key`, then groups the
+/// child rows by parent row with a counting sort.
+fn index_edge(
+    wh: &Warehouse,
+    child: ColRef,
+    parent_rows: usize,
+    row_of_key: &HashMap<i64, u32>,
+) -> EdgeIndex {
+    let child_col = wh.column(child);
+    let resolve = |row| Some(*row_of_key.get(&child_col.get_int(row)?)?);
+    let parent_of: Arc<[u32]> = (0..child_col.len())
+        .map(|row| resolve(row).unwrap_or(NO_ROW))
+        .collect();
+    let mut offsets = vec![0u32; parent_rows + 1];
+    for &p in parent_of.iter().filter(|&&p| p != NO_ROW) {
+        offsets[p as usize + 1] += 1;
+    }
+    for p in 0..parent_rows {
+        offsets[p + 1] += offsets[p];
+    }
+    let mut next = offsets.clone();
+    let mut children = vec![0u32; offsets[parent_rows] as usize];
+    for (row, &p) in parent_of.iter().enumerate().filter(|(_, &p)| p != NO_ROW) {
+        children[next[p as usize] as usize] = row as u32;
+        next[p as usize] += 1;
+    }
+    EdgeIndex {
+        parent_of,
+        offsets,
+        children,
     }
 }
 
@@ -224,17 +273,8 @@ impl Selection {
     }
 
     /// Evaluates the selection: origin-table rows whose joined target row
-    /// satisfies the predicate. Panics on a selection whose attribute is
-    /// off the path's target table; hot paths use [`Selection::try_eval`].
-    pub fn eval(&self, wh: &Warehouse, idx: &JoinIndex, origin: TableId) -> RowSet {
-        // Documented panic (see doc comment above).
-        #[allow(clippy::expect_used)]
-        self.try_eval(wh, idx, origin)
-            .expect("attr must live on path target")
-    }
-
-    /// Fallible [`Selection::eval`]: surfaces an attribute/path mismatch
-    /// as a typed [`QueryError`] instead of a debug-only assertion.
+    /// satisfies the predicate. An attribute off the path's target table
+    /// is a typed [`QueryError`].
     pub fn try_eval(
         &self,
         wh: &Warehouse,
@@ -252,15 +292,11 @@ impl Selection {
         let matching: Vec<usize> = match &self.predicate {
             Predicate::Codes(codes) => col.rows_with_codes(codes),
             Predicate::Range { lo, hi } => (0..col.len())
-                .filter(|&r| {
-                    col.get_float(r)
-                        .map(|v| v >= *lo && v <= *hi)
-                        .unwrap_or(false)
-                })
+                .filter(|&r| col.get_float(r).is_some_and(|v| v >= *lo && v <= *hi))
                 .collect(),
         };
         let target_rows = RowSet::from_rows(wh.table(target).nrows(), matching);
-        Ok(idx.rows_reaching(wh, origin, &self.path, &target_rows))
+        idx.rows_reaching(&self.path, &target_rows)
     }
 }
 
@@ -341,7 +377,7 @@ mod tests {
         let attr = wh.col_ref("DIM", "Name").unwrap();
         let code = wh.column(attr).dict().unwrap().code_of("Widget").unwrap();
         let sel = Selection::by_codes(path, attr, vec![code]);
-        let rows = sel.eval(&wh, &idx, fact);
+        let rows = sel.try_eval(&wh, &idx, fact).unwrap();
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![0, 1]);
     }
 
@@ -355,7 +391,7 @@ mod tests {
         let attr = wh.col_ref("OUTER", "Region").unwrap();
         let code = wh.column(attr).dict().unwrap().code_of("East").unwrap();
         let sel = Selection::by_codes(path, attr, vec![code]);
-        let rows = sel.eval(&wh, &idx, fact);
+        let rows = sel.try_eval(&wh, &idx, fact).unwrap();
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
 
@@ -367,7 +403,7 @@ mod tests {
         let attr = wh.col_ref("DIM", "Name").unwrap();
         let code = wh.column(attr).dict().unwrap().code_of("Gadget").unwrap();
         let sel = Selection::by_codes(JoinPath::empty(), attr, vec![code]);
-        let rows = sel.eval(&wh, &idx, dim);
+        let rows = sel.try_eval(&wh, &idx, dim).unwrap();
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![1]);
     }
 
@@ -388,7 +424,7 @@ mod tests {
                 dict.code_of("Gadget").unwrap(),
             ],
         );
-        assert_eq!(sel.eval(&wh, &idx, fact).len(), 4);
+        assert_eq!(sel.try_eval(&wh, &idx, fact).unwrap().len(), 4);
     }
 
     #[test]
@@ -396,29 +432,126 @@ mod tests {
         let wh = snowflake();
         let idx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
-        let outer = wh.table_id("OUTER").unwrap();
-        let path = paths_between(wh.schema(), fact, outer, 4).remove(0);
-        let mapping = idx.row_mapper(&wh, fact, &path);
-        assert_eq!(mapping.as_ref(), &vec![Some(0), Some(0), Some(1), Some(1)]);
-        // Second call hits the cache and returns the same Arc.
-        let again = idx.row_mapper(&wh, fact, &path);
-        assert!(Arc::ptr_eq(&mapping, &again));
-        assert_eq!(idx.mapper_counters(), CacheCounters::new(1, 1, 0));
+        let (dim, outer) = (wh.table_id("DIM").unwrap(), wh.table_id("OUTER").unwrap());
+        let two_hops = paths_between(wh.schema(), fact, outer, 4).remove(0);
+        let mapping = idx.row_mapper(&two_hops);
+        let targets: Vec<_> = (0..4).map(|r| mapping.get(r)).collect();
+        assert_eq!(targets, vec![Some(0), Some(0), Some(1), Some(1)]);
+        // Nothing is built per call: mappers through the same first edge
+        // share the index's own array for it.
+        let one_hop = idx.row_mapper(&paths_between(wh.schema(), fact, dim, 4).remove(0));
+        assert!(Arc::ptr_eq(
+            mapping.first.as_ref().unwrap(),
+            one_hop.first.as_ref().unwrap()
+        ));
+        assert!(one_hop.tail.is_none());
     }
 
     #[test]
-    fn row_mapper_cache_distinguishes_origins() {
+    fn empty_path_mapper_is_the_identity_without_an_array() {
+        let idx = JoinIndex::build(&snowflake());
+        let identity = idx.row_mapper(&JoinPath::empty());
+        assert!(identity.first.is_none() && identity.tail.is_none());
+        assert_eq!(identity.get(3), Some(3));
+    }
+
+    /// T0(fact) → T1 → … → T`hops`, three rows per table: row `r` joins
+    /// to row `(r + 1) % 3` of the next table, except that T`i` row 2 has
+    /// a NULL key for odd `i`.
+    fn chain(hops: usize) -> Warehouse {
+        let mut b = WarehouseBuilder::new();
+        for t in 0..=hops {
+            let cols = [
+                ("Key", ValueType::Int, false),
+                ("Next", ValueType::Int, false),
+            ];
+            b.table(&format!("T{t}"), &cols).unwrap();
+            for r in 0..3i64 {
+                let next = if t % 2 == 1 && r == 2 {
+                    kdap_warehouse::Value::Null
+                } else {
+                    ((r + 1) % 3).into()
+                };
+                b.row(&format!("T{t}"), vec![r.into(), next]).unwrap();
+            }
+        }
+        for t in 0..hops {
+            b.edge(
+                &format!("T{t}.Next"),
+                &format!("T{}.Key", t + 1),
+                None,
+                None,
+            )
+            .unwrap();
+        }
+        b.fact("T0").unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Follows the chain's key columns row by row.
+    fn walk_chain(wh: &Warehouse, hops: usize, row: usize) -> Option<u32> {
+        (0..hops).try_fold(row as u32, |at, t| {
+            let next = wh.col_ref(&format!("T{t}"), "Next").unwrap();
+            wh.column(next).get_int(at as usize).map(|k| k as u32)
+        })
+    }
+
+    #[test]
+    fn long_paths_use_precomposed_tails_or_compose_on_the_spot() {
+        // The tail of a path of up to MAX_PATH_LEN edges is pre-composed;
+        // one more hop leaves a tail one edge too long for that.
+        for hops in [3, MAX_PATH_LEN, MAX_PATH_LEN + 1] {
+            let wh = chain(hops);
+            let idx = JoinIndex::build(&wh);
+            let fact = wh.schema().fact_table();
+            let edges = (0..hops as u32).map(EdgeId).collect();
+            let path = JoinPath::new(wh.schema(), fact, edges).unwrap();
+            assert_eq!(
+                idx.tails.contains_key(&path.edges()[1..]),
+                hops <= MAX_PATH_LEN
+            );
+            let mapper = idx.row_mapper(&path);
+            for row in 0..3 {
+                assert_eq!(mapper.get(row), walk_chain(&wh, hops, row), "{hops} hops");
+            }
+            if hops <= MAX_PATH_LEN {
+                let again = idx.row_mapper(&path);
+                assert!(Arc::ptr_eq(
+                    mapper.tail.as_ref().unwrap(),
+                    again.tail.as_ref().unwrap()
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn rows_reaching_rejects_a_set_over_the_wrong_universe() {
         let wh = snowflake();
         let idx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
-        let dim = wh.table_id("DIM").unwrap();
-        // The empty path is valid from any origin: its mapper is the
-        // identity over that origin's rows. A path-only cache key would
-        // hand the FACT-sized identity back for the DIM request.
-        let fact_map = idx.row_mapper(&wh, fact, &JoinPath::empty());
-        let dim_map = idx.row_mapper(&wh, dim, &JoinPath::empty());
-        assert_eq!(fact_map.len(), 4);
-        assert_eq!(dim_map.len(), 2, "empty path from DIM is DIM-sized");
+        let outer = wh.table_id("OUTER").unwrap();
+        let path = paths_between(wh.schema(), fact, outer, 4).remove(0);
+        let outer_rows = wh.table(outer).nrows();
+        assert_eq!(
+            idx.rows_reaching(&path, &RowSet::full(outer_rows))
+                .unwrap()
+                .len(),
+            4
+        );
+        // One row too wide, one too narrow: typed errors, not an index
+        // panic in the CSR walk.
+        for universe in [outer_rows + 1, outer_rows - 1] {
+            let err = idx
+                .rows_reaching(&path, &RowSet::full(universe))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                QueryError::UniverseMismatch {
+                    left: universe,
+                    right: outer_rows
+                }
+            );
+        }
     }
 
     #[test]
@@ -444,6 +577,6 @@ mod tests {
         let path = paths_between(wh.schema(), fact, dim, 4).remove(0);
         let attr = wh.col_ref("DIM", "Name").unwrap();
         let sel = Selection::by_codes(path, attr, vec![]);
-        assert!(sel.eval(&wh, &idx, fact).is_empty());
+        assert!(sel.try_eval(&wh, &idx, fact).unwrap().is_empty());
     }
 }

@@ -55,7 +55,7 @@ proptest! {
         let codes: Vec<u32> = dict.code_of(&format!("L{wanted}")).into_iter().collect();
 
         let sel = Selection::by_codes(path, attr, codes);
-        let got: HashSet<usize> = sel.eval(&wh, &idx, fact).iter().collect();
+        let got: HashSet<usize> = sel.try_eval(&wh, &idx, fact).unwrap().iter().collect();
 
         // Brute force: follow keys by hand.
         let mut expect = HashSet::new();
@@ -93,7 +93,7 @@ proptest! {
                 .unwrap()
                 .remove(0)
         };
-        let mapper = idx.row_mapper(&wh, fact, &path);
+        let mapper = idx.row_mapper(&path);
         let groups = scan(FacetSpec::Categorical { attr, mapper }, &all).to_map(AggFunc::Sum);
         let group_total: f64 = groups.values().sum();
         // Joinable facts only (dangling fact keys fall out of the join).

@@ -302,14 +302,20 @@ impl WarehouseBuilder {
             });
         }
 
-        // Referential integrity: every non-null child key must exist among
-        // the parent keys.
+        // Referential integrity: a parent key identifies one row, and
+        // every non-null child key must exist among the parent keys — so
+        // each non-null FK resolves to exactly one parent row.
         for e in &edges {
             let parent_col = self.tables[e.parent.table.0 as usize].column(e.parent.col as usize);
             let mut parent_keys = HashSet::with_capacity(parent_col.len());
             for row in 0..parent_col.len() {
                 if let Some(k) = parent_col.get_int(row) {
-                    parent_keys.insert(k);
+                    if !parent_keys.insert(k) {
+                        return Err(WarehouseError::DuplicateKey {
+                            column: self.edges[e.id.0 as usize].parent.clone(),
+                            key: k,
+                        });
+                    }
                 }
             }
             let child_col = self.tables[e.child.table.0 as usize].column(e.child.col as usize);
@@ -445,6 +451,21 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn duplicate_parent_key_detected() {
+        let mut b = base();
+        // A second product row reusing key 1: FACT.PKey = 1 would join to
+        // two rows.
+        b.row("P", vec![1i64.into(), "Twin".into()]).unwrap();
+        assert_eq!(
+            b.finish().unwrap_err(),
+            WarehouseError::DuplicateKey {
+                column: "P.PKey".into(),
+                key: 1,
+            }
+        );
     }
 
     #[test]

@@ -52,6 +52,13 @@ pub enum WarehouseError {
         /// A child key with no matching parent row.
         missing_key: i64,
     },
+    /// A non-null key repeats in the parent column of a foreign-key edge.
+    DuplicateKey {
+        /// The parent key column, as `Table.Column`.
+        column: String,
+        /// The repeated key.
+        key: i64,
+    },
 }
 
 impl fmt::Display for WarehouseError {
@@ -92,6 +99,9 @@ impl fmt::Display for WarehouseError {
                 f,
                 "broken foreign key on edge {edge}: key {missing_key} has no parent row"
             ),
+            WarehouseError::DuplicateKey { column, key } => {
+                write!(f, "duplicate key in parent column {column}: {key} repeats")
+            }
         }
     }
 }

@@ -3,7 +3,8 @@
 //! invariants that make KDAP results trustworthy.
 
 use kdap_suite::core::{
-    generate_star_nets, materialize, rank_star_nets, rollup_spaces, GenConfig, Kdap, RankMethod,
+    generate_star_nets, materialize, rank_star_nets, rollup_spaces, GenConfig, Kdap, QueryRequest,
+    RankMethod, Verb,
 };
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 use kdap_suite::query::{AggFunc, JoinIndex};
@@ -137,5 +138,47 @@ fn both_aw_warehouses_run_the_full_pipeline() {
         let ex = kdap.explore(&ranked[0].net).expect("star net evaluates");
         assert!(ex.subspace_size > 0, "{query} subspace non-empty");
         assert!(!ex.panels.is_empty());
+    }
+}
+
+/// Equal `(score, group count)` interpretations are ordered by their own
+/// constraints, and phrase merging walks attributes in order, so a tie
+/// never falls back on a hash's iteration order: the same query lists —
+/// and at a rank-1 tie, explores — the same interpretations in every
+/// session. The two queries are the ones `kdap_bench` (README, finding 1)
+/// caught differing from call to call on AW_ONLINE ×10.
+#[test]
+fn tied_interpretations_rank_identically_in_every_session() {
+    // ×10's dimensions carry the vocabulary the queries tie on;
+    // differentiate reads no fact row, so the fact table stays small.
+    let scale = Scale {
+        facts: 2_400,
+        ..Scale::full().scaled(10)
+    };
+    let wh = build_aw_online(scale, 42).unwrap();
+    let requests = [
+        "Road 1900 Headsets France",
+        "Mountain 900 2001 Touring France",
+    ]
+    .map(|keywords| QueryRequest::new(Verb::Differentiate, keywords));
+    let bodies = |kdap: Kdap| {
+        requests.each_ref().map(|request| {
+            let response = kdap.run(request).unwrap();
+            let tied = response
+                .ranked
+                .windows(2)
+                .any(|w| w[0].score == w[1].score && w[0].net.n_groups() == w[1].net.n_groups());
+            assert!(
+                tied,
+                "{}: the ranking has a tie to break",
+                response.keywords
+            );
+            response.to_json()
+        })
+    };
+    let session = || Kdap::builder(wh.clone()).build().unwrap();
+    let first = bodies(session());
+    for _ in 1..20 {
+        assert_eq!(bodies(session()), first);
     }
 }

@@ -19,7 +19,7 @@ use kdap_suite::query::{
 
 use support::{
     aggregate_total, candidate_specs, group_by_buckets, group_by_categorical, project_categorical,
-    project_numeric, workload,
+    project_numeric, workload, KeyWalker,
 };
 
 proptest! {
@@ -38,14 +38,14 @@ proptest! {
         let fx = workload();
         let kdap = &fx.serial;
         let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
-        let fact = wh.schema().fact_table();
+        let keys = KeyWalker::new(wh);
         let measure = kdap.measure();
         let mv = MeasureVector::build(wh, measure);
         let exec = ExecConfig::with_threads(threads);
         let dense_limit = if dense { DENSE_GROUP_LIMIT } else { 0 };
         for net in fx.nets(query_idx).iter().take(2) {
             let sub = materialize(wh, jidx, net);
-            let tagged = candidate_specs(kdap, &sub.rows);
+            let tagged = candidate_specs(kdap, &keys, &sub.rows);
             let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
             let groups = multi_group_by_exec(wh, &specs, &sub.rows, &mv, &exec, dense_limit).unwrap();
             prop_assert_eq!(groups.len(), specs.len());
@@ -63,29 +63,27 @@ proptest! {
                         if dense_limit > 0 {
                             prop_assert!(fg.is_dense());
                         }
-                        let expect = group_by_categorical(
-                            wh, jidx, fact, path, *attr, &sub.rows, measure,
-                        );
+                        let expect =
+                            group_by_categorical(&keys, path, *attr, &sub.rows, measure);
                         prop_assert_eq!(
                             fg.to_map(AggFunc::Sum),
                             expect.iter().map(|(c, a)| (*c, a.finish(AggFunc::Sum))).collect()
                         );
                         prop_assert_eq!(
                             fg.domain(),
-                            project_categorical(wh, jidx, fact, path, *attr, &sub.rows)
+                            project_categorical(&keys, path, *attr, &sub.rows)
                         );
                     }
                     FacetSpec::Buckets { attr, buckets, .. } => {
-                        let expect = group_by_buckets(
-                            wh, jidx, fact, path, *attr, &sub.rows, measure, buckets,
-                        );
+                        let expect =
+                            group_by_buckets(&keys, path, *attr, &sub.rows, measure, buckets);
                         prop_assert_eq!(
                             fg.to_series(AggFunc::Sum),
                             expect.iter().map(|a| a.finish(AggFunc::Sum)).collect::<Vec<_>>()
                         );
                     }
                     FacetSpec::NumericDomain { attr, .. } => {
-                        let values = project_numeric(wh, jidx, fact, path, *attr, &sub.rows);
+                        let values = project_numeric(&keys, path, *attr, &sub.rows);
                         prop_assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
                     }
                 }

@@ -28,7 +28,7 @@ use kdap_suite::warehouse::kernel;
 
 use support::{
     aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical,
-    project_categorical, project_numeric, workload,
+    project_categorical, project_numeric, workload, KeyWalker,
 };
 
 /// Deterministic pseudo-random words (splitmix64).
@@ -285,12 +285,12 @@ fn accumulators(fg: &FacetGroups) -> BTreeMap<u32, Accumulator> {
 /// and holds each result to the oracle: same groups, same domains, same
 /// accumulator bit patterns (count, sum, min, max).
 fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
-    let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
-    let fact = wh.schema().fact_table();
+    let wh = kdap.warehouse();
+    let keys = KeyWalker::new(wh);
     let measure = kdap.measure();
     let mv = MeasureVector::build(wh, measure);
     let exec = ExecConfig::with_threads(threads);
-    let tagged = candidate_specs(kdap, rows);
+    let tagged = candidate_specs(kdap, &keys, rows);
     let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
     let got = multi_group_by_exec(wh, &specs, rows, &mv, &exec, dense_limit).unwrap();
     assert_eq!(got.len(), specs.len());
@@ -298,23 +298,20 @@ fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_l
         let want: BTreeMap<u32, Accumulator> = match spec {
             FacetSpec::Total => [(0, aggregate_total(wh, measure, rows))].into(),
             FacetSpec::Categorical { attr, .. } => {
-                assert_eq!(
-                    fg.domain(),
-                    project_categorical(wh, jidx, fact, path, *attr, rows)
-                );
-                group_by_categorical(wh, jidx, fact, path, *attr, rows, measure)
+                assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
+                group_by_categorical(&keys, path, *attr, rows, measure)
                     .into_iter()
                     .collect()
             }
             FacetSpec::Buckets { attr, buckets, .. } => {
-                group_by_buckets(wh, jidx, fact, path, *attr, rows, measure, buckets)
+                group_by_buckets(&keys, path, *attr, rows, measure, buckets)
                     .into_iter()
                     .enumerate()
                     .map(|(b, acc)| (b as u32, acc))
                     .collect()
             }
             FacetSpec::NumericDomain { attr, .. } => {
-                let values = project_numeric(wh, jidx, fact, path, *attr, rows);
+                let values = project_numeric(&keys, path, *attr, rows);
                 let finite = || values.iter().copied().filter(|v| v.is_finite());
                 let FacetGroups::Domain { min, max, any } = fg else {
                     panic!("domain spec yields a domain");
@@ -430,7 +427,7 @@ fn oob_promotion_matches_hash_path_under_threads() {
     let rows = RowSet::full(wh.fact_rows());
     // A categorical spec whose domain has at least two codes, so a
     // one-slot dense array must promote.
-    let spec = candidate_specs(kdap, &rows)
+    let spec = candidate_specs(kdap, &KeyWalker::new(wh), &rows)
         .into_iter()
         .map(|(_, s)| s)
         .find(|s| {

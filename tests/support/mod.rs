@@ -1,11 +1,15 @@
-//! Shared test support: the row-at-a-time aggregation oracle and the
-//! AW_ONLINE workload fixture the equivalence suites sweep.
+//! Shared test support: the key-walking join resolver, the
+//! row-at-a-time aggregation oracle built on it, and the AW_ONLINE
+//! workload fixture the equivalence suites sweep.
 //!
 //! The oracle is the engine's single-attribute group-by in its plainest
 //! form — one attribute, one row at a time through the public per-row
-//! accessors (`RowSet::iter_word_range`, `Column::get_code`/`get_float`,
-//! `Warehouse::eval_measure`): no batches, no predecoded columns, no
-//! gather or unpack kernels, no threads. It keeps exactly one thing in
+//! accessors (`RowSet::iter_word_range`, `Column::get_int`/`get_code`/
+//! `get_float`, `Warehouse::eval_measure`): no batches, no predecoded
+//! columns, no gather or unpack kernels, no threads, and no
+//! [`JoinIndex`] — joins follow key *values* through [`KeyWalker`], so
+//! the engine's row-id index is compared against key semantics rather
+//! than against itself. It keeps exactly one thing in
 //! common with `multi_group_by_exec`, because it is the engine's
 //! documented floating-point contract: rows accumulate in ascending order
 //! within fixed [`CHUNK_WORDS`]-word (8192-row) chunks of the bitmap, and
@@ -19,10 +23,57 @@ use std::sync::OnceLock;
 use kdap_suite::core::{Kdap, StarNet};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::query::{
-    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinIndex, JoinPath, RowSet,
-    MAX_PATH_LEN,
+    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, RowSet, MAX_PATH_LEN,
 };
 use kdap_suite::warehouse::{ColRef, Measure, TableId, ValueType, Warehouse};
+
+/// Resolves joins by key value: a child row's FK is read with `get_int`
+/// and looked up among the parent column's keys (one `get_int` pass per
+/// edge at construction). Shares nothing with `JoinIndex`.
+pub struct KeyWalker<'a> {
+    /// The warehouse walked.
+    pub wh: &'a Warehouse,
+    /// Per edge: parent key → the parent row holding it.
+    parent_row_of_key: Vec<HashMap<i64, usize>>,
+}
+
+impl<'a> KeyWalker<'a> {
+    /// Reads every edge's parent key column. A repeated key has no
+    /// row-level meaning for a join, so it panics.
+    pub fn new(wh: &'a Warehouse) -> Self {
+        let parent_row_of_key = wh
+            .schema()
+            .edges()
+            .iter()
+            .map(|edge| {
+                let keys = wh.column(edge.parent);
+                let mut rows = HashMap::new();
+                for row in 0..keys.len() {
+                    if let Some(key) = keys.get_int(row) {
+                        assert!(rows.insert(key, row).is_none(), "key {key} repeats");
+                    }
+                }
+                rows
+            })
+            .collect();
+        KeyWalker {
+            wh,
+            parent_row_of_key,
+        }
+    }
+
+    /// The row of `path`'s target table that `row` of its origin table
+    /// joins to; `None` on a NULL key along the way.
+    pub fn resolve(&self, path: &JoinPath, row: usize) -> Option<usize> {
+        path.edges().iter().try_fold(row, |at, &eid| {
+            let key = self
+                .wh
+                .column(self.wh.schema().edge(eid).child)
+                .get_int(at)?;
+            self.parent_row_of_key[eid.0 as usize].get(&key).copied()
+        })
+    }
+}
 
 /// Bitmap words per accumulation chunk (8192 rows).
 const CHUNK_WORDS: usize = 128;
@@ -64,21 +115,19 @@ pub fn aggregate_total(wh: &Warehouse, measure: &Measure, rows: &RowSet) -> Accu
 /// reached via `path`, accumulating the measure. Rows with NULL joins,
 /// NULL attribute values or a NULL measure are skipped.
 pub fn group_by_categorical(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
+    keys: &KeyWalker,
     path: &JoinPath,
     attr: ColRef,
     rows: &RowSet,
     measure: &Measure,
 ) -> HashMap<u32, Accumulator> {
-    let mapper = idx.row_mapper(wh, origin, path);
+    let wh = keys.wh;
     let col = wh.column(attr);
     let mut merged: HashMap<u32, Accumulator> = HashMap::new();
     for chunk in chunks(rows) {
         let mut partial: HashMap<u32, Accumulator> = HashMap::new();
         for row in rows.iter_word_range(chunk) {
-            let Some(code) = mapper[row].and_then(|t| col.get_code(t as usize)) else {
+            let Some(code) = keys.resolve(path, row).and_then(|t| col.get_code(t)) else {
                 continue;
             };
             if let Some(v) = wh.eval_measure(measure, row) {
@@ -94,25 +143,23 @@ pub fn group_by_categorical(
 
 /// Groups `rows` by bucketized numeric value of `attr` via `path`,
 /// accumulating the measure: one accumulator per bucket.
-#[allow(clippy::too_many_arguments)]
 pub fn group_by_buckets(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
+    keys: &KeyWalker,
     path: &JoinPath,
     attr: ColRef,
     rows: &RowSet,
     measure: &Measure,
     buckets: &Bucketizer,
 ) -> Vec<Accumulator> {
-    let mapper = idx.row_mapper(wh, origin, path);
+    let wh = keys.wh;
     let col = wh.column(attr);
     let mut merged = vec![Accumulator::default(); buckets.n_buckets()];
     for chunk in chunks(rows) {
         let mut partial = vec![Accumulator::default(); buckets.n_buckets()];
         for row in rows.iter_word_range(chunk) {
-            let Some(b) = mapper[row]
-                .and_then(|t| col.get_float(t as usize))
+            let Some(b) = keys
+                .resolve(path, row)
+                .and_then(|t| col.get_float(t))
                 .and_then(|v| buckets.bucket_of(v))
             else {
                 continue;
@@ -131,36 +178,25 @@ pub fn group_by_buckets(
 /// The numeric values of `attr` observed across `rows` via `path` (the
 /// domain the bucketizer spans — "the set of all distinct values
 /// projected from DS′", §5.2).
-pub fn project_numeric(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
-    path: &JoinPath,
-    attr: ColRef,
-    rows: &RowSet,
-) -> Vec<f64> {
-    let mapper = idx.row_mapper(wh, origin, path);
-    let col = wh.column(attr);
+pub fn project_numeric(keys: &KeyWalker, path: &JoinPath, attr: ColRef, rows: &RowSet) -> Vec<f64> {
+    let col = keys.wh.column(attr);
     rows.iter()
-        .filter_map(|row| mapper[row].and_then(|t| col.get_float(t as usize)))
+        .filter_map(|row| keys.resolve(path, row).and_then(|t| col.get_float(t)))
         .collect()
 }
 
 /// The sorted distinct dictionary codes of `attr` observed across `rows`
 /// via `path` (DOM(DS′, attr), §5.2).
 pub fn project_categorical(
-    wh: &Warehouse,
-    idx: &JoinIndex,
-    origin: TableId,
+    keys: &KeyWalker,
     path: &JoinPath,
     attr: ColRef,
     rows: &RowSet,
 ) -> Vec<u32> {
-    let mapper = idx.row_mapper(wh, origin, path);
-    let col = wh.column(attr);
+    let col = keys.wh.column(attr);
     let seen: BTreeSet<u32> = rows
         .iter()
-        .filter_map(|row| mapper[row].and_then(|t| col.get_code(t as usize)))
+        .filter_map(|row| keys.resolve(path, row).and_then(|t| col.get_code(t)))
         .collect();
     seen.into_iter().collect()
 }
@@ -169,7 +205,7 @@ pub fn project_categorical(
 /// as one spec list (plus a Total), each tagged with the join path the
 /// oracle walks. Float attributes contribute a domain spec and, when
 /// they have a finite value in `rows`, an 8-bucket spec.
-pub fn candidate_specs(kdap: &Kdap, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)> {
+pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)> {
     let wh = kdap.warehouse();
     let jidx = kdap.join_index();
     let schema = wh.schema();
@@ -184,7 +220,7 @@ pub fn candidate_specs(kdap: &Kdap, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)>
         let Some(path) = by_table.get(&tid).and_then(|paths| paths.first()) else {
             continue;
         };
-        let mapper = jidx.row_mapper(wh, fact, path);
+        let mapper = jidx.row_mapper(path);
         for (c, col) in wh.tables()[t as usize].columns().iter().enumerate() {
             let attr = ColRef::new(tid, c as u32);
             if col.dict().is_some() {
@@ -203,7 +239,7 @@ pub fn candidate_specs(kdap: &Kdap, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)>
                         mapper: mapper.clone(),
                     },
                 ));
-                let values = project_numeric(wh, jidx, fact, path, attr, rows);
+                let values = project_numeric(keys, path, attr, rows);
                 if let Some(buckets) = Bucketizer::equal_width(values, 8) {
                     out.push((
                         path.clone(),
