@@ -16,7 +16,7 @@
 //! Run: `cargo run --release -p kdap-bench --bin exp_hybrid`
 
 use kdap_bench::print_table;
-use kdap_core::{FacetOrder, Kdap, QueryOptions};
+use kdap_core::{FacetOrder, Kdap, KdapError, QueryOptions, QueryRequest, Verb};
 use kdap_datagen::{build_aw_online, Scale};
 
 const SESSION: &[&str] = &[
@@ -60,11 +60,12 @@ fn main() {
         let mut score_sum = 0.0;
         let mut score_n = 0usize;
         for q in SESSION {
-            let ranked = kdap.interpret(q);
-            let Some(r) = ranked.first() else { continue };
-            let ex = kdap
-                .explore_with_options(&r.net, &options)
-                .expect("star net evaluates");
+            let request = QueryRequest::new(Verb::Explore, *q).with_options(options.clone());
+            let ex = match kdap.run(&request) {
+                Ok(response) => response.exploration.expect("explore explores"),
+                Err(KdapError::NoInterpretation { .. }) => continue,
+                Err(e) => panic!("star net evaluates: {e}"),
+            };
             let mut layout = std::collections::BTreeMap::new();
             for panel in &ex.panels {
                 let attrs: Vec<String> = panel

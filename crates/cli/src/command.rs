@@ -1,6 +1,8 @@
 //! REPL command grammar, parsed independently of execution so it can be
 //! tested without a warehouse.
 
+use kdap_core::{FacetOrder, InterestMode};
+
 /// One console command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -15,9 +17,9 @@ pub enum Command {
     /// `drop <constraint#>` — remove a constraint.
     Drop(usize),
     /// `mode surprise|bellwether`.
-    Mode(ModeArg),
+    Mode(InterestMode),
     /// `order dynamic|consistent|hybrid <pinned>`.
-    Order(OrderArg),
+    Order(FacetOrder),
     /// `profile <keywords>` — run the query end to end and print the
     /// per-stage timing tree (needs `--profile`).
     Profile(String),
@@ -33,19 +35,6 @@ pub enum Command {
     Save(String),
     Help,
     Quit,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModeArg {
-    Surprise,
-    Bellwether,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderArg {
-    Dynamic,
-    Consistent,
-    Hybrid(usize),
 }
 
 impl Command {
@@ -79,19 +68,19 @@ impl Command {
             "up" => Ok(Command::RollUp(int(rest, "usage: up <constraint#>")?)),
             "drop" => Ok(Command::Drop(int(rest, "usage: drop <constraint#>")?)),
             "mode" => match rest {
-                "surprise" => Ok(Command::Mode(ModeArg::Surprise)),
-                "bellwether" => Ok(Command::Mode(ModeArg::Bellwether)),
+                "surprise" => Ok(Command::Mode(InterestMode::Surprise)),
+                "bellwether" => Ok(Command::Mode(InterestMode::Bellwether)),
                 _ => Err("usage: mode surprise|bellwether".into()),
             },
             "order" => {
                 let mut parts = rest.split_whitespace();
                 match parts.next() {
-                    Some("dynamic") => Ok(Command::Order(OrderArg::Dynamic)),
-                    Some("consistent") => Ok(Command::Order(OrderArg::Consistent)),
+                    Some("dynamic") => Ok(Command::Order(FacetOrder::Dynamic)),
+                    Some("consistent") => Ok(Command::Order(FacetOrder::Consistent)),
                     Some("hybrid") => {
                         let pinned =
                             int(parts.next().unwrap_or(""), "usage: order hybrid <pinned>")?;
-                        Ok(Command::Order(OrderArg::Hybrid(pinned)))
+                        Ok(Command::Order(FacetOrder::Hybrid { pinned }))
                     }
                     _ => Err("usage: order dynamic|consistent|hybrid <pinned>".into()),
                 }
@@ -137,15 +126,15 @@ mod tests {
         assert_eq!(Command::parse("drop 2"), Ok(Command::Drop(2)));
         assert_eq!(
             Command::parse("mode bellwether"),
-            Ok(Command::Mode(ModeArg::Bellwether))
+            Ok(Command::Mode(InterestMode::Bellwether))
         );
         assert_eq!(
             Command::parse("order hybrid 2"),
-            Ok(Command::Order(OrderArg::Hybrid(2)))
+            Ok(Command::Order(FacetOrder::Hybrid { pinned: 2 }))
         );
         assert_eq!(
             Command::parse("order dynamic"),
-            Ok(Command::Order(OrderArg::Dynamic))
+            Ok(Command::Order(FacetOrder::Dynamic))
         );
         assert_eq!(Command::parse("show"), Ok(Command::Show));
         assert_eq!(Command::parse("explain"), Ok(Command::Explain));

@@ -4,24 +4,24 @@
 
 use std::io::Write;
 
-use kdap_core::interest::InterestMode;
 use kdap_core::{
-    drill_down, remove_constraint, render_exploration, render_interpretations, roll_up,
-    Exploration, FacetOrder, Kdap, KdapError, QueryOptions, QueryRequest, RankedStarNet, StarNet,
-    Verb,
+    render_exploration, render_interpretations, Exploration, Kdap, KdapError, QueryOptions,
+    QueryRequest, QueryResponse, Refine, Verb,
 };
-use kdap_query::paths_between;
+use kdap_warehouse::AttrKind;
 
-use crate::command::{Command, ModeArg, OrderArg};
+use crate::command::Command;
 
-/// Interactive session state. All queries flow through the unified
-/// request API ([`Kdap::run`]); console toggles like `mode` and `order`
-/// accumulate in a [`QueryOptions`] instead of mutating session config.
+/// Interactive session state: one [`QueryRequest`]. `q` sets its
+/// keywords, `pick` its interpretation, `drill`/`up`/`drop` append
+/// [`Refine`] steps, `mode`/`order` set option overrides — and every
+/// command that shows a subspace is that request through [`Kdap::run`],
+/// exactly what an HTTP client would post.
 pub struct Repl {
     kdap: Kdap,
-    options: QueryOptions,
-    interpretations: Vec<RankedStarNet>,
-    current: Option<StarNet>,
+    request: QueryRequest,
+    /// What the request last explored (`None` until a `pick`), for `show`
+    /// and for the facet numbering `drill` reads.
     exploration: Option<Exploration>,
 }
 
@@ -29,9 +29,7 @@ impl Repl {
     pub fn new(kdap: Kdap) -> Self {
         Repl {
             kdap,
-            options: QueryOptions::default(),
-            interpretations: Vec::new(),
-            current: None,
+            request: QueryRequest::new(Verb::Explore, ""),
             exploration: None,
         }
     }
@@ -43,102 +41,76 @@ impl Repl {
 
     /// The option overrides the console has accumulated so far.
     pub fn options(&self) -> &QueryOptions {
-        &self.options
+        &self.request.options
     }
 
-    /// This console's request for `verb` over `keywords`, carrying the
-    /// accumulated option overrides.
-    fn request(&self, verb: Verb, keywords: &str) -> QueryRequest {
-        QueryRequest::new(verb, keywords).with_options(self.options.clone())
+    /// Runs the console's request under another verb.
+    fn run(&self, verb: Verb) -> Result<QueryResponse, KdapError> {
+        let mut request = self.request.clone();
+        request.verb = verb;
+        self.kdap.run(&request)
+    }
+
+    /// Points the request at a new keyword query: first interpretation,
+    /// no refinement, nothing explored.
+    fn ask(&mut self, keywords: String) {
+        self.request.keywords = keywords;
+        self.request.pick = 1;
+        self.request.refine.clear();
+        self.exploration = None;
     }
 
     /// Executes one command; returns `false` when the session should end.
     pub fn execute(&mut self, cmd: Command, out: &mut impl Write) -> std::io::Result<bool> {
         match cmd {
-            Command::Query(q) => match self.kdap.run(&self.request(Verb::Differentiate, &q)) {
-                Ok(resp) => {
-                    self.interpretations = resp.ranked;
-                    if self.interpretations.is_empty() {
-                        writeln!(out, "no interpretation found for \"{q}\"")?;
-                    } else {
+            Command::Query(q) => {
+                self.ask(q);
+                let q = &self.request.keywords;
+                match self.run(Verb::Differentiate) {
+                    Ok(resp) if resp.ranked.is_empty() => {
+                        writeln!(out, "no interpretation found for \"{q}\"")?
+                    }
+                    Ok(resp) => {
                         write!(
                             out,
                             "{}",
-                            render_interpretations(self.kdap.warehouse(), &self.interpretations, 8)
+                            render_interpretations(self.kdap.warehouse(), &resp.ranked, 8)
                         )?;
                         writeln!(out, "pick one with `pick <n>`.")?;
                     }
+                    Err(e) => writeln!(out, "{}", query_failure(&e))?,
                 }
-                Err(e) => {
-                    self.interpretations.clear();
-                    writeln!(out, "{}", query_failure(&e))?;
-                }
-            },
-            Command::Pick(n) => match self.interpretations.get(n.wrapping_sub(1)) {
-                Some(r) => {
-                    self.current = Some(r.net.clone());
-                    self.explore(out)?;
-                }
-                None => writeln!(out, "no interpretation #{n}")?,
-            },
+            }
+            Command::Pick(n) => {
+                let mut request = self.request.clone();
+                request.pick = n;
+                request.refine.clear();
+                self.explore(request, out)?;
+            }
             Command::Drill(f, e) => self.drill(f, e, out)?,
-            Command::RollUp(n) => {
-                let Some(net) = &self.current else {
-                    writeln!(out, "nothing explored yet")?;
-                    return Ok(true);
-                };
-                match roll_up(
-                    self.kdap.warehouse(),
-                    self.kdap.join_index(),
-                    net,
-                    n.wrapping_sub(1),
-                ) {
-                    Some(rolled) => {
-                        self.current = Some(rolled);
-                        self.explore(out)?;
-                    }
-                    None => writeln!(out, "no constraint #{n}")?,
-                }
-            }
-            Command::Drop(n) => {
-                let Some(net) = &self.current else {
-                    writeln!(out, "nothing explored yet")?;
-                    return Ok(true);
-                };
-                match remove_constraint(net, n.wrapping_sub(1)) {
-                    Some(reduced) => {
-                        self.current = Some(reduced);
-                        self.explore(out)?;
-                    }
-                    None => writeln!(out, "no constraint #{n}")?,
-                }
-            }
-            Command::Mode(m) => {
-                self.options.mode = Some(match m {
-                    ModeArg::Surprise => InterestMode::Surprise,
-                    ModeArg::Bellwether => InterestMode::Bellwether,
-                });
+            Command::RollUp(n) => self.refine(Refine::Up(n), out)?,
+            Command::Drop(n) => self.refine(Refine::Drop(n), out)?,
+            Command::Mode(mode) => {
+                self.request.options.mode = Some(mode);
                 writeln!(out, "interestingness mode set")?;
-                if self.current.is_some() {
-                    self.explore(out)?;
+                if self.exploration.is_some() {
+                    self.explore(self.request.clone(), out)?;
                 }
             }
-            Command::Order(o) => {
-                self.options.order = Some(match o {
-                    OrderArg::Dynamic => FacetOrder::Dynamic,
-                    OrderArg::Consistent => FacetOrder::Consistent,
-                    OrderArg::Hybrid(p) => FacetOrder::Hybrid { pinned: p },
-                });
+            Command::Order(order) => {
+                self.request.options.order = Some(order);
                 writeln!(out, "facet ordering set")?;
-                if self.current.is_some() {
-                    self.explore(out)?;
+                if self.exploration.is_some() {
+                    self.explore(self.request.clone(), out)?;
                 }
             }
             Command::Profile(q) => {
                 if !self.kdap.obs().is_enabled() {
                     writeln!(out, "observability is off — restart kdap with --profile")?;
                 } else {
-                    match self.kdap.run(&self.request(Verb::Profile, &q)) {
+                    self.ask(q);
+                    let q = &self.request.keywords;
+                    match self.run(Verb::Profile) {
                         Ok(resp) => {
                             writeln!(
                                 out,
@@ -148,8 +120,6 @@ impl Repl {
                             if let Some(p) = &resp.profile {
                                 write!(out, "{}", p.render())?;
                             }
-                            self.current = resp.ranked.first().map(|r| r.net.clone());
-                            self.interpretations = resp.ranked;
                             self.exploration = resp.exploration;
                         }
                         Err(KdapError::NoInterpretation { .. } | KdapError::EmptyQuery) => {
@@ -159,26 +129,25 @@ impl Repl {
                     }
                 }
             }
-            Command::Explain => match &self.current {
-                Some(net) => {
-                    // With `--profile`, the replayed plan execution is
-                    // recorded and its timing tree appended to EXPLAIN.
-                    self.kdap.obs().start_profile("explain");
-                    match self.kdap.explain(net) {
-                        Ok(plan) => {
-                            write!(out, "{}", plan.render())?;
-                            match self.kdap.explain_explore_with(net, &self.options) {
-                                Ok((_, report)) => write!(out, "{}", report.render())?,
-                                Err(e) => writeln!(out, "explore report failed: {e}")?,
-                            }
+            Command::Explain if self.exploration.is_none() => {
+                writeln!(out, "nothing explored yet")?
+            }
+            Command::Explain => match self.run(Verb::Explain) {
+                Ok(resp) => {
+                    write!(out, "{}", resp.plan.unwrap_or_default())?;
+                    write!(out, "{}", resp.report.unwrap_or_default())?;
+                    // With `--profile`, the same request once more under
+                    // the recorder appends its timing tree.
+                    if self.kdap.obs().is_enabled() {
+                        if let Ok(QueryResponse {
+                            profile: Some(p), ..
+                        }) = self.run(Verb::Profile)
+                        {
+                            write!(out, "{}", p.render())?;
                         }
-                        Err(e) => writeln!(out, "explain failed: {e}")?,
-                    }
-                    if let Some(p) = self.kdap.obs().take_profile() {
-                        write!(out, "{}", p.render())?;
                     }
                 }
-                None => writeln!(out, "nothing explored yet")?,
+                Err(e) => writeln!(out, "explain failed: {e}")?,
             },
             Command::Show => match &self.exploration {
                 Some(ex) => write!(out, "{}", render_exploration(ex))?,
@@ -238,65 +207,78 @@ impl Repl {
         Ok(true)
     }
 
-    fn explore(&mut self, out: &mut impl Write) -> std::io::Result<()> {
-        let Some(net) = &self.current else {
-            return Ok(());
-        };
-        writeln!(out, "exploring: {}", net.display(self.kdap.warehouse()))?;
-        match self.kdap.explore_with_options(net, &self.options) {
-            Ok(ex) => {
-                write!(out, "{}", render_exploration(&ex))?;
+    /// Explores `request` and shows the subspace. The console adopts the
+    /// request only when it ran: a refused `pick` or step leaves the
+    /// console where it was.
+    fn explore(&mut self, request: QueryRequest, out: &mut impl Write) -> std::io::Result<()> {
+        match self.kdap.run(&request) {
+            Ok(resp) => {
+                let net = match &resp.constraints {
+                    Some(refined) => refined
+                        .iter()
+                        .map(|c| c.display.as_str())
+                        .collect::<Vec<_>>()
+                        .join("  ⋈  "),
+                    None => resp
+                        .ranked
+                        .get(request.pick.wrapping_sub(1))
+                        .map(|r| r.net.display(self.kdap.warehouse()))
+                        .unwrap_or_default(),
+                };
+                writeln!(out, "exploring: {net}")?;
+                if let Some(ex) = &resp.exploration {
+                    write!(out, "{}", render_exploration(ex))?;
+                }
                 writeln!(out, "(facets are numbered top to bottom for `drill`)")?;
-                self.exploration = Some(ex);
+                self.exploration = resp.exploration;
+                self.request = request;
             }
+            Err(KdapError::NoInterpretation { .. } | KdapError::EmptyQuery) => {
+                writeln!(out, "no interpretation #{}", request.pick)?
+            }
+            Err(KdapError::BadRefine { reason, .. }) => writeln!(out, "{reason}")?,
             Err(e) => writeln!(out, "explore failed: {e}")?,
         }
         Ok(())
     }
 
-    fn drill(&mut self, f: usize, e: usize, out: &mut impl Write) -> std::io::Result<()> {
-        let (Some(ex), Some(net)) = (&self.exploration, &self.current) else {
-            writeln!(out, "nothing explored yet")?;
-            return Ok(());
-        };
-        let mut facet_no = 0;
-        let mut target = None;
-        for panel in &ex.panels {
-            for attr in &panel.attrs {
-                facet_no += 1;
-                if facet_no == f {
-                    target = Some(attr);
-                }
-            }
+    /// Explores the request with one more step appended.
+    fn refine(&mut self, step: Refine, out: &mut impl Write) -> std::io::Result<()> {
+        if self.exploration.is_none() {
+            return writeln!(out, "nothing explored yet");
         }
-        let Some(attr) = target else {
-            writeln!(out, "no facet #{f}")?;
-            return Ok(());
+        let mut request = self.request.clone();
+        request.refine.push(step);
+        self.explore(request, out)
+    }
+
+    /// Turns facet `f`, entry `e` of the shown exploration into a drill
+    /// step, named the way the engine resolves it.
+    fn drill(&mut self, f: usize, e: usize, out: &mut impl Write) -> std::io::Result<()> {
+        let Some(ex) = &self.exploration else {
+            return writeln!(out, "nothing explored yet");
+        };
+        let Some((panel, attr)) = ex
+            .panels
+            .iter()
+            .flat_map(|p| p.attrs.iter().map(move |a| (p, a)))
+            .nth(f.wrapping_sub(1))
+        else {
+            return writeln!(out, "no facet #{f}");
         };
         let Some(entry) = attr.entries.get(e.wrapping_sub(1)) else {
-            writeln!(out, "facet #{f} has no entry #{e}")?;
-            return Ok(());
+            return writeln!(out, "facet #{f} has no entry #{e}");
         };
-        let wh = self.kdap.warehouse();
-        let Some(code) = wh
-            .column(attr.attr)
-            .dict()
-            .and_then(|d| d.code_of(&entry.label))
-        else {
-            writeln!(out, "numeric ranges are refined via a new query, not drill")?;
-            return Ok(());
+        if attr.kind == AttrKind::Numerical {
+            return writeln!(out, "numeric ranges are refined via a new query, not drill");
+        }
+        let step = Refine::Drill {
+            dimension: panel.dimension.clone(),
+            attr: attr.name.clone(),
+            value: entry.label.clone(),
         };
-        let Some(path) = paths_between(wh.schema(), wh.schema().fact_table(), attr.attr.table, 8)
-            .into_iter()
-            .next()
-        else {
-            writeln!(out, "facet #{f} is not join-reachable from the fact table")?;
-            return Ok(());
-        };
-        let drilled = drill_down(wh, net, attr.attr, &path, vec![code]);
         writeln!(out, "drilled into {} = {}", attr.name, entry.label)?;
-        self.current = Some(drilled);
-        self.explore(out)
+        self.refine(step, out)
     }
 }
 
@@ -317,6 +299,7 @@ fn query_failure(e: &KdapError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdap_core::{FacetOrder, InterestMode};
     use kdap_datagen::{build_ebiz, EbizScale};
 
     fn repl() -> Repl {
@@ -506,14 +489,15 @@ mod tests {
         run(&mut r, "pick 1");
         let out = run(&mut r, "explain");
         assert!(out.contains("fused scans"), "{out}");
-        assert!(out.contains("profile: explain"), "{out}");
-        assert!(out.contains("plan.compile"), "{out}");
+        // The timing tree is the same request's, under the recorder.
+        assert!(out.contains("profile: seattle"), "{out}");
+        assert!(out.contains("explore.rollups"), "{out}");
         // Without --profile, explain output carries no timing tree.
         let mut plain = repl();
         run(&mut plain, "q seattle");
         run(&mut plain, "pick 1");
         let out = run(&mut plain, "explain");
-        assert!(!out.contains("profile: explain"), "{out}");
+        assert!(!out.contains("profile: seattle"), "{out}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! their own option plumbing and result rendering. This module is the
 //! single typed surface instead: a [`QueryRequest`] names the operation
 //! ([`Verb`]), the keywords and every per-request option
-//! ([`QueryOptions`] — ranking, facets, governance); [`Kdap::run`]
-//! executes it; the [`QueryResponse`] carries the full result
+//! ([`QueryOptions`] — ranking, facets, governance) and any navigation
+//! from the picked interpretation ([`Refine`]); [`Kdap::run`] executes it; the [`QueryResponse`] carries the full result
 //! (interpretations, exploration, plan/report text, profile) plus
 //! wire encoders. [`ApiError`] maps engine errors onto HTTP-style
 //! status codes for the server.
@@ -80,11 +80,9 @@ impl fmt::Display for Verb {
 /// Per-request option overrides. Every field is optional; `None` means
 /// "use the session's configured default". Frontends never touch
 /// [`FacetConfig`]/[`RankMethod`] plumbing directly — they fill this in
-/// and hand it to [`Kdap::run`] (or
-/// [`Kdap::explore_with_options`] for net-level navigation).
+/// and hand it to [`Kdap::run`].
 ///
 /// [`Kdap::run`]: crate::session::Kdap::run
-/// [`Kdap::explore_with_options`]: crate::session::Kdap::explore_with_options
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryOptions {
     /// Star-net ranking method (`standard`, `no-group-number-norm`,
@@ -130,6 +128,31 @@ impl QueryOptions {
     }
 }
 
+/// One navigation step from the picked interpretation. A request's
+/// `refine` list is applied in order before the explore phase, each step
+/// to the net the steps before it produced; constraint numbers are
+/// 1-based positions in that net (the order a response's `constraints`
+/// echo lists them).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Refine {
+    /// Drill into one instance of a facet, named as an exploration
+    /// displays it. The new constraint follows the join path the facet
+    /// was aggregated on and replaces an existing constraint on the same
+    /// attribute and path.
+    Drill {
+        /// The panel's dimension name.
+        dimension: String,
+        /// The facet's `Table.Column` name.
+        attr: String,
+        /// The entry's label.
+        value: String,
+    },
+    /// Roll constraint `n` one hierarchy level up (removing it at the top).
+    Up(usize),
+    /// Drop constraint `n`.
+    Drop(usize),
+}
+
 /// One typed query against a KDAP session — the single entry point the
 /// server, CLI and REPL all construct.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,6 +167,10 @@ pub struct QueryRequest {
     /// Maximum interpretations included in the response summary
     /// (`0` = all; default 8).
     pub limit: usize,
+    /// Navigation steps applied to the picked interpretation before it
+    /// is explored (empty: explore it as ranked). Not valid on
+    /// `differentiate`.
+    pub refine: Vec<Refine>,
     /// Per-request option overrides.
     pub options: QueryOptions,
     /// The request's trace id. Set programmatically by the service edge
@@ -161,6 +188,7 @@ impl QueryRequest {
             keywords: keywords.into(),
             pick: 1,
             limit: 8,
+            refine: Vec::new(),
             options: QueryOptions::default(),
             trace_id: None,
         }
@@ -205,6 +233,7 @@ impl QueryRequest {
                     }
                 }
                 "limit" => req.limit = usize_field(key, value)?,
+                "refine" => req.refine = refine_field(value)?,
                 "rank" => req.options.rank = Some(parse_rank(str_field(key, value)?)?),
                 "mode" => req.options.mode = Some(parse_mode(str_field(key, value)?)?),
                 "order" => req.options.order = Some(parse_order(str_field(key, value)?)?),
@@ -215,8 +244,8 @@ impl QueryRequest {
                 "budget_bytes" => req.options.budget_bytes = Some(u64_field(key, value)?),
                 other => {
                     return Err(ApiError::bad_request(format!(
-                        "unknown field `{other}` (expected keywords, pick, limit, rank, mode, \
-                         order, agg, top_k_attrs, top_k_instances, timeout_ms, budget_bytes)"
+                        "unknown field `{other}` (expected keywords, pick, limit, refine, rank, \
+                         mode, order, agg, top_k_attrs, top_k_instances, timeout_ms, budget_bytes)"
                     )))
                 }
             }
@@ -249,6 +278,66 @@ fn u64_field(key: &str, v: &Json) -> Result<u64, ApiError> {
 fn usize_field(key: &str, v: &Json) -> Result<usize, ApiError> {
     let n = u64_field(key, v)?;
     usize::try_from(n).map_err(|_| ApiError::bad_request(format!("`{key}` is out of range")))
+}
+
+/// Decodes `refine`: an array of single-key step objects, as strict as
+/// the request object itself. Errors name the 1-based step.
+fn refine_field(v: &Json) -> Result<Vec<Refine>, ApiError> {
+    let Some(steps) = v.as_arr() else {
+        return Err(ApiError::bad_request(format!(
+            "`refine` must be an array, got {}",
+            v.type_name()
+        )));
+    };
+    steps
+        .iter()
+        .enumerate()
+        .map(|(i, step)| {
+            refine_step(step).map_err(|e| {
+                ApiError::bad_request(format!("`refine` step {}: {}", i + 1, e.message))
+            })
+        })
+        .collect()
+}
+
+fn refine_step(v: &Json) -> Result<Refine, ApiError> {
+    let Some([(key, value)]) = v.as_obj() else {
+        return Err(ApiError::bad_request(
+            "must be an object with exactly one of `drill`, `up`, `drop`",
+        ));
+    };
+    match key.as_str() {
+        "drill" => {
+            let Some(fields) = value.as_obj() else {
+                return Err(ApiError::bad_request(format!(
+                    "`drill` must be an object, got {}",
+                    value.type_name()
+                )));
+            };
+            if let Some((other, _)) = fields
+                .iter()
+                .find(|(k, _)| !["dimension", "attr", "value"].contains(&k.as_str()))
+            {
+                return Err(ApiError::bad_request(format!(
+                    "unknown field `{other}` in `drill` (expected dimension, attr, value)"
+                )));
+            }
+            let field = |name: &str| match value.get(name) {
+                Some(v) => str_field(name, v).map(str::to_string),
+                None => Err(ApiError::bad_request(format!("`drill` requires `{name}`"))),
+            };
+            Ok(Refine::Drill {
+                dimension: field("dimension")?,
+                attr: field("attr")?,
+                value: field("value")?,
+            })
+        }
+        "up" => Ok(Refine::Up(usize_field(key, value)?)),
+        "drop" => Ok(Refine::Drop(usize_field(key, value)?)),
+        other => Err(ApiError::bad_request(format!(
+            "unknown step `{other}` (expected drill, up, drop)"
+        ))),
+    }
 }
 
 fn parse_rank(s: &str) -> Result<RankMethod, ApiError> {
@@ -314,9 +403,26 @@ pub struct InterpretationSummary {
     pub fingerprint: String,
 }
 
+/// One constraint of a refined net, flattened for the wire. `dimension`,
+/// `attr` and a `values` element are what a [`Refine::Drill`] takes;
+/// `index` is what [`Refine::Up`] and [`Refine::Drop`] take.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConstraintSummary {
+    /// 1-based position in the refined net.
+    pub index: usize,
+    /// The dimension the constraint slices (`None` on the fact table).
+    pub dimension: Option<String>,
+    /// The constrained attribute's `Table.Column` name.
+    pub attr: String,
+    /// The selected instances (one display entry for a numeric range).
+    pub values: Vec<String>,
+    /// Human-readable rendering, join path included.
+    pub display: String,
+}
+
 /// The typed result of [`Kdap::run`]: everything any frontend renders,
-/// plus the underlying [`RankedStarNet`]s so interactive frontends
-/// (REPL `pick`, drill/roll-up) can keep navigating without re-parsing.
+/// plus the underlying [`RankedStarNet`]s for embedders that go on to
+/// [`Kdap::explore`](crate::session::Kdap::explore) a net themselves.
 ///
 /// [`Kdap::run`]: crate::session::Kdap::run
 #[derive(Debug, Clone)]
@@ -335,7 +441,11 @@ pub struct QueryResponse {
     /// Which interpretation was explored/explained (1-based), for
     /// explore/profile/explain verbs.
     pub picked: Option<usize>,
-    /// The exploration of the picked interpretation.
+    /// The explored net's constraints after the request's `refine` steps,
+    /// in index order, so a client can extend the list. `None` when the
+    /// request carried no `refine`.
+    pub constraints: Option<Vec<ConstraintSummary>>,
+    /// The exploration of the picked (and refined) interpretation.
     pub exploration: Option<Exploration>,
     /// Rendered physical plan (explain verb).
     pub plan: Option<String>,
@@ -387,6 +497,23 @@ impl QueryResponse {
         out.push_str("\n  ]");
         if let Some(picked) = self.picked {
             out.push_str(&format!(",\n  \"picked\": {picked}"));
+        }
+        if let Some(constraints) = &self.constraints {
+            out.push_str(",\n  \"constraints\": [");
+            for (i, c) in constraints.iter().enumerate() {
+                out.push_str(if i == 0 { "\n" } else { ",\n" });
+                let values: Vec<String> = c.values.iter().map(|v| json_string(v)).collect();
+                out.push_str(&format!(
+                    "    {{\"index\": {}, \"dimension\": {}, \"attr\": {}, \"values\": [{}], \
+                     \"display\": {}}}",
+                    c.index,
+                    c.dimension.as_deref().map_or("null".into(), json_string),
+                    json_string(&c.attr),
+                    values.join(", "),
+                    json_string(&c.display),
+                ));
+            }
+            out.push_str(if constraints.is_empty() { "]" } else { "\n  ]" });
         }
         if let Some(ex) = &self.exploration {
             out.push_str(",\n  \"exploration\": ");
@@ -598,85 +725,55 @@ pub struct ApiError {
 }
 
 impl ApiError {
-    /// 400 — the request itself is malformed.
-    pub fn bad_request(message: impl Into<String>) -> Self {
+    fn new(status: u16, code: &'static str, message: impl Into<String>) -> Self {
         ApiError {
-            status: 400,
-            code: "bad_request",
+            status,
+            code,
             message: message.into(),
         }
+    }
+
+    /// 400 — the request itself is malformed.
+    pub fn bad_request(message: impl Into<String>) -> Self {
+        ApiError::new(400, "bad_request", message)
     }
 
     /// 404 — unknown tenant, route or interpretation.
     pub fn not_found(message: impl Into<String>) -> Self {
-        ApiError {
-            status: 404,
-            code: "not_found",
-            message: message.into(),
-        }
+        ApiError::new(404, "not_found", message)
     }
 
     /// 406 — the requested format cannot represent this response.
     pub fn not_acceptable(message: impl Into<String>) -> Self {
-        ApiError {
-            status: 406,
-            code: "not_acceptable",
-            message: message.into(),
-        }
+        ApiError::new(406, "not_acceptable", message)
     }
 
     /// 429 — admission control rejected the request.
     pub fn too_many_requests(message: impl Into<String>) -> Self {
-        ApiError {
-            status: 429,
-            code: "too_many_requests",
-            message: message.into(),
-        }
+        ApiError::new(429, "too_many_requests", message)
     }
 
     /// 500 — an internal engine failure.
     pub fn internal(message: impl Into<String>) -> Self {
-        ApiError {
-            status: 500,
-            code: "internal",
-            message: message.into(),
-        }
+        ApiError::new(500, "internal", message)
     }
 
     /// Maps an engine error onto its wire representation: governance
     /// breaches become 408 (deadline), 499 (client cancelled) and 507
-    /// (memory budget); input problems become 400/404; everything else
-    /// is a 500.
+    /// (memory budget); input problems (an empty query, a `refine` step
+    /// that does not apply) become 400/404; everything else is a 500.
     pub fn from_kdap(err: &KdapError) -> ApiError {
-        match err {
-            KdapError::Timeout { .. } => ApiError {
-                status: 408,
-                code: "timeout",
-                message: err.to_string(),
-            },
-            KdapError::Cancelled { .. } => ApiError {
-                status: 499,
-                code: "cancelled",
-                message: err.to_string(),
-            },
-            KdapError::BudgetExceeded { .. } => ApiError {
-                status: 507,
-                code: "budget_exceeded",
-                message: err.to_string(),
-            },
-            KdapError::EmptyQuery => ApiError {
-                status: 400,
-                code: "empty_query",
-                message: err.to_string(),
-            },
-            KdapError::NoInterpretation { .. } => ApiError {
-                status: 404,
-                code: "no_interpretation",
-                message: err.to_string(),
-            },
-            KdapError::UnknownMeasure(_) => ApiError::bad_request(err.to_string()),
-            _ => ApiError::internal(err.to_string()),
-        }
+        let (status, code) = match err {
+            KdapError::Timeout { .. } => (408, "timeout"),
+            KdapError::Cancelled { .. } => (499, "cancelled"),
+            KdapError::BudgetExceeded { .. } => (507, "budget_exceeded"),
+            KdapError::EmptyQuery => (400, "empty_query"),
+            KdapError::NoInterpretation { .. } => (404, "no_interpretation"),
+            KdapError::BadRefine { .. } => (400, "bad_refine"),
+            KdapError::UnknownMeasure(_) => (400, "bad_request"),
+            _ => (500, "internal"),
+        };
+        ApiError::new(status, code, err.to_string())
     }
 
     /// The JSON body of the error response.
@@ -747,6 +844,114 @@ mod tests {
     }
 
     #[test]
+    fn refine_decodes_every_step_kind_in_order() {
+        let body = r#"{"keywords": "columbus", "pick": 3, "refine": [
+            {"drill": {"dimension": "Customer", "attr": "ACCOUNT.AccountType",
+                       "value": "Pre\"mium\n"}},
+            {"up": 1}, {"drop": 2}]}"#;
+        let req = QueryRequest::from_json(Verb::Explore, body).unwrap();
+        assert_eq!(
+            req.refine,
+            vec![
+                Refine::Drill {
+                    dimension: "Customer".into(),
+                    attr: "ACCOUNT.AccountType".into(),
+                    value: "Pre\"mium\n".into(),
+                },
+                Refine::Up(1),
+                Refine::Drop(2),
+            ]
+        );
+        // Absent and empty are the same request.
+        let absent = QueryRequest::from_json(Verb::Explore, r#"{"keywords": "x"}"#).unwrap();
+        let empty =
+            QueryRequest::from_json(Verb::Explore, r#"{"keywords": "x", "refine": []}"#).unwrap();
+        assert_eq!(absent, empty);
+        assert!(absent.refine.is_empty());
+    }
+
+    #[test]
+    fn malformed_refine_is_a_precise_400() {
+        for (refine, needle) in [
+            (r#"{"up": 1}"#, "`refine` must be an array, got object"),
+            (r#"[1]"#, "step 1: must be an object with exactly one of"),
+            (r#"[{}]"#, "step 1: must be an object with exactly one of"),
+            (r#"[{"up": 1, "drop": 1}]"#, "step 1: must be an object"),
+            (
+                r#"[{"up": 1}, {"slice": 1}]"#,
+                "step 2: unknown step `slice`",
+            ),
+            (r#"[{"up": "1"}]"#, "step 1: `up` must be a number"),
+            (
+                r#"[{"drop": -1}]"#,
+                "step 1: `drop` must be a non-negative integer",
+            ),
+            (
+                r#"[{"drop": 1.5}]"#,
+                "step 1: `drop` must be a non-negative integer",
+            ),
+            (
+                r#"[{"drill": "Customer"}]"#,
+                "step 1: `drill` must be an object, got string",
+            ),
+            (
+                r#"[{"drill": {"dimension": "D", "attr": "T.C"}}]"#,
+                "step 1: `drill` requires `value`",
+            ),
+            (
+                r#"[{"drill": {"dimension": "D", "attr": "T.C", "value": 3}}]"#,
+                "step 1: `value` must be a string, got number",
+            ),
+            (
+                r#"[{"drill": {"dimension": "D", "attr": "T.C", "value": "v", "path": "p"}}]"#,
+                "step 1: unknown field `path` in `drill`",
+            ),
+        ] {
+            let body = format!(r#"{{"keywords": "x", "refine": {refine}}}"#);
+            let err = QueryRequest::from_json(Verb::Explore, &body).unwrap_err();
+            assert_eq!((err.status, err.code), (400, "bad_request"), "{refine}");
+            assert!(err.message.contains(needle), "{refine} → {}", err.message);
+        }
+    }
+
+    #[test]
+    fn constraints_echo_only_when_present_and_parses_back() {
+        let mut resp = sample_response(Verb::Explore);
+        assert!(!resp.to_json().contains("\"constraints\""));
+        resp.constraints = Some(Vec::new());
+        let doc = json::parse(&resp.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("constraints").unwrap().as_arr(), Some(&[][..]));
+        resp.constraints = Some(vec![
+            ConstraintSummary {
+                index: 1,
+                dimension: Some("Store".into()),
+                attr: "CITY.Name".into(),
+                values: vec!["Columbus, OH".into(), "Columbus \"GA\"".into()],
+                display: "CITY.Name/{…} via A → B".into(),
+            },
+            ConstraintSummary {
+                index: 2,
+                dimension: None,
+                attr: "FACT.Note".into(),
+                values: vec![],
+                display: "FACT.Note/{} via FACT".into(),
+            },
+        ]);
+        let doc = json::parse(&resp.to_json()).expect("valid JSON");
+        let echoed = doc.get("constraints").unwrap().as_arr().unwrap();
+        assert_eq!(echoed.len(), 2);
+        assert_eq!(echoed[0].get("index").unwrap().as_num(), Some(1.0));
+        assert_eq!(echoed[0].get("dimension").unwrap().as_str(), Some("Store"));
+        let values = echoed[0].get("values").unwrap().as_arr().unwrap();
+        assert_eq!(values[1].as_str(), Some("Columbus \"GA\""));
+        assert_eq!(echoed[1].get("dimension"), Some(&Json::Null));
+        // The echo sits between `picked` and `exploration`.
+        let body = resp.to_json();
+        assert!(body.find("\"picked\"") < body.find("\"constraints\""));
+        assert!(body.find("\"constraints\"") < body.find("\"exploration\""));
+    }
+
+    #[test]
     fn request_rejects_malformed_bodies() {
         for (body, needle) in [
             ("{not json", "invalid JSON"),
@@ -793,6 +998,7 @@ mod tests {
             ],
             ranked: Vec::new(),
             picked: Some(1),
+            constraints: None,
             exploration: Some(Exploration {
                 subspace_size: 49,
                 total_aggregate: 92732.91,
@@ -945,6 +1151,14 @@ mod tests {
                 },
                 404,
                 "no_interpretation",
+            ),
+            (
+                KdapError::BadRefine {
+                    step: 2,
+                    reason: "no constraint #7".into(),
+                },
+                400,
+                "bad_refine",
             ),
             (KdapError::NoMeasure, 500, "internal"),
         ];

@@ -49,6 +49,17 @@ pub enum KdapError {
         /// How many interpretations the ranking actually produced.
         available: usize,
     },
+    /// A step of the request's `refine` list does not apply to the net
+    /// the steps before it produced: an unknown dimension, facet
+    /// attribute or instance, a constraint index out of range, a drill
+    /// into a numeric-range facet, or any step on `differentiate` (which
+    /// picks no interpretation to refine). Nothing was materialized.
+    BadRefine {
+        /// 1-based position of the offending step in the list.
+        step: usize,
+        /// What about it does not apply.
+        reason: String,
+    },
 }
 
 impl fmt::Display for KdapError {
@@ -84,6 +95,7 @@ impl fmt::Display for KdapError {
                     )
                 }
             }
+            KdapError::BadRefine { step, reason } => write!(f, "refine step {step}: {reason}"),
         }
     }
 }

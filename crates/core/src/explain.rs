@@ -147,8 +147,8 @@ pub struct FacetScanChoice {
 /// Instrumentation of one fused explore run: how many row-set scans the
 /// single-pass pipeline performed versus what the per-facet pipeline
 /// would have paid for the same exploration, plus the dense-vs-hash
-/// kernel choice per deduplicated facet spec. Produced by
-/// [`Kdap::explain_explore_with`](crate::Kdap::explain_explore_with).
+/// kernel choice per deduplicated facet spec. Rendered into the `report`
+/// of a [`Verb::Explain`](crate::Verb::Explain) response.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Roll-up spaces of the star net (one per constraint; one full

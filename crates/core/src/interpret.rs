@@ -20,9 +20,9 @@ use kdap_query::{
     MAX_PATH_LEN,
 };
 use kdap_textindex::TextIndex;
-use kdap_warehouse::{DimId, Warehouse};
+use kdap_warehouse::{ColRef, DimId, Warehouse};
 
-use crate::hit::{build_hit_sets, HitConfig, HitGroup, HitSet};
+use crate::hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};
 use crate::numeric_hits::{numeric_groups, NumericConfig};
 use crate::phrase::merged_group_pool;
 
@@ -55,6 +55,56 @@ impl Constraint {
     /// fingerprints denote the same fact bitmap, across all nets.
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::of(&self.selection())
+    }
+
+    /// An exact selection of `codes` on `attr` reached via `path` — what
+    /// navigation adds to a net (score 1.0: a picked instance is not a
+    /// fuzzy match). `None` when `attr` is not dictionary-coded or a code
+    /// lies outside its dictionary.
+    pub fn exact(
+        wh: &Warehouse,
+        attr: ColRef,
+        path: JoinPath,
+        codes: &[u32],
+    ) -> Option<Constraint> {
+        let dict = wh.column(attr).dict()?;
+        let hits = codes
+            .iter()
+            .map(|&code| {
+                Some(Hit {
+                    code,
+                    value: dict.resolve(code)?.clone(),
+                    score: 1.0,
+                })
+            })
+            .collect::<Option<Vec<Hit>>>()?;
+        Some(Constraint {
+            group: HitGroup {
+                attr,
+                hits,
+                keywords: Vec::new(),
+                numeric: None,
+            },
+            path,
+        })
+    }
+
+    /// Human-readable rendering, e.g.
+    /// `LOC/City/{Columbus} via ITEM → TRANS → STORE → LOC`.
+    pub fn display(&self, wh: &Warehouse) -> String {
+        let values: Vec<&str> = self.group.hits.iter().take(3).map(|h| &*h.value).collect();
+        let ellipsis = if self.group.hits.len() > 3 {
+            ", …"
+        } else {
+            ""
+        };
+        format!(
+            "{}/{{{}{}}} via {}",
+            wh.col_name(self.group.attr),
+            values.join(" OR "),
+            ellipsis,
+            self.path.display(wh, wh.schema().fact_table())
+        )
     }
 }
 
@@ -92,29 +142,11 @@ impl StarNet {
         LogicalPlan::from_selections(self.constraints.iter().map(|c| c.selection()).collect())
     }
 
-    /// Human-readable rendering, e.g.
-    /// `LOC/City/{Columbus} via ITEM → TRANS → STORE → LOC`.
+    /// Human-readable rendering: the constraints' own, joined by `⋈`.
     pub fn display(&self, wh: &Warehouse) -> String {
-        let fact = wh.schema().fact_table();
         self.constraints
             .iter()
-            .map(|c| {
-                let values: Vec<String> = c
-                    .group
-                    .hits
-                    .iter()
-                    .take(3)
-                    .map(|h| h.value.to_string())
-                    .collect();
-                let ellipsis = if c.group.hits.len() > 3 { ", …" } else { "" };
-                format!(
-                    "{}/{{{}{}}} via {}",
-                    wh.col_name(c.group.attr),
-                    values.join(" OR "),
-                    ellipsis,
-                    c.path.display(wh, fact)
-                )
-            })
+            .map(|c| c.display(wh))
             .collect::<Vec<_>>()
             .join("  ⋈  ")
     }

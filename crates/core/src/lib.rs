@@ -30,7 +30,8 @@ pub mod subspace;
 pub mod testutil;
 
 pub use api::{
-    ApiError, InterpretationSummary, QueryOptions, QueryRequest, QueryResponse, Verb, WireFormat,
+    ApiError, ConstraintSummary, InterpretationSummary, QueryOptions, QueryRequest, QueryResponse,
+    Refine, Verb, WireFormat,
 };
 pub use cache::SubspaceCache;
 pub use error::KdapError;
@@ -43,7 +44,7 @@ pub use governor::{record_breach, CancelToken, Governor};
 pub use hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};
 pub use interest::{combine_correlations, pearson, InterestMode};
 pub use interpret::{generate_star_nets, try_generate_star_nets, Constraint, GenConfig, StarNet};
-pub use navigate::{drill_down, remove_constraint, roll_up, slice};
+pub use navigate::{drill_down, remove_constraint, roll_up};
 pub use numeric_hits::{numeric_groups, NumericConfig};
 pub use phrase::merged_group_pool;
 pub use plan::Planner;

@@ -23,9 +23,10 @@ use crate::subspace::Subspace;
 /// The rolled-up form of one constraint.
 #[derive(Debug, Clone)]
 pub enum Rollup {
-    /// Replace the constraint by a selection at the parent hierarchy
-    /// level (e.g. Subcategory ∈ {Mountain Bikes} → Category ∈ {Bikes}).
-    Parent(Selection),
+    /// Replace the constraint by an exact selection at the parent
+    /// hierarchy level (e.g. Subcategory ∈ {Mountain Bikes} → Category ∈
+    /// {Bikes}).
+    Parent(Constraint),
     /// No level above: the constraint is removed (roll up to ALL).
     Drop,
 }
@@ -51,14 +52,12 @@ pub fn rollup_constraint(wh: &Warehouse, jidx: &JoinIndex, c: &Constraint) -> Ro
     let Some(parent_attr) = hierarchy.parent_level(attr) else {
         return Rollup::Drop;
     };
-    match parent_codes(wh, jidx, attr, &c.group.codes(), parent_attr) {
-        Some((sub_path, codes)) if !codes.is_empty() => Rollup::Parent(Selection::by_codes(
-            c.path.extend(&sub_path),
-            parent_attr,
-            codes,
-        )),
-        _ => Rollup::Drop,
-    }
+    parent_codes(wh, jidx, attr, &c.group.codes(), parent_attr)
+        .filter(|(_, codes)| !codes.is_empty())
+        .and_then(|(sub_path, codes)| {
+            Constraint::exact(wh, parent_attr, c.path.extend(&sub_path), &codes)
+        })
+        .map_or(Rollup::Drop, Rollup::Parent)
 }
 
 /// Maps the selected instances of `attr` to the distinct values of the
@@ -111,7 +110,7 @@ fn rolled_logical(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) -> 
         }
         match &rolled {
             Rollup::Drop => {} // constraint removed: dimension rolls up to ALL
-            Rollup::Parent(sel) => selections.push(sel.clone()),
+            Rollup::Parent(parent) => selections.push(parent.selection()),
         }
     }
     LogicalPlan::from_selections(selections)
@@ -174,20 +173,13 @@ mod tests {
         let net = net_containing(&fx, &["columbus"], "STORE → LOC");
         let c = &net.constraints[0];
         match rollup_constraint(&fx.wh, &fx.jidx, c) {
-            Rollup::Parent(sel) => {
-                assert_eq!(sel.attr, fx.wh.col_ref("LOC", "State").unwrap());
-                let dict = fx.wh.column(sel.attr).dict().unwrap();
-                let kdap_query::Predicate::Codes(codes) = &sel.predicate else {
-                    panic!("expected code selection");
-                };
-                let values: Vec<&str> = codes
-                    .iter()
-                    .map(|&c| dict.resolve(c).unwrap().as_ref())
-                    .collect();
+            Rollup::Parent(parent) => {
+                assert_eq!(parent.group.attr, fx.wh.col_ref("LOC", "State").unwrap());
+                let values: Vec<&str> = parent.group.hits.iter().map(|h| &*h.value).collect();
                 assert_eq!(values, vec!["Ohio"]);
                 // Path got one hop longer? No: State lives in the same
                 // LOC table, so the path is unchanged.
-                assert_eq!(sel.path, c.path);
+                assert_eq!(parent.path, c.path);
             }
             Rollup::Drop => panic!("expected parent rollup"),
         }
@@ -203,9 +195,12 @@ mod tests {
             .find(|c| c.group.attr == fx.wh.col_ref("PROD", "Name").unwrap())
             .unwrap();
         match rollup_constraint(&fx.wh, &fx.jidx, c) {
-            Rollup::Parent(sel) => {
-                assert_eq!(sel.attr, fx.wh.col_ref("PGROUP", "GroupName").unwrap());
-                assert_eq!(sel.path.len(), c.path.len() + 1, "one extra hop");
+            Rollup::Parent(parent) => {
+                assert_eq!(
+                    parent.group.attr,
+                    fx.wh.col_ref("PGROUP", "GroupName").unwrap()
+                );
+                assert_eq!(parent.path.len(), c.path.len() + 1, "one extra hop");
             }
             Rollup::Drop => panic!("expected parent rollup"),
         }

@@ -18,13 +18,16 @@ use kdap_query::{ExecConfig, JoinIndex, MeasureVector};
 use kdap_textindex::{tokenize_terms, TextIndex};
 use kdap_warehouse::{Measure, Warehouse};
 
-use crate::api::{InterpretationSummary, QueryOptions, QueryRequest, QueryResponse, Verb};
+use crate::api::{
+    ConstraintSummary, InterpretationSummary, QueryOptions, QueryRequest, QueryResponse, Verb,
+};
 use crate::cache::SubspaceCache;
 use crate::error::KdapError;
 use crate::explain::ExploreReport;
 use crate::facet::{explore_subspace, Exploration, FacetConfig};
 use crate::governor::{record_breach, CancelToken, Governor};
 use crate::interpret::{try_generate_star_nets, GenConfig, StarNet};
+use crate::navigate::refine;
 use crate::plan::Planner;
 use crate::rank::{rank_star_nets, RankMethod, RankedStarNet};
 use crate::subspace::{materialize_planned, Subspace};
@@ -318,29 +321,16 @@ impl Kdap {
         result
     }
 
-    /// Differentiate phase — the **primary** entry point: parses the
-    /// keyword query (double quotes group phrases, e.g. `"san jose" tv`),
-    /// generates candidate star nets and returns them ranked.
-    ///
-    /// Errors are typed: [`KdapError::EmptyQuery`] when the input holds
-    /// no usable keyword (empty, or nothing but stopwords and
-    /// punctuation), and a governance error when the session's deadline,
-    /// cancel token, or budget fires mid-generation. A well-formed query
-    /// whose keywords simply match nothing still returns `Ok` with an
-    /// empty ranking. Server, CLI and REPL all share this one
-    /// typed-error path; [`Kdap::interpret`] is the lossy convenience
-    /// form.
-    pub fn try_interpret(&self, query: &str) -> Result<Vec<RankedStarNet>, KdapError> {
+    /// Differentiate phase as a plain call, under the session
+    /// configuration: parses the keyword query (double quotes group
+    /// phrases, e.g. `"san jose" tv`), generates candidate star nets and
+    /// returns them ranked. Lossy: empty/stopword-only input and
+    /// governance aborts collapse to an empty ranking — [`Kdap::run`] with
+    /// [`Verb::Differentiate`] reports them as typed errors.
+    pub fn interpret(&self, query: &str) -> Vec<RankedStarNet> {
         let exec = self.request_exec(&QueryOptions::default(), None);
         self.recorded(self.interpret_stage(query, self.method, &exec))
-    }
-
-    /// Infallible convenience wrapper over [`Kdap::try_interpret`]:
-    /// empty/stopword-only input and governance aborts all collapse to
-    /// an empty ranking. Prefer `try_interpret` anywhere the caller can
-    /// surface an error.
-    pub fn interpret(&self, query: &str) -> Vec<RankedStarNet> {
-        self.try_interpret(query).unwrap_or_default()
+            .unwrap_or_default()
     }
 
     /// The differentiate pipeline with explicit ranking method and
@@ -392,24 +382,13 @@ impl Kdap {
         Ok(sub)
     }
 
-    /// Explore phase: aggregates the chosen interpretation's subspace and
-    /// constructs its dynamic facets, under the session configuration.
+    /// Explore phase as a plain call: aggregates `net`'s subspace and
+    /// constructs its dynamic facets, under the session configuration and
+    /// governance limits. The stage [`Kdap::run`] runs on the picked
+    /// interpretation, for callers that hold a net of their own.
     pub fn explore(&self, net: &StarNet) -> Result<Exploration, KdapError> {
-        self.explore_with_options(net, &QueryOptions::default())
-    }
-
-    /// Explore phase with per-request option overrides ([`QueryOptions`]
-    /// from the `api` module) — the hook interactive frontends use for
-    /// drill/roll-up navigation. Governance overrides (`timeout_ms`,
-    /// `budget_bytes`) apply to this call only.
-    pub fn explore_with_options(
-        &self,
-        net: &StarNet,
-        options: &QueryOptions,
-    ) -> Result<Exploration, KdapError> {
-        let facet = options.apply_facet(self.facet.clone());
-        let exec = self.request_exec(options, None);
-        self.recorded(self.explore_stage(net, &facet, &exec))
+        let exec = self.request_exec(&QueryOptions::default(), None);
+        self.recorded(self.explore_stage(net, &self.facet, &exec))
             .map(|(ex, _)| ex)
     }
 
@@ -437,48 +416,6 @@ impl Kdap {
             &self.planner,
             exec,
         )
-    }
-
-    /// [`Kdap::explore_stage`] with the session's cache counters stamped
-    /// into the report — the EXPLAIN form.
-    fn explain_explore_stage(
-        &self,
-        net: &StarNet,
-        facet: &FacetConfig,
-        exec: &ExecConfig,
-    ) -> Result<(Exploration, ExploreReport), KdapError> {
-        let (ex, mut report) = self.explore_stage(net, facet, exec)?;
-        report.subspace_cache = self.subspace_cache_counters();
-        report.semijoin_cache = self.semijoin_counters();
-        Ok((ex, report))
-    }
-
-    /// EXPLAIN of the explore phase under per-request option overrides:
-    /// the exploration together with its scan accounting — scans fused
-    /// vs. the per-facet equivalent, the dense/hash/buckets kernel choice
-    /// per facet spec, and the session's cache counters.
-    pub fn explain_explore_with(
-        &self,
-        net: &StarNet,
-        options: &QueryOptions,
-    ) -> Result<(Exploration, ExploreReport), KdapError> {
-        let facet = options.apply_facet(self.facet.clone());
-        let exec = self.request_exec(options, None);
-        self.recorded(self.explain_explore_stage(net, &facet, &exec))
-    }
-
-    /// EXPLAIN: the optimized physical plan of `net` with estimated vs.
-    /// actual cardinalities and semi-join cache hits, executed through
-    /// this session's planner under the session's governance limits.
-    pub fn explain(&self, net: &StarNet) -> Result<crate::explain::Plan, KdapError> {
-        let exec = self.request_exec(&QueryOptions::default(), None);
-        self.recorded(crate::explain::explain_planned(
-            &self.wh,
-            &self.jidx,
-            net,
-            &self.planner,
-            &exec,
-        ))
     }
 
     /// The session's planner (statistics and semi-join cache).
@@ -539,9 +476,12 @@ impl Kdap {
     /// the pipeline: `differentiate` ranks interpretations,
     /// `explore`/`profile`/`explain` additionally run the explore phase
     /// on the picked interpretation (profile under the session recorder,
-    /// explain with plan and scan accounting). Request options override
-    /// the session's ranking method, facet configuration and governance
-    /// limits for this call only.
+    /// explain with plan and scan accounting) after applying the
+    /// request's `refine` steps to it — drill, roll-up and drop are
+    /// requests, replayed from the pick each time; the caches make the
+    /// replayed prefix cheap. Request options override the session's
+    /// ranking method, facet configuration and governance limits for
+    /// this call only.
     ///
     /// Errors are typed [`KdapError`]s ([`crate::api::ApiError::from_kdap`]
     /// maps them onto HTTP statuses), and governance breaches are counted
@@ -604,12 +544,19 @@ impl Kdap {
             interpretations,
             ranked,
             picked: None,
+            constraints: None,
             exploration: None,
             plan: None,
             report: None,
             profile: None,
         };
         if request.verb == Verb::Differentiate {
+            if !request.refine.is_empty() {
+                return Err(KdapError::BadRefine {
+                    step: 1,
+                    reason: "`differentiate` picks no interpretation to refine".to_string(),
+                });
+            }
             return Ok(response);
         }
         let Some(picked) = response.ranked.get(request.pick.wrapping_sub(1)) else {
@@ -618,25 +565,46 @@ impl Kdap {
                 available: n,
             });
         };
+        let refined;
+        let net = if request.refine.is_empty() {
+            &picked.net
+        } else {
+            refined = refine(&self.wh, &self.jidx, &picked.net, &request.refine)?;
+            response.constraints = Some(self.summarize(&refined));
+            &refined
+        };
         let facet = request.options.apply_facet(self.facet.clone());
-        let ex = if request.verb == Verb::Explain {
-            let (ex, report) = self.explain_explore_stage(&picked.net, &facet, exec)?;
-            let plan = crate::explain::explain_planned(
-                &self.wh,
-                &self.jidx,
-                &picked.net,
-                &self.planner,
-                exec,
-            )?;
+        let (ex, mut report) = self.explore_stage(net, &facet, exec)?;
+        if request.verb == Verb::Explain {
+            report.subspace_cache = self.subspace_cache_counters();
+            report.semijoin_cache = self.semijoin_counters();
+            let plan =
+                crate::explain::explain_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
             response.plan = Some(plan.render());
             response.report = Some(report.render());
-            ex
-        } else {
-            self.explore_stage(&picked.net, &facet, exec)?.0
-        };
+        }
         response.picked = Some(request.pick);
         response.exploration = Some(ex);
         Ok(response)
+    }
+
+    /// The wire echo of a refined net's constraints, in index order.
+    fn summarize(&self, net: &StarNet) -> Vec<ConstraintSummary> {
+        let schema = self.wh.schema();
+        net.constraints
+            .iter()
+            .enumerate()
+            .map(|(i, c)| ConstraintSummary {
+                index: i + 1,
+                dimension: c
+                    .path
+                    .dimension(schema)
+                    .map(|d| schema.dimension(d).name.clone()),
+                attr: self.wh.col_name(c.group.attr),
+                values: c.group.hits.iter().map(|h| h.value.to_string()).collect(),
+                display: c.display(&self.wh),
+            })
+            .collect()
     }
 }
 
@@ -806,17 +774,21 @@ mod tests {
     }
 
     #[test]
-    fn session_explains_through_its_planner() {
+    fn explain_replays_the_plan_through_the_session_planner() {
         let kdap = session();
-        let ranked = kdap.interpret("columbus lcd");
-        let plan = kdap.explain(&ranked[0].net).unwrap();
+        let request = QueryRequest::new(Verb::Explain, "columbus lcd");
+        let first = kdap.run(&request).unwrap();
+        let size = first.exploration.unwrap().subspace_size;
+        assert!(first
+            .plan
+            .unwrap()
+            .contains(&format!("subspace: {size} fact rows")));
+        // The explore stage ran first, so every plan step is a cache hit.
+        let plan = kdap.run(&request).unwrap().plan.unwrap();
         assert_eq!(
-            plan.subspace_size,
-            kdap.explore(&ranked[0].net).unwrap().subspace_size
+            plan.matches("[cache hit]").count(),
+            plan.matches("via ").count()
         );
-        // Explaining again hits the semi-join cache for every step.
-        let again = kdap.explain(&ranked[0].net).unwrap();
-        assert!(again.constraints.iter().all(|c| c.cache_hit));
     }
 
     fn profile(kdap: &Kdap, query: &str) -> QueryResponse {
@@ -900,25 +872,22 @@ mod tests {
     }
 
     #[test]
-    fn explain_explore_reports_cache_counters() {
+    fn explain_reports_cache_counters() {
         let fx = ebiz_fixture();
         let kdap = Kdap::builder(fx.wh).cache_capacity(16).build().unwrap();
-        let ranked = kdap.interpret("columbus lcd");
-        let (_, report) = kdap
-            .explain_explore_with(&ranked[0].net, &QueryOptions::default())
+        let report = kdap
+            .run(&QueryRequest::new(Verb::Explain, "columbus lcd"))
+            .unwrap()
+            .report
             .unwrap();
-        let sub = report.subspace_cache.unwrap();
-        assert_eq!(sub.misses, 1);
-        assert!(report.semijoin_cache.is_some());
-        let text = report.render();
-        assert!(text.contains("subspace cache"));
-        assert!(text.contains("semi-join cache"));
+        assert!(report.contains("subspace cache   0 hit(s) / 1 miss(es)"));
+        assert!(report.contains("semi-join cache"));
     }
 
     #[test]
-    fn run_differentiate_matches_try_interpret() {
+    fn run_differentiate_matches_interpret() {
         let kdap = session();
-        let direct = kdap.try_interpret("columbus lcd").unwrap();
+        let direct = kdap.interpret("columbus lcd");
         let resp = kdap
             .run(&QueryRequest::new(Verb::Differentiate, "columbus lcd"))
             .unwrap();
@@ -945,7 +914,7 @@ mod tests {
     #[test]
     fn run_explore_matches_direct_calls_and_options_do_not_stick() {
         let kdap = session();
-        let direct = kdap.try_interpret("columbus lcd").unwrap();
+        let direct = kdap.interpret("columbus lcd");
         let expected = kdap.explore(&direct[0].net).unwrap();
         let resp = kdap
             .run(&QueryRequest::new(Verb::Explore, "columbus lcd"))
@@ -1048,15 +1017,13 @@ mod tests {
     }
 
     #[test]
-    fn explore_with_options_overrides_without_mutation() {
+    fn request_options_override_without_mutation() {
         let kdap = session();
-        let ranked = kdap.try_interpret("columbus lcd").unwrap();
+        let ranked = kdap.interpret("columbus lcd");
         let base = kdap.explore(&ranked[0].net).unwrap();
-        let opts = QueryOptions {
-            top_k_instances: Some(1),
-            ..QueryOptions::default()
-        };
-        let narrowed = kdap.explore_with_options(&ranked[0].net, &opts).unwrap();
+        let mut request = QueryRequest::new(Verb::Explore, "columbus lcd");
+        request.options.top_k_instances = Some(1);
+        let narrowed = kdap.run(&request).unwrap().exploration.unwrap();
         // top_k_instances bounds categorical facets (numerical facets keep
         // their merged display intervals).
         assert!(narrowed
@@ -1070,18 +1037,98 @@ mod tests {
 
     #[test]
     fn explain_is_governed_like_every_other_stage() {
-        let net = session().interpret("columbus lcd").remove(0).net;
         let fx = ebiz_fixture();
         let kdap = Kdap::builder(fx.wh)
             .deadline(Duration::ZERO)
             .observability(true)
             .build()
             .unwrap();
-        let err = kdap.explain(&net).unwrap_err();
+        let err = kdap
+            .run(&QueryRequest::new(Verb::Explain, "columbus lcd"))
+            .unwrap_err();
         assert!(matches!(err, KdapError::Timeout { .. }), "{err:?}");
         assert_eq!(kdap.semijoin_cache_len(), Some(0));
         let snap = kdap.obs().metrics_snapshot();
         assert_eq!(snap.counters.get("governor.timeouts"), Some(&1));
+    }
+
+    fn drill(dimension: &str, attr: &str, value: &str) -> crate::api::Refine {
+        crate::api::Refine::Drill {
+            dimension: dimension.into(),
+            attr: attr.into(),
+            value: value.into(),
+        }
+    }
+
+    #[test]
+    fn refine_explores_the_refined_net_and_echoes_its_constraints() {
+        let kdap = session();
+        let ranked = kdap.interpret("columbus");
+        let store = ranked
+            .iter()
+            .position(|r| r.net.display(kdap.warehouse()).contains("STORE → LOC"))
+            .unwrap();
+        let mut request = QueryRequest::new(Verb::Explore, "columbus");
+        request.pick = store + 1;
+        let plain = kdap.run(&request).unwrap();
+        assert_eq!(plain.constraints, None);
+        request
+            .refine
+            .push(drill("Product", "PGROUP.GroupName", "LCD Projectors"));
+        let resp = kdap.run(&request).unwrap();
+        let echoed = resp.constraints.expect("refine echoes the net");
+        assert_eq!(echoed.len(), 2);
+        assert_eq!(
+            (echoed[1].index, echoed[1].dimension.as_deref()),
+            (2, Some("Product"))
+        );
+        assert_eq!(echoed[1].attr, "PGROUP.GroupName");
+        assert_eq!(echoed[1].values, vec!["LCD Projectors"]);
+        assert!(echoed[1].display.contains("via"), "{}", echoed[1].display);
+        // The exploration is that of the net `navigate` builds by hand.
+        let wh = kdap.warehouse();
+        let attr = wh.col_ref("PGROUP", "GroupName").unwrap();
+        let code = wh.column(attr).dict().unwrap().code_of("LCD Projectors");
+        let dim = wh.schema().dimension_by_name("Product").unwrap();
+        let path = crate::facet::path_for_attr(wh, &ranked[store].net, dim, attr.table).unwrap();
+        let by_hand =
+            crate::navigate::drill_down(wh, &ranked[store].net, attr, &path, vec![code.unwrap()])
+                .unwrap();
+        assert_eq!(resp.exploration.unwrap(), kdap.explore(&by_hand).unwrap());
+        // Explain and profile take the same list.
+        request.verb = Verb::Explain;
+        let explained = kdap.run(&request).unwrap();
+        assert!(explained.plan.unwrap().contains("PGROUP.GroupName"));
+        assert!(explained.constraints.is_some());
+    }
+
+    #[test]
+    fn bad_refine_fails_before_anything_is_materialized() {
+        let fx = ebiz_fixture();
+        let kdap = Kdap::builder(fx.wh).cache_capacity(16).build().unwrap();
+        let mut request = QueryRequest::new(Verb::Explore, "columbus");
+        request.refine = vec![
+            drill("Product", "PGROUP.GroupName", "LCD Projectors"),
+            crate::api::Refine::Up(7),
+        ];
+        match kdap.run(&request) {
+            Err(KdapError::BadRefine { step: 2, reason }) => {
+                assert!(reason.contains("no constraint #7"), "{reason}")
+            }
+            other => panic!("expected BadRefine, got {other:?}"),
+        }
+        request.verb = Verb::Differentiate;
+        assert!(matches!(
+            kdap.run(&request),
+            Err(KdapError::BadRefine { step: 1, .. })
+        ));
+        assert_eq!(kdap.subspace_cache_len(), Some(0));
+        assert_eq!(kdap.semijoin_cache_len(), Some(0));
+        assert_eq!(
+            kdap.subspace_cache_counters(),
+            Some(CacheCounters::default())
+        );
+        assert_eq!(kdap.semijoin_counters(), Some(CacheCounters::default()));
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod doc;
 pub mod index;
 pub mod scoring;
 pub mod search;
-pub mod snippet;
 pub mod stemmer;
 pub mod tokenizer;
 pub mod tuple_index;
@@ -38,7 +37,6 @@ pub mod tuple_index;
 pub use doc::{DocId, DocMeta};
 pub use index::{Posting, TextIndex, TextIndexStats};
 pub use search::{SearchHit, SearchOptions};
-pub use snippet::snippet;
 pub use stemmer::stem;
 pub use tokenizer::{tokenize, tokenize_terms, Token};
 pub use tuple_index::{TupleDoc, TupleHit, TupleIndex};

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use kdap_textindex::scoring::{idf, score, TermMatch};
-use kdap_textindex::{snippet, stem, tokenize, SearchOptions, TextIndex};
+use kdap_textindex::{stem, tokenize, SearchOptions, TextIndex};
 use kdap_warehouse::{ColRef, TableId};
 
 proptest! {
@@ -109,27 +109,5 @@ proptest! {
         }
         // The source document itself always matches its own leading phrase.
         prop_assert!(phrase_hits.iter().any(|h| h.doc.0 == 0));
-    }
-
-    /// Snippets never panic, keep within the token budget (plus
-    /// ellipses), and highlight at least one match when one exists.
-    #[test]
-    fn snippet_invariants(
-        words in proptest::collection::vec("[a-zA-Z]{2,8}", 1..20),
-        pick in any::<proptest::sample::Index>(),
-        budget in 1usize..10,
-    ) {
-        let text = words.join(" ");
-        let kw = pick.get(&words).clone();
-        let s = snippet(&text, &[&kw], budget);
-        let visible = s
-            .split_whitespace()
-            .filter(|w| *w != "…")
-            .count();
-        prop_assert!(visible <= budget, "{s}");
-        prop_assert!(s.contains('['), "keyword from text must highlight: {s}");
-        // Unmatched keyword still yields a window, never a panic.
-        let none = snippet(&text, &["zzzzzzzzzz"], budget);
-        prop_assert!(!none.contains('['));
     }
 }

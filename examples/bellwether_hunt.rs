@@ -10,7 +10,7 @@
 //! Run: `cargo run --release --example bellwether_hunt`
 
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::{FacetConfig, Kdap, QueryOptions};
+use kdap_suite::core::{FacetConfig, Kdap, QueryOptions, QueryRequest, Verb};
 use kdap_suite::datagen::{build_aw_reseller, Scale};
 
 fn main() {
@@ -60,13 +60,15 @@ fn main() {
 
     // Contrast with surprise mode on the same subspace: the ordering of
     // the two modes is exactly inverted.
-    let surprise = QueryOptions {
+    let surprise = QueryRequest::new(Verb::Explore, query).with_options(QueryOptions {
         mode: Some(InterestMode::Surprise),
         ..QueryOptions::default()
-    };
+    });
     let ex2 = kdap
-        .explore_with_options(net, &surprise)
-        .expect("star net evaluates");
+        .run(&surprise)
+        .expect("star net evaluates")
+        .exploration
+        .expect("explore explores");
     let most_surprising = ex2
         .panels
         .iter()

@@ -10,7 +10,7 @@
 //! Run: `cargo run --release --example trends_demo`
 
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::{render_exploration, FacetConfig, Kdap, QueryOptions};
+use kdap_suite::core::{render_exploration, FacetConfig, Kdap, QueryOptions, QueryRequest, Verb};
 use kdap_suite::datagen::{build_trends, TrendsScale};
 
 fn main() {
@@ -58,13 +58,16 @@ fn main() {
     println!("surprise-ranked facets of the \"{query}\" subspace:\n");
     println!("{}", render_exploration(&ex));
 
-    let bellwether = QueryOptions {
-        mode: Some(InterestMode::Bellwether),
-        ..QueryOptions::default()
-    };
+    let bellwether =
+        QueryRequest::new(Verb::Explore, format!("\"{query}\"")).with_options(QueryOptions {
+            mode: Some(InterestMode::Bellwether),
+            ..QueryOptions::default()
+        });
     let ex2 = kdap
-        .explore_with_options(net, &bellwether)
-        .expect("star net evaluates");
+        .run(&bellwether)
+        .expect("star net evaluates")
+        .exploration
+        .expect("explore explores");
     let bell = ex2
         .panels
         .iter()

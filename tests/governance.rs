@@ -22,6 +22,11 @@ fn session(threads: usize) -> Kdap {
     builder(threads).build().unwrap()
 }
 
+/// `verb` over `keywords` under per-request governance overrides.
+fn governed(verb: Verb, keywords: &str, options: QueryOptions) -> QueryRequest {
+    QueryRequest::new(verb, keywords).with_options(options)
+}
+
 /// Per-call governance overrides: an already-expired deadline.
 fn expired() -> QueryOptions {
     QueryOptions {
@@ -42,7 +47,7 @@ fn one_byte() -> QueryOptions {
 fn zero_deadline_times_out_differentiate() {
     for threads in THREADS {
         let kdap = builder(threads).deadline(Duration::ZERO).build().unwrap();
-        match kdap.try_interpret("columbus lcd") {
+        match kdap.run(&QueryRequest::new(Verb::Differentiate, "columbus lcd")) {
             Err(KdapError::Timeout { stage, .. }) => {
                 assert!(!stage.is_empty(), "breach reports its stage");
             }
@@ -60,7 +65,7 @@ fn zero_deadline_times_out_explore() {
         let ranked = kdap.interpret("columbus");
         assert!(!ranked.is_empty());
         let net = ranked[0].net.clone();
-        match kdap.explore_with_options(&net, &expired()) {
+        match kdap.run(&governed(Verb::Explore, "columbus", expired())) {
             Err(KdapError::Timeout { stage, .. }) => assert!(!stage.is_empty()),
             other => panic!("expected Timeout with {threads} thread(s), got {other:?}"),
         }
@@ -132,7 +137,7 @@ fn tiny_budget_is_exceeded_and_reported() {
         let kdap = session(threads);
         let ranked = kdap.interpret("columbus");
         let net = ranked[0].net.clone();
-        match kdap.explore_with_options(&net, &one_byte()) {
+        match kdap.run(&governed(Verb::Explore, "columbus", one_byte())) {
             Err(KdapError::BudgetExceeded {
                 stage,
                 budget_bytes,
@@ -158,27 +163,27 @@ fn tiny_budget_is_exceeded_and_reported() {
 fn empty_and_stopword_queries_are_typed_errors() {
     let kdap = session(1);
     for q in ["", "   ", "!!! ???", "the and of", "a the with"] {
-        match kdap.try_interpret(q) {
+        match kdap.run(&QueryRequest::new(Verb::Differentiate, q)) {
             Err(KdapError::EmptyQuery) => {}
             other => panic!("{q:?}: expected EmptyQuery, got {other:?}"),
         }
         assert!(kdap.interpret(q).is_empty());
     }
     // Usable-but-unmatched keywords are an empty result, not an error.
-    assert!(kdap.try_interpret("zzzzqqqq").unwrap().is_empty());
+    let unmatched = kdap.run(&QueryRequest::new(Verb::Differentiate, "zzzzqqqq"));
+    assert!(unmatched.unwrap().ranked.is_empty());
 }
 
 #[test]
 fn breaches_increment_governor_counters() {
     let kdap = builder(1).observability(true).build().unwrap();
     for keywords in ["columbus lcd", "seattle"] {
-        let mut request = QueryRequest::new(Verb::Differentiate, keywords);
-        request.options = expired();
+        let request = governed(Verb::Differentiate, keywords, expired());
         assert!(matches!(kdap.run(&request), Err(KdapError::Timeout { .. })));
     }
     let token = kdap.cancel_token();
     token.cancel();
-    let ranked_err = kdap.try_interpret("columbus");
+    let ranked_err = kdap.run(&QueryRequest::new(Verb::Differentiate, "columbus"));
     assert!(matches!(ranked_err, Err(KdapError::Cancelled { .. })));
     let snap = kdap.obs().metrics_snapshot();
     assert_eq!(snap.counters.get("governor.timeouts"), Some(&2));
@@ -202,14 +207,25 @@ fn timed_out_query_leaves_caches_unpoisoned() {
         // A different query breaches the deadline before committing.
         let victim = kdap.interpret("seattle");
         assert!(!victim.is_empty());
-        for r in victim.iter().take(3) {
-            assert!(matches!(
-                kdap.explore_with_options(&r.net, &expired()),
-                Err(KdapError::Timeout { .. })
-            ));
+        for pick in 1..=victim.len().min(3) {
+            let mut request = governed(Verb::Explore, "seattle", expired());
+            request.pick = pick;
+            assert!(matches!(kdap.run(&request), Err(KdapError::Timeout { .. })));
         }
         assert_eq!(kdap.semijoin_cache_len(), semijoin_len);
         assert_eq!(kdap.subspace_cache_len(), subspace_len);
+        // A request-level deadline of zero fires in the differentiate
+        // stage; a session whose every call is already late breaches
+        // inside the explore stage itself, and commits nothing either.
+        let strict = builder(threads).deadline(Duration::ZERO).build().unwrap();
+        for r in victim.iter().take(3) {
+            assert!(matches!(
+                strict.explore(&r.net),
+                Err(KdapError::Timeout { .. })
+            ));
+        }
+        assert_eq!(strict.semijoin_cache_len(), Some(0));
+        assert_eq!(strict.subspace_cache_len(), Some(0));
 
         // The surviving session renders the warm query exactly as a
         // control session that never ran the failed one.
@@ -232,9 +248,13 @@ fn budget_breach_leaves_caches_unpoisoned() {
         let semijoin_len = kdap.semijoin_cache_len();
         let subspace_len = kdap.subspace_cache_len();
 
-        let victim = kdap.interpret("seattle");
-        for r in victim.iter().take(3) {
-            assert!(kdap.explore_with_options(&r.net, &one_byte()).is_err());
+        for pick in 1..=kdap.interpret("seattle").len().min(3) {
+            let mut request = governed(Verb::Explore, "seattle", one_byte());
+            request.pick = pick;
+            assert!(matches!(
+                kdap.run(&request),
+                Err(KdapError::BudgetExceeded { .. })
+            ));
         }
         assert_eq!(kdap.semijoin_cache_len(), semijoin_len);
         assert_eq!(kdap.subspace_cache_len(), subspace_len);

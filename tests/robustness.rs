@@ -1,11 +1,13 @@
 //! Robustness: the system must degrade gracefully — never panic — under
 //! arbitrary query input, and behave correctly under concurrent use.
 
+mod support;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{Kdap, SubspaceCache};
+use kdap_suite::core::{Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 fn session() -> Kdap {
@@ -51,6 +53,88 @@ proptest! {
             prop_assert!(r.score.is_finite());
             prop_assert!(r.score >= 0.0);
         }
+    }
+}
+
+/// One hostile `refine` step from raw draws: indexes at and past every
+/// boundary, and drill strings that are empty, NUL, 10 kB, almost right,
+/// or exactly right (so duplicates of a valid drill occur too).
+fn hostile_step(kind: u8, n: usize, text: &str) -> Refine {
+    let index = [0, 1, 2, 3, 1 << 40, usize::MAX][n % 6];
+    let word = |salt: usize| -> String {
+        match (n / 7 + salt) % 7 {
+            0 => String::new(),
+            1 => "\0".to_string(),
+            2 => "x".repeat(10_000),
+            3 => text.to_string(),
+            4 => "Customer".to_string(),
+            5 => "ACCOUNT.AccountType".to_string(),
+            _ => "Premium".to_string(),
+        }
+    };
+    match kind % 4 {
+        0 => Refine::Up(index),
+        1 => Refine::Drop(index),
+        2 => Refine::Drill {
+            dimension: "Customer".into(),
+            attr: "ACCOUNT.AccountType".into(),
+            value: "Premium".into(),
+        },
+        _ => Refine::Drill {
+            dimension: word(0),
+            attr: word(1),
+            value: word(2),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whatever a socket sends as `refine`, the answer is an exploration
+    /// or the typed error — never a panic — and a refused list commits
+    /// nothing to either cache.
+    #[test]
+    fn hostile_refine_lists_never_panic(
+        steps in proptest::collection::vec((any::<u8>(), any::<usize>(), "[ -~]{0,12}"), 0..12),
+        pick in 1usize..5,
+        long in any::<bool>(),
+    ) {
+        let kdap = Kdap::builder(build_ebiz(EbizScale::small(), 42).unwrap())
+            .cache_capacity(16)
+            .build()
+            .unwrap();
+        let mut request = QueryRequest::new(Verb::Explore, "columbus");
+        request.pick = pick;
+        request.refine = steps
+            .iter()
+            .map(|(kind, n, text)| hostile_step(*kind, *n, text))
+            .collect();
+        if long {
+            // A thousand steps: the drawn ones, over and over.
+            request.refine = request.refine.iter().cycle().take(1000).cloned().collect();
+        }
+        match kdap.run(&request) {
+            Ok(response) => {
+                let echoed = response.constraints;
+                prop_assert_eq!(echoed.is_some(), !request.refine.is_empty());
+                let ex = response.exploration.expect("explore explores");
+                prop_assert!(ex.subspace_size <= kdap.warehouse().fact_rows());
+            }
+            Err(KdapError::BadRefine { step, reason }) => {
+                prop_assert!((1..=request.refine.len()).contains(&step), "{step}: {reason}");
+                prop_assert_eq!(kdap.subspace_cache_len(), Some(0));
+                prop_assert_eq!(kdap.semijoin_cache_len(), Some(0));
+            }
+            Err(other) => panic!("{} step(s) → {other:?}", request.refine.len()),
+        }
+        // The body a client would have sent decodes to the same list.
+        let body = format!(
+            "{{\"keywords\": \"columbus\", \"refine\": {}}}",
+            support::refine_json(&request.refine)
+        );
+        let decoded = QueryRequest::from_json(Verb::Explore, &body).expect("decodes");
+        prop_assert!(decoded.refine == request.refine, "refine list did not round-trip");
     }
 }
 

@@ -3,7 +3,10 @@
 //! mapping, governance (408/429) without cache poisoning, wire format
 //! negotiation, persistent connections (sequential, pipelined, closed
 //! on request and on parse errors, fair to waiting clients, no obstacle
-//! to shutdown), and cancellation of queries whose client left.
+//! to shutdown), a drill / roll-up / drop session replayed as `refine`
+//! lists over one socket, and cancellation of queries whose client left.
+
+mod support;
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -11,7 +14,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use kdap_suite::core::{Kdap, QueryRequest, Verb, WireFormat};
+use kdap_suite::core::api::json::{self, Json};
+use kdap_suite::core::{Kdap, QueryRequest, Refine, Verb, WireFormat};
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 use kdap_suite::server::{EngineRegistry, KdapServer, ServerConfig};
 
@@ -331,6 +335,161 @@ fn malformed_requests_get_typed_errors() {
     );
     assert_eq!(status, 404);
     assert!(resp.contains("no_interpretation"), "{resp}");
+
+    server.shutdown();
+}
+
+/// The `"caches"` object of a `/stats` body, verbatim.
+fn caches_section(stats: &str) -> &str {
+    let start = stats.find("\"caches\": {").expect("caches in stats");
+    let len = stats[start..]
+        .find("\"rowset_containers\"")
+        .expect("caches end");
+    &stats[start..start + len]
+}
+
+/// The echoed constraint (as parsed JSON) on `attr`.
+fn echoed<'a>(doc: &'a Json, attr: &str) -> &'a Json {
+    doc.get("constraints")
+        .and_then(Json::as_arr)
+        .expect("a refined response echoes its constraints")
+        .iter()
+        .find(|c| c.get("attr").and_then(Json::as_str) == Some(attr))
+        .unwrap_or_else(|| panic!("no echoed constraint on {attr}"))
+}
+
+#[test]
+fn a_drill_roll_up_drop_session_runs_over_one_keep_alive_socket() {
+    let server = start(16);
+    let mut conn = Conn::open(server.addr());
+    let mut exchange = |method: &str, path: &str, body: &str| {
+        conn.send(&request(method, path, &[], body));
+        let reply = conn.recv();
+        assert_eq!(reply.header("connection"), Some("keep-alive"), "{path}");
+        reply
+    };
+    // The in-process twin: the same requests, decoded from the same
+    // bodies, against an engine built from the same seed.
+    let direct = engine(7);
+    let body_with = |refine: &[Refine]| {
+        format!(
+            "{{\"keywords\": \"seattle\", \"pick\": 3, \"refine\": {}}}",
+            support::refine_json(refine)
+        )
+    };
+
+    // What the analyst sees first: Seattle as a *seller* city.
+    let shown = exchange("POST", "/v1/ebiz/explore", &body_with(&[]));
+    assert_eq!(shown.status, 200, "{}", shown.body);
+    let doc = json::parse(&shown.body).expect("valid JSON");
+    assert!(doc.get("constraints").is_none(), "no refine, no echo");
+    let picked = &doc.get("interpretations").and_then(Json::as_arr).unwrap()[2];
+    let display = picked.get("display").and_then(Json::as_str).unwrap();
+    assert!(display.contains("(Seller)"), "{display}");
+    let panels = doc.get("exploration").unwrap().get("panels").unwrap();
+    let account_type = panels
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|p| p.get("dimension").and_then(Json::as_str) == Some("Customer"))
+        .flat_map(|p| p.get("attrs").and_then(Json::as_arr).unwrap())
+        .find(|a| a.get("name").and_then(Json::as_str) == Some("ACCOUNT.AccountType"))
+        .expect("account-type facet shown");
+    let entry = &account_type.get("entries").and_then(Json::as_arr).unwrap()[0];
+    let label = entry.get("label").and_then(Json::as_str).unwrap();
+    let shown_aggregate = entry.get("aggregate").and_then(Json::as_num).unwrap();
+
+    // Drill → roll-up → drop: each request replays the list so far plus
+    // one step, and that step's index comes from the previous echo.
+    let mut refine = vec![Refine::Drill {
+        dimension: "Customer".into(),
+        attr: "ACCOUNT.AccountType".into(),
+        value: label.into(),
+    }];
+    let mut sizes = Vec::new();
+    for next in ["LOCATION.City", "ACCOUNT.AccountType", ""] {
+        let body = body_with(&refine);
+        let reply = exchange("POST", "/v1/ebiz/explore", &body);
+        assert_eq!(reply.status, 200, "{body}: {}", reply.body);
+        let request = QueryRequest::from_json(Verb::Explore, &body).expect("decodes");
+        let in_process = direct.run(&request).expect("runs").encode(WireFormat::Json);
+        assert_eq!(reply.body, in_process.unwrap(), "{body}");
+        let doc = json::parse(&reply.body).expect("valid JSON");
+        let ex = doc.get("exploration").unwrap();
+        sizes.push(ex.get("subspace_size").and_then(Json::as_num).unwrap());
+        match refine.len() {
+            1 => {
+                // The drill followed the Seller role the entry was
+                // aggregated on, so it totals what the entry showed.
+                let drilled = echoed(&doc, "ACCOUNT.AccountType");
+                let display = drilled.get("display").and_then(Json::as_str).unwrap();
+                assert!(display.contains("(Seller)"), "{display}");
+                let total = ex.get("total_aggregate").and_then(Json::as_num).unwrap();
+                assert!((total - shown_aggregate).abs() <= 1e-9 * shown_aggregate.abs());
+                let index = echoed(&doc, next).get("index").and_then(Json::as_num);
+                refine.push(Refine::Up(index.unwrap() as usize));
+            }
+            2 => {
+                // City rolled up to State; the drilled constraint is next.
+                echoed(&doc, "LOCATION.State");
+                let index = echoed(&doc, next).get("index").and_then(Json::as_num);
+                refine.push(Refine::Drop(index.unwrap() as usize));
+            }
+            _ => {
+                let left = doc.get("constraints").and_then(Json::as_arr).unwrap();
+                assert_eq!(left.len(), 1, "{}", reply.body);
+                echoed(&doc, "LOCATION.State");
+            }
+        }
+    }
+    assert!(sizes[0] <= sizes[1] && sizes[1] <= sizes[2], "{sizes:?}");
+
+    // A step that does not apply is a typed 400 naming its position, and
+    // leaves the caches exactly as they were.
+    let before = exchange("GET", "/v1/ebiz/stats", "").body;
+    refine.push(Refine::Up(9));
+    let reply = exchange("POST", "/v1/ebiz/explore", &body_with(&refine));
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("\"code\": \"bad_refine\""),
+        "{}",
+        reply.body
+    );
+    assert!(
+        reply.body.contains("refine step 4: no constraint #9"),
+        "{}",
+        reply.body
+    );
+    let bogus = "{\"keywords\": \"seattle\", \"refine\": [{\"drill\": {\"dimension\": \
+                 \"Customer\", \"attr\": \"ACCOUNT.Nope\", \"value\": \"x\"}}]}";
+    let reply = exchange("POST", "/v1/ebiz/explain", bogus);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("\"code\": \"bad_refine\""),
+        "{}",
+        reply.body
+    );
+    let reply = exchange("POST", "/v1/ebiz/differentiate", &body_with(&refine[..1]));
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("\"code\": \"bad_refine\""),
+        "{}",
+        reply.body
+    );
+    let after = exchange("GET", "/v1/ebiz/stats", "").body;
+    assert_eq!(caches_section(&before), caches_section(&after));
+    assert!(after.contains("\"http.status.400\": 3"), "{after}");
+
+    // An unknown key inside a step is the body's fault, not the net's.
+    let stray = "{\"keywords\": \"seattle\", \"refine\": [{\"up\": 1, \"down\": 1}]}";
+    let reply = exchange("POST", "/v1/ebiz/explore", stray);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("\"code\": \"bad_request\""),
+        "{}",
+        reply.body
+    );
+    assert!(reply.body.contains("`refine` step 1"), "{}", reply.body);
 
     server.shutdown();
 }

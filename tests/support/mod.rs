@@ -20,7 +20,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
-use kdap_suite::core::{Kdap, StarNet};
+use kdap_suite::core::api::json::json_string;
+use kdap_suite::core::{Kdap, Refine, StarNet};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::query::{
     fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, RowSet, MAX_PATH_LEN,
@@ -254,6 +255,28 @@ pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(Joi
         }
     }
     out
+}
+
+/// The JSON array a client sends as a request's `refine` field.
+pub fn refine_json(steps: &[Refine]) -> String {
+    let steps: Vec<String> = steps
+        .iter()
+        .map(|step| match step {
+            Refine::Drill {
+                dimension,
+                attr,
+                value,
+            } => format!(
+                "{{\"drill\": {{\"dimension\": {}, \"attr\": {}, \"value\": {}}}}}",
+                json_string(dimension),
+                json_string(attr),
+                json_string(value)
+            ),
+            Refine::Up(n) => format!("{{\"up\": {n}}}"),
+            Refine::Drop(n) => format!("{{\"drop\": {n}}}"),
+        })
+        .collect();
+    format!("[{}]", steps.join(", "))
 }
 
 /// AW_ONLINE small (seed 42) behind a serial and a four-thread session,
