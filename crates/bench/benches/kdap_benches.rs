@@ -150,19 +150,22 @@ fn bench_aggregation(c: &mut Criterion) {
 }
 
 fn bench_subspace_cache(c: &mut Criterion) {
-    // §7 future-work optimization: repeated materialization with and
-    // without the subspace cache.
+    // §7 future-work optimization: a repeated exploration with and
+    // without the session cache.
     let kdap = session();
+    let cached = Kdap::builder(kdap.warehouse().clone())
+        .cache_capacity(32)
+        .build()
+        .expect("measure defined");
     let ranked = kdap.interpret("California Mountain Bikes");
     let net = &ranked[0].net;
-    let cache = kdap_core::SubspaceCache::new(32);
-    cache.materialize(kdap.warehouse(), kdap.join_index(), net); // warm
+    cached.explore(net).expect("explores"); // warm
     let mut g = c.benchmark_group("subspace_cache");
-    g.bench_function("cold_materialize", |b| {
-        b.iter(|| black_box(materialize(kdap.warehouse(), kdap.join_index(), net)))
+    g.bench_function("uncached_explore", |b| {
+        b.iter(|| black_box(kdap.explore(net)))
     });
-    g.bench_function("cached_materialize", |b| {
-        b.iter(|| black_box(cache.materialize(kdap.warehouse(), kdap.join_index(), net)))
+    g.bench_function("cached_explore", |b| {
+        b.iter(|| black_box(cached.explore(net)))
     });
     g.finish();
 }

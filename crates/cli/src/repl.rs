@@ -489,9 +489,12 @@ mod tests {
         run(&mut r, "pick 1");
         let out = run(&mut r, "explain");
         assert!(out.contains("fused scans"), "{out}");
-        // The timing tree is the same request's, under the recorder.
+        // The timing tree is the same request's, under the recorder —
+        // which `pick` already answered, so it says where the time did
+        // not go: the explore stage is a session-cache hit.
         assert!(out.contains("profile: seattle"), "{out}");
-        assert!(out.contains("explore.rollups"), "{out}");
+        assert!(out.contains("cache=hit"), "{out}");
+        assert!(!out.contains("explore.rollups"), "{out}");
         // Without --profile, explain output carries no timing tree.
         let mut plain = repl();
         run(&mut plain, "q seattle");

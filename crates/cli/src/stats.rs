@@ -48,6 +48,8 @@ pub fn stats_text(kdap: &Kdap) -> String {
         idx.avg_doc_len,
         idx.approx_bytes / 1024,
     ));
+    // The session cache of explorations, under the name it has always
+    // been printed with.
     if let Some(c) = kdap.subspace_cache_counters() {
         out.push_str(&format!(
             "subspace cache: {} hit(s) / {} miss(es) / {} eviction(s)\n",

@@ -9,6 +9,10 @@
 //! `drill 2 1` below — an ACCOUNT facet aggregated on the Seller role —
 //! is in the net, plus the `semi-join cache` hit count inside `explain`
 //! (the report is now stamped before the plan replay, not after).
+//! Since the session cache holds explorations rather than subspaces, the
+//! `subspace cache` lines read 1 hit / 7 misses where they read 3 / 5:
+//! `mode` and `order` ask for the same net under other options, which
+//! recomputes and replaces its entry; only `explain` repeats a request.
 
 use kdap_cli::{Command, Repl};
 use kdap_core::Kdap;

@@ -102,7 +102,10 @@ pub struct QueryOptions {
     /// already-expired deadline: the query aborts at its first
     /// governance check (useful for admission tests).
     pub timeout_ms: Option<u64>,
-    /// Per-request memory budget in bytes.
+    /// Per-request memory budget in bytes, charged for what the request
+    /// allocates (accumulators, result bitmaps). An exploration answered
+    /// from the session cache allocates nothing and passes under any
+    /// budget.
     pub budget_bytes: Option<u64>,
 }
 
@@ -263,13 +266,23 @@ fn str_field<'a>(key: &str, v: &'a Json) -> Result<&'a str, ApiError> {
     })
 }
 
+/// The largest integer below which every integer literal is its own
+/// `f64`: the parser reads numbers as `f64`, so a larger literal may have
+/// been rounded to a neighbour on the way in.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_991.0; // 2^53 - 1
+
 fn u64_field(key: &str, v: &Json) -> Result<u64, ApiError> {
     let n = v.as_num().ok_or_else(|| {
         ApiError::bad_request(format!("`{key}` must be a number, got {}", v.type_name()))
     })?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+    if n < 0.0 || n.fract() != 0.0 {
         return Err(ApiError::bad_request(format!(
             "`{key}` must be a non-negative integer"
+        )));
+    }
+    if n > MAX_EXACT_INT {
+        return Err(ApiError::bad_request(format!(
+            "`{key}` is out of range: integers above 2^53 - 1 are not read exactly"
         )));
     }
     Ok(n as u64)
@@ -975,6 +988,38 @@ mod tests {
             assert_eq!(err.status, 400, "{body}");
             assert!(err.message.contains(needle), "{body} → {}", err.message);
         }
+    }
+
+    #[test]
+    fn integers_the_parser_cannot_read_exactly_are_a_400_naming_the_field() {
+        // Numbers parse as f64: above 2^53 - 1 a literal may have been
+        // rounded (18446744073709551614 used to decode as u64::MAX).
+        for (field, literal) in [
+            ("pick", "18446744073709551614"),
+            ("limit", "9007199254740993"),
+            ("top_k_attrs", "9007199254740992"),
+            ("top_k_instances", "1e19"),
+            ("timeout_ms", "18446744073709551616"),
+            ("budget_bytes", "1e300"),
+        ] {
+            let body = format!(r#"{{"keywords": "x", "{field}": {literal}}}"#);
+            let err = QueryRequest::from_json(Verb::Explore, &body).unwrap_err();
+            assert_eq!(err.status, 400, "{body}");
+            let expected = format!("`{field}` is out of range");
+            assert!(err.message.contains(&expected), "{body} → {}", err.message);
+        }
+        for step in ["up", "drop"] {
+            let body = format!(r#"{{"keywords": "x", "refine": [{{"{step}": 1e16}}]}}"#);
+            let err = QueryRequest::from_json(Verb::Explore, &body).unwrap_err();
+            let expected = format!("`refine` step 1: `{step}` is out of range");
+            assert!(err.message.contains(&expected), "{body} → {}", err.message);
+        }
+        // The largest exact integer still decodes, to itself; a whole
+        // value is an integer however its literal is written.
+        let body = r#"{"keywords": "x", "budget_bytes": 9007199254740991, "pick": 2.0}"#;
+        let req = QueryRequest::from_json(Verb::Explore, body).unwrap();
+        assert_eq!(req.options.budget_bytes, Some((1 << 53) - 1));
+        assert_eq!(req.pick, 2);
     }
 
     fn sample_response(verb: Verb) -> QueryResponse {

@@ -1,39 +1,61 @@
-//! Subspace caching — toward the paper's closing future-work item (§7):
+//! The session cache — toward the paper's closing future-work item (§7):
 //! "aggregation over the sub-dataspace … can be quite expensive on
 //! sizable data warehouses; we plan to … develop new specialized
 //! techniques optimized for KDAP."
 //!
-//! Interactive sessions rematerialize the same subspaces constantly: the
-//! user flips interestingness modes, drills down and back up, re-picks
-//! interpretations. The cache keys materialized fact-row sets by the star
-//! net's canonical fingerprint (order-independent constraint identity),
-//! with LRU eviction, so a revisited subspace costs a hash lookup instead
-//! of a semi-join cascade.
+//! Interactive sessions ask for the same exploration constantly: the user
+//! drills down and back up, drops a constraint, flips a mode and flips it
+//! back, re-picks an interpretation — and since navigation is a request,
+//! each of those replays from the pick. What dominates such a request is
+//! not the semi-join (the planner's [`SemijoinCache`](kdap_query::SemijoinCache)
+//! already turns a seen net into an intersection of cached step bitmaps)
+//! but the 2 + n fused scans over the subspace and its roll-up spaces. So
+//! the cache holds the *answer*: one [`Explored`] per net — the exploration,
+//! its scan report, and the [`FacetConfig`] both were computed under —
+//! keyed by the net's ordered constraint fingerprints
+//! ([`StarNet::explore_key`](crate::StarNet::explore_key)), with LRU
+//! eviction. A repeat costs a hash lookup and an `Arc` clone; a request
+//! for the same net under different options misses, recomputes and
+//! replaces the entry. Entries are complete or absent: the session inserts
+//! only after the whole explore stage succeeded.
 //!
-//! The cache is sharded by key hash: each shard guards an independent LRU
-//! map behind its own mutex, so concurrent sessions (or the parallel
-//! differentiate phase warming several candidate subspaces at once) do not
-//! contend on a single lock.
+//! The cache is sharded by key hash: each shard guards an independent
+//! map behind its own mutex, so concurrent requests do not contend on a
+//! single lock, while eviction stays globally least-recently-used.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use kdap_obs::CacheCounters;
-use kdap_query::JoinIndex;
-use kdap_warehouse::Warehouse;
 
-use crate::interpret::StarNet;
-use crate::subspace::{materialize, Subspace};
+use crate::explain::ExploreReport;
+use crate::facet::{Exploration, FacetConfig};
 
 /// Upper bound on the number of shards; small capacities use fewer so the
 /// per-shard LRU never degenerates to zero slots.
 const MAX_SHARDS: usize = 8;
 
-/// A sharded LRU cache of materialized subspaces.
+/// The explore stage's output for one net: what a cache entry is.
+#[derive(Debug)]
+pub struct Explored {
+    /// The effective facet configuration the other two were computed
+    /// under; a lookup under any other configuration misses.
+    pub facet: FacetConfig,
+    /// The aggregates and facets of the net's subspace.
+    pub exploration: Exploration,
+    /// The scan accounting of the run that produced them (its cache
+    /// counter fields unset; `explain` fills them in at report time).
+    pub report: ExploreReport,
+}
+
+/// A sharded LRU cache of explorations, one per net. Named for what it is
+/// keyed by and reported as (`subspace` in `/stats`, `subspace cache` in
+/// `explain` and `kdap stats`).
 pub struct SubspaceCache {
     shards: Vec<Mutex<Inner>>,
     shard_capacity: usize,
@@ -43,30 +65,21 @@ pub struct SubspaceCache {
     evictions: AtomicU64,
 }
 
+#[derive(Default)]
 struct Inner {
-    map: HashMap<String, (Subspace, u64)>,
+    map: HashMap<String, (Arc<Explored>, u64)>,
     hits: u64,
     misses: u64,
 }
 
-impl Inner {
-    fn new() -> Self {
-        Inner {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
 impl SubspaceCache {
-    /// Creates a cache holding at most `capacity` subspaces in total,
+    /// Creates a cache holding at most `capacity` explorations in total,
     /// spread over `min(capacity, 8)` shards.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let n_shards = capacity.min(MAX_SHARDS);
         SubspaceCache {
-            shards: (0..n_shards).map(|_| Mutex::new(Inner::new())).collect(),
+            shards: (0..n_shards).map(|_| Mutex::default()).collect(),
             shard_capacity: capacity / n_shards,
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -83,45 +96,39 @@ impl SubspaceCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Materializes `net`, serving repeats from the cache.
-    pub fn materialize(&self, wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace {
-        let key = net.fingerprint();
-        if let Some(sub) = self.get(&key) {
-            return sub;
-        }
-        // Materialize outside the lock: concurrent sessions should not
-        // serialize on the semi-join work.
-        let sub = materialize(wh, jidx, net);
-        self.insert(key, sub.clone());
-        sub
-    }
-
-    /// Looks up a cached subspace by fingerprint, counting a hit or a
-    /// miss and refreshing the entry's LRU stamp on a hit.
-    pub fn get(&self, key: &str) -> Option<Subspace> {
+    /// Looks up the exploration of `key` computed under `facet`. An entry
+    /// computed under the same configuration is a hit (its LRU stamp is
+    /// refreshed and the entry handed out as an `Arc` clone — nothing is
+    /// copied under the shard lock); no entry, or one computed under
+    /// another configuration, is a miss.
+    pub fn get(&self, key: &str, facet: &FacetConfig) -> Option<Arc<Explored>> {
         let clock = self.tick();
         let mut inner = self.shard(key).lock();
-        if let Some((sub, stamp)) = inner.map.get_mut(key) {
-            *stamp = clock;
-            let sub = sub.clone();
-            inner.hits += 1;
-            Some(sub)
-        } else {
-            inner.misses += 1;
-            None
+        match inner.map.get_mut(key) {
+            Some((entry, stamp)) if entry.facet == *facet => {
+                *stamp = clock;
+                let entry = Arc::clone(entry);
+                inner.hits += 1;
+                Some(entry)
+            }
+            _ => {
+                inner.misses += 1;
+                None
+            }
         }
     }
 
-    /// Stores a subspace under `key`, then evicts the globally least
-    /// recently used entries while total occupancy exceeds capacity.
+    /// Stores `entry` under `key` (replacing the net's previous entry, if
+    /// any), then evicts the globally least recently used entries while
+    /// total occupancy exceeds capacity.
     ///
     /// Eviction is driven by *total* occupancy, not per-shard occupancy,
     /// so skewed key hashing cannot evict entries while the cache as a
     /// whole still has room. Locks are taken one shard at a time — never
     /// nested — so concurrent inserts cannot deadlock.
-    pub fn insert(&self, key: String, sub: Subspace) {
+    pub fn insert(&self, key: String, entry: Arc<Explored>) {
         let clock = self.tick();
-        self.shard(&key).lock().map.insert(key, (sub, clock));
+        self.shard(&key).lock().map.insert(key, (entry, clock));
         while self.len() > self.capacity() {
             // Scan for the entry with the smallest stamp across shards,
             // then re-lock its shard to remove it. A concurrent touch may
@@ -147,22 +154,16 @@ impl SubspaceCache {
         }
     }
 
-    /// `(hits, misses)` counters, summed over all shards.
-    pub fn stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
+    /// Hit/miss/eviction counters, summed over all shards: `hits + misses`
+    /// is the number of lookups, evictions count LRU victims (a replaced
+    /// entry is not one).
+    pub fn counters(&self) -> CacheCounters {
+        let (mut hits, mut misses) = (0, 0);
         for shard in &self.shards {
             let inner = shard.lock();
             hits += inner.hits;
             misses += inner.misses;
         }
-        (hits, misses)
-    }
-
-    /// Hit/miss/eviction counters. Evictions count LRU victims and
-    /// entries dropped by [`SubspaceCache::clear`].
-    pub fn counters(&self) -> CacheCounters {
-        let (hits, misses) = self.stats();
         CacheCounters {
             hits,
             misses,
@@ -170,96 +171,116 @@ impl SubspaceCache {
         }
     }
 
-    /// Number of cached subspaces across all shards.
+    /// Number of cached explorations across all shards.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// Container histogram over every cached subspace's row set — how the
-    /// session's live subspaces compress (array/bitmap/run block counts).
-    pub fn container_histogram(&self) -> kdap_query::ContainerHistogram {
-        let mut h = kdap_query::ContainerHistogram::default();
-        for shard in &self.shards {
-            for (sub, _) in shard.lock().map.values() {
-                h.merge(&sub.rows.container_histogram());
-            }
-        }
-        h
     }
 
     /// Total capacity across all shards.
     pub fn capacity(&self) -> usize {
         self.shard_capacity * self.shards.len()
     }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all cached entries (e.g. after warehouse changes); the
-    /// dropped entries count as evictions.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.lock();
-            self.evictions
-                .fetch_add(inner.map.len() as u64, Ordering::Relaxed);
-            inner.map.clear();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpret::{generate_star_nets, GenConfig};
-    use crate::testutil::ebiz_fixture;
+    use crate::interest::InterestMode;
+
+    /// An entry recognisable by its `subspace_size`.
+    fn entry(tag: usize, facet: &FacetConfig) -> Arc<Explored> {
+        Arc::new(Explored {
+            facet: facet.clone(),
+            exploration: Exploration {
+                subspace_size: tag,
+                total_aggregate: tag as f64,
+                panels: Vec::new(),
+            },
+            report: ExploreReport::default(),
+        })
+    }
+
+    fn tag_of(cache: &SubspaceCache, key: &str) -> Option<usize> {
+        cache
+            .get(key, &FacetConfig::default())
+            .map(|e| e.exploration.subspace_size)
+    }
 
     #[test]
-    fn repeat_materializations_hit_the_cache() {
-        let fx = ebiz_fixture();
+    fn a_repeat_hits_and_hands_out_the_stored_entry() {
         let cache = SubspaceCache::new(8);
-        let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        let a = cache.materialize(&fx.wh, &fx.jidx, &nets[0]);
-        let b = cache.materialize(&fx.wh, &fx.jidx, &nets[0]);
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(cache.stats(), (1, 1));
+        let facet = FacetConfig::default();
+        assert!(cache.get("a", &facet).is_none());
+        let stored = entry(1, &facet);
+        cache.insert("a".into(), stored.clone());
+        let hit = cache
+            .get("a", &facet)
+            .expect("stored under the same options");
+        assert!(Arc::ptr_eq(&hit, &stored), "a hit copies nothing");
+        assert_eq!(cache.counters(), CacheCounters::new(1, 1, 0));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn cached_result_matches_direct_materialization() {
-        let fx = ebiz_fixture();
+    fn other_options_miss_and_their_answer_replaces_the_entry() {
         let cache = SubspaceCache::new(8);
-        for net in generate_star_nets(
-            &fx.wh,
-            &fx.index,
-            &["columbus", "lcd"],
-            &GenConfig::default(),
-        ) {
-            let cached = cache.materialize(&fx.wh, &fx.jidx, &net);
-            let direct = crate::subspace::materialize(&fx.wh, &fx.jidx, &net);
-            assert_eq!(cached.rows, direct.rows);
-        }
+        let surprise = FacetConfig::default();
+        let bellwether = FacetConfig {
+            mode: InterestMode::Bellwether,
+            ..FacetConfig::default()
+        };
+        cache.insert("a".into(), entry(1, &surprise));
+        assert!(cache.get("a", &bellwether).is_none());
+        cache.insert("a".into(), entry(2, &bellwether));
+        // One entry per net: the flip back recomputes too.
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get("a", &surprise).is_none());
+        let hit = cache.get("a", &bellwether).expect("the replacement");
+        assert_eq!(hit.exploration.subspace_size, 2);
+        // A replaced entry is not an eviction.
+        assert_eq!(cache.counters(), CacheCounters::new(1, 2, 0));
     }
 
     #[test]
     fn lru_evicts_oldest_within_a_shard() {
-        let fx = ebiz_fixture();
         // Capacity 1 forces a single shard with a single slot, making
         // eviction order deterministic regardless of key hashing.
         let cache = SubspaceCache::new(1);
         assert_eq!(cache.capacity(), 1);
-        let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        assert!(nets.len() >= 2);
-        cache.materialize(&fx.wh, &fx.jidx, &nets[0]); // miss
-        cache.materialize(&fx.wh, &fx.jidx, &nets[0]); // hit
-        cache.materialize(&fx.wh, &fx.jidx, &nets[1]); // miss, evicts 0
-        cache.materialize(&fx.wh, &fx.jidx, &nets[0]); // miss again
-        assert_eq!(cache.stats(), (1, 3));
+        let facet = FacetConfig::default();
+        cache.insert("a".into(), entry(1, &facet));
+        assert_eq!(tag_of(&cache, "a"), Some(1)); // hit
+        cache.insert("b".into(), entry(2, &facet)); // evicts a
+        assert_eq!(tag_of(&cache, "a"), None); // miss
+        cache.insert("a".into(), entry(1, &facet)); // evicts b
+        assert_eq!(tag_of(&cache, "b"), None); // miss
         assert_eq!(cache.len(), 1);
-        // Two LRU victims: net 0 (for net 1) and net 1 (for net 0 again).
-        assert_eq!(cache.counters(), CacheCounters::new(1, 3, 2));
+        assert_eq!(cache.counters(), CacheCounters::new(1, 2, 2));
+    }
+
+    #[test]
+    fn eviction_is_globally_least_recently_used() {
+        // Sixteen slots over eight shards: whichever shards the keys hash
+        // to, the victim is the entry touched longest ago overall.
+        let cache = SubspaceCache::new(16);
+        let facet = FacetConfig::default();
+        let keys: Vec<String> = (0..16).map(|i| format!("net-{i}")).collect();
+        for (i, key) in keys.iter().enumerate() {
+            cache.insert(key.clone(), entry(i, &facet));
+        }
+        assert_eq!(cache.len(), 16);
+        assert_eq!(cache.counters().evictions, 0, "room left, nothing evicted");
+        // Refresh the two oldest; the third-oldest is now the LRU entry.
+        assert_eq!(tag_of(&cache, &keys[0]), Some(0));
+        assert_eq!(tag_of(&cache, &keys[1]), Some(1));
+        cache.insert("net-16".into(), entry(16, &facet));
+        assert_eq!(cache.len(), 16);
+        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!(tag_of(&cache, &keys[2]), None);
+        for key in keys.iter().filter(|k| *k != &keys[2]) {
+            assert!(tag_of(&cache, key).is_some(), "{key} survived");
+        }
     }
 
     #[test]
@@ -268,62 +289,38 @@ mod tests {
             let cache = SubspaceCache::new(capacity);
             assert!(cache.capacity() <= capacity, "capacity {capacity}");
             assert!(cache.capacity() >= 1);
+            let facet = FacetConfig::default();
+            for i in 0..2 * capacity + 3 {
+                cache.insert(format!("net-{i}"), entry(i, &facet));
+                assert!(cache.len() <= cache.capacity(), "capacity {capacity}");
+            }
         }
     }
 
     #[test]
-    fn clear_resets_contents() {
-        let fx = ebiz_fixture();
-        let cache = SubspaceCache::new(4);
-        let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        cache.materialize(&fx.wh, &fx.jidx, &nets[0]);
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn fingerprint_is_order_independent() {
-        let fx = ebiz_fixture();
-        let nets = generate_star_nets(
-            &fx.wh,
-            &fx.index,
-            &["columbus", "lcd"],
-            &GenConfig::default(),
-        );
-        let net = &nets[0];
-        let mut reversed = net.clone();
-        reversed.constraints.reverse();
-        assert_eq!(net.fingerprint(), reversed.fingerprint());
-    }
-
-    #[test]
     fn concurrent_access_stays_consistent() {
-        let fx = std::sync::Arc::new(ebiz_fixture());
-        let cache = std::sync::Arc::new(SubspaceCache::new(4));
-        let nets = std::sync::Arc::new(generate_star_nets(
-            &fx.wh,
-            &fx.index,
-            &["columbus", "lcd"],
-            &GenConfig::default(),
-        ));
+        let cache = SubspaceCache::new(4);
+        let facet = FacetConfig::default();
+        const THREADS: usize = 8;
+        const ITERS: usize = 200;
         std::thread::scope(|s| {
-            for t in 0..4 {
-                let fx = fx.clone();
-                let cache = cache.clone();
-                let nets = nets.clone();
+            for t in 0..THREADS {
+                let (cache, facet) = (&cache, &facet);
                 s.spawn(move || {
-                    for i in 0..50 {
-                        let net = &nets[(t + i) % nets.len()];
-                        let cached = cache.materialize(&fx.wh, &fx.jidx, net);
-                        let direct = crate::subspace::materialize(&fx.wh, &fx.jidx, net);
-                        assert_eq!(cached.rows, direct.rows);
+                    for i in 0..ITERS {
+                        let tag = (t * 31 + i * 7) % 10;
+                        let key = format!("net-{tag}");
+                        match cache.get(&key, facet) {
+                            // Whatever is found under a key is that key's answer.
+                            Some(hit) => assert_eq!(hit.exploration.subspace_size, tag),
+                            None => cache.insert(key, entry(tag, facet)),
+                        }
                     }
                 });
             }
         });
         assert!(cache.len() <= cache.capacity());
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, 4 * 50);
+        let c = cache.counters();
+        assert_eq!(c.hits + c.misses, (THREADS * ITERS) as u64);
     }
 }

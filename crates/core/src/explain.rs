@@ -139,7 +139,7 @@ pub struct FacetScanChoice {
     /// `dense` (accumulator array sized by dictionary cardinality),
     /// `hash` (cardinality above the dense cutoff), or `buckets`
     /// (bucketized numerical domain).
-    pub kernel: String,
+    pub kernel: &'static str,
     /// Non-empty groups observed in the subspace.
     pub groups: usize,
 }
@@ -149,7 +149,7 @@ pub struct FacetScanChoice {
 /// would have paid for the same exploration, plus the dense-vs-hash
 /// kernel choice per deduplicated facet spec. Rendered into the `report`
 /// of a [`Verb::Explain`](crate::Verb::Explain) response.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Roll-up spaces of the star net (one per constraint; one full
     /// space when the net is unconstrained).
@@ -163,8 +163,8 @@ pub struct ExploreReport {
     pub scans_old: usize,
     /// Kernel choice per deduplicated facet spec, in evaluation order.
     pub facets: Vec<FacetScanChoice>,
-    /// Session subspace-cache counters at report time, when the session
-    /// caches subspaces.
+    /// Session-cache counters at report time (rendered as `subspace
+    /// cache`), when the session caches explorations.
     pub subspace_cache: Option<CacheCounters>,
     /// Session semi-join-cache counters at report time, when the planner
     /// caches step bitmaps.

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use crate::interest::pearson;
 
 /// Tuning parameters for Algorithm 2.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnealConfig {
     /// Target number of merged ranges `K`.
     pub target_intervals: usize,

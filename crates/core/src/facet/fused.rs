@@ -447,12 +447,12 @@ fn build_report(
         .filter_map(|((attr, _, _), data)| match data {
             SlotData::Categorical { dense, groups, .. } => Some(FacetScanChoice {
                 attr: wh.col_name(*attr),
-                kernel: if *dense { "dense" } else { "hash" }.to_string(),
+                kernel: if *dense { "dense" } else { "hash" },
                 groups: *groups,
             }),
             SlotData::Numerical { series: Some(ns) } => Some(FacetScanChoice {
                 attr: wh.col_name(*attr),
-                kernel: "buckets".to_string(),
+                kernel: "buckets",
                 groups: ns.groups,
             }),
             SlotData::Numerical { series: None } => None,

@@ -46,7 +46,7 @@ pub enum FacetOrder {
 }
 
 /// Knobs of the explore phase.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FacetConfig {
     /// Surprise or bellwether interestingness.
     pub mode: InterestMode,

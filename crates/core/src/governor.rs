@@ -36,12 +36,24 @@ pub const CTR_BUDGET_EXCEEDED: &str = "governor.budget_exceeded";
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// Fault injection: see [`CancelToken::cancelling_at_poll`].
+    cancel_at_poll: Option<u64>,
 }
 
 impl CancelToken {
     /// A fresh, untripped token.
     pub fn new() -> Self {
         CancelToken::default()
+    }
+
+    /// Fault injection for abort-semantics tests: a token under which each
+    /// query sees itself cancelled at its `k`-th governance poll (1-based)
+    /// — a deterministic stand-in for a cancel landing mid-query.
+    pub fn cancelling_at_poll(k: u64) -> Self {
+        CancelToken {
+            cancel_at_poll: Some(k),
+            ..CancelToken::default()
+        }
     }
 
     /// Requests cancellation of every query governed by this token.
@@ -92,11 +104,11 @@ impl Governor {
     /// the top of each governed query so deadlines measure per-query
     /// time, not session lifetime.
     pub fn fresh_context(&self) -> Arc<QueryContext> {
-        Arc::new(QueryContext::new(
-            self.deadline,
-            self.memory_budget,
-            self.cancel.flag(),
-        ))
+        let ctx = QueryContext::new(self.deadline, self.memory_budget, self.cancel.flag());
+        Arc::new(match self.cancel.cancel_at_poll {
+            Some(k) => ctx.cancel_at_poll(k),
+            None => ctx,
+        })
     }
 }
 

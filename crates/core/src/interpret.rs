@@ -124,10 +124,22 @@ impl StarNet {
         self.constraints.len()
     }
 
-    /// A stable, order-independent fingerprint of the net's constraints
-    /// (used for deduplication and subspace caching).
+    /// A stable, order-independent fingerprint of the net's constraints:
+    /// identifies the net's *subspace* (used for deduplication and
+    /// ranking tie-breaks).
     pub fn fingerprint(&self) -> String {
         format!("{:?}", self.canonical_key())
+    }
+
+    /// The constraint fingerprints in net order: identifies the net's
+    /// *exploration* (the session cache's key). Order matters there and
+    /// only there — promoted facets are listed, and a role-playing
+    /// dimension's facet path is chosen, in constraint order — while
+    /// nothing else of a constraint (hit scores, matched keywords,
+    /// display values) reaches the explore stage.
+    pub fn explore_key(&self) -> String {
+        let ordered: Vec<Fingerprint> = self.constraints.iter().map(|c| c.fingerprint()).collect();
+        format!("{ordered:?}")
     }
 
     /// Canonical identity used for deduplication: the multiset of

@@ -33,7 +33,7 @@ pub use api::{
     ApiError, ConstraintSummary, InterpretationSummary, QueryOptions, QueryRequest, QueryResponse,
     Refine, Verb, WireFormat,
 };
-pub use cache::SubspaceCache;
+pub use cache::{Explored, SubspaceCache};
 pub use error::KdapError;
 pub use explain::{explain, explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
 pub use facet::{

@@ -10,7 +10,7 @@
 //! explore phase over several worker threads; `threads = 1` (the
 //! default) reproduces the serial pipeline bit for bit.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use kdap_obs::{CacheCounters, CacheOutcome, Obs, QueryProfile};
@@ -21,16 +21,15 @@ use kdap_warehouse::{Measure, Warehouse};
 use crate::api::{
     ConstraintSummary, InterpretationSummary, QueryOptions, QueryRequest, QueryResponse, Verb,
 };
-use crate::cache::SubspaceCache;
+use crate::cache::{Explored, SubspaceCache};
 use crate::error::KdapError;
-use crate::explain::ExploreReport;
 use crate::facet::{explore_subspace, Exploration, FacetConfig};
 use crate::governor::{record_breach, CancelToken, Governor};
 use crate::interpret::{try_generate_star_nets, GenConfig, StarNet};
 use crate::navigate::refine;
 use crate::plan::Planner;
 use crate::rank::{rank_star_nets, RankMethod, RankedStarNet};
-use crate::subspace::{materialize_planned, Subspace};
+use crate::subspace::materialize_planned;
 
 /// Configures and constructs a [`Kdap`] session.
 ///
@@ -84,9 +83,10 @@ impl KdapBuilder {
         self
     }
 
-    /// Enables the subspace cache with the given total capacity (§7
-    /// future-work optimization): repeat explorations of the same
-    /// interpretation skip rematerialization.
+    /// Enables the session cache with the given total capacity in nets
+    /// (§7 future-work optimization): a repeated exploration — same net,
+    /// same effective options — is answered from the cache, without
+    /// materializing or scanning anything.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
         self
@@ -360,28 +360,6 @@ impl Kdap {
         Ok(ranked)
     }
 
-    fn materialize_net(&self, net: &StarNet, exec: &ExecConfig) -> Result<Subspace, KdapError> {
-        let span = self.obs.span("materialize");
-        let Some(cache) = &self.cache else {
-            let sub = materialize_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
-            span.rows_out(sub.len() as u64);
-            return Ok(sub);
-        };
-        let key = net.fingerprint();
-        if let Some(sub) = cache.get(&key) {
-            span.cache(CacheOutcome::Hit);
-            span.rows_out(sub.len() as u64);
-            return Ok(sub);
-        }
-        span.cache(CacheOutcome::Miss);
-        // The subspace-cache insert happens strictly after successful
-        // materialization: a governed abort cannot leave a partial entry.
-        let sub = materialize_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
-        cache.insert(key, sub.clone());
-        span.rows_out(sub.len() as u64);
-        Ok(sub)
-    }
-
     /// Explore phase as a plain call: aggregates `net`'s subspace and
     /// constructs its dynamic facets, under the session configuration and
     /// governance limits. The stage [`Kdap::run`] runs on the picked
@@ -389,24 +367,43 @@ impl Kdap {
     pub fn explore(&self, net: &StarNet) -> Result<Exploration, KdapError> {
         let exec = self.request_exec(&QueryOptions::default(), None);
         self.recorded(self.explore_stage(net, &self.facet, &exec))
-            .map(|(ex, _)| ex)
+            .map(|explored| explored.exploration.clone())
     }
 
     /// The explore pipeline with explicit facet and execution configs:
-    /// materialize the net (through the subspace cache), then run the
-    /// fused facet scans.
+    /// answer from the session cache when it holds this net's exploration
+    /// under the same `facet`; otherwise materialize the net through the
+    /// planner, run the fused facet scans, and cache the answer.
     fn explore_stage(
         &self,
         net: &StarNet,
         facet: &FacetConfig,
         exec: &ExecConfig,
-    ) -> Result<(Exploration, ExploreReport), KdapError> {
-        let _span = self.obs.span("explore");
-        let sub = self.materialize_net(net, exec)?;
+    ) -> Result<Arc<Explored>, KdapError> {
+        let span = self.obs.span("explore");
+        // A hit is governed like any other stage: an expired deadline or
+        // a tripped cancel token wins over the lookup. (A byte budget
+        // charges what a request allocates; a hit allocates nothing.)
+        exec.check_at("explore", 0, 0)?;
+        let cache = self.cache.as_ref().map(|c| (c, net.explore_key()));
+        if let Some((cache, key)) = &cache {
+            if let Some(hit) = cache.get(key, facet) {
+                span.cache(CacheOutcome::Hit);
+                span.rows_out(hit.exploration.subspace_size as u64);
+                return Ok(hit);
+            }
+            span.cache(CacheOutcome::Miss);
+        }
+        let sub = {
+            let span = self.obs.span("materialize");
+            let sub = materialize_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
+            span.rows_out(sub.len() as u64);
+            sub
+        };
         let mv = self
             .measure_vector
             .get_or_init(|| MeasureVector::build(&self.wh, &self.measure));
-        explore_subspace(
+        let (exploration, report) = explore_subspace(
             &self.wh,
             &self.jidx,
             net,
@@ -415,7 +412,20 @@ impl Kdap {
             facet,
             &self.planner,
             exec,
-        )
+        )?;
+        span.rows_out(exploration.subspace_size as u64);
+        let explored = Arc::new(Explored {
+            facet: facet.clone(),
+            exploration,
+            report,
+        });
+        // Strictly after both stages succeeded: a governed abort anywhere
+        // in materialize or the facet scans leaves the cache as it was —
+        // complete entries only, never partial.
+        if let Some((cache, key)) = cache {
+            cache.insert(key, Arc::clone(&explored));
+        }
+        Ok(explored)
     }
 
     /// The session's planner (statistics and semi-join cache).
@@ -429,8 +439,8 @@ impl Kdap {
         &self.obs
     }
 
-    /// Subspace-cache hit/miss/eviction counters, when the cache is
-    /// enabled.
+    /// Session-cache hit/miss/eviction counters, when the cache is
+    /// enabled: one lookup per explore that reached the cache layer.
     pub fn subspace_cache_counters(&self) -> Option<CacheCounters> {
         self.cache.as_ref().map(|c| c.counters())
     }
@@ -440,8 +450,9 @@ impl Kdap {
         self.planner.cache_counters()
     }
 
-    /// Number of entries in the subspace cache, when enabled. Governance
-    /// tests use this to assert that aborted queries commit nothing.
+    /// Number of explorations in the session cache, when enabled.
+    /// Governance tests use this to assert that aborted queries commit
+    /// nothing.
     pub fn subspace_cache_len(&self) -> Option<usize> {
         self.cache.as_ref().map(|c| c.len())
     }
@@ -457,18 +468,14 @@ impl Kdap {
         CacheCounters::default()
     }
 
-    /// Container histogram over every row set held by the session's
-    /// caches (subspace cache + semi-join cache) — how the live hybrid
+    /// Container histogram over every row set the session holds on to —
+    /// the semi-join cache's step bitmaps — showing how the live hybrid
     /// bitmaps compress into array/bitmap/run blocks.
     pub fn cache_container_histogram(&self) -> kdap_query::ContainerHistogram {
-        let mut h = kdap_query::ContainerHistogram::default();
-        if let Some(cache) = self.cache.as_ref() {
-            h.merge(&cache.container_histogram());
-        }
-        if let Some(cache) = self.planner.cache() {
-            h.merge(&cache.container_histogram());
-        }
-        h
+        self.planner
+            .cache()
+            .map(|cache| cache.container_histogram())
+            .unwrap_or_default()
     }
 
     /// Executes one typed [`QueryRequest`] — **the** unified entry point
@@ -574,8 +581,9 @@ impl Kdap {
             &refined
         };
         let facet = request.options.apply_facet(self.facet.clone());
-        let (ex, mut report) = self.explore_stage(net, &facet, exec)?;
+        let explored = self.explore_stage(net, &facet, exec)?;
         if request.verb == Verb::Explain {
+            let mut report = explored.report.clone();
             report.subspace_cache = self.subspace_cache_counters();
             report.semijoin_cache = self.semijoin_counters();
             let plan =
@@ -584,7 +592,7 @@ impl Kdap {
             response.report = Some(report.render());
         }
         response.picked = Some(request.pick);
-        response.exploration = Some(ex);
+        response.exploration = Some(explored.exploration.clone());
         Ok(response)
     }
 
@@ -807,7 +815,7 @@ mod tests {
         let report = profile(&kdap, "columbus lcd");
         assert!(!report.ranked.is_empty());
         assert!(report.exploration.is_some());
-        let stages = report.profile.unwrap().stage_names();
+        let stages = report.profile.as_ref().unwrap().stage_names();
         assert_eq!(stages[0], "differentiate");
         assert!(stages.iter().any(|s| s.trim() == "textindex.search"));
         assert!(stages.iter().any(|s| s.trim() == "rank_star_nets"));
@@ -815,15 +823,26 @@ mod tests {
         assert!(stages.iter().any(|s| s.trim() == "materialize"));
         assert!(stages.iter().any(|s| s.trim() == "plan.compile"));
         assert!(stages.iter().any(|s| s.trim() == "multi_group_by"));
-        // Profiling again hits the subspace cache for the same net.
-        let again = profile(&kdap, "columbus lcd").profile.unwrap();
-        let hit = again
-            .roots
-            .iter()
-            .flat_map(|r| r.children.iter())
-            .find(|n| n.name == "materialize")
-            .unwrap();
-        assert_eq!(hit.cache, Some(kdap_obs::CacheOutcome::Hit));
+        let explore_node = |p: &QueryProfile| {
+            let node = p.roots.iter().find(|n| n.name == "explore");
+            node.expect("an explore stage").clone()
+        };
+        let first = explore_node(report.profile.as_ref().unwrap());
+        assert_eq!(first.cache, Some(CacheOutcome::Miss));
+        // Profiling again answers the same net from the session cache:
+        // the explore stage says so, reports the same subspace, and has
+        // nothing underneath it.
+        let again = explore_node(&profile(&kdap, "columbus lcd").profile.unwrap());
+        assert_eq!(again.cache, Some(CacheOutcome::Hit));
+        assert_eq!(again.rows_out, first.rows_out);
+        assert_eq!(
+            again.rows_out,
+            report
+                .exploration
+                .as_ref()
+                .map(|ex| ex.subspace_size as u64)
+        );
+        assert!(again.children.is_empty(), "{:?}", again.children);
         // Metrics accumulated along the way.
         let snap = kdap.obs().metrics_snapshot();
         assert!(snap.counters["textindex.searches"] >= 2);

@@ -180,10 +180,11 @@ proptest! {
 }
 
 /// Eight threads hammering one sharded `SubspaceCache` stay consistent:
-/// every lookup returns the same rows as a direct materialization, the
-/// capacity bound holds, and the hit/miss accounting adds up.
+/// every hit is the exploration a direct explore of that net computes,
+/// the capacity bound holds, and the hit/miss accounting adds up.
 #[test]
 fn sharded_cache_consistent_under_hammering() {
+    use kdap_core::{ExploreReport, Explored};
     let fx = kdap_core::testutil::ebiz_fixture();
     let kdap = kdap_core::Kdap::builder(fx.wh).build().expect("measure");
     let cache = kdap_core::SubspaceCache::new(3);
@@ -193,6 +194,7 @@ fn sharded_cache_consistent_under_hammering() {
         .map(|r| r.net)
         .collect();
     assert!(nets.len() >= 4, "fixture yields several interpretations");
+    let facet = kdap.facet_config();
     const THREADS: usize = 8;
     const ITERS: usize = 50;
     std::thread::scope(|s| {
@@ -201,14 +203,24 @@ fn sharded_cache_consistent_under_hammering() {
             s.spawn(move || {
                 for i in 0..ITERS {
                     let net = &nets[(t * 31 + i * 7) % nets.len()];
-                    let cached = cache.materialize(kdap.warehouse(), kdap.join_index(), net);
-                    let direct = kdap_core::materialize(kdap.warehouse(), kdap.join_index(), net);
-                    assert_eq!(cached.rows, direct.rows);
+                    let direct = kdap.explore(net).expect("fixture nets explore");
+                    let key = net.explore_key();
+                    match cache.get(&key, facet) {
+                        Some(hit) => assert_eq!(hit.exploration, direct),
+                        None => cache.insert(
+                            key,
+                            Arc::new(Explored {
+                                facet: facet.clone(),
+                                exploration: direct,
+                                report: ExploreReport::default(),
+                            }),
+                        ),
+                    }
                 }
             });
         }
     });
     assert!(cache.len() <= cache.capacity(), "capacity bound holds");
-    let (hits, misses) = cache.stats();
-    assert_eq!(hits + misses, (THREADS * ITERS) as u64);
+    let counters = cache.counters();
+    assert_eq!(counters.hits + counters.misses, (THREADS * ITERS) as u64);
 }

@@ -61,6 +61,9 @@ pub struct QueryContext {
     cancel: Arc<AtomicBool>,
     budget: Option<u64>,
     charged: AtomicU64,
+    /// Fault injection: report `Cancelled` from this poll on (1-based).
+    cancel_at_poll: Option<u64>,
+    polls: AtomicU64,
 }
 
 impl QueryContext {
@@ -78,7 +81,18 @@ impl QueryContext {
             cancel,
             budget: budget_bytes,
             charged: AtomicU64::new(0),
+            cancel_at_poll: None,
+            polls: AtomicU64::new(0),
         }
+    }
+
+    /// Fault injection for abort-semantics tests: the `k`-th
+    /// [`check_at`](Self::check_at) of this context (1-based, counted
+    /// across all worker threads) and every later one report
+    /// [`Breach::Cancelled`], as if the token had been tripped just then.
+    pub fn cancel_at_poll(mut self, k: u64) -> Self {
+        self.cancel_at_poll = Some(k);
+        self
     }
 
     /// Polls cancellation and the deadline. `stage` is the observability
@@ -92,7 +106,8 @@ impl QueryContext {
         completed: u64,
         total: u64,
     ) -> Result<(), QueryError> {
-        if self.cancel.load(Ordering::Relaxed) {
+        let injected = |k| self.polls.fetch_add(1, Ordering::Relaxed) + 1 >= k;
+        if self.cancel.load(Ordering::Relaxed) || self.cancel_at_poll.is_some_and(injected) {
             return Err(QueryError::Governed {
                 breach: Breach::Cancelled,
                 stage,
@@ -200,6 +215,28 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn injected_cancel_fires_from_the_kth_poll_on() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let ctx = QueryContext::new(None, None, flag.clone()).cancel_at_poll(3);
+        assert!(ctx.check("a").is_ok());
+        assert!(ctx.check("a").is_ok());
+        for _ in 0..2 {
+            assert!(matches!(
+                ctx.check("b"),
+                Err(QueryError::Governed {
+                    breach: Breach::Cancelled,
+                    stage: "b",
+                    ..
+                })
+            ));
+        }
+        assert!(
+            !flag.load(Ordering::Relaxed),
+            "the shared token is untouched"
+        );
     }
 
     #[test]

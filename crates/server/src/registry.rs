@@ -100,6 +100,8 @@ impl TenantEngine {
         out.push_str(&snapshot_json(&self.kdap.obs().metrics_snapshot(), "  "));
         out.push_str(",\n  \"caches\": {");
         let mut first = true;
+        // `subspace` is the session cache: its entries are explorations,
+        // one per net; the wire name predates that.
         for (key, len, counters) in [
             (
                 "subspace",
@@ -126,6 +128,8 @@ impl TenantEngine {
             out.push_str("\n  ");
         }
         out.push_str("},\n");
+        // The semi-join cache's step bitmaps — the only row sets a
+        // session keeps.
         let h = self.kdap.cache_container_histogram();
         out.push_str(&format!(
             "  \"rowset_containers\": {{\"array\": {}, \"bitmap\": {}, \"run\": {}}},\n",

@@ -5,10 +5,12 @@
 
 use std::time::Duration;
 
+use std::collections::BTreeSet;
+
 use kdap_suite::core::{
-    render_exploration, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest, Verb,
+    render_exploration, CancelToken, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest, Verb,
 };
-use kdap_suite::datagen::{build_ebiz, EbizScale};
+use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 
 const THREADS: [usize; 2] = [1, 4];
 
@@ -258,5 +260,83 @@ fn budget_breach_leaves_caches_unpoisoned() {
         }
         assert_eq!(kdap.semijoin_cache_len(), semijoin_len);
         assert_eq!(kdap.subspace_cache_len(), subspace_len);
+    }
+}
+
+/// Abort semantics, decided: **complete entries only, never partial**. A
+/// cancel injected at the *k*-th governance poll — for every *k* an
+/// explore reaches, so in the lookup's own poll, between semi-join steps
+/// and inside each facet scan — is the typed `Cancelled`, and leaves the
+/// session LRU's length, contents and eviction counter exactly as a
+/// session that never saw the request; the failed request's own lookup
+/// counts its one miss. Semi-join steps that completed before the breach
+/// stay committed: each is a complete bitmap any later query may use.
+#[test]
+fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
+    let ebiz = || build_ebiz(EbizScale::small(), 7).unwrap();
+    let aw = || build_aw_online(Scale::small(), 42).unwrap();
+    for threads in THREADS {
+        for (wh, warm, victim) in [
+            (ebiz(), ["columbus", "premium"], "seattle lcd"),
+            (aw(), ["mountain", "california"], "mountain bikes"),
+        ] {
+            // A full two-entry LRU: any commit would also evict.
+            let kdap = Kdap::builder(wh)
+                .cache_capacity(2)
+                .threads(threads)
+                .build()
+                .unwrap();
+            let explore = |keywords: &str| QueryRequest::new(Verb::Explore, keywords);
+            let control: Vec<String> = warm
+                .iter()
+                .map(|q| render_exploration(&kdap.run(&explore(q)).unwrap().exploration.unwrap()))
+                .collect();
+            assert_eq!(kdap.subspace_cache_len(), Some(2));
+
+            let mut stages = BTreeSet::new();
+            let mut k = 0;
+            loop {
+                k += 1;
+                let before = kdap.subspace_cache_counters().unwrap();
+                let steps = kdap.semijoin_cache_len().unwrap();
+                let token = CancelToken::cancelling_at_poll(k);
+                match kdap.run_cancellable(&explore(victim), Some(token)) {
+                    Err(KdapError::Cancelled { stage }) => stages.insert(stage),
+                    // Poll k is past the query's last one: it ran to completion.
+                    Ok(_) => break,
+                    Err(other) => panic!("threads={threads} `{victim}` k={k}: {other:?}"),
+                };
+                let context = format!("threads={threads} `{victim}` k={k}");
+                let after = kdap.subspace_cache_counters().unwrap();
+                assert_eq!(kdap.subspace_cache_len(), Some(2), "{context}");
+                assert_eq!(after.evictions, before.evictions, "{context}");
+                assert_eq!(after.hits, before.hits, "{context}");
+                assert!(after.misses - before.misses <= 1, "{context}");
+                assert!(kdap.semijoin_cache_len().unwrap() >= steps, "{context}");
+                // Contents: both warm entries are still there, and still right.
+                for (q, rendered) in warm.iter().zip(&control) {
+                    let again = kdap.run(&explore(q)).unwrap().exploration.unwrap();
+                    assert_eq!(&render_exploration(&again), rendered, "{context}");
+                }
+                let touched = kdap.subspace_cache_counters().unwrap();
+                assert_eq!(touched.hits, after.hits + 2, "{context}");
+                assert_eq!(touched.evictions, before.evictions, "{context}");
+            }
+            for stage in [
+                "generate_star_nets",
+                "explore",
+                "semijoin",
+                "multi_group_by",
+            ] {
+                assert!(
+                    stages.contains(stage),
+                    "threads={threads} `{victim}`: no breach in `{stage}` among {stages:?}"
+                );
+            }
+            // The request that finally ran committed its one complete entry.
+            let end = kdap.subspace_cache_counters().unwrap();
+            assert_eq!(kdap.subspace_cache_len(), Some(2));
+            assert_eq!(end.evictions, 1, "threads={threads} `{victim}`");
+        }
     }
 }

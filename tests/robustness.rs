@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb};
+use kdap_suite::core::{
+    ExploreReport, Explored, Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb,
+};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 fn session() -> Kdap {
@@ -128,13 +130,29 @@ proptest! {
             }
             Err(other) => panic!("{} step(s) → {other:?}", request.refine.len()),
         }
-        // The body a client would have sent decodes to the same list.
+        // The body a client would have sent decodes to the same list —
+        // or, when it carries an index the JSON layer cannot read exactly
+        // (above 2^53 - 1; `usize::MAX` used to slip through by rounding
+        // to itself), is refused with a 400 naming the step.
         let body = format!(
             "{{\"keywords\": \"columbus\", \"refine\": {}}}",
             support::refine_json(&request.refine)
         );
-        let decoded = QueryRequest::from_json(Verb::Explore, &body).expect("decodes");
-        prop_assert!(decoded.refine == request.refine, "refine list did not round-trip");
+        let inexact = request.refine.iter().position(
+            |step| matches!(step, Refine::Up(n) | Refine::Drop(n) if *n >= 1 << 53),
+        );
+        match (QueryRequest::from_json(Verb::Explore, &body), inexact) {
+            (Ok(decoded), None) => {
+                prop_assert!(decoded.refine == request.refine, "refine list did not round-trip")
+            }
+            (Err(e), Some(at)) => {
+                prop_assert_eq!(e.status, 400);
+                let step = format!("`refine` step {}: ", at + 1);
+                prop_assert!(e.message.starts_with(&step), "{}", e.message);
+                prop_assert!(e.message.ends_with("are not read exactly"), "{}", e.message);
+            }
+            (decoded, _) => panic!("{body} → {decoded:?}"),
+        }
     }
 }
 
@@ -204,8 +222,19 @@ fn direct_cache_use_is_thread_safe() {
         handles.push(std::thread::spawn(move || {
             for i in 0..20 {
                 let net = &nets[(t + i) % nets.len()];
-                let sub = cache.materialize(kdap.warehouse(), kdap.join_index(), net);
-                assert!(sub.len() <= kdap.warehouse().fact_rows());
+                let direct = kdap.explore(net).expect("star net evaluates");
+                let key = net.explore_key();
+                match cache.get(&key, kdap.facet_config()) {
+                    Some(hit) => assert_eq!(hit.exploration, direct),
+                    None => cache.insert(
+                        key,
+                        Arc::new(Explored {
+                            facet: kdap.facet_config().clone(),
+                            exploration: direct,
+                            report: ExploreReport::default(),
+                        }),
+                    ),
+                }
             }
         }));
     }

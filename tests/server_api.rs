@@ -1,7 +1,8 @@
 //! End-to-end tests of the HTTP query API over a real socket: tenant
 //! isolation, bit-identity with direct library calls, typed error
 //! mapping, governance (408/429) without cache poisoning, wire format
-//! negotiation, persistent connections (sequential, pipelined, closed
+//! negotiation, a repeated explore answered from the session cache,
+//! persistent connections (sequential, pipelined, closed
 //! on request and on parse errors, fair to waiting clients, no obstacle
 //! to shutdown), a drill / roll-up / drop session replayed as `refine`
 //! lists over one socket, and cancellation of queries whose client left.
@@ -491,6 +492,51 @@ fn a_drill_roll_up_drop_session_runs_over_one_keep_alive_socket() {
     );
     assert!(reply.body.contains("`refine` step 1"), "{}", reply.body);
 
+    server.shutdown();
+}
+
+/// `(len, hits)` of the session cache, parsed out of a `/stats` body.
+fn subspace_len_and_hits(stats: &str) -> (u64, u64) {
+    let doc = json::parse(stats).expect("valid JSON");
+    let subspace = doc.get("caches").and_then(|c| c.get("subspace"));
+    let field = |name| subspace.and_then(|s| s.get(name)).and_then(Json::as_num);
+    (
+        field("len").expect("len") as u64,
+        field("hits").expect("hits") as u64,
+    )
+}
+
+#[test]
+fn a_repeated_explore_is_answered_from_the_session_cache() {
+    let server = start(16);
+    let mut conn = Conn::open(server.addr());
+    let mut exchange = |method: &str, path: &str, body: &str| {
+        conn.send(&request(method, path, &[], body));
+        let reply = conn.recv();
+        assert_eq!(reply.status, 200, "{path} {body}: {}", reply.body);
+        reply.body
+    };
+    let body = "{\"keywords\": \"seattle lcd\"}";
+    let first = exchange("POST", "/v1/ebiz/explore", body);
+    let (len, hits) = subspace_len_and_hits(&exchange("GET", "/v1/ebiz/stats", ""));
+    assert_eq!((len, hits), (1, 0));
+
+    // The same request again: the same bytes, one more hit, no new entry.
+    let again = exchange("POST", "/v1/ebiz/explore", body);
+    assert_eq!(first, again);
+    let request = QueryRequest::from_json(Verb::Explore, body).expect("decodes");
+    let in_process = engine(7).run(&request).expect("runs");
+    assert_eq!(again, in_process.encode(WireFormat::Json).unwrap());
+    let after = subspace_len_and_hits(&exchange("GET", "/v1/ebiz/stats", ""));
+    assert_eq!(after, (len, hits + 1));
+
+    // The same net under another option: a different answer, computed
+    // (no hit), that replaces the net's entry instead of adding one.
+    let flipped = "{\"keywords\": \"seattle lcd\", \"mode\": \"bellwether\"}";
+    let other = exchange("POST", "/v1/ebiz/explore", flipped);
+    assert_ne!(other, first);
+    let after = subspace_len_and_hits(&exchange("GET", "/v1/ebiz/stats", ""));
+    assert_eq!(after, (len, hits + 1));
     server.shutdown();
 }
 
