@@ -82,13 +82,20 @@ impl WarehouseBuilder {
         Ok(self)
     }
 
+    fn table_index(&self, name: &str) -> Result<usize, WarehouseError> {
+        let idx = self.table_lookup.get(name).copied();
+        idx.ok_or_else(|| WarehouseError::UnknownTable(name.to_string()))
+    }
+
+    /// The declared table `name`, for appending rows to it.
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table, WarehouseError> {
+        let idx = self.table_index(name)?;
+        Ok(&mut self.tables[idx])
+    }
+
     /// Appends one row to `table`.
     pub fn row(&mut self, table: &str, row: Vec<Value>) -> Result<&mut Self, WarehouseError> {
-        let idx = *self
-            .table_lookup
-            .get(table)
-            .ok_or_else(|| WarehouseError::UnknownTable(table.to_string()))?;
-        self.tables[idx].push_row(row)?;
+        self.table_mut(table)?.push_row(row)?;
         Ok(self)
     }
 
@@ -98,12 +105,9 @@ impl WarehouseBuilder {
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<&mut Self, WarehouseError> {
-        let idx = *self
-            .table_lookup
-            .get(table)
-            .ok_or_else(|| WarehouseError::UnknownTable(table.to_string()))?;
+        let t = self.table_mut(table)?;
         for row in rows {
-            self.tables[idx].push_row(row)?;
+            t.push_row(row)?;
         }
         Ok(self)
     }
@@ -185,10 +189,7 @@ impl WarehouseBuilder {
         let (t, c) = qualified.split_once('.').ok_or_else(|| {
             WarehouseError::InvalidEdge(format!("expected Table.Column, got {qualified}"))
         })?;
-        let tid = *self
-            .table_lookup
-            .get(t)
-            .ok_or_else(|| WarehouseError::UnknownTable(t.to_string()))?;
+        let tid = self.table_index(t)?;
         let cidx = self.tables[tid]
             .col_index(c)
             .ok_or_else(|| WarehouseError::UnknownColumn {
@@ -207,12 +208,7 @@ impl WarehouseBuilder {
     /// Validates everything and produces the immutable warehouse.
     pub fn finish(self) -> Result<Warehouse, WarehouseError> {
         let fact_name = self.fact.clone().ok_or(WarehouseError::NoFactTable)?;
-        let fact_table = TableId(
-            *self
-                .table_lookup
-                .get(&fact_name)
-                .ok_or_else(|| WarehouseError::UnknownTable(fact_name.clone()))? as u32,
-        );
+        let fact_table = TableId(self.table_index(&fact_name)? as u32);
 
         // Resolve dimensions first so edges can reference them by name.
         let mut dim_name_to_id = HashMap::new();
@@ -226,11 +222,7 @@ impl WarehouseBuilder {
             }
             let mut tables = Vec::with_capacity(spec.tables.len());
             for t in &spec.tables {
-                let tid = *self
-                    .table_lookup
-                    .get(t)
-                    .ok_or_else(|| WarehouseError::UnknownTable(t.clone()))?;
-                tables.push(TableId(tid as u32));
+                tables.push(TableId(self.table_index(t)? as u32));
             }
             let mut hierarchies = Vec::with_capacity(spec.hierarchies.len());
             for (hname, levels) in &spec.hierarchies {

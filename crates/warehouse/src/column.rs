@@ -13,12 +13,33 @@
 //! `get`/`get_int`/`get_float`/`get_code`/`for_each_code` — never through
 //! raw vectors.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::chunk::{NullableVec, PackedCodes};
 use crate::error::WarehouseError;
 use crate::value::{Value, ValueType};
+
+/// A typed cell on its way into a column. Its string is borrowed and
+/// interned from `&str`: no `Arc` for a value the dictionary holds.
+pub(crate) enum Cell<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+}
+
+impl<'a> From<&'a Value> for Cell<'a> {
+    fn from(value: &'a Value) -> Self {
+        match value {
+            Value::Null => Cell::Null,
+            Value::Int(x) => Cell::Int(*x),
+            Value::Float(x) => Cell::Float(*x),
+            Value::Str(s) => Cell::Str(Cow::Borrowed(s)),
+        }
+    }
+}
 
 /// Dictionary of distinct strings for one column.
 #[derive(Debug, Default, Clone)]
@@ -154,24 +175,31 @@ impl Column {
 
     /// Appends one value, checking the type.
     pub fn push(&mut self, value: Value) -> Result<(), WarehouseError> {
-        match (&mut self.data, value) {
-            (ColumnData::Int(v), Value::Int(x)) => v.push(Some(x)),
-            (ColumnData::Int(v), Value::Null) => v.push(None),
-            (ColumnData::Float(v), Value::Float(x)) => v.push(Some(x)),
+        self.push_cell(&Cell::from(&value))
+    }
+
+    /// Appends one typed cell, checking the type: the one append path.
+    pub(crate) fn push_cell(&mut self, cell: &Cell<'_>) -> Result<(), WarehouseError> {
+        match (&mut self.data, cell) {
+            (ColumnData::Int(v), Cell::Int(x)) => v.push(Some(*x)),
+            (ColumnData::Int(v), Cell::Null) => v.push(None),
+            (ColumnData::Float(v), Cell::Float(x)) => v.push(Some(*x)),
             // Integers widen silently into float columns; measure data is
             // frequently generated as integers (quantities).
-            (ColumnData::Float(v), Value::Int(x)) => v.push(Some(x as f64)),
-            (ColumnData::Float(v), Value::Null) => v.push(None),
-            (ColumnData::Str { dict, codes }, Value::Str(s)) => {
-                let code = dict.intern(&s);
-                codes.push(Some(code));
-            }
-            (ColumnData::Str { codes, .. }, Value::Null) => codes.push(None),
-            (_, v) => {
+            (ColumnData::Float(v), Cell::Int(x)) => v.push(Some(*x as f64)),
+            (ColumnData::Float(v), Cell::Null) => v.push(None),
+            (ColumnData::Str { dict, codes }, Cell::Str(s)) => codes.push(Some(dict.intern(s))),
+            (ColumnData::Str { codes, .. }, Cell::Null) => codes.push(None),
+            // Every column takes NULL, so the cell has a type.
+            (_, cell) => {
                 return Err(WarehouseError::TypeMismatch {
                     column: self.name.clone(),
                     expected: self.value_type(),
-                    got: v.value_type(),
+                    got: Some(match cell {
+                        Cell::Int(_) => ValueType::Int,
+                        Cell::Float(_) => ValueType::Float,
+                        _ => ValueType::Str,
+                    }),
                 })
             }
         }

@@ -10,13 +10,23 @@
 //! 2,Road-650,699.10
 //! ```
 //!
-//! * types: `int`, `float`, `str`
+//! * types: `int`, `float`, `str`; numbers are trimmed, strings are not
 //! * the `:text` suffix marks a string column as full-text searchable
-//! * empty fields are NULL
-//! * RFC-4180-style quoting: fields may be double-quoted; embedded quotes
-//!   are doubled; quoted fields may contain commas and newlines
+//! * RFC-4180-style quoting (doubled embedded quotes; commas and newlines
+//!   inside quotes); a quote anywhere opens a quoted run, and a `\r`
+//!   outside quotes is dropped
+//! * as in PostgreSQL's `COPY … CSV`, an unquoted empty field is NULL and
+//!   `""` is the empty string (NULL in a numeric column)
+//!
+//! One pass: fields are slices of the input (copied only to drop a `\r`
+//! or a doubled quote), typed in place and appended a row at a time, so
+//! errors come in file order — an unterminated quote in the last record
+//! loses to an earlier bad record.
+
+use std::borrow::Cow;
 
 use crate::builder::WarehouseBuilder;
+use crate::column::Cell;
 use crate::error::WarehouseError;
 use crate::value::{Value, ValueType};
 
@@ -26,15 +36,14 @@ pub fn load_csv_table(
     table: &str,
     csv: &str,
 ) -> Result<usize, WarehouseError> {
-    let mut records = parse_records(csv)?;
-    if records.is_empty() {
+    let (mut pos, mut fields) = (0, Vec::new());
+    if !next_record(csv, &mut pos, &mut fields)? {
         return Err(WarehouseError::InvalidEdge(format!(
             "CSV for table {table} has no header"
         )));
     }
-    let header = records.remove(0);
-    let mut cols: Vec<(String, ValueType, bool)> = Vec::with_capacity(header.len());
-    for spec in &header {
+    let mut cols: Vec<(String, ValueType, bool)> = Vec::with_capacity(fields.len());
+    for (spec, _) in &fields {
         let mut parts = spec.split(':');
         let name = parts.next().unwrap_or("").trim();
         let ty = parts.next().unwrap_or("").trim();
@@ -58,106 +67,107 @@ pub fn load_csv_table(
     }
     let col_refs: Vec<(&str, ValueType, bool)> =
         cols.iter().map(|(n, t, s)| (n.as_str(), *t, *s)).collect();
-    b.table(table, &col_refs)?;
+    let t = b.table(table, &col_refs)?.table_mut(table)?;
 
-    let n = records.len();
-    for (line, record) in records.into_iter().enumerate() {
-        if record.len() != cols.len() {
+    // Records count from the header (record 1), skipping blank ones.
+    let (mut n, mut row) = (0, Vec::with_capacity(cols.len()));
+    while next_record(csv, &mut pos, &mut fields)? {
+        n += 1;
+        if fields.len() != cols.len() {
             return Err(WarehouseError::ArityMismatch {
-                table: format!("{table} (csv record {})", line + 2),
+                table: format!("{table} (csv record {})", n + 1),
                 expected: cols.len(),
-                got: record.len(),
+                got: fields.len(),
             });
         }
-        let mut row = Vec::with_capacity(cols.len());
-        for (field, (name, ty, _)) in record.into_iter().zip(&cols) {
-            let v = if field.is_empty() {
-                Value::Null
-            } else {
-                match ty {
-                    ValueType::Int => Value::Int(field.trim().parse().map_err(|_| {
-                        WarehouseError::TypeMismatch {
-                            column: format!("{table}.{name}"),
-                            expected: ValueType::Int,
-                            got: Some(ValueType::Str),
-                        }
-                    })?),
-                    ValueType::Float => Value::Float(field.trim().parse().map_err(|_| {
-                        WarehouseError::TypeMismatch {
-                            column: format!("{table}.{name}"),
-                            expected: ValueType::Float,
-                            got: Some(ValueType::Str),
-                        }
-                    })?),
-                    ValueType::Str => Value::from(field),
-                }
-            };
-            row.push(v);
+        row.clear();
+        for ((text, quoted), (name, ty, _)) in fields.drain(..).zip(&cols) {
+            row.push(
+                cell(text, quoted, *ty).ok_or_else(|| WarehouseError::TypeMismatch {
+                    column: format!("{table}.{name}"),
+                    expected: *ty,
+                    got: Some(ValueType::Str),
+                })?,
+            );
         }
-        b.row(table, row)?;
+        // Typed in full before any column is touched: no partial row.
+        t.push_cells(row.drain(..))?;
     }
     Ok(n)
 }
 
-/// RFC-4180-ish record parser (quoted fields, doubled quotes, embedded
-/// commas/newlines). Returns one `Vec<String>` per record; blank records
-/// are skipped.
-fn parse_records(csv: &str) -> Result<Vec<Vec<String>>, WarehouseError> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut chars = csv.chars().peekable();
-    let mut any_field_content = false;
+/// A field typed for a `ty` column; `None` when a number does not parse.
+fn cell(text: Cow<'_, str>, quoted: bool, ty: ValueType) -> Option<Cell<'_>> {
+    Some(match ty {
+        _ if text.is_empty() && !(quoted && ty == ValueType::Str) => Cell::Null,
+        ValueType::Int => Cell::Int(text.trim().parse().ok()?),
+        ValueType::Float => Cell::Float(text.trim().parse().ok()?),
+        ValueType::Str => Cell::Str(text),
+    })
+}
 
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
+/// Scans the record at `*pos` into `out` as `(text, quoted)` fields,
+/// skipping blank records; `false` at the end of the input. It stops only
+/// at ASCII bytes, so each slice it takes lies on `char` boundaries.
+fn next_record<'a>(
+    csv: &'a str,
+    pos: &mut usize,
+    out: &mut Vec<(Cow<'a, str>, bool)>,
+) -> Result<bool, WarehouseError> {
+    let bytes = csv.as_bytes();
+    out.clear();
+    let (mut text, mut quoted) = (Cow::Borrowed(""), false);
+    // A record is blank until it has a character, a comma or a quote.
+    let mut any = false;
+    loop {
+        let start = *pos;
+        let end = find(bytes, start, |b| matches!(b, b'"' | b',' | b'\r' | b'\n'));
+        append(&mut text, &csv[start..end]);
+        any |= end > start;
+        *pos = (end + 1).min(bytes.len());
+        match bytes.get(end) {
+            // A quoted run, up to its closing quote; `""` is one quote.
+            Some(b'"') => loop {
+                (quoted, any) = (true, true);
+                let (start, quote) = (*pos, find(bytes, *pos, |b| b == b'"'));
+                if quote == bytes.len() {
+                    let msg = "unterminated quoted CSV field";
+                    return Err(WarehouseError::InvalidEdge(msg.into()));
                 }
-                _ => field.push(c),
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_quotes = true;
-                any_field_content = true;
-            }
-            ',' => {
-                record.push(std::mem::take(&mut field));
-                any_field_content = true;
-            }
-            '\r' => {}
-            '\n' => {
-                if any_field_content || !field.is_empty() {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
+                let doubled = usize::from(bytes.get(quote + 1) == Some(&b'"'));
+                append(&mut text, &csv[start..quote + doubled]);
+                *pos = quote + 1 + doubled;
+                if doubled == 0 {
+                    break;
                 }
-                any_field_content = false;
+            },
+            Some(b',') => {
+                out.push((std::mem::take(&mut text), std::mem::take(&mut quoted)));
+                any = true;
             }
-            _ => {
-                field.push(c);
-                any_field_content = true;
+            Some(b'\n') | None if any => {
+                out.push((text, quoted));
+                return Ok(true);
             }
+            None => return Ok(false),
+            _ => {} // a `\r`, or the end of a blank record
         }
     }
-    if in_quotes {
-        return Err(WarehouseError::InvalidEdge(
-            "unterminated quoted CSV field".into(),
-        ));
+}
+
+/// The first index from `start` on whose byte `stop` accepts, or the end.
+fn find(bytes: &[u8], start: usize, stop: impl Fn(u8) -> bool) -> usize {
+    let found = bytes[start..].iter().position(|&b| stop(b));
+    found.map_or(bytes.len(), |i| start + i)
+}
+
+/// Appends `piece`; the field stays borrowed until a second piece arrives.
+fn append<'a>(text: &mut Cow<'a, str>, piece: &'a str) {
+    if text.is_empty() {
+        *text = Cow::Borrowed(piece);
+    } else if !piece.is_empty() {
+        text.to_mut().push_str(piece);
     }
-    if any_field_content || !field.is_empty() {
-        record.push(field);
-        records.push(record);
-    }
-    Ok(records)
 }
 
 /// Exports a table back to the typed CSV format [`load_csv_table`]
@@ -199,9 +209,10 @@ pub fn export_table(wh: &crate::catalog::Warehouse, table: &str) -> Result<Strin
     Ok(out)
 }
 
-/// Quotes a field when it contains CSV metacharacters.
+/// Quotes a field when it is empty (an unquoted empty field is NULL) or
+/// contains CSV metacharacters.
 fn quote_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
+    if s.is_empty() || s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
@@ -257,6 +268,52 @@ mod tests {
         let t = wh.table(wh.table_id("T").unwrap());
         assert!(t.row(0)[1].is_null());
         assert!(t.row(1)[0].is_null());
+    }
+
+    #[test]
+    fn quoted_empty_is_the_empty_string_in_str_columns_only() {
+        let mut b = WarehouseBuilder::new();
+        load_csv_table(&mut b, "T", "A:str,B:int,C:float\n\"\",\"\",\"\"\n,1,2\n").unwrap();
+        b.fact("T").unwrap();
+        let wh = b.finish().unwrap();
+        let t = wh.table(wh.table_id("T").unwrap());
+        assert_eq!(t.row(0)[0].as_str(), Some(""));
+        assert!(t.row(0)[1].is_null());
+        assert!(t.row(0)[2].is_null());
+        assert!(t.row(1)[0].is_null());
+
+        // The empty string survives a save and load, and keeps its code.
+        let csv = export_table(&wh, "T").unwrap();
+        assert!(csv.contains("\n\"\",,\n"), "{csv}");
+        let mut b2 = WarehouseBuilder::new();
+        load_csv_table(&mut b2, "T", &csv).unwrap();
+        b2.fact("T").unwrap();
+        let wh2 = b2.finish().unwrap();
+        let t2 = wh2.table(wh2.table_id("T").unwrap());
+        for r in 0..t.nrows() {
+            assert_eq!(t2.row(r), t.row(r), "row {r}");
+            assert_eq!(t2.column(0).get_code(r), t.column(0).get_code(r), "row {r}");
+        }
+        assert_eq!(wh2.approx_bytes(), wh.approx_bytes());
+    }
+
+    #[test]
+    fn errors_are_reported_in_file_order() {
+        // A bad record before an unterminated quote wins over the quote.
+        let mut b = WarehouseBuilder::new();
+        let err = load_csv_table(&mut b, "T", "A:int\nx\n\"open\n").unwrap_err();
+        assert!(matches!(err, WarehouseError::TypeMismatch { .. }), "{err}");
+        // Within a record, the arity comes before the cells.
+        let mut b = WarehouseBuilder::new();
+        let err = load_csv_table(&mut b, "T", "A:int,B:int\n1,2\nx\n").unwrap_err();
+        assert!(err.to_string().contains("(csv record 3)"), "{err}");
+        // A bad cell leaves no partial row behind.
+        let mut b = WarehouseBuilder::new();
+        assert!(load_csv_table(&mut b, "T", "A:str,B:int\n\n\na,1\nb,x\n").is_err());
+        b.fact("T").unwrap();
+        let wh = b.finish().unwrap();
+        let t = wh.table(wh.table_id("T").unwrap());
+        assert_eq!((t.nrows(), t.column(0).len(), t.column(1).len()), (1, 1, 1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::column::Column;
+use crate::column::{Cell, Column};
 use crate::error::WarehouseError;
 use crate::value::{Value, ValueType};
 
@@ -86,6 +86,14 @@ impl Table {
 
     /// Appends one row; the value count must match the column count.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), WarehouseError> {
+        self.push_cells(row.iter().map(Cell::from))
+    }
+
+    /// Appends one row of typed cells, one per column.
+    pub(crate) fn push_cells<'a>(
+        &mut self,
+        row: impl ExactSizeIterator<Item = Cell<'a>>,
+    ) -> Result<(), WarehouseError> {
         if row.len() != self.columns.len() {
             return Err(WarehouseError::ArityMismatch {
                 table: self.name.clone(),
@@ -93,8 +101,8 @@ impl Table {
                 got: row.len(),
             });
         }
-        for (col, value) in self.columns.iter_mut().zip(row) {
-            col.push(value)?;
+        for (col, cell) in self.columns.iter_mut().zip(row) {
+            col.push_cell(&cell)?;
         }
         self.nrows += 1;
         Ok(())

@@ -1,11 +1,16 @@
 //! Save/load roundtrips: any warehouse — including the generated demo
-//! ones — persists as a spec + CSV directory and reloads identically.
+//! ones — persists as a spec + CSV directory and reloads identically,
+//! down to each dictionary code.
 
 use std::path::PathBuf;
 
 use kdap_suite::core::Kdap;
-use kdap_suite::datagen::{build_ebiz, EbizScale};
-use kdap_suite::warehouse::{export_spec, load_warehouse, save_warehouse};
+use kdap_suite::datagen::{
+    build_aw_online, build_aw_reseller, build_ebiz, build_trends, EbizScale, Scale, TrendsScale,
+};
+use kdap_suite::warehouse::{
+    export_spec, load_warehouse, save_warehouse, Value, ValueType, Warehouse, WarehouseBuilder,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kdap_persist_{tag}_{}", std::process::id()));
@@ -13,34 +18,110 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Saves `wh`, loads it back, and checks the structure, every cell, every
+/// dictionary code and the storage size against the original.
+fn roundtrip(tag: &str, wh: &Warehouse) -> Warehouse {
+    let dir = temp_dir(tag);
+    save_warehouse(wh, &dir).unwrap();
+    let loaded = load_warehouse(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(loaded.tables().len(), wh.tables().len(), "{tag}");
+    assert_eq!(loaded.fact_rows(), wh.fact_rows(), "{tag}");
+    assert_eq!(
+        loaded.schema().dimensions().len(),
+        wh.schema().dimensions().len(),
+        "{tag}"
+    );
+    assert_eq!(
+        loaded.schema().edges().len(),
+        wh.schema().edges().len(),
+        "{tag}"
+    );
+    assert_eq!(
+        loaded.schema().measures().len(),
+        wh.schema().measures().len(),
+        "{tag}"
+    );
+    for t in wh.tables() {
+        let lt = loaded.table(loaded.table_id(t.name()).unwrap());
+        assert_eq!(lt.nrows(), t.nrows(), "{tag}: table {}", t.name());
+        for r in 0..t.nrows() {
+            assert_eq!(lt.row(r), t.row(r), "{tag}: {} row {r}", t.name());
+            for (c, col) in t.columns().iter().enumerate() {
+                assert_eq!(
+                    lt.column(c).get_code(r),
+                    col.get_code(r),
+                    "{tag}: {}.{} row {r}",
+                    t.name(),
+                    col.name()
+                );
+            }
+        }
+    }
+    assert_eq!(loaded.approx_bytes(), wh.approx_bytes(), "{tag}");
+    loaded
+}
+
+/// With `ebiz_roundtrips_through_disk`, every generator.
+#[test]
+fn every_generator_roundtrips_to_the_dictionary_code() {
+    roundtrip("aw_online", &build_aw_online(Scale::small(), 7).unwrap());
+    roundtrip(
+        "aw_reseller",
+        &build_aw_reseller(Scale::small(), 7).unwrap(),
+    );
+    roundtrip("trends", &build_trends(TrendsScale::small(), 7).unwrap());
+}
+
+#[test]
+fn awkward_strings_and_nulls_roundtrip() {
+    let mut b = WarehouseBuilder::new();
+    b.table(
+        "T",
+        &[
+            ("I", ValueType::Int, false),
+            ("F", ValueType::Float, false),
+            ("S", ValueType::Str, true),
+        ],
+    )
+    .unwrap();
+    let strings = [
+        Value::from(""),
+        Value::from(" padded "),
+        Value::from("\""),
+        Value::from("a,b"),
+        Value::from("line\nbreak"),
+        Value::from("crlf\r\nline"),
+        Value::Null,
+        Value::from(""),
+    ];
+    for (i, s) in strings.into_iter().enumerate() {
+        let int = if i == 2 {
+            Value::Null
+        } else {
+            Value::Int(i as i64 - 3)
+        };
+        let float = if i == 5 {
+            Value::Null
+        } else {
+            Value::Float(i as f64 / 4.0 - 1.0)
+        };
+        b.row("T", vec![int, float, s]).unwrap();
+    }
+    b.fact("T").unwrap();
+    let wh = b.finish().unwrap();
+    let loaded = roundtrip("awkward", &wh);
+    let t = loaded.table(loaded.table_id("T").unwrap());
+    assert_eq!(t.row(0)[2].as_str(), Some(""));
+    assert_eq!(t.column(2).get_code(0), t.column(2).get_code(7));
+    assert!(t.row(6)[2].is_null());
+}
+
 #[test]
 fn ebiz_roundtrips_through_disk() {
     let wh = build_ebiz(EbizScale::small(), 7).unwrap();
-    let dir = temp_dir("ebiz");
-    save_warehouse(&wh, &dir).unwrap();
-    let loaded = load_warehouse(&dir).unwrap();
-
-    // Structure matches.
-    assert_eq!(loaded.tables().len(), wh.tables().len());
-    assert_eq!(loaded.fact_rows(), wh.fact_rows());
-    assert_eq!(
-        loaded.schema().dimensions().len(),
-        wh.schema().dimensions().len()
-    );
-    assert_eq!(loaded.schema().edges().len(), wh.schema().edges().len());
-    assert_eq!(
-        loaded.schema().measures().len(),
-        wh.schema().measures().len()
-    );
-
-    // Every cell of every table matches.
-    for t in wh.tables() {
-        let lt = loaded.table(loaded.table_id(t.name()).unwrap());
-        assert_eq!(lt.nrows(), t.nrows(), "table {}", t.name());
-        for r in 0..t.nrows() {
-            assert_eq!(lt.row(r), t.row(r), "{} row {r}", t.name());
-        }
-    }
+    let loaded = roundtrip("ebiz", &wh);
 
     // Hierarchies and roles survived.
     let product = loaded.schema().dimension_by_name("Product").unwrap();
@@ -50,8 +131,6 @@ fn ebiz_roundtrips_through_disk() {
         .edges()
         .iter()
         .any(|e| e.role.as_deref() == Some("Buyer")));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
