@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kdap_warehouse::{ColRef, EdgeId, FkEdge, TableId, Warehouse};
+use kdap_warehouse::{ColRef, EdgeId, FkEdge, KeyRows, TableId, Warehouse};
 
 use crate::bitmap::RowSet;
 use crate::error::QueryError;
@@ -79,21 +79,20 @@ pub struct JoinIndex {
 }
 
 impl JoinIndex {
-    /// Resolves every edge of `wh`. The only hashing is one temporary
-    /// key → row map per distinct parent key column, shared by the edges
-    /// into it (role-playing ones such as Buyer/Seller) and dropped
-    /// before the next is built.
+    /// Resolves every edge of `wh`. One temporary [`KeyRows`] per distinct
+    /// parent key column is shared by the edges into it (role-playing
+    /// ones such as Buyer/Seller) and dropped before the next is built.
     pub fn build(wh: &Warehouse) -> Self {
         let schema = wh.schema();
         let mut by_parent: Vec<&FkEdge> = schema.edges().iter().collect();
         by_parent.sort_by_key(|e| e.parent);
         let mut edges: Vec<(EdgeId, EdgeIndex)> = Vec::with_capacity(by_parent.len());
         for group in by_parent.chunk_by(|a, b| a.parent == b.parent) {
-            // One row per key: `WarehouseBuilder::finish` rejects a repeat.
             let parent_col = wh.column(group[0].parent);
-            let row_of_key: HashMap<i64, u32> = (0..parent_col.len())
-                .filter_map(|row| Some((parent_col.get_int(row)?, row as u32)))
-                .collect();
+            // Infallible: `WarehouseBuilder::finish` rejects a repeated
+            // parent key with this same check.
+            #[allow(clippy::expect_used)]
+            let row_of_key = KeyRows::build(parent_col).expect("a parent key names one row");
             for edge in group {
                 let index = index_edge(wh, edge.child, parent_col.len(), &row_of_key);
                 edges.push((edge.id, index));
@@ -195,10 +194,10 @@ fn index_edge(
     wh: &Warehouse,
     child: ColRef,
     parent_rows: usize,
-    row_of_key: &HashMap<i64, u32>,
+    row_of_key: &KeyRows,
 ) -> EdgeIndex {
     let child_col = wh.column(child);
-    let resolve = |row| Some(*row_of_key.get(&child_col.get_int(row)?)?);
+    let resolve = |row| row_of_key.get(child_col.get_int(row)?);
     let parent_of: Arc<[u32]> = (0..child_col.len())
         .map(|row| resolve(row).unwrap_or(NO_ROW))
         .collect();

@@ -1,6 +1,6 @@
 //! The inverted index over attribute-instance virtual documents.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use kdap_obs::Obs;
@@ -8,7 +8,7 @@ use kdap_warehouse::{ColRef, Warehouse};
 
 use crate::doc::{DocId, DocMeta};
 use crate::stemmer::stem;
-use crate::tokenizer::tokenize;
+use crate::tokenizer::raw_tokens;
 
 /// One posting: a document and the positions of the term inside it.
 #[derive(Debug, Clone)]
@@ -26,12 +26,77 @@ pub struct Posting {
 #[derive(Debug, Default)]
 pub struct TextIndex {
     pub(crate) docs: Vec<DocMeta>,
-    /// Stemmed term → term id.
-    pub(crate) terms: BTreeMap<String, u32>,
-    /// Raw token → stemmed term ids it maps to (almost always one).
-    pub(crate) raw_vocab: BTreeMap<String, Vec<u32>>,
+    /// Stemmed term → term id; ids are handed out in first-seen order.
+    pub(crate) terms: HashMap<String, u32>,
+    /// Raw token → the term id of its stem, sorted by token (byte order)
+    /// so that the tokens sharing a prefix are one range.
+    pub(crate) raw_vocab: Vec<(Box<str>, u32)>,
     pub(crate) postings: Vec<Vec<Posting>>,
     pub(crate) obs: Obs,
+}
+
+/// The one way a [`TextIndex`] is built: documents are added in order,
+/// and each token costs one hash probe by `&str` into `raw`. Only a raw
+/// token not seen before is stemmed and allocated.
+#[derive(Default)]
+struct IndexBuilder {
+    index: TextIndex,
+    /// Raw token → the term id of its stem (`stem` is a pure function).
+    raw: HashMap<String, u32>,
+    /// The current token, lowercased; reused across tokens.
+    lower: String,
+}
+
+impl IndexBuilder {
+    fn add(&mut self, attr: ColRef, code: u32, text: Arc<str>) {
+        let doc_id = self.index.docs.len() as u32;
+        let mut len = 0u32;
+        for (token, position) in raw_tokens(&text).zip(0u32..) {
+            self.lower.clear();
+            self.lower.push_str(token);
+            self.lower.make_ascii_lowercase();
+            let term_id = match self.raw.get(self.lower.as_str()) {
+                Some(&id) => id,
+                None => {
+                    let next_id = self.index.terms.len() as u32;
+                    let id = *self.index.terms.entry(stem(&self.lower)).or_insert(next_id);
+                    if id == next_id {
+                        self.index.postings.push(Vec::new());
+                    }
+                    self.raw.insert(self.lower.clone(), id);
+                    id
+                }
+            };
+            let plist = &mut self.index.postings[term_id as usize];
+            match plist.last_mut() {
+                Some(p) if p.doc == doc_id => p.positions.push(position),
+                _ => plist.push(Posting {
+                    doc: doc_id,
+                    positions: vec![position],
+                }),
+            }
+            len = position + 1;
+        }
+        self.index.docs.push(DocMeta {
+            attr,
+            code,
+            text,
+            len,
+        });
+    }
+
+    fn finish(self) -> TextIndex {
+        let mut raw_vocab: Vec<(Box<str>, u32)> = self
+            .raw
+            .into_iter()
+            .map(|(token, id)| (token.into_boxed_str(), id))
+            .collect();
+        raw_vocab.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        TextIndex {
+            raw_vocab,
+            ..self.index
+        }
+    }
 }
 
 /// Summary statistics of a built [`TextIndex`] (the `kdap stats`
@@ -53,57 +118,23 @@ pub struct TextIndexStats {
 impl TextIndex {
     /// Indexes every distinct value of every searchable column of `wh`.
     pub fn build(wh: &Warehouse) -> Self {
-        let mut index = TextIndex::default();
-        for (attr, column) in wh.searchable_columns() {
+        Self::from_documents(wh.searchable_columns().flat_map(|(attr, column)| {
             // Infallible: `searchable_columns` yields only dictionary-
             // encoded string columns.
             #[allow(clippy::expect_used)]
             let dict = column.dict().expect("searchable columns are strings");
-            for (code, text) in dict.iter() {
-                index.add_document(attr, code, text.clone());
-            }
-        }
-        index
+            dict.iter()
+                .map(move |(code, text)| (attr, code, text.clone()))
+        }))
     }
 
-    /// Builds an index from explicit documents (used in tests).
+    /// Builds an index from explicit documents, in order.
     pub fn from_documents(docs: impl IntoIterator<Item = (ColRef, u32, Arc<str>)>) -> Self {
-        let mut index = TextIndex::default();
+        let mut builder = IndexBuilder::default();
         for (attr, code, text) in docs {
-            index.add_document(attr, code, text);
+            builder.add(attr, code, text);
         }
-        index
-    }
-
-    fn add_document(&mut self, attr: ColRef, code: u32, text: Arc<str>) {
-        let doc_id = self.docs.len() as u32;
-        let tokens = tokenize(&text);
-        self.docs.push(DocMeta {
-            attr,
-            code,
-            text,
-            len: tokens.len() as u32,
-        });
-        for tok in tokens {
-            let stemmed = stem(&tok.text);
-            let next_id = self.terms.len() as u32;
-            let term_id = *self.terms.entry(stemmed).or_insert(next_id);
-            if term_id as usize == self.postings.len() {
-                self.postings.push(Vec::new());
-            }
-            let plist = &mut self.postings[term_id as usize];
-            match plist.last_mut() {
-                Some(p) if p.doc == doc_id => p.positions.push(tok.position),
-                _ => plist.push(Posting {
-                    doc: doc_id,
-                    positions: vec![tok.position],
-                }),
-            }
-            let raw_ids = self.raw_vocab.entry(tok.text).or_default();
-            if !raw_ids.contains(&term_id) {
-                raw_ids.push(term_id);
-            }
-        }
+        builder.finish()
     }
 
     /// Attaches an observability handle; search timings and counters flow
@@ -158,20 +189,16 @@ impl TextIndex {
     /// Raw-vocabulary terms starting with `prefix`, up to `limit`,
     /// excluding the exact raw token itself.
     pub(crate) fn prefix_expansions(&self, prefix: &str, limit: usize) -> Vec<u32> {
+        let start = self.raw_vocab.partition_point(|(raw, _)| &**raw < prefix);
         let mut out = Vec::new();
-        for (raw, ids) in self.raw_vocab.range(prefix.to_string()..) {
+        for (raw, id) in &self.raw_vocab[start..] {
             if !raw.starts_with(prefix) {
                 break;
             }
-            if raw == prefix {
-                continue;
-            }
-            for &id in ids {
-                if !out.contains(&id) {
-                    out.push(id);
-                    if out.len() >= limit {
-                        return out;
-                    }
+            if &**raw != prefix && !out.contains(id) {
+                out.push(*id);
+                if out.len() >= limit {
+                    break;
                 }
             }
         }
@@ -187,8 +214,8 @@ impl TextIndex {
         for t in self.terms.keys() {
             total += t.len() + 12;
         }
-        for (t, ids) in &self.raw_vocab {
-            total += t.len() + 12 + ids.len() * 4;
+        for (t, _) in &self.raw_vocab {
+            total += t.len() + 12 + 4;
         }
         for plist in &self.postings {
             total += 24;

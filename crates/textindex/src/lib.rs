@@ -26,6 +26,8 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+#[cfg(test)]
+mod build_oracle;
 pub mod doc;
 pub mod index;
 pub mod scoring;

@@ -76,14 +76,15 @@ impl TextIndex {
     }
 
     /// Searches for a phrase given as whitespace-separated keywords
-    /// (§4.3 — used to re-score merged hit groups).
-    pub fn search_phrase(&self, keywords: &[&str], _opts: &SearchOptions) -> Vec<SearchHit> {
+    /// (§4.3 — used to re-score merged hit groups). A phrase of one token
+    /// is a keyword search under `opts`.
+    pub fn search_phrase(&self, keywords: &[&str], opts: &SearchOptions) -> Vec<SearchHit> {
         let t = self.obs.timer();
         let tokens: Vec<String> = keywords.iter().flat_map(|k| tokenize_terms(k)).collect();
         let hits = if tokens.is_empty() {
             Vec::new()
         } else if tokens.len() == 1 {
-            self.search_single(&tokens[0], &SearchOptions::default())
+            self.search_single(&tokens[0], opts)
         } else {
             self.search_phrase_terms(&tokens)
         };
@@ -293,6 +294,22 @@ mod tests {
         opts.prefix = false;
         let hits = idx.search_keyword("franc", &opts);
         assert!(hits.is_empty());
+    }
+
+    #[test]
+    fn one_word_phrase_honours_the_prefix_option() {
+        let idx = city_index();
+        let mut opts = SearchOptions::default();
+        let hits = idx.search_phrase(&["franc"], &opts);
+        assert!(hits
+            .iter()
+            .any(|h| idx.doc(h.doc).text.as_ref() == "San Francisco"));
+        opts.prefix = false;
+        assert!(idx.search_phrase(&["franc"], &opts).is_empty());
+        // An exact one-word phrase still matches without expansion.
+        let hits = idx.search_phrase(&["jose"], &opts);
+        assert_eq!(hits.len(), 4);
+        assert_eq!(hits, idx.search_keyword("jose", &opts));
     }
 
     #[test]

@@ -15,34 +15,28 @@ pub struct Token {
     pub position: u32,
 }
 
+/// The one definition of a token: the maximal ASCII-alphanumeric runs of
+/// `text`, borrowed and not yet lowercased. The `n`-th item has position
+/// `n`; every other character, non-ASCII letters included, separates.
+pub(crate) fn raw_tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|t| !t.is_empty())
+}
+
 /// Splits `text` into lowercase alphanumeric tokens with positions.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    let mut pos = 0u32;
-    for ch in text.chars() {
-        if ch.is_ascii_alphanumeric() {
-            current.push(ch.to_ascii_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(Token {
-                text: std::mem::take(&mut current),
-                position: pos,
-            });
-            pos += 1;
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(Token {
-            text: current,
-            position: pos,
-        });
-    }
-    tokens
+    raw_tokens(text)
+        .zip(0..)
+        .map(|(t, position)| Token {
+            text: t.to_ascii_lowercase(),
+            position,
+        })
+        .collect()
 }
 
 /// Convenience: tokenized strings without positions.
 pub fn tokenize_terms(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().map(|t| t.text).collect()
+    raw_tokens(text).map(str::to_ascii_lowercase).collect()
 }
 
 #[cfg(test)]
@@ -80,6 +74,19 @@ mod tests {
     fn empty_and_symbol_only_input() {
         assert!(tokenize("").is_empty());
         assert!(tokenize("!!! --- ###").is_empty());
+    }
+
+    #[test]
+    fn non_ascii_letters_separate() {
+        assert_eq!(tokenize_terms("Café Zürich"), vec!["caf", "z", "rich"]);
+        let toks = tokenize("東京 Tower");
+        assert_eq!(
+            toks,
+            vec![Token {
+                text: "tower".into(),
+                position: 0
+            }]
+        );
     }
 
     #[test]

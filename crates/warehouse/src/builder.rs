@@ -5,10 +5,11 @@
 //! types, checks referential integrity, and produces an immutable
 //! [`Warehouse`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::catalog::Warehouse;
 use crate::error::WarehouseError;
+use crate::keys::KeyRows;
 use crate::schema::{
     AttrKind, ColRef, DimId, Dimension, EdgeId, FkEdge, GroupByCandidate, Hierarchy, Measure,
     MeasureExpr, Schema, TableId,
@@ -299,21 +300,15 @@ impl WarehouseBuilder {
         // each non-null FK resolves to exactly one parent row.
         for e in &edges {
             let parent_col = self.tables[e.parent.table.0 as usize].column(e.parent.col as usize);
-            let mut parent_keys = HashSet::with_capacity(parent_col.len());
-            for row in 0..parent_col.len() {
-                if let Some(k) = parent_col.get_int(row) {
-                    if !parent_keys.insert(k) {
-                        return Err(WarehouseError::DuplicateKey {
-                            column: self.edges[e.id.0 as usize].parent.clone(),
-                            key: k,
-                        });
-                    }
-                }
-            }
+            let parent_keys =
+                KeyRows::build(parent_col).map_err(|key| WarehouseError::DuplicateKey {
+                    column: self.edges[e.id.0 as usize].parent.clone(),
+                    key,
+                })?;
             let child_col = self.tables[e.child.table.0 as usize].column(e.child.col as usize);
             for row in 0..child_col.len() {
                 if let Some(k) = child_col.get_int(row) {
-                    if !parent_keys.contains(&k) {
+                    if parent_keys.get(k).is_none() {
                         return Err(WarehouseError::BrokenForeignKey {
                             edge: format!(
                                 "{} → {}",

@@ -50,6 +50,7 @@ pub mod describe;
 pub mod error;
 #[allow(unsafe_code)]
 pub mod kernel;
+pub mod keys;
 pub mod schema;
 pub mod spec;
 pub mod stats;
@@ -64,6 +65,7 @@ pub use csv::{export_table, load_csv_table};
 pub use describe::describe;
 pub use error::WarehouseError;
 pub use kernel::{KernelTier, NULL_CODE};
+pub use keys::KeyRows;
 pub use schema::{
     AttrKind, ColRef, DimId, Dimension, EdgeId, FkEdge, GroupByCandidate, Hierarchy, Measure,
     MeasureExpr, Schema, TableId,

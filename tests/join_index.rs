@@ -12,7 +12,9 @@
 //! warehouses: arms of one to four hops, two role-playing edges into one
 //! parent, one outer table reached along several arms (the paper's three
 //! paths to LOC), NULL keys at every level, childless parents, keys that
-//! are not row numbers, and empty tables.
+//! are not row numbers, and empty tables. A table's keys step by 1, 3 or
+//! 2⁴⁰, so parent keys are resolved both through an array and through a
+//! hash map (the two forms of `KeyRows`).
 
 use proptest::prelude::*;
 
@@ -32,7 +34,7 @@ struct Snowflake {
 
 impl Snowflake {
     /// Adds table `name` with `nrows` rows: a `Key` column of distinct,
-    /// shuffled, non-contiguous keys, then one FK column per
+    /// shuffled keys a stride of 1, 3 or 2⁴⁰ apart, then one FK column per
     /// `(column, parent table, role)` whose values are NULL one time in
     /// four and otherwise a random key of the parent.
     fn table(&mut self, name: &str, nrows: usize, fks: &[(&str, &str, Option<&'static str>)]) {
@@ -40,7 +42,8 @@ impl Snowflake {
         cols.extend(fks.iter().map(|(col, _, _)| (*col, ValueType::Int, false)));
         self.b.table(name, &cols).unwrap();
         let base = 10 + self.rng.below(90) as i64;
-        let mut own: Vec<i64> = (0..nrows as i64).map(|i| base + 3 * i).collect();
+        let stride = [1, 3, 1 << 40][self.rng.below(3) as usize];
+        let mut own: Vec<i64> = (0..nrows as i64).map(|i| base + stride * i).collect();
         for i in (1..own.len()).rev() {
             own.swap(i, self.rng.below(i as u64 + 1) as usize);
         }
@@ -174,6 +177,7 @@ proptest! {
 fn generated_snowflakes_cover_the_claimed_shapes() {
     let (mut hops, mut loc_paths) = (std::collections::BTreeSet::new(), 0);
     let (mut null_fk, mut childless, mut empty_parent) = (false, false, false);
+    let (mut dense, mut hashed) = (false, false);
     for seed in 0..96 {
         let wh = snowflake(seed);
         let keys = KeyWalker::new(&wh);
@@ -193,10 +197,24 @@ fn generated_snowflakes_cover_the_claimed_shapes() {
             null_fk |= reached.contains(&None);
             childless |= (0..parents).any(|p| !reached.contains(&Some(p)));
             empty_parent |= parents == 0 && children > 0;
+            // `KeyRows` indexes an array when the parent's n keys span at
+            // most 2·n + 64 values, and hashes them otherwise.
+            let parent_keys = wh.column(edge.parent);
+            let parent_keys: Vec<i128> = (0..parents)
+                .map(|r| i128::from(parent_keys.get_int(r).unwrap()))
+                .collect();
+            let span = match (parent_keys.iter().min(), parent_keys.iter().max()) {
+                (Some(min), Some(max)) => max - min + 1,
+                _ => 0,
+            };
+            let resolved = parents > 1 && reached.iter().any(Option::is_some);
+            dense |= resolved && span <= 2 * parents as i128 + 64;
+            hashed |= resolved && span > 2 * parents as i128 + 64;
         }
     }
     // Buyer, Seller, the B arm and the A arm; A is two to four hops.
     assert_eq!(loc_paths, 4);
     assert_eq!(hops.into_iter().collect::<Vec<_>>(), vec![2, 3, 4]);
     assert!(null_fk && childless && empty_parent);
+    assert!(dense && hashed, "dense {dense}, hashed {hashed}");
 }
