@@ -91,7 +91,7 @@ fn bench_explore(c: &mut Criterion) {
     });
     let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
     let mv = MeasureVector::build(kdap.warehouse(), kdap.measure());
-    let planner = Planner::naive();
+    let planner = Planner::default();
     let facets = |exec: &ExecConfig| {
         explore_subspace(
             kdap.warehouse(),

@@ -1,7 +1,7 @@
 //! Experiment E13 — observability overhead.
 //!
 //! The tracing/metrics layer (`kdap-obs`) threads an `Obs` handle through
-//! every hot path: text search, plan compile/optimize, semi-join steps,
+//! every hot path: text search, plan compile, semi-join steps,
 //! the fused group-by kernels, and the session loop. The design contract
 //! is that a *disabled* handle costs one branch — no clock read, no lock,
 //! no allocation — so sessions that never ask for profiles pay nothing.
@@ -20,8 +20,8 @@
 //! The three configurations are interleaved round-robin and the best
 //! round of each kept, so CPU-frequency drift cancels instead of
 //! masquerading as overhead. Every exploration is asserted bit-identical
-//! across obs on/off (the recorder only observes; it never reorders
-//! chunk merges). With `--check`, the run exits nonzero when the
+//! across obs on/off (the recorder only observes; it never changes the
+//! order of chunk merges). With `--check`, the run exits nonzero when the
 //! obs-on overhead exceeds `KDAP_OBS_MAX_OVERHEAD_PCT` (default 2%)
 //! plus the measured noise bound — the CI gate.
 //!

@@ -509,7 +509,7 @@ mod tests {
         run(&mut r, "q seattle");
         run(&mut r, "pick 1");
         let first = run(&mut r, "explain");
-        assert!(first.contains("est "), "{first}");
+        assert!(first.contains("fact rows"), "{first}");
         // The session planner already evaluated these steps during
         // `pick`, so the explain replay is served from the cache.
         assert!(first.contains("[cache hit]"), "{first}");

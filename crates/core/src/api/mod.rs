@@ -460,7 +460,7 @@ pub struct QueryResponse {
     pub constraints: Option<Vec<ConstraintSummary>>,
     /// The exploration of the picked (and refined) interpretation.
     pub exploration: Option<Exploration>,
-    /// Rendered physical plan (explain verb).
+    /// Rendered constraint plan (explain verb).
     pub plan: Option<String>,
     /// Rendered fused-scan/cache report (explain verb).
     pub report: Option<String>,

@@ -1,12 +1,11 @@
-//! EXPLAIN for star nets: the optimized physical plan with per-step
-//! estimated vs. actual cardinalities, cache hits, and join-plan
-//! description, so analysts (and the `kdap` console) can see *why* a
-//! subspace has the size it does before paying for facet construction.
+//! EXPLAIN for star nets: each constraint's actual fact-row count, cache
+//! outcome and join path, and the size of their intersection, so analysts
+//! (and the `kdap` console) can see *why* a subspace has the size it does
+//! before paying for facet construction.
 //!
-//! The plan is produced by the same [`Planner`] that executes queries:
-//! the entries appear in chosen execution order (most selective first
-//! when reordering is on), fused fact-local predicates collapse into one
-//! entry, and steps served from the session's semi-join cache are marked.
+//! The plan is compiled and executed through the same [`Planner`] that
+//! runs queries: one entry per constraint in net order, with the ones
+//! served from the session's semi-join cache marked.
 
 use kdap_obs::CacheCounters;
 use kdap_query::{execute_plan_traced, ExecConfig, JoinIndex, Predicate};
@@ -16,48 +15,40 @@ use crate::error::KdapError;
 use crate::interpret::StarNet;
 use crate::plan::Planner;
 
-/// The evaluated plan of one physical step (one constraint, or several
-/// fused fact-local constraints).
+/// The evaluated plan of one constraint.
 #[derive(Debug, Clone)]
 pub struct ConstraintPlan {
-    /// `Table.Attr` of the hit group(s); fused steps join names with `∧`.
+    /// `Table.Attr` of the hit group.
     pub attr: String,
     /// The join path walked, with role labels.
     pub path: String,
-    /// Number of hit instances in the group (`|HG|`), summed when fused.
+    /// Number of hit instances in the group (`|HG|`).
     pub n_hits: usize,
-    /// Fact rows this step alone selects.
+    /// Fact rows this constraint alone selects.
     pub fact_rows: usize,
     /// `fact_rows / |fact table|`.
     pub selectivity: f64,
-    /// True when the step carries a numeric-range constraint (§7
-    /// extension).
+    /// True for a numeric-range constraint (§7 extension).
     pub numeric: bool,
-    /// The optimizer's estimated fact-row count (equals `fact_rows` only
-    /// by luck; the gap is the estimation error).
-    pub est_rows: usize,
-    /// True when the step's bitmap came from the semi-join cache.
+    /// True when the constraint's bitmap came from the semi-join cache.
     pub cache_hit: bool,
-    /// Number of logical constraints this step covers (>1 when fact-local
-    /// predicates were fused into one scan).
-    pub fused: usize,
 }
 
 /// The evaluated plan of a star net.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// Per-step evaluations, in chosen execution order.
+    /// Per-constraint evaluations, in net order.
     pub constraints: Vec<ConstraintPlan>,
-    /// Fact rows after intersecting all steps.
+    /// Fact rows after intersecting all constraints.
     pub subspace_size: usize,
     /// `subspace_size / |fact table|`.
     pub combined_selectivity: f64,
-    /// Ratio between the most selective single step and the
+    /// Ratio between the most selective single constraint and the
     /// intersection — how much the conjunction tightened the slice.
     pub intersection_gain: f64,
 }
 
-/// Evaluates the net through a fresh fully-optimized [`Planner`].
+/// Evaluates the net serially, without a semi-join cache.
 ///
 /// Panics on malformed constraints (impossible for interpreter-produced
 /// nets); use [`explain_planned`] to explain through a session's planner
@@ -66,12 +57,12 @@ pub fn explain(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Plan {
     // Documented panic (see doc comment above); the serial ungoverned
     // config cannot breach any governance limit.
     #[allow(clippy::expect_used)]
-    explain_planned(wh, jidx, net, &Planner::optimized(), &ExecConfig::serial())
+    explain_planned(wh, jidx, net, &Planner::default(), &ExecConfig::serial())
         .expect("star-net constraints evaluate on the fact table")
 }
 
-/// Compiles, optimizes, and executes the net through `planner`, tracing
-/// each physical step.
+/// Compiles and executes the net through `planner`, tracing each
+/// constraint.
 pub fn explain_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -83,36 +74,27 @@ pub fn explain_planned(
     let n_fact = wh.fact_rows().max(1);
     let plan = planner.plan(wh, net);
     let (rows, traces) = execute_plan_traced(wh, jidx, fact, &plan, planner.cache(), exec)?;
-    let mut constraints = Vec::with_capacity(plan.steps.len());
-    for (step, trace) in plan.steps.iter().zip(&traces) {
-        let nodes = step.nodes();
-        let attr = nodes
-            .iter()
-            .map(|n| wh.col_name(n.selection.attr))
-            .collect::<Vec<_>>()
-            .join(" ∧ ");
-        let n_hits = nodes
-            .iter()
-            .map(|n| match &n.selection.predicate {
-                Predicate::Codes(codes) => codes.len(),
-                Predicate::Range { .. } => 1,
-            })
-            .sum();
-        let numeric = nodes
-            .iter()
-            .any(|n| matches!(n.selection.predicate, Predicate::Range { .. }));
-        constraints.push(ConstraintPlan {
-            attr,
-            path: nodes[0].selection.path.display(wh, fact),
-            n_hits,
-            fact_rows: trace.actual_rows,
-            selectivity: trace.actual_rows as f64 / n_fact as f64,
-            numeric,
-            est_rows: trace.est_rows,
-            cache_hit: trace.cache_hit,
-            fused: trace.fused,
-        });
-    }
+    let constraints: Vec<ConstraintPlan> = plan
+        .nodes
+        .iter()
+        .zip(&traces)
+        .map(|(node, trace)| {
+            let sel = &node.selection;
+            let (n_hits, numeric) = match &sel.predicate {
+                Predicate::Codes(codes) => (codes.len(), false),
+                Predicate::Range { .. } => (1, true),
+            };
+            ConstraintPlan {
+                attr: wh.col_name(sel.attr),
+                path: sel.path.display(wh, fact),
+                n_hits,
+                fact_rows: trace.actual_rows,
+                selectivity: trace.actual_rows as f64 / n_fact as f64,
+                numeric,
+                cache_hit: trace.cache_hit,
+            }
+        })
+        .collect();
     let best_single = constraints
         .iter()
         .map(|c| c.fact_rows)
@@ -214,19 +196,13 @@ impl Plan {
         let mut out = String::new();
         for (i, c) in self.constraints.iter().enumerate() {
             out.push_str(&format!(
-                "({}) {}{}{}  [{} hits] → {} fact rows ({:.2}% of facts, est {}){}\n      via {}\n",
+                "({}) {}{}  [{} hits] → {} fact rows ({:.2}% of facts){}\n      via {}\n",
                 i + 1,
                 c.attr,
                 if c.numeric { " (numeric range)" } else { "" },
-                if c.fused > 1 {
-                    format!(" [fused ×{}]", c.fused)
-                } else {
-                    String::new()
-                },
                 c.n_hits,
                 c.fact_rows,
                 100.0 * c.selectivity,
-                c.est_rows,
                 if c.cache_hit { "  [cache hit]" } else { "" },
                 c.path,
             ));
@@ -264,9 +240,8 @@ mod tests {
             let plan = explain(&fx.wh, &fx.jidx, &net);
             let sub = materialize(&fx.wh, &fx.jidx, &net);
             assert_eq!(plan.subspace_size, sub.len());
-            // Every logical constraint is covered by exactly one step.
-            let covered: usize = plan.constraints.iter().map(|c| c.fused).sum();
-            assert_eq!(covered, net.n_groups());
+            // One entry per constraint.
+            assert_eq!(plan.constraints.len(), net.n_groups());
             // The intersection can never exceed any single step.
             for c in &plan.constraints {
                 assert!(plan.subspace_size <= c.fact_rows);
@@ -304,7 +279,6 @@ mod tests {
         assert!(text.contains("(2)"));
         assert!(text.contains("subspace:"));
         assert!(text.contains("via"));
-        assert!(text.contains("est "));
     }
 
     #[test]
@@ -325,7 +299,7 @@ mod tests {
     fn session_planner_reports_cache_hits() {
         let fx = ebiz_fixture();
         let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        let planner = Planner::optimized();
+        let planner = Planner::cached();
         let first =
             explain_planned(&fx.wh, &fx.jidx, &nets[0], &planner, &ExecConfig::serial()).unwrap();
         assert!(first.constraints.iter().all(|c| !c.cache_hit));

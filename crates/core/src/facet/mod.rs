@@ -232,7 +232,7 @@ mod tests {
             &materialize(&fx.wh, &fx.jidx, net),
             &MeasureVector::build(&fx.wh, measure),
             cfg,
-            &Planner::naive(),
+            &Planner::default(),
             &ExecConfig::serial(),
         )
         .unwrap();

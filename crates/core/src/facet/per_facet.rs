@@ -6,7 +6,7 @@
 //! (It lives here rather than under `tests/` because it shares the
 //! crate-private scoring helpers with the production pipeline.)
 //!
-//! It runs serially and ungoverned through the naive planner, and shares
+//! It runs serially and ungoverned without a semi-join cache, and shares
 //! only the scan kernel, task collection and the pure scoring math with
 //! production — none of the spec deduplication or scan sharing it is
 //! there to check.

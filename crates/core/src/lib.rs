@@ -47,7 +47,7 @@ pub use interpret::{generate_star_nets, try_generate_star_nets, Constraint, GenC
 pub use navigate::{drill_down, remove_constraint, roll_up};
 pub use numeric_hits::{numeric_groups, NumericConfig};
 pub use phrase::merged_group_pool;
-pub use plan::Planner;
+pub use plan::{Planner, PlannerConfig};
 pub use rank::{rank_star_nets, score_star_net, RankMethod, RankedStarNet};
 pub use render::{render_exploration, render_interpretations};
 pub use rollup::{rollup_constraint, rollup_spaces, try_rollup_spaces_planned, Rollup};
@@ -57,7 +57,7 @@ pub use subspace::{materialize, materialize_planned, Subspace};
 pub use kdap_query::kernel;
 pub use kdap_query::{
     Breach, ContainerHistogram, ExecConfig, Fingerprint, KernelTier, LogicalPlan, MeasureVector,
-    PhysicalPlan, PlannerConfig, QueryContext, SemijoinCache,
+    QueryContext, SemijoinCache,
 };
 
 pub use kdap_obs::{CacheCounters, CacheOutcome, MetricsSnapshot, Obs, ProfileNode, QueryProfile};

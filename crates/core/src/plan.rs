@@ -1,74 +1,64 @@
-//! The session-level planner: compiles star nets to logical plans, lowers
-//! them to physical plans with column statistics, and owns the shared
-//! [`SemijoinCache`] that deduplicates constraint evaluation across the
-//! whole candidate set.
+//! The session-level planner: compiles star nets to their
+//! [`LogicalPlan`] — one node per constraint, evaluated in net order — and
+//! owns the shared [`SemijoinCache`] that deduplicates constraint
+//! evaluation across the whole candidate set.
 
 use kdap_obs::{CacheCounters, Obs};
-use kdap_query::{optimize, LogicalPlan, PhysicalPlan, PlannerConfig, SemijoinCache};
-use kdap_warehouse::{StatsCatalog, Warehouse};
+use kdap_query::{LogicalPlan, SemijoinCache};
+use kdap_warehouse::Warehouse;
 
 use crate::interpret::StarNet;
 
-/// Compiles and optimizes star-net plans for one session.
+/// A field-less stand-in for the optimizer switches that no longer
+/// exist: it configures nothing. Kept only because the frozen
+/// `kdap_bench` passes one to [`Planner::new`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlannerConfig;
+
+/// Compiles star-net plans for one session.
 ///
-/// A planner bundles the optimizer switches, the lazily computed column
-/// statistics, and (when caching is enabled) the session's semi-join
-/// cache. It is `Sync`: one planner serves every worker thread.
+/// A planner bundles (when caching is enabled) the session's semi-join
+/// cache and the observability handle plan compilation reports to. It
+/// is `Sync`: one planner serves every worker thread. The default
+/// planner caches nothing.
 #[derive(Debug, Default)]
 pub struct Planner {
-    cfg: PlannerConfig,
-    stats: StatsCatalog,
     cache: Option<SemijoinCache>,
     obs: Obs,
 }
 
 impl Planner {
-    /// The full optimizer: selectivity reordering, fact-local fusion, and
-    /// a shared semi-join cache.
-    pub fn optimized() -> Self {
+    /// A planner with a shared semi-join cache — the session's planner.
+    pub fn cached() -> Self {
         Planner {
-            cfg: PlannerConfig::default(),
-            stats: StatsCatalog::new(),
             cache: Some(SemijoinCache::new()),
             obs: Obs::disabled(),
         }
     }
 
-    /// No optimization at all: constraints evaluate one by one in net
-    /// order with no statistics and no cache — exactly the unoptimized
-    /// per-net evaluation.
-    pub fn naive() -> Self {
+    /// A planner with or without a semi-join cache. Kept only for the
+    /// frozen `kdap_bench`; the `PlannerConfig` is ignored.
+    pub fn new(_cfg: PlannerConfig, cached: bool) -> Self {
         Planner {
-            cfg: PlannerConfig::naive(),
-            stats: StatsCatalog::new(),
-            cache: None,
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// A planner with explicit optimizer switches and cache choice.
-    pub fn new(cfg: PlannerConfig, cached: bool) -> Self {
-        Planner {
-            cfg,
-            stats: StatsCatalog::new(),
             cache: cached.then(SemijoinCache::new),
             obs: Obs::disabled(),
         }
     }
 
-    /// Attaches an observability handle; compile/optimize timings flow
-    /// into it from then on.
+    /// Attaches an observability handle; compile timings flow into it
+    /// from then on.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
 
-    /// The optimizer switches in effect.
+    /// The (empty) planner configuration, for [`Planner::new`].
     pub fn config(&self) -> &PlannerConfig {
-        &self.cfg
+        &PlannerConfig
     }
 
-    /// Compiles a star net and lowers it to a physical plan.
-    pub fn plan(&self, wh: &Warehouse, net: &StarNet) -> PhysicalPlan {
+    /// Compiles a star net to its plan. (`_wh` is unread; the frozen
+    /// `kdap_bench` passes it.)
+    pub fn plan(&self, _wh: &Warehouse, net: &StarNet) -> LogicalPlan {
         let t = self.obs.timer();
         let logical = net.compile();
         let compile_ns = t.stop();
@@ -83,34 +73,7 @@ impl Planner {
                 },
             );
         }
-        self.lower(wh, &logical)
-    }
-
-    /// Lowers a logical plan to a physical plan. Statistics are consulted
-    /// (and lazily computed) only when reordering is enabled.
-    pub fn lower(&self, wh: &Warehouse, logical: &LogicalPlan) -> PhysicalPlan {
-        let origin = wh.schema().fact_table();
-        let stats = self.cfg.reorder.then_some(&self.stats);
-        let t = self.obs.timer();
-        let plan = optimize(wh, origin, logical, &self.cfg, stats);
-        let optimize_ns = t.stop();
-        if self.obs.is_enabled() {
-            self.obs.record_ns("planner.optimize_ns", optimize_ns);
-            self.obs.leaf(
-                "plan.optimize",
-                kdap_obs::LeafData {
-                    wall_ns: optimize_ns,
-                    rows_in: Some(logical.len() as u64),
-                    rows_out: Some(plan.steps.len() as u64),
-                    notes: vec![
-                        ("reorder".into(), self.cfg.reorder.to_string()),
-                        ("fuse".into(), self.cfg.fuse_fact_local.to_string()),
-                    ],
-                    ..kdap_obs::LeafData::default()
-                },
-            );
-        }
-        plan
+        logical
     }
 
     /// The session's semi-join cache, when caching is enabled.
@@ -132,7 +95,7 @@ mod tests {
     use crate::testutil::ebiz_fixture;
 
     #[test]
-    fn naive_planner_preserves_net_order() {
+    fn plans_keep_net_order() {
         let fx = ebiz_fixture();
         let nets = generate_star_nets(
             &fx.wh,
@@ -140,12 +103,12 @@ mod tests {
             &["columbus", "lcd"],
             &GenConfig::default(),
         );
-        let planner = Planner::naive();
+        let planner = Planner::default();
         for net in &nets {
             let plan = planner.plan(&fx.wh, net);
-            assert_eq!(plan.steps.len(), net.n_groups());
-            for (step, c) in plan.steps.iter().zip(&net.constraints) {
-                assert_eq!(step.key(), vec![c.fingerprint()]);
+            assert_eq!(plan.len(), net.n_groups());
+            for (node, c) in plan.nodes.iter().zip(&net.constraints) {
+                assert_eq!(node.fingerprint, c.fingerprint());
             }
         }
         assert!(planner.cache().is_none());
@@ -153,14 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn optimized_planner_computes_stats_lazily() {
-        let fx = ebiz_fixture();
-        let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        let planner = Planner::optimized();
-        let plan = planner.plan(&fx.wh, &nets[0]);
-        assert_eq!(plan.steps.len(), 1);
-        assert!(plan.steps[0].est_fraction() <= 1.0);
+    fn cached_planner_starts_empty() {
+        let planner = Planner::cached();
         assert!(planner.cache().is_some());
         assert_eq!(planner.cache_counters(), Some(CacheCounters::default()));
+        let stub = Planner::new(*planner.config(), false);
+        assert!(stub.cache().is_none());
     }
 }

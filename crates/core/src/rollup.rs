@@ -87,13 +87,13 @@ fn parent_codes(
 /// Materializes one roll-up space per hitted constraint: the star net with
 /// that constraint generalized (others unchanged). When the net has no
 /// roll-uppable constraint at all, the full dataspace serves as the single
-/// background space. Serial, through the naive planner.
+/// background space. Serial, without a semi-join cache.
 ///
 /// Panics if a constraint is malformed — impossible for nets produced by
 /// the interpreter; governed callers use [`try_rollup_spaces_planned`].
 pub fn rollup_spaces(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Vec<Subspace> {
     #[allow(clippy::expect_used)]
-    try_rollup_spaces_planned(wh, jidx, net, &Planner::naive(), &ExecConfig::serial())
+    try_rollup_spaces_planned(wh, jidx, net, &Planner::default(), &ExecConfig::serial())
         .expect("roll-up selections evaluate on the fact table")
 }
 
@@ -116,12 +116,12 @@ fn rolled_logical(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) -> 
     LogicalPlan::from_selections(selections)
 }
 
-/// Fallible, planner-driven roll-up materialization: each rolled plan is
-/// lowered by `planner` (shared parent-level constraints hit the
-/// planner's semi-join cache) and the per-constraint spaces evaluate
-/// across `exec`'s worker threads. The spaces are independent of each
-/// other, so output order (one space per constraint, in constraint order)
-/// and contents are identical for every thread count.
+/// Fallible, planner-driven roll-up materialization: each rolled plan
+/// executes through `planner`'s semi-join cache (shared constraints hit
+/// it) and the per-constraint spaces evaluate across `exec`'s worker
+/// threads. The spaces are independent of each other, so output order
+/// (one space per constraint, in constraint order) and contents are
+/// identical for every thread count.
 pub fn try_rollup_spaces_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -140,7 +140,7 @@ pub fn try_rollup_spaces_planned(
         inner = inner.with_govern(ctx.clone());
     }
     let results = par_map(exec, &indices, |_, &i| {
-        let plan = planner.lower(wh, &rolled_logical(wh, jidx, net, i));
+        let plan = rolled_logical(wh, jidx, net, i);
         execute_plan(wh, jidx, fact, &plan, planner.cache(), &inner)
     });
     let mut spaces = Vec::with_capacity(results.len());

@@ -186,7 +186,7 @@ impl KdapBuilder {
             ExecConfig::with_threads(self.threads)
         }
         .with_obs(obs.clone());
-        let mut planner = Planner::optimized();
+        let mut planner = Planner::cached();
         planner.attach_obs(obs.clone());
         Ok(Kdap {
             wh: self.wh,
@@ -428,7 +428,7 @@ impl Kdap {
         Ok(explored)
     }
 
-    /// The session's planner (statistics and semi-join cache).
+    /// The session's planner (its semi-join cache).
     pub fn planner(&self) -> &Planner {
         &self.planner
     }

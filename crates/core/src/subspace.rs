@@ -6,9 +6,10 @@
 //! while the hits inside one group OR together. Hit groups on the fact
 //! table itself select fact points directly (§4.2).
 //!
-//! Star nets are not evaluated directly: they compile to a
-//! [`LogicalPlan`](kdap_query::LogicalPlan) which a [`Planner`] lowers to
-//! a physical plan (optionally reordered, fused, and cached).
+//! A star net compiles to a [`LogicalPlan`](kdap_query::LogicalPlan),
+//! one node per constraint in net order; each node semi-joins down its own
+//! path into a fact bitmap (through the [`Planner`]'s semi-join cache when
+//! it has one) and the bitmaps AND together.
 
 use kdap_query::{
     execute_plan, multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
@@ -57,24 +58,22 @@ impl Subspace {
     }
 }
 
-/// Materializes a star net into its subspace, serially through the naive
-/// planner (net order, no statistics, no cache) — the reference the
-/// planned paths are tested against.
+/// Materializes a star net into its subspace, serially and without a
+/// semi-join cache.
 ///
 /// Panics if a constraint is malformed (attribute off its path's target
 /// table) — impossible for nets produced by the interpreter. Use
 /// [`materialize_planned`] for a fallible variant.
 pub fn materialize(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace {
     #[allow(clippy::expect_used)]
-    materialize_planned(wh, jidx, net, &Planner::naive(), &ExecConfig::serial())
+    materialize_planned(wh, jidx, net, &Planner::default(), &ExecConfig::serial())
         .expect("star-net constraints evaluate on the fact table")
 }
 
-/// Materializes a star net through a [`Planner`]: the net compiles to a
-/// logical plan, lowers to a physical plan (reordered / fused per the
-/// planner's config), and executes through the planner's semi-join cache
-/// when one is present. Constraints evaluate independently across `exec`'s
-/// worker threads and their fact bitmaps AND together, so the result is
+/// Materializes a star net through a [`Planner`]: the net compiles to its
+/// plan, which executes through the planner's semi-join cache when one is
+/// present. Constraints evaluate independently across `exec`'s worker
+/// threads and their fact bitmaps AND together, so the result is
 /// identical for every thread count.
 pub fn materialize_planned(
     wh: &Warehouse,
@@ -181,7 +180,7 @@ mod tests {
             for net in &nets {
                 let serial = materialize(&fx.wh, &fx.jidx, net);
                 let parallel =
-                    materialize_planned(&fx.wh, &fx.jidx, net, &Planner::naive(), &exec).unwrap();
+                    materialize_planned(&fx.wh, &fx.jidx, net, &Planner::cached(), &exec).unwrap();
                 assert_eq!(
                     serial.rows.iter().collect::<Vec<_>>(),
                     parallel.rows.iter().collect::<Vec<_>>()
@@ -203,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_planner_matches_naive() {
+    fn cached_planner_matches_uncached() {
         let fx = ebiz_fixture();
         let nets = generate_star_nets(
             &fx.wh,
@@ -211,13 +210,16 @@ mod tests {
             &["columbus", "lcd"],
             &GenConfig::default(),
         );
-        let planner = Planner::optimized();
-        for net in &nets {
-            let naive = materialize(&fx.wh, &fx.jidx, net);
-            let planned =
-                materialize_planned(&fx.wh, &fx.jidx, net, &planner, &ExecConfig::serial())
-                    .unwrap();
-            assert_eq!(naive, planned);
+        let planner = Planner::cached();
+        for _pass in 0..2 {
+            for net in &nets {
+                let uncached = materialize(&fx.wh, &fx.jidx, net);
+                let planned =
+                    materialize_planned(&fx.wh, &fx.jidx, net, &planner, &ExecConfig::serial())
+                        .unwrap();
+                assert_eq!(uncached, planned);
+            }
         }
+        assert!(planner.cache_counters().unwrap().hits > 0);
     }
 }

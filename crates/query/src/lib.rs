@@ -31,7 +31,6 @@ pub use govern::{Breach, QueryContext};
 pub use kdap_warehouse::kernel::{self, KernelTier};
 pub use path::{fact_paths_by_table, paths_between, JoinPath, MAX_PATH_LEN};
 pub use plan::{
-    execute_plan, execute_plan_traced, optimize, Fingerprint, LogicalPlan, PhysStep, PhysicalPlan,
-    PlanNode, PlannerConfig, SemijoinCache, StepKey, StepTrace,
+    execute_plan, execute_plan_traced, Fingerprint, LogicalPlan, PlanNode, SemijoinCache, StepTrace,
 };
 pub use semijoin::{JoinIndex, Predicate, RowMapper, Selection};

@@ -10,7 +10,7 @@
 //! POST /v1/{tenant}/differentiate  ranked interpretations
 //! POST /v1/{tenant}/explore        interpretation + facets
 //! POST /v1/{tenant}/profile        + per-stage timing tree
-//! POST /v1/{tenant}/explain        + physical plan and scan report
+//! POST /v1/{tenant}/explain        + constraint plan and scan report
 //! ```
 //!
 //! Every request gets a trace id — accepted from `x-kdap-trace-id` (1 to

@@ -322,8 +322,9 @@ impl Column {
 
     /// Distinct-code count of a dictionary-encoded column, `None` for
     /// numeric columns. This is the single source of truth for both the
-    /// optimizer's distinct estimate and the dense/hash group-by kernel
-    /// cutoff: dense accumulator arrays are sized by exactly this value.
+    /// `distinct` count `summarize` reports and the dense/hash group-by
+    /// kernel cutoff: dense accumulator arrays are sized by exactly this
+    /// value.
     ///
     /// Sourced from the packed-chunk metadata (largest code ever stored);
     /// codes are handed out densely by this column's own dictionary, so

@@ -71,8 +71,6 @@ pub use schema::{
     MeasureExpr, Schema, TableId,
 };
 pub use spec::{export_spec, load_spec, load_warehouse, save_warehouse};
-pub use stats::{
-    summarize, ColumnStats, ColumnSummary, StatsCatalog, TableSummary, WarehouseSummary,
-};
+pub use stats::{summarize, ColumnStats, ColumnSummary, TableSummary, WarehouseSummary};
 pub use table::Table;
 pub use value::{Value, ValueType};

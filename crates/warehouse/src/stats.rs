@@ -1,18 +1,9 @@
-//! Per-column statistics for selectivity estimation.
-//!
-//! The plan optimizer in the query layer orders conjunctive constraints
-//! most-selective-first. Its estimates come from these per-column
-//! summaries: row/null counts, distinct counts, a per-code frequency
-//! histogram for dictionary-encoded strings, and min/max for numeric
-//! columns. Statistics are computed lazily once per column and memoized
-//! in a [`StatsCatalog`] that lives for the duration of a session.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+//! Per-column statistics and the catalog summary behind `kdap stats`:
+//! row/null counts, distinct counts, and min/max for numeric columns,
+//! computed in one scan per column whenever [`summarize`] is called.
 
 use crate::catalog::Warehouse;
 use crate::column::{Column, ColumnData};
-use crate::schema::ColRef;
 
 /// Summary statistics of one column.
 #[derive(Debug, Clone)]
@@ -23,9 +14,6 @@ pub struct ColumnStats {
     pub nulls: usize,
     /// Distinct non-null values (dictionary size for string columns).
     pub distinct: usize,
-    /// For string columns: occurrences of each dictionary code, indexed
-    /// by code. Empty for numeric columns.
-    code_counts: Vec<u32>,
     /// Minimum value (numeric columns with at least one non-null row).
     pub min: Option<f64>,
     /// Maximum value (numeric columns with at least one non-null row).
@@ -37,20 +25,15 @@ impl ColumnStats {
     pub fn compute(col: &Column) -> Self {
         match col.data() {
             ColumnData::Str { dict, .. } => {
-                let mut counts = vec![0u32; dict.len()];
                 let mut nulls = 0usize;
                 // Word-at-a-time decode of the packed chunks.
-                col.for_each_code(|_, c| match c {
-                    Some(c) => counts[c as usize] += 1,
-                    None => nulls += 1,
-                });
+                col.for_each_code(|_, c| nulls += usize::from(c.is_none()));
                 ColumnStats {
                     rows: col.len(),
                     nulls,
                     // Sourced from the same accessor the dense/hash kernel
                     // cutoff uses, so the two can never disagree.
                     distinct: col.cardinality().unwrap_or(dict.len()),
-                    code_counts: counts,
                     min: None,
                     max: None,
                 }
@@ -73,7 +56,6 @@ impl ColumnStats {
                     rows: values.len(),
                     nulls,
                     distinct: distinct.len(),
-                    code_counts: Vec::new(),
                     min,
                     max,
                 }
@@ -95,54 +77,10 @@ impl ColumnStats {
                     rows: values.len(),
                     nulls,
                     distinct: distinct.len(),
-                    code_counts: Vec::new(),
                     min,
                     max,
                 }
             }
-        }
-    }
-
-    /// Estimated fraction of this column's rows whose code is in `codes`.
-    ///
-    /// Exact for string columns (the histogram covers every code); falls
-    /// back to `|codes| / distinct` when no histogram is available.
-    pub fn code_fraction(&self, codes: &[u32]) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        if self.code_counts.is_empty() {
-            return (codes.len() as f64 / self.distinct.max(1) as f64).min(1.0);
-        }
-        let matched: u64 = codes
-            .iter()
-            .map(|&c| u64::from(self.code_counts.get(c as usize).copied().unwrap_or(0)))
-            .sum();
-        matched as f64 / self.rows as f64
-    }
-
-    /// Estimated fraction of this column's rows with value in `[lo, hi]`,
-    /// assuming a uniform distribution between min and max.
-    pub fn range_fraction(&self, lo: f64, hi: f64) -> f64 {
-        if self.rows == 0 || hi < lo {
-            return 0.0;
-        }
-        let non_null = (self.rows - self.nulls) as f64 / self.rows as f64;
-        match (self.min, self.max) {
-            (Some(mn), Some(mx)) if mx > mn => {
-                let overlap = ((hi.min(mx) - lo.max(mn)) / (mx - mn)).clamp(0.0, 1.0);
-                non_null * overlap
-            }
-            // Degenerate single-point domain.
-            (Some(mn), Some(_)) => {
-                if lo <= mn && mn <= hi {
-                    non_null
-                } else {
-                    0.0
-                }
-            }
-            // No numeric domain information: assume nothing filters.
-            _ => 1.0,
         }
     }
 }
@@ -236,49 +174,6 @@ pub fn summarize(wh: &Warehouse) -> WarehouseSummary {
     }
 }
 
-/// Lazily computed, memoized per-column statistics for one warehouse.
-///
-/// Safe to share across worker threads; the first request for a column
-/// pays the scan, later requests return the memoized summary.
-#[derive(Debug, Default)]
-pub struct StatsCatalog {
-    cache: Mutex<HashMap<ColRef, Arc<ColumnStats>>>,
-}
-
-impl StatsCatalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        StatsCatalog::default()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HashMap<ColRef, Arc<ColumnStats>>> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is always in a consistent state.
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Statistics for `attr`, computing them on first request.
-    pub fn get(&self, wh: &Warehouse, attr: ColRef) -> Arc<ColumnStats> {
-        if let Some(stats) = self.lock().get(&attr) {
-            return stats.clone();
-        }
-        // Compute outside the lock; a racing thread may compute the same
-        // stats, in which case the first insert wins.
-        let stats = Arc::new(ColumnStats::compute(wh.column(attr)));
-        self.lock().entry(attr).or_insert(stats).clone()
-    }
-
-    /// Number of columns with memoized statistics.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True when no statistics have been computed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,21 +191,17 @@ mod tests {
     }
 
     #[test]
-    fn string_histogram_counts_codes() {
+    fn string_stats_count_nulls_and_distinct_codes() {
         let c = str_column(&[Some("a"), Some("b"), Some("a"), None, Some("a")]);
         let s = ColumnStats::compute(&c);
         assert_eq!(s.rows, 5);
         assert_eq!(s.nulls, 1);
         assert_eq!(s.distinct, 2);
-        let code_a = c.dict().unwrap().code_of("a").unwrap();
-        let code_b = c.dict().unwrap().code_of("b").unwrap();
-        assert_eq!(s.code_fraction(&[code_a]), 3.0 / 5.0);
-        assert_eq!(s.code_fraction(&[code_a, code_b]), 4.0 / 5.0);
-        assert_eq!(s.code_fraction(&[]), 0.0);
+        assert_eq!((s.min, s.max), (None, None));
     }
 
     #[test]
-    fn numeric_min_max_and_range_fraction() {
+    fn numeric_min_max_and_distinct() {
         let mut c = Column::new("x", ValueType::Float, false);
         for v in [Some(0.0), Some(10.0), Some(5.0), None] {
             match v {
@@ -322,11 +213,7 @@ mod tests {
         assert_eq!(s.min, Some(0.0));
         assert_eq!(s.max, Some(10.0));
         assert_eq!(s.distinct, 3);
-        // Half the domain, scaled by the 3/4 non-null fraction.
-        let f = s.range_fraction(0.0, 5.0);
-        assert!((f - 0.5 * 0.75).abs() < 1e-12, "{f}");
-        assert_eq!(s.range_fraction(20.0, 30.0), 0.0);
-        assert_eq!(s.range_fraction(5.0, 1.0), 0.0);
+        assert_eq!(s.nulls, 1);
     }
 
     #[test]
@@ -337,7 +224,7 @@ mod tests {
         }
         let s = ColumnStats::compute(&c);
         assert_eq!((s.min, s.max), (Some(1.0), Some(4.0)));
-        assert_eq!(s.range_fraction(1.0, 4.0), 1.0);
+        assert_eq!(s.distinct, 4);
     }
 
     #[test]
@@ -377,31 +264,5 @@ mod tests {
         let price = &t.columns[2];
         assert_eq!(price.value_type, "float");
         assert_eq!((price.min, price.max), (Some(1.5), Some(9.5)));
-    }
-
-    #[test]
-    fn catalog_memoizes_per_column() {
-        use crate::builder::WarehouseBuilder;
-        let mut b = WarehouseBuilder::new();
-        b.table(
-            "F",
-            &[
-                ("Id", ValueType::Int, false),
-                ("City", ValueType::Str, true),
-            ],
-        )
-        .unwrap();
-        b.row("F", vec![1i64.into(), "Columbus".into()]).unwrap();
-        b.row("F", vec![2i64.into(), "Seattle".into()]).unwrap();
-        b.fact("F").unwrap();
-        let wh = b.finish().unwrap();
-        let attr = wh.col_ref("F", "City").unwrap();
-        let catalog = StatsCatalog::new();
-        assert!(catalog.is_empty());
-        let a = catalog.get(&wh, attr);
-        let b2 = catalog.get(&wh, attr);
-        assert!(Arc::ptr_eq(&a, &b2));
-        assert_eq!(catalog.len(), 1);
-        assert_eq!(a.distinct, 2);
     }
 }

@@ -8,9 +8,11 @@ use std::time::Duration;
 use std::collections::BTreeSet;
 
 use kdap_suite::core::{
-    render_exploration, CancelToken, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest, Verb,
+    materialize_planned, render_exploration, CancelToken, Kdap, KdapBuilder, KdapError,
+    QueryOptions, QueryRequest, Verb,
 };
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
+use kdap_suite::query::ExecConfig;
 
 const THREADS: [usize; 2] = [1, 4];
 
@@ -337,6 +339,85 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
             let end = kdap.subspace_cache_counters().unwrap();
             assert_eq!(kdap.subspace_cache_len(), Some(2));
             assert_eq!(end.evictions, 1, "threads={threads} `{victim}`");
+        }
+    }
+}
+
+/// The budget half of the same fault injection: one cached session
+/// explores a request under byte budgets `1 << k`, k = 0..=40, upward, so
+/// some budget breaches at each charge a cold explore makes. Every run is
+/// the answer or the typed `BudgetExceeded`, and until the first answer
+/// the session LRU stays empty. Once a budget answers, every larger one
+/// does. A breach in the semi-join stage publishes whole plans only:
+/// either the semi-join cache is unchanged (the breach came in the
+/// subspace's own plan), or that plan finished and every one of its steps
+/// is cached (the breach came in a roll-up plan, whose other steps are
+/// the subspace's own).
+#[test]
+fn a_budget_breach_at_any_charge_commits_no_partial_state() {
+    let ebiz = || build_ebiz(EbizScale::small(), 7).unwrap();
+    let aw = || build_aw_online(Scale::small(), 42).unwrap();
+    for threads in THREADS {
+        for (wh, victim) in [(aw(), "mountain bikes"), (ebiz(), "seattle lcd")] {
+            let kdap = Kdap::builder(wh)
+                .cache_capacity(2)
+                .threads(threads)
+                .build()
+                .unwrap();
+            let net = kdap.interpret(victim)[0].net.clone();
+            let mut answered = None;
+            let mut stages = BTreeSet::new();
+            for k in 0..=40 {
+                let context = format!("threads={threads} `{victim}` budget=1<<{k}");
+                let steps = kdap.semijoin_cache_len();
+                let budget = QueryOptions {
+                    budget_bytes: Some(1 << k),
+                    ..QueryOptions::default()
+                };
+                match kdap.run(&governed(Verb::Explore, victim, budget)) {
+                    Ok(_) => {
+                        answered.get_or_insert(k);
+                    }
+                    Err(KdapError::BudgetExceeded {
+                        stage,
+                        budget_bytes,
+                        charged_bytes,
+                    }) => {
+                        assert!(answered.is_none(), "{context}: breached after an answer");
+                        assert_eq!(budget_bytes, 1 << k, "{context}");
+                        assert!(charged_bytes > budget_bytes, "{context}");
+                        if stage == "semijoin" && kdap.semijoin_cache_len() != steps {
+                            let before = kdap.semijoin_counters().unwrap();
+                            let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
+                            materialize_planned(
+                                wh,
+                                jidx,
+                                &net,
+                                kdap.planner(),
+                                &ExecConfig::serial(),
+                            )
+                            .unwrap();
+                            let after = kdap.semijoin_counters().unwrap();
+                            assert_eq!(after.misses, before.misses, "{context}");
+                        }
+                        stages.insert(stage);
+                    }
+                    Err(other) => panic!("{context}: {other:?}"),
+                }
+                if answered.is_none() {
+                    assert_eq!(kdap.subspace_cache_len(), Some(0), "{context}");
+                }
+            }
+            assert!(
+                answered.is_some(),
+                "threads={threads} `{victim}`: never answered"
+            );
+            for stage in ["semijoin", "multi_group_by"] {
+                assert!(
+                    stages.contains(stage),
+                    "threads={threads} `{victim}`: no breach in `{stage}` among {stages:?}"
+                );
+            }
         }
     }
 }

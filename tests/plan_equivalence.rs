@@ -1,43 +1,107 @@
-//! The optimizer is an *execution* strategy, never a *semantics* change:
-//! for any workload query, any planner configuration (reordering and
-//! fusion independently toggled, cache on or off), and any thread count,
-//! plan-compiled evaluation must produce fact-row sets bit-identical to
-//! the naive per-constraint semi-join cascade.
+//! A subspace is the AND of its constraints, whatever the route: through
+//! the session's semi-join cache or without one, at one thread or four,
+//! with the constraints in net order or reversed, `materialize_planned`
+//! selects exactly the fact rows of an independent row-at-a-time oracle
+//! (`support::net_rows`) that walks each constraint's join path by key
+//! value — no `JoinIndex`, no bitmap intersection.
+//!
+//! The session has numeric hits on, so measure-value keywords yield
+//! constraints on the fact table's own columns (empty join paths), alone
+//! and two at a time.
+
+mod support;
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{materialize, materialize_planned, Kdap, Planner, PlannerConfig, StarNet};
+use kdap_suite::core::{materialize_planned, GenConfig, Kdap, NumericConfig, Planner, StarNet};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::query::ExecConfig;
+use kdap_suite::warehouse::MeasureExpr;
+
+use support::{net_rows, KeyWalker};
+
+/// A candidate net with the oracle's fact rows.
+type Case = (StarNet, Vec<usize>);
 
 struct Fixture {
     kdap: Kdap,
-    candidate_sets: Vec<Vec<StarNet>>,
+    /// Per workload query: its candidate nets.
+    candidate_sets: Vec<Vec<Case>>,
+    /// The candidate nets of every measure-value query, checked in every
+    /// proptest case.
+    fact_local: Vec<Case>,
 }
 
-/// One AW_ONLINE build shared by every proptest case: the warehouse is
-/// deterministic (seed 42), so caching it only trims wall time.
+/// Keywords that hit the fact table's measure columns: the two factors of
+/// AW_ONLINE's `SalesRevenue` read off fact row 0, alone, together, and
+/// next to a text keyword.
+fn measure_queries(kdap: &Kdap) -> Vec<String> {
+    let wh = kdap.warehouse();
+    let MeasureExpr::Product(price, qty) = &wh.schema().measures()[0].expr else {
+        panic!("AW_ONLINE's measure is a product of two fact columns");
+    };
+    let value = |attr| {
+        wh.column(attr)
+            .get_float(0)
+            .expect("fact row 0 has a value")
+    };
+    let (price, qty) = (value(*price), value(*qty));
+    vec![
+        format!("{price}"),
+        format!("{price} {qty}"),
+        format!("mountain {price}"),
+        format!("{qty} california"),
+    ]
+}
+
+/// One AW_ONLINE build shared by every proptest case; the oracle runs
+/// once per net here, not once per case.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let wh = build_aw_online(Scale::small(), 42).expect("generator is valid");
-        let queries = generate_workload(&wh, &WorkloadConfig::default());
-        let kdap = Kdap::builder(wh).build().expect("measure defined");
-        let candidate_sets = queries
+        let workload = generate_workload(&wh, &WorkloadConfig::default());
+        let gen = GenConfig {
+            numeric: NumericConfig {
+                enabled: true,
+                ..NumericConfig::default()
+            },
+            ..GenConfig::default()
+        };
+        let kdap = Kdap::builder(wh)
+            .gen_config(gen)
+            .build()
+            .expect("measure defined");
+        let keys = KeyWalker::new(kdap.warehouse());
+        let cases = |q: &str| -> Vec<Case> {
+            kdap.interpret(q)
+                .into_iter()
+                .map(|r| {
+                    let rows = net_rows(&keys, &r.net);
+                    (r.net, rows)
+                })
+                .collect()
+        };
+        let candidate_sets: Vec<Vec<Case>> = workload
             .iter()
-            .map(|q| {
-                kdap.interpret(&q.text())
-                    .into_iter()
-                    .map(|r| r.net)
-                    .collect()
-            })
-            .filter(|nets: &Vec<StarNet>| !nets.is_empty())
+            .map(|q| cases(&q.text()))
+            .filter(|nets| !nets.is_empty())
             .collect();
+        let fact_local: Vec<Case> = measure_queries(&kdap)
+            .iter()
+            .flat_map(|q| cases(q))
+            .collect();
+        // What fact-local fusion used to take: a net with two constraints
+        // on the fact table's own columns.
+        assert!(fact_local
+            .iter()
+            .any(|(net, _)| { net.constraints.iter().filter(|c| c.path.is_empty()).count() >= 2 }));
         Fixture {
             kdap,
             candidate_sets,
+            fact_local,
         }
     })
 }
@@ -45,30 +109,32 @@ fn fixture() -> &'static Fixture {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Per-net: any planner setting × any thread count matches the naive
-    /// serial cascade exactly.
+    /// Per net: cached or not × one or four threads × net order or
+    /// reversed matches the row-at-a-time oracle exactly.
     #[test]
     fn planned_materialization_matches_naive(
-        query_idx in 0usize..64,
-        reorder in any::<bool>(),
-        fuse_fact_local in any::<bool>(),
+        query_idx in 0usize..96,
         cached in any::<bool>(),
+        reversed in any::<bool>(),
         threads in proptest::sample::select(vec![1usize, 4]),
     ) {
         let fx = fixture();
         let nets = &fx.candidate_sets[query_idx % fx.candidate_sets.len()];
-        let planner = Planner::new(PlannerConfig { reorder, fuse_fact_local }, cached);
+        let planner = if cached { Planner::cached() } else { Planner::default() };
         let exec = ExecConfig::with_threads(threads);
         let (wh, jidx) = (fx.kdap.warehouse(), fx.kdap.join_index());
-        for net in nets {
-            let naive = materialize(wh, jidx, net);
-            let planned = materialize_planned(wh, jidx, net, &planner, &exec)
+        for (net, expect) in nets.iter().chain(&fx.fact_local) {
+            let mut net = net.clone();
+            if reversed {
+                net.constraints.reverse();
+            }
+            let planned = materialize_planned(wh, jidx, &net, &planner, &exec)
                 .expect("star net evaluates");
             prop_assert_eq!(
-                naive.rows.to_words(),
-                planned.rows.to_words(),
-                "reorder={} fuse={} cached={} threads={}",
-                reorder, fuse_fact_local, cached, threads
+                &planned.rows.iter().collect::<Vec<_>>(),
+                expect,
+                "cached={} reversed={} threads={} net={}",
+                cached, reversed, threads, net.display(wh)
             );
         }
     }

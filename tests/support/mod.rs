@@ -1,6 +1,6 @@
 //! Shared test support: the key-walking join resolver, the
-//! row-at-a-time aggregation oracle built on it, and the AW_ONLINE
-//! workload fixture the equivalence suites sweep.
+//! row-at-a-time net and aggregation oracles built on it, and the
+//! AW_ONLINE workload fixture the equivalence suites sweep.
 //!
 //! The oracle is the engine's single-attribute group-by in its plainest
 //! form — one attribute, one row at a time through the public per-row
@@ -24,7 +24,8 @@ use kdap_suite::core::api::json::json_string;
 use kdap_suite::core::{Kdap, Refine, StarNet};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::query::{
-    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, RowSet, MAX_PATH_LEN,
+    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, Predicate, RowSet,
+    Selection, MAX_PATH_LEN,
 };
 use kdap_suite::warehouse::{ColRef, Measure, TableId, ValueType, Warehouse};
 
@@ -73,6 +74,29 @@ impl<'a> KeyWalker<'a> {
                 .get_int(at)?;
             self.parent_row_of_key[eid.0 as usize].get(&key).copied()
         })
+    }
+}
+
+/// The fact rows `net` selects, in ascending order, decided one row at a
+/// time: a row qualifies when, for every constraint, the row its join
+/// path reaches by key value ([`KeyWalker::resolve`]) satisfies the
+/// constraint's predicate. No `JoinIndex`, no `RowSet` intersection.
+pub fn net_rows(keys: &KeyWalker, net: &StarNet) -> Vec<usize> {
+    let selections: Vec<Selection> = net.constraints.iter().map(|c| c.selection()).collect();
+    (0..keys.wh.fact_rows())
+        .filter(|&row| selections.iter().all(|sel| selects(keys, sel, row)))
+        .collect()
+}
+
+/// Does fact row `row` satisfy `sel`?
+fn selects(keys: &KeyWalker, sel: &Selection, row: usize) -> bool {
+    let Some(target) = keys.resolve(&sel.path, row) else {
+        return false;
+    };
+    let col = keys.wh.column(sel.attr);
+    match &sel.predicate {
+        Predicate::Codes(codes) => col.get_code(target).is_some_and(|c| codes.contains(&c)),
+        Predicate::Range { lo, hi } => col.get_float(target).is_some_and(|v| *lo <= v && v <= *hi),
     }
 }
 
