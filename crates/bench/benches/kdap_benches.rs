@@ -8,8 +8,8 @@ use std::hint::black_box;
 
 use kdap_core::facet::{merge_intervals, AnnealConfig};
 use kdap_core::{
-    explore_subspace, generate_star_nets, materialize, rank_star_nets, GenConfig, Kdap, Planner,
-    RankMethod,
+    explore_subspace, generate_star_nets, materialize, rank_star_nets, DataspaceGroups, GenConfig,
+    Kdap, Planner, RankMethod,
 };
 use kdap_datagen::{build_aw_online, Scale};
 use kdap_query::{
@@ -92,6 +92,7 @@ fn bench_explore(c: &mut Criterion) {
     let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
     let mv = MeasureVector::build(kdap.warehouse(), kdap.measure());
     let planner = Planner::default();
+    // A fresh memo per call: every iteration scans its roll-ups cold.
     let facets = |exec: &ExecConfig| {
         explore_subspace(
             kdap.warehouse(),
@@ -102,6 +103,7 @@ fn bench_explore(c: &mut Criterion) {
             kdap.facet_config(),
             &planner,
             exec,
+            &DataspaceGroups::default(),
         )
     };
     g.bench_function("facet_construction", |b| {

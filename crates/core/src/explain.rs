@@ -127,10 +127,14 @@ pub struct FacetScanChoice {
 }
 
 /// Instrumentation of one fused explore run: how many row-set scans the
-/// single-pass pipeline performed versus what the per-facet pipeline
+/// single-pass pipeline defines versus what the per-facet pipeline
 /// would have paid for the same exploration, plus the dense-vs-hash
 /// kernel choice per deduplicated facet spec. Rendered into the `report`
-/// of a [`Verb::Explain`](crate::Verb::Explain) response.
+/// of a [`Verb::Explain`](crate::Verb::Explain) response. The scan counts
+/// describe the plan's shape, not the work done: a scan over the whole
+/// dataspace may be answered, in part or whole, from the session's
+/// memo, and the `memo_specs` notes of a profile give the specs it
+/// skipped.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Roll-up spaces of the star net (one per constraint; one full
@@ -138,7 +142,8 @@ pub struct ExploreReport {
     pub rollups: usize,
     /// Attribute-evaluation tasks scored (duplicates share one spec).
     pub candidates: usize,
-    /// Row-set scans the fused pipeline performed.
+    /// Row-set scans the fused plan defines: one per subspace side and
+    /// per roll-up space, counted whether or not the memo answered it.
     pub scans_fused: usize,
     /// Row-set scans the per-facet pipeline performs for the same
     /// exploration (its actual early-exits accounted).

@@ -17,6 +17,16 @@
 //!    stats — shared by attribute scoring (Eq. 1) *and* instance ranking
 //!    (Eq. 2).
 //!
+//! A row set that selects every fact is the whole dataspace DS — the
+//! roll-up of a constraint with no parent level is ALL — and its group-bys
+//! are the same for every query of the session. Every scan therefore goes
+//! through one helper that, over DS, takes the total, categorical and
+//! numeric-domain specs from [`DataspaceGroups`] and scans only the rest
+//! (nothing at all when the memo covers every spec). Bucket specs are
+//! never memoized: their bucketizer comes from DS′'s domain. Each spec
+//! accumulates independently of the others in a scan, so a memoized group
+//! is bit-equal to a fresh one.
+//!
 //! Candidate `(attr, path)` pairs are deduplicated into one spec each, the
 //! measure is decoded once into a [`MeasureVector`], and row mappers
 //! share the arrays of the session's `JoinIndex`. The scoring math
@@ -26,10 +36,11 @@
 //! `tests/facet_equivalence.rs` holds this pipeline to field for field.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use kdap_query::{
     multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetGroups, FacetSpec, JoinIndex,
-    JoinPath, MeasureVector, RowMapper, DENSE_GROUP_LIMIT,
+    JoinPath, MeasureVector, RowMapper, RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
@@ -47,6 +58,133 @@ use crate::interpret::StarNet;
 use crate::plan::Planner;
 use crate::rollup::try_rollup_spaces_planned;
 use crate::subspace::Subspace;
+
+/// What one memoized whole-dataspace group-by aggregated.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum GroupKey {
+    Total,
+    Categorical(ColRef, JoinPath),
+    NumericDomain(ColRef, JoinPath),
+}
+
+type Groups = HashMap<GroupKey, Arc<FacetGroups>>;
+
+/// The session's memo of group-bys over the whole dataspace DS: at most
+/// one entry per `(attr, path)` candidate plus the total, so its size is
+/// bounded by the schema, not by traffic.
+#[derive(Debug, Default)]
+pub struct DataspaceGroups {
+    memo: Mutex<Groups>,
+}
+
+/// Whole-dataspace groups one explore computed, invisible to other
+/// queries until the session commits them to its [`DataspaceGroups`] —
+/// only once the explore succeeded, so an aborted query leaves the memo
+/// as it was.
+#[derive(Debug, Default)]
+pub struct StagedGroups(Groups);
+
+impl DataspaceGroups {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Groups> {
+        // Entries are inserted whole, so a panic elsewhere cannot leave
+        // one half-written.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes the groups a successful explore staged.
+    pub(crate) fn commit(&self, staged: StagedGroups) {
+        if staged.0.is_empty() {
+            return;
+        }
+        let mut memo = self.lock();
+        for (key, groups) in staged.0 {
+            memo.entry(key).or_insert(groups);
+        }
+    }
+
+    /// Number of memoized group-bys.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// The specs of one fused scan, each with its memo key (`None` for a
+/// bucket spec, which is never memoized).
+#[derive(Default)]
+struct ScanSpecs {
+    specs: Vec<FacetSpec>,
+    keys: Vec<Option<GroupKey>>,
+}
+
+impl ScanSpecs {
+    /// Appends `spec`, returning its index in the scan's results.
+    fn push(&mut self, spec: FacetSpec, key: Option<GroupKey>) -> usize {
+        self.specs.push(spec);
+        self.keys.push(key);
+        self.specs.len() - 1
+    }
+}
+
+/// Runs every fused scan of one explore: over the whole dataspace it
+/// serves memoized specs from the session memo (or from what this explore
+/// already staged) and stages what it computes.
+struct Scanner<'a> {
+    wh: &'a Warehouse,
+    mv: &'a MeasureVector,
+    exec: &'a ExecConfig,
+    memo: &'a DataspaceGroups,
+    staged: StagedGroups,
+}
+
+impl Scanner<'_> {
+    /// The groups of `scan.specs` over `rows`, in spec order, and how many
+    /// of them came from the memo.
+    fn scan(
+        &mut self,
+        scan: &ScanSpecs,
+        rows: &RowSet,
+    ) -> Result<(Vec<Arc<FacetGroups>>, usize), KdapError> {
+        let n_facts = self.wh.fact_rows();
+        if rows.universe() != n_facts || rows.len() != n_facts {
+            let groups = self.run(&scan.specs, rows)?;
+            return Ok((groups.into_iter().map(Arc::new).collect(), 0));
+        }
+        let mut out: Vec<Option<Arc<FacetGroups>>> = {
+            let memo = self.memo.lock();
+            scan.keys
+                .iter()
+                .map(|key| {
+                    let key = key.as_ref()?;
+                    self.staged.0.get(key).or_else(|| memo.get(key)).cloned()
+                })
+                .collect()
+        };
+        let memo_specs = out.iter().filter(|g| g.is_some()).count();
+        let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
+        if !missing.is_empty() {
+            let specs: Vec<FacetSpec> = missing.iter().map(|&i| scan.specs[i].clone()).collect();
+            for (i, groups) in missing.into_iter().zip(self.run(&specs, rows)?) {
+                let groups = Arc::new(groups);
+                if let Some(key) = &scan.keys[i] {
+                    self.staged.0.insert(key.clone(), Arc::clone(&groups));
+                }
+                out[i] = Some(groups);
+            }
+        }
+        Ok((out.into_iter().flatten().collect(), memo_specs))
+    }
+
+    fn run(&self, specs: &[FacetSpec], rows: &RowSet) -> Result<Vec<FacetGroups>, KdapError> {
+        Ok(multi_group_by_exec(
+            self.wh,
+            specs,
+            rows,
+            self.mv,
+            self.exec,
+            DENSE_GROUP_LIMIT,
+        )?)
+    }
+}
 
 /// The fused-scan results of one deduplicated `(attr, path)` candidate.
 enum SlotData {
@@ -83,8 +221,10 @@ struct NumSlot {
 /// The roll-up spaces are compiled and executed through `planner`,
 /// sharing its semi-join cache with the differentiate phase that
 /// materialized the subspace; scans fan out over `exec`'s workers and
-/// poll its governance context. Results are identical for every thread
-/// count.
+/// poll its governance context. Scans over the whole dataspace read
+/// `memo` and return what they computed as [`StagedGroups`], which the
+/// session commits once the explore has succeeded. Results are identical
+/// for every thread count and memo state.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_subspace(
     wh: &Warehouse,
@@ -95,9 +235,17 @@ pub fn explore_subspace(
     cfg: &FacetConfig,
     planner: &Planner,
     exec: &ExecConfig,
-) -> Result<(Exploration, ExploreReport), KdapError> {
+    memo: &DataspaceGroups,
+) -> Result<(Exploration, ExploreReport, StagedGroups), KdapError> {
     let schema = wh.schema();
     let obs = exec.obs.clone();
+    let mut scanner = Scanner {
+        wh,
+        mv,
+        exec,
+        memo,
+        staged: StagedGroups::default(),
+    };
     let rups = {
         let _s = obs.span("explore.rollups");
         try_rollup_spaces_planned(wh, jidx, net, planner, exec)?
@@ -146,91 +294,104 @@ pub fn explore_subspace(
         .map(|(_, path, _)| jidx.row_mapper(path))
         .collect();
 
+    let categorical = |i: usize| {
+        let (attr, path, _) = &slots[i];
+        let spec = FacetSpec::Categorical {
+            attr: *attr,
+            mapper: mappers[i].clone(),
+        };
+        (spec, Some(GroupKey::Categorical(*attr, path.clone())))
+    };
+    let buckets = |i: usize, bz: &Bucketizer| FacetSpec::Buckets {
+        attr: slots[i].0,
+        mapper: mappers[i].clone(),
+        buckets: bz.clone(),
+    };
+
     // Scan A over DS′: total + categorical groups + numerical domains.
-    let mut specs_a: Vec<FacetSpec> = vec![FacetSpec::Total];
+    let mut specs_a = ScanSpecs::default();
+    specs_a.push(FacetSpec::Total, Some(GroupKey::Total));
     let mut a_idx: Vec<usize> = Vec::with_capacity(slots.len());
-    for (i, (attr, _, kind)) in slots.iter().enumerate() {
-        a_idx.push(specs_a.len());
-        specs_a.push(match kind {
-            AttrKind::Categorical => FacetSpec::Categorical {
-                attr: *attr,
-                mapper: mappers[i].clone(),
-            },
-            AttrKind::Numerical => FacetSpec::NumericDomain {
-                attr: *attr,
-                mapper: mappers[i].clone(),
-            },
-        });
+    for (i, (attr, path, kind)) in slots.iter().enumerate() {
+        let (spec, key) = match kind {
+            AttrKind::Categorical => categorical(i),
+            AttrKind::Numerical => (
+                FacetSpec::NumericDomain {
+                    attr: *attr,
+                    mapper: mappers[i].clone(),
+                },
+                Some(GroupKey::NumericDomain(*attr, path.clone())),
+            ),
+        };
+        a_idx.push(specs_a.push(spec, key));
     }
     let groups_a = {
         let s = obs.span("explore.scan_a");
         s.rows_in(sub.len() as u64);
-        s.note("specs", specs_a.len());
-        multi_group_by_exec(wh, &specs_a, &sub.rows, mv, exec, DENSE_GROUP_LIMIT)?
+        s.note("specs", specs_a.specs.len());
+        let (groups, memo_specs) = scanner.scan(&specs_a, &sub.rows)?;
+        s.note("memo_specs", memo_specs);
+        groups
     };
     let total_aggregate = groups_a[0].total(cfg.agg);
 
     // Scan B over DS′: bucketized numerical groups, with bucketizers
     // derived from the scan-A domains.
-    let mut specs_b: Vec<FacetSpec> = Vec::new();
+    let mut specs_b = ScanSpecs::default();
     let mut b_idx: Vec<Option<usize>> = vec![None; slots.len()];
     let mut bucketizers: Vec<Option<Bucketizer>> = vec![None; slots.len()];
-    for (i, (attr, _, kind)) in slots.iter().enumerate() {
+    for (i, (_, _, kind)) in slots.iter().enumerate() {
         if *kind == AttrKind::Numerical {
             if let Some(bz) = groups_a[a_idx[i]].bucketizer(cfg.n_basic_intervals) {
-                b_idx[i] = Some(specs_b.len());
-                specs_b.push(FacetSpec::Buckets {
-                    attr: *attr,
-                    mapper: mappers[i].clone(),
-                    buckets: bz.clone(),
-                });
+                b_idx[i] = Some(specs_b.push(buckets(i, &bz), None));
                 bucketizers[i] = Some(bz);
             }
         }
     }
-    let groups_b = if specs_b.is_empty() {
+    let groups_b = if specs_b.specs.is_empty() {
         Vec::new()
     } else {
         let s = obs.span("explore.scan_b");
         s.rows_in(sub.len() as u64);
-        s.note("specs", specs_b.len());
-        multi_group_by_exec(wh, &specs_b, &sub.rows, mv, exec, DENSE_GROUP_LIMIT)?
+        s.note("specs", specs_b.specs.len());
+        let (groups, memo_specs) = scanner.scan(&specs_b, &sub.rows)?;
+        s.note("memo_specs", memo_specs);
+        groups
     };
 
     // One fused scan per roll-up space: total + every live candidate.
     // Empty-domain categoricals and domain-less numericals are skipped —
     // their tasks fail scoring regardless of the roll-up series.
-    let mut specs_r: Vec<FacetSpec> = vec![FacetSpec::Total];
+    let mut specs_r = ScanSpecs::default();
+    specs_r.push(FacetSpec::Total, Some(GroupKey::Total));
     let mut r_idx: Vec<Option<usize>> = vec![None; slots.len()];
-    for (i, (attr, _, kind)) in slots.iter().enumerate() {
+    for (i, (_, _, kind)) in slots.iter().enumerate() {
         match kind {
             AttrKind::Categorical => {
                 if groups_a[a_idx[i]].n_groups() > 0 {
-                    r_idx[i] = Some(specs_r.len());
-                    specs_r.push(FacetSpec::Categorical {
-                        attr: *attr,
-                        mapper: mappers[i].clone(),
-                    });
+                    let (spec, key) = categorical(i);
+                    r_idx[i] = Some(specs_r.push(spec, key));
                 }
             }
             AttrKind::Numerical => {
                 if let Some(bz) = &bucketizers[i] {
-                    r_idx[i] = Some(specs_r.len());
-                    specs_r.push(FacetSpec::Buckets {
-                        attr: *attr,
-                        mapper: mappers[i].clone(),
-                        buckets: bz.clone(),
-                    });
+                    r_idx[i] = Some(specs_r.push(buckets(i, bz), None));
                 }
             }
         }
     }
-    let rup_results: Vec<Vec<FacetGroups>> = {
+    let rup_results: Vec<Vec<Arc<FacetGroups>>> = {
         let s = obs.span("explore.rollup_scans");
         s.note("rollups", n_rups);
-        rups.iter()
-            .map(|rup| multi_group_by_exec(wh, &specs_r, &rup.rows, mv, exec, DENSE_GROUP_LIMIT))
-            .collect::<Result<_, _>>()?
+        let mut memo_specs = 0;
+        let mut results = Vec::with_capacity(n_rups);
+        for rup in &rups {
+            let (groups, from_memo) = scanner.scan(&specs_r, &rup.rows)?;
+            memo_specs += from_memo;
+            results.push(groups);
+        }
+        s.note("memo_specs", memo_specs);
+        results
     };
     let rup_totals: Vec<f64> = rup_results.iter().map(|g| g[0].total(cfg.agg)).collect();
 
@@ -392,7 +553,7 @@ pub fn explore_subspace(
         &task_slots,
         &selected,
         n_rups,
-        !specs_b.is_empty(),
+        !specs_b.specs.is_empty(),
     );
 
     Ok((
@@ -402,6 +563,7 @@ pub fn explore_subspace(
             panels,
         },
         report,
+        scanner.staged,
     ))
 }
 

@@ -37,8 +37,8 @@ pub use cache::{Explored, SubspaceCache};
 pub use error::KdapError;
 pub use explain::{explain, explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
 pub use facet::{
-    explore_subspace, AnnealConfig, Exploration, FacetAttr, FacetConfig, FacetEntry, FacetOrder,
-    FacetPanel, MergeResult,
+    explore_subspace, AnnealConfig, DataspaceGroups, Exploration, FacetAttr, FacetConfig,
+    FacetEntry, FacetOrder, FacetPanel, MergeResult, StagedGroups,
 };
 pub use governor::{record_breach, CancelToken, Governor};
 pub use hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};

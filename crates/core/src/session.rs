@@ -23,7 +23,7 @@ use crate::api::{
 };
 use crate::cache::{Explored, SubspaceCache};
 use crate::error::KdapError;
-use crate::facet::{explore_subspace, Exploration, FacetConfig};
+use crate::facet::{explore_subspace, DataspaceGroups, Exploration, FacetConfig};
 use crate::governor::{record_breach, CancelToken, Governor};
 use crate::interpret::{try_generate_star_nets, GenConfig, StarNet};
 use crate::navigate::refine;
@@ -206,6 +206,7 @@ impl KdapBuilder {
                 cancel: self.cancel.unwrap_or_default(),
             },
             measure_vector: OnceLock::new(),
+            dataspace_groups: DataspaceGroups::default(),
         })
     }
 }
@@ -230,6 +231,9 @@ pub struct Kdap {
     /// The measure decoded to a flat `f64` vector on first use, for the
     /// life of the session — every exploration shares one decode.
     measure_vector: OnceLock<MeasureVector>,
+    /// Facet group-bys over the whole dataspace (the roll-up to ALL),
+    /// computed once per session; bounded by the schema's candidates.
+    dataspace_groups: DataspaceGroups,
 }
 
 impl Kdap {
@@ -373,7 +377,8 @@ impl Kdap {
     /// The explore pipeline with explicit facet and execution configs:
     /// answer from the session cache when it holds this net's exploration
     /// under the same `facet`; otherwise materialize the net through the
-    /// planner, run the fused facet scans, and cache the answer.
+    /// planner, run the fused facet scans (whole-dataspace groups come
+    /// from, and go to, the session memo), and cache the answer.
     fn explore_stage(
         &self,
         net: &StarNet,
@@ -403,7 +408,7 @@ impl Kdap {
         let mv = self
             .measure_vector
             .get_or_init(|| MeasureVector::build(&self.wh, &self.measure));
-        let (exploration, report) = explore_subspace(
+        let (exploration, report, staged) = explore_subspace(
             &self.wh,
             &self.jidx,
             net,
@@ -412,6 +417,7 @@ impl Kdap {
             facet,
             &self.planner,
             exec,
+            &self.dataspace_groups,
         )?;
         span.rows_out(exploration.subspace_size as u64);
         let explored = Arc::new(Explored {
@@ -420,8 +426,9 @@ impl Kdap {
             report,
         });
         // Strictly after both stages succeeded: a governed abort anywhere
-        // in materialize or the facet scans leaves the cache as it was —
-        // complete entries only, never partial.
+        // in materialize or the facet scans leaves the cache and the memo
+        // as they were — complete entries only, never partial.
+        self.dataspace_groups.commit(staged);
         if let Some((cache, key)) = cache {
             cache.insert(key, Arc::clone(&explored));
         }
@@ -460,6 +467,12 @@ impl Kdap {
     /// Number of entries in the planner's semi-join cache.
     pub fn semijoin_cache_len(&self) -> Option<usize> {
         self.planner.cache().map(|c| c.len())
+    }
+
+    /// Number of memoized whole-dataspace group-bys: at most one per
+    /// `(attribute, join path)` facet candidate, plus the total.
+    pub fn dataspace_groups_len(&self) -> usize {
+        self.dataspace_groups.len()
     }
 
     /// Always zero — the join index has no row-mapper cache. Kept only
@@ -847,6 +860,74 @@ mod tests {
         let snap = kdap.obs().metrics_snapshot();
         assert!(snap.counters["textindex.searches"] >= 2);
         assert!(snap.histograms.contains_key("query.semijoin_step_ns"));
+    }
+
+    /// The first node named `name` in a depth-first walk of `nodes`.
+    fn find<'a>(nodes: &'a [kdap_obs::ProfileNode], name: &str) -> &'a kdap_obs::ProfileNode {
+        fn walk<'a>(
+            nodes: &'a [kdap_obs::ProfileNode],
+            name: &str,
+        ) -> Option<&'a kdap_obs::ProfileNode> {
+            nodes.iter().find_map(|n| {
+                (n.name == name)
+                    .then_some(n)
+                    .or_else(|| walk(&n.children, name))
+            })
+        }
+        walk(nodes, name).unwrap_or_else(|| panic!("no `{name}` node"))
+    }
+
+    fn note<'a>(node: &'a kdap_obs::ProfileNode, key: &str) -> Option<&'a str> {
+        node.notes
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    #[test]
+    fn a_roll_up_to_all_is_scanned_once_per_session() {
+        let fx = ebiz_fixture();
+        // No answer cache: every explore below is a full miss.
+        let kdap = Kdap::builder(fx.wh).observability(true).build().unwrap();
+        // PGROUP.GroupName tops the Product hierarchy: its roll-up is ALL.
+        let pick = kdap
+            .interpret("lcd")
+            .iter()
+            .position(|r| r.net.display(kdap.warehouse()).contains("PGROUP"))
+            .unwrap();
+        let mut request = QueryRequest::new(Verb::Profile, "lcd");
+        request.pick = pick + 1;
+        assert_eq!(kdap.dataspace_groups_len(), 0);
+        let cold = kdap.run(&request).unwrap();
+        let memo = kdap.dataspace_groups_len();
+        assert!(memo > 0);
+        let warm = kdap.run(&request).unwrap();
+        assert_eq!(kdap.dataspace_groups_len(), memo, "nothing new to memoize");
+        assert_eq!(warm.exploration, cold.exploration);
+
+        // Cold, the roll-up scans every spec. Warm, the memo answers all
+        // but the bucket specs, and a `multi_group_by` leaf's `specs` note
+        // counts only what it scanned.
+        let count = |node: &kdap_obs::ProfileNode, key: &str| -> usize {
+            note(node, key).unwrap().parse().unwrap()
+        };
+        let scanned = |node: &kdap_obs::ProfileNode| -> usize {
+            node.children.iter().map(|leaf| count(leaf, "specs")).sum()
+        };
+        let cold_rups = find(
+            &cold.profile.as_ref().unwrap().roots,
+            "explore.rollup_scans",
+        );
+        assert_eq!(count(cold_rups, "memo_specs"), 0);
+        let warm_rups = find(
+            &warm.profile.as_ref().unwrap().roots,
+            "explore.rollup_scans",
+        );
+        assert_eq!(count(warm_rups, "memo_specs"), memo);
+        assert_eq!(memo + scanned(warm_rups), scanned(cold_rups));
+        // DS′ is not the whole dataspace: scan A never reads the memo.
+        let scan_a = find(&warm.profile.as_ref().unwrap().roots, "explore.scan_a");
+        assert_eq!(count(scan_a, "memo_specs"), 0);
     }
 
     #[test]

@@ -13,10 +13,15 @@
 //!
 //! Low-cardinality categorical attributes accumulate into **dense arrays
 //! sized by dictionary cardinality** (`stats[code as usize]`, no hashing);
-//! attributes above [`DENSE_GROUP_LIMIT`] fall back to the hash path. The
-//! raw [`Accumulator`]s are kept per group, so one scan answers every
-//! aggregation function afterwards (e.g. SUM for the series *and* COUNT
-//! for bucket occupancy).
+//! attributes above [`DENSE_GROUP_LIMIT`] fall back to the hash path.
+//! Numerical buckets run the same loop: a scan's predecode turns the
+//! attribute column into one bucket code per attribute-table row
+//! ([`Bucketizer::bucket_of`], `NULL_CODE` for NULL or out-of-domain
+//! values), so the per-fact-row work of every array-backed spec is one
+//! `stats[code]` accumulation and `bucket_of` runs once per dimension row,
+//! not once per fact row. The raw [`Accumulator`]s are kept per group, so
+//! one scan answers every aggregation function afterwards (e.g. SUM for
+//! the series *and* COUNT for bucket occupancy).
 //!
 //! The bitmap is cut into fixed [`AGG_CHUNK_WORDS`]-word chunks whose
 //! partials merge in chunk order — in the serial arm too — so results
@@ -411,9 +416,11 @@ enum DecodedCol {
     /// Total spec, or a column the spec cannot decode (e.g. a categorical
     /// spec over a numeric column) — no row contributes.
     Missing,
-    /// Dictionary codes per attribute-table row, NULL as [`NULL_CODE`].
+    /// Group codes per attribute-table row, [`NULL_CODE`] where no group
+    /// applies: dictionary codes for a categorical spec, bucket indices for
+    /// a bucket spec (NULL and out-of-domain values are `NULL_CODE`).
     Codes(Vec<u32>),
-    /// Float values per attribute-table row, NULL as NaN.
+    /// Float values per attribute-table row, NULL as NaN (domain specs).
     Floats(Vec<f64>),
 }
 
@@ -423,6 +430,40 @@ thread_local! {
     /// chunks so the steady-state scan allocates nothing.
     static BATCH_SCRATCH: RefCell<(Vec<u32>, Vec<f64>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The array-backed accumulation loop every dense categorical and every
+/// bucket spec runs: gathered row `k` adds into `stats[codes[t]]`, where
+/// `t` is the attribute-table row it maps to, from row `start` on. Rows
+/// that map nowhere or whose code is [`NULL_CODE`] are skipped. Returns
+/// the first row whose code lies beyond `stats` (stale statistics),
+/// leaving it and every later row untouched.
+fn accumulate_codes(
+    stats: &mut [GroupStats],
+    codes: &[u32],
+    mapper: &RowMapper,
+    row_buf: &[u32],
+    meas_buf: &[f64],
+    start: usize,
+) -> Option<usize> {
+    for k in start..row_buf.len() {
+        let Some(t) = mapper.get(row_buf[k] as usize) else {
+            continue;
+        };
+        let code = codes[t as usize];
+        if code == NULL_CODE {
+            continue;
+        }
+        let Some(s) = stats.get_mut(code as usize) else {
+            return Some(k);
+        };
+        s.rows += 1;
+        let m = meas_buf[k];
+        if !m.is_nan() {
+            s.acc.add(m);
+        }
+    }
+    None
 }
 
 /// Categorical accumulation over one chunk's gathered rows. The dense
@@ -442,33 +483,11 @@ fn batch_categorical(
     loop {
         match g {
             FacetGroups::Dense { stats } => {
-                let mut hit_oob = false;
-                while k < len {
-                    let row = row_buf[k] as usize;
-                    let Some(t) = mapper.get(row) else {
-                        k += 1;
-                        continue;
-                    };
-                    let code = codes[t as usize];
-                    if code == NULL_CODE {
-                        k += 1;
-                        continue;
-                    }
-                    if let Some(s) = stats.get_mut(code as usize) {
-                        s.rows += 1;
-                        let m = meas_buf[k];
-                        if !m.is_nan() {
-                            s.acc.add(m);
-                        }
-                        k += 1;
-                    } else {
-                        hit_oob = true;
-                        break;
-                    }
-                }
-                if !hit_oob {
+                let Some(stopped) = accumulate_codes(stats, codes, mapper, row_buf, meas_buf, k)
+                else {
                     return;
-                }
+                };
+                k = stopped;
                 *oob += 1;
                 promote_to_sparse(g);
                 // Row k is re-handled by the sparse arm.
@@ -556,7 +575,9 @@ pub fn multi_group_by_exec_sized(
         });
     }
     // Predecode each spec's attribute column once per scan (codes with a
-    // NULL sentinel, floats with NaN) so chunk workers only gather.
+    // NULL sentinel, floats with NaN) so chunk workers only gather. A
+    // bucket spec's values become bucket codes here, once per
+    // attribute-table row rather than once per fact row.
     let mut decoded_bytes = 0u64;
     let decoded: Vec<DecodedCol> = specs
         .iter()
@@ -571,7 +592,20 @@ pub fn multi_group_by_exec_sized(
                     DecodedCol::Missing
                 }
             }
-            FacetSpec::Buckets { attr, .. } | FacetSpec::NumericDomain { attr, .. } => {
+            FacetSpec::Buckets { attr, buckets, .. } => {
+                let mut vals = Vec::new();
+                if wh.column(*attr).unpack_floats_into(&mut vals) {
+                    decoded_bytes += vals.len() as u64 * 4;
+                    DecodedCol::Codes(
+                        vals.iter()
+                            .map(|&v| buckets.bucket_of(v).map_or(NULL_CODE, |b| b as u32))
+                            .collect(),
+                    )
+                } else {
+                    DecodedCol::Missing
+                }
+            }
+            FacetSpec::NumericDomain { attr, .. } => {
                 let mut vals = Vec::new();
                 if wh.column(*attr).unpack_floats_into(&mut vals) {
                     decoded_bytes += vals.len() as u64 * 8;
@@ -607,29 +641,14 @@ pub fn multi_group_by_exec_sized(
                     (FacetSpec::Categorical { mapper, .. }, DecodedCol::Codes(codes)) => {
                         batch_categorical(g, codes, mapper, row_buf, meas_buf, &mut oob);
                     }
-                    (
-                        FacetSpec::Buckets {
-                            mapper, buckets, ..
-                        },
-                        DecodedCol::Floats(vals),
-                    ) => {
+                    (FacetSpec::Buckets { mapper, .. }, DecodedCol::Codes(codes)) => {
                         let FacetGroups::Buckets { stats } = g else {
                             unreachable!("groups[i] was built from specs[i]")
                         };
-                        for (k, &row) in row_buf.iter().enumerate() {
-                            let Some(t) = mapper.get(row as usize) else {
-                                continue;
-                            };
-                            let Some(b) = buckets.bucket_of(vals[t as usize]) else {
-                                continue;
-                            };
-                            let s = &mut stats[b];
-                            s.rows += 1;
-                            let m = meas_buf[k];
-                            if !m.is_nan() {
-                                s.acc.add(m);
-                            }
-                        }
+                        // `bucket_of` only returns indices below
+                        // `n_buckets`, the length of `stats`.
+                        let stopped = accumulate_codes(stats, codes, mapper, row_buf, meas_buf, 0);
+                        assert_eq!(stopped, None, "bucket codes index their own array");
                     }
                     (FacetSpec::NumericDomain { mapper, .. }, DecodedCol::Floats(vals)) => {
                         let FacetGroups::Domain { min, max, any } = g else {

@@ -4,23 +4,151 @@
 //! bit-for-bit — group maps, domains, bucket series, bucketizers and
 //! totals — across thread counts and across the dense-array /
 //! hash-fallback accumulator choice; and a whole exploration must equal
-//! the one-scan-per-facet reference pipeline field-for-field.
+//! the one-scan-per-facet reference pipeline field-for-field, whatever
+//! the session's whole-dataspace memo already holds.
 
 mod support;
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use kdap_suite::core::facet::per_facet::explore_per_facet;
-use kdap_suite::core::materialize;
-use kdap_suite::query::{
-    multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetSpec, MeasureVector,
-    DENSE_GROUP_LIMIT,
+use kdap_suite::core::{
+    materialize, rollup_constraint, rollup_spaces, Constraint, Kdap, Rollup, StarNet,
 };
+use kdap_suite::query::{
+    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, MeasureVector,
+    RowSet, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
+};
+use kdap_suite::warehouse::ColRef;
 
 use support::{
-    aggregate_total, candidate_specs, group_by_buckets, group_by_categorical, project_categorical,
-    project_numeric, workload, KeyWalker,
+    aggregate_total, candidate_specs, group_by_buckets, group_by_categorical, hostile_floats,
+    project_categorical, project_numeric, workload, KeyWalker,
 };
+
+/// Scans every candidate spec of `kdap` over `rows` in one pass and holds
+/// each result to the single-attribute oracle.
+fn check_kernel(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
+    let wh = kdap.warehouse();
+    let keys = KeyWalker::new(wh);
+    let measure = kdap.measure();
+    let mv = MeasureVector::build(wh, measure);
+    let exec = ExecConfig::with_threads(threads);
+    let tagged = candidate_specs(kdap, &keys, rows);
+    let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
+    let groups = multi_group_by_exec(wh, &specs, rows, &mv, &exec, dense_limit).unwrap();
+    assert_eq!(groups.len(), specs.len());
+    for ((path, spec), fg) in tagged.iter().zip(&groups) {
+        match spec {
+            FacetSpec::Total => {
+                let expect = aggregate_total(wh, measure, rows).finish(AggFunc::Sum);
+                let got = fg.total(AggFunc::Sum);
+                assert!(
+                    got == expect || (got.is_nan() && expect.is_nan()),
+                    "total {} vs {}",
+                    got,
+                    expect
+                );
+            }
+            FacetSpec::Categorical { attr, .. } => {
+                if dense_limit > 0 {
+                    assert!(fg.is_dense());
+                }
+                let expect = group_by_categorical(&keys, path, *attr, rows, measure);
+                assert_eq!(
+                    fg.to_map(AggFunc::Sum),
+                    expect
+                        .iter()
+                        .map(|(c, a)| (*c, a.finish(AggFunc::Sum)))
+                        .collect()
+                );
+                assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
+            }
+            FacetSpec::Buckets { attr, buckets, .. } => {
+                let expect = group_by_buckets(&keys, path, *attr, rows, measure, buckets);
+                for func in [AggFunc::Sum, AggFunc::Count] {
+                    assert_eq!(
+                        fg.to_series(func),
+                        expect.iter().map(|a| a.finish(func)).collect::<Vec<_>>(),
+                        "{:?} {:?}",
+                        buckets,
+                        func
+                    );
+                }
+            }
+            FacetSpec::NumericDomain { attr, .. } => {
+                let values = project_numeric(&keys, path, *attr, rows);
+                assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
+            }
+        }
+    }
+}
+
+/// A fresh session over the workload's warehouse: empty memo, no cache.
+fn fresh(threads: usize, observability: bool) -> Kdap {
+    Kdap::builder(workload().serial.warehouse().clone())
+        .threads(threads)
+        .observability(observability)
+        .build()
+        .expect("measure defined")
+}
+
+/// Two nets whose one roll-up is the whole dataspace. The first holds a
+/// single top-level constraint, `CategoryName = Bikes`, dropped on roll-up
+/// (an empty plan). The second selects one state per country, so it rolls
+/// up to every country: a non-empty plan that still selects every fact.
+fn whole_dataspace_nets(kdap: &Kdap) -> [StarNet; 2] {
+    let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
+    let fact = wh.schema().fact_table();
+    let net_on = |attr: ColRef, codes: &[u32]| {
+        let path = paths_between(wh.schema(), fact, attr.table, MAX_PATH_LEN).remove(0);
+        StarNet {
+            constraints: vec![Constraint::exact(wh, attr, path, codes).expect("codes exist")],
+        }
+    };
+    let category = wh.col_ref("DimProductCategory", "CategoryName").unwrap();
+    let bikes = wh
+        .column(category)
+        .dict()
+        .unwrap()
+        .code_of("Bikes")
+        .unwrap();
+    let top_level = net_on(category, &[bikes]);
+    assert!(matches!(
+        rollup_constraint(wh, jidx, &top_level.constraints[0]),
+        Rollup::Drop
+    ));
+
+    let state = wh.col_ref("DimStateProvince", "StateProvinceName").unwrap();
+    let country = wh.col_ref("DimStateProvince", "CountryRegionName").unwrap();
+    let mut state_of_country = BTreeMap::new();
+    for row in 0..wh.table(state.table).nrows() {
+        let (Some(c), Some(s)) = (
+            wh.column(country).get_code(row),
+            wh.column(state).get_code(row),
+        ) else {
+            continue;
+        };
+        state_of_country.entry(c).or_insert(s);
+    }
+    let codes: Vec<u32> = state_of_country.into_values().collect();
+    let every_country = net_on(state, &codes);
+    assert!(matches!(
+        rollup_constraint(wh, jidx, &every_country.constraints[0]),
+        Rollup::Parent(_)
+    ));
+    assert!(materialize(wh, jidx, &every_country).len() < wh.fact_rows());
+    let spaces = rollup_spaces(wh, jidx, &every_country);
+    assert_eq!(spaces.len(), 1);
+    assert_eq!(
+        spaces[0].len(),
+        wh.fact_rows(),
+        "the parent selects every fact"
+    );
+    [top_level, every_country]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -28,7 +156,10 @@ proptest! {
     /// Fused scan vs. the single-attribute oracle: identical group maps,
     /// domains, bucket series, bucketizers and totals at every thread
     /// count, on both the dense-array path and the hash fallback (forced
-    /// by a zero dense limit).
+    /// by a zero dense limit). The inputs are the workload's subspaces and
+    /// row subsets of a star whose float attribute holds NULL, NaN, ±∞,
+    /// −0.0 and values outside a bucketizer's domain; bucket specs run
+    /// under equal-width, per-distinct-value and middle-half bucketizers.
     #[test]
     fn multi_aggregate_kernel_matches_per_facet_kernels(
         query_idx in 0usize..64,
@@ -38,77 +169,54 @@ proptest! {
         let fx = workload();
         let kdap = &fx.serial;
         let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
-        let keys = KeyWalker::new(wh);
-        let measure = kdap.measure();
-        let mv = MeasureVector::build(wh, measure);
-        let exec = ExecConfig::with_threads(threads);
         let dense_limit = if dense { DENSE_GROUP_LIMIT } else { 0 };
         for net in fx.nets(query_idx).iter().take(2) {
             let sub = materialize(wh, jidx, net);
-            let tagged = candidate_specs(kdap, &keys, &sub.rows);
-            let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
-            let groups = multi_group_by_exec(wh, &specs, &sub.rows, &mv, &exec, dense_limit).unwrap();
-            prop_assert_eq!(groups.len(), specs.len());
-            for ((path, spec), fg) in tagged.iter().zip(&groups) {
-                match spec {
-                    FacetSpec::Total => {
-                        let expect = aggregate_total(wh, measure, &sub.rows).finish(AggFunc::Sum);
-                        let got = fg.total(AggFunc::Sum);
-                        prop_assert!(
-                            got == expect || (got.is_nan() && expect.is_nan()),
-                            "total {} vs {}", got, expect
-                        );
-                    }
-                    FacetSpec::Categorical { attr, .. } => {
-                        if dense_limit > 0 {
-                            prop_assert!(fg.is_dense());
-                        }
-                        let expect =
-                            group_by_categorical(&keys, path, *attr, &sub.rows, measure);
-                        prop_assert_eq!(
-                            fg.to_map(AggFunc::Sum),
-                            expect.iter().map(|(c, a)| (*c, a.finish(AggFunc::Sum))).collect()
-                        );
-                        prop_assert_eq!(
-                            fg.domain(),
-                            project_categorical(&keys, path, *attr, &sub.rows)
-                        );
-                    }
-                    FacetSpec::Buckets { attr, buckets, .. } => {
-                        let expect =
-                            group_by_buckets(&keys, path, *attr, &sub.rows, measure, buckets);
-                        prop_assert_eq!(
-                            fg.to_series(AggFunc::Sum),
-                            expect.iter().map(|a| a.finish(AggFunc::Sum)).collect::<Vec<_>>()
-                        );
-                    }
-                    FacetSpec::NumericDomain { attr, .. } => {
-                        let values = project_numeric(&keys, path, *attr, &sub.rows);
-                        prop_assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
-                    }
-                }
-            }
+            check_kernel(kdap, &sub.rows, threads, dense_limit);
         }
+        let hostile = hostile_floats();
+        let n = hostile.warehouse().fact_rows();
+        let stride = query_idx % 5 + 1;
+        let rows = RowSet::from_rows(n, (0..n).filter(|r| r % stride == query_idx % stride));
+        check_kernel(hostile, &rows, threads, dense_limit);
     }
 
     /// Whole-pipeline check: an exploration through the session equals
     /// the serial one-scan-per-facet reference field-for-field — same
     /// panels, same attribute scores, same instance lists, same
-    /// aggregates — at every thread count.
+    /// aggregates — at every thread count. The warm-memo arm explores each
+    /// net again on a session whose whole-dataspace memo other nets
+    /// filled, and on a cold one, and requires both to print the same
+    /// bits as the reference, with observability on or off. The nets
+    /// include a top-level constraint (its roll-up is ALL) and one whose
+    /// parent roll-up selects every fact.
     #[test]
     fn fused_exploration_matches_per_facet_oracle(
         query_idx in 0usize..64,
         threads in proptest::sample::select(vec![1usize, 4]),
+        observability in any::<bool>(),
     ) {
         let fx = workload();
         let kdap = fx.session(threads);
         let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
         let mv = MeasureVector::build(wh, kdap.measure());
-        for net in fx.nets(query_idx).iter().take(2) {
+        let special = whole_dataspace_nets(kdap);
+        let warm = fresh(threads, observability);
+        for net in special.iter().chain(fx.nets(query_idx + 1).iter().take(2)) {
+            warm.explore(net).expect("explore succeeds");
+        }
+        prop_assert!(warm.dataspace_groups_len() > 0);
+        for net in fx.nets(query_idx).iter().take(2).chain(&special) {
             let fused = kdap.explore(net).expect("explore succeeds");
             let sub = materialize(wh, jidx, net);
             let reference = explore_per_facet(wh, jidx, net, &sub, &mv, kdap.facet_config());
-            prop_assert_eq!(fused, reference);
+            prop_assert_eq!(&fused, &reference);
+            // `{:?}` prints every f64 exactly, the sign of zero included.
+            let reference = format!("{reference:?}");
+            let cold = fresh(threads, observability).explore(net).expect("explore succeeds");
+            prop_assert_eq!(&format!("{cold:?}"), &reference);
+            let from_warm = warm.explore(net).expect("explore succeeds");
+            prop_assert_eq!(&format!("{from_warm:?}"), &reference);
         }
     }
 }

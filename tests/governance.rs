@@ -5,14 +5,18 @@
 
 use std::time::Duration;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
+use kdap_suite::core::facet::path_for_attr;
 use kdap_suite::core::{
     materialize_planned, render_exploration, CancelToken, Kdap, KdapBuilder, KdapError,
-    QueryOptions, QueryRequest, Verb,
+    QueryOptions, QueryRequest, StarNet, Verb,
 };
-use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
-use kdap_suite::query::ExecConfig;
+use kdap_suite::datagen::{
+    build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
+};
+use kdap_suite::query::{ExecConfig, JoinPath};
+use kdap_suite::warehouse::{ColRef, Warehouse};
 
 const THREADS: [usize; 2] = [1, 4];
 
@@ -272,7 +276,9 @@ fn budget_breach_leaves_caches_unpoisoned() {
 /// session LRU's length, contents and eviction counter exactly as a
 /// session that never saw the request; the failed request's own lookup
 /// counts its one miss. Semi-join steps that completed before the breach
-/// stay committed: each is a complete bitmap any later query may use.
+/// stay committed: each is a complete bitmap any later query may use. The
+/// whole-dataspace memo keeps its length too, even for a victim whose
+/// roll-up is ALL and whose finished run does add groups.
 #[test]
 fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
     let ebiz = || build_ebiz(EbizScale::small(), 7).unwrap();
@@ -281,6 +287,7 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
         for (wh, warm, victim) in [
             (ebiz(), ["columbus", "premium"], "seattle lcd"),
             (aw(), ["mountain", "california"], "mountain bikes"),
+            (aw(), ["mountain", "california"], "clothing"),
         ] {
             // A full two-entry LRU: any commit would also evict.
             let kdap = Kdap::builder(wh)
@@ -297,6 +304,7 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
 
             let mut stages = BTreeSet::new();
             let mut k = 0;
+            let memo = kdap.dataspace_groups_len();
             loop {
                 k += 1;
                 let before = kdap.subspace_cache_counters().unwrap();
@@ -311,6 +319,7 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
                 let context = format!("threads={threads} `{victim}` k={k}");
                 let after = kdap.subspace_cache_counters().unwrap();
                 assert_eq!(kdap.subspace_cache_len(), Some(2), "{context}");
+                assert_eq!(kdap.dataspace_groups_len(), memo, "{context}");
                 assert_eq!(after.evictions, before.evictions, "{context}");
                 assert_eq!(after.hits, before.hits, "{context}");
                 assert!(after.misses - before.misses <= 1, "{context}");
@@ -335,11 +344,63 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
                     "threads={threads} `{victim}`: no breach in `{stage}` among {stages:?}"
                 );
             }
-            // The request that finally ran committed its one complete entry.
+            // The request that finally ran committed its one complete entry,
+            // and its whole-dataspace groups (`clothing` rolls up to ALL).
             let end = kdap.subspace_cache_counters().unwrap();
             assert_eq!(kdap.subspace_cache_len(), Some(2));
             assert_eq!(end.evictions, 1, "threads={threads} `{victim}`");
+            if victim == "clothing" {
+                assert!(kdap.dataspace_groups_len() > memo, "threads={threads}");
+            }
         }
+    }
+}
+
+/// The `(attribute, join path)` facet candidates an explore of `net`
+/// considers: each constraint's own attribute on its own path, then every
+/// declared group-by candidate on the path the net prefers.
+fn facet_candidates(wh: &Warehouse, net: &StarNet) -> Vec<(ColRef, JoinPath)> {
+    let schema = wh.schema();
+    let mut out = Vec::new();
+    for dim in schema.dimensions() {
+        for c in &net.constraints {
+            if c.path.dimension(schema) == Some(dim.id) {
+                out.push((c.group.attr, c.path.clone()));
+            }
+        }
+        for cand in &dim.groupby_candidates {
+            if let Some(path) = path_for_attr(wh, net, dim, cand.attr.table) {
+                out.push((cand.attr, path));
+            }
+        }
+    }
+    out
+}
+
+/// Session memory bounded by design, not by traffic: after the whole
+/// workload population, the whole-dataspace memo holds at most one group
+/// per distinct `(attribute, join path)` candidate, plus the total.
+#[test]
+fn the_dataspace_memo_is_bounded_by_the_candidates() {
+    let ebiz = build_ebiz(EbizScale::small(), 7).unwrap();
+    let aw = build_aw_online(Scale::small(), 42).unwrap();
+    for wh in [ebiz, aw] {
+        let kdap = Kdap::builder(wh).build().unwrap();
+        let wh = kdap.warehouse();
+        let mut candidates = HashSet::new();
+        for q in generate_workload(wh, &WorkloadConfig::default()) {
+            for r in kdap.interpret(&q.text()).iter().take(3) {
+                kdap.explore(&r.net).unwrap();
+                candidates.extend(facet_candidates(wh, &r.net));
+            }
+        }
+        let memo = kdap.dataspace_groups_len();
+        assert!(memo > 0, "some roll-up reached the whole dataspace");
+        assert!(
+            memo <= candidates.len() + 1,
+            "{memo} groups for {} candidates",
+            candidates.len()
+        );
     }
 }
 
@@ -347,7 +408,8 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
 /// explores a request under byte budgets `1 << k`, k = 0..=40, upward, so
 /// some budget breaches at each charge a cold explore makes. Every run is
 /// the answer or the typed `BudgetExceeded`, and until the first answer
-/// the session LRU stays empty. Once a budget answers, every larger one
+/// the session LRU and the whole-dataspace memo stay empty (`clothing`
+/// rolls up to ALL, so its answer fills the memo). Once a budget answers, every larger one
 /// does. A breach in the semi-join stage publishes whole plans only:
 /// either the semi-join cache is unchanged (the breach came in the
 /// subspace's own plan), or that plan finished and every one of its steps
@@ -358,7 +420,11 @@ fn a_budget_breach_at_any_charge_commits_no_partial_state() {
     let ebiz = || build_ebiz(EbizScale::small(), 7).unwrap();
     let aw = || build_aw_online(Scale::small(), 42).unwrap();
     for threads in THREADS {
-        for (wh, victim) in [(aw(), "mountain bikes"), (ebiz(), "seattle lcd")] {
+        for (wh, victim) in [
+            (aw(), "mountain bikes"),
+            (ebiz(), "seattle lcd"),
+            (aw(), "clothing"),
+        ] {
             let kdap = Kdap::builder(wh)
                 .cache_capacity(2)
                 .threads(threads)
@@ -406,12 +472,16 @@ fn a_budget_breach_at_any_charge_commits_no_partial_state() {
                 }
                 if answered.is_none() {
                     assert_eq!(kdap.subspace_cache_len(), Some(0), "{context}");
+                    assert_eq!(kdap.dataspace_groups_len(), 0, "{context}");
                 }
             }
             assert!(
                 answered.is_some(),
                 "threads={threads} `{victim}`: never answered"
             );
+            if victim == "clothing" {
+                assert!(kdap.dataspace_groups_len() > 0, "threads={threads}");
+            }
             for stage in ["semijoin", "multi_group_by"] {
                 assert!(
                     stages.contains(stage),

@@ -27,7 +27,7 @@ use kdap_suite::query::{
 use kdap_suite::warehouse::kernel;
 
 use support::{
-    aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical,
+    aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical, hostile_floats,
     project_categorical, project_numeric, workload, KeyWalker,
 };
 
@@ -361,19 +361,22 @@ proptest! {
 /// takes the threaded arm): rows accumulate in ascending order within
 /// fixed chunks and partials merge in chunk order, so the scan equals the
 /// oracle bit-for-bit at any thread count — on the whole dataspace and on
-/// a scattered subset that leaves chunks unevenly filled.
+/// a scattered subset that leaves chunks unevenly filled, of AW_ONLINE and
+/// of the star whose float attribute holds NULL, NaN, ±∞ and −0.0.
 #[test]
 fn chunked_scan_keeps_the_chunk_then_merge_order() {
     let wh = build_aw_online(Scale::small().scaled(10), 42).expect("generator is valid");
-    let kdap = Kdap::builder(wh).build().expect("measure defined");
-    let n = kdap.warehouse().fact_rows();
-    assert!(n > 2 * 8192, "fixture must span several chunks");
-    let all = RowSet::full(n);
-    let scattered = RowSet::from_rows(n, (0..n).filter(|r| r % 7 == 0 || r % 8192 < 40));
-    for rows in [&all, &scattered] {
-        for threads in [1usize, 4] {
-            for dense_limit in [DENSE_GROUP_LIMIT, 0] {
-                check_scan_against_oracle(&kdap, rows, threads, dense_limit);
+    let aw = Kdap::builder(wh).build().expect("measure defined");
+    for kdap in [&aw, hostile_floats()] {
+        let n = kdap.warehouse().fact_rows();
+        assert!(n > 2 * 8192, "fixture must span several chunks");
+        let all = RowSet::full(n);
+        let scattered = RowSet::from_rows(n, (0..n).filter(|r| r % 7 == 0 || r % 8192 < 40));
+        for rows in [&all, &scattered] {
+            for threads in [1usize, 4] {
+                for dense_limit in [DENSE_GROUP_LIMIT, 0] {
+                    check_scan_against_oracle(kdap, rows, threads, dense_limit);
+                }
             }
         }
     }

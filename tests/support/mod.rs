@@ -27,7 +27,10 @@ use kdap_suite::query::{
     fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, Predicate, RowSet,
     Selection, MAX_PATH_LEN,
 };
-use kdap_suite::warehouse::{ColRef, Measure, TableId, ValueType, Warehouse};
+use kdap_suite::warehouse::{
+    AttrKind, ColRef, Measure, TableId, Value, ValueType, Warehouse, WarehouseBuilder,
+    WarehouseError,
+};
 
 /// Resolves joins by key value: a child row's FK is read with `get_int`
 /// and looked up among the parent column's keys (one `get_int` pass per
@@ -226,10 +229,34 @@ pub fn project_categorical(
     seen.into_iter().collect()
 }
 
+/// The bucketizers a float attribute is scanned under, given the values
+/// `rows` project: 8 equal-width buckets over the observed domain, one
+/// bucket per distinct value, and 5 equal-width buckets over the middle
+/// half of the sorted finite values — which leaves some values outside
+/// its `[min, max]`. None when no value is finite.
+fn bucketizers_for(values: &[f64]) -> Vec<Bucketizer> {
+    let mut finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    finite.sort_by(f64::total_cmp);
+    let inner = (!finite.is_empty()).then(|| Bucketizer::EqualWidth {
+        min: finite[finite.len() / 4],
+        max: finite[finite.len() * 3 / 4],
+        n: 5,
+    });
+    [
+        Bucketizer::equal_width(values.iter().copied(), 8),
+        Bucketizer::per_distinct(values.iter().copied()),
+        inner,
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Every categorical and float attribute reachable from the fact table
 /// as one spec list (plus a Total), each tagged with the join path the
 /// oracle walks. Float attributes contribute a domain spec and, when
-/// they have a finite value in `rows`, an 8-bucket spec.
+/// they have a finite value in `rows`, one bucket spec per
+/// [`bucketizers_for`] arm.
 pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(JoinPath, FacetSpec)> {
     let wh = kdap.warehouse();
     let jidx = kdap.join_index();
@@ -265,7 +292,7 @@ pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(Joi
                     },
                 ));
                 let values = project_numeric(keys, path, attr, rows);
-                if let Some(buckets) = Bucketizer::equal_width(values, 8) {
+                for buckets in bucketizers_for(&values) {
                     out.push((
                         path.clone(),
                         FacetSpec::Buckets {
@@ -328,6 +355,88 @@ impl Workload {
     pub fn nets(&self, idx: usize) -> &[StarNet] {
         &self.queries[idx % self.queries.len()].1
     }
+}
+
+/// The `Item.Weight` values of [`hostile_floats`], one per item row.
+const HOSTILE_WEIGHTS: [Option<f64>; 12] = [
+    None,
+    Some(f64::NAN),
+    Some(f64::INFINITY),
+    Some(f64::NEG_INFINITY),
+    Some(-0.0),
+    Some(0.0),
+    Some(1.5),
+    Some(2.5),
+    Some(-3.25),
+    Some(1e9),
+    Some(7.0),
+    Some(1.5),
+];
+
+/// A one-dimension star whose float attribute `Item.Weight` holds every
+/// value a bucket code must survive: NULL, NaN, ±∞, −0.0 beside +0.0,
+/// a duplicate, and values [`bucketizers_for`]'s middle-half arm leaves
+/// outside its domain. Its 20,000 facts span three 8192-row chunks; every
+/// seventh has a NULL foreign key and every eleventh a NULL measure.
+pub fn hostile_floats() -> &'static Kdap {
+    static SESSION: OnceLock<Kdap> = OnceLock::new();
+    SESSION.get_or_init(|| {
+        let build = || -> Result<Warehouse, WarehouseError> {
+            let mut b = WarehouseBuilder::new();
+            b.table(
+                "Item",
+                &[
+                    ("ItemKey", ValueType::Int, false),
+                    ("Label", ValueType::Str, true),
+                    ("Weight", ValueType::Float, false),
+                ],
+            )?;
+            for (i, w) in HOSTILE_WEIGHTS.iter().enumerate() {
+                let weight = w.map_or(Value::Null, Value::Float);
+                b.row(
+                    "Item",
+                    vec![(i as i64).into(), format!("item {i}").into(), weight],
+                )?;
+            }
+            b.table(
+                "Sale",
+                &[
+                    ("SaleKey", ValueType::Int, false),
+                    ("ItemKey", ValueType::Int, false),
+                    ("Amount", ValueType::Float, false),
+                ],
+            )?;
+            for r in 0..20_000i64 {
+                let item = if r % 7 == 3 {
+                    Value::Null
+                } else {
+                    ((r * 5) % 12).into()
+                };
+                let amount = if r % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((r % 97) as f64 * 0.25 - 3.0)
+                };
+                b.row("Sale", vec![r.into(), item, amount])?;
+            }
+            b.edge("Sale.ItemKey", "Item.ItemKey", None, Some("Item"))?;
+            b.dimension(
+                "Item",
+                &["Item"],
+                vec![],
+                vec![
+                    ("Item.Label", AttrKind::Categorical),
+                    ("Item.Weight", AttrKind::Numerical),
+                ],
+            )?;
+            b.fact("Sale")?;
+            b.measure_column("Amount", "Sale.Amount")?;
+            b.finish()
+        };
+        Kdap::builder(build().expect("valid star"))
+            .build()
+            .expect("measure defined")
+    })
 }
 
 /// One build per test binary, shared by every proptest case.
