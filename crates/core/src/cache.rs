@@ -19,14 +19,11 @@
 //! replaces the entry. Entries are complete or absent: the session inserts
 //! only after the whole explore stage succeeded.
 //!
-//! The cache is sharded by key hash: each shard guards an independent
-//! map behind its own mutex, so concurrent requests do not contend on a
-//! single lock, while eviction stays globally least-recently-used.
+//! One mutex guards the map, the LRU stamps and the counters: a lookup is
+//! a hash probe and an `Arc` clone, short enough that concurrent requests
+//! do not queue on it.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,10 +32,6 @@ use kdap_obs::CacheCounters;
 
 use crate::explain::ExploreReport;
 use crate::facet::{Exploration, FacetConfig};
-
-/// Upper bound on the number of shards; small capacities use fewer so the
-/// per-shard LRU never degenerates to zero slots.
-const MAX_SHARDS: usize = 8;
 
 /// The explore stage's output for one net: what a cache entry is.
 #[derive(Debug)]
@@ -53,57 +46,43 @@ pub struct Explored {
     pub report: ExploreReport,
 }
 
-/// A sharded LRU cache of explorations, one per net. Named for what it is
-/// keyed by and reported as (`subspace` in `/stats`, `subspace cache` in
+/// An LRU cache of explorations, one per net. Named for what it is keyed
+/// by and reported as (`subspace` in `/stats`, `subspace cache` in
 /// `explain` and `kdap stats`).
 pub struct SubspaceCache {
-    shards: Vec<Mutex<Inner>>,
-    shard_capacity: usize,
-    /// Shared LRU clock: stamps must be comparable *across* shards so
-    /// eviction can pick the globally least recently used entry.
-    clock: AtomicU64,
-    evictions: AtomicU64,
+    capacity: usize,
+    inner: Mutex<Inner>,
 }
 
 #[derive(Default)]
 struct Inner {
+    /// Each entry with the clock value of its last touch.
     map: HashMap<String, (Arc<Explored>, u64)>,
+    clock: u64,
     hits: u64,
     misses: u64,
+    evictions: u64,
 }
 
 impl SubspaceCache {
-    /// Creates a cache holding at most `capacity` explorations in total,
-    /// spread over `min(capacity, 8)` shards.
+    /// Creates a cache holding at most `capacity` explorations (at least
+    /// one).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let n_shards = capacity.min(MAX_SHARDS);
         SubspaceCache {
-            shards: (0..n_shards).map(|_| Mutex::default()).collect(),
-            shard_capacity: capacity / n_shards,
-            clock: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            capacity: capacity.max(1),
+            inner: Mutex::default(),
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<Inner> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// Looks up the exploration of `key` computed under `facet`. An entry
     /// computed under the same configuration is a hit (its LRU stamp is
     /// refreshed and the entry handed out as an `Arc` clone — nothing is
-    /// copied under the shard lock); no entry, or one computed under
-    /// another configuration, is a miss.
+    /// copied under the lock); no entry, or one computed under another
+    /// configuration, is a miss.
     pub fn get(&self, key: &str, facet: &FacetConfig) -> Option<Arc<Explored>> {
-        let clock = self.tick();
-        let mut inner = self.shard(key).lock();
+        let mut inner = self.inner.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
         match inner.map.get_mut(key) {
             Some((entry, stamp)) if entry.facet == *facet => {
                 *stamp = clock;
@@ -119,67 +98,46 @@ impl SubspaceCache {
     }
 
     /// Stores `entry` under `key` (replacing the net's previous entry, if
-    /// any), then evicts the globally least recently used entries while
-    /// total occupancy exceeds capacity.
-    ///
-    /// Eviction is driven by *total* occupancy, not per-shard occupancy,
-    /// so skewed key hashing cannot evict entries while the cache as a
-    /// whole still has room. Locks are taken one shard at a time — never
-    /// nested — so concurrent inserts cannot deadlock.
+    /// any), then evicts the least recently used entry if that put the
+    /// cache over capacity.
     pub fn insert(&self, key: String, entry: Arc<Explored>) {
-        let clock = self.tick();
-        self.shard(&key).lock().map.insert(key, (entry, clock));
-        while self.len() > self.capacity() {
-            // Scan for the entry with the smallest stamp across shards,
-            // then re-lock its shard to remove it. A concurrent touch may
-            // refresh or remove the victim in between; the removal is
-            // then a no-op and the loop re-checks occupancy.
-            let mut victim: Option<(usize, String, u64)> = None;
-            for (idx, shard) in self.shards.iter().enumerate() {
-                let inner = shard.lock();
-                if let Some((k, (_, stamp))) = inner.map.iter().min_by_key(|(_, (_, s))| *s) {
-                    if victim.as_ref().is_none_or(|(_, _, best)| *stamp < *best) {
-                        victim = Some((idx, k.clone(), *stamp));
-                    }
-                }
-            }
-            match victim {
-                Some((idx, k, _)) => {
-                    if self.shards[idx].lock().map.remove(&k).is_some() {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
+        let mut inner = self.inner.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        inner.map.insert(key, (entry, clock));
+        if inner.map.len() > self.capacity {
+            let victim = inner
+                .map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| k.clone());
+            if let Some(victim) = victim {
+                inner.map.remove(&victim);
+                inner.evictions += 1;
             }
         }
     }
 
-    /// Hit/miss/eviction counters, summed over all shards: `hits + misses`
-    /// is the number of lookups, evictions count LRU victims (a replaced
-    /// entry is not one).
+    /// Hit/miss/eviction counters: `hits + misses` is the number of
+    /// lookups, evictions count LRU victims (a replaced entry is not one).
     pub fn counters(&self) -> CacheCounters {
-        let (mut hits, mut misses) = (0, 0);
-        for shard in &self.shards {
-            let inner = shard.lock();
-            hits += inner.hits;
-            misses += inner.misses;
-        }
+        let inner = self.inner.lock();
         CacheCounters {
-            hits,
-            misses,
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
         }
     }
 
-    /// Number of cached explorations across all shards.
+    /// Number of cached explorations.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.inner.lock().map.len()
     }
 
-    /// Total capacity across all shards.
+    /// The most explorations the cache holds.
     pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.capacity
     }
 }
 
@@ -243,9 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_within_a_shard() {
-        // Capacity 1 forces a single shard with a single slot, making
-        // eviction order deterministic regardless of key hashing.
+    fn a_one_slot_cache_keeps_the_last_insert() {
         let cache = SubspaceCache::new(1);
         assert_eq!(cache.capacity(), 1);
         let facet = FacetConfig::default();
@@ -260,9 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_globally_least_recently_used() {
-        // Sixteen slots over eight shards: whichever shards the keys hash
-        // to, the victim is the entry touched longest ago overall.
+    fn eviction_is_least_recently_used() {
+        // The victim is the entry touched longest ago, by lookup or insert.
         let cache = SubspaceCache::new(16);
         let facet = FacetConfig::default();
         let keys: Vec<String> = (0..16).map(|i| format!("net-{i}")).collect();
@@ -284,15 +239,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_capacity_never_exceeds_requested_total() {
-        for capacity in [1usize, 2, 5, 8, 10, 64] {
+    fn the_cache_holds_exactly_its_capacity() {
+        let facet = FacetConfig::default();
+        for capacity in [1usize, 2, 5, 10, 20, 64] {
             let cache = SubspaceCache::new(capacity);
-            assert!(cache.capacity() <= capacity, "capacity {capacity}");
-            assert!(cache.capacity() >= 1);
-            let facet = FacetConfig::default();
-            for i in 0..2 * capacity + 3 {
+            assert_eq!(cache.capacity(), capacity);
+            for i in 0..capacity {
                 cache.insert(format!("net-{i}"), entry(i, &facet));
-                assert!(cache.len() <= cache.capacity(), "capacity {capacity}");
+            }
+            assert_eq!(cache.len(), capacity, "capacity {capacity}: room for all");
+            assert_eq!(cache.counters().evictions, 0, "capacity {capacity}");
+            // Touch every entry but the middle one, newest first; the
+            // middle one is then the least recently used, wherever it sits.
+            let middle = capacity / 2;
+            for i in (0..capacity).rev().filter(|&i| i != middle) {
+                assert_eq!(tag_of(&cache, &format!("net-{i}")), Some(i));
+            }
+            for extra in capacity..capacity + 3 {
+                cache.insert(format!("net-{extra}"), entry(extra, &facet));
+                assert_eq!(cache.len(), capacity, "capacity {capacity}");
+            }
+            assert_eq!(cache.counters().evictions, 3, "capacity {capacity}");
+            // Least recently used first: the untouched middle entry, then
+            // the touches in the order they were made, then the inserts.
+            let lru_order = std::iter::once(middle)
+                .chain((0..capacity).rev().filter(|&i| i != middle))
+                .chain(capacity..);
+            let victims: Vec<usize> = lru_order.take(3).collect();
+            for i in 0..capacity + 3 {
+                let expect = (!victims.contains(&i)).then_some(i);
+                assert_eq!(
+                    tag_of(&cache, &format!("net-{i}")),
+                    expect,
+                    "capacity {capacity}"
+                );
             }
         }
     }

@@ -67,39 +67,20 @@ enum GroupKey {
     NumericDomain(ColRef, JoinPath),
 }
 
-type Groups = HashMap<GroupKey, Arc<FacetGroups>>;
-
 /// The session's memo of group-bys over the whole dataspace DS: at most
 /// one entry per `(attr, path)` candidate plus the total, so its size is
-/// bounded by the schema, not by traffic.
+/// bounded by the schema, not by traffic. A group-by is inserted whole,
+/// as soon as the scan that computed it returned.
 #[derive(Debug, Default)]
 pub struct DataspaceGroups {
-    memo: Mutex<Groups>,
+    memo: Mutex<HashMap<GroupKey, Arc<FacetGroups>>>,
 }
 
-/// Whole-dataspace groups one explore computed, invisible to other
-/// queries until the session commits them to its [`DataspaceGroups`] —
-/// only once the explore succeeded, so an aborted query leaves the memo
-/// as it was.
-#[derive(Debug, Default)]
-pub struct StagedGroups(Groups);
-
 impl DataspaceGroups {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Groups> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<GroupKey, Arc<FacetGroups>>> {
         // Entries are inserted whole, so a panic elsewhere cannot leave
         // one half-written.
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Publishes the groups a successful explore staged.
-    pub(crate) fn commit(&self, staged: StagedGroups) {
-        if staged.0.is_empty() {
-            return;
-        }
-        let mut memo = self.lock();
-        for (key, groups) in staged.0 {
-            memo.entry(key).or_insert(groups);
-        }
     }
 
     /// Number of memoized group-bys.
@@ -126,21 +107,20 @@ impl ScanSpecs {
 }
 
 /// Runs every fused scan of one explore: over the whole dataspace it
-/// serves memoized specs from the session memo (or from what this explore
-/// already staged) and stages what it computes.
+/// serves memoized specs from the session memo and inserts what it
+/// computes.
 struct Scanner<'a> {
     wh: &'a Warehouse,
     mv: &'a MeasureVector,
     exec: &'a ExecConfig,
     memo: &'a DataspaceGroups,
-    staged: StagedGroups,
 }
 
 impl Scanner<'_> {
     /// The groups of `scan.specs` over `rows`, in spec order, and how many
     /// of them came from the memo.
     fn scan(
-        &mut self,
+        &self,
         scan: &ScanSpecs,
         rows: &RowSet,
     ) -> Result<(Vec<Arc<FacetGroups>>, usize), KdapError> {
@@ -153,20 +133,20 @@ impl Scanner<'_> {
             let memo = self.memo.lock();
             scan.keys
                 .iter()
-                .map(|key| {
-                    let key = key.as_ref()?;
-                    self.staged.0.get(key).or_else(|| memo.get(key)).cloned()
-                })
+                .map(|key| memo.get(key.as_ref()?).cloned())
                 .collect()
         };
         let memo_specs = out.iter().filter(|g| g.is_some()).count();
         let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
         if !missing.is_empty() {
             let specs: Vec<FacetSpec> = missing.iter().map(|&i| scan.specs[i].clone()).collect();
-            for (i, groups) in missing.into_iter().zip(self.run(&specs, rows)?) {
+            let computed = self.run(&specs, rows)?;
+            let mut memo = self.memo.lock();
+            for (i, groups) in missing.into_iter().zip(computed) {
                 let groups = Arc::new(groups);
                 if let Some(key) = &scan.keys[i] {
-                    self.staged.0.insert(key.clone(), Arc::clone(&groups));
+                    memo.entry(key.clone())
+                        .or_insert_with(|| Arc::clone(&groups));
                 }
                 out[i] = Some(groups);
             }
@@ -219,12 +199,11 @@ struct NumSlot {
 /// `sub`, builds its dynamic facets, and reports the scan accounting.
 ///
 /// The roll-up spaces are compiled and executed through `planner`,
-/// sharing its semi-join cache with the differentiate phase that
-/// materialized the subspace; scans fan out over `exec`'s workers and
-/// poll its governance context. Scans over the whole dataspace read
-/// `memo` and return what they computed as [`StagedGroups`], which the
-/// session commits once the explore has succeeded. Results are identical
-/// for every thread count and memo state.
+/// sharing its semi-join cache with the plan that materialized the
+/// subspace; scans fan out over `exec`'s workers and poll its governance
+/// context. Scans over the whole dataspace read `memo` and insert each
+/// group-by they computed as soon as its scan returns. Results are
+/// identical for every thread count and memo state.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_subspace(
     wh: &Warehouse,
@@ -236,16 +215,10 @@ pub fn explore_subspace(
     planner: &Planner,
     exec: &ExecConfig,
     memo: &DataspaceGroups,
-) -> Result<(Exploration, ExploreReport, StagedGroups), KdapError> {
+) -> Result<(Exploration, ExploreReport), KdapError> {
     let schema = wh.schema();
     let obs = exec.obs.clone();
-    let mut scanner = Scanner {
-        wh,
-        mv,
-        exec,
-        memo,
-        staged: StagedGroups::default(),
-    };
+    let scanner = Scanner { wh, mv, exec, memo };
     let rups = {
         let _s = obs.span("explore.rollups");
         try_rollup_spaces_planned(wh, jidx, net, planner, exec)?
@@ -563,7 +536,6 @@ pub fn explore_subspace(
             panels,
         },
         report,
-        scanner.staged,
     ))
 }
 

@@ -22,7 +22,7 @@ use crate::interest::InterestMode;
 
 pub use anneal::{merge_intervals, merge_series, AnnealConfig, MergeResult};
 pub use attr_rank::{path_for_attr, NumericSeries, RankedAttr};
-pub use fused::{explore_subspace, DataspaceGroups, StagedGroups};
+pub use fused::{explore_subspace, DataspaceGroups};
 pub use instance_rank::RankedInstance;
 
 /// How the selected group-by attributes are ordered inside a panel —
@@ -225,7 +225,7 @@ mod tests {
             .find(|n| n.display(&fx.wh).contains(needle))
             .expect("net found");
         let measure = fx.wh.schema().measure_by_name("Revenue").unwrap();
-        let (exploration, _, _) = explore_subspace(
+        let (exploration, _) = explore_subspace(
             &fx.wh,
             &fx.jidx,
             net,

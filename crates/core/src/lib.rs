@@ -38,7 +38,7 @@ pub use error::KdapError;
 pub use explain::{explain, explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
 pub use facet::{
     explore_subspace, AnnealConfig, DataspaceGroups, Exploration, FacetAttr, FacetConfig,
-    FacetEntry, FacetOrder, FacetPanel, MergeResult, StagedGroups,
+    FacetEntry, FacetOrder, FacetPanel, MergeResult,
 };
 pub use governor::{record_breach, CancelToken, Governor};
 pub use hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};

@@ -5,7 +5,7 @@
 //! navigational operations — each attribute instance may serve as an
 //! entry point for drill-down operations to more detailed subspaces"
 //! (§3). These helpers derive a new star net from an existing one, and
-//! [`refine`] applies a request's ordered [`Refine`] steps with them —
+//! `refine` applies a request's ordered [`Refine`] steps with them —
 //! the one place a facet entry is turned back into a constraint.
 
 use kdap_query::{JoinIndex, JoinPath};

@@ -1,7 +1,7 @@
 //! The session-level planner: compiles star nets to their
 //! [`LogicalPlan`] — one node per constraint, evaluated in net order — and
-//! owns the shared [`SemijoinCache`] that deduplicates constraint
-//! evaluation across the whole candidate set.
+//! owns the session's [`SemijoinCache`], which evaluates each distinct
+//! constraint once for every plan the session runs.
 
 use kdap_obs::{CacheCounters, Obs};
 use kdap_query::{LogicalPlan, SemijoinCache};

@@ -378,7 +378,10 @@ impl Kdap {
     /// answer from the session cache when it holds this net's exploration
     /// under the same `facet`; otherwise materialize the net through the
     /// planner, run the fused facet scans (whole-dataspace groups come
-    /// from, and go to, the session memo), and cache the answer.
+    /// from, and go to, the session memo), and cache the answer. Every
+    /// session memory takes whole entries only: the semi-join cache and
+    /// the memo as each step or scan finishes, the cache once the answer
+    /// exists.
     fn explore_stage(
         &self,
         net: &StarNet,
@@ -408,7 +411,7 @@ impl Kdap {
         let mv = self
             .measure_vector
             .get_or_init(|| MeasureVector::build(&self.wh, &self.measure));
-        let (exploration, report, staged) = explore_subspace(
+        let (exploration, report) = explore_subspace(
             &self.wh,
             &self.jidx,
             net,
@@ -425,10 +428,6 @@ impl Kdap {
             exploration,
             report,
         });
-        // Strictly after both stages succeeded: a governed abort anywhere
-        // in materialize or the facet scans leaves the cache and the memo
-        // as they were — complete entries only, never partial.
-        self.dataspace_groups.commit(staged);
         if let Some((cache, key)) = cache {
             cache.insert(key, Arc::clone(&explored));
         }
@@ -513,7 +512,7 @@ impl Kdap {
     /// [`Kdap::run`] with an explicit per-request cancellation token.
     /// The server trips the token when the client disconnects mid-query;
     /// the query then unwinds with [`KdapError::Cancelled`] at the next
-    /// kernel chunk boundary, leaving every cache untouched.
+    /// kernel chunk boundary, leaving no partial entry in any cache.
     pub fn run_cancellable(
         &self,
         request: &QueryRequest,

@@ -179,11 +179,11 @@ proptest! {
     }
 }
 
-/// Eight threads hammering one sharded `SubspaceCache` stay consistent:
-/// every hit is the exploration a direct explore of that net computes,
-/// the capacity bound holds, and the hit/miss accounting adds up.
+/// Eight threads hammering one `SubspaceCache` stay consistent: every
+/// hit is the exploration a direct explore of that net computes, the
+/// capacity bound holds, and the hit/miss accounting adds up.
 #[test]
-fn sharded_cache_consistent_under_hammering() {
+fn cache_consistent_under_hammering() {
     use kdap_core::{ExploreReport, Explored};
     let fx = kdap_core::testutil::ebiz_fixture();
     let kdap = kdap_core::Kdap::builder(fx.wh).build().expect("measure");

@@ -23,7 +23,7 @@
 //! one scan answers every aggregation function afterwards (e.g. SUM for
 //! the series *and* COUNT for bucket occupancy).
 //!
-//! The bitmap is cut into fixed [`AGG_CHUNK_WORDS`]-word chunks whose
+//! The bitmap is cut into fixed 128-word (`AGG_CHUNK_WORDS`) chunks whose
 //! partials merge in chunk order — in the serial arm too — so results
 //! depend only on the data, never on the thread count. That chunk-then-
 //! merge order is the engine's floating-point contract: the row-at-a-time
@@ -191,22 +191,12 @@ pub enum FacetGroups {
 }
 
 impl FacetGroups {
-    /// Empty groups for `spec`; `dense_size` (when set) replaces the column
-    /// statistics as the dense-array size for categorical specs — the
-    /// stale-statistics simulation hook used by the OOB-promotion tests.
-    fn new_for_sized(
-        spec: &FacetSpec,
-        wh: &Warehouse,
-        dense_limit: usize,
-        dense_size: Option<usize>,
-    ) -> Self {
+    /// Empty groups for `spec`: a categorical spec gets a dense array of
+    /// the column's cardinality when that is at most `dense_limit`.
+    fn new_for(spec: &FacetSpec, wh: &Warehouse, dense_limit: usize) -> Self {
         match spec {
             FacetSpec::Categorical { attr, .. } => {
-                let card = match dense_size {
-                    Some(n) => Some(n),
-                    None => wh.column(*attr).cardinality(),
-                };
-                match card.filter(|&c| c <= dense_limit) {
+                match wh.column(*attr).cardinality().filter(|&c| c <= dense_limit) {
                     Some(card) => FacetGroups::Dense {
                         stats: vec![GroupStats::default(); card],
                     },
@@ -232,20 +222,7 @@ impl FacetGroups {
     /// Folds another partial of the same shape into this one. Callers
     /// merge per-chunk partials in chunk order, which keeps every
     /// group's accumulation order identical to the serial scan.
-    ///
-    /// Categorical partials may arrive in *mixed* shapes: a chunk that
-    /// saw a dictionary code beyond the dense array (stale statistics)
-    /// falls back to the hash path mid-scan, so one partial can be
-    /// `Sparse` while its siblings stayed `Dense`. The merge promotes
-    /// itself to `Sparse` in that case — code-keyed accumulation is
-    /// shape-independent, so the result is unchanged.
     fn merge(&mut self, other: &FacetGroups) {
-        if matches!(
-            (&*self, other),
-            (FacetGroups::Dense { .. }, FacetGroups::Sparse { .. })
-        ) {
-            promote_to_sparse(self);
-        }
         match (self, other) {
             (FacetGroups::Dense { stats }, FacetGroups::Dense { stats: os }) => {
                 for (m, p) in stats.iter_mut().zip(os) {
@@ -257,13 +234,6 @@ impl FacetGroups {
             (FacetGroups::Sparse { stats }, FacetGroups::Sparse { stats: os }) => {
                 for (code, p) in os {
                     stats.entry(*code).or_default().merge(p);
-                }
-            }
-            (FacetGroups::Sparse { stats }, FacetGroups::Dense { stats: os }) => {
-                for (code, p) in os.iter().enumerate() {
-                    if p.rows > 0 {
-                        stats.entry(code as u32).or_default().merge(p);
-                    }
                 }
             }
             (FacetGroups::Buckets { stats }, FacetGroups::Buckets { stats: os }) => {
@@ -396,21 +366,6 @@ impl FacetGroups {
     }
 }
 
-/// Converts a dense categorical partial to the hash representation,
-/// carrying every touched group over. Used when a dictionary code walks
-/// past the dense array (stale statistics) and by mixed-shape merges.
-fn promote_to_sparse(g: &mut FacetGroups) {
-    if let FacetGroups::Dense { stats } = g {
-        let sparse: HashMap<u32, GroupStats> = stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.rows > 0)
-            .map(|(code, s)| (code as u32, *s))
-            .collect();
-        *g = FacetGroups::Sparse { stats: sparse };
-    }
-}
-
 /// One spec's attribute column, predecoded once per scan.
 enum DecodedCol {
     /// Total spec, or a column the spec cannot decode (e.g. a categorical
@@ -434,20 +389,18 @@ thread_local! {
 
 /// The array-backed accumulation loop every dense categorical and every
 /// bucket spec runs: gathered row `k` adds into `stats[codes[t]]`, where
-/// `t` is the attribute-table row it maps to, from row `start` on. Rows
-/// that map nowhere or whose code is [`NULL_CODE`] are skipped. Returns
-/// the first row whose code lies beyond `stats` (stale statistics),
-/// leaving it and every later row untouched.
+/// `t` is the attribute-table row it maps to. Rows that map nowhere or
+/// whose code is [`NULL_CODE`] are skipped. Returns the first row whose
+/// code lies beyond `stats`, leaving it and every later row untouched.
 fn accumulate_codes(
     stats: &mut [GroupStats],
     codes: &[u32],
     mapper: &RowMapper,
     row_buf: &[u32],
     meas_buf: &[f64],
-    start: usize,
 ) -> Option<usize> {
-    for k in start..row_buf.len() {
-        let Some(t) = mapper.get(row_buf[k] as usize) else {
+    for (k, (&row, &m)) in row_buf.iter().zip(meas_buf).enumerate() {
+        let Some(t) = mapper.get(row as usize) else {
             continue;
         };
         let code = codes[t as usize];
@@ -458,7 +411,6 @@ fn accumulate_codes(
             return Some(k);
         };
         s.rows += 1;
-        let m = meas_buf[k];
         if !m.is_nan() {
             s.acc.add(m);
         }
@@ -466,53 +418,27 @@ fn accumulate_codes(
     None
 }
 
-/// Categorical accumulation over one chunk's gathered rows. The dense
-/// loop runs bounds-checked: the first code beyond the dense array
-/// (possible only with stale column statistics) bumps `oob`, promotes the
-/// partial to the hash path and resumes sparsely from the same row.
-fn batch_categorical(
-    g: &mut FacetGroups,
+/// The hash-map accumulation loop of a categorical spec above the dense
+/// cutoff: [`accumulate_codes`] keyed by code instead of indexed by it.
+fn accumulate_sparse(
+    stats: &mut HashMap<u32, GroupStats>,
     codes: &[u32],
     mapper: &RowMapper,
     row_buf: &[u32],
     meas_buf: &[f64],
-    oob: &mut u64,
 ) {
-    let len = row_buf.len();
-    let mut k = 0;
-    loop {
-        match g {
-            FacetGroups::Dense { stats } => {
-                let Some(stopped) = accumulate_codes(stats, codes, mapper, row_buf, meas_buf, k)
-                else {
-                    return;
-                };
-                k = stopped;
-                *oob += 1;
-                promote_to_sparse(g);
-                // Row k is re-handled by the sparse arm.
-            }
-            FacetGroups::Sparse { stats } => {
-                while k < len {
-                    let row = row_buf[k] as usize;
-                    let m = meas_buf[k];
-                    k += 1;
-                    let Some(t) = mapper.get(row) else {
-                        continue;
-                    };
-                    let code = codes[t as usize];
-                    if code == NULL_CODE {
-                        continue;
-                    }
-                    let s = stats.entry(code).or_default();
-                    s.rows += 1;
-                    if !m.is_nan() {
-                        s.acc.add(m);
-                    }
-                }
-                return;
-            }
-            _ => unreachable!("categorical groups are dense or sparse"),
+    for (&row, &m) in row_buf.iter().zip(meas_buf) {
+        let Some(t) = mapper.get(row as usize) else {
+            continue;
+        };
+        let code = codes[t as usize];
+        if code == NULL_CODE {
+            continue;
+        }
+        let s = stats.entry(code).or_default();
+        s.rows += 1;
+        if !m.is_nan() {
+            s.acc.add(m);
         }
     }
 }
@@ -521,12 +447,11 @@ fn batch_categorical(
 ///
 /// Returns one [`FacetGroups`] per spec, in spec order. Categorical specs
 /// whose dictionary cardinality is at most `dense_limit` use dense
-/// arrays; larger ones fall back to hash maps. A dictionary code that
-/// nonetheless walks past a dense array (stale statistics) promotes that
-/// spec to the hash path mid-scan instead of indexing out of bounds.
-/// The bitmap is cut into [`AGG_CHUNK_WORDS`]-word chunks (run serially
-/// below two chunks) whose partials merge in chunk order, so output is
-/// independent of the thread count.
+/// arrays; larger ones fall back to hash maps. A column's cardinality is
+/// its largest code plus one, so no dictionary code indexes past a dense
+/// array. The bitmap is cut into 128-word (`AGG_CHUNK_WORDS`) chunks
+/// (run serially below two chunks) whose partials merge in chunk order,
+/// so output is independent of the thread count.
 ///
 /// Each chunk runs as a **batch**: the selected row indices are collected
 /// into a reusable buffer, their measure values gathered in one pass
@@ -548,23 +473,6 @@ pub fn multi_group_by_exec(
     mv: &MeasureVector,
     exec: &ExecConfig,
     dense_limit: usize,
-) -> Result<Vec<FacetGroups>, QueryError> {
-    multi_group_by_exec_sized(wh, specs, rows, mv, exec, dense_limit, None)
-}
-
-/// [`multi_group_by_exec`] with an explicit dense-array size override for
-/// categorical specs, simulating stale column statistics (dense arrays
-/// smaller than the live code range) so tests can drive the mid-scan
-/// OOB promotion path deterministically. Not part of the stable API.
-#[doc(hidden)]
-pub fn multi_group_by_exec_sized(
-    wh: &Warehouse,
-    specs: &[FacetSpec],
-    rows: &RowSet,
-    mv: &MeasureVector,
-    exec: &ExecConfig,
-    dense_limit: usize,
-    dense_size: Option<usize>,
 ) -> Result<Vec<FacetGroups>, QueryError> {
     exec.check("multi_group_by")?;
     // The scan indexes the measure vector by fact row.
@@ -621,9 +529,8 @@ pub fn multi_group_by_exec_sized(
     let accumulate = |range: std::ops::Range<usize>| {
         let mut groups: Vec<FacetGroups> = specs
             .iter()
-            .map(|s| FacetGroups::new_for_sized(s, wh, dense_limit, dense_size))
+            .map(|s| FacetGroups::new_for(s, wh, dense_limit))
             .collect();
-        let mut oob = 0u64;
         BATCH_SCRATCH.with(|scratch| {
             let (row_buf, meas_buf) = &mut *scratch.borrow_mut();
             rows.collect_rows_in_word_range(range, row_buf);
@@ -638,18 +545,22 @@ pub fn multi_group_by_exec_sized(
             for (i, spec) in specs.iter().enumerate() {
                 let g = &mut groups[i];
                 match (spec, &decoded[i]) {
-                    (FacetSpec::Categorical { mapper, .. }, DecodedCol::Codes(codes)) => {
-                        batch_categorical(g, codes, mapper, row_buf, meas_buf, &mut oob);
-                    }
-                    (FacetSpec::Buckets { mapper, .. }, DecodedCol::Codes(codes)) => {
-                        let FacetGroups::Buckets { stats } = g else {
-                            unreachable!("groups[i] was built from specs[i]")
-                        };
-                        // `bucket_of` only returns indices below
-                        // `n_buckets`, the length of `stats`.
-                        let stopped = accumulate_codes(stats, codes, mapper, row_buf, meas_buf, 0);
-                        assert_eq!(stopped, None, "bucket codes index their own array");
-                    }
+                    (
+                        FacetSpec::Categorical { mapper, .. } | FacetSpec::Buckets { mapper, .. },
+                        DecodedCol::Codes(codes),
+                    ) => match g {
+                        // A dictionary code is below the column's
+                        // cardinality, a bucket code below `n_buckets`:
+                        // both below the length of `stats`.
+                        FacetGroups::Dense { stats } | FacetGroups::Buckets { stats } => {
+                            let stopped = accumulate_codes(stats, codes, mapper, row_buf, meas_buf);
+                            assert_eq!(stopped, None, "codes index their own array");
+                        }
+                        FacetGroups::Sparse { stats } => {
+                            accumulate_sparse(stats, codes, mapper, row_buf, meas_buf);
+                        }
+                        _ => unreachable!("groups[i] was built from specs[i]"),
+                    },
                     (FacetSpec::NumericDomain { mapper, .. }, DecodedCol::Floats(vals)) => {
                         let FacetGroups::Domain { min, max, any } = g else {
                             unreachable!("groups[i] was built from specs[i]")
@@ -682,7 +593,7 @@ pub fn multi_group_by_exec_sized(
                 }
             }
         });
-        (groups, oob)
+        groups
     };
     let nwords = rows.n_words();
     let ranges = chunk_ranges(nwords, AGG_CHUNK_WORDS);
@@ -691,7 +602,7 @@ pub fn multi_group_by_exec_sized(
     // bucket slots), charged to the budget before the chunk scans.
     let partial_bytes: u64 = specs
         .iter()
-        .map(|s| FacetGroups::new_for_sized(s, wh, dense_limit, dense_size).heap_bytes())
+        .map(|s| FacetGroups::new_for(s, wh, dense_limit).heap_bytes())
         .sum();
     // Each chunk polls governance, then measures its own wall time (a
     // no-op with obs off); the coordinator records them in chunk order.
@@ -699,38 +610,37 @@ pub fn multi_group_by_exec_sized(
         exec.check_at("multi_group_by", idx as u64, nchunks)?;
         exec.charge("multi_group_by", partial_bytes)?;
         let t = exec.obs.timer();
-        let (groups, oob) = accumulate(range);
-        Ok::<_, QueryError>((groups, oob, t.stop()))
+        let groups = accumulate(range);
+        Ok::<_, QueryError>((groups, t.stop()))
     };
     // Both arms chunk identically and merge in chunk order, so the result
     // depends only on the data, never on the thread count.
-    let partials: Vec<(Vec<FacetGroups>, u64, u64)> =
-        if exec.is_serial() || nwords < 2 * AGG_CHUNK_WORDS {
-            ranges
-                .iter()
-                .enumerate()
-                .map(|(i, r)| timed(i, r.clone()))
-                .collect::<Result<_, _>>()?
-        } else {
-            par_map(exec, &ranges, |i, r| timed(i, r.clone()))
-                .into_iter()
-                .collect::<Result<_, _>>()?
-        };
+    let partials: Vec<(Vec<FacetGroups>, u64)> = if exec.is_serial() || nwords < 2 * AGG_CHUNK_WORDS
+    {
+        ranges
+            .iter()
+            .enumerate()
+            .map(|(i, r)| timed(i, r.clone()))
+            .collect::<Result<_, _>>()?
+    } else {
+        par_map(exec, &ranges, |i, r| timed(i, r.clone()))
+            .into_iter()
+            .collect::<Result<_, _>>()?
+    };
     let mut merged: Vec<FacetGroups> = specs
         .iter()
-        .map(|s| FacetGroups::new_for_sized(s, wh, dense_limit, dense_size))
+        .map(|s| FacetGroups::new_for(s, wh, dense_limit))
         .collect();
-    for (partial, _, _) in &partials {
+    for (partial, _) in &partials {
         for (m, p) in merged.iter_mut().zip(partial) {
             m.merge(p);
         }
     }
-    let oob_total: u64 = partials.iter().map(|(_, oob, _)| oob).sum();
     if exec.obs.is_enabled() {
         // One registry lookup for the whole chunk sweep, not one per
         // chunk.
         if let Some(h) = exec.obs.histogram_handle("query.agg_chunk_ns") {
-            for (_, _, chunk_ns) in &partials {
+            for (_, chunk_ns) in &partials {
                 h.record(*chunk_ns);
             }
         }
@@ -744,9 +654,6 @@ pub fn multi_group_by_exec_sized(
         exec.obs.inc("query.agg_hash_dispatch", hash as u64);
         // Which kernel tier the unpack kernels dispatched to.
         exec.obs.inc(tier_metric_name(kernel::active_tier()), 1);
-        if oob_total > 0 {
-            exec.obs.inc("query.agg_dense_oob_fallback", oob_total);
-        }
     }
     if exec.obs.is_profiling() {
         let dense = merged.iter().filter(|g| g.is_dense()).count();
@@ -757,7 +664,7 @@ pub fn multi_group_by_exec_sized(
         exec.obs.leaf(
             "multi_group_by",
             kdap_obs::LeafData {
-                wall_ns: partials.iter().map(|(_, _, ns)| ns).sum(),
+                wall_ns: partials.iter().map(|(_, ns)| ns).sum(),
                 rows_in: Some(rows.len() as u64),
                 rows_out: Some(merged.iter().map(|g| g.n_groups() as u64).sum()),
                 cache: None,
@@ -1013,65 +920,6 @@ mod tests {
                 serial[1].total(AggFunc::Sum).to_bits()
             );
         }
-    }
-
-    /// Feeds `(code, measure)` pairs through [`batch_categorical`] as one
-    /// chunk of rows `0..n` under the identity row mapper.
-    fn feed(g: &mut FacetGroups, touches: &[(u32, Option<f64>)], oob: &mut u64) {
-        let codes: Vec<u32> = touches.iter().map(|(c, _)| *c).collect();
-        let meas: Vec<f64> = touches.iter().map(|(_, m)| m.unwrap_or(f64::NAN)).collect();
-        let rows: Vec<u32> = (0..touches.len() as u32).collect();
-        batch_categorical(g, &codes, &RowMapper::default(), &rows, &meas, oob);
-    }
-
-    #[test]
-    fn out_of_range_code_promotes_to_sparse_instead_of_panicking() {
-        // A dense partial sized for 2 codes sees code 7 — the stale-stats
-        // scenario. It must fall back to the hash path, keeping every
-        // previously accumulated group.
-        let mut g = FacetGroups::Dense {
-            stats: vec![GroupStats::default(); 2],
-        };
-        let mut oob = 0;
-        feed(&mut g, &[(1, Some(10.0))], &mut oob);
-        assert!(g.is_dense());
-        feed(&mut g, &[(7, Some(5.0)), (1, None)], &mut oob);
-        assert_eq!(oob, 1);
-        assert!(!g.is_dense());
-        let map = g.to_map(AggFunc::Sum);
-        assert_eq!(map.get(&1), Some(&10.0));
-        assert_eq!(map.get(&7), Some(&5.0));
-        assert_eq!(g.domain(), vec![1, 7]);
-        // Presence of the measure-null touch survived the promotion.
-        let FacetGroups::Sparse { stats } = &g else {
-            panic!("expected sparse")
-        };
-        assert_eq!(stats[&1].rows, 2);
-    }
-
-    #[test]
-    fn mixed_shape_partials_merge_to_the_same_totals() {
-        // Chunk 1 stayed dense, chunk 2 fell back to sparse: the merge
-        // must promote and lose nothing, in either merge order.
-        let mut oob = 0;
-        let mut dense = FacetGroups::Dense {
-            stats: vec![GroupStats::default(); 2],
-        };
-        feed(&mut dense, &[(0, Some(3.0))], &mut oob);
-        let mut sparse = FacetGroups::Sparse {
-            stats: HashMap::new(),
-        };
-        feed(&mut sparse, &[(0, Some(4.0)), (9, Some(1.0))], &mut oob);
-
-        let mut a = dense.clone();
-        a.merge(&sparse);
-        let map = a.to_map(AggFunc::Sum);
-        assert_eq!(map.get(&0), Some(&7.0));
-        assert_eq!(map.get(&9), Some(&1.0));
-
-        let mut b = sparse.clone();
-        b.merge(&dense);
-        assert_eq!(b.to_map(AggFunc::Sum), map);
     }
 
     #[test]

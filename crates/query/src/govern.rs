@@ -15,9 +15,10 @@
 //!   check is a single branch. The `exp_obs` bench bounds the overhead of
 //!   the instrumented build at ≤2%.
 //! * **Cooperative.** Nothing is interrupted mid-chunk; kernels poll
-//!   between chunks and unwind with an error. Callers must therefore not
-//!   publish partial state (see the staged cache commits in
-//!   [`plan`](crate::plan)).
+//!   between chunks and unwind with an error. Callers must therefore
+//!   publish only whole entries: the semi-join cache in
+//!   [`plan`](crate::plan) inserts a step's bitmap once the step has been
+//!   evaluated and charged.
 //! * **Clock reads are bounded.** `Instant::now()` is only taken when a
 //!   deadline is actually set; cancellation and budget checks are plain
 //!   atomic loads.

@@ -9,8 +9,8 @@
 //! its own, so no evaluation order does less work than another, and the
 //! nodes run in net order.
 //!
-//! A [`SemijoinCache`] shared across a whole candidate set evaluates each
-//! distinct constraint exactly once no matter how many plans contain it.
+//! A session's [`SemijoinCache`] evaluates each distinct constraint once,
+//! however many plans of the session contain it.
 //! [`execute_plan_traced`] additionally reports each node's actual
 //! cardinality and cache outcome — the raw material of `EXPLAIN`.
 
@@ -120,8 +120,9 @@ impl LogicalPlan {
 ///
 /// One instance per session deduplicates semi-join work across *all*
 /// plans executed in that session — the same `(group, path)` constraint
-/// appearing in dozens of candidate star nets is propagated once. Nothing
-/// is ever evicted.
+/// appearing in dozens of candidate star nets is propagated once. A
+/// bitmap is inserted whole, as soon as its step has been evaluated and
+/// charged; nothing is ever evicted.
 #[derive(Debug, Default)]
 pub struct SemijoinCache {
     map: Mutex<HashMap<Fingerprint, Arc<RowSet>>>,
@@ -193,23 +194,26 @@ pub struct StepTrace {
 }
 
 /// Evaluates one node through an optional cache, returning the fact
-/// bitmap and whether it came from the cache. The cache is consulted
-/// (counting a hit or miss) but a freshly evaluated bitmap is NOT stored:
-/// [`execute_plan_traced`] collects the `(key, bitmap)` pairs of the
-/// misses and commits them only once every node of the plan has
-/// succeeded — the invariant that keeps an aborted query from poisoning
-/// the [`SemijoinCache`] with partial state.
-fn execute_step_raw(
+/// bitmap and whether it came from the cache. A freshly evaluated bitmap
+/// is charged to the memory budget, then inserted whole: a breach in a
+/// later node leaves only complete bitmaps behind.
+fn execute_step(
     wh: &Warehouse,
     jidx: &JoinIndex,
     origin: TableId,
     node: &PlanNode,
     cache: Option<&SemijoinCache>,
+    exec: &ExecConfig,
 ) -> Result<(Arc<RowSet>, bool), QueryError> {
     if let Some(rows) = cache.and_then(|c| c.lookup(&node.fingerprint)) {
         return Ok((rows, true));
     }
-    Ok((Arc::new(node.selection.try_eval(wh, jidx, origin)?), false))
+    let rows = Arc::new(node.selection.try_eval(wh, jidx, origin)?);
+    exec.charge("semijoin", rows.heap_bytes())?;
+    if let Some(cache) = cache {
+        cache.insert(node.fingerprint.clone(), Arc::clone(&rows));
+    }
+    Ok((rows, false))
 }
 
 /// Executes a plan from `origin`, AND-ing the node bitmaps.
@@ -243,21 +247,12 @@ pub fn execute_plan_traced(
     // Each (worker or serial) evaluation polls governance, then measures
     // its own wall time; the coordinator below records the leaves in plan
     // order, so the profile structure is identical at any thread count.
-    // Fresh bitmaps go through `execute_step_raw` and are committed to
-    // the cache only after EVERY node succeeded — an aborted plan leaves
-    // the cache exactly as it found it.
     type TimedStep = (Result<(Arc<RowSet>, bool), QueryError>, u64);
     let timed_step = |i: usize, node: &PlanNode| -> TimedStep {
         let t = exec.obs.timer();
         let result = exec
             .check_at("semijoin", i as u64, total_steps)
-            .and_then(|()| execute_step_raw(wh, jidx, origin, node, cache))
-            .and_then(|(bitmap, hit)| {
-                if !hit {
-                    exec.charge("semijoin", bitmap.heap_bytes())?;
-                }
-                Ok((bitmap, hit))
-            });
+            .and_then(|()| execute_step(wh, jidx, origin, node, cache, exec));
         (result, t.stop())
     };
     let results: Vec<TimedStep> = if exec.is_serial() || plan.nodes.len() < 2 {
@@ -278,12 +273,8 @@ pub fn execute_plan_traced(
     let profiling = exec.obs.is_profiling();
     let mut rows = RowSet::full(n);
     let mut traces = Vec::with_capacity(plan.nodes.len());
-    let mut fresh: Vec<(&Fingerprint, Arc<RowSet>)> = Vec::with_capacity(plan.nodes.len());
-    for (node, (result, step_ns)) in plan.nodes.iter().zip(results) {
+    for (result, step_ns) in results {
         let (bitmap, cache_hit) = result?;
-        if cache.is_some() && !cache_hit {
-            fresh.push((&node.fingerprint, bitmap.clone()));
-        }
         rows.intersect_with(&bitmap)?;
         if obs_on {
             if let Some(h) = &step_hist {
@@ -317,12 +308,6 @@ pub fn execute_plan_traced(
             actual_rows: bitmap.len(),
             cache_hit,
         });
-    }
-    // Every node succeeded: publish the fresh bitmaps.
-    if let Some(cache) = cache {
-        for (key, bitmap) in fresh {
-            cache.insert(key.clone(), bitmap);
-        }
     }
     Ok((rows, traces))
 }

@@ -297,7 +297,7 @@ impl PackedCodes {
     }
 
     /// Visits `(row, code)` for every row in `range`, in row order. Sealed
-    /// chunks covering at least [`BULK_DECODE_MIN`] rows of the range are
+    /// chunks covering at least `BULK_DECODE_MIN` (256) rows of the range are
     /// bulk-unpacked into a per-thread scratch buffer by the dispatched
     /// vectorized kernel; smaller slices decode one packed word at a time.
     pub fn for_each<F: FnMut(usize, Option<u32>)>(&self, range: Range<usize>, mut f: F) {

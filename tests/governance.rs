@@ -9,13 +9,13 @@ use std::collections::{BTreeSet, HashSet};
 
 use kdap_suite::core::facet::path_for_attr;
 use kdap_suite::core::{
-    materialize_planned, render_exploration, CancelToken, Kdap, KdapBuilder, KdapError,
-    QueryOptions, QueryRequest, StarNet, Verb,
+    render_exploration, CancelToken, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest,
+    StarNet, Verb,
 };
 use kdap_suite::datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
 };
-use kdap_suite::query::{ExecConfig, JoinPath};
+use kdap_suite::query::JoinPath;
 use kdap_suite::warehouse::{ColRef, Warehouse};
 
 const THREADS: [usize; 2] = [1, 4];
@@ -272,66 +272,74 @@ fn budget_breach_leaves_caches_unpoisoned() {
 /// Abort semantics, decided: **complete entries only, never partial**. A
 /// cancel injected at the *k*-th governance poll — for every *k* an
 /// explore reaches, so in the lookup's own poll, between semi-join steps
-/// and inside each facet scan — is the typed `Cancelled`, and leaves the
-/// session LRU's length, contents and eviction counter exactly as a
-/// session that never saw the request; the failed request's own lookup
-/// counts its one miss. Semi-join steps that completed before the breach
-/// stay committed: each is a complete bitmap any later query may use. The
-/// whole-dataspace memo keeps its length too, even for a victim whose
-/// roll-up is ALL and whose finished run does add groups.
+/// and inside each facet scan — is the typed `Cancelled`. Each *k* runs on
+/// a freshly warmed session. The abort leaves the session LRU's length,
+/// contents and eviction counter exactly as a session that never saw the
+/// request; the failed request's own lookup counts its one miss. The
+/// semi-join steps and whole-dataspace groups it finished stay behind,
+/// and change no answer: the victim, re-run ungoverned on the same
+/// session, renders byte-equal to a fresh session's answer.
 #[test]
 fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
-    let ebiz = || build_ebiz(EbizScale::small(), 7).unwrap();
-    let aw = || build_aw_online(Scale::small(), 42).unwrap();
+    let ebiz = build_ebiz(EbizScale::small(), 7).unwrap();
+    let aw = build_aw_online(Scale::small(), 42).unwrap();
     for threads in THREADS {
         for (wh, warm, victim) in [
-            (ebiz(), ["columbus", "premium"], "seattle lcd"),
-            (aw(), ["mountain", "california"], "mountain bikes"),
-            (aw(), ["mountain", "california"], "clothing"),
+            (&ebiz, ["columbus", "premium"], "seattle lcd"),
+            (&aw, ["mountain", "california"], "mountain bikes"),
+            (&aw, ["mountain", "california"], "clothing"),
         ] {
             // A full two-entry LRU: any commit would also evict.
-            let kdap = Kdap::builder(wh)
-                .cache_capacity(2)
-                .threads(threads)
-                .build()
-                .unwrap();
-            let explore = |keywords: &str| QueryRequest::new(Verb::Explore, keywords);
-            let control: Vec<String> = warm
-                .iter()
-                .map(|q| render_exploration(&kdap.run(&explore(q)).unwrap().exploration.unwrap()))
-                .collect();
-            assert_eq!(kdap.subspace_cache_len(), Some(2));
-
+            let session = || {
+                Kdap::builder(wh.clone())
+                    .cache_capacity(2)
+                    .threads(threads)
+                    .build()
+                    .unwrap()
+            };
+            let fresh = render(&session(), victim);
             let mut stages = BTreeSet::new();
-            let mut k = 0;
-            let memo = kdap.dataspace_groups_len();
-            loop {
-                k += 1;
+            for k in 1.. {
+                let context = format!("threads={threads} `{victim}` k={k}");
+                let kdap = session();
+                let control: Vec<String> = warm.iter().map(|q| render(&kdap, q)).collect();
+                assert_eq!(kdap.subspace_cache_len(), Some(2));
+                let memo = kdap.dataspace_groups_len();
                 let before = kdap.subspace_cache_counters().unwrap();
-                let steps = kdap.semijoin_cache_len().unwrap();
                 let token = CancelToken::cancelling_at_poll(k);
                 match kdap.run_cancellable(&explore(victim), Some(token)) {
                     Err(KdapError::Cancelled { stage }) => stages.insert(stage),
-                    // Poll k is past the query's last one: it ran to completion.
-                    Ok(_) => break,
-                    Err(other) => panic!("threads={threads} `{victim}` k={k}: {other:?}"),
+                    // Poll k is past the query's last one: it ran to
+                    // completion and committed its one complete entry, and
+                    // its whole-dataspace groups (`clothing` rolls up to ALL).
+                    Ok(response) => {
+                        let answer = response.exploration.unwrap();
+                        assert_eq!(render_exploration(&answer), fresh, "{context}");
+                        let end = kdap.subspace_cache_counters().unwrap();
+                        assert_eq!(kdap.subspace_cache_len(), Some(2), "{context}");
+                        assert_eq!(end.evictions, 1, "{context}");
+                        if victim == "clothing" {
+                            assert!(kdap.dataspace_groups_len() > memo, "{context}");
+                        }
+                        break;
+                    }
+                    Err(other) => panic!("{context}: {other:?}"),
                 };
-                let context = format!("threads={threads} `{victim}` k={k}");
                 let after = kdap.subspace_cache_counters().unwrap();
                 assert_eq!(kdap.subspace_cache_len(), Some(2), "{context}");
-                assert_eq!(kdap.dataspace_groups_len(), memo, "{context}");
                 assert_eq!(after.evictions, before.evictions, "{context}");
                 assert_eq!(after.hits, before.hits, "{context}");
                 assert!(after.misses - before.misses <= 1, "{context}");
-                assert!(kdap.semijoin_cache_len().unwrap() >= steps, "{context}");
                 // Contents: both warm entries are still there, and still right.
                 for (q, rendered) in warm.iter().zip(&control) {
-                    let again = kdap.run(&explore(q)).unwrap().exploration.unwrap();
-                    assert_eq!(&render_exploration(&again), rendered, "{context}");
+                    assert_eq!(&render(&kdap, q), rendered, "{context}");
                 }
                 let touched = kdap.subspace_cache_counters().unwrap();
                 assert_eq!(touched.hits, after.hits + 2, "{context}");
                 assert_eq!(touched.evictions, before.evictions, "{context}");
+                // What the abort left in the semi-join cache and the memo
+                // changes no answer.
+                assert_eq!(render(&kdap, victim), fresh, "{context}");
             }
             for stage in [
                 "generate_star_nets",
@@ -344,16 +352,19 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
                     "threads={threads} `{victim}`: no breach in `{stage}` among {stages:?}"
                 );
             }
-            // The request that finally ran committed its one complete entry,
-            // and its whole-dataspace groups (`clothing` rolls up to ALL).
-            let end = kdap.subspace_cache_counters().unwrap();
-            assert_eq!(kdap.subspace_cache_len(), Some(2));
-            assert_eq!(end.evictions, 1, "threads={threads} `{victim}`");
-            if victim == "clothing" {
-                assert!(kdap.dataspace_groups_len() > memo, "threads={threads}");
-            }
         }
     }
+}
+
+/// An ungoverned explore of `keywords`' top interpretation.
+fn explore(keywords: &str) -> QueryRequest {
+    QueryRequest::new(Verb::Explore, keywords)
+}
+
+/// The rendered answer of an ungoverned explore of `keywords` on `kdap`.
+fn render(kdap: &Kdap, keywords: &str) -> String {
+    let response = kdap.run(&explore(keywords)).unwrap();
+    render_exploration(&response.exploration.unwrap())
 }
 
 /// The `(attribute, join path)` facet candidates an explore of `net`
@@ -404,45 +415,50 @@ fn the_dataspace_memo_is_bounded_by_the_candidates() {
     }
 }
 
-/// The budget half of the same fault injection: one cached session
-/// explores a request under byte budgets `1 << k`, k = 0..=40, upward, so
-/// some budget breaches at each charge a cold explore makes. Every run is
-/// the answer or the typed `BudgetExceeded`, and until the first answer
-/// the session LRU and the whole-dataspace memo stay empty (`clothing`
-/// rolls up to ALL, so its answer fills the memo). Once a budget answers, every larger one
-/// does. A breach in the semi-join stage publishes whole plans only:
-/// either the semi-join cache is unchanged (the breach came in the
-/// subspace's own plan), or that plan finished and every one of its steps
-/// is cached (the breach came in a roll-up plan, whose other steps are
-/// the subspace's own).
+/// The budget half of the same fault injection: a request explores a cold
+/// session under byte budgets `1 << k`, k = 0..=40, one session per
+/// budget, so some budget breaches at each charge a cold explore makes.
+/// Every run is the answer or the typed `BudgetExceeded`, and once a
+/// budget answers, every larger one does. A breach commits nothing to the
+/// session LRU, and what it left in the semi-join cache and the memo
+/// changes no answer: the victim, re-run ungoverned on the same session,
+/// renders byte-equal to a fresh session's answer. (`clothing` rolls up to
+/// ALL, so its answer fills the memo.)
 #[test]
 fn a_budget_breach_at_any_charge_commits_no_partial_state() {
-    let ebiz = || build_ebiz(EbizScale::small(), 7).unwrap();
-    let aw = || build_aw_online(Scale::small(), 42).unwrap();
+    let ebiz = build_ebiz(EbizScale::small(), 7).unwrap();
+    let aw = build_aw_online(Scale::small(), 42).unwrap();
     for threads in THREADS {
         for (wh, victim) in [
-            (aw(), "mountain bikes"),
-            (ebiz(), "seattle lcd"),
-            (aw(), "clothing"),
+            (&aw, "mountain bikes"),
+            (&ebiz, "seattle lcd"),
+            (&aw, "clothing"),
         ] {
-            let kdap = Kdap::builder(wh)
-                .cache_capacity(2)
-                .threads(threads)
-                .build()
-                .unwrap();
-            let net = kdap.interpret(victim)[0].net.clone();
+            let session = || {
+                Kdap::builder(wh.clone())
+                    .cache_capacity(2)
+                    .threads(threads)
+                    .build()
+                    .unwrap()
+            };
+            let fresh = render(&session(), victim);
             let mut answered = None;
             let mut stages = BTreeSet::new();
             for k in 0..=40 {
                 let context = format!("threads={threads} `{victim}` budget=1<<{k}");
-                let steps = kdap.semijoin_cache_len();
+                let kdap = session();
                 let budget = QueryOptions {
                     budget_bytes: Some(1 << k),
                     ..QueryOptions::default()
                 };
                 match kdap.run(&governed(Verb::Explore, victim, budget)) {
-                    Ok(_) => {
+                    Ok(response) => {
                         answered.get_or_insert(k);
+                        let answer = response.exploration.unwrap();
+                        assert_eq!(render_exploration(&answer), fresh, "{context}");
+                        if victim == "clothing" {
+                            assert!(kdap.dataspace_groups_len() > 0, "{context}");
+                        }
                     }
                     Err(KdapError::BudgetExceeded {
                         stage,
@@ -452,36 +468,17 @@ fn a_budget_breach_at_any_charge_commits_no_partial_state() {
                         assert!(answered.is_none(), "{context}: breached after an answer");
                         assert_eq!(budget_bytes, 1 << k, "{context}");
                         assert!(charged_bytes > budget_bytes, "{context}");
-                        if stage == "semijoin" && kdap.semijoin_cache_len() != steps {
-                            let before = kdap.semijoin_counters().unwrap();
-                            let (wh, jidx) = (kdap.warehouse(), kdap.join_index());
-                            materialize_planned(
-                                wh,
-                                jidx,
-                                &net,
-                                kdap.planner(),
-                                &ExecConfig::serial(),
-                            )
-                            .unwrap();
-                            let after = kdap.semijoin_counters().unwrap();
-                            assert_eq!(after.misses, before.misses, "{context}");
-                        }
+                        assert_eq!(kdap.subspace_cache_len(), Some(0), "{context}");
+                        assert_eq!(render(&kdap, victim), fresh, "{context}");
                         stages.insert(stage);
                     }
                     Err(other) => panic!("{context}: {other:?}"),
-                }
-                if answered.is_none() {
-                    assert_eq!(kdap.subspace_cache_len(), Some(0), "{context}");
-                    assert_eq!(kdap.dataspace_groups_len(), 0, "{context}");
                 }
             }
             assert!(
                 answered.is_some(),
                 "threads={threads} `{victim}`: never answered"
             );
-            if victim == "clothing" {
-                assert!(kdap.dataspace_groups_len() > 0, "threads={threads}");
-            }
             for stage in ["semijoin", "multi_group_by"] {
                 assert!(
                     stages.contains(stage),

@@ -10,6 +10,7 @@ use kdap_suite::datagen::{
 };
 use kdap_suite::warehouse::{
     export_spec, load_warehouse, save_warehouse, Value, ValueType, Warehouse, WarehouseBuilder,
+    NULL_CODE,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -72,6 +73,48 @@ fn every_generator_roundtrips_to_the_dictionary_code() {
         &build_aw_reseller(Scale::small(), 7).unwrap(),
     );
     roundtrip("trends", &build_trends(TrendsScale::small(), 7).unwrap());
+}
+
+/// Every non-NULL code of every string column is below the column's
+/// cardinality — what lets the dense group-by index its array by code
+/// without a bounds fallback — in the built warehouse and after a save →
+/// load round trip.
+#[test]
+fn every_dictionary_code_is_below_its_column_cardinality() {
+    let warehouses = [
+        ("aw_online", build_aw_online(Scale::small(), 7).unwrap()),
+        ("aw_reseller", build_aw_reseller(Scale::small(), 7).unwrap()),
+        ("ebiz", build_ebiz(EbizScale::small(), 7).unwrap()),
+        ("trends", build_trends(TrendsScale::small(), 7).unwrap()),
+    ];
+    let mut codes = Vec::new();
+    for (tag, wh) in warehouses {
+        let dir = temp_dir(&format!("codes_{tag}"));
+        save_warehouse(&wh, &dir).unwrap();
+        let loaded = load_warehouse(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let mut checked = 0;
+        for (side, wh) in [("built", &wh), ("loaded", &loaded)] {
+            for t in wh.tables() {
+                for col in t.columns() {
+                    if !col.unpack_codes_into(&mut codes) {
+                        continue;
+                    }
+                    let card = col.cardinality().expect("a string column has codes");
+                    for (row, &code) in codes.iter().enumerate() {
+                        assert!(
+                            code == NULL_CODE || (code as usize) < card,
+                            "{tag} {side}: {}.{} row {row}: code {code}, cardinality {card}",
+                            t.name(),
+                            col.name()
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "{tag} has string columns");
+    }
 }
 
 #[test]

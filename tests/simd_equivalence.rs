@@ -4,8 +4,8 @@
 //! independent div/mod oracle kept below — and the batch group-by scan
 //! built on them must reproduce the row-at-a-time oracle of
 //! `tests/support` — across bit widths, container shapes, null bitmaps,
-//! thread counts, and the dense-array / hash-fallback / mid-scan
-//! promotion accumulator paths. On hosts without AVX2 the dispatched side
+//! thread counts, and the dense-array and hash-fallback accumulator
+//! paths. On hosts without AVX2 the dispatched side
 //! *is* the Scalar tier and those checks pass trivially; CI additionally
 //! runs the whole suite under `KDAP_NO_SIMD=1`.
 
@@ -17,8 +17,6 @@ use proptest::prelude::*;
 
 use kdap_suite::core::{materialize, Kdap};
 use kdap_suite::datagen::{build_aw_online, Scale};
-use kdap_suite::obs::Obs;
-use kdap_suite::query::aggregate_multi::multi_group_by_exec_sized;
 use kdap_suite::query::bitmap::BLOCK_ROWS;
 use kdap_suite::query::{
     multi_group_by_exec, Accumulator, ExecConfig, FacetGroups, FacetSpec, MeasureVector,
@@ -215,45 +213,6 @@ proptest! {
 // Group-by scan: row-at-a-time oracle vs dispatched batch scan
 // ---------------------------------------------------------------------
 
-/// Exact accumulator digest of one facet result: shape tag, then per
-/// touched group the presence count and the raw bit patterns of the
-/// accumulator fields. Untouched dense slots are skipped so a promoted
-/// (or hash-built) result digests identically to its dense twin.
-fn digest(fg: &FacetGroups) -> Vec<(u32, u64, u64, u64, u64, u64)> {
-    fn stat_row(key: u32, s: &kdap_suite::query::GroupStats) -> (u32, u64, u64, u64, u64, u64) {
-        (
-            key,
-            s.rows,
-            s.acc.count,
-            s.acc.sum.to_bits(),
-            s.acc.min.to_bits(),
-            s.acc.max.to_bits(),
-        )
-    }
-    match fg {
-        FacetGroups::Dense { stats } => stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.rows > 0 || s.acc.count > 0)
-            .map(|(i, s)| stat_row(i as u32, s))
-            .collect(),
-        FacetGroups::Sparse { stats } => {
-            let sorted: BTreeMap<u32, _> = stats.iter().map(|(k, v)| (*k, v)).collect();
-            sorted.iter().map(|(k, s)| stat_row(*k, s)).collect()
-        }
-        // Buckets keep zero slots: the series is positional.
-        FacetGroups::Buckets { stats } => stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| stat_row(i as u32, s))
-            .collect(),
-        FacetGroups::Domain { min, max, any } => {
-            vec![(u32::MAX, *any as u64, 0, min.to_bits(), max.to_bits(), 0)]
-        }
-        FacetGroups::Total { stats } => vec![stat_row(0, stats)],
-    }
-}
-
 /// The accumulators of a finished spec, keyed like the oracle's results
 /// (categorical: code; buckets: position; total: 0). Groups whose every
 /// measure value was NULL carry no accumulator on either side.
@@ -409,80 +368,6 @@ fn row_set_wider_than_the_measure_vector_is_a_typed_error() {
                 left: 70_000,
                 right: 60_000
             }
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mid-scan dense→sparse promotion (stale statistics)
-// ---------------------------------------------------------------------
-
-/// Drives the out-of-bounds promotion path deterministically: a dense
-/// array sized for one code while the column holds many forces every
-/// scan — serial and threaded — to promote mid-scan. The promoted result
-/// must equal the hash-path result bit-for-bit, and the
-/// `agg_dense_oob_fallback` counter must record the promotions.
-#[test]
-fn oob_promotion_matches_hash_path_under_threads() {
-    let kdap = &workload().serial;
-    let wh = kdap.warehouse();
-    let mv = MeasureVector::build(wh, kdap.measure());
-    let rows = RowSet::full(wh.fact_rows());
-    // A categorical spec whose domain has at least two codes, so a
-    // one-slot dense array must promote.
-    let spec = candidate_specs(kdap, &KeyWalker::new(wh), &rows)
-        .into_iter()
-        .map(|(_, s)| s)
-        .find(|s| {
-            let FacetSpec::Categorical { .. } = s else {
-                return false;
-            };
-            let groups = multi_group_by_exec(
-                wh,
-                std::slice::from_ref(s),
-                &rows,
-                &mv,
-                &ExecConfig::serial(),
-                DENSE_GROUP_LIMIT,
-            )
-            .unwrap();
-            groups[0].n_groups() >= 2
-        })
-        .expect("AW_ONLINE has a multi-valued categorical attribute");
-    let specs = vec![spec];
-    for threads in [1usize, 4] {
-        // Reference: plain hash path (dense disabled).
-        let hash = multi_group_by_exec(
-            wh,
-            &specs,
-            &rows,
-            &mv,
-            &ExecConfig::with_threads(threads),
-            0,
-        )
-        .unwrap();
-        let obs = Obs::enabled();
-        let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
-        let promoted =
-            multi_group_by_exec_sized(wh, &specs, &rows, &mv, &exec, DENSE_GROUP_LIMIT, Some(1))
-                .unwrap();
-        assert!(
-            matches!(promoted[0], FacetGroups::Sparse { .. }),
-            "dense array for 1 code must promote (threads={threads})"
-        );
-        assert_eq!(
-            digest(&promoted[0]),
-            digest(&hash[0]),
-            "promoted ≡ hash (threads={threads})"
-        );
-        let counters = obs.metrics_snapshot().counters;
-        let oob = counters
-            .get("query.agg_dense_oob_fallback")
-            .copied()
-            .unwrap_or(0);
-        assert!(
-            oob >= 1,
-            "promotion must be counted (threads={threads}): {counters:?}"
         );
     }
 }
