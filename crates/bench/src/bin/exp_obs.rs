@@ -25,13 +25,16 @@
 //! obs-on overhead exceeds `KDAP_OBS_MAX_OVERHEAD_PCT` (default 2%)
 //! plus the measured noise bound — the CI gate.
 //!
+//! A full run writes `results/BENCH_obs.json` (the committed copy);
+//! `--small` is a smoke run and writes `target/BENCH_obs.json`.
+//!
 //! Run:
 //!   cargo run --release -p kdap-bench --bin exp_obs
 //!   cargo run --release -p kdap-bench --bin exp_obs -- --small --repeats=5 --check
 
 use std::time::Instant;
 
-use kdap_bench::print_table;
+use kdap_bench::{print_table, stamp_json, write_bench_json};
 use kdap_core::{Exploration, Kdap, QueryRequest, StarNet, Verb};
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
@@ -279,12 +282,9 @@ fn main() {
         timer_ns,
         span_ns,
         max_overhead_pct,
+        small,
     );
-    let path = "results/BENCH_obs.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_obs.json", small, &json);
 
     if check {
         // The enabled recorder may legitimately cost a little; what must
@@ -313,9 +313,11 @@ fn render_json(
     timer_ns: f64,
     span_ns: f64,
     max_overhead_pct: f64,
+    small: bool,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"E13\",\n");
+    out.push_str(&format!("  {},\n", stamp_json(small)));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"repeats\": {repeats},\n"));
     out.push_str(&format!("  \"max_overhead_pct\": {max_overhead_pct},\n"));

@@ -37,13 +37,17 @@
 //! largest rung — the gate CI enforces at `--scale 10`, which fails a
 //! change that makes an explore super-linear in the data.
 //!
+//! A run up to the top rung (`--scale 200`) is a full run and writes
+//! `results/BENCH_scaling.json` (the committed copy); a shorter ladder is
+//! a smoke run and writes `target/BENCH_scaling.json`.
+//!
 //! Run:
 //!   cargo run --release -p kdap-bench --bin exp_scale -- --scale 10 --check
 //!   cargo run --release -p kdap-bench --bin exp_scale -- --scale 200   # ~12.1M facts
 
 use std::time::Instant;
 
-use kdap_bench::print_table;
+use kdap_bench::{print_table, stamp_json, write_bench_json};
 use kdap_core::{Kdap, StarNet};
 use kdap_datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_warehouse::Warehouse;
@@ -283,20 +287,18 @@ fn main() {
             .join(", ")
     );
 
+    // Only a ladder up to the top rung is a full run.
+    let smoke = ladder.last() != LADDER.last();
     let json = render_json(
         &rungs,
         &threads,
         repeats,
         budget_bytes,
-        facts_growth,
         matched,
         growth,
+        smoke,
     );
-    let path = "results/BENCH_scaling.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_scaling.json", smoke, &json);
 
     if check {
         assert!(
@@ -317,12 +319,14 @@ fn render_json(
     threads: &[usize],
     repeats: usize,
     budget_bytes: u64,
-    facts_growth: f64,
     matched: usize,
     growth: f64,
+    smoke: bool,
 ) -> String {
+    let facts_growth = rungs[rungs.len() - 1].facts as f64 / rungs[0].facts as f64;
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"E14\",\n");
+    out.push_str(&format!("  {},\n", stamp_json(smoke)));
     out.push_str("  \"generator\": \"aw_online\",\n");
     out.push_str(&format!("  \"budget_bytes\": {budget_bytes},\n"));
     out.push_str(&format!("  \"repeats\": {repeats},\n"));

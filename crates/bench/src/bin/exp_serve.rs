@@ -13,6 +13,9 @@
 //! non-2xx status) — the CI smoke gate. Admission-control 429s count as
 //! failures here because the drive rate is sized under `max_inflight`.
 //!
+//! A full run writes `results/BENCH_serve.json` (the committed copy);
+//! `--small` is a smoke run and writes `target/BENCH_serve.json`.
+//!
 //! Run:
 //!   cargo run --release -p kdap-bench --bin exp_serve
 //!   cargo run --release -p kdap-bench --bin exp_serve -- --small --clients=4 --check
@@ -23,7 +26,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
 
-use kdap_bench::print_table;
+use kdap_bench::{print_table, stamp_json, write_bench_json};
 use kdap_core::Kdap;
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
@@ -358,18 +361,15 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"E16\",\n  \"clients\": {clients},\n  \
-         \"requests\": {total},\n  \"wall_s\": {wall_s:.3},\n  \
+        "{{\n  \"experiment\": \"E16\",\n  {},\n  \
+         \"clients\": {clients},\n  \"requests\": {total},\n  \"wall_s\": {wall_s:.3},\n  \
          \"throughput_rps\": {:.1},\n  \"failures\": {failures},\n  \
          \"latencies\": [\n{}\n  ]\n}}\n",
+        stamp_json(small),
         total as f64 / wall_s,
         json_rows.join(",\n"),
     );
-    let path = "results/BENCH_serve.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_serve.json", small, &json);
 
     if check {
         assert!(

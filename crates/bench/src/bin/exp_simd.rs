@@ -1,25 +1,15 @@
-//! Experiment E15 — what the kernel tiers buy.
+//! Experiment E15 — what the fixed-trip unpack buys.
 //!
-//! `kdap_warehouse::kernel` keeps hand-written AVX2 for exactly three
-//! kernels, each behind a keep-bar: an arm stays only while it measures
-//! [`KEEP_BAR`]× over the Scalar tier (safe Rust) on this bench. The
-//! Scalar tier's own fixed-trip unpack is held to the same bar over the
-//! div/mod loop it replaced (the oracle of `tests/simd_equivalence.rs`,
-//! repeated here). All sides are bit-identical; this binary measures
-//! time only.
+//! `kdap_warehouse::kernel::unpack_words` decodes one packed word per
+//! fixed-trip loop, which LLVM vectorizes at the target's baseline
+//! width. It stays only while it measures [`KEEP_BAR`]× over the div/mod
+//! loop it replaced (the oracle of `tests/simd_equivalence.rs`, repeated
+//! here). Both sides are bit-identical; this binary measures time only.
 //!
-//! Rows, each interleaved round-robin with the best round kept, so
-//! frequency drift cancels:
-//!
-//! 1. `decode/<bits>b` — bulk unpack of one sealed chunk at each bit
-//!    width: oracle, Scalar tier, dispatched.
-//! 2. `bitmap/popcount`, `bitmap/run_starts` — the two canonicalization
-//!    counts over one container-sized word block: Scalar tier, dispatched.
-//!
-//! With `--check`, the run exits nonzero unless every row's dispatched
-//! side reaches the bar over Scalar (skipped when the active tier *is*
-//! Scalar, where both sides run the same code) and every decode row's
-//! Scalar side reaches it over the oracle.
+//! One row per bit width: bulk unpack of one sealed chunk, the two sides
+//! interleaved round-robin with the best round kept, so frequency drift
+//! cancels. With `--check`, the run exits nonzero unless every width's
+//! unpack reaches the bar over the oracle.
 //!
 //! A full run writes `results/BENCH_simd.json` (the committed copy);
 //! `--small` is a smoke run and writes `target/BENCH_simd.json`.
@@ -30,30 +20,24 @@
 
 use std::time::Instant;
 
-use kdap_bench::{host_json, print_table};
-use kdap_warehouse::kernel::{self, KernelTier};
+use kdap_bench::{print_table, stamp_json, write_bench_json};
+use kdap_warehouse::kernel;
 
-/// The speedup a SIMD arm (or the fixed-trip unpack) must show to stay.
+/// The speedup the fixed-trip unpack must show over the oracle to stay.
 const KEEP_BAR: f64 = 1.5;
 
-/// One kernel's timings, best round each, in ms.
+/// One bit width's timings, best round each, in ms.
 struct Row {
-    name: String,
-    /// The div/mod loop; decode rows only.
-    oracle_ms: Option<f64>,
-    scalar_ms: f64,
-    dispatched_ms: f64,
-    /// Work units per call (codes, words) for throughput context.
+    bits: u8,
+    oracle_ms: f64,
+    unpack_ms: f64,
+    /// Codes decoded per call, for throughput context.
     units: u64,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.scalar_ms / self.dispatched_ms
-    }
-
-    fn scalar_over_oracle(&self) -> Option<f64> {
-        self.oracle_ms.map(|o| o / self.scalar_ms)
+        self.oracle_ms / self.unpack_ms
     }
 }
 
@@ -84,7 +68,7 @@ fn words(n: usize, mut seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// The unpack the Scalar tier replaced: a divide, a modulo, a shift and a
+/// The unpack the fixed-trip loop replaced: a divide, a modulo, a shift and a
 /// mask per code.
 fn unpack_words_oracle(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
     let bits = bits as usize;
@@ -95,65 +79,31 @@ fn unpack_words_oracle(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
     }
 }
 
-fn bench_decode(repeats: usize, iters: usize, out: &mut Vec<Row>) {
+fn bench_decode(repeats: usize, iters: usize) -> Vec<Row> {
     const LEN: usize = 1 << 16; // one sealed chunk of codes
+    let mut rows = Vec::new();
     for bits in [1u8, 2, 4, 8, 16, 32] {
         let per_word = 64 / bits as usize;
         let src = words(LEN.div_ceil(per_word), bits as u64);
         let mut buf = vec![0u32; LEN];
-        let [oracle_ms, scalar_ms, dispatched_ms] = best_of(repeats, |side| {
+        let [oracle_ms, unpack_ms] = best_of(repeats, |side| {
             for _ in 0..iters {
-                match side {
-                    0 => unpack_words_oracle(&src, bits, LEN, &mut buf),
-                    1 => kernel::unpack_words_scalar(&src, bits, LEN, &mut buf),
-                    _ => kernel::unpack_words(&src, bits, LEN, &mut buf),
+                if side == 0 {
+                    unpack_words_oracle(&src, bits, LEN, &mut buf);
+                } else {
+                    kernel::unpack_words(&src, bits, LEN, &mut buf);
                 }
                 std::hint::black_box(&mut buf);
             }
         });
-        out.push(Row {
-            name: format!("decode/{bits}b"),
-            oracle_ms: Some(oracle_ms),
-            scalar_ms,
-            dispatched_ms,
+        rows.push(Row {
+            bits,
+            oracle_ms,
+            unpack_ms,
             units: (LEN * iters) as u64,
         });
     }
-}
-
-fn bench_counts(repeats: usize, iters: usize, out: &mut Vec<Row>) {
-    const WORDS: usize = 1024; // one bitmap container
-    let a = words(WORDS, 7);
-    type Count = fn(&[u64]) -> usize;
-    let kernels: [(&str, Count, Count); 2] = [
-        (
-            "bitmap/popcount",
-            kernel::popcount_words_scalar,
-            kernel::popcount_words,
-        ),
-        (
-            "bitmap/run_starts",
-            kernel::count_run_starts_scalar,
-            kernel::count_run_starts,
-        ),
-    ];
-    for (name, scalar, dispatched) in kernels {
-        let mut acc = 0usize;
-        let [scalar_ms, dispatched_ms] = best_of(repeats, |side| {
-            let count = if side == 0 { scalar } else { dispatched };
-            for _ in 0..iters {
-                acc = acc.wrapping_add(count(std::hint::black_box(&a)));
-            }
-            std::hint::black_box(acc);
-        });
-        out.push(Row {
-            name: name.to_string(),
-            oracle_ms: None,
-            scalar_ms,
-            dispatched_ms,
-            units: (WORDS * iters) as u64,
-        });
-    }
+    rows
 }
 
 fn main() {
@@ -165,43 +115,24 @@ fn main() {
         .find_map(|a| a.strip_prefix("--repeats="))
         .and_then(|v| v.parse().ok())
         .unwrap_or(if small { 3 } else { 9 });
-    let micro_iters = if small { 50 } else { 400 };
+    let iters = if small { 50 } else { 400 };
 
-    let active = kernel::active_tier();
     println!(
-        "## E15 — kernel tiers (detected {}, active {active}, features [{}])\n",
-        kernel::detected_tier(),
+        "## E15 — fixed-trip unpack over the div/mod oracle (features [{}])\n",
         kernel::detected_features().join(", ")
     );
-    if active == KernelTier::Scalar {
-        println!(
-            "active tier is Scalar ({}): dispatched ≡ scalar, so only the scalar-over-oracle \
-             gate applies\n",
-            if kernel::simd_disabled_by_env() {
-                "KDAP_NO_SIMD set"
-            } else {
-                "no AVX2 detected"
-            }
-        );
-    }
-
-    let mut rows = Vec::new();
-    bench_decode(repeats, micro_iters, &mut rows);
-    bench_counts(repeats, micro_iters * 16, &mut rows);
+    let rows = bench_decode(repeats, iters);
 
     let ms = |v: f64| format!("{v:.3}");
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.name.clone(),
-                r.oracle_ms.map_or("—".to_string(), ms),
-                ms(r.scalar_ms),
-                ms(r.dispatched_ms),
-                r.scalar_over_oracle()
-                    .map_or("—".to_string(), |x| format!("{x:.2}x")),
+                format!("decode/{}b", r.bits),
+                ms(r.oracle_ms),
+                ms(r.unpack_ms),
                 format!("{:.2}x", r.speedup()),
-                format!("{:.0}", r.units as f64 / (r.dispatched_ms * 1e3)),
+                format!("{:.0}", r.units as f64 / (r.unpack_ms * 1e3)),
             ]
         })
         .collect();
@@ -209,76 +140,53 @@ fn main() {
         &[
             "kernel",
             "oracle ms",
-            "scalar ms",
-            "dispatched ms",
-            "scalar/oracle",
-            "dispatched/scalar",
-            "Munits/s",
+            "unpack ms",
+            "unpack/oracle",
+            "Mcodes/s",
         ],
         &table,
     );
 
-    let json = render_json(&rows, repeats, small);
-    let path = if small {
-        "target/BENCH_simd.json"
-    } else {
-        "results/BENCH_simd.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json(
+        "BENCH_simd.json",
+        small,
+        &render_json(&rows, repeats, small),
+    );
 
     if check {
-        let mut failures = Vec::new();
-        for r in &rows {
-            if active != KernelTier::Scalar && r.speedup() < KEEP_BAR {
-                failures.push(format!(
-                    "{} {active} {:.2}x over scalar",
-                    r.name,
-                    r.speedup()
-                ));
-            }
-            if let Some(x) = r.scalar_over_oracle().filter(|&x| x < KEEP_BAR) {
-                failures.push(format!("{} scalar {x:.2}x over oracle", r.name));
-            }
-        }
+        let failures: Vec<String> = rows
+            .iter()
+            .filter(|r| r.speedup() < KEEP_BAR)
+            .map(|r| format!("decode/{}b {:.2}x over oracle", r.bits, r.speedup()))
+            .collect();
         assert!(
             failures.is_empty(),
             "below the {KEEP_BAR}x keep-bar: {}",
             failures.join("; ")
         );
-        println!("\ncheck passed: every gated ratio ≥ {KEEP_BAR}x (tier {active})");
+        println!("\ncheck passed: every width's unpack ≥ {KEEP_BAR}x over the oracle");
     }
 }
 
 fn render_json(rows: &[Row], repeats: usize, small: bool) -> String {
-    let num = |v: Option<f64>, digits: usize| match v {
-        Some(v) => format!("{v:.digits$}"),
-        None => "null".to_string(),
-    };
     let kernels: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\": \"{}\", \"oracle_ms\": {}, \"scalar_ms\": {:.4}, \
-                 \"dispatched_ms\": {:.4}, \"scalar_over_oracle\": {}, \
-                 \"dispatched_over_scalar\": {:.3}, \"units_per_call\": {}}}",
-                r.name,
-                num(r.oracle_ms, 4),
-                r.scalar_ms,
-                r.dispatched_ms,
-                num(r.scalar_over_oracle(), 3),
+                "    {{\"name\": \"decode/{}b\", \"oracle_ms\": {:.4}, \"unpack_ms\": {:.4}, \
+                 \"unpack_over_oracle\": {:.3}, \"units_per_call\": {}}}",
+                r.bits,
+                r.oracle_ms,
+                r.unpack_ms,
                 r.speedup(),
                 r.units,
             )
         })
         .collect();
     format!(
-        "{{\n  \"experiment\": \"E15\",\n  \"profile\": \"{}\",\n  \"host\": {},\n  \
+        "{{\n  \"experiment\": \"E15\",\n  {},\n  \
          \"repeats\": {repeats},\n  \"keep_bar\": {KEEP_BAR},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        if small { "smoke" } else { "full" },
-        host_json(),
+        stamp_json(small),
         kernels.join(",\n"),
     )
 }

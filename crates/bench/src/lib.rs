@@ -5,6 +5,8 @@
 //! micro-benchmarks. See DESIGN.md for the experiment ↔ binary map and
 //! EXPERIMENTS.md for recorded outputs.
 
+#![forbid(unsafe_code)]
+
 use kdap_core::{RankedStarNet, StarNet};
 use kdap_datagen::LabeledQuery;
 use kdap_query::{
@@ -318,11 +320,21 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The `"host"` object every committed `results/BENCH_*.json` carries, so
-/// a number can be traced to the machine and commit that produced it:
-/// cores, CPU features, detected and active kernel tier, git sha
-/// (`-dirty` when the tree has uncommitted changes), UTC date.
-pub fn host_json() -> String {
+/// The `"profile"` and `"host"` members every `BENCH_*.json` opens with
+/// (no braces, two-space indent): `smoke` or `full`, so a smoke run is
+/// never mistaken for a committed one, and the host that produced it.
+pub fn stamp_json(smoke: bool) -> String {
+    format!(
+        "\"profile\": \"{}\",\n  \"host\": {}",
+        if smoke { "smoke" } else { "full" },
+        host_json()
+    )
+}
+
+/// The `"host"` object, so a number can be traced to the machine and
+/// commit that produced it: cores, CPU features, git sha (`-dirty` when
+/// the tree has uncommitted changes), UTC date.
+fn host_json() -> String {
     let git_sha = std::process::Command::new("git")
         .args([
             "describe",
@@ -345,14 +357,24 @@ pub fn host_json() -> String {
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     format!(
-        "{{\"available_parallelism\": {}, \"cpu_features\": [{}], \"detected_tier\": \"{}\", \
-         \"kernel_tier\": \"{}\", \"git_sha\": \"{git_sha}\", \"utc_date\": \"{}\"}}",
+        "{{\"available_parallelism\": {}, \"cpu_features\": [{}], \"git_sha\": \"{git_sha}\", \
+         \"utc_date\": \"{}\"}}",
         std::thread::available_parallelism().map_or(1, usize::from),
         features.join(", "),
-        kdap_core::kernel::detected_tier(),
-        kdap_core::kernel::active_tier(),
         utc_date(unix_secs),
     )
+}
+
+/// Writes an experiment's JSON: a full run to `results/<file>` (the
+/// committed copy), a smoke run to `target/<file>`, so a smoke run never
+/// replaces a committed number. Paths are relative to the working
+/// directory; a failed write is reported, not fatal.
+pub fn write_bench_json(file: &str, smoke: bool, json: &str) {
+    let path = format!("{}/{file}", if smoke { "target" } else { "results" });
+    match std::fs::write(&path, json) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
 }
 
 /// `YYYY-MM-DD` of a Unix timestamp (proleptic Gregorian, UTC).
@@ -382,8 +404,6 @@ mod tests {
         for key in [
             "available_parallelism",
             "cpu_features",
-            "detected_tier",
-            "kernel_tier",
             "git_sha",
             "utc_date",
         ] {

@@ -10,6 +10,8 @@
 //! kdap --spec my_warehouse.spec    # your data
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod command;
 pub mod repl;
 pub mod stats;

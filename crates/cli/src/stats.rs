@@ -68,15 +68,8 @@ pub fn stats_text(kdap: &Kdap) -> String {
         h.arrays, h.bitmaps, h.runs
     ));
     out.push_str(&format!(
-        "kernels: {} active ({} detected: {}){}\n",
-        kdap_core::kernel::active_tier().name(),
-        kdap_core::kernel::detected_tier().name(),
+        "cpu features: {}\n",
         kdap_core::kernel::detected_features().join(", "),
-        if kdap_core::kernel::simd_disabled_by_env() {
-            "  [KDAP_NO_SIMD]"
-        } else {
-            ""
-        },
     ));
     out
 }
@@ -140,16 +133,12 @@ pub fn stats_json(kdap: &Kdap) -> String {
         h.arrays, h.bitmaps, h.runs
     ));
     out.push_str(&format!(
-        ",\n  \"kernel\": {{\"active\": \"{}\", \"detected\": \"{}\", \"features\": [{}], \
-         \"no_simd_env\": {}}}",
-        kdap_core::kernel::active_tier().name(),
-        kdap_core::kernel::detected_tier().name(),
+        ",\n  \"cpu_features\": [{}]",
         kdap_core::kernel::detected_features()
             .iter()
             .map(|f| format!("\"{f}\""))
             .collect::<Vec<_>>()
             .join(", "),
-        kdap_core::kernel::simd_disabled_by_env(),
     ));
     // Session metrics, encoded by the same snapshot encoder the server's
     // `GET /v1/{tenant}/stats` uses — identical shape in both surfaces.
@@ -182,14 +171,7 @@ mod tests {
         assert!(out.contains("semi-join cache:"), "{out}");
         assert!(out.contains("KB compressed"), "{out}");
         assert!(out.contains("rowset containers:"), "{out}");
-        assert!(out.contains("kernels:"), "{out}");
-        assert!(
-            out.contains(&format!(
-                "{} detected",
-                kdap_core::kernel::detected_tier().name()
-            )),
-            "{out}"
-        );
+        assert!(out.contains("cpu features:"), "{out}");
     }
 
     #[test]
@@ -202,17 +184,10 @@ mod tests {
         assert!(out.contains("\"subspace_cache\""), "{out}");
         assert!(out.contains("\"heap_bytes\""), "{out}");
         assert!(out.contains("\"rowset_containers\""), "{out}");
-        assert!(out.contains("\"kernel\""), "{out}");
+        assert!(out.contains("\"cpu_features\""), "{out}");
         assert!(out.contains("\"metrics\""), "{out}");
         assert!(out.contains("\"counters\""), "{out}");
         assert!(out.contains("\"histograms\""), "{out}");
-        assert!(
-            out.contains(&format!(
-                "\"active\": \"{}\"",
-                kdap_core::kernel::active_tier().name()
-            )),
-            "{out}"
-        );
         assert_eq!(
             out.matches('{').count(),
             out.matches('}').count(),

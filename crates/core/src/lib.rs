@@ -56,8 +56,8 @@ pub use subspace::{materialize, materialize_planned, Subspace};
 
 pub use kdap_query::kernel;
 pub use kdap_query::{
-    Breach, ContainerHistogram, ExecConfig, Fingerprint, KernelTier, LogicalPlan, MeasureVector,
-    QueryContext, SemijoinCache,
+    Breach, ContainerHistogram, ExecConfig, Fingerprint, LogicalPlan, MeasureVector, QueryContext,
+    SemijoinCache,
 };
 
 pub use kdap_obs::{CacheCounters, CacheOutcome, MetricsSnapshot, Obs, ProfileNode, QueryProfile};

@@ -39,7 +39,7 @@ use crate::aggregate::{Accumulator, AggFunc, Bucketizer, AGG_CHUNK_WORDS};
 use crate::bitmap::RowSet;
 use crate::error::QueryError;
 use crate::exec::{chunk_ranges, par_map, ExecConfig};
-use crate::kernel::{self, KernelTier, NULL_CODE};
+use crate::kernel::NULL_CODE;
 use crate::semijoin::RowMapper;
 
 /// Default dictionary-cardinality cutoff for the dense accumulator path.
@@ -455,11 +455,11 @@ fn accumulate_sparse(
 ///
 /// Each chunk runs as a **batch**: the selected row indices are collected
 /// into a reusable buffer, their measure values gathered in one pass
-/// against predecoded attribute columns (bulk-unpacked through the
-/// dispatched [`kernel::unpack_words`]), and the per-spec accumulation
-/// runs as a tight loop per spec over those buffers. Every gathered row
-/// is visited in ascending order and floating-point accumulation stays
-/// strictly sequential per group, so every kernel tier produces the same
+/// against predecoded attribute columns (bulk-unpacked through
+/// [`crate::kernel::unpack_words`]), and the per-spec accumulation runs as a
+/// tight loop per spec over those buffers. Every gathered row is visited
+/// in ascending order and floating-point accumulation stays strictly
+/// sequential per group, so the scan produces the row-at-a-time oracle's
 /// bits (`tests/simd_equivalence.rs`).
 ///
 /// Governance (when `exec` carries a [`crate::QueryContext`]) is polled
@@ -652,8 +652,6 @@ pub fn multi_group_by_exec(
             .count();
         exec.obs.inc("query.agg_dense_dispatch", dense as u64);
         exec.obs.inc("query.agg_hash_dispatch", hash as u64);
-        // Which kernel tier the unpack kernels dispatched to.
-        exec.obs.inc(tier_metric_name(kernel::active_tier()), 1);
     }
     if exec.obs.is_profiling() {
         let dense = merged.iter().filter(|g| g.is_dense()).count();
@@ -673,21 +671,11 @@ pub fn multi_group_by_exec(
                     ("chunks".into(), partials.len().to_string()),
                     ("dense".into(), dense.to_string()),
                     ("hash".into(), hash.to_string()),
-                    ("kernel".into(), kernel::active_tier().name().to_string()),
                 ],
             },
         );
     }
     Ok(merged)
-}
-
-/// The per-tier dispatch counter name as a static string, so the hot
-/// path never formats one.
-fn tier_metric_name(tier: KernelTier) -> &'static str {
-    match tier {
-        KernelTier::Scalar => "query.kernel_tier.scalar",
-        KernelTier::Avx2 => "query.kernel_tier.avx2",
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@
 //! kernels and their thread-count-invariant results working on top.
 
 use crate::error::QueryError;
-use crate::kernel;
 
 /// Rows per block: matches the warehouse chunk size so one block of rows
 /// corresponds to one packed column chunk.
@@ -73,6 +72,23 @@ enum Container {
     Run(Vec<(u16, u16)>),
 }
 
+/// Total set bits in `words`.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Number of 0→1 transitions across `words` — the bitmap's run count,
+/// carrying the top bit across word boundaries.
+fn count_run_starts(words: &[u64]) -> usize {
+    let mut n = 0usize;
+    let mut carry = 0u64;
+    for &w in words {
+        n += (w & !((w << 1) | carry)).count_ones() as usize;
+        carry = w >> 63;
+    }
+    n
+}
+
 /// Sets bits `s..=e` in `words`.
 fn set_bit_range(words: &mut [u64], s: usize, e: usize) {
     let (sw, sb) = (s / 64, s % 64);
@@ -102,7 +118,7 @@ impl Container {
     fn cardinality(&self) -> usize {
         match self {
             Container::Array(a) => a.len(),
-            Container::Bitmap(w) => kernel::popcount_words(w),
+            Container::Bitmap(w) => popcount(w),
             Container::Run(rs) => rs.iter().map(|&(s, e)| e as usize - s as usize + 1).sum(),
         }
     }
@@ -191,15 +207,15 @@ impl Container {
         }
     }
 
-    /// Builds the canonical (smallest) container for the given words.
-    /// The two counting passes (popcount, 0→1 run transitions) run
-    /// through the dispatched vectorized kernels.
+    /// Builds the canonical container for the given words: a run list
+    /// when it is strictly smaller than both other forms, else an array
+    /// up to [`ARRAY_MAX`] rows, else the bitmap.
     fn from_words(words: &[u64]) -> Container {
-        let card = kernel::popcount_words(words);
+        let card = popcount(words);
         if card == 0 {
             return Container::empty();
         }
-        let n_runs = kernel::count_run_starts(words);
+        let n_runs = count_run_starts(words);
         let run_bytes = n_runs * 4;
         let array_bytes = card * 2;
         let bitmap_bytes = words.len() * 8;
@@ -670,6 +686,15 @@ impl Iterator for RowIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_starts_carry_across_words() {
+        assert_eq!(count_run_starts(&[0b0110]), 1);
+        // A run spanning two words is one run.
+        assert_eq!(count_run_starts(&[1 << 63, 1]), 1);
+        assert_eq!(count_run_starts(&[1 << 63, 2]), 2);
+        assert_eq!(count_run_starts(&[]), 0);
+    }
 
     #[test]
     fn empty_and_full() {

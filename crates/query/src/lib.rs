@@ -28,7 +28,7 @@ pub use bitmap::{ContainerHistogram, RowSet};
 pub use error::QueryError;
 pub use exec::{chunk_ranges, par_map, ExecConfig};
 pub use govern::{Breach, QueryContext};
-pub use kdap_warehouse::kernel::{self, KernelTier};
+pub use kdap_warehouse::kernel;
 pub use path::{fact_paths_by_table, paths_between, JoinPath, MAX_PATH_LEN};
 pub use plan::{
     execute_plan, execute_plan_traced, Fingerprint, LogicalPlan, PlanNode, SemijoinCache, StepTrace,

@@ -136,16 +136,12 @@ impl TenantEngine {
             h.arrays, h.bitmaps, h.runs
         ));
         out.push_str(&format!(
-            "  \"kernel\": {{\"active\": \"{}\", \"detected\": \"{}\", \"features\": [{}], \
-             \"no_simd_env\": {}}},\n",
-            kdap_core::kernel::active_tier().name(),
-            kdap_core::kernel::detected_tier().name(),
+            "  \"cpu_features\": [{}],\n",
             kdap_core::kernel::detected_features()
                 .iter()
                 .map(|f| format!("\"{f}\""))
                 .collect::<Vec<_>>()
                 .join(", "),
-            kdap_core::kernel::simd_disabled_by_env(),
         ));
         let wh = self.kdap.warehouse();
         out.push_str("  \"tables\": [");
@@ -288,12 +284,7 @@ mod tests {
         assert!(out.contains("\"semijoin\": {\"len\": 0"), "{out}");
         assert!(out.contains("\"rowset_containers\""), "{out}");
         assert!(out.contains("\"heap_bytes\""), "{out}");
-        let tier = kdap_core::kernel::active_tier().name();
-        assert!(
-            out.contains(&format!("\"kernel\": {{\"active\": \"{tier}\"")),
-            "{out}"
-        );
-        assert!(out.contains("\"no_simd_env\""), "{out}");
+        assert!(out.contains("\"cpu_features\": ["), "{out}");
         assert_eq!(out.matches('{').count(), out.matches('}').count(), "{out}");
     }
 }

@@ -3,7 +3,7 @@
 //! access logging, and endpoint metrics.
 //!
 //! ```text
-//! GET  /healthz                    liveness + version/uptime/kernel/totals
+//! GET  /healthz                    liveness + version/uptime/totals
 //! GET  /metrics                    Prometheus exposition, all tenants
 //! GET  /v1/{tenant}/stats          tenant metrics + cache state
 //! GET  /v1/{tenant}/slow           slow-query ledger
@@ -178,16 +178,15 @@ fn route_inner(
 }
 
 /// The `/healthz` body. Keeps the `"status": "ok"` shape older clients
-/// substring-match on, and adds version, uptime, kernel tier, tenant
-/// count, and the connection and request totals since start (this
-/// request included) — their ratio is the connection reuse.
+/// substring-match on, and adds version, uptime, tenant count, and the
+/// connection and request totals since start (this request included) —
+/// their ratio is the connection reuse.
 fn healthz_json(state: &ServerState) -> String {
     format!(
         "{{\"status\": \"ok\", \"version\": \"{}\", \"uptime_s\": {}, \
-         \"kernel\": \"{}\", \"tenants\": {}, \"connections\": {}, \"requests\": {}}}\n",
+         \"tenants\": {}, \"connections\": {}, \"requests\": {}}}\n",
         env!("CARGO_PKG_VERSION"),
         state.started.elapsed().as_secs(),
-        kdap_core::kernel::active_tier().name(),
         state.registry.len(),
         state.connections.load(Ordering::Relaxed),
         state.requests.load(Ordering::Relaxed),

@@ -110,7 +110,7 @@ impl CodeChunk {
         Some(((self.words[i / per_word] >> ((i % per_word) * bits)) & mask) as u32)
     }
 
-    /// Bulk-decodes rows `[0, len)` into `out[..len]` via the dispatched
+    /// Bulk-decodes rows `[0, len)` into `out[..len]` via the bulk-unpack
     /// kernel, overwriting NULL rows with [`kernel::NULL_CODE`].
     fn unpack_into(&self, out: &mut [u32]) {
         let len = self.len as usize;
@@ -298,8 +298,8 @@ impl PackedCodes {
 
     /// Visits `(row, code)` for every row in `range`, in row order. Sealed
     /// chunks covering at least `BULK_DECODE_MIN` (256) rows of the range are
-    /// bulk-unpacked into a per-thread scratch buffer by the dispatched
-    /// vectorized kernel; smaller slices decode one packed word at a time.
+    /// bulk-unpacked into a per-thread scratch buffer by the vectorized
+    /// kernel; smaller slices decode one packed word at a time.
     pub fn for_each<F: FnMut(usize, Option<u32>)>(&self, range: Range<usize>, mut f: F) {
         let start = range.start.min(self.len());
         let end = range.end.min(self.len());
@@ -338,7 +338,7 @@ impl PackedCodes {
 
     /// Bulk-decodes the whole store into `out` (cleared first): one `u32`
     /// per row, NULL rows as [`kernel::NULL_CODE`]. Sealed chunks decode
-    /// through the dispatched vectorized kernel.
+    /// through the vectorized kernel.
     ///
     /// The sentinel makes this unsuitable for stores that legitimately
     /// contain the code `u32::MAX`; dictionary-encoded columns never do

@@ -269,7 +269,7 @@ impl Column {
 
     /// Bulk-decodes a string column's codes into `out` (cleared first):
     /// one `u32` per row, NULL rows as [`crate::kernel::NULL_CODE`],
-    /// decoded through the dispatched vectorized kernel. Returns `false`
+    /// decoded through the vectorized kernel. Returns `false`
     /// (leaving `out` empty) for numeric columns.
     pub fn unpack_codes_into(&self, out: &mut Vec<u32>) -> bool {
         match &self.data {

@@ -38,7 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builder;
@@ -48,7 +48,6 @@ pub mod column;
 pub mod csv;
 pub mod describe;
 pub mod error;
-#[allow(unsafe_code)]
 pub mod kernel;
 pub mod keys;
 pub mod schema;
@@ -64,7 +63,7 @@ pub use column::{Column, ColumnData, StrDict};
 pub use csv::{export_table, load_csv_table};
 pub use describe::describe;
 pub use error::WarehouseError;
-pub use kernel::{KernelTier, NULL_CODE};
+pub use kernel::NULL_CODE;
 pub use keys::KeyRows;
 pub use schema::{
     AttrKind, ColRef, DimId, Dimension, EdgeId, FkEdge, GroupByCandidate, Hierarchy, Measure,

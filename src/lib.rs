@@ -10,6 +10,8 @@
 //! assert!(!interpretations.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use kdap_core as core;
 pub use kdap_datagen as datagen;
 pub use kdap_obs as obs;

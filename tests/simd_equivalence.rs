@@ -1,13 +1,11 @@
-//! The kernel tier is an *execution* strategy, never a *semantics*
-//! change: each dispatched kernel (bit-unpack, popcount, run-start count)
-//! must reproduce the Scalar tier bit-for-bit — and, for unpack, the
-//! independent div/mod oracle kept below — and the batch group-by scan
-//! built on them must reproduce the row-at-a-time oracle of
-//! `tests/support` — across bit widths, container shapes, null bitmaps,
-//! thread counts, and the dense-array and hash-fallback accumulator
-//! paths. On hosts without AVX2 the dispatched side
-//! *is* the Scalar tier and those checks pass trivially; CI additionally
-//! runs the whole suite under `KDAP_NO_SIMD=1`.
+//! The vectorized scan is an *execution* strategy, never a *semantics*
+//! change: the fixed-trip bit-unpack must reproduce the independent
+//! div/mod oracle kept below, row sets must answer as a boolean-vector
+//! model and canonicalize to the form their counts say, and the batch
+//! group-by scan built on them must reproduce the row-at-a-time oracle
+//! of `tests/support` bit-for-bit — across bit widths, container shapes,
+//! null bitmaps, thread counts, and the dense-array and hash-fallback
+//! accumulator paths.
 
 mod support;
 
@@ -17,10 +15,10 @@ use proptest::prelude::*;
 
 use kdap_suite::core::{materialize, Kdap};
 use kdap_suite::datagen::{build_aw_online, Scale};
-use kdap_suite::query::bitmap::BLOCK_ROWS;
+use kdap_suite::query::bitmap::{ARRAY_MAX, BLOCK_ROWS};
 use kdap_suite::query::{
-    multi_group_by_exec, Accumulator, ExecConfig, FacetGroups, FacetSpec, MeasureVector,
-    QueryError, RowSet, DENSE_GROUP_LIMIT,
+    multi_group_by_exec, Accumulator, ContainerHistogram, ExecConfig, FacetGroups, FacetSpec,
+    MeasureVector, QueryError, RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_suite::warehouse::kernel;
 
@@ -60,13 +58,12 @@ fn unpack_words_oracle(words: &[u64], bits: u8, len: usize, out: &mut [u32]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bulk bit-unpack, three ways: the div/mod oracle, the Scalar tier
-    /// and the dispatched kernel agree for every supported width, at
-    /// every length (including empty and partial final words), from every
-    /// word offset a chunked decode starts at, and null-sentinel
-    /// application on top yields identical buffers.
+    /// Bulk bit-unpack agrees with the div/mod oracle for every supported
+    /// width, at every length (including empty and partial final words),
+    /// from every word offset a chunked decode starts at, and
+    /// null-sentinel application on top yields identical buffers.
     #[test]
-    fn unpack_dispatch_matches_scalar(
+    fn unpack_matches_the_div_mod_oracle(
         bits in proptest::sample::select(vec![1u8, 2, 4, 8, 16, 32]),
         len in 0usize..3000,
         // 0..3: land within one code of a word boundary; else keep `len`.
@@ -88,40 +85,19 @@ proptest! {
             (0..word_start + len.div_ceil(per_word) + 3).map(|_| next()).collect();
         let src = &words[word_start..];
         let mut oracle = vec![0u32; len];
-        let mut scalar = vec![0x5555_5555u32; len];
-        let mut dispatched = vec![0xAAAA_AAAAu32; len];
+        let mut unpacked = vec![0xAAAA_AAAAu32; len];
         unpack_words_oracle(src, bits, len, &mut oracle);
-        kernel::unpack_words_scalar(src, bits, len, &mut scalar);
-        kernel::unpack_words(src, bits, len, &mut dispatched);
-        prop_assert_eq!(&oracle, &scalar);
-        prop_assert_eq!(&oracle, &dispatched);
+        kernel::unpack_words(src, bits, len, &mut unpacked);
+        prop_assert_eq!(&oracle, &unpacked);
         // Null sentinel on top: exactly the null rows read NULL_CODE.
         let null_words: Vec<u64> = (0..len.div_ceil(64))
             .map(|_| if null_every == 0 { 0 } else { next() })
             .collect();
-        kernel::apply_null_sentinel(&null_words, &mut dispatched);
-        for (i, (&got, &code)) in dispatched.iter().zip(&oracle).enumerate() {
+        kernel::apply_null_sentinel(&null_words, &mut unpacked);
+        for (i, (&got, &code)) in unpacked.iter().zip(&oracle).enumerate() {
             let is_null = null_words[i / 64] >> (i % 64) & 1 == 1;
             prop_assert_eq!(got, if is_null { kernel::NULL_CODE } else { code }, "row {}", i);
         }
-    }
-
-    /// Canonicalization counts: popcount and run-start counting match the
-    /// Scalar tier on random word blocks of every length up to beyond one
-    /// container, with long runs spliced in so carries cross words.
-    #[test]
-    fn word_ops_dispatch_matches_scalar(
-        n_words in 0usize..1100,
-        seed in any::<u64>(),
-        solid in 0usize..64,
-    ) {
-        let mut next = splitmix(seed);
-        let mut a: Vec<u64> = (0..n_words).map(|_| next()).collect();
-        for w in a.iter_mut().skip(seed as usize % 7).take(solid) {
-            *w = u64::MAX;
-        }
-        prop_assert_eq!(kernel::popcount_words_scalar(&a), kernel::popcount_words(&a));
-        prop_assert_eq!(kernel::count_run_starts_scalar(&a), kernel::count_run_starts(&a));
     }
 }
 
@@ -167,12 +143,43 @@ fn fill_block(set: &mut RowSet, model: &mut [bool], block: usize, shape: u8, see
     }
 }
 
+/// A canonical set holds, per block, the form the model's counts make
+/// smallest: runs (4 bytes each) when they undercut both an array
+/// (2 bytes per row) and the bitmap (8 bytes per word), else an array up
+/// to `ARRAY_MAX` rows, else the bitmap — the order in which
+/// `RowSet::from_words` breaks ties. `heap_bytes` is those forms' sizes
+/// on top of an empty set's block table.
+fn check_canonical_forms(set: &RowSet, model: &[bool]) {
+    let mut want = ContainerHistogram::default();
+    let mut bytes = RowSet::empty(model.len()).heap_bytes();
+    for block in model.chunks(BLOCK_ROWS) {
+        let card = block.iter().filter(|&&x| x).count();
+        let runs = (0..block.len())
+            .filter(|&i| block[i] && (i == 0 || !block[i - 1]))
+            .count();
+        let words = block.len().div_ceil(64);
+        let (form, size) = if card == 0 {
+            (&mut want.arrays, 0)
+        } else if runs * 4 < (card * 2).min(words * 8) {
+            (&mut want.runs, runs * 4)
+        } else if card <= ARRAY_MAX {
+            (&mut want.arrays, card * 2)
+        } else {
+            (&mut want.bitmaps, words * 8)
+        };
+        *form += 1;
+        bytes += size as u64;
+    }
+    assert_eq!(set.container_histogram(), want);
+    assert_eq!(set.heap_bytes(), bytes);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Intersection over mixed container shapes equals the boolean-vector
-    /// model, as do cardinality (dispatched popcount) and membership
-    /// after canonicalization (dispatched run-start count).
+    /// model, as do cardinality and membership after canonicalization,
+    /// and canonicalization picks the form the model's counts say.
     #[test]
     fn rowset_ops_match_naive_model(
         shapes_a in proptest::collection::vec(0u8..3, 3),
@@ -203,6 +210,9 @@ proptest! {
         check(&and, &m_and);
         // The same operands in canonical form (run containers included).
         let canonical = |s: &RowSet| RowSet::from_words(universe, s.to_words()).unwrap();
+        check_canonical_forms(&canonical(&a), &ma);
+        check_canonical_forms(&canonical(&b), &mb);
+        check_canonical_forms(&canonical(&and), &m_and);
         let mut and = canonical(&a);
         and.intersect_with(&canonical(&b)).unwrap();
         check(&and, &m_and);
@@ -210,7 +220,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Group-by scan: row-at-a-time oracle vs dispatched batch scan
+// Group-by scan: row-at-a-time oracle vs the batch scan
 // ---------------------------------------------------------------------
 
 /// The accumulators of a finished spec, keyed like the oracle's results
@@ -296,11 +306,11 @@ fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_l
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The batch (SIMD-dispatched) scan equals the scalar row-at-a-time
-    /// oracle bit-for-bit on workload subspaces, on both accumulator
-    /// paths, at one and four threads.
+    /// The batch scan equals the row-at-a-time oracle bit-for-bit on
+    /// workload subspaces, on both accumulator paths, at one and four
+    /// threads.
     #[test]
-    fn fused_group_by_scalar_vs_dispatched_bit_identical(
+    fn fused_group_by_matches_the_row_oracle_bit_for_bit(
         query_idx in 0usize..64,
         threads in proptest::sample::select(vec![1usize, 4]),
         dense in any::<bool>(),
@@ -343,7 +353,7 @@ fn chunked_scan_keeps_the_chunk_then_merge_order() {
 
 /// The scan's trust boundary: it indexes the measure vector by fact row,
 /// so a row set over more rows than the vector covers is a typed error at
-/// entry — never an out-of-bounds read — on either tier.
+/// entry — never an out-of-bounds read.
 #[test]
 fn row_set_wider_than_the_measure_vector_is_a_typed_error() {
     let wh = build_aw_online(Scale::small().scaled(25), 42).expect("generator is valid");

@@ -365,7 +365,7 @@ fn slow_ledger_ranks_breaches_above_plain_slowness() {
 }
 
 #[test]
-fn healthz_reports_version_uptime_kernel_and_tenants() {
+fn healthz_reports_version_uptime_and_tenants() {
     let server = start(None);
     let addr = server.addr();
 
@@ -380,8 +380,6 @@ fn healthz_reports_version_uptime_kernel_and_tenants() {
     );
     assert!(doc.get("uptime_s").and_then(|u| u.as_num()).is_some());
     assert_eq!(doc.get("tenants").and_then(|t| t.as_num()), Some(2.0));
-    let kernel = doc.get("kernel").and_then(|k| k.as_str()).expect("kernel");
-    assert!(!kernel.is_empty());
     // Totals since start, this connection and this request included.
     assert_eq!(doc.get("connections").and_then(|c| c.as_num()), Some(1.0));
     assert_eq!(doc.get("requests").and_then(|r| r.as_num()), Some(1.0));
