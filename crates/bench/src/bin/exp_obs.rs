@@ -34,12 +34,12 @@
 
 use std::time::Instant;
 
-use kdap_bench::{print_table, stamp_json, write_bench_json};
+use kdap_bench::{bench_json, print_table, write_bench_json};
 use kdap_core::{Exploration, Kdap, QueryRequest, StarNet, Verb};
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
 };
-use kdap_obs::{JsonLogger, LedgerEntry, Obs, SlowQueryLedger};
+use kdap_obs::{JsonLogger, Layout, LedgerEntry, Obs, QueryProfile, SlowQueryLedger};
 use kdap_warehouse::Warehouse;
 
 struct DbResult {
@@ -50,7 +50,7 @@ struct DbResult {
     off2_ms: f64,
     on_ms: f64,
     profile_stages: usize,
-    profile_json: String,
+    profile: QueryProfile,
 }
 
 impl DbResult {
@@ -80,13 +80,9 @@ fn explore_all(
         let ex = kdap.explore(n).expect("explore succeeds");
         if let Some((logger, ledger)) = telemetry {
             let latency_ns = q0.elapsed().as_nanos() as u64;
-            logger.info(
-                "access",
-                &[
-                    ("net", (i as u64).into()),
-                    ("latency_ns", latency_ns.into()),
-                ],
-            );
+            logger.info("access", |w| {
+                w.key("net").int(i).key("latency_ns").int(latency_ns);
+            });
             // The admission pre-check is the path a live server takes:
             // only queries the full ledger could retain pay the entry
             // construction.
@@ -173,7 +169,7 @@ fn run_db(
         off2_ms,
         on_ms,
         profile_stages: profile.len(),
-        profile_json: profile.to_json(),
+        profile,
     }
 }
 
@@ -315,51 +311,29 @@ fn render_json(
     max_overhead_pct: f64,
     small: bool,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E13\",\n");
-    out.push_str(&format!("  {},\n", stamp_json(small)));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"repeats\": {repeats},\n"));
-    out.push_str(&format!("  \"max_overhead_pct\": {max_overhead_pct},\n"));
-    out.push_str(&format!(
-        "  \"disabled_micro\": {{\"timer_ns_per_op\": {timer_ns:.3}, \"span_ns_per_op\": {span_ns:.3}}},\n"
-    ));
-    out.push_str("  \"databases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"db\": \"{}\", \"facts\": {}, \"nets\": {}, \"off_ms\": {:.3}, \
-             \"off2_ms\": {:.3}, \"on_ms\": {:.3}, \"on_overhead_pct\": {:.3}, \
-             \"noise_pct\": {:.3}, \"bit_identical\": true, \"profile_stages\": {},\n\
-             \"sample_profile\": {}}}{}\n",
-            r.db,
-            r.facts,
-            r.nets,
-            r.off_ms,
-            r.off2_ms,
-            r.on_ms,
-            r.on_overhead_pct(),
-            r.noise_pct(),
-            r.profile_stages,
-            indent_json(&r.profile_json, 4),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Re-indents a pre-rendered JSON fragment for embedding.
-fn indent_json(json: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    json.lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == 0 {
-                l.to_string()
-            } else {
-                format!("{pad}{l}")
+    bench_json("E13", small, |w| {
+        w.key("threads").int(threads).key("repeats").int(repeats);
+        w.key("max_overhead_pct").f64(max_overhead_pct);
+        w.key("disabled_micro").object(Layout::Inline, |w| {
+            w.key("timer_ns_per_op").fixed(timer_ns, 3);
+            w.key("span_ns_per_op").fixed(span_ns, 3);
+        });
+        w.key("databases").array(Layout::Block, |w| {
+            for r in results {
+                w.object(Layout::Inline, |w| {
+                    w.key("db").str(r.db).key("facts").int(r.facts);
+                    w.key("nets").int(r.nets);
+                    w.key("off_ms").fixed(r.off_ms, 3);
+                    w.key("off2_ms").fixed(r.off2_ms, 3);
+                    w.key("on_ms").fixed(r.on_ms, 3);
+                    w.key("on_overhead_pct").fixed(r.on_overhead_pct(), 3);
+                    w.key("noise_pct").fixed(r.noise_pct(), 3);
+                    w.key("bit_identical").bool(true);
+                    w.key("profile_stages").int(r.profile_stages);
+                    w.key("sample_profile");
+                    r.profile.write_json(w);
+                });
             }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+        });
+    })
 }

@@ -47,9 +47,10 @@
 
 use std::time::Instant;
 
-use kdap_bench::{print_table, stamp_json, write_bench_json};
+use kdap_bench::{bench_json, print_table, write_bench_json};
 use kdap_core::{Kdap, StarNet};
 use kdap_datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+use kdap_obs::Layout;
 use kdap_warehouse::Warehouse;
 
 /// The scale-factor ladder, filtered by `--scale`.
@@ -324,53 +325,42 @@ fn render_json(
     smoke: bool,
 ) -> String {
     let facts_growth = rungs[rungs.len() - 1].facts as f64 / rungs[0].facts as f64;
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E14\",\n");
-    out.push_str(&format!("  {},\n", stamp_json(smoke)));
-    out.push_str("  \"generator\": \"aw_online\",\n");
-    out.push_str(&format!("  \"budget_bytes\": {budget_bytes},\n"));
-    out.push_str(&format!("  \"repeats\": {repeats},\n"));
-    out.push_str(&format!(
-        "  \"threads\": [{}],\n",
-        threads
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"scales\": [\n");
-    for (i, r) in rungs.iter().enumerate() {
-        let p50s = r
-            .p50_ms
-            .iter()
-            .map(|(t, ms)| format!("{{\"threads\": {t}, \"p50_ms\": {ms:.3}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"scale\": {}, \"facts\": {}, \"warehouse_bytes\": {}, \
-             \"build_ms\": {:.1}, \"nets\": {}, \"p50\": [{}]}}{}\n",
-            r.scale,
-            r.facts,
-            r.warehouse_bytes,
-            r.build_ms,
-            r.nets.len(),
-            p50s,
-            if i + 1 < rungs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    // A NaN growth (no net matched) is written as null: JSON has no NaN.
-    let growth_json = if growth.is_nan() {
-        "null".to_string()
-    } else {
-        format!("{growth:.3}")
-    };
     let bound = LINEAR_SLACK * facts_growth;
-    out.push_str(&format!(
-        "  \"net_growth\": {{\"facts_growth\": {facts_growth:.3}, \"nets_matched\": {matched}, \
-         \"median\": {growth_json}, \"bound\": {bound:.3}, \"ok\": {}}}\n",
-        growth < bound
-    ));
-    out.push_str("}\n");
-    out
+    bench_json("E14", smoke, |w| {
+        w.key("generator").str("aw_online");
+        w.key("budget_bytes")
+            .int(budget_bytes)
+            .key("repeats")
+            .int(repeats);
+        w.key("threads").array(Layout::Inline, |w| {
+            for &t in threads {
+                w.int(t);
+            }
+        });
+        w.key("scales").array(Layout::Block, |w| {
+            for r in rungs {
+                w.object(Layout::Inline, |w| {
+                    w.key("scale").int(r.scale).key("facts").int(r.facts);
+                    w.key("warehouse_bytes").int(r.warehouse_bytes);
+                    w.key("build_ms").fixed(r.build_ms, 1);
+                    w.key("nets").int(r.nets.len());
+                    w.key("p50").array(Layout::Inline, |w| {
+                        for &(t, ms) in &r.p50_ms {
+                            w.object(Layout::Inline, |w| {
+                                w.key("threads").int(t).key("p50_ms").fixed(ms, 3);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        // A NaN growth (no net matched) is written as null.
+        w.key("net_growth").object(Layout::Inline, |w| {
+            w.key("facts_growth").fixed(facts_growth, 3);
+            w.key("nets_matched").int(matched);
+            w.key("median").fixed(growth, 3);
+            w.key("bound").fixed(bound, 3);
+            w.key("ok").bool(growth < bound);
+        });
+    })
 }

@@ -26,12 +26,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
 
-use kdap_bench::{print_table, stamp_json, write_bench_json};
+use kdap_bench::{bench_json, print_table, write_bench_json};
 use kdap_core::Kdap;
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
 };
-use kdap_obs::lint_exposition;
+use kdap_obs::{lint_exposition, Layout};
 use kdap_server::{EngineRegistry, KdapServer, ServerConfig};
 
 /// One completed request: tenant index, action, latency, HTTP status.
@@ -344,31 +344,30 @@ fn main() {
             format!("{:.2}", p95 as f64 / 1e3),
             format!("{:.2}", p99 as f64 / 1e3),
         ]);
-        json_rows.push(format!(
-            "    {{\"tenant\": \"{}\", \"action\": \"{}\", \"requests\": {}, \
-             \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-            TENANTS[tenant],
-            action,
-            lat.len(),
-            p50 as f64 / 1e3,
-            p95 as f64 / 1e3,
-            p99 as f64 / 1e3,
-        ));
+        json_rows.push((TENANTS[tenant], action, lat.len(), [p50, p95, p99]));
     }
     print_table(
         &["tenant", "action", "requests", "p50 ms", "p95 ms", "p99 ms"],
         &rows,
     );
 
-    let json = format!(
-        "{{\n  \"experiment\": \"E16\",\n  {},\n  \
-         \"clients\": {clients},\n  \"requests\": {total},\n  \"wall_s\": {wall_s:.3},\n  \
-         \"throughput_rps\": {:.1},\n  \"failures\": {failures},\n  \
-         \"latencies\": [\n{}\n  ]\n}}\n",
-        stamp_json(small),
-        total as f64 / wall_s,
-        json_rows.join(",\n"),
-    );
+    let json = bench_json("E16", small, |w| {
+        w.key("clients").int(clients).key("requests").int(total);
+        w.key("wall_s").fixed(wall_s, 3);
+        w.key("throughput_rps").fixed(total as f64 / wall_s, 1);
+        w.key("failures").int(failures);
+        w.key("latencies").array(Layout::Block, |w| {
+            for (tenant, action, requests, micros) in &json_rows {
+                w.object(Layout::Inline, |w| {
+                    w.key("tenant").str(tenant).key("action").str(action);
+                    w.key("requests").int(*requests);
+                    for (key, us) in ["p50_ms", "p95_ms", "p99_ms"].into_iter().zip(micros) {
+                        w.key(key).fixed(*us as f64 / 1e3, 3);
+                    }
+                });
+            }
+        });
+    });
     write_bench_json("BENCH_serve.json", small, &json);
 
     if check {

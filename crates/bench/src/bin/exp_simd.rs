@@ -20,7 +20,8 @@
 
 use std::time::Instant;
 
-use kdap_bench::{print_table, stamp_json, write_bench_json};
+use kdap_bench::{bench_json, print_table, write_bench_json};
+use kdap_obs::Layout;
 use kdap_warehouse::kernel;
 
 /// The speedup the fixed-trip unpack must show over the oracle to stay.
@@ -169,24 +170,18 @@ fn main() {
 }
 
 fn render_json(rows: &[Row], repeats: usize, small: bool) -> String {
-    let kernels: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"decode/{}b\", \"oracle_ms\": {:.4}, \"unpack_ms\": {:.4}, \
-                 \"unpack_over_oracle\": {:.3}, \"units_per_call\": {}}}",
-                r.bits,
-                r.oracle_ms,
-                r.unpack_ms,
-                r.speedup(),
-                r.units,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"E15\",\n  {},\n  \
-         \"repeats\": {repeats},\n  \"keep_bar\": {KEEP_BAR},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        stamp_json(small),
-        kernels.join(",\n"),
-    )
+    bench_json("E15", small, |w| {
+        w.key("repeats").int(repeats).key("keep_bar").f64(KEEP_BAR);
+        w.key("kernels").array(Layout::Block, |w| {
+            for r in rows {
+                w.object(Layout::Inline, |w| {
+                    w.key("name").str(&format!("decode/{}b", r.bits));
+                    w.key("oracle_ms").fixed(r.oracle_ms, 4);
+                    w.key("unpack_ms").fixed(r.unpack_ms, 4);
+                    w.key("unpack_over_oracle").fixed(r.speedup(), 3);
+                    w.key("units_per_call").int(r.units);
+                });
+            }
+        });
+    })
 }

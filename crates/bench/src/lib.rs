@@ -9,6 +9,7 @@
 
 use kdap_core::{RankedStarNet, StarNet};
 use kdap_datagen::LabeledQuery;
+use kdap_obs::{JsonWriter, Layout};
 use kdap_query::{
     multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, JoinIndex,
     JoinPath, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
@@ -320,21 +321,25 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The `"profile"` and `"host"` members every `BENCH_*.json` opens with
-/// (no braces, two-space indent): `smoke` or `full`, so a smoke run is
-/// never mistaken for a committed one, and the host that produced it.
-pub fn stamp_json(smoke: bool) -> String {
-    format!(
-        "\"profile\": \"{}\",\n  \"host\": {}",
-        if smoke { "smoke" } else { "full" },
-        host_json()
-    )
+/// A `BENCH_*.json` document: the `"experiment"` name, the stamp every
+/// such file opens with, then the members `body` writes.
+pub fn bench_json(experiment: &str, smoke: bool, body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(Layout::Block, |w| {
+        w.key("experiment").str(experiment);
+        write_stamp(w, smoke);
+        body(w);
+    });
+    out.push('\n');
+    out
 }
 
-/// The `"host"` object, so a number can be traced to the machine and
-/// commit that produced it: cores, CPU features, git sha (`-dirty` when
-/// the tree has uncommitted changes), UTC date.
-fn host_json() -> String {
+/// Writes the `"profile"` and `"host"` members: `smoke` or `full`, so a
+/// smoke run is never mistaken for a committed one, and the host that
+/// produced it — cores, CPU features, git sha (`-dirty` when the tree
+/// has uncommitted changes), UTC date — so a number can be traced to the
+/// machine and commit behind it.
+fn write_stamp(w: &mut JsonWriter, smoke: bool) {
     let git_sha = std::process::Command::new("git")
         .args([
             "describe",
@@ -349,20 +354,21 @@ fn host_json() -> String {
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map_or("unknown".to_string(), |s| s.trim().to_string());
-    let features: Vec<String> = kdap_core::kernel::detected_features()
-        .iter()
-        .map(|f| format!("\"{f}\""))
-        .collect();
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    format!(
-        "{{\"available_parallelism\": {}, \"cpu_features\": [{}], \"git_sha\": \"{git_sha}\", \
-         \"utc_date\": \"{}\"}}",
-        std::thread::available_parallelism().map_or(1, usize::from),
-        features.join(", "),
-        utc_date(unix_secs),
-    )
+    w.key("profile").str(if smoke { "smoke" } else { "full" });
+    w.key("host").object(Layout::Inline, |w| {
+        w.key("available_parallelism")
+            .int(std::thread::available_parallelism().map_or(1, usize::from));
+        w.key("cpu_features").array(Layout::Inline, |w| {
+            for f in kdap_core::kernel::detected_features() {
+                w.str(f);
+            }
+        });
+        w.key("git_sha").str(&git_sha);
+        w.key("utc_date").str(&utc_date(unix_secs));
+    });
 }
 
 /// Writes an experiment's JSON: a full run to `results/<file>` (the
@@ -400,8 +406,9 @@ mod tests {
 
     #[test]
     fn host_stamp_names_every_field_and_dates_correctly() {
-        let host = host_json();
+        let host = bench_json("E0", true, |_| {});
         for key in [
+            "profile",
             "available_parallelism",
             "cpu_features",
             "git_sha",

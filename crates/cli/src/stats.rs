@@ -3,7 +3,7 @@
 //! counters, rendered as a console table or as JSON.
 
 use kdap_core::Kdap;
-use kdap_obs::{json_string, snapshot_json};
+use kdap_obs::{JsonWriter, Layout};
 use kdap_warehouse::summarize;
 
 /// Human-readable statistics table.
@@ -74,77 +74,69 @@ pub fn stats_text(kdap: &Kdap) -> String {
     out
 }
 
-/// The same statistics as a JSON object (hand-rolled; the workspace
-/// carries no serde).
+/// The same statistics as a JSON object.
 pub fn stats_json(kdap: &Kdap) -> String {
     let s = summarize(kdap.warehouse());
     let idx = kdap.text_index().stats();
-    let mut out = String::from("{\n  \"tables\": [\n");
-    for (ti, t) in s.tables.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"rows\": {}, \"heap_bytes\": {}, \"fact\": {}, \"columns\": [\n",
-            json_string(&t.name),
-            t.rows,
-            t.heap_bytes,
-            t.fact,
-        ));
-        for (ci, c) in t.columns.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": {}, \"type\": {}, \"distinct\": {}, \"nulls\": {}, \"searchable\": {}{}}}{}\n",
-                json_string(&c.name),
-                json_string(&c.value_type),
-                c.distinct,
-                c.nulls,
-                c.searchable,
-                match (c.min, c.max) {
-                    (Some(lo), Some(hi)) => format!(", \"min\": {lo}, \"max\": {hi}"),
-                    _ => String::new(),
-                },
-                if ci + 1 < t.columns.len() { "," } else { "" },
-            ));
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(Layout::Block, |w| {
+        w.key("tables").array(Layout::Block, |w| {
+            for t in &s.tables {
+                w.object(Layout::Inline, |w| {
+                    w.key("name").str(&t.name).key("rows").int(t.rows);
+                    w.key("heap_bytes")
+                        .int(t.heap_bytes)
+                        .key("fact")
+                        .bool(t.fact);
+                    w.key("columns").array(Layout::Block, |w| {
+                        for c in &t.columns {
+                            w.object(Layout::Inline, |w| {
+                                w.key("name").str(&c.name).key("type").str(&c.value_type);
+                                w.key("distinct").int(c.distinct).key("nulls").int(c.nulls);
+                                w.key("searchable").bool(c.searchable);
+                                if let (Some(lo), Some(hi)) = (c.min, c.max) {
+                                    w.key("min").f64(lo).key("max").f64(hi);
+                                }
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        w.key("fact_rows").int(s.fact_rows);
+        w.key("warehouse_bytes").int(s.approx_bytes);
+        w.key("text_index").object(Layout::Inline, |w| {
+            w.key("docs").int(idx.docs).key("terms").int(idx.terms);
+            w.key("postings").int(idx.postings);
+            w.key("avg_doc_len").fixed(idx.avg_doc_len, 3);
+            w.key("bytes").int(idx.approx_bytes);
+        });
+        for (key, counters) in [
+            ("subspace_cache", kdap.subspace_cache_counters()),
+            ("semijoin_cache", kdap.semijoin_counters()),
+        ] {
+            if let Some(c) = counters {
+                w.key(key).object(Layout::Inline, |w| {
+                    w.key("hits").int(c.hits).key("misses").int(c.misses);
+                    w.key("evictions").int(c.evictions);
+                });
+            }
         }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if ti + 1 < s.tables.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"fact_rows\": {},\n", s.fact_rows));
-    out.push_str(&format!("  \"warehouse_bytes\": {},\n", s.approx_bytes));
-    out.push_str(&format!(
-        "  \"text_index\": {{\"docs\": {}, \"terms\": {}, \"postings\": {}, \"avg_doc_len\": {:.3}, \"bytes\": {}}}",
-        idx.docs, idx.terms, idx.postings, idx.avg_doc_len, idx.approx_bytes,
-    ));
-    if let Some(c) = kdap.subspace_cache_counters() {
-        out.push_str(&format!(
-            ",\n  \"subspace_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
-            c.hits, c.misses, c.evictions
-        ));
-    }
-    if let Some(c) = kdap.semijoin_counters() {
-        out.push_str(&format!(
-            ",\n  \"semijoin_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
-            c.hits, c.misses, c.evictions
-        ));
-    }
-    let h = kdap.cache_container_histogram();
-    out.push_str(&format!(
-        ",\n  \"rowset_containers\": {{\"array\": {}, \"bitmap\": {}, \"run\": {}}}",
-        h.arrays, h.bitmaps, h.runs
-    ));
-    out.push_str(&format!(
-        ",\n  \"cpu_features\": [{}]",
-        kdap_core::kernel::detected_features()
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    // Session metrics, encoded by the same snapshot encoder the server's
-    // `GET /v1/{tenant}/stats` uses — identical shape in both surfaces.
-    out.push_str(",\n  \"metrics\": ");
-    out.push_str(&snapshot_json(&kdap.obs().metrics_snapshot(), "  "));
-    out.push_str("\n}");
+        let h = kdap.cache_container_histogram();
+        w.key("rowset_containers").object(Layout::Inline, |w| {
+            w.key("array").int(h.arrays).key("bitmap").int(h.bitmaps);
+            w.key("run").int(h.runs);
+        });
+        w.key("cpu_features").array(Layout::Inline, |w| {
+            for f in kdap_core::kernel::detected_features() {
+                w.str(f);
+            }
+        });
+        // Session metrics, in the same encoding the server's
+        // `GET /v1/{tenant}/stats` uses — identical shape in both surfaces.
+        w.key("metrics");
+        kdap.obs().metrics_snapshot().write_json(w);
+    });
     out
 }
 

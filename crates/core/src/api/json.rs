@@ -1,8 +1,7 @@
-//! A minimal, dependency-free JSON layer for the wire API: a recursive-
-//! descent parser for request bodies and writer helpers for response
-//! encoding. The workspace carries no serde; both directions are
-//! hand-rolled and kept deliberately small (objects, arrays, strings,
-//! f64 numbers, booleans, null).
+//! A minimal, dependency-free JSON parser for request bodies: recursive
+//! descent over objects, arrays, strings, f64 numbers, booleans and
+//! null. Responses are written by [`kdap_obs::JsonWriter`], whose output
+//! this parser must read back to the same tree (`tests/json_roundtrip.rs`).
 //!
 //! # Non-finite numbers
 //!
@@ -12,8 +11,6 @@
 //! is "no defined value", never an invalid token.
 
 use std::fmt;
-
-pub use kdap_obs::json_string;
 
 /// Maximum nesting depth accepted by [`parse`]; deeper input is rejected
 /// rather than risking a stack overflow on hostile request bodies.
@@ -377,16 +374,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Encodes an `f64` as a JSON number token — `null` for NaN and ±∞,
-/// which JSON cannot represent (the empty-set aggregate contract).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,7 +520,7 @@ mod tests {
     #[test]
     fn round_trips_through_json_string() {
         let original = "tab\there \"quote\" ∅";
-        let parsed = parse(&json_string(original)).unwrap();
+        let parsed = parse(&kdap_obs::json_string(original)).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
     }
 
@@ -541,14 +528,18 @@ mod tests {
     fn non_finite_numbers_encode_as_null() {
         // JSON cannot represent the empty-set aggregate (NaN) — the wire
         // encoding is `null`, never an invalid token.
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(f64::INFINITY), "null");
-        assert_eq!(json_num(f64::NEG_INFINITY), "null");
-        assert_eq!(json_num(42.5), "42.5");
-        assert_eq!(json_num(-0.25), "-0.25");
-        // And whatever we emit parses back.
-        assert_eq!(parse(&json_num(f64::NAN)).unwrap(), Json::Null);
-        assert_eq!(parse(&json_num(1e300)).unwrap(), Json::Num(1e300));
+        let num = |v: f64| {
+            let mut out = String::new();
+            kdap_obs::JsonWriter::new(&mut out).f64(v);
+            out
+        };
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num(v), "null");
+            assert_eq!(parse(&num(v)).unwrap(), Json::Null);
+        }
+        assert_eq!(num(42.5), "42.5");
+        assert_eq!(num(-0.25), "-0.25");
+        assert_eq!(parse(&num(1e300)).unwrap(), Json::Num(1e300));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! status codes for the server.
 //!
 //! Everything is serde-free: request bodies decode through the small
-//! JSON parser in [`json`], responses encode by hand into JSON or CSV
-//! ([`WireFormat`]). Non-finite aggregates (the empty-set MIN/MAX/AVG is
+//! JSON parser in [`json`], responses encode into JSON through
+//! [`kdap_obs::JsonWriter`] or into CSV ([`WireFormat`]). Non-finite aggregates (the empty-set MIN/MAX/AVG is
 //! NaN) encode as JSON `null` and as an empty CSV field.
 //!
 //! [`Kdap::run`]: crate::session::Kdap::run
@@ -21,15 +21,15 @@ pub mod json;
 
 use std::fmt;
 
-use kdap_obs::QueryProfile;
+use kdap_obs::{JsonWriter, Layout, QueryProfile};
 use kdap_query::AggFunc;
 
 use crate::error::KdapError;
-use crate::facet::{Exploration, FacetConfig, FacetOrder};
+use crate::facet::{Exploration, FacetAttr, FacetConfig, FacetOrder};
 use crate::interest::InterestMode;
 use crate::rank::{RankMethod, RankedStarNet};
 
-use self::json::{json_num, json_string, Json};
+use self::json::Json;
 
 /// The four query operations of the `/v1/{tenant}/…` surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -483,67 +483,46 @@ impl QueryResponse {
 
     /// The JSON encoding. Non-finite aggregates encode as `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"verb\": {},\n",
-            json_string(self.verb.as_str())
-        ));
-        out.push_str(&format!(
-            "  \"keywords\": {},\n",
-            json_string(&self.keywords)
-        ));
-        out.push_str(&format!(
-            "  \"n_interpretations\": {},\n",
-            self.n_interpretations
-        ));
-        out.push_str("  \"interpretations\": [");
-        for (i, s) in self.interpretations.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"rank\": {}, \"score\": {}, \"display\": {}, \"fingerprint\": {}}}",
-                s.rank,
-                json_num(s.score),
-                json_string(&s.display),
-                json_string(&s.fingerprint),
-            ));
-        }
-        out.push_str("\n  ]");
-        if let Some(picked) = self.picked {
-            out.push_str(&format!(",\n  \"picked\": {picked}"));
-        }
-        if let Some(constraints) = &self.constraints {
-            out.push_str(",\n  \"constraints\": [");
-            for (i, c) in constraints.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                let values: Vec<String> = c.values.iter().map(|v| json_string(v)).collect();
-                out.push_str(&format!(
-                    "    {{\"index\": {}, \"dimension\": {}, \"attr\": {}, \"values\": [{}], \
-                     \"display\": {}}}",
-                    c.index,
-                    c.dimension.as_deref().map_or("null".into(), json_string),
-                    json_string(&c.attr),
-                    values.join(", "),
-                    json_string(&c.display),
-                ));
+        let mut out = String::new();
+        JsonWriter::new(&mut out).object(Layout::Block, |w| {
+            w.key("verb").str(self.verb.as_str());
+            w.key("keywords").str(&self.keywords);
+            w.key("n_interpretations").int(self.n_interpretations);
+            w.key("interpretations").array(Layout::Block, |w| {
+                for s in &self.interpretations {
+                    w.object(Layout::Inline, |w| {
+                        w.key("rank").int(s.rank).key("score").f64(s.score);
+                        w.key("display").str(&s.display);
+                        w.key("fingerprint").str(&s.fingerprint);
+                    });
+                }
+            });
+            if let Some(picked) = self.picked {
+                w.key("picked").int(picked);
             }
-            out.push_str(if constraints.is_empty() { "]" } else { "\n  ]" });
-        }
-        if let Some(ex) = &self.exploration {
-            out.push_str(",\n  \"exploration\": ");
-            out.push_str(&exploration_json(ex, "  "));
-        }
-        if let Some(plan) = &self.plan {
-            out.push_str(&format!(",\n  \"plan\": {}", json_string(plan)));
-        }
-        if let Some(report) = &self.report {
-            out.push_str(&format!(",\n  \"report\": {}", json_string(report)));
-        }
-        if let Some(profile) = &self.profile {
-            // QueryProfile::to_json emits a complete object; splice it in.
-            out.push_str(",\n  \"profile\": ");
-            out.push_str(&profile.to_json());
-        }
-        out.push_str("\n}\n");
+            if let Some(constraints) = &self.constraints {
+                w.key("constraints").array(Layout::Block, |w| {
+                    for c in constraints {
+                        write_constraint(w, c);
+                    }
+                });
+            }
+            if let Some(ex) = &self.exploration {
+                w.key("exploration");
+                write_exploration(w, ex);
+            }
+            if let Some(plan) = &self.plan {
+                w.key("plan").str(plan);
+            }
+            if let Some(report) = &self.report {
+                w.key("report").str(report);
+            }
+            if let Some(profile) = &self.profile {
+                w.key("profile");
+                profile.write_json(w);
+            }
+        });
+        out.push('\n');
         out
     }
 
@@ -606,60 +585,60 @@ fn attr_kind_str(kind: kdap_warehouse::AttrKind) -> &'static str {
     }
 }
 
-/// Encodes an [`Exploration`] as a JSON object, indented under `pad`.
-pub fn exploration_json(ex: &Exploration, pad: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "{pad}  \"subspace_size\": {},\n",
-        ex.subspace_size
-    ));
-    out.push_str(&format!(
-        "{pad}  \"total_aggregate\": {},\n",
-        json_num(ex.total_aggregate)
-    ));
-    out.push_str(&format!("{pad}  \"panels\": ["));
-    for (pi, panel) in ex.panels.iter().enumerate() {
-        out.push_str(if pi == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "{pad}    {{\"dimension\": {}, \"attrs\": [",
-            json_string(&panel.dimension)
-        ));
-        for (ai, attr) in panel.attrs.iter().enumerate() {
-            out.push_str(if ai == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "{pad}      {{\"name\": {}, \"kind\": {}, \"score\": {}, \"correlation\": {}, \
-                 \"promoted\": {}, \"entries\": [",
-                json_string(&attr.name),
-                json_string(attr_kind_str(attr.kind)),
-                json_num(attr.score),
-                json_num(attr.correlation),
-                attr.promoted,
-            ));
-            for (ei, e) in attr.entries.iter().enumerate() {
-                out.push_str(if ei == 0 { "\n" } else { ",\n" });
-                out.push_str(&format!(
-                    "{pad}        {{\"label\": {}, \"aggregate\": {}, \"score\": {}, \"hit\": {}}}",
-                    json_string(&e.label),
-                    json_num(e.aggregate),
-                    json_num(e.score),
-                    e.is_hit,
-                ));
+fn write_constraint(w: &mut JsonWriter, c: &ConstraintSummary) {
+    w.object(Layout::Inline, |w| {
+        w.key("index").int(c.index).key("dimension");
+        match &c.dimension {
+            Some(d) => w.str(d),
+            None => w.null(),
+        };
+        w.key("attr").str(&c.attr);
+        w.key("values").array(Layout::Inline, |w| {
+            for v in &c.values {
+                w.str(v);
             }
-            if !attr.entries.is_empty() {
-                out.push_str(&format!("\n{pad}      "));
+        });
+        w.key("display").str(&c.display);
+    });
+}
+
+fn write_exploration(w: &mut JsonWriter, ex: &Exploration) {
+    w.object(Layout::Block, |w| {
+        w.key("subspace_size").int(ex.subspace_size);
+        w.key("total_aggregate").f64(ex.total_aggregate);
+        w.key("panels").array(Layout::Block, |w| {
+            for panel in &ex.panels {
+                w.object(Layout::Inline, |w| {
+                    w.key("dimension").str(&panel.dimension);
+                    w.key("attrs").array(Layout::Block, |w| {
+                        for attr in &panel.attrs {
+                            write_attr(w, attr);
+                        }
+                    });
+                });
             }
-            out.push_str("]}");
-        }
-        if !panel.attrs.is_empty() {
-            out.push_str(&format!("\n{pad}    "));
-        }
-        out.push_str("]}");
-    }
-    if !ex.panels.is_empty() {
-        out.push_str(&format!("\n{pad}  "));
-    }
-    out.push_str(&format!("]\n{pad}}}"));
-    out
+        });
+    });
+}
+
+fn write_attr(w: &mut JsonWriter, attr: &FacetAttr) {
+    w.object(Layout::Inline, |w| {
+        w.key("name").str(&attr.name);
+        w.key("kind").str(attr_kind_str(attr.kind));
+        w.key("score").f64(attr.score);
+        w.key("correlation").f64(attr.correlation);
+        w.key("promoted").bool(attr.promoted);
+        w.key("entries").array(Layout::Block, |w| {
+            for e in &attr.entries {
+                w.object(Layout::Inline, |w| {
+                    w.key("label").str(&e.label);
+                    w.key("aggregate").f64(e.aggregate);
+                    w.key("score").f64(e.score);
+                    w.key("hit").bool(e.is_hit);
+                });
+            }
+        });
+    });
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote or newline.
@@ -797,16 +776,19 @@ impl ApiError {
     /// The JSON body with the request's trace id included, so failed
     /// requests stay correlatable with their log and ledger records.
     pub fn to_json_with_trace(&self, trace_id: Option<&str>) -> String {
-        let trace = match trace_id {
-            Some(id) => format!(", \"trace_id\": {}", json_string(id)),
-            None => String::new(),
-        };
-        format!(
-            "{{\"error\": {{\"status\": {}, \"code\": {}, \"message\": {}{trace}}}}}\n",
-            self.status,
-            json_string(self.code),
-            json_string(&self.message),
-        )
+        let mut out = String::new();
+        JsonWriter::new(&mut out).object(Layout::Inline, |w| {
+            w.key("error").object(Layout::Inline, |w| {
+                w.key("status").int(self.status);
+                w.key("code").str(self.code);
+                w.key("message").str(&self.message);
+                if let Some(id) = trace_id {
+                    w.key("trace_id").str(id);
+                }
+            });
+        });
+        out.push('\n');
+        out
     }
 }
 
@@ -821,7 +803,7 @@ impl std::error::Error for ApiError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::facet::{FacetAttr, FacetEntry, FacetPanel};
+    use crate::facet::{FacetEntry, FacetPanel};
     use kdap_warehouse::{AttrKind, ColRef, TableId};
 
     #[test]

@@ -1,6 +1,6 @@
 //! Telemetry exporters: Prometheus text exposition for metrics, Chrome
 //! trace-event JSON (Perfetto-loadable) for [`QueryProfile`] trees, and
-//! the shared JSON snapshot encoder the server's `/stats` endpoint and
+//! the JSON snapshot encoding the server's `/stats` endpoint and
 //! `kdap stats --json` both use.
 //!
 //! Everything here renders from live instruments — the exposition builder
@@ -10,8 +10,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{JsonWriter, Layout};
 use crate::metrics::MetricsSnapshot;
-use crate::profile::{json_string, ProfileNode, QueryProfile};
+use crate::profile::{ProfileNode, QueryProfile};
 use crate::recorder::Obs;
 
 /// The `Content-Type` of the Prometheus text exposition format.
@@ -378,50 +379,34 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(out)
 }
 
-/// Encodes a metrics snapshot as `{"counters": …, "gauges": …,
-/// "histograms": …}`, indented under `pad` — the shared encoder behind
-/// `GET /v1/{tenant}/stats` and `kdap stats --json`.
-pub fn snapshot_json(snap: &MetricsSnapshot, pad: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("{pad}  \"counters\": {{"));
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("{pad}    {}: {}", json_string(name), v));
+impl MetricsSnapshot {
+    /// Writes the snapshot as `{"counters": …, "gauges": …,
+    /// "histograms": …}` — the one encoding behind
+    /// `GET /v1/{tenant}/stats` and `kdap stats --json`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(Layout::Block, |w| {
+            w.key("counters").object(Layout::Block, |w| {
+                for (name, v) in &self.counters {
+                    w.key(name).int(*v);
+                }
+            });
+            w.key("gauges").object(Layout::Block, |w| {
+                for (name, v) in &self.gauges {
+                    w.key(name).int(*v);
+                }
+            });
+            w.key("histograms").object(Layout::Block, |w| {
+                for (name, h) in &self.histograms {
+                    w.key(name).object(Layout::Inline, |w| {
+                        w.key("count").int(h.count).key("sum").int(h.sum);
+                        w.key("min").int(h.min).key("max").int(h.max);
+                        w.key("p50").int(h.p50).key("p95").int(h.p95);
+                        w.key("p99").int(h.p99);
+                    });
+                }
+            });
+        });
     }
-    if !snap.counters.is_empty() {
-        out.push_str(&format!("\n{pad}  "));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!("{pad}  \"gauges\": {{"));
-    for (i, (name, v)) in snap.gauges.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("{pad}    {}: {}", json_string(name), v));
-    }
-    if !snap.gauges.is_empty() {
-        out.push_str(&format!("\n{pad}  "));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!("{pad}  \"histograms\": {{"));
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "{pad}    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            json_string(name),
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            h.p50,
-            h.p95,
-            h.p99
-        ));
-    }
-    if !snap.histograms.is_empty() {
-        out.push_str(&format!("\n{pad}  "));
-    }
-    out.push_str(&format!("}}\n{pad}}}"));
-    out
 }
 
 /// Serializes a [`QueryProfile`] tree as Chrome trace-event JSON — the
@@ -430,56 +415,59 @@ pub fn snapshot_json(snap: &MetricsSnapshot, pad: &str) -> String {
 /// inside their parent's interval in execution order, so the flame chart
 /// mirrors the profile tree. Timestamps are microseconds.
 pub fn chrome_trace(profile: &QueryProfile) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(profile.len());
-    let mut cursor = 0u64;
-    for root in &profile.roots {
-        trace_events(root, cursor, &mut events);
-        cursor += root.wall_ns;
-    }
-    let trace_id = match &profile.trace_id {
-        Some(id) => json_string(id),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {{\"label\": {}, \
-         \"trace_id\": {}, \"total_ns\": {}}},\n  \"traceEvents\": [\n{}\n  ]\n}}\n",
-        json_string(&profile.label),
-        trace_id,
-        profile.total_ns(),
-        events.join(",\n"),
-    )
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(Layout::Block, |w| {
+        w.key("displayTimeUnit").str("ms");
+        w.key("otherData").object(Layout::Inline, |w| {
+            w.key("label").str(&profile.label).key("trace_id");
+            match &profile.trace_id {
+                Some(id) => w.str(id),
+                None => w.null(),
+            };
+            w.key("total_ns").int(profile.total_ns());
+        });
+        w.key("traceEvents").array(Layout::Block, |w| {
+            let mut cursor = 0u64;
+            for root in &profile.roots {
+                trace_events(w, root, cursor);
+                cursor += root.wall_ns;
+            }
+        });
+    });
+    out.push('\n');
+    out
 }
 
-fn trace_events(node: &ProfileNode, start_ns: u64, events: &mut Vec<String>) {
-    let mut args = format!("\"wall_ns\": {}", node.wall_ns);
-    if let Some(r) = node.rows_in {
-        args.push_str(&format!(", \"rows_in\": {r}"));
-    }
-    if let Some(r) = node.rows_out {
-        args.push_str(&format!(", \"rows_out\": {r}"));
-    }
-    if let Some(c) = node.cache {
-        args.push_str(&format!(
-            ", \"cache\": {}",
-            json_string(match c {
-                crate::profile::CacheOutcome::Hit => "hit",
-                crate::profile::CacheOutcome::Miss => "miss",
-            })
-        ));
-    }
-    for (k, v) in &node.notes {
-        args.push_str(&format!(", {}: {}", json_string(k), json_string(v)));
-    }
-    events.push(format!(
-        "    {{\"name\": {}, \"cat\": \"kdap\", \"ph\": \"X\", \"ts\": {:.3}, \
-         \"dur\": {:.3}, \"pid\": 1, \"tid\": 1, \"args\": {{{args}}}}}",
-        json_string(&node.name),
-        start_ns as f64 / 1e3,
-        node.wall_ns as f64 / 1e3,
-    ));
+fn trace_events(w: &mut JsonWriter, node: &ProfileNode, start_ns: u64) {
+    w.object(Layout::Inline, |w| {
+        w.key("name")
+            .str(&node.name)
+            .key("cat")
+            .str("kdap")
+            .key("ph")
+            .str("X");
+        w.key("ts").fixed(start_ns as f64 / 1e3, 3);
+        w.key("dur").fixed(node.wall_ns as f64 / 1e3, 3);
+        w.key("pid").int(1u64).key("tid").int(1u64);
+        w.key("args").object(Layout::Inline, |w| {
+            w.key("wall_ns").int(node.wall_ns);
+            if let Some(r) = node.rows_in {
+                w.key("rows_in").int(r);
+            }
+            if let Some(r) = node.rows_out {
+                w.key("rows_out").int(r);
+            }
+            if let Some(c) = node.cache {
+                w.key("cache").str(c.as_str());
+            }
+            for (k, v) in &node.notes {
+                w.key(k).str(v);
+            }
+        });
+    });
     let mut cursor = start_ns;
     for child in &node.children {
-        trace_events(child, cursor, events);
+        trace_events(w, child, cursor);
         cursor += child.wall_ns;
     }
 }
@@ -619,7 +607,9 @@ mod tests {
         obs.inc("c", 2);
         obs.gauge("g", -1);
         obs.record_ns("h", 100);
-        let out = snapshot_json(&obs.metrics_snapshot(), "");
+        let mut out = String::new();
+        obs.metrics_snapshot()
+            .write_json(&mut JsonWriter::new(&mut out));
         assert!(out.contains("\"c\": 2"), "{out}");
         assert!(out.contains("\"g\": -1"), "{out}");
         assert!(out.contains("\"count\": 1"), "{out}");

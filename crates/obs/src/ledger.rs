@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::profile::{json_string, QueryProfile};
+use crate::json::{JsonWriter, Layout};
+use crate::profile::QueryProfile;
 
 /// One completed query retained by the ledger.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,33 +36,6 @@ pub struct LedgerEntry {
     pub profile: Option<QueryProfile>,
 }
 
-impl LedgerEntry {
-    /// The entry as a JSON object indented under `pad` (the profile,
-    /// when present, is spliced in via [`QueryProfile::to_json`]).
-    pub fn to_json(&self, pad: &str) -> String {
-        let mut out = format!("{pad}{{\n");
-        if let Some(id) = &self.trace_id {
-            out.push_str(&format!("{pad}  \"trace_id\": {},\n", json_string(id)));
-        }
-        out.push_str(&format!("{pad}  \"verb\": {},\n", json_string(&self.verb)));
-        out.push_str(&format!(
-            "{pad}  \"keywords\": {},\n",
-            json_string(&self.keywords)
-        ));
-        out.push_str(&format!("{pad}  \"latency_ns\": {},\n", self.latency_ns));
-        out.push_str(&format!("{pad}  \"status\": {}", self.status));
-        if let Some(b) = &self.breach {
-            out.push_str(&format!(",\n{pad}  \"breach\": {}", json_string(b)));
-        }
-        if let Some(p) = &self.profile {
-            let indented = p.to_json().replace('\n', &format!("\n{pad}  "));
-            out.push_str(&format!(",\n{pad}  \"profile\": {indented}"));
-        }
-        out.push_str(&format!("\n{pad}}}"));
-        out
-    }
-}
-
 /// A stored entry plus its bookkeeping: wall-clock admission time and a
 /// monotonically increasing sequence for recency tie-breaks.
 #[derive(Debug, Clone)]
@@ -72,6 +46,27 @@ struct Stored {
 }
 
 impl Stored {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let e = &self.entry;
+        w.object(Layout::Block, |w| {
+            w.key("ts_ms").int(self.ts_ms);
+            if let Some(id) = &e.trace_id {
+                w.key("trace_id").str(id);
+            }
+            w.key("verb").str(&e.verb);
+            w.key("keywords").str(&e.keywords);
+            w.key("latency_ns").int(e.latency_ns);
+            w.key("status").int(e.status);
+            if let Some(b) = &e.breach {
+                w.key("breach").str(b);
+            }
+            if let Some(p) = &e.profile {
+                w.key("profile");
+                p.write_json(w);
+            }
+        });
+    }
+
     /// Interest key, ascending: the minimum is the eviction victim.
     /// Breaches beat plain slowness. Within the breached class the most
     /// recent wins (the ledger keeps the *latest* breaches); within the
@@ -206,25 +201,22 @@ impl SlowQueryLedger {
         self.floor.store(0, Ordering::Relaxed);
     }
 
-    /// The ledger as a JSON object:
+    /// The ledger as a JSON document:
     /// `{"capacity": N, "entries": [ … ]}` with entries in snapshot
     /// order, each carrying its admission timestamp.
     pub fn to_json(&self) -> String {
         let mut stored = lock(&self.inner).entries.clone();
         stored.sort_by_key(|s| std::cmp::Reverse(s.key()));
-        let mut out = format!("{{\n  \"capacity\": {},\n  \"entries\": [", self.capacity);
-        for (i, s) in stored.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            // Re-render the entry with its timestamp injected after the
-            // opening brace.
-            let body = s.entry.to_json("    ");
-            let rest = body.strip_prefix("    {\n").unwrap_or(&body);
-            out.push_str(&format!("    {{\n      \"ts_ms\": {},\n{rest}", s.ts_ms));
-        }
-        if !stored.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+        let mut out = String::new();
+        JsonWriter::new(&mut out).object(Layout::Block, |w| {
+            w.key("capacity").int(self.capacity);
+            w.key("entries").array(Layout::Block, |w| {
+                for s in &stored {
+                    s.write_json(w);
+                }
+            });
+        });
+        out.push('\n');
         out
     }
 }

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 mod export;
+mod json;
 mod ledger;
 mod log;
 mod metrics;
@@ -43,15 +44,14 @@ mod profile;
 mod recorder;
 mod trace;
 
-pub use export::{
-    chrome_trace, lint_exposition, snapshot_json, PrometheusExport, PROMETHEUS_CONTENT_TYPE,
-};
+pub use export::{chrome_trace, lint_exposition, PrometheusExport, PROMETHEUS_CONTENT_TYPE};
+pub use json::{json_string, Int, JsonWriter, Layout};
 pub use ledger::{LedgerEntry, SlowQueryLedger};
-pub use log::{JsonLogger, LogLevel, LogValue};
+pub use log::{JsonLogger, LogLevel};
 pub use metrics::{
     CacheCounters, Counter, Gauge, Histogram, HistogramSummary, Metrics, MetricsSnapshot, N_BUCKETS,
 };
-pub use profile::{fmt_ns, json_string, CacheOutcome, ProfileNode, QueryProfile};
+pub use profile::{fmt_ns, CacheOutcome, ProfileNode, QueryProfile};
 pub use recorder::{LeafData, Obs, Recorder, Span, Timer};
 pub use trace::TraceId;
 

@@ -9,13 +9,13 @@
 //! the same single-branch contract the rest of `kdap-obs` keeps.
 
 use std::cell::RefCell;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::profile::json_string_into;
+use crate::json::{JsonWriter, Layout};
 
 thread_local! {
     /// Per-thread line buffer, reused across events so a steady-state
@@ -44,88 +44,6 @@ impl LogLevel {
             LogLevel::Warn => "warn",
             LogLevel::Error => "error",
         }
-    }
-}
-
-/// One field value in a log event.
-#[derive(Debug, Clone)]
-pub enum LogValue {
-    /// A string, JSON-escaped on render.
-    Str(String),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float; non-finite values render as `null`.
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl LogValue {
-    fn render_into(&self, out: &mut String) {
-        match self {
-            LogValue::Str(s) => json_string_into(out, s),
-            LogValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            LogValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            LogValue::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            LogValue::F64(_) => out.push_str("null"),
-            LogValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        }
-    }
-}
-
-impl From<&str> for LogValue {
-    fn from(v: &str) -> Self {
-        LogValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for LogValue {
-    fn from(v: String) -> Self {
-        LogValue::Str(v)
-    }
-}
-
-impl From<u64> for LogValue {
-    fn from(v: u64) -> Self {
-        LogValue::U64(v)
-    }
-}
-
-impl From<u16> for LogValue {
-    fn from(v: u16) -> Self {
-        LogValue::U64(u64::from(v))
-    }
-}
-
-impl From<usize> for LogValue {
-    fn from(v: usize) -> Self {
-        LogValue::U64(v as u64)
-    }
-}
-
-impl From<i64> for LogValue {
-    fn from(v: i64) -> Self {
-        LogValue::I64(v)
-    }
-}
-
-impl From<f64> for LogValue {
-    fn from(v: f64) -> Self {
-        LogValue::F64(v)
-    }
-}
-
-impl From<bool> for LogValue {
-    fn from(v: bool) -> Self {
-        LogValue::Bool(v)
     }
 }
 
@@ -202,10 +120,10 @@ impl JsonLogger {
     }
 
     /// Writes one event as a single JSONL line:
-    /// `{"ts_ms": …, "level": …, "event": …, <fields>}`. Field keys are
-    /// JSON-escaped; insertion order is preserved. No-op when disabled
-    /// or below the minimum level.
-    pub fn log(&self, level: LogLevel, event: &str, fields: &[(&str, LogValue)]) {
+    /// `{"ts_ms": …, "level": …, "event": …, <fields>}`, where `fields`
+    /// writes `key(…)` + value pairs in order. No-op, and `fields` is
+    /// never called, when disabled or below the minimum level.
+    pub fn log(&self, level: LogLevel, event: &str, fields: impl FnOnce(&mut JsonWriter)) {
         let Some(sink) = &self.sink else {
             return;
         };
@@ -222,19 +140,13 @@ impl JsonLogger {
         LINE_BUF.with(|buf| {
             let mut line = buf.borrow_mut();
             line.clear();
-            let _ = write!(
-                line,
-                "{{\"ts_ms\": {ts_ms}, \"level\": \"{}\", \"event\": ",
-                level.as_str()
-            );
-            json_string_into(&mut line, event);
-            for (k, v) in fields {
-                line.push_str(", ");
-                json_string_into(&mut line, k);
-                line.push_str(": ");
-                v.render_into(&mut line);
-            }
-            line.push_str("}\n");
+            JsonWriter::new(&mut line).object(Layout::Inline, |w| {
+                w.key("ts_ms").int(ts_ms);
+                w.key("level").str(level.as_str());
+                w.key("event").str(event);
+                fields(w);
+            });
+            line.push('\n');
             let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
             if guard.write_all(line.as_bytes()).is_err() {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -243,12 +155,12 @@ impl JsonLogger {
     }
 
     /// [`JsonLogger::log`] at `Info`.
-    pub fn info(&self, event: &str, fields: &[(&str, LogValue)]) {
+    pub fn info(&self, event: &str, fields: impl FnOnce(&mut JsonWriter)) {
         self.log(LogLevel::Info, event, fields);
     }
 
     /// [`JsonLogger::log`] at `Warn`.
-    pub fn warn(&self, event: &str, fields: &[(&str, LogValue)]) {
+    pub fn warn(&self, event: &str, fields: impl FnOnce(&mut JsonWriter)) {
         self.log(LogLevel::Warn, event, fields);
     }
 }
@@ -283,16 +195,13 @@ mod tests {
     fn events_render_as_one_json_line_each() {
         let buf = Buf::default();
         let log = JsonLogger::to_writer(Box::new(buf.clone()));
-        log.info(
-            "access",
-            &[
-                ("tenant", "ebiz".into()),
-                ("status", 200u16.into()),
-                ("latency_ns", 12_345u64.into()),
-                ("breach", false.into()),
-            ],
-        );
-        log.warn("governor", &[("kind", "timeout".into())]);
+        log.info("access", |w| {
+            w.key("tenant").str("ebiz").key("status").int(200u16);
+            w.key("latency_ns").int(12_345u64).key("breach").bool(false);
+        });
+        log.warn("governor", |w| {
+            w.key("kind").str("timeout");
+        });
         let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -311,7 +220,9 @@ mod tests {
     fn strings_are_escaped() {
         let buf = Buf::default();
         let log = JsonLogger::to_writer(Box::new(buf.clone()));
-        log.info("q", &[("kw", "say \"hi\"\nthere".into())]);
+        log.info("q", |w| {
+            w.key("kw").str("say \"hi\"\nthere");
+        });
         assert!(buf.text().contains("\"kw\": \"say \\\"hi\\\"\\nthere\""));
     }
 
@@ -319,8 +230,10 @@ mod tests {
     fn events_below_the_level_floor_are_dropped() {
         let buf = Buf::default();
         let log = JsonLogger::to_writer(Box::new(buf.clone()));
-        log.log(LogLevel::Debug, "quiet", &[]);
-        log.info("loud", &[]);
+        log.log(LogLevel::Debug, "quiet", |_| {
+            panic!("formatted below the floor")
+        });
+        log.info("loud", |_| {});
         let text = buf.text();
         assert!(!text.contains("quiet"));
         assert!(text.contains("loud"));
@@ -330,7 +243,7 @@ mod tests {
     fn disabled_logger_writes_nothing() {
         let log = JsonLogger::disabled();
         assert!(!log.is_enabled());
-        log.info("access", &[("tenant", "ebiz".into())]);
+        log.info("access", |_| panic!("a disabled logger formatted fields"));
         assert_eq!(log.dropped(), 0);
     }
 
@@ -343,7 +256,7 @@ mod tests {
         let path = dir.join("events.jsonl");
         let path = path.to_str().unwrap();
         let log = JsonLogger::from_spec(Some(path)).unwrap();
-        log.info("hello", &[]);
+        log.info("hello", |_| {});
         drop(log);
         let text = std::fs::read_to_string(path).unwrap();
         assert!(text.contains("\"event\": \"hello\""));
@@ -354,7 +267,9 @@ mod tests {
     fn non_finite_floats_render_null() {
         let buf = Buf::default();
         let log = JsonLogger::to_writer(Box::new(buf.clone()));
-        log.info("f", &[("ok", 1.5f64.into()), ("bad", f64::NAN.into())]);
+        log.info("f", |w| {
+            w.key("ok").f64(1.5).key("bad").f64(f64::NAN);
+        });
         let text = buf.text();
         assert!(text.contains("\"ok\": 1.5"), "{text}");
         assert!(text.contains("\"bad\": null"), "{text}");

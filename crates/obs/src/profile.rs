@@ -8,6 +8,8 @@
 //! parallel workers report durations to the coordinating thread, which
 //! records them as leaves in deterministic (chunk/step) order.
 
+use crate::json::{JsonWriter, Layout};
+
 /// Cache outcome of one profiled stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
@@ -18,7 +20,7 @@ pub enum CacheOutcome {
 }
 
 impl CacheOutcome {
-    fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Miss => "miss",
@@ -111,42 +113,34 @@ impl ProfileNode {
         }
     }
 
-    fn json_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!("{pad}  \"name\": {},\n", json_string(&self.name)));
-        out.push_str(&format!("{pad}  \"wall_ns\": {}", self.wall_ns));
-        if let Some(r) = self.rows_in {
-            out.push_str(&format!(",\n{pad}  \"rows_in\": {r}"));
-        }
-        if let Some(r) = self.rows_out {
-            out.push_str(&format!(",\n{pad}  \"rows_out\": {r}"));
-        }
-        if let Some(c) = self.cache {
-            out.push_str(&format!(",\n{pad}  \"cache\": \"{}\"", c.as_str()));
-        }
-        if !self.notes.is_empty() {
-            out.push_str(&format!(",\n{pad}  \"notes\": {{"));
-            for (i, (k, v)) in self.notes.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(Layout::Block, |w| {
+            w.key("name").str(&self.name);
+            w.key("wall_ns").int(self.wall_ns);
+            if let Some(r) = self.rows_in {
+                w.key("rows_in").int(r);
             }
-            out.push('}');
-        }
-        if !self.children.is_empty() {
-            out.push_str(&format!(",\n{pad}  \"children\": [\n"));
-            for (i, c) in self.children.iter().enumerate() {
-                c.json_into(out, indent + 2);
-                if i + 1 < self.children.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+            if let Some(r) = self.rows_out {
+                w.key("rows_out").int(r);
             }
-            out.push_str(&format!("{pad}  ]"));
-        }
-        out.push_str(&format!("\n{pad}}}"));
+            if let Some(c) = self.cache {
+                w.key("cache").str(c.as_str());
+            }
+            if !self.notes.is_empty() {
+                w.key("notes").object(Layout::Inline, |w| {
+                    for (k, v) in &self.notes {
+                        w.key(k).str(v);
+                    }
+                });
+            }
+            if !self.children.is_empty() {
+                w.key("children").array(Layout::Block, |w| {
+                    for c in &self.children {
+                        c.write_json(w);
+                    }
+                });
+            }
+        });
     }
 
     /// Depth-first `name` sequence of the subtree — the profile's
@@ -226,25 +220,21 @@ impl QueryProfile {
         out
     }
 
-    /// The profile as a JSON object (hand-rolled; the workspace carries
-    /// no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"label\": {},\n", json_string(&self.label)));
-        if let Some(id) = &self.trace_id {
-            out.push_str(&format!("  \"trace_id\": {},\n", json_string(id)));
-        }
-        out.push_str(&format!("  \"total_ns\": {},\n", self.total_ns()));
-        out.push_str("  \"stages\": [\n");
-        for (i, r) in self.roots.iter().enumerate() {
-            r.json_into(&mut out, 2);
-            if i + 1 < self.roots.len() {
-                out.push(',');
+    /// Writes the profile as a JSON object — a document of its own, or a
+    /// member of the response or ledger entry `w` is forming.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(Layout::Block, |w| {
+            w.key("label").str(&self.label);
+            if let Some(id) = &self.trace_id {
+                w.key("trace_id").str(id);
             }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}");
-        out
+            w.key("total_ns").int(self.total_ns());
+            w.key("stages").array(Layout::Block, |w| {
+                for r in &self.roots {
+                    r.write_json(w);
+                }
+            });
+        });
     }
 }
 
@@ -259,35 +249,6 @@ pub fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{:.3} s", ns as f64 / 1e9)
     }
-}
-
-/// Escapes a string as a JSON string literal, quotes included.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    json_string_into(&mut out, s);
-    out
-}
-
-/// Appends `s` onto `out` as a JSON string literal, quotes and escapes
-/// included, without allocating — the hot-path form of [`json_string`]
-/// used by the access logger.
-pub fn json_string_into(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -334,9 +295,15 @@ mod tests {
         assert!(r.contains("total 10.0 µs"));
     }
 
+    fn to_json(p: &QueryProfile) -> String {
+        let mut out = String::new();
+        p.write_json(&mut JsonWriter::new(&mut out));
+        out
+    }
+
     #[test]
     fn json_roundtrip_shape() {
-        let j = sample().to_json();
+        let j = to_json(&sample());
         assert!(j.contains("\"label\": \"columbus lcd\""));
         assert!(j.contains("\"total_ns\": 10000"));
         assert!(j.contains("\"name\": \"textindex.search\""));
@@ -348,14 +315,9 @@ mod tests {
     #[test]
     fn json_carries_trace_id_when_present() {
         let mut p = sample();
-        assert!(!p.to_json().contains("trace_id"));
+        assert!(!to_json(&p).contains("trace_id"));
         p.trace_id = Some("deadbeef".into());
-        assert!(p.to_json().contains("\"trace_id\": \"deadbeef\""));
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert!(to_json(&p).contains("\"trace_id\": \"deadbeef\""));
     }
 
     #[test]

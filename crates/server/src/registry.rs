@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use kdap_core::Kdap;
-use kdap_obs::{json_string, snapshot_json, Obs, SlowQueryLedger};
+use kdap_obs::{JsonWriter, Layout, Obs, SlowQueryLedger};
 
 /// How many slow/breached queries each tenant's ledger retains.
 const SLOW_LEDGER_CAPACITY: usize = 32;
@@ -87,74 +87,61 @@ impl TenantEngine {
     /// entry counts included, so tests can assert byte-identical cache
     /// state around an aborted request.
     pub fn stats_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"tenant\": {},\n", json_string(&self.name)));
-        out.push_str(&format!(
-            "  \"measure\": {},\n",
-            json_string(&self.kdap.measure().name)
-        ));
-        out.push_str(&format!("  \"inflight\": {},\n", self.inflight()));
-        out.push_str("  \"http\": ");
-        out.push_str(&snapshot_json(&self.http_obs.metrics_snapshot(), "  "));
-        out.push_str(",\n  \"engine\": ");
-        out.push_str(&snapshot_json(&self.kdap.obs().metrics_snapshot(), "  "));
-        out.push_str(",\n  \"caches\": {");
-        let mut first = true;
-        // `subspace` is the session cache: its entries are explorations,
-        // one per net; the wire name predates that.
-        for (key, len, counters) in [
-            (
-                "subspace",
-                self.kdap.subspace_cache_len(),
-                self.kdap.subspace_cache_counters(),
-            ),
-            (
-                "semijoin",
-                self.kdap.semijoin_cache_len(),
-                self.kdap.semijoin_counters(),
-            ),
-        ] {
-            let (Some(len), Some(c)) = (len, counters) else {
-                continue;
-            };
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!(
-                "    \"{key}\": {{\"len\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
-                len, c.hits, c.misses, c.evictions
-            ));
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        // The semi-join cache's step bitmaps — the only row sets a
-        // session keeps.
-        let h = self.kdap.cache_container_histogram();
-        out.push_str(&format!(
-            "  \"rowset_containers\": {{\"array\": {}, \"bitmap\": {}, \"run\": {}}},\n",
-            h.arrays, h.bitmaps, h.runs
-        ));
-        out.push_str(&format!(
-            "  \"cpu_features\": [{}],\n",
-            kdap_core::kernel::detected_features()
-                .iter()
-                .map(|f| format!("\"{f}\""))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        let wh = self.kdap.warehouse();
-        out.push_str("  \"tables\": [");
-        for (ti, t) in wh.tables().iter().enumerate() {
-            out.push_str(if ti == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"rows\": {}, \"heap_bytes\": {}}}",
-                json_string(t.name()),
-                t.nrows(),
-                t.heap_bytes()
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
+        let mut out = String::new();
+        JsonWriter::new(&mut out).object(Layout::Block, |w| {
+            w.key("tenant").str(&self.name);
+            w.key("measure").str(&self.kdap.measure().name);
+            w.key("inflight").int(self.inflight());
+            w.key("http");
+            self.http_obs.metrics_snapshot().write_json(w);
+            w.key("engine");
+            self.kdap.obs().metrics_snapshot().write_json(w);
+            w.key("caches").object(Layout::Block, |w| {
+                // `subspace` is the session cache: its entries are
+                // explorations, one per net; the wire name predates that.
+                for (key, len, counters) in [
+                    (
+                        "subspace",
+                        self.kdap.subspace_cache_len(),
+                        self.kdap.subspace_cache_counters(),
+                    ),
+                    (
+                        "semijoin",
+                        self.kdap.semijoin_cache_len(),
+                        self.kdap.semijoin_counters(),
+                    ),
+                ] {
+                    if let (Some(len), Some(c)) = (len, counters) {
+                        w.key(key).object(Layout::Inline, |w| {
+                            w.key("len").int(len).key("hits").int(c.hits);
+                            w.key("misses").int(c.misses);
+                            w.key("evictions").int(c.evictions);
+                        });
+                    }
+                }
+            });
+            // The semi-join cache's step bitmaps — the only row sets a
+            // session keeps.
+            let h = self.kdap.cache_container_histogram();
+            w.key("rowset_containers").object(Layout::Inline, |w| {
+                w.key("array").int(h.arrays).key("bitmap").int(h.bitmaps);
+                w.key("run").int(h.runs);
+            });
+            w.key("cpu_features").array(Layout::Inline, |w| {
+                for f in kdap_core::kernel::detected_features() {
+                    w.str(f);
+                }
+            });
+            w.key("tables").array(Layout::Block, |w| {
+                for t in self.kdap.warehouse().tables() {
+                    w.object(Layout::Inline, |w| {
+                        w.key("name").str(t.name()).key("rows").int(t.nrows());
+                        w.key("heap_bytes").int(t.heap_bytes());
+                    });
+                }
+            });
+        });
+        out.push('\n');
         out
     }
 }

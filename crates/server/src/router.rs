@@ -34,8 +34,8 @@ use std::time::Instant;
 use kdap_core::api::{ApiError, QueryRequest, Verb, WireFormat};
 use kdap_core::CancelToken;
 use kdap_obs::{
-    chrome_trace, LedgerEntry, LogLevel, PrometheusExport, QueryProfile, TraceId,
-    PROMETHEUS_CONTENT_TYPE,
+    chrome_trace, JsonWriter, Layout, LedgerEntry, LogLevel, PrometheusExport, QueryProfile,
+    TraceId, PROMETHEUS_CONTENT_TYPE,
 };
 
 use crate::http::{Request, Response};
@@ -92,17 +92,18 @@ pub(crate) fn route(state: &ServerState, request: &Request, stream: &Arc<TcpStre
             s if s >= 400 => LogLevel::Warn,
             _ => LogLevel::Info,
         };
-        let mut fields = vec![
-            ("trace_id", trace.as_str().into()),
-            ("method", request.method.as_str().into()),
-            ("path", request.path.as_str().into()),
-            ("status", response.status.into()),
-            ("latency_ns", (timer.elapsed().as_nanos() as u64).into()),
-        ];
-        if let Some(code) = breach {
-            fields.push(("breach", code.into()));
-        }
-        state.logger.log(level, "access", &fields);
+        state.logger.log(level, "access", |w| {
+            w.key("trace_id")
+                .str(&trace)
+                .key("method")
+                .str(&request.method);
+            w.key("path").str(&request.path);
+            w.key("status").int(response.status);
+            w.key("latency_ns").int(timer.elapsed().as_nanos() as u64);
+            if let Some(code) = breach {
+                w.key("breach").str(code);
+            }
+        });
     }
     response
 }
@@ -182,15 +183,19 @@ fn route_inner(
 /// connection and request totals since start (this request included) —
 /// their ratio is the connection reuse.
 fn healthz_json(state: &ServerState) -> String {
-    format!(
-        "{{\"status\": \"ok\", \"version\": \"{}\", \"uptime_s\": {}, \
-         \"tenants\": {}, \"connections\": {}, \"requests\": {}}}\n",
-        env!("CARGO_PKG_VERSION"),
-        state.started.elapsed().as_secs(),
-        state.registry.len(),
-        state.connections.load(Ordering::Relaxed),
-        state.requests.load(Ordering::Relaxed),
-    )
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(Layout::Inline, |w| {
+        w.key("status").str("ok");
+        w.key("version").str(env!("CARGO_PKG_VERSION"));
+        w.key("uptime_s").int(state.started.elapsed().as_secs());
+        w.key("tenants").int(state.registry.len());
+        w.key("connections")
+            .int(state.connections.load(Ordering::Relaxed));
+        w.key("requests")
+            .int(state.requests.load(Ordering::Relaxed));
+    });
+    out.push('\n');
+    out
 }
 
 /// The per-verb request counter and latency histogram names, spelled

@@ -20,9 +20,9 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
-use kdap_suite::core::api::json::json_string;
 use kdap_suite::core::{Kdap, Refine, StarNet};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+use kdap_suite::obs::json_string;
 use kdap_suite::query::{
     fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, Predicate, RowSet,
     Selection, MAX_PATH_LEN,

@@ -6,7 +6,9 @@
 //! this same case table with `std::fs::write` in place of the comparison
 //! in [`check`]. A request that carries no `refine` must still encode to
 //! exactly these bytes; extend the table and regenerate the same way
-//! when the wire format changes on purpose.
+//! when the wire format changes on purpose. Two such changes since: the
+//! one JSON writer indents a nested `profile` like every other nested
+//! object and writes an empty container as `[]` (`*_profile.json`).
 //!
 //! Every case runs in a fresh serial session (subspace cache on,
 //! observability off), so the cache counters inside `explain` reports
@@ -30,7 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use kdap_suite::core::{ApiError, Kdap, QueryRequest, Verb, WireFormat};
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 use kdap_suite::obs::{
-    chrome_trace, snapshot_json, CacheOutcome, HistogramSummary, JsonLogger, LedgerEntry, LogLevel,
+    chrome_trace, CacheOutcome, HistogramSummary, JsonLogger, JsonWriter, LedgerEntry, LogLevel,
     MetricsSnapshot, ProfileNode, QueryProfile, SlowQueryLedger,
 };
 use kdap_suite::server::{EngineRegistry, KdapServer, ServerConfig};
@@ -313,6 +315,13 @@ fn snapshot(full: bool) -> MetricsSnapshot {
     snap
 }
 
+/// A document formed by `body` alone.
+fn written(body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut out = String::new();
+    body(&mut JsonWriter::new(&mut out));
+    out
+}
+
 fn ledger_json() -> String {
     let ledger = SlowQueryLedger::new(4);
     ledger.record(LedgerEntry {
@@ -349,18 +358,15 @@ fn access_line() -> String {
         }
     }
     let buf = Buf::default();
-    JsonLogger::to_writer(Box::new(buf.clone())).log(
-        LogLevel::Warn,
-        "access",
-        &[
-            ("trace_id", "0123abcd".into()),
-            ("method", "POST".into()),
-            ("path", "/v1/ebiz/explore".into()),
-            ("status", 408u16.into()),
-            ("latency_ns", 1_234_567u64.into()),
-            ("breach", "timeout".into()),
-        ],
-    );
+    JsonLogger::to_writer(Box::new(buf.clone())).log(LogLevel::Warn, "access", |w| {
+        w.key("trace_id").str("0123abcd").key("method").str("POST");
+        w.key("path")
+            .str("/v1/ebiz/explore")
+            .key("status")
+            .int(408u16);
+        w.key("latency_ns").int(1_234_567u64);
+        w.key("breach").str("timeout");
+    });
     let line = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     mask(&line, "ts_ms")
 }
@@ -388,13 +394,22 @@ fn healthz() -> String {
 /// a query response.
 fn documents() -> Vec<(&'static str, String)> {
     vec![
-        ("snapshot_empty.json", snapshot_json(&snapshot(false), "")),
-        ("snapshot_full.json", snapshot_json(&snapshot(true), "")),
-        ("profile_full.json", full_profile().to_json()),
+        (
+            "snapshot_empty.json",
+            written(|w| snapshot(false).write_json(w)),
+        ),
+        (
+            "snapshot_full.json",
+            written(|w| snapshot(true).write_json(w)),
+        ),
+        (
+            "profile_full.json",
+            written(|w| full_profile().write_json(w)),
+        ),
         ("profile_full_trace.json", chrome_trace(&full_profile())),
         (
             "profile_empty.json",
-            QueryProfile::empty("nothing").to_json(),
+            written(|w| QueryProfile::empty("nothing").write_json(w)),
         ),
         (
             "profile_empty_trace.json",
