@@ -7,8 +7,7 @@
 //! console (which held a `StarNet` and drilled along the *first* join
 //! path to the facet's table) the same script differs only where the
 //! `drill 2 1` below — an ACCOUNT facet aggregated on the Seller role —
-//! is in the net, plus the `semi-join cache` hit count inside `explain`
-//! (the report is now stamped before the plan replay, not after).
+//! is in the net, plus the `semi-join cache` hit count inside `explain`.
 //! Since the session cache holds explorations rather than subspaces, the
 //! `subspace cache` lines read 1 hit / 7 misses where they read 3 / 5:
 //! `mode` and `order` ask for the same net under other options, which

@@ -30,7 +30,8 @@ pub struct ConstraintPlan {
     pub selectivity: f64,
     /// True for a numeric-range constraint (§7 extension).
     pub numeric: bool,
-    /// True when the constraint's bitmap came from the semi-join cache.
+    /// True when the semi-join cache held the constraint's bitmap before
+    /// the plan ran.
     pub cache_hit: bool,
 }
 
@@ -73,12 +74,22 @@ pub fn explain_planned(
     let fact = wh.schema().fact_table();
     let n_fact = wh.fact_rows().max(1);
     let plan = planner.plan(wh, net);
+    // What the cache held before this plan ran: read up front, because
+    // the plan's own misses fill it, and a constraint that appears twice
+    // would otherwise read as a hit or a miss depending on which worker
+    // thread got to it first.
+    let held: Vec<bool> = plan
+        .nodes
+        .iter()
+        .map(|n| planner.cache().is_some_and(|c| c.contains(&n.fingerprint)))
+        .collect();
     let (rows, traces) = execute_plan_traced(wh, jidx, fact, &plan, planner.cache(), exec)?;
     let constraints: Vec<ConstraintPlan> = plan
         .nodes
         .iter()
         .zip(&traces)
-        .map(|(node, trace)| {
+        .zip(held)
+        .map(|((node, trace), cache_hit)| {
             let sel = &node.selection;
             let (n_hits, numeric) = match &sel.predicate {
                 Predicate::Codes(codes) => (codes.len(), false),
@@ -91,7 +102,7 @@ pub fn explain_planned(
                 fact_rows: trace.actual_rows,
                 selectivity: trace.actual_rows as f64 / n_fact as f64,
                 numeric,
-                cache_hit: trace.cache_hit,
+                cache_hit,
             }
         })
         .collect();

@@ -593,13 +593,24 @@ impl Kdap {
             &refined
         };
         let facet = request.options.apply_facet(self.facet.clone());
+        // The plan is evaluated before the explore stage, whose misses
+        // fill the semi-join cache: its `[cache hit]` marks then show
+        // what the session held when the request arrived.
+        let plan = match request.verb {
+            Verb::Explain => Some(crate::explain::explain_planned(
+                &self.wh,
+                &self.jidx,
+                net,
+                &self.planner,
+                exec,
+            )?),
+            _ => None,
+        };
         let explored = self.explore_stage(net, &facet, exec)?;
-        if request.verb == Verb::Explain {
+        if let Some(plan) = plan {
             let mut report = explored.report.clone();
             report.subspace_cache = self.subspace_cache_counters();
             report.semijoin_cache = self.semijoin_counters();
-            let plan =
-                crate::explain::explain_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
             response.plan = Some(plan.render());
             response.report = Some(report.render());
         }
@@ -799,11 +810,12 @@ mod tests {
         let request = QueryRequest::new(Verb::Explain, "columbus lcd");
         let first = kdap.run(&request).unwrap();
         let size = first.exploration.unwrap().subspace_size;
-        assert!(first
-            .plan
-            .unwrap()
-            .contains(&format!("subspace: {size} fact rows")));
-        // The explore stage ran first, so every plan step is a cache hit.
+        let first_plan = first.plan.unwrap();
+        assert!(first_plan.contains(&format!("subspace: {size} fact rows")));
+        // A fresh session holds no step yet, even though the request's
+        // own explore stage fills the cache after the plan ran.
+        assert!(!first_plan.contains("[cache hit]"), "{first_plan}");
+        // The first request cached every step, so a repeat hits on all.
         let plan = kdap.run(&request).unwrap().plan.unwrap();
         assert_eq!(
             plan.matches("[cache hit]").count(),

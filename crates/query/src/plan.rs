@@ -150,6 +150,12 @@ impl SemijoinCache {
         }
     }
 
+    /// Whether a constraint's bitmap is held, without counting a hit or
+    /// a miss.
+    pub fn contains(&self, key: &Fingerprint) -> bool {
+        self.map.lock().contains_key(key)
+    }
+
     /// Stores a constraint's bitmap (first insert wins on a race).
     pub fn insert(&self, key: Fingerprint, rows: Arc<RowSet>) {
         self.map.lock().entry(key).or_insert(rows);
