@@ -105,9 +105,10 @@ impl<'a> JsonWriter<'a> {
     /// A number in its shortest round-trip form (`Display`); NaN and ±∞,
     /// which JSON cannot represent, are `null`.
     pub fn f64(&mut self, v: f64) -> &mut Self {
-        match v.is_finite() {
-            true => self.token(format_args!("{v}")),
-            false => self.null(),
+        if v.is_finite() {
+            self.token(format_args!("{v}"))
+        } else {
+            self.null()
         }
     }
 
@@ -115,9 +116,10 @@ impl<'a> JsonWriter<'a> {
     /// fixed-precision fields (trace timestamps, bench timings); NaN and
     /// ±∞ are `null`.
     pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
-        match v.is_finite() {
-            true => self.token(format_args!("{v:.decimals$}")),
-            false => self.null(),
+        if v.is_finite() {
+            self.token(format_args!("{v:.decimals$}"))
+        } else {
+            self.null()
         }
     }
 
