@@ -31,7 +31,7 @@ use kdap_core::Kdap;
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
 };
-use kdap_obs::{lint_exposition, Layout};
+use kdap_obs::{lint_exposition, JsonWriter, Layout};
 use kdap_server::{EngineRegistry, KdapServer, ServerConfig};
 
 /// One completed request: tenant index, action, latency, HTTP status.
@@ -164,7 +164,7 @@ fn drive(
                     "differentiate",
                     "POST",
                     format!("/v1/{t}/differentiate"),
-                    format!("{{\"keywords\": \"{kw}\"}}"),
+                    request_body(kw, None),
                 )
             }
             _ => {
@@ -173,7 +173,7 @@ fn drive(
                     "explore",
                     "POST",
                     format!("/v1/{t}/explore"),
-                    format!("{{\"keywords\": \"{kw}\"}}"),
+                    request_body(kw, None),
                 )
             }
         };
@@ -195,6 +195,18 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     }
     let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// `{"keywords": …}`, with a `timeout_ms` when one is given.
+fn request_body(keywords: &str, timeout_ms: Option<u64>) -> String {
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(Layout::Inline, |w| {
+        w.key("keywords").str(keywords);
+        if let Some(ms) = timeout_ms {
+            w.key("timeout_ms").int(ms);
+        }
+    });
+    out
 }
 
 fn main() {
@@ -278,7 +290,7 @@ fn main() {
         let (status, _) = client.request(
             "POST",
             &format!("/v1/{tenant}/explore"),
-            &format!("{{\"keywords\": \"{kw}\", \"timeout_ms\": 0}}"),
+            &request_body(kw, Some(0)),
         );
         assert_eq!(status, 408, "instant deadline on `{tenant}` must breach");
     }
