@@ -328,10 +328,8 @@ fn render_json(
     let bound = LINEAR_SLACK * facts_growth;
     bench_json("E14", smoke, |w| {
         w.key("generator").str("aw_online");
-        w.key("budget_bytes")
-            .int(budget_bytes)
-            .key("repeats")
-            .int(repeats);
+        w.key("budget_bytes").int(budget_bytes);
+        w.key("repeats").int(repeats);
         w.key("threads").array(Layout::Inline, |w| {
             for &t in threads {
                 w.int(t);
