@@ -49,19 +49,6 @@ pub struct Plan {
     pub intersection_gain: f64,
 }
 
-/// Evaluates the net serially, without a semi-join cache.
-///
-/// Panics on malformed constraints (impossible for interpreter-produced
-/// nets); use [`explain_planned`] to explain through a session's planner
-/// and see its cache hits.
-pub fn explain(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Plan {
-    // Documented panic (see doc comment above); the serial ungoverned
-    // config cannot breach any governance limit.
-    #[allow(clippy::expect_used)]
-    explain_planned(wh, jidx, net, &Planner::default(), &ExecConfig::serial())
-        .expect("star-net constraints evaluate on the fact table")
-}
-
 /// Compiles and executes the net through `planner`, tracing each
 /// constraint.
 pub fn explain_planned(
@@ -73,7 +60,7 @@ pub fn explain_planned(
 ) -> Result<Plan, KdapError> {
     let fact = wh.schema().fact_table();
     let n_fact = wh.fact_rows().max(1);
-    let plan = planner.plan(wh, net);
+    let plan = planner.plan_recorded(wh, net, &exec.obs);
     // What the cache held before this plan ran: read up front, because
     // the plan's own misses fill it, and a constraint that appears twice
     // would otherwise read as a hit or a miss depending on which worker
@@ -242,7 +229,19 @@ mod tests {
     use super::*;
     use crate::interpret::{generate_star_nets, GenConfig};
     use crate::subspace::materialize;
-    use crate::testutil::ebiz_fixture;
+    use crate::testutil::{ebiz_fixture, Fixture};
+
+    /// The net's plan, serially and without a semi-join cache.
+    fn serial_plan(fx: &Fixture, net: &StarNet) -> Plan {
+        explain_planned(
+            &fx.wh,
+            &fx.jidx,
+            net,
+            &Planner::default(),
+            &ExecConfig::serial(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn plan_matches_materialization() {
@@ -253,7 +252,7 @@ mod tests {
             &["columbus", "lcd"],
             &GenConfig::default(),
         ) {
-            let plan = explain(&fx.wh, &fx.jidx, &net);
+            let plan = serial_plan(&fx, &net);
             let sub = materialize(&fx.wh, &fx.jidx, &net);
             assert_eq!(plan.subspace_size, sub.len());
             // One entry per constraint.
@@ -269,7 +268,7 @@ mod tests {
     fn selectivities_are_fractions_of_fact_table() {
         let fx = ebiz_fixture();
         let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        let plan = explain(&fx.wh, &fx.jidx, &nets[0]);
+        let plan = serial_plan(&fx, &nets[0]);
         for c in &plan.constraints {
             assert!((0.0..=1.0).contains(&c.selectivity));
             assert_eq!(c.selectivity, c.fact_rows as f64 / fx.wh.fact_rows() as f64);
@@ -289,7 +288,7 @@ mod tests {
             .iter()
             .find(|n| n.display(&fx.wh).contains("STORE"))
             .unwrap();
-        let plan = explain(&fx.wh, &fx.jidx, net);
+        let plan = serial_plan(&fx, net);
         let text = plan.render();
         assert!(text.contains("(1)"));
         assert!(text.contains("(2)"));
@@ -300,9 +299,8 @@ mod tests {
     #[test]
     fn empty_net_plan_is_full_dataspace() {
         let fx = ebiz_fixture();
-        let plan = explain(
-            &fx.wh,
-            &fx.jidx,
+        let plan = serial_plan(
+            &fx,
             &StarNet {
                 constraints: vec![],
             },

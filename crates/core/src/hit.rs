@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use kdap_obs::{LeafData, Obs};
 use kdap_textindex::{SearchOptions, TextIndex};
 use kdap_warehouse::ColRef;
 
@@ -95,13 +96,34 @@ impl Default for HitConfig {
 }
 
 /// Probes the index for every keyword and organizes hits into hit groups
-/// (Algorithm 1, lines 2–4).
-pub fn build_hit_sets(index: &TextIndex, keywords: &[&str], cfg: &HitConfig) -> Vec<HitSet> {
+/// (Algorithm 1, lines 2–4). Each search is timed and counted on `obs`,
+/// and is a `textindex.search` leaf of its profile.
+pub fn build_hit_sets(
+    index: &TextIndex,
+    keywords: &[&str],
+    cfg: &HitConfig,
+    obs: &Obs,
+) -> Vec<HitSet> {
     keywords
         .iter()
         .enumerate()
         .map(|(ki, kw)| {
+            let t = obs.timer();
             let hits = index.search_keyword(kw, &cfg.search);
+            if obs.is_enabled() {
+                let ns = t.stop();
+                obs.record_ns("textindex.search_ns", ns);
+                obs.inc("textindex.searches", 1);
+                obs.leaf(
+                    "textindex.search",
+                    LeafData {
+                        wall_ns: ns,
+                        rows_out: Some(hits.len() as u64),
+                        notes: vec![("keyword".into(), (*kw).to_string())],
+                        ..LeafData::default()
+                    },
+                );
+            }
             let mut by_attr: BTreeMap<ColRef, Vec<Hit>> = BTreeMap::new();
             for sh in hits
                 .iter()
@@ -153,7 +175,12 @@ mod tests {
 
     #[test]
     fn hits_grouped_by_attribute_domain() {
-        let sets = build_hit_sets(&index(), &["columbus", "lcd"], &HitConfig::default());
+        let sets = build_hit_sets(
+            &index(),
+            &["columbus", "lcd"],
+            &HitConfig::default(),
+            &Obs::disabled(),
+        );
         assert_eq!(sets.len(), 2);
         // "columbus" hits the city attr and the holiday attr → 2 groups.
         assert_eq!(sets[0].groups.len(), 2);
@@ -174,7 +201,7 @@ mod tests {
             min_score: 0.99,
             ..HitConfig::default()
         };
-        let sets = build_hit_sets(&index(), &["lcd"], &cfg);
+        let sets = build_hit_sets(&index(), &["lcd"], &cfg, &Obs::disabled());
         // No exact single-token "LCD" document exists, so every hit is
         // below 0.99 and gets filtered.
         assert!(sets[0].groups.is_empty());
@@ -186,14 +213,14 @@ mod tests {
             max_hits_per_keyword: 1,
             ..HitConfig::default()
         };
-        let sets = build_hit_sets(&index(), &["lcd"], &cfg);
+        let sets = build_hit_sets(&index(), &["lcd"], &cfg, &Obs::disabled());
         let total: usize = sets[0].groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, 1);
     }
 
     #[test]
     fn unknown_keyword_gives_empty_hit_set() {
-        let sets = build_hit_sets(&index(), &["zzz"], &HitConfig::default());
+        let sets = build_hit_sets(&index(), &["zzz"], &HitConfig::default(), &Obs::disabled());
         assert_eq!(sets.len(), 1);
         assert!(sets[0].groups.is_empty());
     }

@@ -213,22 +213,11 @@ pub fn try_generate_star_nets(
     cfg: &GenConfig,
     exec: &ExecConfig,
 ) -> Result<Vec<StarNet>, QueryError> {
-    let hit_sets = build_hit_sets(index, keywords, &cfg.hit);
+    let hit_sets = build_hit_sets(index, keywords, &cfg.hit, &exec.obs);
     try_generate_from_hit_sets(wh, index, &hit_sets, cfg, exec)
 }
 
-/// Same as [`generate_star_nets`] but starting from prebuilt hit sets.
-pub fn generate_from_hit_sets(
-    wh: &Warehouse,
-    index: &TextIndex,
-    hit_sets: &[HitSet],
-    cfg: &GenConfig,
-) -> Vec<StarNet> {
-    // A serial ungoverned config cannot breach any limit.
-    try_generate_from_hit_sets(wh, index, hit_sets, cfg, &ExecConfig::serial()).unwrap_or_default()
-}
-
-/// Governable [`generate_from_hit_sets`].
+/// [`try_generate_star_nets`] from prebuilt hit sets.
 pub fn try_generate_from_hit_sets(
     wh: &Warehouse,
     index: &TextIndex,
@@ -236,7 +225,7 @@ pub fn try_generate_from_hit_sets(
     cfg: &GenConfig,
     exec: &ExecConfig,
 ) -> Result<Vec<StarNet>, QueryError> {
-    let mut pool = merged_group_pool(index, hit_sets);
+    let mut pool = merged_group_pool(index, hit_sets, &exec.obs);
     if cfg.numeric.enabled {
         for (ki, hs) in hit_sets.iter().enumerate() {
             pool.extend(numeric_groups(wh, &hs.keyword, ki, &cfg.numeric));

@@ -35,7 +35,7 @@ pub use api::{
 };
 pub use cache::{Explored, SubspaceCache};
 pub use error::KdapError;
-pub use explain::{explain, explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
+pub use explain::{explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
 pub use facet::{
     explore_subspace, AnnealConfig, DataspaceGroups, Exploration, FacetAttr, FacetConfig,
     FacetEntry, FacetOrder, FacetPanel, MergeResult,

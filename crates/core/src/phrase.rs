@@ -9,14 +9,16 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
+use kdap_obs::Obs;
 use kdap_textindex::TextIndex;
 
 use crate::hit::{Hit, HitGroup, HitSet};
 
 /// Produces the candidate-group pool used by star-seed enumeration: all
 /// original single-keyword groups plus every mergeable phrase group over
-/// consecutive keyword runs.
-pub fn merged_group_pool(index: &TextIndex, hit_sets: &[HitSet]) -> Vec<HitGroup> {
+/// consecutive keyword runs. Each phrase search is timed and counted on
+/// `obs`.
+pub fn merged_group_pool(index: &TextIndex, hit_sets: &[HitSet], obs: &Obs) -> Vec<HitGroup> {
     let mut pool: Vec<HitGroup> = hit_sets
         .iter()
         .flat_map(|hs| hs.groups.iter().cloned())
@@ -69,7 +71,12 @@ pub fn merged_group_pool(index: &TextIndex, hit_sets: &[HitSet]) -> Vec<HitGroup
                     .iter()
                     .map(|hs| hs.keyword.as_str())
                     .collect();
+                let t = obs.timer();
                 let phrase_hits = index.search_phrase(&keywords, &Default::default());
+                if obs.is_enabled() {
+                    obs.record_ns("textindex.search_ns", t.stop());
+                    obs.inc("textindex.searches", 1);
+                }
                 let mut rescored: HashMap<u32, Hit> = HashMap::new();
                 for sh in phrase_hits {
                     let meta = index.doc(sh.doc);
@@ -132,8 +139,8 @@ mod tests {
 
     fn pool_for(keywords: &[&str]) -> Vec<HitGroup> {
         let idx = index();
-        let sets = build_hit_sets(&idx, keywords, &HitConfig::default());
-        merged_group_pool(&idx, &sets)
+        let sets = build_hit_sets(&idx, keywords, &HitConfig::default(), &Obs::disabled());
+        merged_group_pool(&idx, &sets, &Obs::disabled())
     }
 
     #[test]

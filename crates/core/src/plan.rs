@@ -3,7 +3,7 @@
 //! owns the session's [`SemijoinCache`], which evaluates each distinct
 //! constraint once for every plan the session runs.
 
-use kdap_obs::{CacheCounters, Obs};
+use kdap_obs::{CacheCounters, LeafData, Obs};
 use kdap_query::{LogicalPlan, SemijoinCache};
 use kdap_warehouse::Warehouse;
 
@@ -17,14 +17,12 @@ pub struct PlannerConfig;
 
 /// Compiles star-net plans for one session.
 ///
-/// A planner bundles (when caching is enabled) the session's semi-join
-/// cache and the observability handle plan compilation reports to. It
-/// is `Sync`: one planner serves every worker thread. The default
-/// planner caches nothing.
+/// A planner holds (when caching is enabled) the session's semi-join
+/// cache. It is `Sync`: one planner serves every worker thread. The
+/// default planner caches nothing.
 #[derive(Debug, Default)]
 pub struct Planner {
     cache: Option<SemijoinCache>,
-    obs: Obs,
 }
 
 impl Planner {
@@ -32,7 +30,6 @@ impl Planner {
     pub fn cached() -> Self {
         Planner {
             cache: Some(SemijoinCache::new()),
-            obs: Obs::disabled(),
         }
     }
 
@@ -41,14 +38,7 @@ impl Planner {
     pub fn new(_cfg: PlannerConfig, cached: bool) -> Self {
         Planner {
             cache: cached.then(SemijoinCache::new),
-            obs: Obs::disabled(),
         }
-    }
-
-    /// Attaches an observability handle; compile timings flow into it
-    /// from then on.
-    pub fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// The (empty) planner configuration, for [`Planner::new`].
@@ -59,17 +49,23 @@ impl Planner {
     /// Compiles a star net to its plan. (`_wh` is unread; the frozen
     /// `kdap_bench` passes it.)
     pub fn plan(&self, _wh: &Warehouse, net: &StarNet) -> LogicalPlan {
-        let t = self.obs.timer();
-        let logical = net.compile();
-        let compile_ns = t.stop();
-        if self.obs.is_enabled() {
-            self.obs.record_ns("planner.compile_ns", compile_ns);
-            self.obs.leaf(
+        net.compile()
+    }
+
+    /// [`Planner::plan`], timed in `obs`'s `planner.compile_ns` and
+    /// recorded as its profile's `plan.compile` leaf.
+    pub(crate) fn plan_recorded(&self, wh: &Warehouse, net: &StarNet, obs: &Obs) -> LogicalPlan {
+        let t = obs.timer();
+        let logical = self.plan(wh, net);
+        if obs.is_enabled() {
+            let compile_ns = t.stop();
+            obs.record_ns("planner.compile_ns", compile_ns);
+            obs.leaf(
                 "plan.compile",
-                kdap_obs::LeafData {
+                LeafData {
                     wall_ns: compile_ns,
                     rows_out: Some(logical.len() as u64),
-                    ..kdap_obs::LeafData::default()
+                    ..LeafData::default()
                 },
             );
         }

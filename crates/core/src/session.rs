@@ -177,17 +177,14 @@ impl KdapBuilder {
         } else {
             Obs::disabled()
         };
-        let mut index = TextIndex::build(&self.wh);
-        index.attach_obs(obs.clone());
+        let index = TextIndex::build(&self.wh);
         let jidx = JoinIndex::build(&self.wh);
         let exec = if self.threads == 1 {
             ExecConfig::serial()
         } else {
             ExecConfig::with_threads(self.threads)
         }
-        .with_obs(obs.clone());
-        let mut planner = Planner::cached();
-        planner.attach_obs(obs.clone());
+        .with_obs(obs);
         Ok(Kdap {
             wh: self.wh,
             index,
@@ -198,8 +195,7 @@ impl KdapBuilder {
             measure,
             cache: self.cache_capacity.map(SubspaceCache::new),
             exec,
-            planner,
-            obs,
+            planner: Planner::cached(),
             governor: Governor {
                 deadline: self.deadline,
                 memory_budget: self.memory_budget,
@@ -224,9 +220,10 @@ pub struct Kdap {
     method: RankMethod,
     measure: Measure,
     cache: Option<SubspaceCache>,
+    /// The session's execution config; its `obs` is the session's one
+    /// observability handle (metrics, no profile).
     exec: ExecConfig,
     planner: Planner,
-    obs: Obs,
     governor: Governor,
     /// The measure decoded to a flat `f64` vector on first use, for the
     /// life of the session — every exploration shares one decode.
@@ -320,7 +317,7 @@ impl Kdap {
     /// Counts a governance breach in the obs metrics on its way out.
     fn recorded<T>(&self, result: Result<T, KdapError>) -> Result<T, KdapError> {
         if let Err(err) = &result {
-            record_breach(&self.obs, err);
+            record_breach(&self.exec.obs, err);
         }
         result
     }
@@ -345,7 +342,7 @@ impl Kdap {
         method: RankMethod,
         exec: &ExecConfig,
     ) -> Result<Vec<RankedStarNet>, KdapError> {
-        let span = self.obs.span("differentiate");
+        let span = exec.obs.span("differentiate");
         let keywords = split_query(query);
         if !has_usable_keyword(&keywords) {
             return Err(KdapError::EmptyQuery);
@@ -353,11 +350,11 @@ impl Kdap {
         span.note("keywords", keywords.len());
         let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
         let nets = {
-            let _s = self.obs.span("generate_star_nets");
+            let _s = exec.obs.span("generate_star_nets");
             try_generate_star_nets(&self.wh, &self.index, &refs, &self.gen, exec)?
         };
         let ranked = {
-            let _s = self.obs.span("rank_star_nets");
+            let _s = exec.obs.span("rank_star_nets");
             rank_star_nets(nets, method)
         };
         span.rows_out(ranked.len() as u64);
@@ -388,7 +385,7 @@ impl Kdap {
         facet: &FacetConfig,
         exec: &ExecConfig,
     ) -> Result<Arc<Explored>, KdapError> {
-        let span = self.obs.span("explore");
+        let span = exec.obs.span("explore");
         // A hit is governed like any other stage: an expired deadline or
         // a tripped cancel token wins over the lookup. (A byte budget
         // charges what a request allocates; a hit allocates nothing.)
@@ -403,7 +400,7 @@ impl Kdap {
             span.cache(CacheOutcome::Miss);
         }
         let sub = {
-            let span = self.obs.span("materialize");
+            let span = exec.obs.span("materialize");
             let sub = materialize_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
             span.rows_out(sub.len() as u64);
             sub
@@ -442,7 +439,7 @@ impl Kdap {
     /// The session's observability handle (disabled unless the session
     /// was built with [`KdapBuilder::observability`]).
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.exec.obs
     }
 
     /// Session-cache hit/miss/eviction counters, when the cache is
@@ -494,8 +491,8 @@ impl Kdap {
     /// every frontend (HTTP server, CLI, REPL) drives. The verb selects
     /// the pipeline: `differentiate` ranks interpretations,
     /// `explore`/`profile`/`explain` additionally run the explore phase
-    /// on the picked interpretation (profile under the session recorder,
-    /// explain with plan and scan accounting) after applying the
+    /// on the picked interpretation (profile into the request's own
+    /// profile handle, explain with plan and scan accounting) after applying the
     /// request's `refine` steps to it — drill, roll-up and drop are
     /// requests, replayed from the pick each time; the caches make the
     /// replayed prefix cheap. Request options override the session's
@@ -518,18 +515,16 @@ impl Kdap {
         request: &QueryRequest,
         cancel: Option<CancelToken>,
     ) -> Result<QueryResponse, KdapError> {
-        let exec = self.request_exec(&request.options, cancel);
-        let profiling = request.verb == Verb::Profile;
-        if profiling {
-            self.obs.start_profile(&request.keywords);
+        let mut exec = self.request_exec(&request.options, cancel);
+        if request.verb == Verb::Profile {
+            exec.obs = exec.obs.profiled(&request.keywords);
         }
-        let result = self.recorded(self.run_stages(request, &exec));
-        // Taken on failure too: a failed query must not leave profile
-        // state behind.
-        let profile = profiling.then(|| self.obs.take_profile());
-        let mut response = result?;
-        if let Some(profile) = profile {
-            let mut profile = profile.unwrap_or_else(|| QueryProfile::empty(&request.keywords));
+        let mut response = self.recorded(self.run_stages(request, &exec))?;
+        if request.verb == Verb::Profile {
+            let mut profile = exec
+                .obs
+                .take_profile()
+                .unwrap_or_else(|| QueryProfile::empty(&request.keywords));
             profile.trace_id = request.trace_id.clone();
             response.profile = Some(profile);
         }

@@ -83,7 +83,7 @@ pub fn materialize_planned(
     exec: &ExecConfig,
 ) -> Result<Subspace, KdapError> {
     let fact = wh.schema().fact_table();
-    let plan = planner.plan(wh, net);
+    let plan = planner.plan_recorded(wh, net, &exec.obs);
     let rows = execute_plan(wh, jidx, fact, &plan, planner.cache(), exec)?;
     Ok(Subspace { rows })
 }

@@ -2,26 +2,28 @@
 //!
 //! Three pieces, one handle:
 //!
-//! * **[`Obs`]** — the handle threaded through every layer. It wraps
-//!   `Option<Arc<Recorder>>`; the [`Obs::disabled`] handle turns every
-//!   operation into a single `None` check, so instrumented code costs
-//!   nothing measurable when observability is off (the contract the
-//!   `exp_obs` bench verifies: bit-identical results, ≤2% overhead).
+//! * **[`Obs`]** — the handle threaded through every layer. It holds a
+//!   session's metrics and, on a profiled request, that request's own
+//!   span stack; the [`Obs::disabled`] handle turns every operation into
+//!   a single `None` check, so instrumented code costs nothing
+//!   measurable when observability is off (the contract the `exp_obs`
+//!   bench verifies: bit-identical results, ≤2% overhead).
 //! * **Metrics** — named atomic [`Counter`]s, [`Gauge`]s, and
 //!   log-bucketed [`Histogram`]s (p50/p95/p99 as deterministic
 //!   bucket-upper-bound estimates; merge is bucket addition, hence
 //!   associative across per-thread partials).
-//! * **Profiles** — a per-query [`QueryProfile`] tree built from a span
-//!   stack on the coordinating thread. Parallel workers never open
-//!   spans; they measure raw durations which the coordinator records as
-//!   leaves in chunk/step order, so the tree *structure* is identical at
-//!   any thread count.
+//! * **Profiles** — a per-request [`QueryProfile`] tree built from the
+//!   span stack of the handle [`Obs::profiled`] returns, on the
+//!   coordinating thread. Parallel workers never open spans; they
+//!   measure raw durations which the coordinator records as leaves in
+//!   chunk/step order, so the tree *structure* is identical at any
+//!   thread count.
 //!
 //! ```
 //! use kdap_obs::{span, LeafData, Obs};
 //!
-//! let obs = Obs::enabled();
-//! obs.start_profile("columbus lcd");
+//! let session = Obs::enabled();
+//! let obs = session.profiled("columbus lcd");
 //! {
 //!     let s = span!(obs, "semijoin", table = "STORES");
 //!     s.rows_out(42);
@@ -52,7 +54,7 @@ pub use metrics::{
     CacheCounters, Counter, Gauge, Histogram, HistogramSummary, Metrics, MetricsSnapshot, N_BUCKETS,
 };
 pub use profile::{fmt_ns, CacheOutcome, ProfileNode, QueryProfile};
-pub use recorder::{LeafData, Obs, Recorder, Span, Timer};
+pub use recorder::{LeafData, Obs, Span, Timer};
 pub use trace::TraceId;
 
 /// Opens a span on an [`Obs`] handle, optionally annotating it with
@@ -60,14 +62,13 @@ pub use trace::TraceId;
 ///
 /// ```
 /// # use kdap_obs::{span, Obs};
-/// # let obs = Obs::enabled();
-/// # obs.start_profile("q");
+/// # let obs = Obs::enabled().profiled("q");
 /// let _s = span!(obs, "semijoin");
 /// let _t = span!(obs, "scan", table = "FACTS", chunks = 4);
 /// ```
 ///
-/// Values go through `ToString`. On a disabled handle (or outside an
-/// active profile) the span is inert and the notes are never formatted.
+/// Values go through `ToString`. On a handle without a profile the span
+/// is inert and the notes are never formatted.
 #[macro_export]
 macro_rules! span {
     ($obs:expr, $name:expr) => {
@@ -86,8 +87,7 @@ mod tests {
 
     #[test]
     fn span_macro_records_notes() {
-        let obs = Obs::enabled();
-        obs.start_profile("q");
+        let obs = Obs::enabled().profiled("q");
         {
             let _s = span!(obs, "scan", table = "FACTS", chunks = 4);
         }

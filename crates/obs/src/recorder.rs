@@ -1,13 +1,23 @@
-//! The recorder: an [`Obs`] handle cloned into every layer of the
-//! engine, a span stack that builds [`QueryProfile`] trees, and timers
-//! that cost nothing when observability is off.
+//! The recorder: an [`Obs`] handle that shares one session's metrics,
+//! a per-request span stack that builds a [`QueryProfile`] tree, and
+//! timers that cost nothing when observability is off.
+//!
+//! # A profile belongs to its request
+//!
+//! A session holds one handle: its metrics, no span stack. A `profile`
+//! request derives its own handle with [`Obs::profiled`], which shares
+//! those metrics and owns a fresh span stack, and passes it down with
+//! the request. Spans and leaves land in the stack of the handle they
+//! are recorded on, so requests running beside each other on one
+//! session never write into each other's profiles.
 //!
 //! # Zero cost when disabled
 //!
-//! `Obs` wraps `Option<Arc<Recorder>>`. The disabled handle is `None`;
-//! every operation checks that first and returns immediately — no clock
-//! read, no allocation, no lock. [`Obs::timer`] on a disabled handle
-//! skips `Instant::now()` entirely and reports 0 ns.
+//! The disabled handle holds neither metrics nor a span stack; every
+//! operation checks its `Option` first and returns immediately — no
+//! clock read, no allocation, no lock. [`Obs::timer`] on a disabled
+//! handle skips `Instant::now()` entirely and reports 0 ns. A handle
+//! without a span stack opens inert spans after one `Option` check.
 //!
 //! # Deterministic profile structure
 //!
@@ -17,7 +27,6 @@
 //! the profile tree is therefore a pure function of the query and data —
 //! identical for any thread count — which the equivalence tests assert.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -41,20 +50,18 @@ pub struct LeafData {
     pub notes: Vec<(String, String)>,
 }
 
-/// Span-stack state guarded by one mutex: an arena of nodes plus the
-/// stack of currently-open span indices.
+/// One request's span stack: an arena of nodes plus the stack of
+/// currently-open span indices.
 #[derive(Debug, Default)]
 struct ProfileState {
     label: String,
     nodes: Vec<ProfileNode>,
-    /// Children of `nodes[i]`, as arena indices; index 0 is unused
-    /// (nodes[0] exists only when a profile is open).
+    /// Children of `nodes[i]`, as arena indices.
     children: Vec<Vec<usize>>,
     /// Arena indices of roots, in open order.
     roots: Vec<usize>,
     /// Open spans, outermost first.
     stack: Vec<usize>,
-    active: bool,
 }
 
 impl ProfileState {
@@ -80,11 +87,7 @@ impl ProfileState {
         }
         let roots = self.roots.iter().map(|&r| build(self, r)).collect();
         let label = std::mem::take(&mut self.label);
-        self.nodes.clear();
-        self.children.clear();
-        self.roots.clear();
-        self.stack.clear();
-        self.active = false;
+        *self = ProfileState::default();
         QueryProfile {
             label,
             trace_id: None,
@@ -93,186 +96,153 @@ impl ProfileState {
     }
 }
 
-/// The enabled recorder: a metrics registry plus the span-stack state.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    metrics: Metrics,
-    profile: Mutex<ProfileState>,
-    /// Mirror of `ProfileState::active`, readable without the mutex —
-    /// the flag that lets span/leaf calls on sessions that are *not*
-    /// currently profiling return after one atomic load instead of a
-    /// lock round-trip. The mutex stays the authority: callers that
-    /// pass this check re-verify `active` under the lock.
-    profiling: AtomicBool,
-}
+type SharedProfile = Arc<Mutex<ProfileState>>;
 
 fn lock(m: &Mutex<ProfileState>) -> std::sync::MutexGuard<'_, ProfileState> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The observability handle threaded through the engine. Cheap to clone
-/// (an `Option<Arc>`); the [`Obs::disabled`] handle makes every
-/// operation a no-op after a single branch.
+/// (two `Option<Arc>`s); the [`Obs::disabled`] handle makes every
+/// operation a no-op after a single branch. Clones share the metrics and
+/// the span stack, if any.
 #[derive(Debug, Clone, Default)]
-pub struct Obs(Option<Arc<Recorder>>);
+pub struct Obs {
+    metrics: Option<Arc<Metrics>>,
+    profile: Option<SharedProfile>,
+}
 
 impl Obs {
     /// The no-op handle: every operation returns immediately.
     pub fn disabled() -> Self {
-        Obs(None)
+        Obs::default()
     }
 
-    /// A live handle backed by a fresh recorder.
+    /// A live handle backed by a fresh metrics registry, without a span
+    /// stack: it counts and times, and its spans are inert.
     pub fn enabled() -> Self {
-        Obs(Some(Arc::new(Recorder::default())))
+        Obs {
+            metrics: Some(Arc::new(Metrics::default())),
+            profile: None,
+        }
+    }
+
+    /// A handle for one profiled request: it shares this handle's
+    /// metrics and owns a fresh span stack labelled `label`, which
+    /// [`Obs::take_profile`] assembles. A disabled handle stays disabled.
+    pub fn profiled(&self, label: &str) -> Self {
+        Obs {
+            metrics: self.metrics.clone(),
+            profile: self.metrics.as_ref().map(|_| {
+                Arc::new(Mutex::new(ProfileState {
+                    label: label.to_string(),
+                    ..ProfileState::default()
+                }))
+            }),
+        }
     }
 
     /// True when this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        self.metrics.is_some()
     }
 
-    /// Begins collecting a [`QueryProfile`] labelled `label`. Replaces
-    /// any profile in progress. No-op when disabled.
-    pub fn start_profile(&self, label: &str) {
-        if let Some(rec) = &self.0 {
-            let mut st = lock(&rec.profile);
-            st.label = label.to_string();
-            st.nodes.clear();
-            st.children.clear();
-            st.roots.clear();
-            st.stack.clear();
-            st.active = true;
-            rec.profiling.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Finishes and returns the profile started by
-    /// [`Obs::start_profile`]. `None` when disabled or when no profile
-    /// was started.
+    /// Assembles this handle's profile and empties its span stack.
+    /// `None` when the handle carries no profile.
     pub fn take_profile(&self) -> Option<QueryProfile> {
-        let rec = self.0.as_ref()?;
-        let mut st = lock(&rec.profile);
-        if !st.active {
-            return None;
-        }
-        let profile = st.assemble();
-        rec.profiling.store(false, Ordering::Relaxed);
-        Some(profile)
+        Some(lock(self.profile.as_ref()?).assemble())
     }
 
-    /// True while a profile is being collected — the cheap pre-check
-    /// (one atomic load) hot paths use to skip building span/leaf data
-    /// that would be discarded anyway. Always `false` when disabled.
+    /// True when this handle carries a profile — the cheap pre-check hot
+    /// paths use to skip building span/leaf data that would be discarded
+    /// anyway. Always `false` when disabled.
     pub fn is_profiling(&self) -> bool {
-        match &self.0 {
-            Some(rec) => rec.profiling.load(Ordering::Relaxed),
-            None => false,
-        }
+        self.profile.is_some()
     }
 
     /// Opens a span named `name` on the coordinating thread. Returns a
     /// guard that closes the span (recording its wall time) on drop.
-    /// Disabled handles and handles without an active profile return an
-    /// inert guard.
+    /// Handles without a profile return an inert guard.
     pub fn span(&self, name: &str) -> Span {
-        if let Some(rec) = &self.0 {
-            if !rec.profiling.load(Ordering::Relaxed) {
-                return Span {
-                    obs: None,
-                    idx: 0,
-                    start: None,
-                };
-            }
-            let mut st = lock(&rec.profile);
-            if st.active {
-                let idx = st.push_node(ProfileNode::new(name));
-                st.stack.push(idx);
-                return Span {
-                    obs: Some(rec.clone()),
-                    idx,
-                    start: Some(Instant::now()),
-                };
-            }
-        }
+        let Some(profile) = &self.profile else {
+            return Span {
+                profile: None,
+                idx: 0,
+                start: None,
+            };
+        };
+        let mut st = lock(profile);
+        let idx = st.push_node(ProfileNode::new(name));
+        st.stack.push(idx);
         Span {
-            obs: None,
-            idx: 0,
-            start: None,
+            profile: Some(profile.clone()),
+            idx,
+            start: Some(Instant::now()),
         }
     }
 
     /// Records a completed leaf stage under the currently-open span.
     /// This is how parallel work enters the profile: workers measure,
-    /// the coordinator calls `leaf` in deterministic order. No-op when
-    /// disabled or no profile is active.
+    /// the coordinator calls `leaf` in deterministic order. No-op on
+    /// handles without a profile.
     pub fn leaf(&self, name: &str, data: LeafData) {
-        if let Some(rec) = &self.0 {
-            if !rec.profiling.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut st = lock(&rec.profile);
-            if st.active {
-                let mut node = ProfileNode::new(name);
-                node.wall_ns = data.wall_ns;
-                node.rows_in = data.rows_in;
-                node.rows_out = data.rows_out;
-                node.cache = data.cache;
-                node.notes = data.notes;
-                st.push_node(node);
-            }
+        if let Some(profile) = &self.profile {
+            let mut node = ProfileNode::new(name);
+            node.wall_ns = data.wall_ns;
+            node.rows_in = data.rows_in;
+            node.rows_out = data.rows_out;
+            node.cache = data.cache;
+            node.notes = data.notes;
+            lock(profile).push_node(node);
         }
     }
 
     /// Starts a timer. Disabled handles skip the clock read and report
     /// 0 ns — the property the overhead bench measures.
     pub fn timer(&self) -> Timer {
-        match &self.0 {
-            Some(_) => Timer(Some(Instant::now())),
-            None => Timer(None),
-        }
+        Timer(self.metrics.as_ref().map(|_| Instant::now()))
     }
 
     /// Adds `n` to the counter named `name`. No-op when disabled.
     pub fn inc(&self, name: &str, n: u64) {
-        if let Some(rec) = &self.0 {
-            rec.metrics.counter(name).add(n);
+        if let Some(metrics) = &self.metrics {
+            metrics.counter(name).add(n);
         }
     }
 
     /// Records a sample into the histogram named `name`. No-op when
     /// disabled.
     pub fn record_ns(&self, name: &str, ns: u64) {
-        if let Some(rec) = &self.0 {
-            rec.metrics.histogram(name).record(ns);
+        if let Some(metrics) = &self.metrics {
+            metrics.histogram(name).record(ns);
         }
     }
 
     /// Sets the gauge named `name`. No-op when disabled.
     pub fn gauge(&self, name: &str, v: i64) {
-        if let Some(rec) = &self.0 {
-            rec.metrics.gauge(name).set(v);
+        if let Some(metrics) = &self.metrics {
+            metrics.gauge(name).set(v);
         }
     }
 
     /// The counter handle, for hoisting out of hot loops. `None` when
     /// disabled.
     pub fn counter_handle(&self, name: &str) -> Option<Arc<Counter>> {
-        self.0.as_ref().map(|rec| rec.metrics.counter(name))
+        self.metrics.as_ref().map(|m| m.counter(name))
     }
 
     /// The histogram handle, for hoisting out of hot loops. `None` when
     /// disabled.
     pub fn histogram_handle(&self, name: &str) -> Option<Arc<Histogram>> {
-        self.0.as_ref().map(|rec| rec.metrics.histogram(name))
+        self.metrics.as_ref().map(|m| m.histogram(name))
     }
 
     /// A snapshot of every metric. Empty when disabled.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.0 {
-            Some(rec) => rec.metrics.snapshot(),
-            None => MetricsSnapshot::default(),
-        }
+        self.metrics
+            .as_ref()
+            .map(|m| m.snapshot())
+            .unwrap_or_default()
     }
 
     /// Every histogram with its live handle, name-sorted — the raw
@@ -280,80 +250,63 @@ impl Obs {
     /// series (snapshots only carry percentile summaries). Empty when
     /// disabled.
     pub fn histogram_entries(&self) -> Vec<(String, Arc<Histogram>)> {
-        match &self.0 {
-            Some(rec) => rec.metrics.histogram_entries(),
-            None => Vec::new(),
-        }
+        self.metrics
+            .as_ref()
+            .map(|m| m.histogram_entries())
+            .unwrap_or_default()
     }
 }
 
 /// Guard of an open span; closes it on drop, recording wall time.
 #[derive(Debug)]
 pub struct Span {
-    obs: Option<Arc<Recorder>>,
+    profile: Option<SharedProfile>,
     idx: usize,
     start: Option<Instant>,
 }
 
 impl Span {
-    /// Adds a `key=value` annotation to the span. No-op on inert spans.
-    pub fn note(&self, key: &str, value: impl ToString) {
-        if let Some(rec) = &self.obs {
-            let mut st = lock(&rec.profile);
-            let idx = self.idx;
-            if idx < st.nodes.len() {
-                st.nodes[idx]
-                    .notes
-                    .push((key.to_string(), value.to_string()));
+    /// Applies `f` to the span's node. No-op on inert spans.
+    fn with_node(&self, f: impl FnOnce(&mut ProfileNode)) {
+        if let Some(profile) = &self.profile {
+            if let Some(node) = lock(profile).nodes.get_mut(self.idx) {
+                f(node);
             }
         }
+    }
+
+    /// Adds a `key=value` annotation to the span. No-op on inert spans.
+    pub fn note(&self, key: &str, value: impl ToString) {
+        self.with_node(|n| n.notes.push((key.to_string(), value.to_string())));
     }
 
     /// Sets the span's rows-in count.
     pub fn rows_in(&self, rows: u64) {
-        if let Some(rec) = &self.obs {
-            let mut st = lock(&rec.profile);
-            let idx = self.idx;
-            if idx < st.nodes.len() {
-                st.nodes[idx].rows_in = Some(rows);
-            }
-        }
+        self.with_node(|n| n.rows_in = Some(rows));
     }
 
     /// Sets the span's rows-out count.
     pub fn rows_out(&self, rows: u64) {
-        if let Some(rec) = &self.obs {
-            let mut st = lock(&rec.profile);
-            let idx = self.idx;
-            if idx < st.nodes.len() {
-                st.nodes[idx].rows_out = Some(rows);
-            }
-        }
+        self.with_node(|n| n.rows_out = Some(rows));
     }
 
     /// Sets the span's cache outcome.
     pub fn cache(&self, outcome: CacheOutcome) {
-        if let Some(rec) = &self.obs {
-            let mut st = lock(&rec.profile);
-            let idx = self.idx;
-            if idx < st.nodes.len() {
-                st.nodes[idx].cache = Some(outcome);
-            }
-        }
+        self.with_node(|n| n.cache = Some(outcome));
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(rec) = self.obs.take() {
+        if let Some(profile) = self.profile.take() {
             let ns = self
                 .start
                 .map(|t| t.elapsed().as_nanos() as u64)
                 .unwrap_or(0);
-            let mut st = lock(&rec.profile);
+            let mut st = lock(&profile);
             let idx = self.idx;
-            if idx < st.nodes.len() {
-                st.nodes[idx].wall_ns = ns;
+            if let Some(node) = st.nodes.get_mut(idx) {
+                node.wall_ns = ns;
             }
             if st.stack.last() == Some(&idx) {
                 st.stack.pop();
@@ -384,9 +337,8 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert() {
-        let obs = Obs::disabled();
-        assert!(!obs.is_enabled());
-        obs.start_profile("q");
+        let obs = Obs::disabled().profiled("q");
+        assert!(!obs.is_enabled() && !obs.is_profiling());
         {
             let s = obs.span("stage");
             s.note("k", "v");
@@ -404,8 +356,7 @@ mod tests {
 
     #[test]
     fn span_stack_builds_tree_in_order() {
-        let obs = Obs::enabled();
-        obs.start_profile("columbus lcd");
+        let obs = Obs::enabled().profiled("columbus lcd");
         {
             let outer = obs.span("differentiate");
             outer.rows_out(10);
@@ -424,7 +375,7 @@ mod tests {
         {
             let _e = obs.span("explore");
         }
-        let p = obs.take_profile().expect("profile active");
+        let p = obs.take_profile().expect("profiled handle");
         assert_eq!(p.label, "columbus lcd");
         assert_eq!(
             p.stage_names(),
@@ -436,32 +387,28 @@ mod tests {
             vec![("terms".to_string(), "2".to_string())]
         );
         assert_eq!(p.roots[0].children[1].rows_in, Some(10));
-        // Taking again returns None until a new profile starts.
-        assert!(obs.take_profile().is_none());
+        // Taking empties the stack.
+        assert!(obs.take_profile().unwrap().is_empty());
     }
 
     #[test]
-    fn profiling_flag_tracks_start_and_take() {
+    fn only_a_profiled_handle_profiles() {
         let obs = Obs::enabled();
         assert!(!obs.is_profiling());
-        obs.start_profile("q");
-        assert!(obs.is_profiling());
-        obs.take_profile();
+        assert!(obs.profiled("q").is_profiling());
         assert!(!obs.is_profiling());
         assert!(!Obs::disabled().is_profiling());
     }
 
     #[test]
-    fn spans_without_active_profile_are_inert() {
+    fn spans_without_a_profile_are_inert() {
         let obs = Obs::enabled();
         {
             let s = obs.span("orphan");
             s.note("k", "v");
         }
         assert!(obs.take_profile().is_none());
-        obs.start_profile("q");
-        let p = obs.take_profile().unwrap();
-        assert!(p.is_empty());
+        assert!(obs.profiled("q").take_profile().unwrap().is_empty());
     }
 
     #[test]
@@ -480,16 +427,25 @@ mod tests {
     }
 
     #[test]
-    fn restart_profile_resets_state() {
+    fn profiled_handles_share_metrics_and_keep_their_own_spans() {
         let obs = Obs::enabled();
-        obs.start_profile("first");
-        let _ = obs.span("a");
-        obs.start_profile("second");
+        let (a, b) = (obs.profiled("a"), obs.profiled("b"));
+        let _outer = a.span("differentiate");
         {
-            let _ = obs.span("b");
+            let _s = b.span("explore");
+            b.leaf("scan", LeafData::default());
         }
-        let p = obs.take_profile().unwrap();
-        assert_eq!(p.label, "second");
-        assert_eq!(p.stage_names(), vec!["b"]);
+        a.inc("searches", 1);
+        b.inc("searches", 1);
+        obs.span("unprofiled").note("k", "v");
+        assert_eq!(obs.metrics_snapshot().counters["searches"], 2);
+        assert_eq!(
+            b.take_profile().unwrap().stage_names(),
+            vec!["explore", "  scan"]
+        );
+        drop(_outer);
+        let p = a.take_profile().unwrap();
+        assert_eq!(p.label, "a");
+        assert_eq!(p.stage_names(), vec!["differentiate"]);
     }
 }

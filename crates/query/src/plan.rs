@@ -480,8 +480,7 @@ mod tests {
             dim_selection(&wh, "Widget"),
             tag_selection(&wh, "hot"),
         ]);
-        let obs = kdap_obs::Obs::enabled();
-        obs.start_profile("q");
+        let obs = kdap_obs::Obs::enabled().profiled("q");
         let exec = ExecConfig::serial().with_obs(obs.clone());
         let _ = execute_plan_traced(&wh, &jidx, fact, &plan, None, &exec).unwrap();
         let p = obs.take_profile().unwrap();

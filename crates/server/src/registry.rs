@@ -1,10 +1,10 @@
 //! The multi-tenant engine registry: many named warehouses behind one
-//! process, each an [`Arc<Kdap>`] with its own cache partition, its own
-//! server-side metrics, and its own profile capture lock.
+//! process, each an [`Arc<Kdap>`] with its own cache partition and its
+//! own server-side metrics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use kdap_core::Kdap;
 use kdap_obs::{JsonWriter, Layout, Obs, SlowQueryLedger};
@@ -26,10 +26,6 @@ pub struct TenantEngine {
     /// Server-side metrics (request counters, latency histograms) —
     /// always enabled, independent of the engine's own observability.
     http_obs: Obs,
-    /// Serializes `profile` requests: profile capture is per-session
-    /// global state, so concurrent captures on one tenant would
-    /// interleave their span trees.
-    profile_lock: Mutex<()>,
     inflight: AtomicUsize,
     /// Retains the N slowest / most-recently-breached queries with their
     /// profiles, served at `GET /v1/{tenant}/slow`.
@@ -55,12 +51,6 @@ impl TenantEngine {
     /// The tenant's slow-query ledger.
     pub fn slow_ledger(&self) -> &SlowQueryLedger {
         &self.slow
-    }
-
-    /// Holds the profile-capture lock for the duration of a `profile`
-    /// request.
-    pub fn lock_profile(&self) -> MutexGuard<'_, ()> {
-        self.profile_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Admits one request against `max_inflight`, returning a guard that
@@ -181,7 +171,6 @@ impl EngineRegistry {
                 name,
                 kdap,
                 http_obs: Obs::enabled(),
-                profile_lock: Mutex::new(()),
                 inflight: AtomicUsize::new(0),
                 slow: SlowQueryLedger::new(SLOW_LEDGER_CAPACITY),
             }),

@@ -259,9 +259,6 @@ fn run_query(
         )));
     };
 
-    // Profile capture is per-session state: one capture at a time.
-    let _profile_guard = (verb == Verb::Profile).then(|| tenant.lock_profile());
-
     let token = CancelToken::new();
     let watch = state.monitor.watch(stream, token.clone());
     let timer = obs.timer();

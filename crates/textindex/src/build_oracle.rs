@@ -166,7 +166,6 @@ impl OracleIndex {
                 .map(|(raw, ids)| (raw.as_str().into(), ids[0]))
                 .collect(),
             postings: self.postings.clone(),
-            obs: Default::default(),
         }
     }
 }

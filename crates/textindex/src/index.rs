@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kdap_obs::Obs;
 use kdap_warehouse::{ColRef, Warehouse};
 
 use crate::doc::{DocId, DocMeta};
@@ -32,7 +31,6 @@ pub struct TextIndex {
     /// so that the tokens sharing a prefix are one range.
     pub(crate) raw_vocab: Vec<(Box<str>, u32)>,
     pub(crate) postings: Vec<Vec<Posting>>,
-    pub(crate) obs: Obs,
 }
 
 /// The one way a [`TextIndex`] is built: documents are added in order,
@@ -135,12 +133,6 @@ impl TextIndex {
             builder.add(attr, code, text);
         }
         builder.finish()
-    }
-
-    /// Attaches an observability handle; search timings and counters flow
-    /// into it from then on.
-    pub fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// Summary statistics: documents, terms, postings, and average

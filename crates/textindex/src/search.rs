@@ -1,7 +1,5 @@
 //! Keyword and phrase search over the [`TextIndex`].
 
-use kdap_obs::LeafData;
-
 use crate::doc::DocId;
 use crate::index::TextIndex;
 use crate::scoring::{idf, score, TermMatch};
@@ -51,48 +49,24 @@ impl TextIndex {
     /// [`SearchOptions`]. Hits are sorted by descending score (ties by
     /// doc id for determinism).
     pub fn search_keyword(&self, keyword: &str, opts: &SearchOptions) -> Vec<SearchHit> {
-        let t = self.obs.timer();
         let tokens = tokenize_terms(keyword);
-        let hits = match tokens.len() {
+        match tokens.len() {
             0 => Vec::new(),
             1 => self.search_single(&tokens[0], opts),
             _ => self.search_phrase_terms(&tokens),
-        };
-        if self.obs.is_enabled() {
-            let ns = t.stop();
-            self.obs.record_ns("textindex.search_ns", ns);
-            self.obs.inc("textindex.searches", 1);
-            self.obs.leaf(
-                "textindex.search",
-                LeafData {
-                    wall_ns: ns,
-                    rows_out: Some(hits.len() as u64),
-                    notes: vec![("keyword".into(), keyword.to_string())],
-                    ..LeafData::default()
-                },
-            );
         }
-        hits
     }
 
     /// Searches for a phrase given as whitespace-separated keywords
     /// (§4.3 — used to re-score merged hit groups). A phrase of one token
     /// is a keyword search under `opts`.
     pub fn search_phrase(&self, keywords: &[&str], opts: &SearchOptions) -> Vec<SearchHit> {
-        let t = self.obs.timer();
         let tokens: Vec<String> = keywords.iter().flat_map(|k| tokenize_terms(k)).collect();
-        let hits = if tokens.is_empty() {
-            Vec::new()
-        } else if tokens.len() == 1 {
-            self.search_single(&tokens[0], opts)
-        } else {
-            self.search_phrase_terms(&tokens)
-        };
-        if self.obs.is_enabled() {
-            self.obs.record_ns("textindex.search_ns", t.stop());
-            self.obs.inc("textindex.searches", 1);
+        match tokens.len() {
+            0 => Vec::new(),
+            1 => self.search_single(&tokens[0], opts),
+            _ => self.search_phrase_terms(&tokens),
         }
-        hits
     }
 
     fn search_single(&self, token: &str, opts: &SearchOptions) -> Vec<SearchHit> {

@@ -3,7 +3,10 @@
 //! exploration aggregates, not facet ordering — at any thread count.
 //! The per-query profile tree, in turn, must keep a stable stage
 //! structure whether the kernels run on one worker or four (timings
-//! differ; the tree does not).
+//! differ; the tree does not), and whatever else runs on the session.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
 
 use kdap_suite::core::{Kdap, QueryRequest, QueryResponse, Verb};
 use kdap_suite::datagen::{build_ebiz, generate_workload, EbizScale, WorkloadConfig};
@@ -94,4 +97,58 @@ fn disabled_sessions_record_nothing() {
     let snap = off.obs().metrics_snapshot();
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
+}
+
+/// The stage names of one profile request.
+fn stages(kdap: &Kdap, keywords: &str) -> Vec<String> {
+    profile(kdap, keywords)
+        .profile
+        .expect("profile verb answers a profile")
+        .stage_names()
+}
+
+#[test]
+fn a_profile_holds_only_its_own_request() {
+    let (_, kdap) = sessions(1);
+    // Warm both queries first: the session memo and the semi-join cache
+    // are filled by the first runs, and a later tree is the same tree.
+    kdap.run(&QueryRequest::new(Verb::Explore, "columbus plasma"))
+        .expect("explore succeeds");
+    stages(&kdap, "seattle lcd");
+    let alone = stages(&kdap, "seattle lcd");
+    let other_alone = stages(&kdap, "columbus plasma");
+    assert_eq!(alone.len(), 20, "{alone:#?}");
+
+    // One thread explores while another profiles.
+    let stop = AtomicBool::new(false);
+    let wrong = thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                kdap.run(&QueryRequest::new(Verb::Explore, "columbus plasma"))
+                    .expect("explore succeeds");
+            }
+        });
+        let wrong = (0..200)
+            .filter(|_| stages(&kdap, "seattle lcd") != alone)
+            .count();
+        stop.store(true, Ordering::Relaxed);
+        wrong
+    });
+    assert_eq!(wrong, 0, "profiles holding another request's spans");
+
+    // Two threads profile at once, each its own keywords.
+    let (a, b) = thread::scope(|s| {
+        let a = s.spawn(|| {
+            (0..100)
+                .filter(|_| stages(&kdap, "seattle lcd") != alone)
+                .count()
+        });
+        let b = s.spawn(|| {
+            (0..100)
+                .filter(|_| stages(&kdap, "columbus plasma") != other_alone)
+                .count()
+        });
+        (a.join().expect("no panic"), b.join().expect("no panic"))
+    });
+    assert_eq!((a, b), (0, 0), "concurrent profiles mixed their trees");
 }

@@ -5,7 +5,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use kdap_suite::core::api::json;
 use kdap_suite::core::Kdap;
@@ -305,6 +307,61 @@ fn profile_format_trace_returns_chrome_trace_json() {
     );
     assert_eq!(status, 406, "{body}");
 
+    server.shutdown();
+}
+
+#[test]
+fn profiles_of_a_busy_tenant_hold_only_their_own_request() {
+    let server = start(None);
+    let addr = server.addr();
+    let stop = AtomicBool::new(false);
+    let wrong = thread::scope(|s| {
+        for client in 0..2 {
+            let stop = &stop;
+            s.spawn(move || {
+                for k in (1..=6).cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let body = format!(
+                        "{{\"keywords\": \"columbus plasma\", \"top_k_attrs\": {}}}",
+                        k + client
+                    );
+                    let (status, _, body) = http(addr, "POST", "/v1/ebiz/explore", &[], &body);
+                    assert_eq!(status, 200, "{body}");
+                }
+            });
+        }
+        let wrong: Vec<String> = (0..100)
+            .filter_map(|_| {
+                let (status, _, body) = http(
+                    addr,
+                    "POST",
+                    "/v1/ebiz/profile",
+                    &[],
+                    "{\"keywords\": \"seattle lcd\"}",
+                );
+                assert_eq!(status, 200, "{body}");
+                let roots: Option<Vec<String>> = json::parse(&body).ok().and_then(|doc| {
+                    let stages = doc.get("profile")?.get("stages")?.as_arr()?;
+                    stages
+                        .iter()
+                        .map(|st| Some(st.get("name")?.as_str()?.to_string()))
+                        .collect()
+                });
+                (roots.as_deref() != Some(&["differentiate".into(), "explore".into()][..]))
+                    .then_some(body)
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        wrong
+    });
+    assert!(
+        wrong.is_empty(),
+        "{} of 100 profiles were not their own request's: {}",
+        wrong.len(),
+        wrong[0]
+    );
     server.shutdown();
 }
 
