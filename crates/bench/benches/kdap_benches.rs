@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use kdap_bench::differentiate;
 use kdap_core::facet::{merge_intervals, AnnealConfig};
 use kdap_core::{
     explore_subspace, generate_star_nets, materialize, rank_star_nets, DataspaceGroups, GenConfig,
@@ -82,7 +83,7 @@ fn bench_differentiate(c: &mut Criterion) {
 
 fn bench_explore(c: &mut Criterion) {
     let kdap = session();
-    let ranked = kdap.interpret("California Mountain Bikes");
+    let ranked = differentiate(&kdap, "California Mountain Bikes");
     let net = &ranked[0].net;
     let mut g = c.benchmark_group("explore");
     g.sample_size(20);
@@ -159,7 +160,7 @@ fn bench_subspace_cache(c: &mut Criterion) {
         .cache_capacity(32)
         .build()
         .expect("measure defined");
-    let ranked = kdap.interpret("California Mountain Bikes");
+    let ranked = differentiate(&kdap, "California Mountain Bikes");
     let net = &ranked[0].net;
     cached.explore(net).expect("explores"); // warm
     let mut g = c.benchmark_group("subspace_cache");

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use kdap_bench::{cumulative_curve, print_table, rank_of_intended};
+use kdap_bench::{cumulative_curve, differentiate, print_table, rank_of_intended};
 use kdap_core::{generate_star_nets, rank_star_nets, GenConfig, Kdap, RankMethod};
 use kdap_datagen::{build_aw_online, build_aw_reseller, generate_workload, Scale, WorkloadConfig};
 use kdap_textindex::TextIndex;
@@ -151,7 +151,7 @@ fn main() {
     let mut explored = 0usize;
     let t0 = Instant::now();
     for q in &queries {
-        let ranked = kdap.interpret(&q.text());
+        let ranked = differentiate(&kdap, &q.text());
         for r in ranked.iter().take(3) {
             let ex = kdap.explore(&r.net).expect("star net evaluates");
             checksum += ex.total_aggregate;

@@ -15,7 +15,9 @@
 //!
 //! Run: `cargo run --release -p kdap-bench --bin exp_fig7`
 
-use kdap_bench::{bucket_series, numeric_values, print_table, BucketSeries, RollupCase};
+use kdap_bench::{
+    bucket_series, differentiate, numeric_values, print_table, BucketSeries, RollupCase,
+};
 use kdap_core::facet::{merge_intervals, path_for_attr, AnnealConfig};
 use kdap_core::{materialize, rollup_spaces, Kdap, MeasureVector};
 use kdap_datagen::{build_aw_online, build_aw_reseller, Scale};
@@ -83,7 +85,7 @@ fn main() {
 /// worst-correlated roll-up space — what attribute ranking hands to the
 /// display merge.
 fn numeric_series(kdap: &Kdap, query: &str, dim_name: &str, attr: ColRef) -> Option<BucketSeries> {
-    let ranked = kdap.interpret(query);
+    let ranked = differentiate(kdap, query);
     let net = &ranked.first()?.net;
     eprintln!("  \"{query}\" → {}", net.display(kdap.warehouse()));
     let wh = kdap.warehouse();

@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run --release -p kdap-bench --bin exp_numeric`
 
-use kdap_bench::print_table;
+use kdap_bench::{differentiate, print_table};
 use kdap_core::{GenConfig, Kdap, NumericConfig};
 use kdap_datagen::{build_aw_online, Scale};
 
@@ -56,8 +56,8 @@ fn main() {
     let queries = ["2001", price_kw.as_str(), "80000 California"];
     let mut rows = Vec::new();
     for q in queries {
-        let baseline = text_only.interpret(q).len();
-        let ranked = kdap.interpret(q);
+        let baseline = differentiate(&text_only, q).len();
+        let ranked = differentiate(&kdap, q);
         let numeric_count = ranked
             .iter()
             .filter(|r| r.net.constraints.iter().any(|c| c.group.numeric.is_some()))
@@ -93,7 +93,7 @@ fn main() {
     );
 
     // End-to-end: explore a numeric interpretation.
-    let ranked = kdap.interpret(&price_kw);
+    let ranked = differentiate(&kdap, &price_kw);
     if let Some(r) = ranked
         .iter()
         .find(|r| r.net.constraints.iter().any(|c| c.group.numeric.is_some()))

@@ -1,8 +1,8 @@
 //! Experiment E13 — observability overhead.
 //!
 //! The tracing/metrics layer (`kdap-obs`) threads an `Obs` handle through
-//! every hot path: text search, plan compile, semi-join steps,
-//! the fused group-by kernels, and the session loop. The design contract
+//! every hot path: text search, semi-join steps, the fused group-by
+//! kernels, and the session loop. The design contract
 //! is that a *disabled* handle costs one branch — no clock read, no lock,
 //! no allocation — so sessions that never ask for profiles pay nothing.
 //!
@@ -34,7 +34,7 @@
 
 use std::time::Instant;
 
-use kdap_bench::{bench_json, print_table, write_bench_json};
+use kdap_bench::{bench_json, differentiate, print_table, write_bench_json};
 use kdap_core::{Exploration, Kdap, QueryRequest, StarNet, Verb};
 use kdap_datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
@@ -122,7 +122,7 @@ fn run_db(
 
     let nets: Vec<StarNet> = queries
         .iter()
-        .filter_map(|q| off.interpret(&q.text()).into_iter().next())
+        .filter_map(|q| differentiate(&off, &q.text()).into_iter().next())
         .map(|r| r.net)
         .collect();
 
@@ -132,8 +132,8 @@ fn run_db(
     let logger = JsonLogger::to_writer(Box::new(std::io::sink()));
     let ledger = SlowQueryLedger::new(32);
 
-    // Warm both sessions (plans, stats, measure vectors) so the timed
-    // runs compare steady state.
+    // Warm both sessions (semi-join bitmaps, stats, measure vectors) so
+    // the timed runs compare steady state.
     let (_, ex_off) = explore_all(&off, &nets, None);
     let (_, ex_on) = explore_all(&on, &nets, Some((&logger, &ledger)));
     assert_eq!(

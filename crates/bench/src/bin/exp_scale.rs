@@ -6,14 +6,14 @@
 //! measures how that cost grows with the data: it builds AW_ONLINE at a
 //! ladder of scale factors (facts ×f, dimensions ×√f — see
 //! `Scale::scaled`), runs a fixed keyword workload through the full
-//! interpret→explore pipeline under a 2 GiB memory budget, and records
+//! differentiate→explore pipeline under a 2 GiB memory budget, and records
 //! the p50 explore latency per thread count.
 //!
 //! Methodology: every rung interprets the same keyword queries — the
 //! default workload drawn from the smallest rung's data — and explores
 //! each query's top net. Per rung, the session is warmed once over every
-//! net (plans, the measure vector, the whole-dataspace group memo), then
-//! each net is explored `repeats` times per thread count — rounds
+//! net (semi-join bitmaps, the measure vector, the whole-dataspace group
+//! memo), then each net is explored `repeats` times per thread count — rounds
 //! interleaved over the nets, keeping each net's best round (the same
 //! best-of-N discipline as `exp_obs`, so frequency drift cancels instead
 //! of inflating a rung) — and the p50 over the per-net minima kept. Warm
@@ -47,7 +47,7 @@
 
 use std::time::Instant;
 
-use kdap_bench::{bench_json, print_table, write_bench_json};
+use kdap_bench::{bench_json, differentiate, print_table, write_bench_json};
 use kdap_core::{Kdap, StarNet};
 use kdap_datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_obs::Layout;
@@ -136,7 +136,7 @@ fn run_rung(
 
     let nets: Vec<StarNet> = keywords
         .iter()
-        .filter_map(|q| first.interpret(q).into_iter().next())
+        .filter_map(|q| differentiate(&first, q).into_iter().next())
         .map(|r| r.net)
         .take(max_nets)
         .collect();
@@ -147,7 +147,7 @@ fn run_rung(
     let mut first = Some(first);
     for &t in threads {
         let kdap = first.take().unwrap_or_else(|| session(t));
-        // Warm once: plans, semi-join bitmaps, measure vector, the
+        // Warm once: semi-join bitmaps, measure vector, the
         // whole-dataspace groups. Every explore runs governed by the
         // memory budget — a breach aborts the whole experiment, which is
         // exactly the point.

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use kdap_bench::print_table;
+use kdap_bench::{differentiate, print_table};
 use kdap_core::facet::{merge_intervals, AnnealConfig};
 use kdap_core::Kdap;
 use kdap_datagen::{build_aw_online, build_aw_reseller, Scale};
@@ -41,7 +41,7 @@ fn main() {
         if name == "AW_ONLINE" {
             // Differentiate-phase latency on a representative query.
             let t = Instant::now();
-            let ranked = kdap.interpret("California Mountain Bikes");
+            let ranked = differentiate(&kdap, "California Mountain Bikes");
             let interpret_ms = t.elapsed().as_secs_f64() * 1000.0;
             let t = Instant::now();
             let _ex = kdap.explore(&ranked[0].net).expect("star net evaluates");

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p kdap-bench --bin exp_table1 [-- --scale small]`
 
-use kdap_bench::print_table;
+use kdap_bench::{differentiate, print_table};
 use kdap_core::Kdap;
 use kdap_datagen::{build_aw_online, Scale};
 
@@ -24,7 +24,7 @@ fn main() {
 
     let query = "California Mountain Bikes";
     println!("## Table 1 — star nets for \"{query}\" (AW_ONLINE)\n");
-    let ranked = kdap.interpret(query);
+    let ranked = differentiate(&kdap, query);
     println!("candidate interpretations generated: {}\n", ranked.len());
 
     let rows: Vec<Vec<String>> = ranked

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p kdap-bench --bin exp_table2 [-- --scale small]`
 
-use kdap_bench::print_table;
+use kdap_bench::{differentiate, print_table};
 use kdap_core::{FacetConfig, Kdap};
 use kdap_datagen::{build_aw_online, Scale};
 
@@ -30,7 +30,7 @@ fn main() {
         .build()
         .expect("measure defined");
 
-    let ranked = kdap.interpret("California Mountain Bikes");
+    let ranked = differentiate(&kdap, "California Mountain Bikes");
     let net = &ranked.first().expect("interpretations exist").net;
     println!(
         "## Table 2 — selected attributes & instances (Product dimension)\n\nstar net: {}\n",

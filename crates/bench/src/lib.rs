@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use kdap_core::{RankedStarNet, StarNet};
+use kdap_core::{Kdap, QueryRequest, RankedStarNet, StarNet, Verb};
 use kdap_datagen::LabeledQuery;
 use kdap_obs::{JsonWriter, Layout};
 use kdap_query::{
@@ -15,6 +15,15 @@ use kdap_query::{
     JoinPath, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
 };
 use kdap_warehouse::{ColRef, Measure, Warehouse};
+
+/// The ranked interpretations of `keywords`: [`Kdap::run`] with
+/// `differentiate`. Panics on a typed error, which no experiment's
+/// keywords should cause.
+pub fn differentiate(kdap: &Kdap, keywords: &str) -> Vec<RankedStarNet> {
+    kdap.run(&QueryRequest::new(Verb::Differentiate, keywords))
+        .unwrap_or_else(|err| panic!("`{keywords}` differentiates: {err}"))
+        .ranked
+}
 
 /// Does a star net match a labeled query's intended interpretation?
 ///

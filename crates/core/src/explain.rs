@@ -3,12 +3,12 @@
 //! (and the `kdap` console) can see *why* a subspace has the size it does
 //! before paying for facet construction.
 //!
-//! The plan is compiled and executed through the same [`Planner`] that
-//! runs queries: one entry per constraint in net order, with the ones
-//! served from the session's semi-join cache marked.
+//! The constraints AND through the same executor and [`Planner`] cache
+//! that materialize queries: one entry per constraint in net order, with
+//! the ones served from the session's semi-join cache marked.
 
 use kdap_obs::CacheCounters;
-use kdap_query::{execute_plan_traced, ExecConfig, JoinIndex, Predicate};
+use kdap_query::{and_selections, ExecConfig, Fingerprint, JoinIndex, Predicate, Selection};
 use kdap_warehouse::Warehouse;
 
 use crate::error::KdapError;
@@ -49,8 +49,8 @@ pub struct Plan {
     pub intersection_gain: f64,
 }
 
-/// Compiles and executes the net through `planner`, tracing each
-/// constraint.
+/// ANDs the net's constraints through `planner`'s cache, reporting each
+/// constraint's own row count.
 pub fn explain_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -60,24 +60,25 @@ pub fn explain_planned(
 ) -> Result<Plan, KdapError> {
     let fact = wh.schema().fact_table();
     let n_fact = wh.fact_rows().max(1);
-    let plan = planner.plan_recorded(wh, net, &exec.obs);
-    // What the cache held before this plan ran: read up front, because
-    // the plan's own misses fill it, and a constraint that appears twice
-    // would otherwise read as a hit or a miss depending on which worker
-    // thread got to it first.
-    let held: Vec<bool> = plan
-        .nodes
+    let selections: Vec<Selection> = net.constraints.iter().map(|c| c.selection()).collect();
+    // What the cache held before the constraints ran: read up front,
+    // because their own misses fill it, and a constraint that appears
+    // twice would otherwise read as a hit or a miss depending on which
+    // worker thread got to it first.
+    let held: Vec<bool> = selections
         .iter()
-        .map(|n| planner.cache().is_some_and(|c| c.contains(&n.fingerprint)))
+        .map(|sel| {
+            planner
+                .cache()
+                .is_some_and(|c| c.contains(&Fingerprint::of(sel)))
+        })
         .collect();
-    let (rows, traces) = execute_plan_traced(wh, jidx, fact, &plan, planner.cache(), exec)?;
-    let constraints: Vec<ConstraintPlan> = plan
-        .nodes
+    let (rows, step_rows) = and_selections(wh, jidx, fact, &selections, planner.cache(), exec)?;
+    let constraints: Vec<ConstraintPlan> = selections
         .iter()
-        .zip(&traces)
+        .zip(step_rows)
         .zip(held)
-        .map(|((node, trace), cache_hit)| {
-            let sel = &node.selection;
+        .map(|((sel, fact_rows), cache_hit)| {
             let (n_hits, numeric) = match &sel.predicate {
                 Predicate::Codes(codes) => (codes.len(), false),
                 Predicate::Range { .. } => (1, true),
@@ -86,8 +87,8 @@ pub fn explain_planned(
                 attr: wh.col_name(sel.attr),
                 path: sel.path.display(wh, fact),
                 n_hits,
-                fact_rows: trace.actual_rows,
-                selectivity: trace.actual_rows as f64 / n_fact as f64,
+                fact_rows,
+                selectivity: fact_rows as f64 / n_fact as f64,
                 numeric,
                 cache_hit,
             }

@@ -198,12 +198,12 @@ struct NumSlot {
 /// The explore phase over an already-materialized subspace: aggregates
 /// `sub`, builds its dynamic facets, and reports the scan accounting.
 ///
-/// The roll-up spaces are compiled and executed through `planner`,
-/// sharing its semi-join cache with the plan that materialized the
-/// subspace; scans fan out over `exec`'s workers and poll its governance
-/// context. Scans over the whole dataspace read `memo` and insert each
-/// group-by they computed as soon as its scan returns. Results are
-/// identical for every thread count and memo state.
+/// The roll-up spaces are materialized through `planner`'s semi-join
+/// cache, which they share with the materialization of the subspace;
+/// scans fan out over `exec`'s workers and poll its governance context.
+/// Scans over the whole dataspace read `memo` and insert each group-by
+/// they computed as soon as its scan returns. Results are identical for
+/// every thread count and memo state.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_subspace(
     wh: &Warehouse,

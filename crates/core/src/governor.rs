@@ -87,7 +87,7 @@ impl CancelToken {
 }
 
 /// Session-level governance limits, applied to each query individually:
-/// the deadline clock restarts at every `interpret`/`explore` call.
+/// the deadline clock restarts at every `run`/`explore` call.
 #[derive(Debug, Clone, Default)]
 pub struct Governor {
     /// Per-query wall-clock deadline.

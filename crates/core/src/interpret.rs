@@ -16,13 +16,12 @@
 //!   structurally identical star nets are deduplicated by canonical key.
 
 use kdap_query::{
-    fact_paths_by_table, ExecConfig, Fingerprint, JoinPath, LogicalPlan, QueryError, Selection,
-    MAX_PATH_LEN,
+    fact_paths_by_table, ExecConfig, Fingerprint, JoinPath, QueryError, Selection, MAX_PATH_LEN,
 };
 use kdap_textindex::TextIndex;
 use kdap_warehouse::{ColRef, DimId, Warehouse};
 
-use crate::hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};
+use crate::hit::{build_hit_sets, Hit, HitConfig, HitGroup};
 use crate::numeric_hits::{numeric_groups, NumericConfig};
 use crate::phrase::merged_group_pool;
 
@@ -145,13 +144,9 @@ impl StarNet {
     /// Canonical identity used for deduplication: the multiset of
     /// constraint fingerprints.
     fn canonical_key(&self) -> CanonicalKey {
-        self.compile().canonical_key()
-    }
-
-    /// Compiles the net into a [`LogicalPlan`]: one node per constraint,
-    /// keyed by canonical fingerprint, conjunctive on the fact table.
-    pub fn compile(&self) -> LogicalPlan {
-        LogicalPlan::from_selections(self.constraints.iter().map(|c| c.selection()).collect())
+        let mut key: CanonicalKey = self.constraints.iter().map(|c| c.fingerprint()).collect();
+        key.sort();
+        key
     }
 
     /// Human-readable rendering: the constraints' own, joined by `⋈`.
@@ -214,18 +209,7 @@ pub fn try_generate_star_nets(
     exec: &ExecConfig,
 ) -> Result<Vec<StarNet>, QueryError> {
     let hit_sets = build_hit_sets(index, keywords, &cfg.hit, &exec.obs);
-    try_generate_from_hit_sets(wh, index, &hit_sets, cfg, exec)
-}
-
-/// [`try_generate_star_nets`] from prebuilt hit sets.
-pub fn try_generate_from_hit_sets(
-    wh: &Warehouse,
-    index: &TextIndex,
-    hit_sets: &[HitSet],
-    cfg: &GenConfig,
-    exec: &ExecConfig,
-) -> Result<Vec<StarNet>, QueryError> {
-    let mut pool = merged_group_pool(index, hit_sets, &exec.obs);
+    let mut pool = merged_group_pool(index, &hit_sets, &exec.obs);
     if cfg.numeric.enabled {
         for (ki, hs) in hit_sets.iter().enumerate() {
             pool.extend(numeric_groups(wh, &hs.keyword, ki, &cfg.numeric));

@@ -82,10 +82,16 @@ mod tests {
         Kdap::builder(ebiz_fixture().wh).build().unwrap()
     }
 
+    /// `columbus`'s ranked interpretations.
+    fn columbus(kdap: &Kdap) -> Vec<crate::rank::RankedStarNet> {
+        let request = crate::api::QueryRequest::new(crate::api::Verb::Differentiate, "columbus");
+        kdap.run(&request).unwrap().ranked
+    }
+
     #[test]
     fn interpretation_list_is_numbered_and_limited() {
         let kdap = session();
-        let ranked = kdap.interpret("columbus");
+        let ranked = columbus(&kdap);
         let text = render_interpretations(kdap.warehouse(), &ranked, 2);
         assert!(text.starts_with("#1  "));
         assert!(text.contains("#2  "));
@@ -98,7 +104,7 @@ mod tests {
     #[test]
     fn exploration_outline_shows_hits_and_totals() {
         let kdap = session();
-        let ranked = kdap.interpret("columbus");
+        let ranked = columbus(&kdap);
         let ex = kdap.explore(&ranked[0].net).unwrap();
         let text = render_exploration(&ex);
         assert!(text.starts_with(&format!("subspace: {} facts", ex.subspace_size)));

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use kdap_query::{
-    execute_plan, par_map, paths_between, ExecConfig, JoinIndex, JoinPath, LogicalPlan, Selection,
+    and_selections, par_map, paths_between, ExecConfig, JoinIndex, JoinPath, Selection,
 };
 use kdap_warehouse::{ColRef, Warehouse};
 
@@ -97,10 +97,10 @@ pub fn rollup_spaces(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Vec<Sub
         .expect("roll-up selections evaluate on the fact table")
 }
 
-/// Builds the logical plan of the net with constraint `i` generalized:
-/// the other constraints' selections unchanged, constraint `i` replaced
-/// by its parent-level selection (or removed when it rolls up to ALL).
-fn rolled_logical(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) -> LogicalPlan {
+/// The selections of the net with constraint `i` generalized: the other
+/// constraints' selections unchanged, constraint `i` replaced by its
+/// parent-level selection (or removed when it rolls up to ALL).
+fn rolled_selections(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) -> Vec<Selection> {
     let rolled = rollup_constraint(wh, jidx, &net.constraints[i]);
     let mut selections: Vec<Selection> = Vec::with_capacity(net.constraints.len());
     for (j, other) in net.constraints.iter().enumerate() {
@@ -113,15 +113,15 @@ fn rolled_logical(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) -> 
             Rollup::Parent(parent) => selections.push(parent.selection()),
         }
     }
-    LogicalPlan::from_selections(selections)
+    selections
 }
 
-/// Fallible, planner-driven roll-up materialization: each rolled plan
-/// executes through `planner`'s semi-join cache (shared constraints hit
-/// it) and the per-constraint spaces evaluate across `exec`'s worker
-/// threads. The spaces are independent of each other, so output order
-/// (one space per constraint, in constraint order) and contents are
-/// identical for every thread count.
+/// Fallible roll-up materialization: each rolled net's selections AND
+/// through `planner`'s semi-join cache (shared constraints hit it) and
+/// the per-constraint spaces evaluate across `exec`'s worker threads.
+/// The spaces are independent of each other, so output order (one space
+/// per constraint, in constraint order) and contents are identical for
+/// every thread count.
 pub fn try_rollup_spaces_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -131,21 +131,22 @@ pub fn try_rollup_spaces_planned(
 ) -> Result<Vec<Subspace>, KdapError> {
     let fact = wh.schema().fact_table();
     let indices: Vec<usize> = (0..net.constraints.len()).collect();
-    // Each rolled plan executes serially inside its par_map worker —
+    // Each rolled net executes serially inside its par_map worker —
     // without the outer obs handle, matching the coordinator-side-only
     // recording contract — but the governed context (deadline / cancel /
-    // budget) must flow in or the plan steps would run unchecked.
+    // budget) must flow in or the semi-join steps would run unchecked.
     let mut inner = ExecConfig::serial();
     if let Some(ctx) = &exec.govern {
         inner = inner.with_govern(ctx.clone());
     }
     let results = par_map(exec, &indices, |_, &i| {
-        let plan = rolled_logical(wh, jidx, net, i);
-        execute_plan(wh, jidx, fact, &plan, planner.cache(), &inner)
+        let selections = rolled_selections(wh, jidx, net, i);
+        and_selections(wh, jidx, fact, &selections, planner.cache(), &inner)
     });
     let mut spaces = Vec::with_capacity(results.len());
-    for rows in results {
-        spaces.push(Subspace { rows: rows? });
+    for result in results {
+        let (rows, _) = result?;
+        spaces.push(Subspace { rows });
     }
     if spaces.is_empty() {
         spaces.push(Subspace::full(wh));

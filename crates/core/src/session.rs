@@ -2,8 +2,8 @@
 //! Figure 1.
 //!
 //! ```text
-//! keywords ──▶ interpret() ──▶ ranked star nets ──(user picks one)──▶
-//!          explore() ──▶ aggregates + dynamic facets
+//! QueryRequest ──▶ run() ──▶ differentiate: ranked star nets
+//!                  ──(pick, refine)──▶ explore: aggregates + dynamic facets
 //! ```
 //!
 //! Sessions are configured through [`KdapBuilder`] and may run the
@@ -128,8 +128,8 @@ impl KdapBuilder {
         self
     }
 
-    /// Sets a per-query wall-clock deadline. Each `interpret`/`explore`
-    /// call restarts the clock; a query running past it aborts
+    /// Sets a per-query wall-clock deadline. Each `run`/`explore` call
+    /// restarts the clock; a query running past it aborts
     /// cooperatively with [`KdapError::Timeout`] at the next kernel
     /// chunk boundary.
     pub fn deadline(mut self, deadline: Duration) -> Self {
@@ -322,18 +322,6 @@ impl Kdap {
         result
     }
 
-    /// Differentiate phase as a plain call, under the session
-    /// configuration: parses the keyword query (double quotes group
-    /// phrases, e.g. `"san jose" tv`), generates candidate star nets and
-    /// returns them ranked. Lossy: empty/stopword-only input and
-    /// governance aborts collapse to an empty ranking — [`Kdap::run`] with
-    /// [`Verb::Differentiate`] reports them as typed errors.
-    pub fn interpret(&self, query: &str) -> Vec<RankedStarNet> {
-        let exec = self.request_exec(&QueryOptions::default(), None);
-        self.recorded(self.interpret_stage(query, self.method, &exec))
-            .unwrap_or_default()
-    }
-
     /// The differentiate pipeline with explicit ranking method and
     /// execution config.
     fn interpret_stage(
@@ -364,7 +352,8 @@ impl Kdap {
     /// Explore phase as a plain call: aggregates `net`'s subspace and
     /// constructs its dynamic facets, under the session configuration and
     /// governance limits. The stage [`Kdap::run`] runs on the picked
-    /// interpretation, for callers that hold a net of their own.
+    /// interpretation, for callers that hold a net of their own (a
+    /// hand-built net, or the explore stage timed alone).
     pub fn explore(&self, net: &StarNet) -> Result<Exploration, KdapError> {
         let exec = self.request_exec(&QueryOptions::default(), None);
         self.recorded(self.explore_stage(net, &self.facet, &exec))
@@ -374,8 +363,8 @@ impl Kdap {
     /// The explore pipeline with explicit facet and execution configs:
     /// answer from the session cache when it holds this net's exploration
     /// under the same `facet`; otherwise materialize the net through the
-    /// planner, run the fused facet scans (whole-dataspace groups come
-    /// from, and go to, the session memo), and cache the answer. Every
+    /// semi-join cache, run the fused facet scans (whole-dataspace groups
+    /// come from, and go to, the session memo), and cache the answer. Every
     /// session memory takes whole entries only: the semi-join cache and
     /// the memo as each step or scan finishes, the cache once the answer
     /// exists.
@@ -695,6 +684,13 @@ mod tests {
         Kdap::builder(fx.wh).build().unwrap()
     }
 
+    /// The ranked interpretations of `query`: `run` with `differentiate`.
+    fn differentiate(kdap: &Kdap, query: &str) -> Vec<RankedStarNet> {
+        kdap.run(&QueryRequest::new(Verb::Differentiate, query))
+            .unwrap()
+            .ranked
+    }
+
     #[test]
     fn split_query_handles_phrases_and_whitespace() {
         assert_eq!(split_query("columbus lcd"), vec!["columbus", "lcd"]);
@@ -711,7 +707,7 @@ mod tests {
     #[test]
     fn end_to_end_differentiate_then_explore() {
         let kdap = session();
-        let ranked = kdap.interpret("columbus lcd");
+        let ranked = differentiate(&kdap, "columbus lcd");
         assert_eq!(ranked.len(), 4);
         // Scores are sorted descending.
         for w in ranked.windows(2) {
@@ -727,7 +723,7 @@ mod tests {
         let kdap = session();
         // Quoted form searches the phrase directly; "columbus day" only
         // exists in the holiday domain.
-        let ranked = kdap.interpret("\"columbus day\"");
+        let ranked = differentiate(&kdap, "\"columbus day\"");
         assert!(!ranked.is_empty());
         let top = ranked[0].net.display(kdap.warehouse());
         assert!(top.contains("HOLIDAY"), "got {top}");
@@ -768,7 +764,7 @@ mod tests {
         let kdap_plain = session();
         let kdap_cached = Kdap::builder(fx.wh).cache_capacity(16).build().unwrap();
         assert_eq!(kdap_plain.subspace_cache_counters(), None);
-        let ranked = kdap_cached.interpret("columbus");
+        let ranked = differentiate(&kdap_cached, "columbus");
         let a = kdap_cached.explore(&ranked[0].net).unwrap();
         let b = kdap_cached.explore(&ranked[0].net).unwrap();
         assert_eq!(a.subspace_size, b.subspace_size);
@@ -778,7 +774,7 @@ mod tests {
             Some(CacheCounters::new(1, 1, 0))
         );
         // Same numbers as the uncached session.
-        let ranked_p = kdap_plain.interpret("columbus");
+        let ranked_p = differentiate(&kdap_plain, "columbus");
         let c = kdap_plain.explore(&ranked_p[0].net).unwrap();
         assert_eq!(a.total_aggregate, c.total_aggregate);
     }
@@ -788,8 +784,8 @@ mod tests {
         let fx = ebiz_fixture();
         let serial = session();
         let threaded = Kdap::builder(fx.wh).threads(4).build().unwrap();
-        let rs = serial.interpret("columbus lcd");
-        let rt = threaded.interpret("columbus lcd");
+        let rs = differentiate(&serial, "columbus lcd");
+        let rt = differentiate(&threaded, "columbus lcd");
         assert_eq!(rs.len(), rt.len());
         for (a, b) in rs.iter().zip(&rt) {
             assert_eq!(
@@ -840,7 +836,6 @@ mod tests {
         assert!(stages.iter().any(|s| s.trim() == "rank_star_nets"));
         assert!(stages.iter().any(|s| s.trim() == "explore"));
         assert!(stages.iter().any(|s| s.trim() == "materialize"));
-        assert!(stages.iter().any(|s| s.trim() == "plan.compile"));
         assert!(stages.iter().any(|s| s.trim() == "multi_group_by"));
         let explore_node = |p: &QueryProfile| {
             let node = p.roots.iter().find(|n| n.name == "explore");
@@ -848,6 +843,21 @@ mod tests {
         };
         let first = explore_node(report.profile.as_ref().unwrap());
         assert_eq!(first.cache, Some(CacheOutcome::Miss));
+        // On a miss, `materialize` holds exactly one `semijoin` leaf per
+        // constraint, in net order: each leaf's rows are its constraint's
+        // own.
+        let net = &report.ranked[0].net;
+        let leaves = &find(&first.children, "materialize").children;
+        assert_eq!(leaves.len(), net.n_groups());
+        for (leaf, c) in leaves.iter().zip(&net.constraints) {
+            assert_eq!(leaf.name, "semijoin");
+            assert!(leaf.children.is_empty());
+            let alone = StarNet {
+                constraints: vec![c.clone()],
+            };
+            let rows = crate::subspace::materialize(&kdap.wh, &kdap.jidx, &alone).len();
+            assert_eq!(leaf.rows_out, Some(rows as u64));
+        }
         // Profiling again answers the same net from the session cache:
         // the explore stage says so, reports the same subspace, and has
         // nothing underneath it.
@@ -896,8 +906,7 @@ mod tests {
         // No answer cache: every explore below is a full miss.
         let kdap = Kdap::builder(fx.wh).observability(true).build().unwrap();
         // PGROUP.GroupName tops the Product hierarchy: its roll-up is ALL.
-        let pick = kdap
-            .interpret("lcd")
+        let pick = differentiate(&kdap, "lcd")
             .iter()
             .position(|r| r.net.display(kdap.warehouse()).contains("PGROUP"))
             .unwrap();
@@ -991,9 +1000,15 @@ mod tests {
     }
 
     #[test]
-    fn run_differentiate_matches_interpret() {
+    fn run_differentiate_matches_the_pipeline_stages() {
         let kdap = session();
-        let direct = kdap.interpret("columbus lcd");
+        let nets = crate::interpret::generate_star_nets(
+            kdap.warehouse(),
+            kdap.text_index(),
+            &["columbus", "lcd"],
+            kdap.gen_config(),
+        );
+        let direct = rank_star_nets(nets, kdap.rank_method());
         let resp = kdap
             .run(&QueryRequest::new(Verb::Differentiate, "columbus lcd"))
             .unwrap();
@@ -1020,7 +1035,7 @@ mod tests {
     #[test]
     fn run_explore_matches_direct_calls_and_options_do_not_stick() {
         let kdap = session();
-        let direct = kdap.interpret("columbus lcd");
+        let direct = differentiate(&kdap, "columbus lcd");
         let expected = kdap.explore(&direct[0].net).unwrap();
         let resp = kdap
             .run(&QueryRequest::new(Verb::Explore, "columbus lcd"))
@@ -1125,7 +1140,7 @@ mod tests {
     #[test]
     fn request_options_override_without_mutation() {
         let kdap = session();
-        let ranked = kdap.interpret("columbus lcd");
+        let ranked = differentiate(&kdap, "columbus lcd");
         let base = kdap.explore(&ranked[0].net).unwrap();
         let mut request = QueryRequest::new(Verb::Explore, "columbus lcd");
         request.options.top_k_instances = Some(1);
@@ -1169,7 +1184,7 @@ mod tests {
     #[test]
     fn refine_explores_the_refined_net_and_echoes_its_constraints() {
         let kdap = session();
-        let ranked = kdap.interpret("columbus");
+        let ranked = differentiate(&kdap, "columbus");
         let store = ranked
             .iter()
             .position(|r| r.net.display(kdap.warehouse()).contains("STORE → LOC"))

@@ -6,14 +6,13 @@
 //! while the hits inside one group OR together. Hit groups on the fact
 //! table itself select fact points directly (§4.2).
 //!
-//! A star net compiles to a [`LogicalPlan`](kdap_query::LogicalPlan),
-//! one node per constraint in net order; each node semi-joins down its own
-//! path into a fact bitmap (through the [`Planner`]'s semi-join cache when
-//! it has one) and the bitmaps AND together.
+//! Each constraint's selection semi-joins down its own path into a fact
+//! bitmap (through the [`Planner`]'s semi-join cache when it has one), and
+//! [`and_selections`] ANDs the bitmaps in net order.
 
 use kdap_query::{
-    execute_plan, multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
-    RowSet, DENSE_GROUP_LIMIT,
+    and_selections, multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
+    RowSet, Selection, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{Measure, Warehouse};
 
@@ -70,9 +69,8 @@ pub fn materialize(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace 
         .expect("star-net constraints evaluate on the fact table")
 }
 
-/// Materializes a star net through a [`Planner`]: the net compiles to its
-/// plan, which executes through the planner's semi-join cache when one is
-/// present. Constraints evaluate independently across `exec`'s worker
+/// Materializes a star net through a [`Planner`]'s semi-join cache, when
+/// it has one. Constraints evaluate independently across `exec`'s worker
 /// threads and their fact bitmaps AND together, so the result is
 /// identical for every thread count.
 pub fn materialize_planned(
@@ -83,8 +81,8 @@ pub fn materialize_planned(
     exec: &ExecConfig,
 ) -> Result<Subspace, KdapError> {
     let fact = wh.schema().fact_table();
-    let plan = planner.plan_recorded(wh, net, &exec.obs);
-    let rows = execute_plan(wh, jidx, fact, &plan, planner.cache(), exec)?;
+    let selections: Vec<Selection> = net.constraints.iter().map(|c| c.selection()).collect();
+    let (rows, _) = and_selections(wh, jidx, fact, &selections, planner.cache(), exec)?;
     Ok(Subspace { rows })
 }
 

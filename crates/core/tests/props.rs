@@ -142,6 +142,12 @@ proptest! {
     }
 }
 
+/// `query`'s ranked interpretations: `run` with `differentiate`.
+fn differentiate(kdap: &kdap_core::Kdap, query: &str) -> Vec<kdap_core::RankedStarNet> {
+    let request = kdap_core::QueryRequest::new(kdap_core::Verb::Differentiate, query);
+    kdap.run(&request).expect("a vocabulary query").ranked
+}
+
 fn session_with_threads(threads: usize) -> kdap_core::Kdap {
     kdap_core::Kdap::builder(kdap_core::testutil::ebiz_fixture().wh)
         .threads(threads)
@@ -167,7 +173,7 @@ proptest! {
     ) {
         let serial = session_with_threads(1);
         let query = words.join(" ");
-        let ranked = serial.interpret(&query);
+        let ranked = differentiate(&serial, &query);
         for threads in [2usize, 4, 8] {
             let par = session_with_threads(threads);
             for r in ranked.iter().take(3) {
@@ -190,7 +196,7 @@ fn cache_consistent_under_hammering() {
     let cache = kdap_core::SubspaceCache::new(3);
     let nets: Vec<_> = ["columbus", "seattle", "plasma", "lcd"]
         .iter()
-        .flat_map(|q| kdap.interpret(q))
+        .flat_map(|q| differentiate(&kdap, q))
         .map(|r| r.net)
         .collect();
     assert!(nets.len() >= 4, "fixture yields several interpretations");

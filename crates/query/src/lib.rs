@@ -30,7 +30,5 @@ pub use exec::{chunk_ranges, par_map, ExecConfig};
 pub use govern::{Breach, QueryContext};
 pub use kdap_warehouse::kernel;
 pub use path::{fact_paths_by_table, paths_between, JoinPath, MAX_PATH_LEN};
-pub use plan::{
-    execute_plan, execute_plan_traced, Fingerprint, LogicalPlan, PlanNode, SemijoinCache, StepTrace,
-};
+pub use plan::{and_selections, Fingerprint, SemijoinCache};
 pub use semijoin::{JoinIndex, Predicate, RowMapper, Selection};

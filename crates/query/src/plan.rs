@@ -1,18 +1,15 @@
-//! The plan IR and its cached executor.
+//! Conjunctive queries over the fact table and the session's cache of
+//! their constraint bitmaps.
 //!
-//! A conjunctive query over the fact table (one star net in the core
-//! layer) compiles to a [`LogicalPlan`]: one [`PlanNode`] per constraint,
-//! each keyed by a canonical [`Fingerprint`] of its `(path, attribute,
-//! predicate)` identity. [`execute_plan`] semi-joins every node down its
-//! own join path into a fact bitmap and ANDs the bitmaps. A subspace is
-//! the AND of its constraints: each node reads the whole fact table on
-//! its own, so no evaluation order does less work than another, and the
-//! nodes run in net order.
+//! A star net in the core layer denotes the AND of its constraints, each
+//! a [`Selection`] along its own join path. [`and_selections`] semi-joins
+//! every selection into a fact bitmap and intersects the bitmaps. Each
+//! selection reads the whole fact table on its own, so no evaluation
+//! order does less work than another, and they run in the given order.
 //!
-//! A session's [`SemijoinCache`] evaluates each distinct constraint once,
-//! however many plans of the session contain it.
-//! [`execute_plan_traced`] additionally reports each node's actual
-//! cardinality and cache outcome — the raw material of `EXPLAIN`.
+//! A session's [`SemijoinCache`] holds each distinct constraint's bitmap
+//! under its canonical [`Fingerprint`], so it is evaluated once however
+//! many queries of the session contain it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,61 +55,6 @@ impl Fingerprint {
             codes,
             range,
         }
-    }
-}
-
-/// One logical constraint: the selection plus its canonical identity.
-#[derive(Debug, Clone)]
-pub struct PlanNode {
-    /// The constraint's selection on the origin table.
-    pub selection: Selection,
-    /// Canonical `(path, attr, predicate)` identity.
-    pub fingerprint: Fingerprint,
-}
-
-impl PlanNode {
-    /// Wraps a selection with its fingerprint.
-    pub fn new(selection: Selection) -> Self {
-        let fingerprint = Fingerprint::of(&selection);
-        PlanNode {
-            selection,
-            fingerprint,
-        }
-    }
-}
-
-/// The plan of a conjunctive query: constraints AND together on the
-/// origin (fact) table, evaluated in this order.
-#[derive(Debug, Clone, Default)]
-pub struct LogicalPlan {
-    /// The conjuncts.
-    pub nodes: Vec<PlanNode>,
-}
-
-impl LogicalPlan {
-    /// Builds a logical plan from raw selections.
-    pub fn from_selections(selections: Vec<Selection>) -> Self {
-        LogicalPlan {
-            nodes: selections.into_iter().map(PlanNode::new).collect(),
-        }
-    }
-
-    /// Order-independent canonical identity of the whole plan (sorted
-    /// constraint fingerprints) — equal keys denote equal subspaces.
-    pub fn canonical_key(&self) -> Vec<Fingerprint> {
-        let mut key: Vec<Fingerprint> = self.nodes.iter().map(|n| n.fingerprint.clone()).collect();
-        key.sort();
-        key
-    }
-
-    /// Number of conjuncts.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the plan has no conjuncts (the whole dataspace).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 }
 
@@ -190,95 +132,79 @@ impl SemijoinCache {
     }
 }
 
-/// Per-node execution trace for `EXPLAIN`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepTrace {
-    /// Origin rows the node's bitmap holds.
-    pub actual_rows: usize,
-    /// Whether the bitmap came from the semi-join cache.
-    pub cache_hit: bool,
-}
-
-/// Evaluates one node through an optional cache, returning the fact
-/// bitmap and whether it came from the cache. A freshly evaluated bitmap
-/// is charged to the memory budget, then inserted whole: a breach in a
-/// later node leaves only complete bitmaps behind.
+/// Evaluates one selection through an optional cache, returning the fact
+/// bitmap and whether it came from the cache. The fingerprint is computed
+/// only when there is a cache to probe. A freshly evaluated bitmap is
+/// charged to the memory budget, then inserted whole: a breach in a later
+/// step leaves only complete bitmaps behind.
 fn execute_step(
     wh: &Warehouse,
     jidx: &JoinIndex,
     origin: TableId,
-    node: &PlanNode,
+    sel: &Selection,
     cache: Option<&SemijoinCache>,
     exec: &ExecConfig,
 ) -> Result<(Arc<RowSet>, bool), QueryError> {
-    if let Some(rows) = cache.and_then(|c| c.lookup(&node.fingerprint)) {
+    let key = cache.map(|c| (c, Fingerprint::of(sel)));
+    if let Some(rows) = key.as_ref().and_then(|(c, fp)| c.lookup(fp)) {
         return Ok((rows, true));
     }
-    let rows = Arc::new(node.selection.try_eval(wh, jidx, origin)?);
+    let rows = Arc::new(sel.try_eval(wh, jidx, origin)?);
     exec.charge("semijoin", rows.heap_bytes())?;
-    if let Some(cache) = cache {
-        cache.insert(node.fingerprint.clone(), Arc::clone(&rows));
+    if let Some((cache, fp)) = key {
+        cache.insert(fp, Arc::clone(&rows));
     }
     Ok((rows, false))
 }
 
-/// Executes a plan from `origin`, AND-ing the node bitmaps.
+/// ANDs `selections` on `origin`: each semi-joins down its own path into
+/// a bitmap of origin rows (through `cache` when one is provided), and
+/// the bitmaps intersect. Returns the rows and, per selection in order,
+/// the number of rows it selects on its own.
 ///
-/// Nodes evaluate across `exec`'s worker threads (independently — the
-/// intersection is order-insensitive, so every thread count is
-/// bit-identical to serial) and through `cache` when one is provided.
-pub fn execute_plan(
+/// Selections evaluate across `exec`'s worker threads, independently:
+/// the intersection is order-insensitive, so every thread count is
+/// bit-identical to serial.
+pub fn and_selections(
     wh: &Warehouse,
     jidx: &JoinIndex,
     origin: TableId,
-    plan: &LogicalPlan,
+    selections: &[Selection],
     cache: Option<&SemijoinCache>,
     exec: &ExecConfig,
-) -> Result<RowSet, QueryError> {
-    execute_plan_traced(wh, jidx, origin, plan, cache, exec).map(|(rows, _)| rows)
-}
-
-/// [`execute_plan`] with a per-node [`StepTrace`] (actual cardinality,
-/// cache hit), in plan order.
-pub fn execute_plan_traced(
-    wh: &Warehouse,
-    jidx: &JoinIndex,
-    origin: TableId,
-    plan: &LogicalPlan,
-    cache: Option<&SemijoinCache>,
-    exec: &ExecConfig,
-) -> Result<(RowSet, Vec<StepTrace>), QueryError> {
+) -> Result<(RowSet, Vec<usize>), QueryError> {
     let n = wh.table(origin).nrows();
-    let total_steps = plan.nodes.len() as u64;
+    let total_steps = selections.len() as u64;
     // Each (worker or serial) evaluation polls governance, then measures
-    // its own wall time; the coordinator below records the leaves in plan
-    // order, so the profile structure is identical at any thread count.
+    // its own wall time; the coordinator below records the leaves in
+    // selection order, so the profile structure is identical at any
+    // thread count.
     type TimedStep = (Result<(Arc<RowSet>, bool), QueryError>, u64);
-    let timed_step = |i: usize, node: &PlanNode| -> TimedStep {
+    let timed_step = |i: usize, sel: &Selection| -> TimedStep {
         let t = exec.obs.timer();
         let result = exec
             .check_at("semijoin", i as u64, total_steps)
-            .and_then(|()| execute_step(wh, jidx, origin, node, cache, exec));
+            .and_then(|()| execute_step(wh, jidx, origin, sel, cache, exec));
         (result, t.stop())
     };
-    let results: Vec<TimedStep> = if exec.is_serial() || plan.nodes.len() < 2 {
-        plan.nodes
+    let results: Vec<TimedStep> = if exec.is_serial() || selections.len() < 2 {
+        selections
             .iter()
             .enumerate()
-            .map(|(i, node)| timed_step(i, node))
+            .map(|(i, sel)| timed_step(i, sel))
             .collect()
     } else {
-        par_map(exec, &plan.nodes, |i, node| timed_step(i, node))
+        par_map(exec, selections, |i, sel| timed_step(i, sel))
     };
     let obs_on = exec.obs.is_enabled();
-    // Metric handles hoisted out of the node loop: one registry lookup
-    // per plan instead of one lock + map probe per node.
+    // Metric handles hoisted out of the step loop: one registry lookup
+    // per call instead of one lock + map probe per step.
     let step_hist = exec.obs.histogram_handle("query.semijoin_step_ns");
     let hit_ctr = exec.obs.counter_handle("query.step_cache_hits");
     let miss_ctr = exec.obs.counter_handle("query.step_cache_misses");
     let profiling = exec.obs.is_profiling();
     let mut rows = RowSet::full(n);
-    let mut traces = Vec::with_capacity(plan.nodes.len());
+    let mut step_rows = Vec::with_capacity(selections.len());
     for (result, step_ns) in results {
         let (bitmap, cache_hit) = result?;
         rows.intersect_with(&bitmap)?;
@@ -310,12 +236,9 @@ pub fn execute_plan_traced(
                 },
             );
         }
-        traces.push(StepTrace {
-            actual_rows: bitmap.len(),
-            cache_hit,
-        });
+        step_rows.push(bitmap.len());
     }
-    Ok((rows, traces))
+    Ok((rows, step_rows))
 }
 
 #[cfg(test)]
@@ -410,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn executed_plan_matches_direct_evaluation() {
+    fn conjunction_matches_direct_evaluation() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
@@ -422,8 +345,8 @@ mod tests {
                 .unwrap();
         }
         for _ in 0..2 {
-            let plan = LogicalPlan::from_selections(sels.clone());
-            let rows = execute_plan(&wh, &jidx, fact, &plan, None, &ExecConfig::serial()).unwrap();
+            let (rows, _) =
+                and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
             assert_eq!(
                 rows.iter().collect::<Vec<_>>(),
                 expect.iter().collect::<Vec<_>>()
@@ -439,12 +362,13 @@ mod tests {
         let fact = wh.schema().fact_table();
         let attr = wh.col_ref("FACT", "Score").unwrap();
         let range = Selection::by_range(crate::path::JoinPath::empty(), attr, 2.0, 5.0);
-        let plan = LogicalPlan::from_selections(vec![
+        let sels = [
             tag_selection(&wh, "hot"),
             range,
             dim_selection(&wh, "Gadget"),
-        ]);
-        let rows = execute_plan(&wh, &jidx, fact, &plan, None, &ExecConfig::serial()).unwrap();
+        ];
+        let (rows, _) =
+            and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
         // hot ∧ score∈[2,5] ∧ Gadget → facts 2, 3.
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
@@ -455,14 +379,15 @@ mod tests {
         let jidx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
         let cache = SemijoinCache::new();
-        let plan = LogicalPlan::from_selections(vec![dim_selection(&wh, "Widget")]);
-        let a = execute_plan(&wh, &jidx, fact, &plan, Some(&cache), &ExecConfig::serial()).unwrap();
-        let (_, traces) =
-            execute_plan_traced(&wh, &jidx, fact, &plan, Some(&cache), &ExecConfig::serial())
-                .unwrap();
-        assert!(traces[0].cache_hit);
-        assert_eq!(traces[0].actual_rows, a.len());
+        let sels = [dim_selection(&wh, "Widget")];
+        let serial = ExecConfig::serial();
+        let (a, _) = and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
+        assert_eq!(cache.counters(), CacheCounters::new(0, 1, 0));
+        let (_, step_rows) =
+            and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
+        // The second call's one step is served from the cache.
         assert_eq!(cache.counters(), CacheCounters::new(1, 1, 0));
+        assert_eq!(step_rows, vec![a.len()]);
         assert_eq!(cache.len(), 1);
         assert_eq!(
             cache.container_histogram(),
@@ -472,17 +397,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_execution_feeds_profile_leaves() {
+    fn execution_feeds_profile_leaves() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
-        let plan = LogicalPlan::from_selections(vec![
-            dim_selection(&wh, "Widget"),
-            tag_selection(&wh, "hot"),
-        ]);
+        let sels = [dim_selection(&wh, "Widget"), tag_selection(&wh, "hot")];
         let obs = kdap_obs::Obs::enabled().profiled("q");
         let exec = ExecConfig::serial().with_obs(obs.clone());
-        let _ = execute_plan_traced(&wh, &jidx, fact, &plan, None, &exec).unwrap();
+        let _ = and_selections(&wh, &jidx, fact, &sels, None, &exec).unwrap();
         let p = obs.take_profile().unwrap();
         assert_eq!(p.stage_names(), vec!["semijoin", "semijoin"]);
         assert_eq!(p.roots[0].rows_out, Some(2));
@@ -495,44 +417,36 @@ mod tests {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
-        let plan = LogicalPlan::from_selections(vec![
+        let sels = [
             dim_selection(&wh, "Widget"),
             tag_selection(&wh, "hot"),
             tag_selection(&wh, "cold"),
-        ]);
-        let serial = execute_plan(&wh, &jidx, fact, &plan, None, &ExecConfig::serial()).unwrap();
+        ];
+        let serial = and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
         for threads in [2usize, 4] {
-            let par = execute_plan(
-                &wh,
-                &jidx,
-                fact,
-                &plan,
-                None,
-                &ExecConfig::with_threads(threads),
-            )
-            .unwrap();
+            let exec = ExecConfig::with_threads(threads);
+            let par = and_selections(&wh, &jidx, fact, &sels, None, &exec).unwrap();
             assert_eq!(
-                serial.iter().collect::<Vec<_>>(),
-                par.iter().collect::<Vec<_>>()
+                serial.0.iter().collect::<Vec<_>>(),
+                par.0.iter().collect::<Vec<_>>()
             );
+            assert_eq!(serial.1, par.1);
         }
     }
 
     #[test]
-    fn traces_report_actuals_in_plan_order() {
+    fn step_rows_are_reported_in_selection_order() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
-        let plan = LogicalPlan::from_selections(vec![
-            tag_selection(&wh, "hot"),
-            dim_selection(&wh, "Widget"),
-        ]);
-        let (_, traces) =
-            execute_plan_traced(&wh, &jidx, fact, &plan, None, &ExecConfig::serial()).unwrap();
-        // hot: 4 of 6 facts; Widget: 2 — in plan order, not by size.
-        let actual: Vec<usize> = traces.iter().map(|t| t.actual_rows).collect();
-        assert_eq!(actual, vec![4, 2]);
-        assert!(traces.iter().all(|t| !t.cache_hit));
+        let cache = SemijoinCache::new();
+        let sels = [tag_selection(&wh, "hot"), dim_selection(&wh, "Widget")];
+        let (_, step_rows) =
+            and_selections(&wh, &jidx, fact, &sels, Some(&cache), &ExecConfig::serial()).unwrap();
+        // hot: 4 of 6 facts; Widget: 2 — in selection order, not by size.
+        assert_eq!(step_rows, vec![4, 2]);
+        // Both steps were evaluated, neither served from the cache.
+        assert_eq!(cache.counters(), CacheCounters::new(0, 2, 0));
     }
 
     #[test]
@@ -542,9 +456,12 @@ mod tests {
         let fact = wh.schema().fact_table();
         // DIM attribute with an empty path: off the origin table.
         let attr = wh.col_ref("DIM", "Name").unwrap();
-        let bad = Selection::by_codes(crate::path::JoinPath::empty(), attr, vec![0]);
-        let plan = LogicalPlan::from_selections(vec![bad]);
-        let err = execute_plan(&wh, &jidx, fact, &plan, None, &ExecConfig::serial());
+        let bad = [Selection::by_codes(
+            crate::path::JoinPath::empty(),
+            attr,
+            vec![0],
+        )];
+        let err = and_selections(&wh, &jidx, fact, &bad, None, &ExecConfig::serial());
         assert!(matches!(err, Err(QueryError::AttrOffPathTarget { .. })));
     }
 }

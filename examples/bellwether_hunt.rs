@@ -29,7 +29,10 @@ fn main() {
     // The analyst zooms into one subcategory and asks: which partitions
     // of these sales behave like the whole Bikes category does?
     let query = "\"Mountain Bikes\"";
-    let ranked = kdap.interpret(query);
+    let ranked = kdap
+        .run(&QueryRequest::new(Verb::Differentiate, query))
+        .expect("usable keywords")
+        .ranked;
     let net = &ranked.first().expect("interpretations exist").net;
     println!("\nquery {query} → {}", net.display(kdap.warehouse()));
 

@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run --release --example ebiz_walkthrough`
 
-use kdap_suite::core::Kdap;
+use kdap_suite::core::{Kdap, QueryRequest, Verb};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 fn main() {
@@ -24,7 +24,10 @@ fn main() {
 
     // 1 + 2: "Columbus" alone.
     println!("\n=== 1/2. \"Columbus\": instance + join-path ambiguity ===");
-    let ranked = kdap.interpret("Columbus");
+    let ranked = kdap
+        .run(&QueryRequest::new(Verb::Differentiate, "Columbus"))
+        .expect("usable keywords")
+        .ranked;
     for (i, r) in ranked.iter().enumerate() {
         println!("  #{} [{:.4}] {}", i + 1, r.score, r.net.display(wh));
     }
@@ -35,7 +38,13 @@ fn main() {
 
     // 3: role disambiguation across two cities.
     println!("\n=== 3. \"Seattle Portland TV\": buyer city × store city ===");
-    let ranked = kdap.interpret("Seattle Portland TV");
+    let ranked = kdap
+        .run(&QueryRequest::new(
+            Verb::Differentiate,
+            "Seattle Portland TV",
+        ))
+        .expect("usable keywords")
+        .ranked;
     for r in ranked.iter().take(4) {
         println!("  [{:.4}] {}", r.score, r.net.display(wh));
     }
@@ -55,7 +64,10 @@ fn main() {
 
     // 4: phrase merging.
     println!("\n=== 4. phrase queries: \"San Jose\" ===");
-    let split = kdap.interpret("San Jose");
+    let split = kdap
+        .run(&QueryRequest::new(Verb::Differentiate, "San Jose"))
+        .expect("usable keywords")
+        .ranked;
     println!("  top interpretation for `San Jose` (two keywords):");
     if let Some(r) = split.first() {
         println!("    [{:.4}] {}", r.score, r.net.display(wh));
@@ -73,7 +85,10 @@ fn main() {
 
     // 5: fact-table hit groups.
     println!("\n=== 5. fact-table hits: \"holiday sale purchase\" comments ===");
-    let ranked = kdap.interpret("\"holiday sale\"");
+    let ranked = kdap
+        .run(&QueryRequest::new(Verb::Differentiate, "\"holiday sale\""))
+        .expect("usable keywords")
+        .ranked;
     match ranked.first() {
         Some(r) => {
             println!("  [{:.4}] {}", r.score, r.net.display(wh));

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use kdap_suite::core::Kdap;
+use kdap_suite::core::{Kdap, QueryRequest, Verb};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 fn main() {
@@ -18,7 +18,10 @@ fn main() {
     // ---- Phase 1: differentiate ------------------------------------
     let query = "Columbus LCD";
     println!("\nkeyword query: \"{query}\"\n");
-    let ranked = kdap.interpret(query);
+    let ranked = kdap
+        .run(&QueryRequest::new(Verb::Differentiate, query))
+        .expect("usable keywords")
+        .ranked;
     println!("candidate interpretations (star nets): {}\n", ranked.len());
     for (i, r) in ranked.iter().take(5).enumerate() {
         println!(

@@ -10,7 +10,7 @@
 //! Run: `cargo run --release --example surprise_analysis`
 
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::{FacetConfig, Kdap, StarNet};
+use kdap_suite::core::{FacetConfig, Kdap, QueryRequest, StarNet, Verb};
 use kdap_suite::datagen::{build_aw_online, Scale};
 
 fn main() {
@@ -26,7 +26,13 @@ fn main() {
         .build()
         .expect("warehouse has a measure");
 
-    let ranked = kdap.interpret("California Mountain Bikes");
+    let ranked = kdap
+        .run(&QueryRequest::new(
+            Verb::Differentiate,
+            "California Mountain Bikes",
+        ))
+        .expect("usable keywords")
+        .ranked;
     let net = ranked.first().expect("interpretations exist").net.clone();
     println!("\ninterpretation: {}\n", net.display(kdap.warehouse()));
 
@@ -70,7 +76,10 @@ fn main() {
             top_entry.label
         );
         let refined_query = format!("\"{}\" \"Mountain Bikes\" California", top_entry.label);
-        let refined = kdap.interpret(&refined_query);
+        let refined = kdap
+            .run(&QueryRequest::new(Verb::Differentiate, refined_query))
+            .expect("usable keywords")
+            .ranked;
         if let Some(r) = refined.first() {
             let ex2 = kdap.explore(&r.net).expect("star net evaluates");
             print_drilldown(&r.net, &ex2, kdap.warehouse());

@@ -28,7 +28,13 @@ fn main() {
     // --- The Google Trends experience: term → volume over time/place ---
     let query = "christmas gifts";
     println!("\n=== Trends-style lookup: \"{query}\" ===\n");
-    let ranked = kdap.interpret(&format!("\"{query}\""));
+    let ranked = kdap
+        .run(&QueryRequest::new(
+            Verb::Differentiate,
+            format!("\"{query}\""),
+        ))
+        .expect("usable keywords")
+        .ranked;
     let net = &ranked.first().expect("term found").net;
     println!("interpretation: {}\n", net.display(kdap.warehouse()));
     let ex = kdap.explore(net).expect("star net evaluates");

@@ -2,15 +2,20 @@
 //! `examples/` binaries and the cross-crate integration tests.
 //!
 //! ```
-//! use kdap_suite::core::Kdap;
+//! use kdap_suite::core::{Kdap, QueryRequest, Verb};
 //! use kdap_suite::datagen::{build_ebiz, EbizScale};
 //!
 //! let kdap = Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap()).build().unwrap();
-//! let interpretations = kdap.interpret("seattle");
-//! assert!(!interpretations.is_empty());
+//! let response = kdap.run(&QueryRequest::new(Verb::Differentiate, "seattle")).unwrap();
+//! assert!(!response.ranked.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
+
+/// README.md's code blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 pub use kdap_core as core;
 pub use kdap_datagen as datagen;

@@ -2,13 +2,17 @@
 //! pipeline over the generated warehouses, checking the structural
 //! invariants that make KDAP results trustworthy.
 
+mod support;
+
 use kdap_suite::core::{
-    generate_star_nets, materialize, rank_star_nets, rollup_spaces, GenConfig, Kdap, QueryRequest,
-    RankMethod, Verb,
+    generate_star_nets, materialize, rank_star_nets, rollup_spaces, GenConfig, Kdap, KdapError,
+    QueryRequest, RankMethod, Verb,
 };
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 use kdap_suite::query::{AggFunc, JoinIndex};
 use kdap_suite::textindex::TextIndex;
+
+use support::differentiate;
 
 fn ebiz_session() -> Kdap {
     Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap())
@@ -20,7 +24,7 @@ fn ebiz_session() -> Kdap {
 fn every_interpretation_is_materializable() {
     let kdap = ebiz_session();
     for query in ["Columbus", "Seattle Plasma", "Premium", "October"] {
-        for r in kdap.interpret(query) {
+        for r in differentiate(&kdap, query) {
             let sub = materialize(kdap.warehouse(), kdap.join_index(), &r.net);
             // Materialization must not panic and the subspace is within
             // the fact table.
@@ -33,7 +37,7 @@ fn every_interpretation_is_materializable() {
 fn subspace_is_contained_in_every_rollup_space() {
     let kdap = ebiz_session();
     for query in ["Columbus", "Seattle Plasma", "Televisions"] {
-        for r in kdap.interpret(query).into_iter().take(5) {
+        for r in differentiate(&kdap, query).into_iter().take(5) {
             let sub = materialize(kdap.warehouse(), kdap.join_index(), &r.net);
             for rup in rollup_spaces(kdap.warehouse(), kdap.join_index(), &r.net) {
                 for row in sub.rows.iter() {
@@ -47,7 +51,7 @@ fn subspace_is_contained_in_every_rollup_space() {
 #[test]
 fn facet_partitions_sum_to_subspace_total() {
     let kdap = ebiz_session();
-    let ranked = kdap.interpret("Columbus");
+    let ranked = differentiate(&kdap, "Columbus");
     let ex = kdap.explore(&ranked[0].net).expect("star net evaluates");
     for panel in &ex.panels {
         for attr in &panel.attrs {
@@ -95,7 +99,7 @@ fn ranking_is_stable_and_sorted_for_all_methods() {
 #[test]
 fn measures_agree_between_direct_and_facet_aggregation() {
     let kdap = ebiz_session();
-    let ranked = kdap.interpret("Columbus");
+    let ranked = differentiate(&kdap, "Columbus");
     let net = &ranked[0].net;
     let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
     let direct = sub.aggregate(kdap.warehouse(), kdap.measure(), AggFunc::Sum);
@@ -117,10 +121,13 @@ fn join_index_and_text_index_rebuild_identically() {
 #[test]
 fn empty_and_nonsense_queries_degrade_gracefully() {
     let kdap = ebiz_session();
-    assert!(kdap.interpret("").is_empty());
-    assert!(kdap.interpret("zzzz qqqq xxxx").is_empty());
-    // Punctuation-only input.
-    assert!(kdap.interpret("!!! ???").is_empty());
+    // Empty and punctuation-only input carry no keyword: a typed error.
+    for q in ["", "!!! ???"] {
+        let response = kdap.run(&QueryRequest::new(Verb::Differentiate, q));
+        assert!(matches!(response, Err(KdapError::EmptyQuery)), "{q:?}");
+    }
+    // Unmatched keywords are an empty ranking.
+    assert!(differentiate(&kdap, "zzzz qqqq xxxx").is_empty());
 }
 
 #[test]
@@ -133,7 +140,7 @@ fn both_aw_warehouses_run_the_full_pipeline() {
         ),
     ] {
         let kdap = Kdap::builder(wh).build().unwrap();
-        let ranked = kdap.interpret(query);
+        let ranked = differentiate(&kdap, query);
         assert!(!ranked.is_empty(), "{query} finds interpretations");
         let ex = kdap.explore(&ranked[0].net).expect("star net evaluates");
         assert!(ex.subspace_size > 0, "{query} subspace non-empty");

@@ -5,11 +5,15 @@
 //! structure whether the kernels run on one worker or four (timings
 //! differ; the tree does not), and whatever else runs on the session.
 
+mod support;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 use kdap_suite::core::{Kdap, QueryRequest, QueryResponse, Verb};
 use kdap_suite::datagen::{build_ebiz, generate_workload, EbizScale, WorkloadConfig};
+
+use support::differentiate;
 
 fn sessions(threads: usize) -> (Kdap, Kdap) {
     let off = Kdap::builder(build_ebiz(EbizScale::small(), 42).expect("generator is valid"))
@@ -37,8 +41,8 @@ fn obs_on_off_results_are_bit_identical_across_thread_counts() {
         let mut explored = 0usize;
         for q in queries.iter().take(24) {
             let text = q.text();
-            let ranked_off = off.interpret(&text);
-            let ranked_on = on.interpret(&text);
+            let ranked_off = differentiate(&off, &text);
+            let ranked_on = differentiate(&on, &text);
             assert_eq!(
                 ranked_off.len(),
                 ranked_on.len(),
@@ -117,7 +121,7 @@ fn a_profile_holds_only_its_own_request() {
     stages(&kdap, "seattle lcd");
     let alone = stages(&kdap, "seattle lcd");
     let other_alone = stages(&kdap, "columbus plasma");
-    assert_eq!(alone.len(), 20, "{alone:#?}");
+    assert_eq!(alone.len(), 19, "{alone:#?}");
 
     // One thread explores while another profiles.
     let stop = AtomicBool::new(false);

@@ -27,7 +27,7 @@ use kdap_suite::datagen::{
 use kdap_suite::query::{AggFunc, JoinPath};
 use kdap_suite::warehouse::{AttrKind, ColRef, Dimension, Warehouse};
 
-use support::workload;
+use support::{differentiate, workload};
 
 /// Every eighth workload query: a spread of one- to three-keyword nets.
 const SAMPLE_STRIDE: usize = 8;
@@ -155,7 +155,7 @@ fn random_step(
 /// hand + `explore(&net)` after every step.
 fn walk(kdap: &Kdap, keywords: &str, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let ranked = kdap.interpret(keywords);
+    let ranked = differentiate(kdap, keywords);
     assert!(!ranked.is_empty(), "`{keywords}` has interpretations");
     let pick = rng.gen_range(0..ranked.len().min(3));
     let mut net = ranked[pick].net.clone();
@@ -248,7 +248,7 @@ fn a_drill_lands_on_the_subspace_its_entry_was_aggregated_over() {
         // `columbus` as a Store, a Buyer and a Seller city: on the Seller
         // net the Customer facets follow the Seller role, which is not
         // the first path to ACCOUNT.
-        let roles = kdap.interpret("columbus");
+        let roles = differentiate(kdap, "columbus");
         for role in ["STORE", "(Buyer)", "(Seller)"] {
             let pick = roles
                 .iter()
@@ -257,7 +257,7 @@ fn a_drill_lands_on_the_subspace_its_entry_was_aggregated_over() {
             assert_drills_land_on_their_entries(kdap, "columbus", pick + 1);
         }
         for keywords in EBIZ_QUERIES {
-            for pick in 1..=kdap.interpret(keywords).len().min(3) {
+            for pick in 1..=differentiate(kdap, keywords).len().min(3) {
                 assert_drills_land_on_their_entries(kdap, keywords, pick);
             }
         }
@@ -369,7 +369,7 @@ fn nets_with_equal_explore_keys_explore_identically() {
         let aw_nets = fx.queries.iter().step_by(SAMPLE_STRIDE);
         let aw_nets = aw_nets.flat_map(|(_, nets)| nets.iter().take(3).cloned());
         let kdap = ebiz(threads);
-        let ebiz_nets = EBIZ_QUERIES.iter().flat_map(|q| kdap.interpret(q));
+        let ebiz_nets = EBIZ_QUERIES.iter().flat_map(|q| differentiate(kdap, q));
         let ebiz_nets = ebiz_nets.map(|r| r.net);
         let fixtures = [
             (aw, aw_nets.collect::<Vec<StarNet>>()),
@@ -414,7 +414,7 @@ fn nets_with_equal_explore_keys_explore_identically() {
         let kdap = ebiz(threads);
         let wh = kdap.warehouse();
         let washington = |role: &str| {
-            let nets = kdap.interpret("seattle").into_iter().map(|r| r.net);
+            let nets = differentiate(kdap, "seattle").into_iter().map(|r| r.net);
             let mut nets = nets.filter(|net| net.display(wh).contains(role));
             let city = nets.next().expect("seattle is a Buyer and a Seller city");
             let state = roll_up(wh, kdap.join_index(), &city, 0).expect("index in range");
@@ -463,7 +463,7 @@ impl CacheSweep {
             .map(|q| q.to_string())
             .chain(pool)
             .collect();
-        pool.retain(|q| !scout.interpret(q).is_empty());
+        pool.retain(|q| !differentiate(scout, q).is_empty());
         pool.dedup();
         pool.truncate(POOL);
         assert_eq!(pool.len(), POOL, "the fixture answers a full pool");

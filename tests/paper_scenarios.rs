@@ -1,11 +1,15 @@
 //! The paper's concrete scenarios, asserted as tests: each test pins one
 //! claim from the text so regressions against the reproduction are loud.
 
+mod support;
+
 use std::time::Instant;
 
 use kdap_suite::core::facet::{merge_intervals, AnnealConfig};
 use kdap_suite::core::Kdap;
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
+
+use support::differentiate;
 
 fn ebiz() -> Kdap {
     Kdap::builder(build_ebiz(EbizScale::full(), 42).unwrap())
@@ -19,7 +23,7 @@ fn ebiz() -> Kdap {
 #[test]
 fn example_3_1_columbus_ambiguity() {
     let kdap = ebiz();
-    let ranked = kdap.interpret("Columbus");
+    let ranked = differentiate(&kdap, "Columbus");
     assert_eq!(ranked.len(), 4);
     let displays: Vec<String> = ranked
         .iter()
@@ -36,7 +40,7 @@ fn example_3_1_columbus_ambiguity() {
 #[test]
 fn phrase_query_san_jose_merges_and_wins() {
     let kdap = ebiz();
-    let ranked = kdap.interpret("San Jose");
+    let ranked = differentiate(&kdap, "San Jose");
     let top = &ranked[0];
     assert_eq!(top.net.n_groups(), 1, "one merged hit group");
     assert!(top.net.constraints[0]
@@ -58,7 +62,7 @@ fn phrase_query_san_jose_merges_and_wins() {
 #[test]
 fn seattle_portland_cross_role_interpretation_exists() {
     let kdap = ebiz();
-    let ranked = kdap.interpret("Seattle Portland TV");
+    let ranked = differentiate(&kdap, "Seattle Portland TV");
     let found = ranked.iter().any(|r| {
         r.net.constraints.iter().any(|c| {
             let d = c
@@ -81,7 +85,7 @@ fn seattle_portland_cross_role_interpretation_exists() {
 #[test]
 fn star_nets_go_through_the_fact_table() {
     let kdap = ebiz();
-    let ranked = kdap.interpret("\"Home Electronics\" VCR");
+    let ranked = differentiate(&kdap, "\"Home Electronics\" VCR");
     assert!(!ranked.is_empty());
     let fact = kdap.warehouse().schema().fact_table();
     for r in &ranked {
@@ -104,7 +108,7 @@ fn table1_intended_interpretation_ranks_first() {
     let kdap = Kdap::builder(build_aw_online(Scale::full(), 42).unwrap())
         .build()
         .unwrap();
-    let ranked = kdap.interpret("California Mountain Bikes");
+    let ranked = differentiate(&kdap, "California Mountain Bikes");
     let top = ranked[0].net.display(kdap.warehouse());
     assert!(top.contains("StateProvinceName/{California}"), "got {top}");
     assert!(top.contains("Mountain Bikes"), "got {top}");
@@ -117,7 +121,7 @@ fn table2_product_panel_promotes_hit_attribute() {
     let kdap = Kdap::builder(build_aw_online(Scale::full(), 42).unwrap())
         .build()
         .unwrap();
-    let ranked = kdap.interpret("California Mountain Bikes");
+    let ranked = differentiate(&kdap, "California Mountain Bikes");
     let ex = kdap.explore(&ranked[0].net).expect("star net evaluates");
     let product = ex
         .panels
@@ -160,7 +164,7 @@ fn interval_merge_latency_claim_holds() {
 #[test]
 fn long_description_attributes_are_searchable() {
     let kdap = ebiz();
-    let ranked = kdap.interpret("handcrafted bumps");
+    let ranked = differentiate(&kdap, "handcrafted bumps");
     assert!(!ranked.is_empty());
     let top = ranked[0].net.display(kdap.warehouse());
     assert!(top.contains("PRODUCT.Description"), "got {top}");

@@ -2,6 +2,8 @@
 //! ones — persists as a spec + CSV directory and reloads identically,
 //! down to each dictionary code.
 
+mod support;
+
 use std::path::PathBuf;
 
 use kdap_suite::core::Kdap;
@@ -12,6 +14,8 @@ use kdap_suite::warehouse::{
     export_spec, load_warehouse, save_warehouse, Value, ValueType, Warehouse, WarehouseBuilder,
     NULL_CODE,
 };
+
+use support::differentiate;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kdap_persist_{tag}_{}", std::process::id()));
@@ -186,8 +190,8 @@ fn kdap_answers_identically_after_reload() {
     let a = Kdap::builder(wh).build().unwrap();
     let b = Kdap::builder(loaded).build().unwrap();
     for query in ["seattle", "plasma lcd", "\"columbus day\"", "premium"] {
-        let ra = a.interpret(query);
-        let rb = b.interpret(query);
+        let ra = differentiate(&a, query);
+        let rb = differentiate(&b, query);
         assert_eq!(ra.len(), rb.len(), "{query}");
         for (x, y) in ra.iter().zip(&rb) {
             assert!((x.score - y.score).abs() < 1e-12, "{query}");

@@ -3,7 +3,9 @@
 //! with the constraints in net order or reversed, `materialize_planned`
 //! selects exactly the fact rows of an independent row-at-a-time oracle
 //! (`support::net_rows`) that walks each constraint's join path by key
-//! value — no `JoinIndex`, no bitmap intersection.
+//! value — no `JoinIndex`, no bitmap intersection. EXPLAIN, the other
+//! reader of the executor, reports the oracle's subspace size and, per
+//! constraint, the oracle's count for that constraint alone.
 //!
 //! The session has numeric hits on, so measure-value keywords yield
 //! constraints on the fact table's own columns (empty join paths), alone
@@ -11,19 +13,28 @@
 
 mod support;
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{materialize_planned, GenConfig, Kdap, NumericConfig, Planner, StarNet};
+use kdap_suite::core::{
+    explain_planned, materialize_planned, GenConfig, Kdap, NumericConfig, Planner, StarNet,
+};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
-use kdap_suite::query::ExecConfig;
+use kdap_suite::query::{ExecConfig, Fingerprint};
 use kdap_suite::warehouse::MeasureExpr;
 
-use support::{net_rows, KeyWalker};
+use support::{differentiate, net_rows, KeyWalker};
 
-/// A candidate net with the oracle's fact rows.
-type Case = (StarNet, Vec<usize>);
+/// A candidate net with the oracle's answers.
+struct Case {
+    net: StarNet,
+    /// The fact rows the net selects.
+    rows: Vec<usize>,
+    /// Per constraint, in net order: how many fact rows it selects alone.
+    alone: Vec<usize>,
+}
 
 struct Fixture {
     kdap: Kdap,
@@ -75,12 +86,25 @@ fn fixture() -> &'static Fixture {
             .build()
             .expect("measure defined");
         let keys = KeyWalker::new(kdap.warehouse());
-        let cases = |q: &str| -> Vec<Case> {
-            kdap.interpret(q)
+        // Constraints recur across nets: the oracle counts each once.
+        let mut counts: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut cases = |q: &str| -> Vec<Case> {
+            differentiate(&kdap, q)
                 .into_iter()
                 .map(|r| {
-                    let rows = net_rows(&keys, &r.net);
-                    (r.net, rows)
+                    let alone = r.net.constraints.iter().map(|c| {
+                        *counts.entry(c.fingerprint()).or_insert_with(|| {
+                            let net = StarNet {
+                                constraints: vec![c.clone()],
+                            };
+                            net_rows(&keys, &net).len()
+                        })
+                    });
+                    Case {
+                        alone: alone.collect(),
+                        rows: net_rows(&keys, &r.net),
+                        net: r.net,
+                    }
                 })
                 .collect()
         };
@@ -95,9 +119,10 @@ fn fixture() -> &'static Fixture {
             .collect();
         // What fact-local fusion used to take: a net with two constraints
         // on the fact table's own columns.
-        assert!(fact_local
-            .iter()
-            .any(|(net, _)| { net.constraints.iter().filter(|c| c.path.is_empty()).count() >= 2 }));
+        assert!(fact_local.iter().any(|case| {
+            let on_fact = case.net.constraints.iter().filter(|c| c.path.is_empty());
+            on_fact.count() >= 2
+        }));
         Fixture {
             kdap,
             candidate_sets,
@@ -110,7 +135,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Per net: cached or not × one or four threads × net order or
-    /// reversed matches the row-at-a-time oracle exactly.
+    /// reversed matches the row-at-a-time oracle exactly, through
+    /// materialization and through EXPLAIN's step counts.
     #[test]
     fn planned_materialization_matches_naive(
         query_idx in 0usize..96,
@@ -123,19 +149,26 @@ proptest! {
         let planner = if cached { Planner::cached() } else { Planner::default() };
         let exec = ExecConfig::with_threads(threads);
         let (wh, jidx) = (fx.kdap.warehouse(), fx.kdap.join_index());
-        for (net, expect) in nets.iter().chain(&fx.fact_local) {
-            let mut net = net.clone();
+        for case in nets.iter().chain(&fx.fact_local) {
+            let (mut net, mut alone) = (case.net.clone(), case.alone.clone());
             if reversed {
                 net.constraints.reverse();
+                alone.reverse();
             }
+            let route = format!(
+                "cached={cached} reversed={reversed} threads={threads} net={}",
+                net.display(wh)
+            );
+            // EXPLAIN first: with a cached planner its misses fill the
+            // cache that materialization then reads.
+            let plan = explain_planned(wh, jidx, &net, &planner, &exec)
+                .expect("star net evaluates");
+            prop_assert_eq!(plan.subspace_size, case.rows.len(), "{}", route);
+            let steps: Vec<usize> = plan.constraints.iter().map(|c| c.fact_rows).collect();
+            prop_assert_eq!(steps, alone, "{}", route);
             let planned = materialize_planned(wh, jidx, &net, &planner, &exec)
                 .expect("star net evaluates");
-            prop_assert_eq!(
-                &planned.rows.iter().collect::<Vec<_>>(),
-                expect,
-                "cached={} reversed={} threads={} net={}",
-                cached, reversed, threads, net.display(wh)
-            );
+            prop_assert_eq!(&planned.rows.iter().collect::<Vec<_>>(), &case.rows, "{}", route);
         }
     }
 }

@@ -12,6 +12,8 @@ use kdap_suite::core::{
 };
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
+use support::differentiate;
+
 fn session() -> Kdap {
     Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap())
         .build()
@@ -21,12 +23,17 @@ fn session() -> Kdap {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any printable-ASCII query string interprets without panicking, and
-    /// every returned interpretation explores without panicking.
+    /// Any printable-ASCII query string differentiates without panicking
+    /// (a query with no usable keyword is a typed `EmptyQuery`), and every
+    /// returned interpretation explores without panicking.
     #[test]
     fn arbitrary_queries_never_panic(query in "[ -~]{0,40}") {
         let kdap = session();
-        let ranked = kdap.interpret(&query);
+        let ranked = match kdap.run(&QueryRequest::new(Verb::Differentiate, &query)) {
+            Ok(response) => response.ranked,
+            Err(KdapError::EmptyQuery) => Vec::new(),
+            Err(err) => panic!("{query:?}: {err}"),
+        };
         for r in ranked.iter().take(3) {
             let ex = kdap.explore(&r.net).expect("star net evaluates");
             prop_assert!(ex.subspace_size <= kdap.warehouse().fact_rows());
@@ -47,7 +54,7 @@ proptest! {
     ) {
         let kdap = session();
         let query = words.join(" ");
-        let ranked = kdap.interpret(&query);
+        let ranked = differentiate(&kdap, &query);
         for w in ranked.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }
@@ -171,7 +178,7 @@ fn concurrent_sessions_share_cache_safely() {
         handles.push(std::thread::spawn(move || {
             let mut sizes = Vec::new();
             for _ in 0..5 {
-                let ranked = kdap.interpret(queries[i % queries.len()]);
+                let ranked = differentiate(&kdap, queries[i % queries.len()]);
                 if let Some(r) = ranked.first() {
                     sizes.push(
                         kdap.explore(&r.net)
@@ -208,8 +215,7 @@ fn concurrent_sessions_share_cache_safely() {
 fn direct_cache_use_is_thread_safe() {
     let kdap = Arc::new(session());
     let cache = Arc::new(SubspaceCache::new(4));
-    let nets: Vec<_> = kdap
-        .interpret("columbus")
+    let nets: Vec<_> = differentiate(&kdap, "columbus")
         .into_iter()
         .map(|r| r.net)
         .collect();

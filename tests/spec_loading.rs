@@ -2,10 +2,14 @@
 //! (examples/data/) loads through `kdap_warehouse::spec`, and the full
 //! KDAP pipeline runs over it — exactly what `kdap --spec` does.
 
+mod support;
+
 use std::path::Path;
 
 use kdap_suite::core::Kdap;
 use kdap_suite::warehouse::load_spec;
+
+use support::differentiate;
 
 fn load_bookshop() -> kdap_suite::warehouse::Warehouse {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");
@@ -33,7 +37,7 @@ fn kdap_runs_end_to_end_over_spec_data() {
     let kdap = Kdap::builder(load_bookshop()).build().unwrap();
     // Attribute-instance ambiguity in the bookshop: "gardens" hits two
     // fantasy titles in one hit group.
-    let ranked = kdap.interpret("gardens");
+    let ranked = differentiate(&kdap, "gardens");
     assert!(!ranked.is_empty());
     let top = &ranked[0];
     assert_eq!(top.net.n_groups(), 1);
@@ -49,7 +53,7 @@ fn kdap_runs_end_to_end_over_spec_data() {
     assert!((ex.total_aggregate - expected).abs() < 1e-9);
 
     // A phrase over the author's name resolves to the AUTHOR domain.
-    let ranked = kdap.interpret("\"ada winterbourne\" mystery");
+    let ranked = differentiate(&kdap, "\"ada winterbourne\" mystery");
     assert!(!ranked.is_empty());
     let d = ranked[0].net.display(kdap.warehouse());
     assert!(d.contains("AUTHOR.Name"), "got {d}");
@@ -60,7 +64,7 @@ fn kdap_runs_end_to_end_over_spec_data() {
 fn hierarchy_rollup_works_on_spec_defined_hierarchies() {
     let kdap = Kdap::builder(load_bookshop()).build().unwrap();
     // Title rolls up to genre.
-    let ranked = kdap.interpret("\"the last lighthouse\"");
+    let ranked = differentiate(&kdap, "\"the last lighthouse\"");
     let net = &ranked[0].net;
     let rolled = kdap_suite::core::roll_up(kdap.warehouse(), kdap.join_index(), net, 0).unwrap();
     assert_eq!(rolled.n_groups(), 1);

@@ -1,6 +1,7 @@
 //! Shared test support: the key-walking join resolver, the
-//! row-at-a-time net and aggregation oracles built on it, and the
-//! AW_ONLINE workload fixture the equivalence suites sweep.
+//! row-at-a-time net and aggregation oracles built on it, the
+//! AW_ONLINE workload fixture the equivalence suites sweep, and the one
+//! way every suite turns keywords into ranked star nets.
 //!
 //! The oracle is the engine's single-attribute group-by in its plainest
 //! form — one attribute, one row at a time through the public per-row
@@ -20,7 +21,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
-use kdap_suite::core::{Kdap, Refine, StarNet};
+use kdap_suite::core::{Kdap, QueryRequest, RankedStarNet, Refine, StarNet, Verb};
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::obs::json_string;
 use kdap_suite::query::{
@@ -31,6 +32,16 @@ use kdap_suite::warehouse::{
     AttrKind, ColRef, Measure, TableId, Value, ValueType, Warehouse, WarehouseBuilder,
     WarehouseError,
 };
+
+/// The ranked interpretations of `keywords`: [`Kdap::run`] with
+/// `differentiate`. Panics on a typed error (an empty or stopword-only
+/// query, a governance breach), which a caller that expects one checks
+/// through `run` itself.
+pub fn differentiate(kdap: &Kdap, keywords: &str) -> Vec<RankedStarNet> {
+    kdap.run(&QueryRequest::new(Verb::Differentiate, keywords))
+        .unwrap_or_else(|err| panic!("`{keywords}` differentiates: {err}"))
+        .ranked
+}
 
 /// Resolves joins by key value: a child row's FK is read with `get_int`
 /// and looked up among the parent column's keys (one `get_int` pass per
@@ -454,8 +465,7 @@ pub fn workload() -> &'static Workload {
         let queries = generate_workload(serial.warehouse(), &WorkloadConfig::default())
             .iter()
             .map(|q| {
-                let nets: Vec<StarNet> = serial
-                    .interpret(&q.text())
+                let nets: Vec<StarNet> = differentiate(&serial, &q.text())
                     .into_iter()
                     .map(|r| r.net)
                     .collect();
