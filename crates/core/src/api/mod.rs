@@ -412,7 +412,10 @@ pub struct InterpretationSummary {
     pub score: f64,
     /// Human-readable star net (`TRANSITEM ⋈ …`).
     pub display: String,
-    /// Canonical fingerprint (stable across runs; cache key).
+    /// Canonical fingerprint: the net's constraint fingerprints, sorted
+    /// (stable across runs; [`crate::StarNet::fingerprint`]). Not the
+    /// session cache's key, which lists them in net order
+    /// ([`crate::StarNet::explore_key`]).
     pub fingerprint: String,
 }
 

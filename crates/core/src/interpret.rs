@@ -13,10 +13,14 @@
 //!   constraint is a `(group, path)` pair;
 //! * *same-dimension merging*: two hit groups whose paths enter the same
 //!   dimension produce intersection semantics on the fact table, and
-//!   structurally identical star nets are deduplicated by canonical key.
+//!   structurally identical star nets — equal multisets of constraint
+//!   fingerprints — are deduplicated.
+
+use std::collections::{HashMap, HashSet};
 
 use kdap_query::{
-    fact_paths_by_table, ExecConfig, Fingerprint, JoinPath, QueryError, Selection, MAX_PATH_LEN,
+    fact_paths_by_table, ExecConfig, Fingerprint, JoinPath, Predicate, QueryError, Selection,
+    MAX_PATH_LEN,
 };
 use kdap_textindex::TextIndex;
 use kdap_warehouse::{ColRef, DimId, Warehouse};
@@ -44,16 +48,26 @@ impl Constraint {
     /// within the group (dictionary codes), numeric groups select by
     /// value range (§7 future-work extension).
     pub fn selection(&self) -> Selection {
-        match self.group.numeric {
-            Some((lo, hi)) => Selection::by_range(self.path.clone(), self.group.attr, lo, hi),
-            None => Selection::by_codes(self.path.clone(), self.group.attr, self.group.codes()),
+        Selection {
+            path: self.path.clone(),
+            attr: self.group.attr,
+            predicate: self.predicate(),
         }
     }
 
     /// Canonical `(group, path)` identity of this constraint — equal
-    /// fingerprints denote the same fact bitmap, across all nets.
+    /// fingerprints denote the same fact bitmap, across all nets. It is
+    /// the fingerprint of [`Constraint::selection`], taken without
+    /// building the selection.
     pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of(&self.selection())
+        Fingerprint::new(&self.path, self.group.attr, self.predicate())
+    }
+
+    fn predicate(&self) -> Predicate {
+        match self.group.numeric {
+            Some((lo, hi)) => Predicate::Range { lo, hi },
+            None => Predicate::Codes(self.group.codes()),
+        }
     }
 
     /// An exact selection of `codes` on `attr` reached via `path` — what
@@ -91,24 +105,31 @@ impl Constraint {
     /// Human-readable rendering, e.g.
     /// `LOC/City/{Columbus} via ITEM → TRANS → STORE → LOC`.
     pub fn display(&self, wh: &Warehouse) -> String {
-        let values: Vec<&str> = self.group.hits.iter().take(3).map(|h| &*h.value).collect();
-        let ellipsis = if self.group.hits.len() > 3 {
-            ", …"
-        } else {
-            ""
-        };
-        format!(
-            "{}/{{{}{}}} via {}",
-            wh.col_name(self.group.attr),
-            values.join(" OR "),
-            ellipsis,
-            self.path.display(wh, wh.schema().fact_table())
-        )
+        let mut s = String::new();
+        self.write_display(wh, &mut s);
+        s
+    }
+
+    /// Appends [`Constraint::display`]'s rendering to `out`.
+    fn write_display(&self, wh: &Warehouse, out: &mut String) {
+        let table = wh.table(self.group.attr.table);
+        out.push_str(table.name());
+        out.push('.');
+        out.push_str(table.column(self.group.attr.col as usize).name());
+        out.push_str("/{");
+        for (i, hit) in self.group.hits.iter().take(3).enumerate() {
+            if i > 0 {
+                out.push_str(" OR ");
+            }
+            out.push_str(&hit.value);
+        }
+        if self.group.hits.len() > 3 {
+            out.push_str(", …");
+        }
+        out.push_str("} via ");
+        self.path.write_display(wh, wh.schema().fact_table(), out);
     }
 }
-
-/// Canonical form of a star net: sorted constraint fingerprints.
-type CanonicalKey = Vec<Fingerprint>;
 
 /// A candidate interpretation: a join expression through the fact table.
 #[derive(Debug, Clone)]
@@ -124,10 +145,15 @@ impl StarNet {
     }
 
     /// A stable, order-independent fingerprint of the net's constraints:
-    /// identifies the net's *subspace* (used for deduplication and
-    /// ranking tie-breaks).
+    /// identifies the net's *subspace* (ranking tie-breaks, and the
+    /// `fingerprint` on the wire). Its constraints' fingerprints, sorted,
+    /// in [`Fingerprint::write_list`]'s form.
     pub fn fingerprint(&self) -> String {
-        format!("{:?}", self.canonical_key())
+        let mut key = self.constraint_fingerprints();
+        key.sort_unstable();
+        let mut s = String::new();
+        Fingerprint::write_list(&key, &mut s);
+        s
     }
 
     /// The constraint fingerprints in net order: identifies the net's
@@ -137,25 +163,28 @@ impl StarNet {
     /// nothing else of a constraint (hit scores, matched keywords,
     /// display values) reaches the explore stage.
     pub fn explore_key(&self) -> String {
-        let ordered: Vec<Fingerprint> = self.constraints.iter().map(|c| c.fingerprint()).collect();
-        format!("{ordered:?}")
+        let mut s = String::new();
+        Fingerprint::write_list(&self.constraint_fingerprints(), &mut s);
+        s
     }
 
-    /// Canonical identity used for deduplication: the multiset of
-    /// constraint fingerprints.
-    fn canonical_key(&self) -> CanonicalKey {
-        let mut key: CanonicalKey = self.constraints.iter().map(|c| c.fingerprint()).collect();
-        key.sort();
-        key
+    fn constraint_fingerprints(&self) -> Vec<Fingerprint> {
+        self.constraints
+            .iter()
+            .map(Constraint::fingerprint)
+            .collect()
     }
 
     /// Human-readable rendering: the constraints' own, joined by `⋈`.
     pub fn display(&self, wh: &Warehouse) -> String {
-        self.constraints
-            .iter()
-            .map(|c| c.display(wh))
-            .collect::<Vec<_>>()
-            .join("  ⋈  ")
+        let mut s = String::new();
+        for (i, c) in self.constraints.iter().enumerate() {
+            if i > 0 {
+                s.push_str("  ⋈  ");
+            }
+            c.write_display(wh, &mut s);
+        }
+        s
     }
 }
 
@@ -226,41 +255,70 @@ pub fn try_generate_star_nets(
         return Ok(Vec::new());
     }
 
-    // Enumerate star seeds: exact covers of the coverable keywords.
-    let mut seeds: Vec<Vec<&HitGroup>> = Vec::new();
-    let mut chosen: Vec<&HitGroup> = Vec::new();
+    // Enumerate star seeds: exact covers of the coverable keywords, as
+    // indices into the pool.
+    let mut seeds: Vec<Vec<usize>> = Vec::new();
+    let mut chosen: Vec<usize> = Vec::new();
     cover(&pool, &coverable, 0, &mut chosen, &mut seeds);
 
-    // Expand each seed into star nets via the join-path product.
+    // Each seeded group's constraint choices, one per join path from its
+    // table to the fact table, built once however many seeds hold the
+    // group. A candidate's identity is the multiset of its constraints'
+    // fingerprints: each distinct fingerprint is interned as a small id
+    // when its choice is built, and a candidate is deduplicated on its
+    // sorted ids.
     let fact_paths = fact_paths_by_table(wh.schema(), cfg.max_path_len);
-    let mut nets: Vec<StarNet> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    'seeds: for seed in seeds {
-        let path_options: Option<Vec<&Vec<JoinPath>>> =
-            seed.iter().map(|g| fact_paths.get(&g.attr.table)).collect();
-        // A group on a table with no join path to the fact table cannot
-        // form a star net (the net must go through the fact table).
-        let Some(path_options) = path_options else {
+    let mut ids: HashMap<Fingerprint, u32> = HashMap::new();
+    let mut choices: Vec<Vec<(Constraint, u32)>> = vec![Vec::new(); pool.len()];
+    for &g in seeds.iter().flatten() {
+        if !choices[g].is_empty() {
+            continue;
+        }
+        let Some(paths) = fact_paths.get(&pool[g].attr.table) else {
             continue;
         };
+        choices[g] = paths
+            .iter()
+            .map(|path| {
+                let c = Constraint {
+                    group: pool[g].clone(),
+                    path: path.clone(),
+                };
+                let next = ids.len() as u32;
+                let id = *ids.entry(c.fingerprint()).or_insert(next);
+                (c, id)
+            })
+            .collect();
+    }
+
+    // Expand each seed into star nets via the join-path product.
+    let mut nets: Vec<StarNet> = Vec::new();
+    let mut seen: HashSet<Vec<u32>> = HashSet::new();
+    let mut key: Vec<u32> = Vec::new();
+    'seeds: for seed in &seeds {
+        let choices: Vec<&[(Constraint, u32)]> = seed.iter().map(|&g| &choices[g][..]).collect();
+        // A group on a table with no join path to the fact table cannot
+        // form a star net (the net must go through the fact table).
+        if choices.iter().any(|c| c.is_empty()) {
+            continue;
+        }
         let mut indices = vec![0usize; seed.len()];
         loop {
             // One governance poll per candidate net: the join-path
             // product is where differentiate-phase time concentrates.
             exec.check_at("generate_star_nets", nets.len() as u64, 0)?;
-            let net = StarNet {
-                constraints: seed
-                    .iter()
-                    .enumerate()
-                    .zip(&indices)
-                    .map(|((gi, g), &pi)| Constraint {
-                        group: (*g).clone(),
-                        path: path_options[gi][pi].clone(),
-                    })
-                    .collect(),
-            };
-            if seen.insert(net.canonical_key()) {
-                nets.push(net);
+            key.clear();
+            key.extend(choices.iter().zip(&indices).map(|(opts, &pi)| opts[pi].1));
+            key.sort_unstable();
+            if !seen.contains(&key) {
+                seen.insert(key.clone());
+                nets.push(StarNet {
+                    constraints: choices
+                        .iter()
+                        .zip(&indices)
+                        .map(|(opts, &pi)| opts[pi].0.clone())
+                        .collect(),
+                });
                 if nets.len() >= cfg.max_star_nets {
                     break 'seeds;
                 }
@@ -272,7 +330,7 @@ pub fn try_generate_star_nets(
                     break;
                 }
                 indices[i] += 1;
-                if indices[i] < path_options[i].len() {
+                if indices[i] < choices[i].len() {
                     break;
                 }
                 indices[i] = 0;
@@ -288,19 +346,19 @@ pub fn try_generate_star_nets(
 
 /// Backtracking exact cover: pick a group covering the first uncovered
 /// keyword; groups may cover several consecutive keywords (phrases).
-fn cover<'a>(
-    pool: &'a [HitGroup],
+fn cover(
+    pool: &[HitGroup],
     coverable: &[usize],
     next: usize,
-    chosen: &mut Vec<&'a HitGroup>,
-    out: &mut Vec<Vec<&'a HitGroup>>,
+    chosen: &mut Vec<usize>,
+    out: &mut Vec<Vec<usize>>,
 ) {
     if next == coverable.len() {
         out.push(chosen.clone());
         return;
     }
     let kw = coverable[next];
-    for g in pool {
+    for (gi, g) in pool.iter().enumerate() {
         // The group must cover `kw` and must not touch already-covered or
         // non-coverable keywords out of order.
         if !g.keywords.contains(&kw) {
@@ -314,7 +372,7 @@ fn cover<'a>(
             .iter()
             .filter(|k| coverable[next..].contains(k))
             .count();
-        chosen.push(g);
+        chosen.push(gi);
         cover(pool, coverable, next + advance, chosen, out);
         chosen.pop();
     }
@@ -386,7 +444,7 @@ mod tests {
     fn star_nets_are_deduplicated() {
         let fx = ebiz_fixture();
         let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
-        let mut keys: Vec<_> = nets.iter().map(|n| n.canonical_key()).collect();
+        let mut keys: Vec<String> = nets.iter().map(StarNet::fingerprint).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), nets.len());

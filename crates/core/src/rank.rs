@@ -130,16 +130,17 @@ pub fn rank_star_nets(nets: Vec<StarNet>, method: RankMethod) -> Vec<RankedStarN
     };
     ranked.sort_by(by_score_then_size);
     // Ties are the rule on ambiguous queries (one hit group along several
-    // join paths scores the same) and a fingerprint is a compile plus a
-    // `format!`: compare where the constraints sit first, in place.
+    // join paths scores the same) and a fingerprint is built and written
+    // per net: compare where the constraints sit first, in place, and
+    // write the fingerprint once per net only where those sites tie too.
     fn sites(r: &RankedStarNet) -> impl Iterator<Item = (ColRef, &JoinPath)> {
         r.net.constraints.iter().map(|c| (c.group.attr, &c.path))
     }
     for tied in ranked.chunk_by_mut(|a, b| by_score_then_size(a, b).is_eq()) {
-        tied.sort_by(|a, b| {
-            let by_fingerprint = || a.net.fingerprint().cmp(&b.net.fingerprint());
-            sites(a).cmp(sites(b)).then_with(by_fingerprint)
-        });
+        tied.sort_by(|a, b| sites(a).cmp(sites(b)));
+        for same_sites in tied.chunk_by_mut(|a, b| sites(a).eq(sites(b))) {
+            same_sites.sort_by_cached_key(|r| r.net.fingerprint());
+        }
     }
     ranked
 }

@@ -90,17 +90,27 @@ impl JoinPath {
     /// Human-readable rendering, e.g.
     /// `TRANS →(Buyer) ACCOUNT → CUSTOMER`.
     pub fn display(&self, wh: &Warehouse, origin: TableId) -> String {
+        let mut s = String::new();
+        self.write_display(wh, origin, &mut s);
+        s
+    }
+
+    /// Appends [`JoinPath::display`]'s rendering to `out`.
+    pub fn write_display(&self, wh: &Warehouse, origin: TableId, out: &mut String) {
         let schema = wh.schema();
-        let mut s = wh.table(origin).name().to_string();
+        out.push_str(wh.table(origin).name());
         for &e in &self.edges {
             let edge = schema.edge(e);
             match &edge.role {
-                Some(r) => s.push_str(&format!(" →({r}) ")),
-                None => s.push_str(" → "),
+                Some(r) => {
+                    out.push_str(" →(");
+                    out.push_str(r);
+                    out.push_str(") ");
+                }
+                None => out.push_str(" → "),
             }
-            s.push_str(wh.table(edge.parent.table).name());
+            out.push_str(wh.table(edge.parent.table).name());
         }
-        s
     }
 }
 

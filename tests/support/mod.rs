@@ -18,16 +18,21 @@
 
 #![allow(dead_code)]
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
-use kdap_suite::core::{Kdap, QueryRequest, RankedStarNet, Refine, StarNet, Verb};
-use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
-use kdap_suite::obs::json_string;
-use kdap_suite::query::{
-    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, JoinPath, Predicate, RowSet,
-    Selection, MAX_PATH_LEN,
+use kdap_suite::core::phrase::merged_group_pool;
+use kdap_suite::core::{
+    build_hit_sets, numeric_groups, Constraint, GenConfig, HitGroup, Kdap, QueryRequest,
+    RankedStarNet, Refine, StarNet, Verb,
 };
+use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
+use kdap_suite::obs::{json_string, Obs};
+use kdap_suite::query::{
+    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, Fingerprint, JoinPath, Predicate,
+    RowSet, Selection, MAX_PATH_LEN,
+};
+use kdap_suite::textindex::TextIndex;
 use kdap_suite::warehouse::{
     AttrKind, ColRef, Measure, TableId, Value, ValueType, Warehouse, WarehouseBuilder,
     WarehouseError,
@@ -41,6 +46,114 @@ pub fn differentiate(kdap: &Kdap, keywords: &str) -> Vec<RankedStarNet> {
     kdap.run(&QueryRequest::new(Verb::Differentiate, keywords))
         .unwrap_or_else(|err| panic!("`{keywords}` differentiates: {err}"))
         .ranked
+}
+
+/// Star-net generation as it was before candidates were deduplicated on
+/// interned fingerprint ids: every candidate of every seed is built in
+/// full, and its key is its constraints' `Fingerprint`s of their
+/// `selection()`s, sorted. The first candidate per key is kept, in
+/// generation order, up to `cfg.max_star_nets`. The reference the
+/// production `try_generate_star_nets` is compared against.
+pub fn reference_star_nets(
+    wh: &Warehouse,
+    index: &TextIndex,
+    keywords: &[&str],
+    cfg: &GenConfig,
+) -> Vec<StarNet> {
+    let obs = Obs::disabled();
+    let hit_sets = build_hit_sets(index, keywords, &cfg.hit, &obs);
+    let mut pool = merged_group_pool(index, &hit_sets, &obs);
+    for (ki, hs) in hit_sets.iter().enumerate() {
+        pool.extend(numeric_groups(wh, &hs.keyword, ki, &cfg.numeric));
+    }
+    let mut coverable: Vec<usize> = pool.iter().flat_map(|g| g.keywords.clone()).collect();
+    coverable.sort_unstable();
+    coverable.dedup();
+    let mut seeds = Vec::new();
+    if !coverable.is_empty() {
+        exact_covers(&pool, &coverable, 0, &mut Vec::new(), &mut seeds);
+    }
+    let fact_paths = fact_paths_by_table(wh.schema(), cfg.max_path_len);
+    let mut nets: Vec<StarNet> = Vec::new();
+    let mut seen: HashSet<Vec<Fingerprint>> = HashSet::new();
+    for seed in seeds {
+        let Some(options) = seed
+            .iter()
+            .map(|g| fact_paths.get(&g.attr.table))
+            .collect::<Option<Vec<_>>>()
+        else {
+            continue;
+        };
+        let mut indices = vec![0usize; seed.len()];
+        loop {
+            let net = StarNet {
+                constraints: seed
+                    .iter()
+                    .zip(&options)
+                    .zip(&indices)
+                    .map(|((g, paths), &pi)| Constraint {
+                        group: (*g).clone(),
+                        path: paths[pi].clone(),
+                    })
+                    .collect(),
+            };
+            let mut key: Vec<Fingerprint> = net
+                .constraints
+                .iter()
+                .map(|c| Fingerprint::of(&c.selection()))
+                .collect();
+            key.sort();
+            if seen.insert(key) {
+                nets.push(net);
+                if nets.len() >= cfg.max_star_nets {
+                    return nets;
+                }
+            }
+            // Odometer increment over path choices.
+            let mut i = 0;
+            while i < indices.len() {
+                indices[i] += 1;
+                if indices[i] < options[i].len() {
+                    break;
+                }
+                indices[i] = 0;
+                i += 1;
+            }
+            if i == indices.len() {
+                break;
+            }
+        }
+    }
+    nets
+}
+
+/// The exact covers of `coverable` by pool groups, in backtracking order.
+fn exact_covers<'a>(
+    pool: &'a [HitGroup],
+    coverable: &[usize],
+    next: usize,
+    chosen: &mut Vec<&'a HitGroup>,
+    out: &mut Vec<Vec<&'a HitGroup>>,
+) {
+    if next == coverable.len() {
+        out.push(chosen.clone());
+        return;
+    }
+    for g in pool {
+        if !g.keywords.contains(&coverable[next])
+            || g.keywords.iter().any(|k| coverable[..next].contains(k))
+        {
+            continue;
+        }
+        let advance = g
+            .keywords
+            .iter()
+            .filter(|k| coverable[next..].contains(k))
+            .count();
+        chosen.push(g);
+        exact_covers(pool, coverable, next + advance, chosen, out);
+        chosen.pop();
+    }
 }
 
 /// Resolves joins by key value: a child row's FK is read with `get_int`
