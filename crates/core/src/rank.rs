@@ -176,7 +176,7 @@ mod tests {
             constraints: groups
                 .into_iter()
                 .map(|g| Constraint {
-                    group: g,
+                    group: Arc::new(g),
                     path: JoinPath::empty(),
                 })
                 .collect(),

@@ -25,7 +25,7 @@ use crate::cache::{Explored, SubspaceCache};
 use crate::error::KdapError;
 use crate::facet::{explore_subspace, DataspaceGroups, Exploration, FacetConfig};
 use crate::governor::{record_breach, CancelToken, Governor};
-use crate::interpret::{try_generate_star_nets, GenConfig, StarNet};
+use crate::interpret::{try_generate_star_nets, GenConfig, NetText, StarNet};
 use crate::navigate::refine;
 use crate::plan::Planner;
 use crate::rank::{rank_star_nets, RankMethod, RankedStarNet};
@@ -529,6 +529,9 @@ impl Kdap {
         let ranked = self.interpret_stage(&request.keywords, method, exec)?;
         let n = ranked.len();
         let shown = if request.limit == 0 { n } else { request.limit };
+        // The nets share a few distinct constraints: each one's text is
+        // formed once for the whole list.
+        let mut text = NetText::default();
         let interpretations = ranked
             .iter()
             .take(shown)
@@ -536,8 +539,8 @@ impl Kdap {
             .map(|(i, r)| InterpretationSummary {
                 rank: i + 1,
                 score: r.score,
-                display: r.net.display(&self.wh),
-                fingerprint: r.net.fingerprint(),
+                display: text.display(&self.wh, &r.net),
+                fingerprint: text.fingerprint(&r.net),
             })
             .collect();
         let mut response = QueryResponse {

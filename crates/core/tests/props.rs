@@ -15,7 +15,7 @@ fn net_from(groups: Vec<Vec<f64>>) -> StarNet {
             .into_iter()
             .enumerate()
             .map(|(gi, scores)| Constraint {
-                group: HitGroup {
+                group: Arc::new(HitGroup {
                     attr: ColRef::new(TableId(gi as u32), 0),
                     hits: scores
                         .into_iter()
@@ -28,7 +28,7 @@ fn net_from(groups: Vec<Vec<f64>>) -> StarNet {
                         .collect(),
                     keywords: vec![gi],
                     numeric: None,
-                },
+                }),
                 path: JoinPath::empty(),
             })
             .collect(),

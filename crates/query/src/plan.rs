@@ -66,7 +66,7 @@ impl Fingerprint {
     /// `Fingerprint { edges: [..], attr: (t, c), codes: [..], range: None }`,
     /// with `range: Some((lo, hi))` holding the bounds' bit patterns —
     /// byte-identical to the derived `Debug`.
-    fn write_to(&self, out: &mut String) {
+    pub fn write_to(&self, out: &mut String) {
         out.push_str("Fingerprint { edges: ");
         push_list(out, &self.edges);
         out.push_str(", attr: (");
@@ -89,8 +89,10 @@ impl Fingerprint {
         out.push_str(" }");
     }
 
-    /// Appends `fps` in order as one list, `[a, b]`: the one writer of a
-    /// star net's `fingerprint` and `explore_key` strings. The text is
+    /// Appends `fps` in order as one list, `[a, b]`: a star net's
+    /// `explore_key` string; its `fingerprint` string is the same list,
+    /// sorted, framed by [`Fingerprint::write_list_with`] from each
+    /// fingerprint's [`Fingerprint::write_to`] text. The text is
     /// byte-identical to the slice's derived `Debug`, which is kept only
     /// as this writer's test oracle.
     pub fn write_list(fps: &[Fingerprint], out: &mut String) {
@@ -101,12 +103,23 @@ impl Fingerprint {
                 .map(|f| 80 + 12 * (f.edges.len() + f.codes.len()))
                 .sum(),
         );
+        Fingerprint::write_list_with(fps, out, Fingerprint::write_to);
+    }
+
+    /// Appends `items` in order as one list, `[a, b]`, each written by
+    /// `write`: the one framing of the fingerprint lists, whether written
+    /// from fingerprints or from their already-written text.
+    pub fn write_list_with<T>(
+        items: &[T],
+        out: &mut String,
+        mut write: impl FnMut(&T, &mut String),
+    ) {
         out.push('[');
-        for (i, fp) in fps.iter().enumerate() {
+        for (i, item) in items.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            fp.write_to(out);
+            write(item, out);
         }
         out.push(']');
     }

@@ -8,16 +8,23 @@
 //! nesting down to the parser's depth limit. Every committed golden
 //! document must parse too.
 //!
-//! The loop runs at a tier-1 case count by default; an `#[ignore]`d copy
+//! The writer's string escape, which searches a word at a time, must
+//! spell exactly what the byte-at-a-time loop it replaced spells
+//! ([`byte_escape`], kept here as its oracle): on strings of 0–80 bytes
+//! with escapes and multi-byte characters at any offset, and on every
+//! escapable byte and multi-byte character at every offset of a word.
+//!
+//! Each loop runs at a tier-1 case count by default; an `#[ignore]`d copy
 //! runs 20,000 cases (`cargo test --release --test json_roundtrip --
 //! --ignored`).
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
 use kdap_suite::core::api::json::{parse, Json};
-use kdap_suite::obs::{JsonWriter, Layout};
+use kdap_suite::obs::{json_string, JsonWriter, Layout};
 
 /// The parser's `MAX_DEPTH`: a root container plus 32 nested levels
 /// parse, one more is refused.
@@ -214,6 +221,109 @@ proptest! {
     fn every_written_tree_parses_back_to_itself_20k(case in Case) {
         check_round_trip(&case);
     }
+}
+
+/// The escape as it was written before it searched a word at a time:
+/// one byte per step. The oracle of [`json_string`].
+fn byte_escape(s: &str) -> String {
+    let mut out = String::from('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+    out
+}
+
+/// Every character the escape treats apart: the escapable bytes, the
+/// multi-byte characters whose bytes all have the high bit set, and
+/// 0x7f, the one ASCII byte above the controls that is not escaped.
+fn escape_specials() -> Vec<char> {
+    let mut chars: Vec<char> = (0..0x20u8).map(char::from).collect();
+    chars.extend(['"', '\\', '\u{7f}', 'é', '→', '\u{2028}', '𝄞']);
+    chars
+}
+
+/// A string of 0–80 bytes: clean ASCII runs broken by the characters of
+/// [`escape_specials`], one in `rarity` on average, so that runs of up
+/// to a few words occur.
+struct EscapeCase;
+
+impl Strategy for EscapeCase {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        let specials = escape_specials();
+        let len = rng.below(81) as usize;
+        let rarity = 1 + rng.below(32);
+        let mut s = String::new();
+        loop {
+            let c = match rng.below(rarity) {
+                0 => specials[rng.below(specials.len() as u64) as usize],
+                _ => char::from(b' ' + rng.below(95) as u8),
+            };
+            if s.len() + c.len_utf8() > len {
+                return s;
+            }
+            s.push(c);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn the_escape_spells_what_the_byte_loop_spells(s in EscapeCase) {
+        prop_assert_eq!(json_string(&s), byte_escape(&s));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    #[ignore = "fuzz smoke: run with --release -- --ignored"]
+    fn the_escape_spells_what_the_byte_loop_spells_20k(s in EscapeCase) {
+        prop_assert_eq!(json_string(&s), byte_escape(&s));
+    }
+}
+
+#[test]
+fn the_escape_finds_every_special_at_every_offset() {
+    let mut checked = 0;
+    for c in escape_specials() {
+        // Two words of clean prefix put `c` at every offset mod 8, in the
+        // first and in a later word, straddling the word boundary when
+        // it is several bytes long; the suffix ends the string inside the
+        // same word, at its end, or in the next one.
+        for prefix in 0..16 {
+            for suffix in 0..10 {
+                let s = format!("{}{c}{}", "a".repeat(prefix), "b".repeat(suffix));
+                assert_eq!(json_string(&s), byte_escape(&s), "{s:?}");
+                let twice = format!("{s}{c}");
+                assert_eq!(json_string(&twice), byte_escape(&twice), "{twice:?}");
+                checked += 2;
+            }
+        }
+    }
+    assert_eq!(checked, 39 * 16 * 10 * 2);
 }
 
 #[test]

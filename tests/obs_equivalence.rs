@@ -121,7 +121,7 @@ fn a_profile_holds_only_its_own_request() {
     stages(&kdap, "seattle lcd");
     let alone = stages(&kdap, "seattle lcd");
     let other_alone = stages(&kdap, "columbus plasma");
-    assert_eq!(alone.len(), 19, "{alone:#?}");
+    assert_eq!(alone.len(), 20, "{alone:#?}");
 
     // One thread explores while another profiles.
     let stop = AtomicBool::new(false);

@@ -1,8 +1,12 @@
 //! A star net's identity, against its references.
 //!
-//! `StarNet::fingerprint` and `StarNet::explore_key` are written by
-//! `Fingerprint::write_list`; they must spell exactly the derived `Debug`
-//! of the sorted and of the ordered constraint-fingerprint lists.
+//! `StarNet::fingerprint` and `StarNet::explore_key` are written from
+//! `Fingerprint::write_to`'s text; they must spell exactly the derived
+//! `Debug` of the sorted and of the ordered constraint-fingerprint lists.
+//! A differentiate's summaries write each distinct constraint's text
+//! once for all nets; every summary's `display` must equal
+//! `support::reference_net_display`, each net writing its own, and its
+//! `fingerprint` the net's own — with numeric hits off and on.
 //! `try_generate_star_nets` deduplicates candidates on interned
 //! fingerprint ids; it must keep the nets, in the order, that the
 //! per-candidate `Vec<Fingerprint>` key of
@@ -10,62 +14,116 @@
 
 mod support;
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use kdap_suite::core::{
-    split_query, try_generate_star_nets, GenConfig, Kdap, NumericConfig, QueryRequest, StarNet,
-    Verb,
+    split_query, try_generate_star_nets, GenConfig, HitGroup, Kdap, NumericConfig, QueryRequest,
+    RankedStarNet, StarNet, Verb,
 };
 use kdap_suite::datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
 };
 use kdap_suite::query::{ExecConfig, Fingerprint};
-use kdap_suite::warehouse::MeasureExpr;
+use kdap_suite::warehouse::{ColRef, MeasureExpr};
 
-/// EBiz-small and AW-small, each with its default query population.
-fn sessions() -> Vec<(&'static str, Kdap, Vec<String>)> {
-    let ebiz = Kdap::builder(build_ebiz(EbizScale::small(), 7).expect("generator is valid"))
-        .build()
+/// EBiz-small and AW-small, each with its default query population,
+/// and numeric hits on when `numeric` (their queries then end in a
+/// measure value, so that range constraints occur).
+fn sessions(numeric: bool) -> Vec<(&'static str, Kdap, Vec<String>)> {
+    let gen = GenConfig {
+        numeric: NumericConfig {
+            enabled: numeric,
+            ..NumericConfig::default()
+        },
+        ..GenConfig::default()
+    };
+    let session = |wh| Kdap::builder(wh).gen_config(gen.clone()).build();
+    let ebiz = session(build_ebiz(EbizScale::small(), 7).expect("generator is valid"))
         .expect("measure defined");
-    let aw = Kdap::builder(build_aw_online(Scale::small(), 42).expect("generator is valid"))
-        .build()
+    let aw = session(build_aw_online(Scale::small(), 42).expect("generator is valid"))
         .expect("measure defined");
     [("ebiz", ebiz), ("aw", aw)]
         .into_iter()
         .map(|(name, kdap)| {
+            let values = measure_values(&kdap);
             let queries = generate_workload(kdap.warehouse(), &WorkloadConfig::default())
                 .iter()
-                .map(|q| q.text())
+                .enumerate()
+                .map(|(i, q)| match numeric {
+                    true => format!("{} {}", q.text(), values[i % values.len()]),
+                    false => q.text(),
+                })
                 .collect();
             (name, kdap, queries)
         })
         .collect()
 }
 
+/// The first fact rows' values of the session's first measure, as
+/// keywords.
+fn measure_values(kdap: &Kdap) -> Vec<String> {
+    let wh = kdap.warehouse();
+    let column = match wh.schema().measures()[0].expr {
+        MeasureExpr::Column(c) | MeasureExpr::Product(c, _) => wh.column(c),
+    };
+    let values: Vec<String> = (0..8)
+        .filter_map(|row| column.get_float(row))
+        .map(|v| format!("{v}"))
+        .collect();
+    assert!(!values.is_empty(), "the measure has values");
+    values
+}
+
+/// Every constraint of one request built from the same pool group —
+/// the same attribute for the same keywords — holds the same allocation:
+/// generation copies no group.
+fn assert_groups_shared(ranked: &[RankedStarNet]) {
+    let mut groups: HashMap<(ColRef, &[usize]), &Arc<HitGroup>> = HashMap::new();
+    for c in ranked.iter().flat_map(|r| &r.net.constraints) {
+        let first = groups
+            .entry((c.group.attr, &c.group.keywords))
+            .or_insert(&c.group);
+        assert!(Arc::ptr_eq(first, &c.group), "{:?}", c.group.attr);
+    }
+}
+
 #[test]
 fn identity_strings_are_the_debug_of_the_fingerprint_lists() {
-    for (name, kdap, queries) in sessions() {
-        let mut nets = 0;
-        for text in &queries {
-            let mut request = QueryRequest::new(Verb::Differentiate, text);
-            request.limit = 0;
-            let response = kdap.run(&request).expect("population queries answer");
-            assert_eq!(response.interpretations.len(), response.ranked.len());
-            for (summary, ranked) in response.interpretations.iter().zip(&response.ranked) {
-                let net = &ranked.net;
-                let ordered: Vec<Fingerprint> = net
-                    .constraints
-                    .iter()
-                    .map(|c| Fingerprint::of(&c.selection()))
-                    .collect();
-                let mut sorted = ordered.clone();
-                sorted.sort();
-                let context = format!("{name} `{text}`: {}", net.display(kdap.warehouse()));
-                assert_eq!(net.fingerprint(), format!("{sorted:?}"), "{context}");
-                assert_eq!(net.explore_key(), format!("{ordered:?}"), "{context}");
-                assert_eq!(summary.fingerprint, net.fingerprint(), "{context}");
-                nets += 1;
+    for numeric in [false, true] {
+        for (name, kdap, queries) in sessions(numeric) {
+            let wh = kdap.warehouse();
+            let (mut nets, mut ranges) = (0, 0);
+            for text in &queries {
+                let mut request = QueryRequest::new(Verb::Differentiate, text);
+                request.limit = 0;
+                let response = kdap.run(&request).expect("population queries answer");
+                assert_eq!(response.interpretations.len(), response.ranked.len());
+                assert_groups_shared(&response.ranked);
+                for (summary, ranked) in response.interpretations.iter().zip(&response.ranked) {
+                    let net = &ranked.net;
+                    let ordered: Vec<Fingerprint> = net
+                        .constraints
+                        .iter()
+                        .map(|c| Fingerprint::of(&c.selection()))
+                        .collect();
+                    let mut sorted = ordered.clone();
+                    sorted.sort();
+                    let display = support::reference_net_display(wh, net);
+                    let context = format!("{name} `{text}`: {display}");
+                    assert_eq!(net.fingerprint(), format!("{sorted:?}"), "{context}");
+                    assert_eq!(net.explore_key(), format!("{ordered:?}"), "{context}");
+                    assert_eq!(summary.fingerprint, net.fingerprint(), "{context}");
+                    assert_eq!(net.display(wh), display, "{context}");
+                    assert_eq!(summary.display, display, "{context}");
+                    nets += 1;
+                    ranges +=
+                        usize::from(net.constraints.iter().any(|c| c.group.numeric.is_some()));
+                }
             }
+            assert!(nets > queries.len(), "{name}: {nets} nets");
+            assert_eq!(ranges > 0, numeric, "{name}: {ranges} nets with a range");
         }
-        assert!(nets > queries.len(), "{name}: {nets} nets");
     }
 }
 
@@ -96,7 +154,7 @@ fn compare_with_reference(kdap: &Kdap, text: &str, cfg: &GenConfig) -> usize {
 
 #[test]
 fn generation_keeps_the_reference_nets_in_order() {
-    for (name, kdap, queries) in sessions() {
+    for (_, kdap, queries) in sessions(false) {
         let base = kdap.gen_config().clone();
         for cap in [1, 2, 7, base.max_star_nets] {
             let cfg = GenConfig {
@@ -107,30 +165,15 @@ fn generation_keeps_the_reference_nets_in_order() {
                 compare_with_reference(&kdap, text, &cfg);
             }
         }
-
-        // Numeric hits on, and a measure value appended to every query:
-        // range constraints take part in the deduplication.
-        let cfg = GenConfig {
-            numeric: NumericConfig {
-                enabled: true,
-                ..NumericConfig::default()
-            },
-            ..base.clone()
-        };
-        let wh = kdap.warehouse();
-        let column = match wh.schema().measures()[0].expr {
-            MeasureExpr::Column(c) | MeasureExpr::Product(c, _) => wh.column(c),
-        };
-        let values: Vec<String> = (0..8)
-            .filter_map(|row| column.get_float(row))
-            .map(|v| format!("{v}"))
-            .collect();
-        assert!(!values.is_empty(), "{name}: the measure has values");
-        let mut with_ranges = 0;
-        for (i, text) in queries.iter().enumerate() {
-            let text = format!("{text} {}", values[i % values.len()]);
-            with_ranges += compare_with_reference(&kdap, &text, &cfg);
-        }
+    }
+    // Numeric hits on, and a measure value appended to every query:
+    // range constraints take part in the deduplication.
+    for (name, kdap, queries) in sessions(true) {
+        let cfg = kdap.gen_config().clone();
+        let with_ranges: usize = queries
+            .iter()
+            .map(|text| compare_with_reference(&kdap, text, &cfg))
+            .sum();
         assert!(with_ranges > 0, "{name}: no net holds a range constraint");
     }
 }

@@ -19,7 +19,7 @@
 #![allow(dead_code)]
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use kdap_suite::core::phrase::merged_group_pool;
 use kdap_suite::core::{
@@ -46,6 +46,18 @@ pub fn differentiate(kdap: &Kdap, keywords: &str) -> Vec<RankedStarNet> {
     kdap.run(&QueryRequest::new(Verb::Differentiate, keywords))
         .unwrap_or_else(|err| panic!("`{keywords}` differentiates: {err}"))
         .ranked
+}
+
+/// A net's `display` as each net wrote its own before a request's
+/// summaries shared their constraints' text: every constraint's
+/// `Constraint::display`, in net order, joined by `  ⋈  `. The oracle
+/// of `StarNet::display` and of the summaries' `display` strings.
+pub fn reference_net_display(wh: &Warehouse, net: &StarNet) -> String {
+    net.constraints
+        .iter()
+        .map(|c| c.display(wh))
+        .collect::<Vec<_>>()
+        .join("  ⋈  ")
 }
 
 /// Star-net generation as it was before candidates were deduplicated on
@@ -92,7 +104,7 @@ pub fn reference_star_nets(
                     .zip(&options)
                     .zip(&indices)
                     .map(|((g, paths), &pi)| Constraint {
-                        group: (*g).clone(),
+                        group: Arc::new((*g).clone()),
                         path: paths[pi].clone(),
                     })
                     .collect(),
