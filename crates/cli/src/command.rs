@@ -23,7 +23,7 @@ pub enum Command {
     /// `profile <keywords>` — run the query end to end and print the
     /// per-stage timing tree (needs `--profile`).
     Profile(String),
-    /// `explain` — per-constraint selectivity plan of the current net.
+    /// `explain` — the current request's stage tree, without clocks.
     Explain,
     /// `show` — re-print the current facets.
     Show,

@@ -63,8 +63,8 @@ pub struct CliArgs {
     pub threads: usize,
     /// One-shot subcommand, or the console.
     pub mode: CliMode,
-    /// `--profile`: enable the observability recorder; `explain` appends
-    /// live stage timings and the `profile` console command works.
+    /// `--profile`: enable the observability recorder, so the `profile`
+    /// console command works.
     pub profile: bool,
     /// `--json`: machine-readable output for one-shot subcommands.
     pub json: bool,

@@ -133,20 +133,11 @@ impl Repl {
                 writeln!(out, "nothing explored yet")?
             }
             Command::Explain => match self.run(Verb::Explain) {
-                Ok(resp) => {
-                    write!(out, "{}", resp.plan.unwrap_or_default())?;
-                    write!(out, "{}", resp.report.unwrap_or_default())?;
-                    // With `--profile`, the same request once more under
-                    // the recorder appends its timing tree.
-                    if self.kdap.obs().is_enabled() {
-                        if let Ok(QueryResponse {
-                            profile: Some(p), ..
-                        }) = self.run(Verb::Profile)
-                        {
-                            write!(out, "{}", p.render())?;
-                        }
-                    }
-                }
+                Ok(QueryResponse {
+                    profile: Some(tree),
+                    ..
+                }) => write!(out, "{}", tree.render_clock_free())?,
+                Ok(_) => {}
                 Err(e) => writeln!(out, "explain failed: {e}")?,
             },
             Command::Show => match &self.exploration {
@@ -404,17 +395,19 @@ mod tests {
     }
 
     #[test]
-    fn explain_shows_the_plan() {
+    fn explain_shows_the_requests_stage_tree() {
         let mut r = repl();
         assert!(run(&mut r, "explain").contains("nothing explored"));
         run(&mut r, "q seattle");
         run(&mut r, "pick 1");
         let out = run(&mut r, "explain");
-        assert!(out.contains("fact rows"), "{out}");
-        assert!(out.contains("subspace:"), "{out}");
-        assert!(out.contains("via"), "{out}");
-        assert!(out.contains("fused scans"), "{out}");
-        assert!(out.contains("kernel"), "{out}");
+        assert!(out.starts_with("explain: seattle\n"), "{out}");
+        for stage in ["materialize", "semijoin", "explore.rollups", "facet"] {
+            assert!(out.contains(stage), "{stage}: {out}");
+        }
+        assert!(out.contains("path=") && out.contains("kernel="), "{out}");
+        // No clocks: no time column, no share of a total.
+        assert!(!out.contains('%') && !out.contains(" µs"), "{out}");
     }
 
     #[test]
@@ -483,24 +476,15 @@ mod tests {
     }
 
     #[test]
-    fn explain_appends_timings_when_profiling() {
-        let mut r = profiling_repl();
-        run(&mut r, "q seattle");
-        run(&mut r, "pick 1");
-        let out = run(&mut r, "explain");
-        assert!(out.contains("fused scans"), "{out}");
-        // The timing tree is the same request's, under the recorder —
-        // which `pick` already answered, so it says where the time did
-        // not go: the explore stage is a session-cache hit.
-        assert!(out.contains("profile: seattle"), "{out}");
-        assert!(out.contains("cache=hit"), "{out}");
-        assert!(!out.contains("explore.rollups"), "{out}");
-        // Without --profile, explain output carries no timing tree.
-        let mut plain = repl();
-        run(&mut plain, "q seattle");
-        run(&mut plain, "pick 1");
-        let out = run(&mut plain, "explain");
+    fn explain_prints_the_same_tree_with_or_without_profile() {
+        let explain = |mut r: Repl| {
+            run(&mut r, "q seattle");
+            run(&mut r, "pick 1");
+            run(&mut r, "explain")
+        };
+        let out = explain(profiling_repl());
         assert!(!out.contains("profile: seattle"), "{out}");
+        assert_eq!(out, explain(repl()));
     }
 
     #[test]
@@ -509,10 +493,12 @@ mod tests {
         run(&mut r, "q seattle");
         run(&mut r, "pick 1");
         let first = run(&mut r, "explain");
-        assert!(first.contains("fact rows"), "{first}");
-        // The session planner already evaluated these steps during
-        // `pick`, so the explain replay is served from the cache.
-        assert!(first.contains("[cache hit]"), "{first}");
+        // `pick` answered this request, so the session cache holds its
+        // answer and the semi-join cache every step the replay reads.
+        assert!(first.contains("answer_cache=held"), "{first}");
+        let steps: Vec<&str> = first.lines().filter(|l| l.contains("semijoin")).collect();
+        assert!(!steps.is_empty(), "{first}");
+        assert!(steps.iter().all(|l| l.contains("cache=hit")), "{first}");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! console (which held a `StarNet` and drilled along the *first* join
 //! path to the facet's table) the same script differs only where the
 //! `drill 2 1` below — an ACCOUNT facet aggregated on the Seller role —
-//! is in the net, plus the `semi-join cache` hit count inside `explain`.
-//! Since the session cache holds explorations rather than subspaces, the
-//! `subspace cache` lines read 1 hit / 7 misses where they read 3 / 5:
-//! `mode` and `order` ask for the same net under other options, which
-//! recomputes and replaces its entry; only `explain` repeats a request.
+//! is in the net. `mode` and `order` ask for the same net under other
+//! options, which recomputes and replaces its session-cache entry; and
+//! `explain` prints the request's stage tree, rerunning the stages
+//! without looking the answer up, so `stats` reads 0 subspace-cache
+//! hits / 7 misses.
 
 use kdap_cli::{Command, Repl};
 use kdap_core::Kdap;

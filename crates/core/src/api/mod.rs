@@ -6,7 +6,7 @@
 //! ([`Verb`]), the keywords and every per-request option
 //! ([`QueryOptions`] — ranking, facets, governance) and any navigation
 //! from the picked interpretation ([`Refine`]); [`Kdap::run`] executes it; the [`QueryResponse`] carries the full result
-//! (interpretations, exploration, plan/report text, profile) plus
+//! (interpretations, exploration, stage tree) plus
 //! wire encoders. [`ApiError`] maps engine errors onto HTTP-style
 //! status codes for the server.
 //!
@@ -41,8 +41,8 @@ pub enum Verb {
     /// Differentiate + explore under the profiler; the response carries
     /// the per-stage timing tree.
     Profile,
-    /// Differentiate, then EXPLAIN the picked interpretation: physical
-    /// plan and fused-scan accounting alongside the exploration.
+    /// Differentiate, then EXPLAIN the picked interpretation: the
+    /// request's stage tree without clocks alongside the exploration.
     Explain,
 }
 
@@ -463,12 +463,9 @@ pub struct QueryResponse {
     pub constraints: Option<Vec<ConstraintSummary>>,
     /// The exploration of the picked (and refined) interpretation.
     pub exploration: Option<Exploration>,
-    /// Rendered constraint plan (explain verb).
-    pub plan: Option<String>,
-    /// Rendered fused-scan/cache report (explain verb).
-    pub report: Option<String>,
-    /// Per-stage timing tree (profile verb; empty unless the session has
-    /// observability enabled).
+    /// The request's stage tree: the profile verb's, timed (empty unless
+    /// the session has observability enabled), encoded as `"profile"`;
+    /// the explain verb's, encoded without clocks as `"explain"`.
     pub profile: Option<QueryProfile>,
 }
 
@@ -514,15 +511,14 @@ impl QueryResponse {
                 w.key("exploration");
                 write_exploration(w, ex);
             }
-            if let Some(plan) = &self.plan {
-                w.key("plan").str(plan);
-            }
-            if let Some(report) = &self.report {
-                w.key("report").str(report);
-            }
             if let Some(profile) = &self.profile {
-                w.key("profile");
-                profile.write_json(w);
+                if self.verb == Verb::Explain {
+                    w.key("explain");
+                    profile.write_json_clock_free(w);
+                } else {
+                    w.key("profile");
+                    profile.write_json(w);
+                }
             }
         });
         out.push('\n');
@@ -1061,8 +1057,6 @@ mod tests {
                     }],
                 }],
             }),
-            plan: None,
-            report: None,
             profile: None,
         }
     }

@@ -10,9 +10,9 @@
 //! not the semi-join (the planner's [`SemijoinCache`](kdap_query::SemijoinCache)
 //! already turns a seen net into an intersection of cached step bitmaps)
 //! but the 2 + n fused scans over the subspace and its roll-up spaces. So
-//! the cache holds the *answer*: one [`Explored`] per net — the exploration,
-//! its scan report, and the [`FacetConfig`] both were computed under —
-//! keyed by the net's ordered constraint fingerprints
+//! the cache holds the *answer*: one [`Explored`] per net — the exploration
+//! and the [`FacetConfig`] it was computed under — keyed by the net's
+//! ordered constraint fingerprints
 //! ([`StarNet::explore_key`](crate::StarNet::explore_key)), with LRU
 //! eviction. A repeat costs a hash lookup and an `Arc` clone; a request
 //! for the same net under different options misses, recomputes and
@@ -30,25 +30,21 @@ use parking_lot::Mutex;
 
 use kdap_obs::CacheCounters;
 
-use crate::explain::ExploreReport;
 use crate::facet::{Exploration, FacetConfig};
 
 /// The explore stage's output for one net: what a cache entry is.
 #[derive(Debug)]
 pub struct Explored {
-    /// The effective facet configuration the other two were computed
+    /// The effective facet configuration the exploration was computed
     /// under; a lookup under any other configuration misses.
     pub facet: FacetConfig,
     /// The aggregates and facets of the net's subspace.
     pub exploration: Exploration,
-    /// The scan accounting of the run that produced them (its cache
-    /// counter fields unset; `explain` fills them in at report time).
-    pub report: ExploreReport,
 }
 
 /// An LRU cache of explorations, one per net. Named for what it is keyed
 /// by and reported as (`subspace` in `/stats`, `subspace cache` in
-/// `explain` and `kdap stats`).
+/// `kdap stats`).
 pub struct SubspaceCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -95,6 +91,16 @@ impl SubspaceCache {
                 None
             }
         }
+    }
+
+    /// Whether a lookup of `key` under `facet` would hit, without
+    /// counting it or refreshing the entry's LRU stamp.
+    pub(crate) fn holds(&self, key: &str, facet: &FacetConfig) -> bool {
+        let inner = self.inner.lock();
+        inner
+            .map
+            .get(key)
+            .is_some_and(|(entry, _)| entry.facet == *facet)
     }
 
     /// Stores `entry` under `key` (replacing the net's previous entry, if
@@ -155,7 +161,6 @@ mod tests {
                 total_aggregate: tag as f64,
                 panels: Vec::new(),
             },
-            report: ExploreReport::default(),
         })
     }
 
@@ -198,6 +203,21 @@ mod tests {
         assert_eq!(hit.exploration.subspace_size, 2);
         // A replaced entry is not an eviction.
         assert_eq!(cache.counters(), CacheCounters::new(1, 2, 0));
+    }
+
+    #[test]
+    fn holds_neither_counts_nor_refreshes() {
+        let cache = SubspaceCache::new(1);
+        let facet = FacetConfig::default();
+        let bellwether = FacetConfig {
+            mode: InterestMode::Bellwether,
+            ..FacetConfig::default()
+        };
+        assert!(!cache.holds("a", &facet));
+        cache.insert("a".into(), entry(1, &facet));
+        assert!(cache.holds("a", &facet));
+        assert!(!cache.holds("a", &bellwether), "other options would miss");
+        assert_eq!(cache.counters(), CacheCounters::default());
     }
 
     #[test]

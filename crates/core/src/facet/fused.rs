@@ -38,6 +38,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use kdap_obs::LeafData;
 use kdap_query::{
     multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetGroups, FacetSpec, JoinIndex,
     JoinPath, MeasureVector, RowMapper, RowSet, DENSE_GROUP_LIMIT,
@@ -45,7 +46,6 @@ use kdap_query::{
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
 use crate::error::KdapError;
-use crate::explain::{ExploreReport, FacetScanChoice};
 use crate::facet::attr_rank::{
     assemble_ranked, categorical_correlation, collect_attr_tasks, numeric_worst_correlation,
     AttrTask, NumericSeries, RankedAttr,
@@ -175,8 +175,6 @@ enum SlotData {
         x_map: HashMap<u32, f64>,
         /// Per-roll-up group-by maps, aligned with the roll-up order.
         y_maps: Vec<HashMap<u32, f64>>,
-        dense: bool,
-        groups: usize,
     },
     Numerical {
         /// `None` when the attribute has no finite value in DS′.
@@ -192,11 +190,13 @@ struct NumSlot {
     occupancy: Vec<f64>,
     /// Per-roll-up per-interval series, aligned with the roll-up order.
     rup_ys: Vec<Vec<f64>>,
-    groups: usize,
 }
 
 /// The explore phase over an already-materialized subspace: aggregates
-/// `sub`, builds its dynamic facets, and reports the scan accounting.
+/// `sub` and builds its dynamic facets. While a tree is recorded, each
+/// deduplicated facet spec adds a zero-time `facet` leaf noting its
+/// attribute, join path, kernel (`dense`, `hash` or `buckets`) and
+/// group count in the subspace.
 ///
 /// The roll-up spaces are materialized through `planner`'s semi-join
 /// cache, which they share with the materialization of the subspace;
@@ -215,7 +215,7 @@ pub fn explore_subspace(
     planner: &Planner,
     exec: &ExecConfig,
     memo: &DataspaceGroups,
-) -> Result<(Exploration, ExploreReport), KdapError> {
+) -> Result<Exploration, KdapError> {
     let schema = wh.schema();
     let obs = exec.obs.clone();
     let scanner = Scanner { wh, mv, exec, memo };
@@ -384,8 +384,6 @@ pub fn explore_subspace(
                     dom: g.domain(),
                     x_map: g.to_map(cfg.agg),
                     y_maps,
-                    dense: g.is_dense(),
-                    groups: g.n_groups(),
                 }
             }
             AttrKind::Numerical => SlotData::Numerical {
@@ -404,7 +402,6 @@ pub fn explore_subspace(
                             .iter()
                             .map(|r| r[ri].to_series(cfg.agg))
                             .collect(),
-                        groups: g.n_groups(),
                     }
                 }),
             },
@@ -421,9 +418,7 @@ pub fn explore_subspace(
         .iter()
         .zip(&task_slots)
         .map(|((_, task), &si)| match &slot_data[si] {
-            SlotData::Categorical {
-                dom, x_map, y_maps, ..
-            } => {
+            SlotData::Categorical { dom, x_map, y_maps } => {
                 if dom.is_empty() {
                     return None;
                 }
@@ -486,10 +481,7 @@ pub fn explore_subspace(
         let entries: Vec<FacetEntry> = match (&ra.kind, &ra.numeric) {
             (AttrKind::Categorical, _) => {
                 let si = slot_of[&(ra.attr, ra.path.clone(), false)];
-                let SlotData::Categorical {
-                    dom, x_map, y_maps, ..
-                } = &slot_data[si]
-                else {
+                let SlotData::Categorical { dom, x_map, y_maps } = &slot_data[si] else {
                     unreachable!("categorical tasks map to categorical slots")
                 };
                 let hits = hit_codes.get(&ra.attr).unwrap_or(&empty);
@@ -519,87 +511,36 @@ pub fn explore_subspace(
     entries_span.rows_out(panels.iter().map(|p| p.attrs.len() as u64).sum());
     drop(entries_span);
 
-    let report = build_report(
-        wh,
-        &slots,
-        &slot_data,
-        &task_slots,
-        &selected,
-        n_rups,
-        !specs_b.specs.is_empty(),
-    );
-
-    Ok((
-        Exploration {
-            subspace_size: sub.len(),
-            total_aggregate,
-            panels,
-        },
-        report,
-    ))
-}
-
-/// Scan accounting: what the fused pipeline did versus what one scan per
-/// facet per space would have cost for the same exploration.
-fn build_report(
-    wh: &Warehouse,
-    slots: &[(ColRef, JoinPath, AttrKind)],
-    slot_data: &[SlotData],
-    task_slots: &[usize],
-    selected: &[(usize, RankedAttr)],
-    n_rups: usize,
-    scanned_buckets: bool,
-) -> ExploreReport {
-    // Per-facet cost, task by task (the old pipeline evaluated every
-    // task, duplicates included): a categorical candidate paid a domain
-    // projection, a subspace group-by, and one group-by per roll-up —
-    // unless its domain was empty, where it stopped after the projection.
-    // A numerical candidate paid a projection, two subspace bucket
-    // group-bys (series + occupancy) and one per roll-up — or just the
-    // projection when the domain was empty. Each selected categorical
-    // attribute then paid a fresh projection, subspace total + group-by,
-    // and a total + group-by per roll-up in stage 2.
-    let mut scans_old = 1; // the subspace total aggregate
-    for &si in task_slots {
-        scans_old += match &slot_data[si] {
-            SlotData::Categorical { dom, .. } if dom.is_empty() => 1,
-            SlotData::Categorical { .. } => 2 + n_rups,
-            SlotData::Numerical { series: None } => 1,
-            SlotData::Numerical { series: Some(_) } => 3 + n_rups,
-        };
-    }
-    for (_, ra) in selected {
-        if ra.kind == AttrKind::Categorical {
-            scans_old += 3 + 2 * n_rups;
+    if obs.is_profiling() {
+        let fact = schema.fact_table();
+        for (i, (attr, path, kind)) in slots.iter().enumerate() {
+            let (kernel, groups) = match (kind, b_idx[i]) {
+                (AttrKind::Categorical, _) => {
+                    let g = &groups_a[a_idx[i]];
+                    (if g.is_dense() { "dense" } else { "hash" }, g.n_groups())
+                }
+                (AttrKind::Numerical, Some(bi)) => ("buckets", groups_b[bi].n_groups()),
+                // No finite value in DS′: no bucket spec was scanned.
+                (AttrKind::Numerical, None) => continue,
+            };
+            obs.leaf(
+                "facet",
+                LeafData {
+                    notes: vec![
+                        ("attr".into(), wh.col_name(*attr)),
+                        ("path".into(), path.display(wh, fact)),
+                        ("kernel".into(), kernel.into()),
+                        ("groups".into(), groups.to_string()),
+                    ],
+                    ..LeafData::default()
+                },
+            );
         }
     }
-    let scans_fused = 1 + usize::from(scanned_buckets) + n_rups;
 
-    let facets = slots
-        .iter()
-        .zip(slot_data)
-        .filter_map(|((attr, _, _), data)| match data {
-            SlotData::Categorical { dense, groups, .. } => Some(FacetScanChoice {
-                attr: wh.col_name(*attr),
-                kernel: if *dense { "dense" } else { "hash" },
-                groups: *groups,
-            }),
-            SlotData::Numerical { series: Some(ns) } => Some(FacetScanChoice {
-                attr: wh.col_name(*attr),
-                kernel: "buckets",
-                groups: ns.groups,
-            }),
-            SlotData::Numerical { series: None } => None,
-        })
-        .collect();
-
-    ExploreReport {
-        rollups: n_rups,
-        candidates: task_slots.len(),
-        scans_fused,
-        scans_old,
-        facets,
-        subspace_cache: None,
-        semijoin_cache: None,
-    }
+    Ok(Exploration {
+        subspace_size: sub.len(),
+        total_aggregate,
+        panels,
+    })
 }

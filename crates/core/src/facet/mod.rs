@@ -225,7 +225,7 @@ mod tests {
             .find(|n| n.display(&fx.wh).contains(needle))
             .expect("net found");
         let measure = fx.wh.schema().measure_by_name("Revenue").unwrap();
-        let (exploration, _) = explore_subspace(
+        explore_subspace(
             &fx.wh,
             &fx.jidx,
             net,
@@ -236,8 +236,7 @@ mod tests {
             &ExecConfig::serial(),
             &DataspaceGroups::default(),
         )
-        .unwrap();
-        exploration
+        .unwrap()
     }
 
     #[test]

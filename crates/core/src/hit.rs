@@ -110,10 +110,12 @@ pub fn build_hit_sets(
         .map(|(ki, kw)| {
             let t = obs.timer();
             let hits = index.search_keyword(kw, &cfg.search);
+            let ns = t.stop();
             if obs.is_enabled() {
-                let ns = t.stop();
                 obs.record_ns("textindex.search_ns", ns);
                 obs.inc("textindex.searches", 1);
+            }
+            if obs.is_profiling() {
                 obs.leaf(
                     "textindex.search",
                     LeafData {

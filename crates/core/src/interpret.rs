@@ -412,16 +412,13 @@ pub fn try_generate_star_nets(
 /// (duplicates included) and the nets kept. The counts are exact; the
 /// leaf's time is the product's, seeded constraint choices included.
 fn record_product(obs: &Obs, product: Timer, seeds: usize, candidates: u64, kept: usize) {
-    if !obs.is_enabled() {
-        return;
-    }
-    let wall_ns = product.stop();
     obs.inc("core.interpret.seeds", seeds as u64);
     obs.inc("core.interpret.candidates", candidates);
     obs.inc("core.interpret.nets_kept", kept as u64);
     if !obs.is_profiling() {
         return;
     }
+    let wall_ns = product.stop();
     obs.leaf(
         "join_path_product",
         LeafData {

@@ -10,7 +10,6 @@
 pub mod api;
 pub mod cache;
 pub mod error;
-pub mod explain;
 pub mod facet;
 pub mod governor;
 pub mod hit;
@@ -35,7 +34,6 @@ pub use api::{
 };
 pub use cache::{Explored, SubspaceCache};
 pub use error::KdapError;
-pub use explain::{explain_planned, ConstraintPlan, ExploreReport, FacetScanChoice, Plan};
 pub use facet::{
     explore_subspace, AnnealConfig, DataspaceGroups, Exploration, FacetAttr, FacetConfig,
     FacetEntry, FacetOrder, FacetPanel, MergeResult,

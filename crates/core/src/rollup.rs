@@ -145,8 +145,7 @@ pub fn try_rollup_spaces_planned(
     });
     let mut spaces = Vec::with_capacity(results.len());
     for result in results {
-        let (rows, _) = result?;
-        spaces.push(Subspace { rows });
+        spaces.push(Subspace { rows: result? });
     }
     if spaces.is_empty() {
         spaces.push(Subspace::full(wh));

@@ -356,7 +356,7 @@ impl Kdap {
     /// hand-built net, or the explore stage timed alone).
     pub fn explore(&self, net: &StarNet) -> Result<Exploration, KdapError> {
         let exec = self.request_exec(&QueryOptions::default(), None);
-        self.recorded(self.explore_stage(net, &self.facet, &exec))
+        self.recorded(self.explore_stage(net, &self.facet, &exec, false))
             .map(|explored| explored.exploration.clone())
     }
 
@@ -368,11 +368,16 @@ impl Kdap {
     /// session memory takes whole entries only: the semi-join cache and
     /// the memo as each step or scan finishes, the cache once the answer
     /// exists.
+    ///
+    /// `explain` skips the cache lookup, so the stages run and record
+    /// their tree; the `explore` node notes instead whether the cache
+    /// held the answer (`answer_cache=held|absent`).
     fn explore_stage(
         &self,
         net: &StarNet,
         facet: &FacetConfig,
         exec: &ExecConfig,
+        explain: bool,
     ) -> Result<Arc<Explored>, KdapError> {
         let span = exec.obs.span("explore");
         // A hit is governed like any other stage: an expired deadline or
@@ -381,23 +386,22 @@ impl Kdap {
         exec.check_at("explore", 0, 0)?;
         let cache = self.cache.as_ref().map(|c| (c, net.explore_key()));
         if let Some((cache, key)) = &cache {
-            if let Some(hit) = cache.get(key, facet) {
+            if explain {
+                let held = cache.holds(key, facet);
+                span.note("answer_cache", if held { "held" } else { "absent" });
+            } else if let Some(hit) = cache.get(key, facet) {
                 span.cache(CacheOutcome::Hit);
                 span.rows_out(hit.exploration.subspace_size as u64);
                 return Ok(hit);
+            } else {
+                span.cache(CacheOutcome::Miss);
             }
-            span.cache(CacheOutcome::Miss);
         }
-        let sub = {
-            let span = exec.obs.span("materialize");
-            let sub = materialize_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
-            span.rows_out(sub.len() as u64);
-            sub
-        };
+        let sub = materialize_planned(&self.wh, &self.jidx, net, &self.planner, exec)?;
         let mv = self
             .measure_vector
             .get_or_init(|| MeasureVector::build(&self.wh, &self.measure));
-        let (exploration, report) = explore_subspace(
+        let exploration = explore_subspace(
             &self.wh,
             &self.jidx,
             net,
@@ -412,7 +416,6 @@ impl Kdap {
         let explored = Arc::new(Explored {
             facet: facet.clone(),
             exploration,
-            report,
         });
         if let Some((cache, key)) = cache {
             cache.insert(key, Arc::clone(&explored));
@@ -480,13 +483,15 @@ impl Kdap {
     /// every frontend (HTTP server, CLI, REPL) drives. The verb selects
     /// the pipeline: `differentiate` ranks interpretations,
     /// `explore`/`profile`/`explain` additionally run the explore phase
-    /// on the picked interpretation (profile into the request's own
-    /// profile handle, explain with plan and scan accounting) after applying the
-    /// request's `refine` steps to it — drill, roll-up and drop are
-    /// requests, replayed from the pick each time; the caches make the
-    /// replayed prefix cheap. Request options override the session's
-    /// ranking method, facet configuration and governance limits for
-    /// this call only.
+    /// on the picked interpretation after applying the request's `refine`
+    /// steps to it — drill, roll-up and drop are requests, replayed from
+    /// the pick each time; the caches make the replayed prefix cheap.
+    /// `profile` records the request's stage tree with clocks, when the
+    /// session observes; `explain` records the same tree whether or not
+    /// it does, skipping the answer cache's lookup so every stage runs,
+    /// and the response carries it without clocks. Request options
+    /// override the session's ranking method, facet configuration and
+    /// governance limits for this call only.
     ///
     /// Errors are typed [`KdapError`]s ([`crate::api::ApiError::from_kdap`]
     /// maps them onto HTTP statuses), and governance breaches are counted
@@ -505,16 +510,20 @@ impl Kdap {
         cancel: Option<CancelToken>,
     ) -> Result<QueryResponse, KdapError> {
         let mut exec = self.request_exec(&request.options, cancel);
-        if request.verb == Verb::Profile {
-            exec.obs = exec.obs.profiled(&request.keywords);
+        match request.verb {
+            Verb::Profile => exec.obs = exec.obs.profiled(&request.keywords),
+            Verb::Explain => exec.obs = exec.obs.recording(&request.keywords),
+            Verb::Differentiate | Verb::Explore => {}
         }
         let mut response = self.recorded(self.run_stages(request, &exec))?;
-        if request.verb == Verb::Profile {
+        if matches!(request.verb, Verb::Profile | Verb::Explain) {
             let mut profile = exec
                 .obs
                 .take_profile()
                 .unwrap_or_else(|| QueryProfile::empty(&request.keywords));
-            profile.trace_id = request.trace_id.clone();
+            if request.verb == Verb::Profile {
+                profile.trace_id = request.trace_id.clone();
+            }
             response.profile = Some(profile);
         }
         Ok(response)
@@ -552,8 +561,6 @@ impl Kdap {
             picked: None,
             constraints: None,
             exploration: None,
-            plan: None,
-            report: None,
             profile: None,
         };
         if request.verb == Verb::Differentiate {
@@ -580,27 +587,7 @@ impl Kdap {
             &refined
         };
         let facet = request.options.apply_facet(self.facet.clone());
-        // The plan is evaluated before the explore stage, whose misses
-        // fill the semi-join cache: its `[cache hit]` marks then show
-        // what the session held when the request arrived.
-        let plan = match request.verb {
-            Verb::Explain => Some(crate::explain::explain_planned(
-                &self.wh,
-                &self.jidx,
-                net,
-                &self.planner,
-                exec,
-            )?),
-            _ => None,
-        };
-        let explored = self.explore_stage(net, &facet, exec)?;
-        if let Some(plan) = plan {
-            let mut report = explored.report.clone();
-            report.subspace_cache = self.subspace_cache_counters();
-            report.semijoin_cache = self.semijoin_counters();
-            response.plan = Some(plan.render());
-            response.report = Some(report.render());
-        }
+        let explored = self.explore_stage(net, &facet, exec, request.verb == Verb::Explain)?;
         response.picked = Some(request.pick);
         response.exploration = Some(explored.exploration.clone());
         Ok(response)
@@ -798,23 +785,34 @@ mod tests {
         }
     }
 
+    /// The `semijoin` leaves of a tree's materialization.
+    fn semijoins(tree: &QueryProfile) -> &[kdap_obs::ProfileNode] {
+        &find(&tree.roots, "materialize").children
+    }
+
     #[test]
-    fn explain_replays_the_plan_through_the_session_planner() {
+    fn explain_replays_the_request_through_the_session_planner() {
         let kdap = session();
         let request = QueryRequest::new(Verb::Explain, "columbus lcd");
         let first = kdap.run(&request).unwrap();
         let size = first.exploration.unwrap().subspace_size;
-        let first_plan = first.plan.unwrap();
-        assert!(first_plan.contains(&format!("subspace: {size} fact rows")));
-        // A fresh session holds no step yet, even though the request's
-        // own explore stage fills the cache after the plan ran.
-        assert!(!first_plan.contains("[cache hit]"), "{first_plan}");
+        let tree = first.profile.unwrap();
+        let materialize = find(&tree.roots, "materialize");
+        assert_eq!(materialize.rows_out, Some(size as u64));
+        // A fresh session holds no step yet.
+        let leaves = semijoins(&tree);
+        assert_eq!(leaves.len(), first.ranked[0].net.constraints.len());
+        for leaf in leaves {
+            assert_eq!(leaf.name, "semijoin");
+            assert_eq!(leaf.cache, Some(CacheOutcome::Miss), "{leaf:?}");
+            assert!(leaf.rows_out >= Some(size as u64));
+            assert!(note(leaf, "path").unwrap().contains(" → "), "{leaf:?}");
+        }
         // The first request cached every step, so a repeat hits on all.
-        let plan = kdap.run(&request).unwrap().plan.unwrap();
-        assert_eq!(
-            plan.matches("[cache hit]").count(),
-            plan.matches("via ").count()
-        );
+        let again = kdap.run(&request).unwrap().profile.unwrap();
+        assert!(semijoins(&again)
+            .iter()
+            .all(|leaf| leaf.cache == Some(CacheOutcome::Hit)));
     }
 
     fn profile(kdap: &Kdap, query: &str) -> QueryResponse {
@@ -990,16 +988,33 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_cache_counters() {
+    fn explain_notes_whether_the_answer_cache_held_the_net() {
         let fx = ebiz_fixture();
         let kdap = Kdap::builder(fx.wh).cache_capacity(16).build().unwrap();
-        let report = kdap
-            .run(&QueryRequest::new(Verb::Explain, "columbus lcd"))
-            .unwrap()
-            .report
-            .unwrap();
-        assert!(report.contains("subspace cache   0 hit(s) / 1 miss(es)"));
-        assert!(report.contains("semi-join cache"));
+        let request = QueryRequest::new(Verb::Explain, "columbus lcd");
+        let held = |kdap: &Kdap| {
+            let tree = kdap.run(&request).unwrap().profile.unwrap();
+            let explore = find(&tree.roots, "explore");
+            // No lookup, so no cache outcome; the stages ran.
+            assert_eq!(explore.cache, None);
+            assert!(explore.children.iter().any(|c| c.name == "materialize"));
+            note(explore, "answer_cache").unwrap().to_string()
+        };
+        assert_eq!(held(&kdap), "absent");
+        // Explain inserts its answer as a miss would, and looks nothing up.
+        assert_eq!(kdap.subspace_cache_len(), Some(1));
+        assert_eq!(held(&kdap), "held");
+        assert_eq!(
+            kdap.subspace_cache_counters(),
+            Some(CacheCounters::default())
+        );
+        let mut explore = request.clone();
+        explore.verb = Verb::Explore;
+        kdap.run(&explore).unwrap();
+        assert_eq!(
+            kdap.subspace_cache_counters(),
+            Some(CacheCounters::new(1, 0, 0))
+        );
     }
 
     #[test]
@@ -1094,8 +1109,17 @@ mod tests {
         let resp = kdap
             .run(&QueryRequest::new(Verb::Explain, "columbus lcd"))
             .unwrap();
-        assert!(resp.plan.unwrap().contains("subspace:"));
-        assert!(resp.report.unwrap().contains("fused scans"));
+        let body = resp.to_json();
+        assert!(body.contains("\"explain\": {"), "{body}");
+        assert!(
+            !body.contains("\"profile\"") && !body.contains("_ns\""),
+            "{body}"
+        );
+        let tree = resp.profile.expect("explain records its tree");
+        assert!(find(&tree.roots, "explore")
+            .children
+            .iter()
+            .any(|c| c.name == "facet" && note(c, "kernel").is_some()));
         assert!(resp.exploration.is_some());
     }
 
@@ -1222,8 +1246,13 @@ mod tests {
         // Explain and profile take the same list.
         request.verb = Verb::Explain;
         let explained = kdap.run(&request).unwrap();
-        assert!(explained.plan.unwrap().contains("PGROUP.GroupName"));
         assert!(explained.constraints.is_some());
+        let tree = explained.profile.unwrap();
+        let attrs: Vec<_> = semijoins(&tree)
+            .iter()
+            .map(|leaf| note(leaf, "attr").unwrap())
+            .collect();
+        assert_eq!(attrs, ["LOC.City", "PGROUP.GroupName"]);
     }
 
     #[test]

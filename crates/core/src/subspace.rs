@@ -72,7 +72,9 @@ pub fn materialize(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace 
 /// Materializes a star net through a [`Planner`]'s semi-join cache, when
 /// it has one. Constraints evaluate independently across `exec`'s worker
 /// threads and their fact bitmaps AND together, so the result is
-/// identical for every thread count.
+/// identical for every thread count. Recorded as a `materialize` span
+/// holding one `semijoin` leaf per constraint, with the subspace size as
+/// its `rows_out`.
 pub fn materialize_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -80,9 +82,11 @@ pub fn materialize_planned(
     planner: &Planner,
     exec: &ExecConfig,
 ) -> Result<Subspace, KdapError> {
+    let span = exec.obs.span("materialize");
     let fact = wh.schema().fact_table();
     let selections: Vec<Selection> = net.constraints.iter().map(|c| c.selection()).collect();
-    let (rows, _) = and_selections(wh, jidx, fact, &selections, planner.cache(), exec)?;
+    let rows = and_selections(wh, jidx, fact, &selections, planner.cache(), exec)?;
+    span.rows_out(rows.len() as u64);
     Ok(Subspace { rows })
 }
 
@@ -184,6 +188,38 @@ mod tests {
                     parallel.rows.iter().collect::<Vec<_>>()
                 );
             }
+        }
+    }
+
+    /// A net holding one constraint twice: its `materialize` subtree,
+    /// clocks zeroed, from a fresh cached planner.
+    fn repeated_constraint_tree(threads: usize) -> kdap_obs::ProfileNode {
+        let fx = ebiz_fixture();
+        let nets = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default());
+        let c = nets[0].constraints[0].clone();
+        let net = crate::interpret::StarNet {
+            constraints: vec![c.clone(), c],
+        };
+        let obs = kdap_obs::Obs::disabled().recording("repeat");
+        let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
+        materialize_planned(&fx.wh, &fx.jidx, &net, &Planner::cached(), &exec).unwrap();
+        let mut tree = obs.take_profile().unwrap().roots.remove(0);
+        tree.wall_ns = 0;
+        tree.children.iter_mut().for_each(|leaf| leaf.wall_ns = 0);
+        tree
+    }
+
+    #[test]
+    fn a_repeated_constraints_cache_outcome_does_not_depend_on_scheduling() {
+        let serial = repeated_constraint_tree(1);
+        assert_eq!(
+            serial.stage_names(),
+            vec!["materialize", "  semijoin", "  semijoin"]
+        );
+        assert_eq!(serial.children[0], serial.children[1]);
+        assert_eq!(serial.children[1].cache, Some(kdap_obs::CacheOutcome::Miss));
+        for _ in 0..50 {
+            assert_eq!(repeated_constraint_tree(4), serial);
         }
     }
 

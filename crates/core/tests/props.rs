@@ -190,7 +190,7 @@ proptest! {
 /// capacity bound holds, and the hit/miss accounting adds up.
 #[test]
 fn cache_consistent_under_hammering() {
-    use kdap_core::{ExploreReport, Explored};
+    use kdap_core::Explored;
     let fx = kdap_core::testutil::ebiz_fixture();
     let kdap = kdap_core::Kdap::builder(fx.wh).build().expect("measure");
     let cache = kdap_core::SubspaceCache::new(3);
@@ -218,7 +218,6 @@ fn cache_consistent_under_hammering() {
                             Arc::new(Explored {
                                 facet: facet.clone(),
                                 exploration: direct,
-                                report: ExploreReport::default(),
                             }),
                         ),
                     }

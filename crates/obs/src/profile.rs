@@ -92,31 +92,47 @@ impl ProfileNode {
         }
     }
 
-    fn render_into(&self, out: &mut String, depth: usize, total_ns: u64) {
-        let pct = if total_ns == 0 {
-            0.0
-        } else {
-            self.wall_ns as f64 * 100.0 / total_ns as f64
-        };
-        out.push_str(&format!(
-            "{:indent$}{:<w$} {:>10} {:>6.1}%{}\n",
+    /// One line per stage; the time and % columns only when `total_ns`
+    /// is given (`None` renders the tree without clocks).
+    fn render_into(&self, out: &mut String, depth: usize, total_ns: Option<u64>) {
+        let name = format!(
+            "{:indent$}{:<w$}",
             "",
             self.name,
-            fmt_ns(self.wall_ns),
-            pct,
-            self.annotations(),
             indent = depth * 2,
             w = 28usize.saturating_sub(depth * 2),
-        ));
+        );
+        match total_ns {
+            Some(total_ns) => {
+                let pct = if total_ns == 0 {
+                    0.0
+                } else {
+                    self.wall_ns as f64 * 100.0 / total_ns as f64
+                };
+                out.push_str(&format!(
+                    "{name} {:>10} {:>6.1}%{}\n",
+                    fmt_ns(self.wall_ns),
+                    pct,
+                    self.annotations(),
+                ));
+            }
+            None => {
+                out.push_str(format!("{name}{}", self.annotations()).trim_end());
+                out.push('\n');
+            }
+        }
         for c in &self.children {
             c.render_into(out, depth + 1, total_ns);
         }
     }
 
-    fn write_json(&self, w: &mut JsonWriter) {
+    /// The node as JSON; `wall_ns` only when `clocks` is set.
+    fn write_json(&self, w: &mut JsonWriter, clocks: bool) {
         w.object(Layout::Block, |w| {
             w.key("name").str(&self.name);
-            w.key("wall_ns").int(self.wall_ns);
+            if clocks {
+                w.key("wall_ns").int(self.wall_ns);
+            }
             if let Some(r) = self.rows_in {
                 w.key("rows_in").int(r);
             }
@@ -136,7 +152,7 @@ impl ProfileNode {
             if !self.children.is_empty() {
                 w.key("children").array(Layout::Block, |w| {
                     for c in &self.children {
-                        c.write_json(w);
+                        c.write_json(w, clocks);
                     }
                 });
             }
@@ -215,7 +231,18 @@ impl QueryProfile {
         let total = self.total_ns();
         let mut out = format!("profile: {}  (total {})\n", self.label, fmt_ns(total));
         for r in &self.roots {
-            r.render_into(&mut out, 0, total);
+            r.render_into(&mut out, 0, Some(total));
+        }
+        out
+    }
+
+    /// The tree of [`QueryProfile::render`] without clocks: no total, no
+    /// time or % column, only names and annotations — what the console
+    /// prints for `explain`.
+    pub fn render_clock_free(&self) -> String {
+        let mut out = format!("explain: {}\n", self.label);
+        for r in &self.roots {
+            r.render_into(&mut out, 0, None);
         }
         out
     }
@@ -223,15 +250,28 @@ impl QueryProfile {
     /// Writes the profile as a JSON object — a document of its own, or a
     /// member of the response or ledger entry `w` is forming.
     pub fn write_json(&self, w: &mut JsonWriter) {
+        self.write_json_with(w, true);
+    }
+
+    /// [`QueryProfile::write_json`] without `total_ns` and `wall_ns`: a
+    /// pure function of the request and what the session held, as an
+    /// `explain` response carries it.
+    pub fn write_json_clock_free(&self, w: &mut JsonWriter) {
+        self.write_json_with(w, false);
+    }
+
+    fn write_json_with(&self, w: &mut JsonWriter, clocks: bool) {
         w.object(Layout::Block, |w| {
             w.key("label").str(&self.label);
             if let Some(id) = &self.trace_id {
                 w.key("trace_id").str(id);
             }
-            w.key("total_ns").int(self.total_ns());
+            if clocks {
+                w.key("total_ns").int(self.total_ns());
+            }
             w.key("stages").array(Layout::Block, |w| {
                 for r in &self.roots {
-                    r.write_json(w);
+                    r.write_json(w, clocks);
                 }
             });
         });
@@ -310,6 +350,24 @@ mod tests {
         assert!(j.contains("\"rows_out\": 12"));
         assert!(j.contains("\"cache\": \"hit\""));
         assert!(j.contains("\"notes\": {\"terms\": \"2\"}"));
+    }
+
+    #[test]
+    fn clock_free_forms_carry_no_time() {
+        let p = sample();
+        let mut j = String::new();
+        p.write_json_clock_free(&mut JsonWriter::new(&mut j));
+        assert!(!j.contains("wall_ns") && !j.contains("total_ns"), "{j}");
+        assert!(j.contains("\"notes\": {\"terms\": \"2\"}"));
+        assert_eq!(
+            p.render_clock_free(),
+            concat!(
+                "explain: columbus lcd\n",
+                "differentiate\n",
+                "  textindex.search            [out=12 terms=2]\n",
+                "explore                       [cache=hit]\n",
+            )
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! A session holds one handle: its metrics, no span stack. A `profile`
 //! request derives its own handle with [`Obs::profiled`], which shares
 //! those metrics and owns a fresh span stack, and passes it down with
-//! the request. Spans and leaves land in the stack of the handle they
+//! the request; an `explain` request does the same with
+//! [`Obs::recording`], which owns a span stack even when the session
+//! observes nothing. Spans and leaves land in the stack of the handle they
 //! are recorded on, so requests running beside each other on one
 //! session never write into each other's profiles.
 //!
@@ -131,14 +133,23 @@ impl Obs {
     /// metrics and owns a fresh span stack labelled `label`, which
     /// [`Obs::take_profile`] assembles. A disabled handle stays disabled.
     pub fn profiled(&self, label: &str) -> Self {
+        match self.metrics {
+            Some(_) => self.recording(label),
+            None => Obs::disabled(),
+        }
+    }
+
+    /// A handle that records one request's tree whether or not this
+    /// handle observes: it shares this handle's metrics, if any, and owns
+    /// a fresh span stack labelled `label`. Without metrics its timers
+    /// read no clock, so its leaves carry 0 ns.
+    pub fn recording(&self, label: &str) -> Self {
         Obs {
             metrics: self.metrics.clone(),
-            profile: self.metrics.as_ref().map(|_| {
-                Arc::new(Mutex::new(ProfileState {
-                    label: label.to_string(),
-                    ..ProfileState::default()
-                }))
-            }),
+            profile: Some(Arc::new(Mutex::new(ProfileState {
+                label: label.to_string(),
+                ..ProfileState::default()
+            }))),
         }
     }
 
@@ -155,7 +166,8 @@ impl Obs {
 
     /// True when this handle carries a profile — the cheap pre-check hot
     /// paths use to skip building span/leaf data that would be discarded
-    /// anyway. Always `false` when disabled.
+    /// anyway. Only [`Obs::recording`] makes a handle without metrics
+    /// profile.
     pub fn is_profiling(&self) -> bool {
         self.profile.is_some()
     }
@@ -398,6 +410,25 @@ mod tests {
         assert!(obs.profiled("q").is_profiling());
         assert!(!obs.is_profiling());
         assert!(!Obs::disabled().is_profiling());
+    }
+
+    #[test]
+    fn a_recording_handle_records_without_metrics() {
+        let obs = Obs::disabled().recording("q");
+        assert!(obs.is_profiling() && !obs.is_enabled());
+        {
+            let s = obs.span("explore");
+            s.note("k", "v");
+            obs.leaf("facet", LeafData::default());
+        }
+        assert_eq!(obs.timer().stop(), 0);
+        let p = obs.take_profile().expect("a recording handle");
+        assert_eq!(p.stage_names(), vec!["explore", "  facet"]);
+        assert!(obs.metrics_snapshot().counters.is_empty());
+        // On an observing handle it shares the metrics.
+        let session = Obs::enabled();
+        session.recording("q").inc("c", 1);
+        assert_eq!(session.metrics_snapshot().counters["c"], 1);
     }
 
     #[test]

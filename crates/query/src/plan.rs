@@ -227,39 +227,43 @@ impl SemijoinCache {
     }
 }
 
-/// Evaluates one selection through an optional cache, returning the fact
-/// bitmap and whether it came from the cache. The fingerprint is computed
-/// only when there is a cache to probe. A freshly evaluated bitmap is
-/// charged to the memory budget, then inserted whole: a breach in a later
-/// step leaves only complete bitmaps behind.
+/// Evaluates one selection through an optional cache (paired with the
+/// selection's fingerprint), returning the fact bitmap and whether it
+/// came from the cache. A freshly evaluated bitmap is charged to the
+/// memory budget, then inserted whole: a breach in a later step leaves
+/// only complete bitmaps behind.
 fn execute_step(
     wh: &Warehouse,
     jidx: &JoinIndex,
     origin: TableId,
     sel: &Selection,
-    cache: Option<&SemijoinCache>,
+    cache: Option<(&SemijoinCache, &Fingerprint)>,
     exec: &ExecConfig,
 ) -> Result<(Arc<RowSet>, bool), QueryError> {
-    let key = cache.map(|c| (c, Fingerprint::of(sel)));
-    if let Some(rows) = key.as_ref().and_then(|(c, fp)| c.lookup(fp)) {
+    if let Some(rows) = cache.and_then(|(c, fp)| c.lookup(fp)) {
         return Ok((rows, true));
     }
     let rows = Arc::new(sel.try_eval(wh, jidx, origin)?);
     exec.charge("semijoin", rows.heap_bytes())?;
-    if let Some((cache, fp)) = key {
-        cache.insert(fp, Arc::clone(&rows));
+    if let Some((cache, fp)) = cache {
+        cache.insert(fp.clone(), Arc::clone(&rows));
     }
     Ok((rows, false))
 }
 
 /// ANDs `selections` on `origin`: each semi-joins down its own path into
 /// a bitmap of origin rows (through `cache` when one is provided), and
-/// the bitmaps intersect. Returns the rows and, per selection in order,
-/// the number of rows it selects on its own.
+/// the bitmaps intersect. While a tree is recorded, each selection adds
+/// a `semijoin` leaf, in selection order: the rows it selects on its own,
+/// its cache outcome, and notes naming its attribute, join path and hit
+/// count.
 ///
 /// Selections evaluate across `exec`'s worker threads, independently:
 /// the intersection is order-insensitive, so every thread count is
-/// bit-identical to serial.
+/// bit-identical to serial. With a cache, a selection that repeats an
+/// earlier one of the call is neither looked up nor evaluated: it shares
+/// the earlier step's bitmap and cache outcome, so no outcome depends on
+/// which worker ran first.
 pub fn and_selections(
     wh: &Warehouse,
     jidx: &JoinIndex,
@@ -267,39 +271,47 @@ pub fn and_selections(
     selections: &[Selection],
     cache: Option<&SemijoinCache>,
     exec: &ExecConfig,
-) -> Result<(RowSet, Vec<usize>), QueryError> {
+) -> Result<RowSet, QueryError> {
     let n = wh.table(origin).nrows();
     let total_steps = selections.len() as u64;
+    let keys: Vec<Option<Fingerprint>> = selections
+        .iter()
+        .map(|sel| cache.map(|_| Fingerprint::of(sel)))
+        .collect();
+    // The step each selection's bitmap comes from: its own, or that of
+    // the first selection with the same fingerprint.
+    let source: Vec<usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| match key {
+            Some(key) => keys
+                .iter()
+                .position(|k| k.as_ref() == Some(key))
+                .unwrap_or(i),
+            None => i,
+        })
+        .collect();
+    let steps: Vec<usize> = (0..selections.len()).filter(|&i| source[i] == i).collect();
     // Each (worker or serial) evaluation polls governance, then measures
     // its own wall time; the coordinator below records the leaves in
     // selection order, so the profile structure is identical at any
     // thread count.
-    type TimedStep = (Result<(Arc<RowSet>, bool), QueryError>, u64);
-    let timed_step = |i: usize, sel: &Selection| -> TimedStep {
+    let results = par_map(exec, &steps, |_, &i| {
         let t = exec.obs.timer();
+        let probe = cache.zip(keys[i].as_ref());
         let result = exec
             .check_at("semijoin", i as u64, total_steps)
-            .and_then(|()| execute_step(wh, jidx, origin, sel, cache, exec));
+            .and_then(|()| execute_step(wh, jidx, origin, &selections[i], probe, exec));
         (result, t.stop())
-    };
-    let results: Vec<TimedStep> = if exec.is_serial() || selections.len() < 2 {
-        selections
-            .iter()
-            .enumerate()
-            .map(|(i, sel)| timed_step(i, sel))
-            .collect()
-    } else {
-        par_map(exec, selections, |i, sel| timed_step(i, sel))
-    };
+    });
     let obs_on = exec.obs.is_enabled();
     // Metric handles hoisted out of the step loop: one registry lookup
     // per call instead of one lock + map probe per step.
     let step_hist = exec.obs.histogram_handle("query.semijoin_step_ns");
     let hit_ctr = exec.obs.counter_handle("query.step_cache_hits");
     let miss_ctr = exec.obs.counter_handle("query.step_cache_misses");
-    let profiling = exec.obs.is_profiling();
     let mut rows = RowSet::full(n);
-    let mut step_rows = Vec::with_capacity(selections.len());
+    let mut evaluated = Vec::with_capacity(steps.len());
     for (result, step_ns) in results {
         let (bitmap, cache_hit) = result?;
         rows.intersect_with(&bitmap)?;
@@ -311,29 +323,41 @@ pub fn and_selections(
                 c.add(1);
             }
         }
-        // Leaf construction only pays off while a profile is being
-        // collected.
-        if profiling {
+        evaluated.push((bitmap, cache_hit, step_ns));
+    }
+    // Leaf construction only pays off while a profile is being
+    // collected.
+    if exec.obs.is_profiling() {
+        for (i, sel) in selections.iter().enumerate() {
+            let (bitmap, cache_hit, step_ns) =
+                &evaluated[steps.partition_point(|&s| s < source[i])];
+            let hits = match &sel.predicate {
+                Predicate::Codes(codes) => codes.len(),
+                Predicate::Range { .. } => 1,
+            };
             exec.obs.leaf(
                 "semijoin",
                 LeafData {
-                    wall_ns: step_ns,
+                    wall_ns: if source[i] == i { *step_ns } else { 0 },
                     rows_in: Some(n as u64),
                     rows_out: Some(bitmap.len() as u64),
                     cache: cache.map(|_| {
-                        if cache_hit {
+                        if *cache_hit {
                             CacheOutcome::Hit
                         } else {
                             CacheOutcome::Miss
                         }
                     }),
-                    ..LeafData::default()
+                    notes: vec![
+                        ("attr".into(), wh.col_name(sel.attr)),
+                        ("path".into(), sel.path.display(wh, origin)),
+                        ("hits".into(), hits.to_string()),
+                    ],
                 },
             );
         }
-        step_rows.push(bitmap.len());
     }
-    Ok((rows, step_rows))
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -544,7 +568,7 @@ mod tests {
                 .unwrap();
         }
         for _ in 0..2 {
-            let (rows, _) =
+            let rows =
                 and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
             assert_eq!(
                 rows.iter().collect::<Vec<_>>(),
@@ -566,8 +590,7 @@ mod tests {
             range,
             dim_selection(&wh, "Gadget"),
         ];
-        let (rows, _) =
-            and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
+        let rows = and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
         // hot ∧ score∈[2,5] ∧ Gadget → facts 2, 3.
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
@@ -580,13 +603,12 @@ mod tests {
         let cache = SemijoinCache::new();
         let sels = [dim_selection(&wh, "Widget")];
         let serial = ExecConfig::serial();
-        let (a, _) = and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
+        let a = and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
         assert_eq!(cache.counters(), CacheCounters::new(0, 1, 0));
-        let (_, step_rows) =
-            and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
+        let b = and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
         // The second call's one step is served from the cache.
         assert_eq!(cache.counters(), CacheCounters::new(1, 1, 0));
-        assert_eq!(step_rows, vec![a.len()]);
+        assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
         assert_eq!(
             cache.container_histogram(),
@@ -607,6 +629,16 @@ mod tests {
         let p = obs.take_profile().unwrap();
         assert_eq!(p.stage_names(), vec!["semijoin", "semijoin"]);
         assert_eq!(p.roots[0].rows_out, Some(2));
+        let note = |k: &str| {
+            p.roots[0]
+                .notes
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.as_str())
+        };
+        assert_eq!(note("attr"), Some("DIM.Name"));
+        assert_eq!(note("path"), Some("FACT → DIM"));
+        assert_eq!(note("hits"), Some("1"));
         let snap = obs.metrics_snapshot();
         assert_eq!(snap.histograms["query.semijoin_step_ns"].count, 2);
     }
@@ -626,25 +658,40 @@ mod tests {
             let exec = ExecConfig::with_threads(threads);
             let par = and_selections(&wh, &jidx, fact, &sels, None, &exec).unwrap();
             assert_eq!(
-                serial.0.iter().collect::<Vec<_>>(),
-                par.0.iter().collect::<Vec<_>>()
+                serial.iter().collect::<Vec<_>>(),
+                par.iter().collect::<Vec<_>>()
             );
-            assert_eq!(serial.1, par.1);
         }
     }
 
     #[test]
-    fn step_rows_are_reported_in_selection_order() {
+    fn steps_are_recorded_in_selection_order() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
-        let fact = wh.schema().fact_table();
         let cache = SemijoinCache::new();
         let sels = [tag_selection(&wh, "hot"), dim_selection(&wh, "Widget")];
-        let (_, step_rows) =
-            and_selections(&wh, &jidx, fact, &sels, Some(&cache), &ExecConfig::serial()).unwrap();
-        // hot: 4 of 6 facts; Widget: 2 — in selection order, not by size.
-        assert_eq!(step_rows, vec![4, 2]);
-        // Both steps were evaluated, neither served from the cache.
+        let obs = kdap_obs::Obs::disabled().recording("q");
+        let exec = ExecConfig::serial().with_obs(obs.clone());
+        and_selections(
+            &wh,
+            &jidx,
+            wh.schema().fact_table(),
+            &sels,
+            Some(&cache),
+            &exec,
+        )
+        .unwrap();
+        let steps: Vec<_> = obs
+            .take_profile()
+            .unwrap()
+            .roots
+            .iter()
+            .map(|n| (n.rows_out, n.cache))
+            .collect();
+        // hot: 4 of 6 facts; Widget: 2 — in selection order, not by size,
+        // both evaluated.
+        let miss = Some(CacheOutcome::Miss);
+        assert_eq!(steps, vec![(Some(4), miss), (Some(2), miss)]);
         assert_eq!(cache.counters(), CacheCounters::new(0, 2, 0));
     }
 

@@ -10,7 +10,7 @@
 //! POST /v1/{tenant}/differentiate  ranked interpretations
 //! POST /v1/{tenant}/explore        interpretation + facets
 //! POST /v1/{tenant}/profile        + per-stage timing tree
-//! POST /v1/{tenant}/explain        + constraint plan and scan report
+//! POST /v1/{tenant}/explain        + stage tree without clocks
 //! ```
 //!
 //! Every request gets a trace id — accepted from `x-kdap-trace-id` (1 to
@@ -293,9 +293,11 @@ fn run_query(
                 response.encode(format)?
             };
             obs.inc("http.status.200", 1);
+            // An explain's tree is the clock-free answer, not a profile.
+            let profile = response.profile.filter(|_| verb == Verb::Profile);
             tenant
                 .slow_ledger()
-                .record(ledger_entry(200, None, response.profile.clone()));
+                .record(ledger_entry(200, None, profile));
             let content_type = if trace_format {
                 "application/json"
             } else {

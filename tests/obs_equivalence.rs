@@ -4,14 +4,20 @@
 //! The per-query profile tree, in turn, must keep a stable stage
 //! structure whether the kernels run on one worker or four (timings
 //! differ; the tree does not), and whatever else runs on the session.
+//! An EXPLAIN response, which carries that tree without clocks, is the
+//! same bytes at any thread count with the recorder on or off.
 
 mod support;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
-use kdap_suite::core::{Kdap, QueryRequest, QueryResponse, Verb};
-use kdap_suite::datagen::{build_ebiz, generate_workload, EbizScale, WorkloadConfig};
+use kdap_suite::core::{Kdap, QueryRequest, QueryResponse, Verb, WireFormat};
+use kdap_suite::datagen::{
+    build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
+};
+use kdap_suite::warehouse::Warehouse;
 
 use support::differentiate;
 
@@ -121,7 +127,8 @@ fn a_profile_holds_only_its_own_request() {
     stages(&kdap, "seattle lcd");
     let alone = stages(&kdap, "seattle lcd");
     let other_alone = stages(&kdap, "columbus plasma");
-    assert_eq!(alone.len(), 20, "{alone:#?}");
+    // 20 stages, then one `facet` leaf per deduplicated facet spec (15).
+    assert_eq!(alone.len(), 35, "{alone:#?}");
 
     // One thread explores while another profiles.
     let stop = AtomicBool::new(false);
@@ -155,4 +162,63 @@ fn a_profile_holds_only_its_own_request() {
         (a.join().expect("no panic"), b.join().expect("no panic"))
     });
     assert_eq!((a, b), (0, 0), "concurrent profiles mixed their trees");
+}
+
+/// Each query explained twice — the second time the session cache holds
+/// its net — on a fresh cached session over `wh`, encoded.
+fn explain_bodies(wh: &Warehouse, queries: &[&str], threads: usize, obs: bool) -> Vec<String> {
+    let kdap = Kdap::builder(wh.clone())
+        .cache_capacity(8)
+        .threads(threads)
+        .observability(obs)
+        .build()
+        .expect("measure defined");
+    let mut bodies = Vec::new();
+    for q in queries {
+        let request = QueryRequest::new(Verb::Explain, *q);
+        for held in ["absent", "held"] {
+            let body = kdap
+                .run(&request)
+                .expect("explain succeeds")
+                .encode(WireFormat::Json)
+                .expect("explain encodes as JSON");
+            let note = format!("\"answer_cache\": \"{held}\"");
+            assert!(body.contains(&note), "`{q}`: no {note} in {body}");
+            bodies.push(body);
+        }
+    }
+    bodies
+}
+
+#[test]
+fn explain_bytes_do_not_depend_on_threads_or_observability() {
+    static EBIZ: OnceLock<Warehouse> = OnceLock::new();
+    static AW: OnceLock<Warehouse> = OnceLock::new();
+    let fixtures: [(&Warehouse, &[&str]); 2] = [
+        (
+            EBIZ.get_or_init(|| build_ebiz(EbizScale::small(), 42).expect("generator is valid")),
+            &["columbus lcd", "seattle", "columbus plasma"],
+        ),
+        (
+            AW.get_or_init(|| build_aw_online(Scale::small(), 42).expect("generator is valid")),
+            &["mountain bikes", "mountain", "california"],
+        ),
+    ];
+    for (wh, queries) in fixtures {
+        let reference = explain_bodies(wh, queries, 1, false);
+        for body in &reference {
+            assert!(body.contains("\"explain\": {"), "{body}");
+            assert!(
+                !body.contains("wall_ns") && !body.contains("total_ns"),
+                "{body}"
+            );
+        }
+        for (threads, obs) in [(1, true), (4, false), (4, true)] {
+            assert_eq!(
+                explain_bodies(wh, queries, threads, obs),
+                reference,
+                "threads={threads} observability={obs}"
+            );
+        }
+    }
 }

@@ -3,9 +3,10 @@
 //! with the constraints in net order or reversed, `materialize_planned`
 //! selects exactly the fact rows of an independent row-at-a-time oracle
 //! (`support::net_rows`) that walks each constraint's join path by key
-//! value — no `JoinIndex`, no bitmap intersection. EXPLAIN, the other
-//! reader of the executor, reports the oracle's subspace size and, per
-//! constraint, the oracle's count for that constraint alone.
+//! value — no `JoinIndex`, no bitmap intersection. The tree EXPLAIN
+//! returns, recorded around the same call, reports the oracle's subspace
+//! size as `materialize`'s `rows_out` and, in each `semijoin` leaf's, the
+//! oracle's count for that constraint alone.
 //!
 //! The session has numeric hits on, so measure-value keywords yield
 //! constraints on the fact table's own columns (empty join paths), alone
@@ -19,7 +20,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use kdap_suite::core::{
-    explain_planned, materialize_planned, GenConfig, Kdap, NumericConfig, Planner, StarNet,
+    materialize_planned, GenConfig, Kdap, NumericConfig, Obs, Planner, StarNet,
 };
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::query::{ExecConfig, Fingerprint};
@@ -136,7 +137,7 @@ proptest! {
 
     /// Per net: cached or not × one or four threads × net order or
     /// reversed matches the row-at-a-time oracle exactly, through
-    /// materialization and through EXPLAIN's step counts.
+    /// materialization and through the counts its recorded tree reports.
     #[test]
     fn planned_materialization_matches_naive(
         query_idx in 0usize..96,
@@ -147,7 +148,6 @@ proptest! {
         let fx = fixture();
         let nets = &fx.candidate_sets[query_idx % fx.candidate_sets.len()];
         let planner = if cached { Planner::cached() } else { Planner::default() };
-        let exec = ExecConfig::with_threads(threads);
         let (wh, jidx) = (fx.kdap.warehouse(), fx.kdap.join_index());
         for case in nets.iter().chain(&fx.fact_local) {
             let (mut net, mut alone) = (case.net.clone(), case.alone.clone());
@@ -159,16 +159,25 @@ proptest! {
                 "cached={cached} reversed={reversed} threads={threads} net={}",
                 net.display(wh)
             );
-            // EXPLAIN first: with a cached planner its misses fill the
-            // cache that materialization then reads.
-            let plan = explain_planned(wh, jidx, &net, &planner, &exec)
-                .expect("star net evaluates");
-            prop_assert_eq!(plan.subspace_size, case.rows.len(), "{}", route);
-            let steps: Vec<usize> = plan.constraints.iter().map(|c| c.fact_rows).collect();
-            prop_assert_eq!(steps, alone, "{}", route);
-            let planned = materialize_planned(wh, jidx, &net, &planner, &exec)
-                .expect("star net evaluates");
-            prop_assert_eq!(&planned.rows.iter().collect::<Vec<_>>(), &case.rows, "{}", route);
+            // Twice: with a cached planner the first run's misses fill the
+            // cache the second reads.
+            for _ in 0..2 {
+                let obs = Obs::disabled().recording("plan");
+                let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
+                let planned = materialize_planned(wh, jidx, &net, &planner, &exec)
+                    .expect("star net evaluates");
+                prop_assert_eq!(&planned.rows.iter().collect::<Vec<_>>(), &case.rows, "{}", route);
+                let tree = obs.take_profile().expect("a recording handle");
+                let materialize = &tree.roots[0];
+                prop_assert_eq!(&materialize.name, "materialize");
+                prop_assert_eq!(materialize.rows_out, Some(case.rows.len() as u64), "{}", route);
+                let steps: Vec<usize> = materialize
+                    .children
+                    .iter()
+                    .map(|leaf| leaf.rows_out.expect("a step's rows") as usize)
+                    .collect();
+                prop_assert_eq!(&steps, &alone, "{}", route);
+            }
         }
     }
 }

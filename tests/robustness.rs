@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{
-    ExploreReport, Explored, Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb,
-};
+use kdap_suite::core::{Explored, Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 use support::differentiate;
@@ -237,7 +235,6 @@ fn direct_cache_use_is_thread_safe() {
                         Arc::new(Explored {
                             facet: kdap.facet_config().clone(),
                             exploration: direct,
-                            report: ExploreReport::default(),
                         }),
                     ),
                 }

@@ -6,13 +6,16 @@
 //! this same case table with `std::fs::write` in place of the comparison
 //! in [`check`]. A request that carries no `refine` must still encode to
 //! exactly these bytes; extend the table and regenerate the same way
-//! when the wire format changes on purpose. Two such changes since: the
+//! when the wire format changes on purpose. Three such changes since: the
 //! one JSON writer indents a nested `profile` like every other nested
-//! object and writes an empty container as `[]` (`*_profile.json`).
+//! object and writes an empty container as `[]` (`*_profile.json`), and
+//! an `explain` response carries its stage tree without clocks under
+//! `"explain"` in place of the `"plan"` and `"report"` strings
+//! (`*_explain.json`).
 //!
 //! Every case runs in a fresh serial session (subspace cache on,
-//! observability off), so the cache counters inside `explain` reports
-//! and the empty `profile` tree are deterministic. Two typed errors are
+//! observability off), so the cache marks of an `explain` tree and the
+//! empty `profile` tree are deterministic. Two typed errors are
 //! not byte-stable from a request body and stay with `server_api.rs`:
 //! the 408's message carries the measured elapsed milliseconds, and a
 //! 499 needs a client that hangs up.
