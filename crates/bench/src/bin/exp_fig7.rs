@@ -94,7 +94,7 @@ fn numeric_series(kdap: &Kdap, query: &str, dim_name: &str, attr: ColRef) -> Opt
     let dim = wh.schema().dimension_by_name(dim_name)?;
     let path = path_for_attr(wh, net, dim, attr.table)?;
     let buckets = Bucketizer::equal_width(
-        numeric_values(wh, jidx, &path, attr, &sub.rows),
+        numeric_values(wh, jidx, &path, attr, &sub),
         kdap.facet_config().n_basic_intervals,
     )?;
     let mv = MeasureVector::build(wh, kdap.measure());
@@ -103,8 +103,8 @@ fn numeric_series(kdap: &Kdap, query: &str, dim_name: &str, attr: ColRef) -> Opt
         .map(|rup| {
             let case = RollupCase {
                 label: query.to_string(),
-                ds: sub.rows.clone(),
-                rup: rup.rows,
+                ds: sub.clone(),
+                rup,
             };
             bucket_series(wh, jidx, &case, attr, &path, &mv, &buckets)
         })

@@ -10,7 +10,7 @@ use std::time::Duration;
 use kdap_cli::stats::{stats_json, stats_text};
 use kdap_cli::{parse_args, CliArgs, CliMode, Command, DataSource, Repl};
 use kdap_core::{
-    render_interpretations, CancelToken, Kdap, KdapError, QueryRequest, Verb, WireFormat,
+    render_interpretations, ApiError, CancelToken, Kdap, KdapError, QueryRequest, Verb, WireFormat,
 };
 use kdap_obs::{chrome_trace, LedgerEntry, QueryProfile, SlowQueryLedger, TraceId};
 use kdap_server::{EngineRegistry, KdapServer, ServerConfig};
@@ -182,14 +182,13 @@ fn slow(args: &CliArgs, kdap: Kdap) {
         let started = std::time::Instant::now();
         let result = kdap.run(&request);
         let latency_ns = started.elapsed().as_nanos() as u64;
+        // The status and breach the server would answer with.
         let (status, breach, profile) = match &result {
             Ok(resp) => (200, None, resp.profile.clone()),
-            Err(KdapError::Timeout { .. }) => (408, Some("timeout".to_string()), None),
-            Err(KdapError::Cancelled { .. }) => (499, Some("cancelled".to_string()), None),
-            Err(KdapError::BudgetExceeded { .. }) => {
-                (507, Some("budget_exceeded".to_string()), None)
+            Err(err) => {
+                let api = ApiError::from_kdap(err);
+                (api.status, api.breach().map(str::to_string), None)
             }
-            Err(_) => (400, None, None),
         };
         ledger.record(LedgerEntry {
             trace_id: Some(trace),

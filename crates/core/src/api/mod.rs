@@ -767,6 +767,13 @@ impl ApiError {
         ApiError::new(status, code, err.to_string())
     }
 
+    /// The governance breach this error reports — its code when that is
+    /// `timeout`, `cancelled` or `budget_exceeded` — for slow-query
+    /// ledgers to file it under.
+    pub fn breach(&self) -> Option<&'static str> {
+        matches!(self.code, "timeout" | "cancelled" | "budget_exceeded").then_some(self.code)
+    }
+
     /// The JSON body of the error response.
     pub fn to_json(&self) -> String {
         self.to_json_with_trace(None)

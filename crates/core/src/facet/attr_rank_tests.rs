@@ -11,7 +11,7 @@ use crate::facet::{path_for_attr, FacetConfig};
 use crate::interest::InterestMode;
 use crate::interpret::{generate_star_nets, GenConfig, StarNet};
 use crate::rollup::rollup_spaces;
-use crate::subspace::materialize;
+use crate::subspace::{aggregate, materialize};
 use crate::testutil::{ebiz_fixture, Fixture};
 
 fn store_net(fx: &Fixture) -> StarNet {
@@ -67,7 +67,7 @@ fn numeric_candidates_carry_series_for_the_merge_phase() {
     // Basic-interval sums cover the whole subspace aggregate.
     let sub = materialize(&fx.wh, &fx.jidx, &net);
     let measure = fx.wh.schema().measure_by_name("Revenue").unwrap().clone();
-    let total = sub.aggregate(&fx.wh, &measure, kdap_query::AggFunc::Sum);
+    let total = aggregate(&fx.wh, &sub, &measure, kdap_query::AggFunc::Sum);
     let sum: f64 = series.ds.iter().sum();
     assert!((sum - total).abs() < 1e-9);
 }

@@ -57,7 +57,6 @@ use crate::facet::{
 use crate::interpret::StarNet;
 use crate::plan::Planner;
 use crate::rollup::try_rollup_spaces_planned;
-use crate::subspace::Subspace;
 
 /// What one memoized whole-dataspace group-by aggregated.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -198,9 +197,10 @@ struct NumSlot {
 /// attribute, join path, kernel (`dense`, `hash` or `buckets`) and
 /// group count in the subspace.
 ///
-/// The roll-up spaces are materialized through `planner`'s semi-join
-/// cache, which they share with the materialization of the subspace;
-/// scans fan out over `exec`'s workers and poll its governance context.
+/// The roll-up spaces are materialized on `exec` under an
+/// `explore.rollups` span, through `planner`'s semi-join cache, which
+/// they share with the materialization of the subspace; scans fan out
+/// over `exec`'s workers and poll its governance context.
 /// Scans over the whole dataspace read `memo` and insert each group-by
 /// they computed as soon as its scan returns. Results are identical for
 /// every thread count and memo state.
@@ -209,7 +209,7 @@ pub fn explore_subspace(
     wh: &Warehouse,
     jidx: &JoinIndex,
     net: &StarNet,
-    sub: &Subspace,
+    sub: &RowSet,
     mv: &MeasureVector,
     cfg: &FacetConfig,
     planner: &Planner,
@@ -302,7 +302,7 @@ pub fn explore_subspace(
         let s = obs.span("explore.scan_a");
         s.rows_in(sub.len() as u64);
         s.note("specs", specs_a.specs.len());
-        let (groups, memo_specs) = scanner.scan(&specs_a, &sub.rows)?;
+        let (groups, memo_specs) = scanner.scan(&specs_a, sub)?;
         s.note("memo_specs", memo_specs);
         groups
     };
@@ -327,7 +327,7 @@ pub fn explore_subspace(
         let s = obs.span("explore.scan_b");
         s.rows_in(sub.len() as u64);
         s.note("specs", specs_b.specs.len());
-        let (groups, memo_specs) = scanner.scan(&specs_b, &sub.rows)?;
+        let (groups, memo_specs) = scanner.scan(&specs_b, sub)?;
         s.note("memo_specs", memo_specs);
         groups
     };
@@ -359,7 +359,7 @@ pub fn explore_subspace(
         let mut memo_specs = 0;
         let mut results = Vec::with_capacity(n_rups);
         for rup in &rups {
-            let (groups, from_memo) = scanner.scan(&specs_r, &rup.rows)?;
+            let (groups, from_memo) = scanner.scan(&specs_r, rup)?;
             memo_specs += from_memo;
             results.push(groups);
         }

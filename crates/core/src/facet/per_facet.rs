@@ -27,7 +27,6 @@ use crate::facet::instance_rank::{rank_instances_from, RankedInstance};
 use crate::facet::{numeric_entries, push_facet_attr, Exploration, FacetConfig, FacetEntry};
 use crate::interpret::StarNet;
 use crate::rollup::rollup_spaces;
-use crate::subspace::Subspace;
 
 /// One single-spec scan of `rows` — the per-facet pipeline's unit of work.
 fn scan(wh: &Warehouse, spec: FacetSpec, rows: &RowSet, mv: &MeasureVector) -> FacetGroups {
@@ -52,13 +51,13 @@ pub fn explore_per_facet(
     wh: &Warehouse,
     jidx: &JoinIndex,
     net: &StarNet,
-    sub: &Subspace,
+    sub: &RowSet,
     mv: &MeasureVector,
     cfg: &FacetConfig,
 ) -> Exploration {
     let schema = wh.schema();
     let rups = rollup_spaces(wh, jidx, net);
-    let total_aggregate = scan(wh, FacetSpec::Total, &sub.rows, mv).total(cfg.agg);
+    let total_aggregate = scan(wh, FacetSpec::Total, sub, mv).total(cfg.agg);
 
     // Hit codes per attribute (to pin hit instances).
     let mut hit_codes: HashMap<ColRef, HashSet<u32>> = HashMap::new();
@@ -108,8 +107,8 @@ pub fn rank_dimension_attrs(
     wh: &Warehouse,
     jidx: &JoinIndex,
     net: &StarNet,
-    sub: &Subspace,
-    rups: &[Subspace],
+    sub: &RowSet,
+    rups: &[RowSet],
     dim: &Dimension,
     mv: &MeasureVector,
     cfg: &FacetConfig,
@@ -126,8 +125,8 @@ pub fn rank_dimension_attrs(
 fn evaluate_attr_task(
     wh: &Warehouse,
     jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
+    sub: &RowSet,
+    rups: &[RowSet],
     mv: &MeasureVector,
     cfg: &FacetConfig,
     task: &AttrTask,
@@ -155,8 +154,8 @@ fn evaluate_attr_task(
 fn score_categorical(
     wh: &Warehouse,
     jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
+    sub: &RowSet,
+    rups: &[RowSet],
     path: &JoinPath,
     attr: ColRef,
     mv: &MeasureVector,
@@ -164,14 +163,14 @@ fn score_categorical(
 ) -> Option<f64> {
     let mapper = jidx.row_mapper(path);
     let spec = FacetSpec::Categorical { attr, mapper };
-    let ds = scan(wh, spec.clone(), &sub.rows, mv);
+    let ds = scan(wh, spec.clone(), sub, mv);
     let dom = ds.domain();
     if dom.is_empty() {
         return None;
     }
     let y_maps: Vec<HashMap<u32, f64>> = rups
         .iter()
-        .map(|rup| scan(wh, spec.clone(), &rup.rows, mv).to_map(cfg.agg))
+        .map(|rup| scan(wh, spec.clone(), rup, mv).to_map(cfg.agg))
         .collect();
     categorical_correlation(&dom, &ds.to_map(cfg.agg), &y_maps)
 }
@@ -180,8 +179,8 @@ fn score_categorical(
 fn score_numerical(
     wh: &Warehouse,
     jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
+    sub: &RowSet,
+    rups: &[RowSet],
     path: &JoinPath,
     attr: ColRef,
     mv: &MeasureVector,
@@ -192,18 +191,18 @@ fn score_numerical(
         attr,
         mapper: mapper.clone(),
     };
-    let bucketizer = scan(wh, domain, &sub.rows, mv).bucketizer(cfg.n_basic_intervals)?;
+    let bucketizer = scan(wh, domain, sub, mv).bucketizer(cfg.n_basic_intervals)?;
     let spec = FacetSpec::Buckets {
         attr,
         mapper,
         buckets: bucketizer.clone(),
     };
-    let ds = scan(wh, spec.clone(), &sub.rows, mv);
+    let ds = scan(wh, spec.clone(), sub, mv);
     let x = ds.to_series(cfg.agg);
     let occupancy = ds.to_series(AggFunc::Count);
     let rup_ys: Vec<Vec<f64>> = rups
         .iter()
-        .map(|rup| scan(wh, spec.clone(), &rup.rows, mv).to_series(cfg.agg))
+        .map(|rup| scan(wh, spec.clone(), rup, mv).to_series(cfg.agg))
         .collect();
     let (corr, rup_series) = numeric_worst_correlation(&x, &occupancy, &rup_ys)?;
     Some((
@@ -221,8 +220,8 @@ fn score_numerical(
 pub fn rank_instances(
     wh: &Warehouse,
     jidx: &JoinIndex,
-    sub: &Subspace,
-    rups: &[Subspace],
+    sub: &RowSet,
+    rups: &[RowSet],
     path: &JoinPath,
     attr: ColRef,
     mv: &MeasureVector,
@@ -231,16 +230,16 @@ pub fn rank_instances(
 ) -> Vec<RankedInstance> {
     let mapper = jidx.row_mapper(path);
     let spec = FacetSpec::Categorical { attr, mapper };
-    let ds = scan(wh, spec.clone(), &sub.rows, mv);
-    let g_ds = scan(wh, FacetSpec::Total, &sub.rows, mv).total(cfg.agg);
+    let ds = scan(wh, spec.clone(), sub, mv);
+    let g_ds = scan(wh, FacetSpec::Total, sub, mv).total(cfg.agg);
 
     // Per roll-up space: total and per-category aggregates.
     let rup_data: Vec<(f64, HashMap<u32, f64>)> = rups
         .iter()
         .map(|rup| {
             (
-                scan(wh, FacetSpec::Total, &rup.rows, mv).total(cfg.agg),
-                scan(wh, spec.clone(), &rup.rows, mv).to_map(cfg.agg),
+                scan(wh, FacetSpec::Total, rup, mv).total(cfg.agg),
+                scan(wh, spec.clone(), rup, mv).to_map(cfg.agg),
             )
         })
         .collect();
@@ -265,7 +264,7 @@ mod tests {
     use crate::subspace::materialize;
     use crate::testutil::{ebiz_fixture, Fixture};
 
-    fn setup(fx: &Fixture) -> (StarNet, Subspace, Vec<Subspace>) {
+    fn setup(fx: &Fixture) -> (StarNet, RowSet, Vec<RowSet>) {
         let net = generate_star_nets(&fx.wh, &fx.index, &["columbus"], &GenConfig::default())
             .into_iter()
             .find(|n| n.display(&fx.wh).contains("STORE → LOC"))
@@ -359,9 +358,7 @@ mod tests {
         let attr = fx.wh.col_ref("PGROUP", "GroupName").unwrap();
         let fact = fx.wh.schema().fact_table();
         let path = kdap_query::paths_between(fx.wh.schema(), fact, attr.table, 8).remove(0);
-        let empty = Subspace {
-            rows: kdap_query::RowSet::empty(fx.wh.fact_rows()),
-        };
+        let empty = RowSet::empty(fx.wh.fact_rows());
         let ranked = rank_instances(
             &fx.wh,
             &fx.jidx,

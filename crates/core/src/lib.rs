@@ -50,7 +50,7 @@ pub use rank::{rank_star_nets, score_star_net, RankMethod, RankedStarNet};
 pub use render::{render_exploration, render_interpretations};
 pub use rollup::{rollup_constraint, rollup_spaces, try_rollup_spaces_planned, Rollup};
 pub use session::{split_query, Kdap, KdapBuilder};
-pub use subspace::{materialize, materialize_planned, Subspace};
+pub use subspace::{materialize, materialize_planned};
 
 pub use kdap_query::kernel;
 pub use kdap_query::{

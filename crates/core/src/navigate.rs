@@ -165,8 +165,8 @@ mod tests {
         let after = materialize(&fx.wh, &fx.jidx, &drilled);
         assert!(after.len() < before.len());
         assert!(!after.is_empty());
-        for row in after.rows.iter() {
-            assert!(before.rows.contains(row), "drill-down is a refinement");
+        for row in after.iter() {
+            assert!(before.contains(row), "drill-down is a refinement");
         }
     }
 
@@ -241,7 +241,7 @@ mod tests {
         let sub_orig = materialize(&fx.wh, &fx.jidx, &net);
         assert!(sub_drilled.len() <= sub_orig.len());
         let back = remove_constraint(&drilled, drilled.n_groups() - 1).unwrap();
-        assert_eq!(materialize(&fx.wh, &fx.jidx, &back).rows, sub_orig.rows);
+        assert_eq!(materialize(&fx.wh, &fx.jidx, &back), sub_orig);
         assert!(remove_constraint(&net, 99).is_none());
         // A code outside the dictionary is no constraint at all.
         assert!(drill_down(&fx.wh, &net, attr, &path, vec![u32::MAX]).is_none());

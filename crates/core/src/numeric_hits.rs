@@ -176,7 +176,7 @@ mod tests {
         let sub = materialize(&fx.wh, &fx.jidx, price_net);
         // Product 2 ("Projector X100", ListPrice 850) appears in fact
         // rows 1 and 4.
-        assert_eq!(sub.rows.iter().collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![1, 4]);
     }
 
     #[test]
@@ -194,7 +194,7 @@ mod tests {
         assert!(combined.is_some(), "city × price interpretation exists");
         let sub = materialize(&fx.wh, &fx.jidx, combined.unwrap());
         // Columbus-store facts {0,1,4,5} ∩ price-850 facts {1,4}.
-        assert_eq!(sub.rows.iter().collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![1, 4]);
     }
 
     #[test]

@@ -11,14 +11,13 @@
 use std::collections::BTreeSet;
 
 use kdap_query::{
-    and_selections, par_map, paths_between, ExecConfig, JoinIndex, JoinPath, Selection,
+    and_selections, paths_between, ExecConfig, JoinIndex, JoinPath, RowSet, Selection,
 };
 use kdap_warehouse::{ColRef, Warehouse};
 
 use crate::error::KdapError;
 use crate::interpret::{Constraint, StarNet};
 use crate::plan::Planner;
-use crate::subspace::Subspace;
 
 /// The rolled-up form of one constraint.
 #[derive(Debug, Clone)]
@@ -86,12 +85,12 @@ fn parent_codes(
 
 /// Materializes one roll-up space per hitted constraint: the star net with
 /// that constraint generalized (others unchanged). When the net has no
-/// roll-uppable constraint at all, the full dataspace serves as the single
-/// background space. Serial, without a semi-join cache.
+/// constraint at all, the full dataspace serves as the single background
+/// space. Serial, without a semi-join cache.
 ///
 /// Panics if a constraint is malformed — impossible for nets produced by
 /// the interpreter; governed callers use [`try_rollup_spaces_planned`].
-pub fn rollup_spaces(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Vec<Subspace> {
+pub fn rollup_spaces(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Vec<RowSet> {
     #[allow(clippy::expect_used)]
     try_rollup_spaces_planned(wh, jidx, net, &Planner::default(), &ExecConfig::serial())
         .expect("roll-up selections evaluate on the fact table")
@@ -116,40 +115,27 @@ fn rolled_selections(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet, i: usize) 
     selections
 }
 
-/// Fallible roll-up materialization: each rolled net's selections AND
-/// through `planner`'s semi-join cache (shared constraints hit it) and
-/// the per-constraint spaces evaluate across `exec`'s worker threads.
-/// The spaces are independent of each other, so output order (one space
-/// per constraint, in constraint order) and contents are identical for
-/// every thread count.
+/// Fallible roll-up materialization: one [`and_selections`] call on
+/// `exec` through `planner`'s semi-join cache, one conjunction (the
+/// rolled net) per constraint, in constraint order. With the cache, a
+/// selection the spaces share with each other or with the subspace is
+/// looked up, or evaluated, once; each adds a `semijoin` leaf to the
+/// caller's span.
 pub fn try_rollup_spaces_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
     net: &StarNet,
     planner: &Planner,
     exec: &ExecConfig,
-) -> Result<Vec<Subspace>, KdapError> {
+) -> Result<Vec<RowSet>, KdapError> {
+    if net.constraints.is_empty() {
+        return Ok(vec![RowSet::full(wh.fact_rows())]);
+    }
+    let conjunctions: Vec<Vec<Selection>> = (0..net.constraints.len())
+        .map(|i| rolled_selections(wh, jidx, net, i))
+        .collect();
     let fact = wh.schema().fact_table();
-    let indices: Vec<usize> = (0..net.constraints.len()).collect();
-    // Each rolled net executes serially inside its par_map worker —
-    // without the outer obs handle, matching the coordinator-side-only
-    // recording contract — but the governed context (deadline / cancel /
-    // budget) must flow in or the semi-join steps would run unchecked.
-    let mut inner = ExecConfig::serial();
-    if let Some(ctx) = &exec.govern {
-        inner = inner.with_govern(ctx.clone());
-    }
-    let results = par_map(exec, &indices, |_, &i| {
-        let selections = rolled_selections(wh, jidx, net, i);
-        and_selections(wh, jidx, fact, &selections, planner.cache(), &inner)
-    });
-    let mut spaces = Vec::with_capacity(results.len());
-    for result in results {
-        spaces.push(Subspace { rows: result? });
-    }
-    if spaces.is_empty() {
-        spaces.push(Subspace::full(wh));
-    }
+    let spaces = and_selections(wh, jidx, fact, &conjunctions, planner.cache(), exec)?;
     Ok(spaces)
 }
 
@@ -237,8 +223,8 @@ mod tests {
         let sub = materialize(&fx.wh, &fx.jidx, &net);
         let spaces = rollup_spaces(&fx.wh, &fx.jidx, &net);
         assert_eq!(spaces.len(), 1);
-        for row in sub.rows.iter() {
-            assert!(spaces[0].rows.contains(row), "RUP ⊇ DS′");
+        for row in sub.iter() {
+            assert!(spaces[0].contains(row), "RUP ⊇ DS′");
         }
         // In the fixture, Columbus is the only Ohio city, so the rollup
         // space equals the subspace here — still a valid superset.

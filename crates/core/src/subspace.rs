@@ -1,5 +1,5 @@
 //! Subspace materialization: evaluating a star net into the fact-row set
-//! DS′ it denotes, plus its aggregate.
+//! DS′ it denotes.
 //!
 //! Every constraint of the star net is a hit group applied along a join
 //! path; constraints AND together on the fact table (slice semantics),
@@ -10,52 +10,12 @@
 //! bitmap (through the [`Planner`]'s semi-join cache when it has one), and
 //! [`and_selections`] ANDs the bitmaps in net order.
 
-use kdap_query::{
-    and_selections, multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
-    RowSet, Selection, DENSE_GROUP_LIMIT,
-};
-use kdap_warehouse::{Measure, Warehouse};
+use kdap_query::{and_selections, ExecConfig, JoinIndex, RowSet, Selection};
+use kdap_warehouse::Warehouse;
 
 use crate::error::KdapError;
 use crate::interpret::StarNet;
 use crate::plan::Planner;
-
-/// A materialized sub-dataspace DS′.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Subspace {
-    /// The qualifying fact rows.
-    pub rows: RowSet,
-}
-
-impl Subspace {
-    /// The whole dataspace DS (every fact row).
-    pub fn full(wh: &Warehouse) -> Self {
-        Subspace {
-            rows: RowSet::full(wh.fact_rows()),
-        }
-    }
-
-    /// Number of qualifying fact points.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no fact point qualifies.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Aggregates the measure over the subspace (the ungrouped one-spec
-    /// case of the group-by scan; decodes the measure on every call).
-    pub fn aggregate(&self, wh: &Warehouse, measure: &Measure, func: AggFunc) -> f64 {
-        let mv = MeasureVector::build(wh, measure);
-        let specs = [FacetSpec::Total];
-        let exec = ExecConfig::serial();
-        // A serial ungoverned config cannot breach any limit.
-        multi_group_by_exec(wh, &specs, &self.rows, &mv, &exec, DENSE_GROUP_LIMIT)
-            .map_or(f64::NAN, |groups| groups[0].total(func))
-    }
-}
 
 /// Materializes a star net into its subspace, serially and without a
 /// semi-join cache.
@@ -63,31 +23,46 @@ impl Subspace {
 /// Panics if a constraint is malformed (attribute off its path's target
 /// table) — impossible for nets produced by the interpreter. Use
 /// [`materialize_planned`] for a fallible variant.
-pub fn materialize(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> Subspace {
+pub fn materialize(wh: &Warehouse, jidx: &JoinIndex, net: &StarNet) -> RowSet {
     #[allow(clippy::expect_used)]
     materialize_planned(wh, jidx, net, &Planner::default(), &ExecConfig::serial())
         .expect("star-net constraints evaluate on the fact table")
 }
 
 /// Materializes a star net through a [`Planner`]'s semi-join cache, when
-/// it has one. Constraints evaluate independently across `exec`'s worker
-/// threads and their fact bitmaps AND together, so the result is
-/// identical for every thread count. Recorded as a `materialize` span
-/// holding one `semijoin` leaf per constraint, with the subspace size as
-/// its `rows_out`.
+/// it has one: the one-conjunction case of [`and_selections`], so the
+/// result is identical for every thread count. Recorded as a
+/// `materialize` span holding one `semijoin` leaf per constraint, with
+/// the subspace size as its `rows_out`.
 pub fn materialize_planned(
     wh: &Warehouse,
     jidx: &JoinIndex,
     net: &StarNet,
     planner: &Planner,
     exec: &ExecConfig,
-) -> Result<Subspace, KdapError> {
+) -> Result<RowSet, KdapError> {
     let span = exec.obs.span("materialize");
     let fact = wh.schema().fact_table();
     let selections: Vec<Selection> = net.constraints.iter().map(|c| c.selection()).collect();
-    let rows = and_selections(wh, jidx, fact, &selections, planner.cache(), exec)?;
+    let rows = and_selections(wh, jidx, fact, &[selections], planner.cache(), exec)?.remove(0);
     span.rows_out(rows.len() as u64);
-    Ok(Subspace { rows })
+    Ok(rows)
+}
+
+/// Aggregates `measure` over `rows`: the ungrouped one-spec case of the
+/// group-by scan, a test oracle for the facet pipeline's totals.
+#[cfg(test)]
+pub(crate) fn aggregate(
+    wh: &Warehouse,
+    rows: &RowSet,
+    measure: &kdap_warehouse::Measure,
+    func: kdap_query::AggFunc,
+) -> f64 {
+    use kdap_query::{multi_group_by_exec, FacetSpec, MeasureVector, DENSE_GROUP_LIMIT};
+    let mv = MeasureVector::build(wh, measure);
+    let exec = ExecConfig::serial();
+    multi_group_by_exec(wh, &[FacetSpec::Total], rows, &mv, &exec, DENSE_GROUP_LIMIT)
+        .map_or(f64::NAN, |groups| groups[0].total(func))
 }
 
 #[cfg(test)]
@@ -98,13 +73,13 @@ mod tests {
     use crate::testutil::ebiz_fixture;
 
     /// Helper: materialize the top-ranked interpretation of a query.
-    fn top_subspace(query: &[&str]) -> (Subspace, f64) {
+    fn top_subspace(query: &[&str]) -> (RowSet, f64) {
         let fx = ebiz_fixture();
         let nets = generate_star_nets(&fx.wh, &fx.index, query, &GenConfig::default());
         let ranked = rank_star_nets(nets, RankMethod::Standard);
         let sub = materialize(&fx.wh, &fx.jidx, &ranked[0].net);
         let measure = fx.wh.schema().measure_by_name("Revenue").unwrap().clone();
-        let agg = sub.aggregate(&fx.wh, &measure, kdap_query::AggFunc::Sum);
+        let agg = aggregate(&fx.wh, &sub, &measure, kdap_query::AggFunc::Sum);
         (sub, agg)
     }
 
@@ -120,7 +95,7 @@ mod tests {
         let sub = materialize(&fx.wh, &fx.jidx, store_net);
         // Transactions 1 and 3 happen in the Columbus store → items
         // 1,2,5,6 (fact rows 0,1,4,5).
-        assert_eq!(sub.rows.iter().collect::<Vec<_>>(), vec![0, 1, 4, 5]);
+        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![0, 1, 4, 5]);
     }
 
     #[test]
@@ -133,7 +108,7 @@ mod tests {
             .unwrap();
         let sub = materialize(&fx.wh, &fx.jidx, holiday_net);
         // Only transaction 1 falls on Columbus Day → items 1,2.
-        assert_eq!(sub.rows.iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
@@ -155,7 +130,7 @@ mod tests {
         let sub = materialize(&fx.wh, &fx.jidx, store_net);
         // Columbus-store items that are Plasma products: item 6 only
         // (fact row 5).
-        assert_eq!(sub.rows.iter().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![5]);
     }
 
     #[test]
@@ -184,8 +159,8 @@ mod tests {
                 let parallel =
                     materialize_planned(&fx.wh, &fx.jidx, net, &Planner::cached(), &exec).unwrap();
                 assert_eq!(
-                    serial.rows.iter().collect::<Vec<_>>(),
-                    parallel.rows.iter().collect::<Vec<_>>()
+                    serial.iter().collect::<Vec<_>>(),
+                    parallel.iter().collect::<Vec<_>>()
                 );
             }
         }
@@ -230,9 +205,8 @@ mod tests {
             constraints: vec![],
         };
         let sub = materialize(&fx.wh, &fx.jidx, &net);
-        assert_eq!(sub.len(), fx.wh.fact_rows());
-        let full = Subspace::full(&fx.wh);
-        assert_eq!(full.len(), 6);
+        assert_eq!(sub, RowSet::full(fx.wh.fact_rows()));
+        assert_eq!(sub.len(), 6);
     }
 
     #[test]

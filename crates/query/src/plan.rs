@@ -2,10 +2,12 @@
 //! their constraint bitmaps.
 //!
 //! A star net in the core layer denotes the AND of its constraints, each
-//! a [`Selection`] along its own join path. [`and_selections`] semi-joins
-//! every selection into a fact bitmap and intersects the bitmaps. Each
-//! selection reads the whole fact table on its own, so no evaluation
-//! order does less work than another, and they run in the given order.
+//! a [`Selection`] along its own join path. [`and_selections`] takes
+//! several such conjunctions (a subspace, or its roll-up spaces),
+//! semi-joins every distinct selection into a fact bitmap once, and
+//! intersects each conjunction's bitmaps. Each selection reads the whole
+//! fact table on its own, so no evaluation order does less work than
+//! another, and they run in the given order.
 //!
 //! A session's [`SemijoinCache`] holds each distinct constraint's bitmap
 //! under its canonical [`Fingerprint`], so it is evaluated once however
@@ -251,35 +253,39 @@ fn execute_step(
     Ok((rows, false))
 }
 
-/// ANDs `selections` on `origin`: each semi-joins down its own path into
-/// a bitmap of origin rows (through `cache` when one is provided), and
-/// the bitmaps intersect. While a tree is recorded, each selection adds
-/// a `semijoin` leaf, in selection order: the rows it selects on its own,
-/// its cache outcome, and notes naming its attribute, join path and hit
+/// ANDs each of `conjunctions` on `origin`, returning one bitmap of
+/// origin rows per conjunction, in order. Each selection
+/// semi-joins down its own path into a bitmap (through `cache` when one
+/// is provided), and a conjunction's bitmaps intersect. While a tree is
+/// recorded, each selection adds a `semijoin` leaf, conjunction by
+/// conjunction in selection order: the rows it selects on its own, its
+/// cache outcome, and notes naming its attribute, join path and hit
 /// count.
 ///
 /// Selections evaluate across `exec`'s worker threads, independently:
 /// the intersection is order-insensitive, so every thread count is
 /// bit-identical to serial. With a cache, a selection that repeats an
-/// earlier one of the call is neither looked up nor evaluated: it shares
-/// the earlier step's bitmap and cache outcome, so no outcome depends on
+/// earlier one of the call, in its own conjunction or another, is
+/// neither looked up nor evaluated: it shares the earlier step's bitmap
+/// and cache outcome (its leaf has wall 0), so no outcome depends on
 /// which worker ran first.
 pub fn and_selections(
     wh: &Warehouse,
     jidx: &JoinIndex,
     origin: TableId,
-    selections: &[Selection],
+    conjunctions: &[Vec<Selection>],
     cache: Option<&SemijoinCache>,
     exec: &ExecConfig,
-) -> Result<RowSet, QueryError> {
+) -> Result<Vec<RowSet>, QueryError> {
     let n = wh.table(origin).nrows();
+    let selections: Vec<&Selection> = conjunctions.iter().flatten().collect();
     let total_steps = selections.len() as u64;
     let keys: Vec<Option<Fingerprint>> = selections
         .iter()
         .map(|sel| cache.map(|_| Fingerprint::of(sel)))
         .collect();
     // The step each selection's bitmap comes from: its own, or that of
-    // the first selection with the same fingerprint.
+    // the first selection of the call with the same fingerprint.
     let source: Vec<usize> = keys
         .iter()
         .enumerate()
@@ -301,7 +307,7 @@ pub fn and_selections(
         let probe = cache.zip(keys[i].as_ref());
         let result = exec
             .check_at("semijoin", i as u64, total_steps)
-            .and_then(|()| execute_step(wh, jidx, origin, &selections[i], probe, exec));
+            .and_then(|()| execute_step(wh, jidx, origin, selections[i], probe, exec));
         (result, t.stop())
     });
     let obs_on = exec.obs.is_enabled();
@@ -310,11 +316,9 @@ pub fn and_selections(
     let step_hist = exec.obs.histogram_handle("query.semijoin_step_ns");
     let hit_ctr = exec.obs.counter_handle("query.step_cache_hits");
     let miss_ctr = exec.obs.counter_handle("query.step_cache_misses");
-    let mut rows = RowSet::full(n);
     let mut evaluated = Vec::with_capacity(steps.len());
     for (result, step_ns) in results {
         let (bitmap, cache_hit) = result?;
-        rows.intersect_with(&bitmap)?;
         if obs_on {
             if let Some(h) = &step_hist {
                 h.record(step_ns);
@@ -325,12 +329,22 @@ pub fn and_selections(
         }
         evaluated.push((bitmap, cache_hit, step_ns));
     }
+    let step_of = |i: usize| &evaluated[steps.partition_point(|&s| s < source[i])];
+    let mut out = Vec::with_capacity(conjunctions.len());
+    let mut start = 0;
+    for conjunction in conjunctions {
+        let mut rows = RowSet::full(n);
+        for i in start..start + conjunction.len() {
+            rows.intersect_with(&step_of(i).0)?;
+        }
+        start += conjunction.len();
+        out.push(rows);
+    }
     // Leaf construction only pays off while a profile is being
     // collected.
     if exec.obs.is_profiling() {
         for (i, sel) in selections.iter().enumerate() {
-            let (bitmap, cache_hit, step_ns) =
-                &evaluated[steps.partition_point(|&s| s < source[i])];
+            let (bitmap, cache_hit, step_ns) = step_of(i);
             let hits = match &sel.predicate {
                 Predicate::Codes(codes) => codes.len(),
                 Predicate::Range { .. } => 1,
@@ -357,7 +371,7 @@ pub fn and_selections(
             );
         }
     }
-    Ok(rows)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -428,6 +442,18 @@ mod tests {
         let attr = wh.col_ref("FACT", "Tag").unwrap();
         let code = wh.column(attr).dict().unwrap().code_of(tag).unwrap();
         Selection::by_codes(crate::path::JoinPath::empty(), attr, vec![code])
+    }
+
+    /// [`and_selections`] of the one conjunction `sels` on the fact table.
+    fn and_one(
+        wh: &Warehouse,
+        jidx: &JoinIndex,
+        sels: &[Selection],
+        cache: Option<&SemijoinCache>,
+        exec: &ExecConfig,
+    ) -> Result<RowSet, QueryError> {
+        let fact = wh.schema().fact_table();
+        Ok(and_selections(wh, jidx, fact, &[sels.to_vec()], cache, exec)?.remove(0))
     }
 
     #[test]
@@ -568,8 +594,7 @@ mod tests {
                 .unwrap();
         }
         for _ in 0..2 {
-            let rows =
-                and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
+            let rows = and_one(&wh, &jidx, &sels, None, &ExecConfig::serial()).unwrap();
             assert_eq!(
                 rows.iter().collect::<Vec<_>>(),
                 expect.iter().collect::<Vec<_>>()
@@ -582,7 +607,6 @@ mod tests {
     fn fact_local_predicates_and_with_joined_ones() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
-        let fact = wh.schema().fact_table();
         let attr = wh.col_ref("FACT", "Score").unwrap();
         let range = Selection::by_range(crate::path::JoinPath::empty(), attr, 2.0, 5.0);
         let sels = [
@@ -590,7 +614,7 @@ mod tests {
             range,
             dim_selection(&wh, "Gadget"),
         ];
-        let rows = and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
+        let rows = and_one(&wh, &jidx, &sels, None, &ExecConfig::serial()).unwrap();
         // hot ∧ score∈[2,5] ∧ Gadget → facts 2, 3.
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
@@ -599,13 +623,12 @@ mod tests {
     fn cache_deduplicates_shared_steps() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
-        let fact = wh.schema().fact_table();
         let cache = SemijoinCache::new();
         let sels = [dim_selection(&wh, "Widget")];
         let serial = ExecConfig::serial();
-        let a = and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
+        let a = and_one(&wh, &jidx, &sels, Some(&cache), &serial).unwrap();
         assert_eq!(cache.counters(), CacheCounters::new(0, 1, 0));
-        let b = and_selections(&wh, &jidx, fact, &sels, Some(&cache), &serial).unwrap();
+        let b = and_one(&wh, &jidx, &sels, Some(&cache), &serial).unwrap();
         // The second call's one step is served from the cache.
         assert_eq!(cache.counters(), CacheCounters::new(1, 1, 0));
         assert_eq!(a, b);
@@ -621,11 +644,10 @@ mod tests {
     fn execution_feeds_profile_leaves() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
-        let fact = wh.schema().fact_table();
         let sels = [dim_selection(&wh, "Widget"), tag_selection(&wh, "hot")];
         let obs = kdap_obs::Obs::enabled().profiled("q");
         let exec = ExecConfig::serial().with_obs(obs.clone());
-        let _ = and_selections(&wh, &jidx, fact, &sels, None, &exec).unwrap();
+        let _ = and_one(&wh, &jidx, &sels, None, &exec).unwrap();
         let p = obs.take_profile().unwrap();
         assert_eq!(p.stage_names(), vec!["semijoin", "semijoin"]);
         assert_eq!(p.roots[0].rows_out, Some(2));
@@ -647,16 +669,15 @@ mod tests {
     fn parallel_execution_is_bit_identical() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
-        let fact = wh.schema().fact_table();
         let sels = [
             dim_selection(&wh, "Widget"),
             tag_selection(&wh, "hot"),
             tag_selection(&wh, "cold"),
         ];
-        let serial = and_selections(&wh, &jidx, fact, &sels, None, &ExecConfig::serial()).unwrap();
+        let serial = and_one(&wh, &jidx, &sels, None, &ExecConfig::serial()).unwrap();
         for threads in [2usize, 4] {
             let exec = ExecConfig::with_threads(threads);
-            let par = and_selections(&wh, &jidx, fact, &sels, None, &exec).unwrap();
+            let par = and_one(&wh, &jidx, &sels, None, &exec).unwrap();
             assert_eq!(
                 serial.iter().collect::<Vec<_>>(),
                 par.iter().collect::<Vec<_>>()
@@ -672,15 +693,7 @@ mod tests {
         let sels = [tag_selection(&wh, "hot"), dim_selection(&wh, "Widget")];
         let obs = kdap_obs::Obs::disabled().recording("q");
         let exec = ExecConfig::serial().with_obs(obs.clone());
-        and_selections(
-            &wh,
-            &jidx,
-            wh.schema().fact_table(),
-            &sels,
-            Some(&cache),
-            &exec,
-        )
-        .unwrap();
+        and_one(&wh, &jidx, &sels, Some(&cache), &exec).unwrap();
         let steps: Vec<_> = obs
             .take_profile()
             .unwrap()
@@ -696,10 +709,69 @@ mod tests {
     }
 
     #[test]
-    fn invalid_selection_surfaces_typed_error() {
+    fn conjunctions_share_their_repeated_steps() {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
         let fact = wh.schema().fact_table();
+        let (widget, hot, cold) = (
+            dim_selection(&wh, "Widget"),
+            tag_selection(&wh, "hot"),
+            tag_selection(&wh, "cold"),
+        );
+        let conjunctions = vec![
+            vec![widget.clone(), hot.clone()],
+            vec![widget.clone(), cold],
+            vec![hot],
+        ];
+        let serial = ExecConfig::serial();
+        for threads in [1usize, 4] {
+            let cache = SemijoinCache::new();
+            // Widget is in the cache before the call; hot and cold are not.
+            and_one(
+                &wh,
+                &jidx,
+                std::slice::from_ref(&widget),
+                Some(&cache),
+                &serial,
+            )
+            .unwrap();
+            let obs = kdap_obs::Obs::enabled().profiled("q");
+            let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
+            let spaces =
+                and_selections(&wh, &jidx, fact, &conjunctions, Some(&cache), &exec).unwrap();
+            for (space, conjunction) in spaces.iter().zip(&conjunctions) {
+                let alone = and_one(&wh, &jidx, conjunction, None, &serial).unwrap();
+                assert_eq!(*space, alone);
+            }
+            // One lookup per distinct selection: Widget hits, hot and cold
+            // miss (after the first call's miss).
+            assert_eq!(cache.counters(), CacheCounters::new(1, 3, 0));
+            let snap = obs.metrics_snapshot();
+            assert_eq!(snap.counters["query.step_cache_hits"], 1);
+            assert_eq!(snap.counters["query.step_cache_misses"], 2);
+            // One leaf per occurrence, conjunction by conjunction; a
+            // repeat shares the first occurrence's outcome at wall 0.
+            let leaves = obs.take_profile().unwrap().roots;
+            let seen: Vec<_> = leaves.iter().map(|n| (n.rows_out, n.cache)).collect();
+            let (hit, miss) = (Some(CacheOutcome::Hit), Some(CacheOutcome::Miss));
+            assert_eq!(
+                seen,
+                vec![
+                    (Some(2), hit),
+                    (Some(4), miss),
+                    (Some(2), hit),
+                    (Some(2), miss),
+                    (Some(4), miss),
+                ]
+            );
+            assert_eq!((leaves[2].wall_ns, leaves[4].wall_ns), (0, 0));
+        }
+    }
+
+    #[test]
+    fn invalid_selection_surfaces_typed_error() {
+        let wh = fixture();
+        let jidx = JoinIndex::build(&wh);
         // DIM attribute with an empty path: off the origin table.
         let attr = wh.col_ref("DIM", "Name").unwrap();
         let bad = [Selection::by_codes(
@@ -707,7 +779,7 @@ mod tests {
             attr,
             vec![0],
         )];
-        let err = and_selections(&wh, &jidx, fact, &bad, None, &ExecConfig::serial());
+        let err = and_one(&wh, &jidx, &bad, None, &ExecConfig::serial());
         assert!(matches!(err, Err(QueryError::AttrOffPathTarget { .. })));
     }
 }

@@ -80,8 +80,7 @@ pub(crate) fn route(state: &ServerState, request: &Request, stream: &Arc<TcpStre
     let response = match result {
         Ok(resp) => resp,
         Err(err) => {
-            breach =
-                matches!(err.code, "timeout" | "cancelled" | "budget_exceeded").then_some(err.code);
+            breach = err.breach();
             Response::json(err.status, err.to_json_with_trace(Some(&trace)))
         }
     };
@@ -308,11 +307,9 @@ fn run_query(
         Err(err) => {
             let api = ApiError::from_kdap(&err);
             obs.inc(&format!("http.status.{}", api.status), 1);
-            let breach =
-                matches!(api.code, "timeout" | "cancelled" | "budget_exceeded").then_some(api.code);
             tenant
                 .slow_ledger()
-                .record(ledger_entry(api.status, breach, None));
+                .record(ledger_entry(api.status, api.breach(), None));
             Err(api)
         }
     }

@@ -9,7 +9,10 @@ use kdap_suite::core::{
     QueryRequest, RankMethod, Verb,
 };
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
-use kdap_suite::query::{AggFunc, JoinIndex};
+use kdap_suite::query::{
+    multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
+    DENSE_GROUP_LIMIT,
+};
 use kdap_suite::textindex::TextIndex;
 
 use support::differentiate;
@@ -40,8 +43,8 @@ fn subspace_is_contained_in_every_rollup_space() {
         for r in differentiate(&kdap, query).into_iter().take(5) {
             let sub = materialize(kdap.warehouse(), kdap.join_index(), &r.net);
             for rup in rollup_spaces(kdap.warehouse(), kdap.join_index(), &r.net) {
-                for row in sub.rows.iter() {
-                    assert!(rup.rows.contains(row), "RUP must contain DS' ({query})");
+                for row in sub.iter() {
+                    assert!(rup.contains(row), "RUP must contain DS' ({query})");
                 }
             }
         }
@@ -101,8 +104,14 @@ fn measures_agree_between_direct_and_facet_aggregation() {
     let kdap = ebiz_session();
     let ranked = differentiate(&kdap, "Columbus");
     let net = &ranked[0].net;
-    let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
-    let direct = sub.aggregate(kdap.warehouse(), kdap.measure(), AggFunc::Sum);
+    let wh = kdap.warehouse();
+    let sub = materialize(wh, kdap.join_index(), net);
+    // The ungrouped one-spec case of the group-by scan.
+    let mv = MeasureVector::build(wh, kdap.measure());
+    let exec = ExecConfig::serial();
+    let direct = multi_group_by_exec(wh, &[FacetSpec::Total], &sub, &mv, &exec, DENSE_GROUP_LIMIT)
+        .expect("an ungoverned scan")[0]
+        .total(AggFunc::Sum);
     let ex = kdap.explore(net).expect("star net evaluates");
     assert_eq!(direct, ex.total_aggregate);
     assert_eq!(sub.len(), ex.subspace_size);

@@ -172,7 +172,7 @@ proptest! {
         let dense_limit = if dense { DENSE_GROUP_LIMIT } else { 0 };
         for net in fx.nets(query_idx).iter().take(2) {
             let sub = materialize(wh, jidx, net);
-            check_kernel(kdap, &sub.rows, threads, dense_limit);
+            check_kernel(kdap, &sub, threads, dense_limit);
         }
         let hostile = hostile_floats();
         let n = hostile.warehouse().fact_rows();

@@ -109,6 +109,41 @@ fn disabled_sessions_record_nothing() {
     assert!(snap.histograms.is_empty());
 }
 
+/// Every semi-join cache lookup is a step metric: the roll-up spaces'
+/// lookups run on the request's own executor, explain's and profile's
+/// included.
+#[test]
+fn step_metrics_count_every_semijoin_cache_lookup() {
+    for threads in [1usize, 4] {
+        let (_, kdap) = sessions(threads);
+        for (verb, keywords) in [
+            (Verb::Explore, "columbus lcd"),
+            (Verb::Explain, "columbus lcd"),
+            (Verb::Profile, "seattle plasma"),
+            (Verb::Explain, "columbus plasma"),
+            (Verb::Explore, "columbus plasma"),
+            (Verb::Explore, "columbus lcd"),
+        ] {
+            kdap.run(&QueryRequest::new(verb, keywords))
+                .expect("request succeeds");
+        }
+        let lookups = kdap.semijoin_counters().expect("a cached session");
+        assert!(lookups.hits > 0 && lookups.misses > 0, "{lookups:?}");
+        let counters = kdap.obs().metrics_snapshot().counters;
+        let counted = |name: &str| counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            counted("query.step_cache_hits"),
+            lookups.hits,
+            "threads={threads}"
+        );
+        assert_eq!(
+            counted("query.step_cache_misses"),
+            lookups.misses,
+            "threads={threads}"
+        );
+    }
+}
+
 /// The stage names of one profile request.
 fn stages(kdap: &Kdap, keywords: &str) -> Vec<String> {
     profile(kdap, keywords)
@@ -127,8 +162,9 @@ fn a_profile_holds_only_its_own_request() {
     stages(&kdap, "seattle lcd");
     let alone = stages(&kdap, "seattle lcd");
     let other_alone = stages(&kdap, "columbus plasma");
-    // 20 stages, then one `facet` leaf per deduplicated facet spec (15).
-    assert_eq!(alone.len(), 35, "{alone:#?}");
+    // 24 stages (4 of them the roll-up spaces' `semijoin` leaves), then
+    // one `facet` leaf per deduplicated facet spec (15).
+    assert_eq!(alone.len(), 39, "{alone:#?}");
 
     // One thread explores while another profiles.
     let stop = AtomicBool::new(false);

@@ -274,9 +274,11 @@ fn a_drill_lands_on_the_subspace_its_entry_was_aggregated_over() {
 
 #[test]
 fn profile_emits_the_span_names_the_benchmark_reads() {
+    /// Every stage name, and every `parent > child` pair of names.
     fn collect(node: &ProfileNode, names: &mut BTreeSet<String>) {
         names.insert(node.name.clone());
         for child in &node.children {
+            names.insert(format!("{} > {}", node.name, child.name));
             collect(child, names);
         }
     }
@@ -299,6 +301,8 @@ fn profile_emits_the_span_names_the_benchmark_reads() {
             "semijoin",
             "explore.rollups",
             "explore.score",
+            // The roll-up spaces' steps are recorded where they run.
+            "explore.rollups > semijoin",
         ] {
             assert!(
                 names.contains(span),

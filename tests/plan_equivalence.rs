@@ -166,7 +166,7 @@ proptest! {
                 let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
                 let planned = materialize_planned(wh, jidx, &net, &planner, &exec)
                     .expect("star net evaluates");
-                prop_assert_eq!(&planned.rows.iter().collect::<Vec<_>>(), &case.rows, "{}", route);
+                prop_assert_eq!(&planned.iter().collect::<Vec<_>>(), &case.rows, "{}", route);
                 let tree = obs.take_profile().expect("a recording handle");
                 let materialize = &tree.roots[0];
                 prop_assert_eq!(&materialize.name, "materialize");

@@ -320,7 +320,7 @@ proptest! {
         let dense_limit = if dense { DENSE_GROUP_LIMIT } else { 0 };
         for net in fx.nets(query_idx).iter().take(2) {
             let sub = materialize(kdap.warehouse(), kdap.join_index(), net);
-            check_scan_against_oracle(kdap, &sub.rows, threads, dense_limit);
+            check_scan_against_oracle(kdap, &sub, threads, dense_limit);
         }
     }
 }
