@@ -29,14 +29,22 @@ pub fn stats_text(kdap: &Kdap) -> String {
                 (Some(lo), Some(hi)) => format!("  [{lo}..{hi}]"),
                 _ => String::new(),
             };
+            // An Int column's encoding: its chunks' offset widths.
+            let packed = if c.chunk_bits.is_empty() {
+                String::new()
+            } else {
+                let bits: Vec<String> = c.chunk_bits.iter().map(u8::to_string).collect();
+                format!("  [{}-bit · {} B]", bits.join("/"), c.heap_bytes)
+            };
             out.push_str(&format!(
-                "  {:<20} {:<6} {:>8} distinct  {:>6} null(s){}{}\n",
+                "  {:<20} {:<6} {:>8} distinct  {:>6} null(s){}{}{}\n",
                 c.name,
                 c.value_type,
                 c.distinct,
                 c.nulls,
                 if c.searchable { "  [searchable]" } else { "" },
                 range,
+                packed,
             ));
         }
     }
@@ -96,6 +104,14 @@ pub fn stats_json(kdap: &Kdap) -> String {
                                 w.key("searchable").bool(c.searchable);
                                 if let (Some(lo), Some(hi)) = (c.min, c.max) {
                                     w.key("min").f64(lo).key("max").f64(hi);
+                                }
+                                if !c.chunk_bits.is_empty() {
+                                    w.key("chunk_bits").array(Layout::Inline, |w| {
+                                        for &b in &c.chunk_bits {
+                                            w.int(usize::from(b));
+                                        }
+                                    });
+                                    w.key("bytes").int(c.heap_bytes);
                                 }
                             });
                         }
@@ -162,6 +178,8 @@ mod tests {
         assert!(out.contains("subspace cache:"), "{out}");
         assert!(out.contains("semi-join cache:"), "{out}");
         assert!(out.contains("KB compressed"), "{out}");
+        // Every Int column prints its chunk widths and bytes.
+        assert!(out.contains("-bit · "), "{out}");
         assert!(out.contains("rowset containers:"), "{out}");
         assert!(out.contains("cpu features:"), "{out}");
     }
@@ -175,6 +193,7 @@ mod tests {
         assert!(out.contains("\"text_index\""), "{out}");
         assert!(out.contains("\"subspace_cache\""), "{out}");
         assert!(out.contains("\"heap_bytes\""), "{out}");
+        assert!(out.contains("\"chunk_bits\""), "{out}");
         assert!(out.contains("\"rowset_containers\""), "{out}");
         assert!(out.contains("\"cpu_features\""), "{out}");
         assert!(out.contains("\"metrics\""), "{out}");

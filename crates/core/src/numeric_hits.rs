@@ -105,13 +105,11 @@ fn numeric_attr_candidates(wh: &Warehouse) -> Vec<ColRef> {
 }
 
 fn domain_contains(wh: &Warehouse, attr: ColRef, v: f64, tol: f64) -> bool {
-    let col = wh.column(attr);
     let eps = tol * v.abs().max(1.0);
-    (0..col.len()).any(|r| {
-        col.get_float(r)
-            .map(|x| (x - v).abs() <= eps)
-            .unwrap_or(false)
-    })
+    let mut found = false;
+    wh.column(attr)
+        .for_each_float(|_, x| found |= x.is_some_and(|x| (x - v).abs() <= eps));
+    found
 }
 
 #[cfg(test)]

@@ -197,10 +197,11 @@ fn index_edge(
     row_of_key: &KeyRows,
 ) -> EdgeIndex {
     let child_col = wh.column(child);
-    let resolve = |row| row_of_key.get(child_col.get_int(row)?);
-    let parent_of: Arc<[u32]> = (0..child_col.len())
-        .map(|row| resolve(row).unwrap_or(NO_ROW))
-        .collect();
+    let mut parent_of = Vec::with_capacity(child_col.len());
+    child_col.for_each_int(|_, key| {
+        parent_of.push(key.and_then(|k| row_of_key.get(k)).unwrap_or(NO_ROW));
+    });
+    let parent_of: Arc<[u32]> = parent_of.into();
     let mut offsets = vec![0u32; parent_rows + 1];
     for &p in parent_of.iter().filter(|&&p| p != NO_ROW) {
         offsets[p as usize + 1] += 1;
@@ -290,9 +291,15 @@ impl Selection {
         let col = wh.column(self.attr);
         let matching: Vec<usize> = match &self.predicate {
             Predicate::Codes(codes) => col.rows_with_codes(codes),
-            Predicate::Range { lo, hi } => (0..col.len())
-                .filter(|&r| col.get_float(r).is_some_and(|v| v >= *lo && v <= *hi))
-                .collect(),
+            Predicate::Range { lo, hi } => {
+                let mut rows = Vec::new();
+                col.for_each_float(|r, v| {
+                    if v.is_some_and(|v| v >= *lo && v <= *hi) {
+                        rows.push(r);
+                    }
+                });
+                rows
+            }
         };
         let target_rows = RowSet::from_rows(wh.table(target).nrows(), matching);
         idx.rows_reaching(&self.path, &target_rows)

@@ -266,15 +266,21 @@ mod tests {
             assert_eq!(monitor.watched(), 2);
 
             // Dropping the guards deregisters and restores blocking
-            // mode: a read with nothing to read now waits out its
-            // timeout instead of failing at once.
+            // mode: a read with nothing to read now waits for its
+            // timeout instead of failing at once. The kernel counts the
+            // timeout in scheduler ticks, so the wait can end up to a
+            // tick short of it by `Instant`; a non-blocking read fails
+            // within microseconds, so a quarter of it tells the two apart.
             drop((quiet_watch, busy_watch));
             assert_eq!(monitor.watched(), 0);
             let timeout = Duration::from_millis(20);
             quiet.set_read_timeout(Some(timeout)).unwrap();
             let started = Instant::now();
             assert!((&*quiet).read(&mut [0u8; 1]).is_err());
-            assert!(started.elapsed() >= timeout, "socket is still non-blocking");
+            assert!(
+                started.elapsed() >= timeout / 4,
+                "socket is still non-blocking"
+            );
             // The pipelined bytes were peeked at, never consumed.
             let mut next = [0u8; 9];
             (&*busy).read_exact(&mut next).unwrap();

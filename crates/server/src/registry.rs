@@ -127,6 +127,25 @@ impl TenantEngine {
                     w.object(Layout::Inline, |w| {
                         w.key("name").str(t.name()).key("rows").int(t.nrows());
                         w.key("heap_bytes").int(t.heap_bytes());
+                        // Each Int column's encoding (its chunks' offset
+                        // widths) and bytes.
+                        w.key("int_columns").array(Layout::Inline, |w| {
+                            for c in t.columns() {
+                                let bits = c.int_chunk_bits();
+                                if bits.is_empty() {
+                                    continue;
+                                }
+                                w.object(Layout::Inline, |w| {
+                                    w.key("name").str(c.name());
+                                    w.key("chunk_bits").array(Layout::Inline, |w| {
+                                        for b in bits {
+                                            w.int(usize::from(b));
+                                        }
+                                    });
+                                    w.key("bytes").int(c.heap_bytes());
+                                });
+                            }
+                        });
                     });
                 }
             });
@@ -260,6 +279,8 @@ mod tests {
         assert!(out.contains("\"semijoin\": {\"len\": 0"), "{out}");
         assert!(out.contains("\"rowset_containers\""), "{out}");
         assert!(out.contains("\"heap_bytes\""), "{out}");
+        assert!(out.contains("\"int_columns\": [{\"name\": "), "{out}");
+        assert!(out.contains("\"chunk_bits\": ["), "{out}");
         assert!(out.contains("\"cpu_features\": ["), "{out}");
         assert_eq!(out.matches('{').count(), out.matches('}').count(), "{out}");
     }

@@ -306,19 +306,23 @@ impl WarehouseBuilder {
                     key,
                 })?;
             let child_col = self.tables[e.child.table.0 as usize].column(e.child.col as usize);
-            for row in 0..child_col.len() {
-                if let Some(k) = child_col.get_int(row) {
-                    if parent_keys.get(k).is_none() {
-                        return Err(WarehouseError::BrokenForeignKey {
-                            edge: format!(
-                                "{} → {}",
-                                self.edges[e.id.0 as usize].child,
-                                self.edges[e.id.0 as usize].parent
-                            ),
-                            missing_key: k,
-                        });
+            // The first child key, in row order, without a parent row.
+            let mut missing = None;
+            child_col.for_each_int(|_, k| {
+                if let Some(k) = k {
+                    if missing.is_none() && parent_keys.get(k).is_none() {
+                        missing = Some(k);
                     }
                 }
+            });
+            if let Some(missing_key) = missing {
+                return Err(WarehouseError::BrokenForeignKey {
+                    edge: format!(
+                        "{} → {}",
+                        self.edges[e.id.0 as usize].child, self.edges[e.id.0 as usize].parent
+                    ),
+                    missing_key,
+                });
             }
         }
 

@@ -1,23 +1,29 @@
 //! Chunked, bit-packed physical column storage.
 //!
-//! Two building blocks live here:
+//! Every sealed chunk shares one layout: up to [`CHUNK_ROWS`] rows packed
+//! at the smallest power-of-two width that fits the chunk's largest slot,
+//! `64 / bits` slots per `u64` word, with NULL rows in a null bitmap
+//! allocated only when the chunk holds one. A mutable unpacked tail
+//! absorbs appends and is sealed each time it fills, so no column is ever
+//! held unpacked as a whole; `freeze` packs the final partial chunk. Two
+//! stores use the layout:
 //!
-//! * [`PackedCodes`] — dictionary codes laid out in fixed-size chunks of
-//!   [`CHUNK_ROWS`] rows. Sealed chunks bit-pack their codes at the
-//!   smallest power-of-two width that fits the chunk's largest code
-//!   (1/2/4/8/16/32 bits), so early low-cardinality chunks compress
-//!   tighter than later ones. A mutable unpacked tail absorbs appends and
-//!   is sealed when it fills; [`PackedCodes::freeze`] packs the final
-//!   partial chunk. At 8 bits a chunk is 64 KiB — sized to stay resident
-//!   in L2 during a scan.
-//! * [`NullableVec`] — numeric storage as a dense value vector plus a
-//!   lazily-allocated null bitmap, half the footprint of
-//!   `Vec<Option<i64>>`.
+//! * [`PackedCodes`] — dictionary codes at 1/2/4/8/16/32 bits. At 8 bits
+//!   a chunk is 64 KiB, sized to stay resident in L2 during a scan.
+//! * [`PackedInts`] — integers as frame-of-reference offsets: a chunk
+//!   keeps its smallest value as an `i64` base and each row's distance
+//!   from it, at 1–32 bits, or 64 when the chunk spans more than
+//!   `u32::MAX`.
 //!
-//! Decoding is word-at-a-time: [`PackedCodes::for_each`] loads one `u64`
-//! and shifts out `64 / bits` codes (2–64 values per load), which is what
-//! keeps full-column scans (`rows_with_codes`, statistics) fast on packed
-//! data.
+//! [`NullableVec`] — a dense value vector plus a lazily allocated null
+//! bitmap — holds float columns and the unpacked tail of both stores.
+//!
+//! Decoding is word-at-a-time or chunk-at-a-time: [`PackedCodes::for_each`]
+//! shifts `64 / bits` codes out of each word load, or bulk-unpacks a
+//! chunk through [`kernel::unpack_words`]; [`PackedInts::for_each`]
+//! always takes the kernel, then adds the chunk's base. That is what
+//! keeps full-column scans (`rows_with_codes`, statistics, key indexes)
+//! fast on packed data.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -39,6 +45,16 @@ thread_local! {
     static DECODE_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Runs `f` with the thread's decode scratch, or with a buffer of its own
+/// when a scan is already using the scratch (a visit that re-enters a
+/// packed scan).
+fn with_scratch<T>(f: impl FnOnce(&mut Vec<u32>) -> T) -> T {
+    DECODE_SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut Vec::new()),
+    })
+}
+
 /// Smallest supported packing width (bits) that fits `max_code`.
 fn bits_for(max_code: u32) -> u8 {
     match max_code {
@@ -51,41 +67,53 @@ fn bits_for(max_code: u32) -> u8 {
     }
 }
 
-/// One sealed, immutable chunk of bit-packed codes.
+/// Packing width for offsets in `0..=span`: a code width while the span
+/// fits in 32 bits, else the whole word.
+fn bits_for_span(span: u64) -> u8 {
+    u32::try_from(span).map_or(64, bits_for)
+}
+
+/// The smallest and largest of `values`; `(i64::MAX, i64::MIN)` when
+/// there are none.
+fn min_max(values: impl Iterator<Item = i64>) -> (i64, i64) {
+    values.fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)))
+}
+
+/// One sealed chunk's packed slots: `len` slots of `bits` bits, `64 /
+/// bits` per word, slot 0 in the low bits, plus the null bitmap (bit set
+/// = NULL) when the chunk holds a NULL.
 #[derive(Debug, Clone)]
-struct CodeChunk {
-    /// Packing width: 1, 2, 4, 8, 16, or 32 bits per code.
+struct Slots {
+    /// Packing width: 1, 2, 4, 8, 16, 32 or (integer offsets only) 64.
     bits: u8,
     /// Rows in this chunk (== `CHUNK_ROWS` except for a frozen tail).
     len: u32,
-    /// Packed codes, `64 / bits` per word, slot 0 in the low bits.
     words: Vec<u64>,
-    /// Null bitmap (bit set = NULL), allocated only when the chunk holds
-    /// at least one NULL. NULL rows pack code 0.
     nulls: Option<Vec<u64>>,
 }
 
-impl CodeChunk {
-    fn pack(rows: &[Option<u32>]) -> CodeChunk {
-        let max_code = rows.iter().flatten().copied().max().unwrap_or(0);
-        let bits = bits_for(max_code);
-        let per_word = 64 / bits as usize;
-        let mut words = vec![0u64; rows.len().div_ceil(per_word)];
-        let mut nulls: Option<Vec<u64>> = None;
-        for (i, v) in rows.iter().enumerate() {
-            match v {
-                Some(c) => {
-                    words[i / per_word] |= u64::from(*c) << ((i % per_word) * bits as usize);
-                }
-                None => {
-                    let bitmap = nulls.get_or_insert_with(|| vec![0u64; rows.len().div_ceil(64)]);
-                    bitmap[i / 64] |= 1u64 << (i % 64);
-                }
-            }
-        }
-        CodeChunk {
+impl Slots {
+    /// Packs an unpacked tail at `bits` per slot, each row as
+    /// `slot(value)`, every word assembled in a register. A NULL row's
+    /// slot holds its placeholder value's bits (masked to the width);
+    /// readers consult the null bitmap first.
+    fn pack<T: Copy + Default>(bits: u8, tail: &NullableVec<T>, slot: impl Fn(T) -> u64) -> Slots {
+        let values = tail.values_slice();
+        let mask = u64::MAX >> (64 - bits);
+        let words = values
+            .chunks(64 / bits as usize)
+            .map(|group| {
+                group.iter().enumerate().fold(0u64, |word, (j, &v)| {
+                    word | (slot(v) & mask) << (j * bits as usize)
+                })
+            })
+            .collect();
+        let nulls = tail
+            .null_bitmap()
+            .map(|bitmap| bitmap[..values.len().div_ceil(64)].to_vec());
+        Slots {
             bits,
-            len: rows.len() as u32,
+            len: values.len() as u32,
             words,
             nulls,
         }
@@ -99,15 +127,45 @@ impl CodeChunk {
         }
     }
 
+    /// The packed bits of slot `i`, NULL or not.
+    #[inline]
+    fn slot(&self, i: usize) -> u64 {
+        let bits = u32::from(self.bits);
+        // log2 of the slots per word: addressing by shift, not division.
+        let per_word_log2 = 6 - bits.trailing_zeros();
+        let word = self.words[i >> per_word_log2];
+        let at = (i & ((1 << per_word_log2) - 1)) as u32 * bits;
+        (word >> at) & (u64::MAX >> (64 - bits))
+    }
+
+    /// Calls `f(first_row + i, value(i))` for every slot `i`, with `None`
+    /// for NULL rows.
+    #[inline]
+    fn visit<T, F: FnMut(usize, Option<T>)>(
+        &self,
+        first_row: usize,
+        value: impl Fn(usize) -> T,
+        f: &mut F,
+    ) {
+        let len = self.len as usize;
+        match &self.nulls {
+            None => (0..len).for_each(|i| f(first_row + i, Some(value(i)))),
+            Some(bitmap) => (0..len).for_each(|i| {
+                let null = (bitmap[i / 64] >> (i % 64)) & 1 == 1;
+                f(first_row + i, (!null).then(|| value(i)));
+            }),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * 8 + self.nulls.as_ref().map_or(0, |b| b.capacity() * 8)
+    }
+
+    // ---- dictionary codes (bits ≤ 32) ----
+
     #[inline]
     fn get(&self, i: usize) -> Option<u32> {
-        if self.is_null(i) {
-            return None;
-        }
-        let bits = self.bits as usize;
-        let per_word = 64 / bits;
-        let mask = (1u64 << bits) - 1;
-        Some(((self.words[i / per_word] >> ((i % per_word) * bits)) & mask) as u32)
+        (!self.is_null(i)).then(|| self.slot(i) as u32)
     }
 
     /// Bulk-decodes rows `[0, len)` into `out[..len]` via the bulk-unpack
@@ -202,9 +260,165 @@ impl CodeChunk {
             }
         }
     }
+}
+
+/// One sealed chunk of integers: `base` plus each row's offset from it.
+#[derive(Debug, Clone)]
+pub(crate) struct IntChunk {
+    /// The chunk's smallest value (0 when every row is NULL).
+    base: i64,
+    /// `value − base` per row, as a `u64` wrapping difference, so a chunk
+    /// holding both `i64::MIN` and `i64::MAX` packs at 64 bits.
+    offsets: Slots,
+}
+
+impl IntChunk {
+    #[inline]
+    fn value(&self, offset: u64) -> i64 {
+        self.base.wrapping_add(offset as i64)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<i64> {
+        (!self.offsets.is_null(i)).then(|| self.value(self.offsets.slot(i)))
+    }
+
+    /// Visits every row in order: offsets up to 32 bits decode through
+    /// the bulk-unpack kernel into `scratch`, 64-bit ones are the words.
+    fn for_each<F: FnMut(usize, Option<i64>)>(
+        &self,
+        first_row: usize,
+        scratch: &mut Vec<u32>,
+        f: &mut F,
+    ) {
+        let slots = &self.offsets;
+        if slots.bits == 64 {
+            slots.visit(first_row, |i| self.value(slots.words[i]), f);
+        } else {
+            let len = slots.len as usize;
+            scratch.clear();
+            scratch.resize(len, 0);
+            kernel::unpack_words(&slots.words, slots.bits, len, scratch);
+            slots.visit(first_row, |i| self.value(u64::from(scratch[i])), f);
+        }
+    }
+}
+
+/// A sealed chunk as the append logic sees it.
+trait Sealed: Sized {
+    /// One non-NULL row's value in the unpacked tail.
+    type Value: Copy + Default;
+    /// Packs a tail of at most [`CHUNK_ROWS`] rows.
+    fn pack(tail: &NullableVec<Self::Value>) -> Self;
+    fn slots(&self) -> &Slots;
+}
+
+impl Sealed for Slots {
+    type Value = u32;
+    fn pack(tail: &NullableVec<u32>) -> Slots {
+        // NULL rows hold code 0, which never raises the maximum.
+        let max_code = tail.values_slice().iter().copied().max().unwrap_or(0);
+        Slots::pack(bits_for(max_code), tail, u64::from)
+    }
+    fn slots(&self) -> &Slots {
+        self
+    }
+}
+
+impl Sealed for IntChunk {
+    type Value = i64;
+    fn pack(tail: &NullableVec<i64>) -> IntChunk {
+        // Without a NULL, one pass over the bare values.
+        let (min, max) = match tail.null_bitmap() {
+            None => min_max(tail.values_slice().iter().copied()),
+            Some(_) => min_max(tail.iter().flatten()),
+        };
+        let base = if min <= max { min } else { 0 };
+        let offset = |x: i64| (x as u64).wrapping_sub(base as u64);
+        let span = if min <= max { offset(max) } else { 0 };
+        IntChunk {
+            base,
+            offsets: Slots::pack(bits_for_span(span), tail, offset),
+        }
+    }
+    fn slots(&self) -> &Slots {
+        &self.offsets
+    }
+}
+
+/// Sealed chunks plus the unpacked tail: the append, address and
+/// accounting logic both packed stores share.
+#[derive(Debug, Clone)]
+struct Chunked<C: Sealed> {
+    sealed: Vec<C>,
+    /// Total rows across sealed chunks. All sealed chunks except possibly
+    /// the last hold exactly [`CHUNK_ROWS`] rows, so sealed addressing is
+    /// `row / CHUNK_ROWS`.
+    sealed_rows: usize,
+    tail: NullableVec<C::Value>,
+}
+
+impl<C: Sealed> Default for Chunked<C> {
+    fn default() -> Self {
+        Chunked {
+            sealed: Vec::new(),
+            sealed_rows: 0,
+            tail: NullableVec::new(),
+        }
+    }
+}
+
+impl<C: Sealed> Chunked<C> {
+    fn push(&mut self, row: Option<C::Value>) {
+        self.tail.push(row);
+        // Only auto-seal while sealed chunks are all full; after a freeze
+        // of a partial chunk, appends keep accumulating in the tail so
+        // `row / CHUNK_ROWS` addressing stays valid for sealed rows.
+        if self.tail.len() == CHUNK_ROWS && self.sealed_rows.is_multiple_of(CHUNK_ROWS) {
+            self.seal_tail();
+        }
+    }
+
+    fn seal_tail(&mut self) {
+        self.sealed.push(C::pack(&self.tail));
+        self.sealed_rows += self.tail.len();
+        self.tail.clear();
+    }
+
+    fn freeze(&mut self) {
+        if !self.tail.is_empty() && self.sealed_rows.is_multiple_of(CHUNK_ROWS) {
+            self.seal_tail();
+        }
+        self.tail.freeze();
+        self.sealed.shrink_to_fit();
+    }
+
+    fn len(&self) -> usize {
+        self.sealed_rows + self.tail.len()
+    }
+
+    /// The sealed chunk holding `row` and the row's index in it, or the
+    /// row's tail entry. Panics when out of bounds.
+    #[inline]
+    fn locate(&self, row: usize) -> Result<(&C, usize), Option<C::Value>> {
+        if row < self.sealed_rows {
+            Ok((&self.sealed[row / CHUNK_ROWS], row % CHUNK_ROWS))
+        } else {
+            Err(self.tail.get(row - self.sealed_rows))
+        }
+    }
 
     fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8 + self.nulls.as_ref().map_or(0, |b| b.capacity() * 8)
+        self.sealed
+            .iter()
+            .map(|c| c.slots().heap_bytes())
+            .sum::<usize>()
+            + self.sealed.capacity() * std::mem::size_of::<C>()
+            + self.tail.heap_bytes()
+    }
+
+    fn chunk_bit_widths(&self) -> Vec<u8> {
+        self.sealed.iter().map(|c| c.slots().bits).collect()
     }
 }
 
@@ -213,12 +427,7 @@ impl CodeChunk {
 /// word-at-a-time scans.
 #[derive(Debug, Clone, Default)]
 pub struct PackedCodes {
-    sealed: Vec<CodeChunk>,
-    /// Total rows across sealed chunks. All sealed chunks except possibly
-    /// the last hold exactly [`CHUNK_ROWS`] rows, so sealed addressing is
-    /// `row / CHUNK_ROWS`.
-    sealed_rows: usize,
-    tail: Vec<Option<u32>>,
+    chunks: Chunked<Slots>,
     max_code: Option<u32>,
 }
 
@@ -234,35 +443,19 @@ impl PackedCodes {
         if let Some(c) = code {
             self.max_code = Some(self.max_code.map_or(c, |m| m.max(c)));
         }
-        self.tail.push(code);
-        // Only auto-seal while sealed chunks are all full; after a freeze
-        // of a partial chunk, appends keep accumulating in the tail so
-        // `row / CHUNK_ROWS` addressing stays valid for sealed rows.
-        if self.tail.len() == CHUNK_ROWS && self.sealed_rows.is_multiple_of(CHUNK_ROWS) {
-            self.seal_tail();
-        }
-    }
-
-    fn seal_tail(&mut self) {
-        self.sealed.push(CodeChunk::pack(&self.tail));
-        self.sealed_rows += self.tail.len();
-        self.tail.clear();
+        self.chunks.push(code);
     }
 
     /// Packs any remaining tail rows into a final (possibly partial)
     /// chunk and trims spare capacity. Called when a warehouse build
     /// completes; appends afterwards remain correct but stay unpacked.
     pub fn freeze(&mut self) {
-        if !self.tail.is_empty() && self.sealed_rows.is_multiple_of(CHUNK_ROWS) {
-            self.seal_tail();
-        }
-        self.tail.shrink_to_fit();
-        self.sealed.shrink_to_fit();
+        self.chunks.freeze();
     }
 
     /// Total rows stored.
     pub fn len(&self) -> usize {
-        self.sealed_rows + self.tail.len()
+        self.chunks.len()
     }
 
     /// True when no rows are stored.
@@ -277,22 +470,21 @@ impl PackedCodes {
 
     /// Number of sealed (bit-packed) chunks.
     pub fn n_sealed_chunks(&self) -> usize {
-        self.sealed.len()
+        self.chunks.sealed.len()
     }
 
     /// Rows still in the unpacked tail.
     pub fn tail_len(&self) -> usize {
-        self.tail.len()
+        self.chunks.tail.len()
     }
 
     /// Code at `row`; panics when out of bounds (same contract as vector
     /// indexing — callers index within `0..len()`).
     #[inline]
     pub fn get(&self, row: usize) -> Option<u32> {
-        if row < self.sealed_rows {
-            self.sealed[row / CHUNK_ROWS].get(row % CHUNK_ROWS)
-        } else {
-            self.tail[row - self.sealed_rows]
+        match self.chunks.locate(row) {
+            Ok((chunk, i)) => chunk.get(i),
+            Err(code) => code,
         }
     }
 
@@ -301,37 +493,30 @@ impl PackedCodes {
     /// bulk-unpacked into a per-thread scratch buffer by the vectorized
     /// kernel; smaller slices decode one packed word at a time.
     pub fn for_each<F: FnMut(usize, Option<u32>)>(&self, range: Range<usize>, mut f: F) {
+        let Chunked {
+            sealed,
+            sealed_rows,
+            tail,
+        } = &self.chunks;
         let start = range.start.min(self.len());
         let end = range.end.min(self.len());
         let mut row = start;
-        while row < end && row < self.sealed_rows {
+        while row < end && row < *sealed_rows {
             let chunk_idx = row / CHUNK_ROWS;
-            let chunk = &self.sealed[chunk_idx];
+            let chunk = &sealed[chunk_idx];
             let chunk_base = chunk_idx * CHUNK_ROWS;
             let local_start = row - chunk_base;
             let local_end = (end - chunk_base).min(chunk.len as usize);
             let local = local_start..local_end;
             if local.len() >= BULK_DECODE_MIN {
-                // The scratch is borrowed for the duration of the visit;
-                // if the closure re-enters a packed scan (so the scratch
-                // is already borrowed), fall back to word-at-a-time.
-                let bulk_done = DECODE_SCRATCH.with(|s| match s.try_borrow_mut() {
-                    Ok(mut scratch) => {
-                        chunk.for_each_bulk(local.clone(), chunk_base, &mut scratch, &mut f);
-                        true
-                    }
-                    Err(_) => false,
-                });
-                if !bulk_done {
-                    chunk.for_each(local, chunk_base, &mut f);
-                }
+                with_scratch(|scratch| chunk.for_each_bulk(local, chunk_base, scratch, &mut f));
             } else {
                 chunk.for_each(local, chunk_base, &mut f);
             }
             row = chunk_base + local_end;
         }
         while row < end {
-            f(row, self.tail[row - self.sealed_rows]);
+            f(row, tail.get(row - sealed_rows));
             row += 1;
         }
     }
@@ -347,32 +532,109 @@ impl PackedCodes {
         out.clear();
         out.resize(self.len(), 0);
         let mut base = 0;
-        for chunk in &self.sealed {
+        for chunk in &self.chunks.sealed {
             let len = chunk.len as usize;
             chunk.unpack_into(&mut out[base..base + len]);
             base += len;
         }
-        for (i, v) in self.tail.iter().enumerate() {
+        for (i, v) in self.chunks.tail.iter().enumerate() {
             out[base + i] = v.unwrap_or(kernel::NULL_CODE);
         }
     }
 
     /// Heap bytes held by packed words, null bitmaps, and the tail.
     pub fn heap_bytes(&self) -> usize {
-        self.sealed.iter().map(CodeChunk::heap_bytes).sum::<usize>()
-            + self.sealed.capacity() * std::mem::size_of::<CodeChunk>()
-            + self.tail.capacity() * std::mem::size_of::<Option<u32>>()
+        self.chunks.heap_bytes()
     }
 
     /// Bit widths of the sealed chunks, in chunk order (for inspection
     /// and tests).
     pub fn chunk_bit_widths(&self) -> Vec<u8> {
-        self.sealed.iter().map(|c| c.bits).collect()
+        self.chunks.chunk_bit_widths()
     }
 }
 
-/// Dense numeric storage with a lazily-allocated null bitmap — the
-/// packed replacement for `Vec<Option<T>>` (16 bytes/row → 8 for `i64`).
+/// Nullable 64-bit integers stored as sealed frame-of-reference chunks
+/// plus a mutable unpacked tail: per chunk an `i64` base and each row's
+/// offset from it, bit-packed at the chunk's own width.
+#[derive(Debug, Clone, Default)]
+pub struct PackedInts {
+    chunks: Chunked<IntChunk>,
+}
+
+impl PackedInts {
+    /// An empty integer store.
+    pub fn new() -> Self {
+        PackedInts::default()
+    }
+
+    /// Appends one value (or NULL). Seals the tail into a packed chunk
+    /// each time it reaches [`CHUNK_ROWS`] rows.
+    pub fn push(&mut self, value: Option<i64>) {
+        self.chunks.push(value);
+    }
+
+    /// Packs any remaining tail rows into a final (possibly partial)
+    /// chunk and trims spare capacity; appends afterwards remain correct
+    /// but stay unpacked, as with [`PackedCodes::freeze`].
+    pub fn freeze(&mut self) {
+        self.chunks.freeze();
+    }
+
+    /// Total rows stored.
+    pub fn len(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// True when no rows are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value at `row`, `None` when NULL; panics when out of bounds.
+    #[inline]
+    pub fn get(&self, row: usize) -> Option<i64> {
+        match self.chunks.locate(row) {
+            Ok((chunk, i)) => chunk.get(i),
+            Err(value) => value,
+        }
+    }
+
+    /// Visits `(row, value)` for every row in row order, decoding each
+    /// sealed chunk in one pass of the bulk-unpack kernel (into the
+    /// thread's decode scratch) rather than one shift-and-mask per row.
+    pub fn for_each<F: FnMut(usize, Option<i64>)>(&self, mut f: F) {
+        let Chunked {
+            sealed,
+            sealed_rows,
+            tail,
+        } = &self.chunks;
+        with_scratch(|scratch| {
+            for (c, chunk) in sealed.iter().enumerate() {
+                chunk.for_each(c * CHUNK_ROWS, scratch, &mut f);
+            }
+        });
+        for (i, v) in tail.iter().enumerate() {
+            f(sealed_rows + i, v);
+        }
+    }
+
+    /// Heap bytes held by packed offsets, chunk headers, null bitmaps,
+    /// and the tail.
+    pub fn heap_bytes(&self) -> usize {
+        self.chunks.heap_bytes()
+    }
+
+    /// Offset widths of the sealed chunks, in chunk order: the column's
+    /// encoding, as `kdap stats` prints it.
+    pub fn chunk_bit_widths(&self) -> Vec<u8> {
+        self.chunks.chunk_bit_widths()
+    }
+}
+
+/// A dense value vector plus a lazily-allocated null bitmap, half the
+/// footprint of `Vec<Option<T>>` for 8-byte values: float columns, and
+/// the unpacked tail of both packed stores.
 #[derive(Debug, Clone, Default)]
 pub struct NullableVec<T> {
     values: Vec<T>,
@@ -455,6 +717,13 @@ impl<T: Copy + Default> NullableVec<T> {
     /// The null bitmap (bit set = NULL), `None` when no row is NULL.
     pub fn null_bitmap(&self) -> Option<&[u64]> {
         self.nulls.as_deref()
+    }
+
+    /// Empties the vector, keeping the value capacity.
+    fn clear(&mut self) {
+        self.values.clear();
+        self.nulls = None;
+        self.n_nulls = 0;
     }
 
     /// Trims spare capacity after a build completes.

@@ -7,17 +7,19 @@
 //! indexes (the paper indexes attribute instances, not tuples — §3).
 //!
 //! Physically, codes live in bit-packed fixed-size chunks
-//! ([`crate::chunk::PackedCodes`]) and numeric columns in dense vectors
-//! with lazy null bitmaps ([`crate::chunk::NullableVec`]). Everything
-//! outside this module reads columns through the accessor API below —
-//! `get`/`get_int`/`get_float`/`get_code`/`for_each_code` — never through
-//! raw vectors.
+//! ([`crate::chunk::PackedCodes`]), integers in the same chunks as
+//! frame-of-reference offsets ([`crate::chunk::PackedInts`]), and floats
+//! in dense vectors with lazy null bitmaps ([`crate::chunk::NullableVec`]).
+//! Everything outside this module reads columns through the accessor API
+//! below — `get`/`get_int`/`get_float`/`get_code` per row, `for_each_code`/
+//! `for_each_int`/`for_each_float` and the `unpack_*_into` pair per
+//! column — never through raw vectors.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::chunk::{NullableVec, PackedCodes};
+use crate::chunk::{NullableVec, PackedCodes, PackedInts};
 use crate::error::WarehouseError;
 use crate::value::{Value, ValueType};
 
@@ -99,8 +101,8 @@ impl StrDict {
 /// [`Column`] accessors; the variants are exposed for type dispatch only.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
-    /// Nullable 64-bit integers.
-    Int(NullableVec<i64>),
+    /// Nullable 64-bit integers, frame-of-reference packed per chunk.
+    Int(PackedInts),
     /// Nullable 64-bit floats.
     Float(NullableVec<f64>),
     /// Dictionary-encoded nullable strings.
@@ -126,7 +128,7 @@ impl Column {
     /// Creates an empty column of the given type.
     pub fn new(name: impl Into<String>, ty: ValueType, searchable: bool) -> Self {
         let data = match ty {
-            ValueType::Int => ColumnData::Int(NullableVec::new()),
+            ValueType::Int => ColumnData::Int(PackedInts::new()),
             ValueType::Float => ColumnData::Float(NullableVec::new()),
             ValueType::Str => ColumnData::Str {
                 dict: StrDict::default(),
@@ -267,6 +269,25 @@ impl Column {
         }
     }
 
+    /// Visits `(row, value)` over the whole column in row order, decoding
+    /// a packed chunk at a time. No-op for non-integer columns.
+    pub fn for_each_int<F: FnMut(usize, Option<i64>)>(&self, f: F) {
+        if let ColumnData::Int(v) = &self.data {
+            v.for_each(f);
+        }
+    }
+
+    /// Visits `(row, value)` over the whole column in row order as
+    /// [`Column::get_float`] reads it (Int columns widen). No-op for
+    /// string columns.
+    pub fn for_each_float<F: FnMut(usize, Option<f64>)>(&self, mut f: F) {
+        match &self.data {
+            ColumnData::Float(v) => v.iter().enumerate().for_each(|(row, x)| f(row, x)),
+            ColumnData::Int(v) => v.for_each(|row, x| f(row, x.map(|x| x as f64))),
+            ColumnData::Str { .. } => {}
+        }
+    }
+
     /// Bulk-decodes a string column's codes into `out` (cleared first):
     /// one `u32` per row, NULL rows as [`crate::kernel::NULL_CODE`],
     /// decoded through the vectorized kernel. Returns `false`
@@ -295,19 +316,15 @@ impl Column {
         match &self.data {
             ColumnData::Float(v) => {
                 out.extend_from_slice(v.values_slice());
+                if let Some(bitmap) = v.null_bitmap() {
+                    crate::kernel::for_each_null(bitmap, 0..out.len(), |i| out[i] = f64::NAN);
+                }
             }
             ColumnData::Int(v) => {
-                out.extend(v.values_slice().iter().map(|&x| x as f64));
+                out.reserve_exact(v.len());
+                v.for_each(|_, x| out.push(x.map_or(f64::NAN, |x| x as f64)));
             }
             ColumnData::Str { .. } => return false,
-        }
-        let nulls = match &self.data {
-            ColumnData::Float(v) => v.null_bitmap(),
-            ColumnData::Int(v) => v.null_bitmap(),
-            ColumnData::Str { .. } => None,
-        };
-        if let Some(bitmap) = nulls {
-            crate::kernel::for_each_null(bitmap, 0..out.len(), |i| out[i] = f64::NAN);
         }
         true
     }
@@ -337,6 +354,15 @@ impl Column {
                     .map_or_else(|| dict.len(), |m| m as usize + 1),
             ),
             _ => None,
+        }
+    }
+
+    /// Offset widths of an Int column's sealed chunks, in chunk order
+    /// (empty for other columns): its encoding, as `kdap stats` prints it.
+    pub fn int_chunk_bits(&self) -> Vec<u8> {
+        match &self.data {
+            ColumnData::Int(v) => v.chunk_bit_widths(),
+            _ => Vec::new(),
         }
     }
 
@@ -570,8 +596,20 @@ mod tests {
             c.push(Value::Int(i)).unwrap();
         }
         c.freeze();
-        // 8 bytes per row, no null bitmap: half the Vec<Option<i64>> cost.
-        assert_eq!(c.heap_bytes(), 100 * 8);
+        // One chunk: base 0, offsets 0..=99 at 8 bits, 13 words, no null
+        // bitmap — the chunk header is most of it.
+        assert_eq!(c.int_chunk_bits(), vec![8]);
+        assert_eq!(
+            c.heap_bytes(),
+            13 * 8 + std::mem::size_of::<crate::chunk::IntChunk>()
+        );
+        let mut f = Column::new("price", ValueType::Float, false);
+        for i in 0..100 {
+            f.push(Value::Float(i as f64)).unwrap();
+        }
+        f.freeze();
+        // 8 bytes per row, no null bitmap: half the Vec<Option<f64>> cost.
+        assert_eq!(f.heap_bytes(), 100 * 8);
     }
 
     #[test]

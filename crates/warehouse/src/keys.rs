@@ -37,15 +37,18 @@ impl KeyRows {
     /// none). A key on two rows is `Err`: the first key, in row order, that
     /// repeats one seen before.
     pub fn build(col: &Column) -> Result<Self, i64> {
-        let keys = || (0..col.len()).filter_map(|row| Some((col.get_int(row)?, row as u32)));
         let (mut n, mut min, mut max) = (0usize, i64::MAX, i64::MIN);
-        for (key, _) in keys() {
-            n += 1;
-            min = min.min(key);
-            max = max.max(key);
-        }
+        col.for_each_int(|_, key| {
+            if let Some(key) = key {
+                n += 1;
+                min = min.min(key);
+                max = max.max(key);
+            }
+        });
         // In i128: `max − min` of keys at both ends of i64 overflows i64.
         let span = i128::from(max) - i128::from(min) + 1;
+        // The first key, in row order, that repeats one seen before.
+        let mut repeat = None;
         let repr = if n == 0 {
             Repr::Dense {
                 min: 0,
@@ -53,24 +56,30 @@ impl KeyRows {
             }
         } else if span <= 2 * n as i128 + 64 {
             let mut rows = vec![ABSENT; span as usize];
-            for (key, row) in keys() {
+            col.for_each_int(|row, key| {
+                let Some(key) = key else { return };
                 let slot = &mut rows[(key - min) as usize];
-                if *slot != ABSENT {
-                    return Err(key);
+                if *slot == ABSENT {
+                    *slot = row as u32;
+                } else {
+                    repeat = repeat.or(Some(key));
                 }
-                *slot = row;
-            }
+            });
             Repr::Dense { min, rows }
         } else {
             let mut rows = HashMap::with_capacity(n);
-            for (key, row) in keys() {
-                if rows.insert(key, row).is_some() {
-                    return Err(key);
+            col.for_each_int(|row, key| {
+                let Some(key) = key else { return };
+                if rows.insert(key, row as u32).is_some() {
+                    repeat = repeat.or(Some(key));
                 }
-            }
+            });
             Repr::Hash(rows)
         };
-        Ok(KeyRows { repr })
+        match repeat {
+            Some(key) => Err(key),
+            None => Ok(KeyRows { repr }),
+        }
     }
 
     /// The row holding `key`, if any.

@@ -58,7 +58,7 @@ pub mod value;
 
 pub use builder::WarehouseBuilder;
 pub use catalog::Warehouse;
-pub use chunk::{NullableVec, PackedCodes, CHUNK_ROWS};
+pub use chunk::{NullableVec, PackedCodes, PackedInts, CHUNK_ROWS};
 pub use column::{Column, ColumnData, StrDict};
 pub use csv::{export_table, load_csv_table};
 pub use describe::describe;

@@ -41,17 +41,15 @@ impl ColumnStats {
             ColumnData::Int(values) => {
                 let mut distinct = std::collections::HashSet::new();
                 let (mut nulls, mut min, mut max) = (0usize, None::<f64>, None::<f64>);
-                for v in values.iter() {
-                    match v {
-                        Some(x) => {
-                            distinct.insert(x);
-                            let x = x as f64;
-                            min = Some(min.map_or(x, |m: f64| m.min(x)));
-                            max = Some(max.map_or(x, |m: f64| m.max(x)));
-                        }
-                        None => nulls += 1,
+                values.for_each(|_, v| match v {
+                    Some(x) => {
+                        distinct.insert(x);
+                        let x = x as f64;
+                        min = Some(min.map_or(x, |m: f64| m.min(x)));
+                        max = Some(max.map_or(x, |m: f64| m.max(x)));
                     }
-                }
+                    None => nulls += 1,
+                });
                 ColumnStats {
                     rows: values.len(),
                     nulls,
@@ -102,6 +100,11 @@ pub struct ColumnSummary {
     pub min: Option<f64>,
     /// Maximum value, for numeric columns with data.
     pub max: Option<f64>,
+    /// Heap bytes of the column's storage, from chunk metadata.
+    pub heap_bytes: usize,
+    /// Offset widths of an Int column's sealed chunks, in chunk order
+    /// (empty for other columns): its encoding.
+    pub chunk_bits: Vec<u8>,
 }
 
 /// One table's line in a [`WarehouseSummary`].
@@ -162,6 +165,8 @@ pub fn summarize(wh: &Warehouse) -> WarehouseSummary {
                         searchable: c.is_searchable(),
                         min: s.min,
                         max: s.max,
+                        heap_bytes: c.heap_bytes(),
+                        chunk_bits: c.int_chunk_bits(),
                     }
                 })
                 .collect(),
@@ -264,5 +269,17 @@ mod tests {
         let price = &t.columns[2];
         assert_eq!(price.value_type, "float");
         assert_eq!((price.min, price.max), (Some(1.5), Some(9.5)));
+        assert!(price.chunk_bits.is_empty());
+        // Ids 1..=3 are offsets 0..=2 from base 1: one 2-bit chunk.
+        let id = &t.columns[0];
+        assert_eq!(id.chunk_bits, vec![2]);
+        assert_eq!(
+            id.heap_bytes,
+            wh.table(wh.schema().fact_table()).column(0).heap_bytes()
+        );
+        assert_eq!(
+            t.columns.iter().map(|c| c.heap_bytes).sum::<usize>(),
+            t.heap_bytes
+        );
     }
 }

@@ -225,3 +225,28 @@ fn exported_spec_is_valid_spec_syntax() {
     let err = kdap_suite::warehouse::load_spec(&spec, |_| Err("no files".into()));
     assert!(err.is_err(), "missing CSVs must be reported, not panic");
 }
+
+/// `approx_bytes` of every generated warehouse at `small()` scale, seed
+/// 7, pinned to the byte: the storage size is exact (chunk metadata, not
+/// a sample), so any change to the packing shows here first. Integer
+/// columns are frame-of-reference packed per chunk; the sizes they had
+/// at 8 bytes per row are in EXPERIMENTS.md E30.
+#[test]
+fn generated_warehouse_sizes_are_pinned() {
+    let sizes = [
+        ("aw_online", build_aw_online(Scale::small(), 7).unwrap()),
+        ("aw_reseller", build_aw_reseller(Scale::small(), 7).unwrap()),
+        ("ebiz", build_ebiz(EbizScale::small(), 7).unwrap()),
+        ("trends", build_trends(TrendsScale::small(), 7).unwrap()),
+    ]
+    .map(|(tag, wh)| (tag, wh.approx_bytes()));
+    assert_eq!(
+        sizes,
+        [
+            ("aw_online", 86_882),
+            ("aw_reseller", 75_068),
+            ("ebiz", 92_553),
+            ("trends", 19_932),
+        ]
+    );
+}
