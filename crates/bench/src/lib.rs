@@ -1,9 +1,8 @@
 //! # kdap-bench
 //!
 //! Shared machinery for the experiment binaries that regenerate every
-//! table and figure of the paper's evaluation (§6), plus the Criterion
-//! micro-benchmarks. See DESIGN.md for the experiment ↔ binary map and
-//! EXPERIMENTS.md for recorded outputs.
+//! table and figure of the paper's evaluation (§6). See DESIGN.md for the
+//! experiment ↔ binary map and EXPERIMENTS.md for recorded outputs.
 
 #![forbid(unsafe_code)]
 

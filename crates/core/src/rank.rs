@@ -60,7 +60,26 @@ impl RankMethod {
     }
 }
 
-/// Scores one star net under the chosen method.
+/// Sums `terms` smallest first (by [`f64::total_cmp`]): a float sum
+/// depends on its order, and a net's constraints come in keyword order,
+/// which must not change its score. Up to 8 terms, the common case, are
+/// sorted on the stack: ranking scores every candidate net.
+fn sum_in_order(terms: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let (mut stack, mut heap) = ([0.0; 8], Vec::new());
+    let n = terms.len();
+    let terms = if n <= stack.len() {
+        stack.iter_mut().zip(terms).for_each(|(slot, t)| *slot = t);
+        &mut stack[..n]
+    } else {
+        heap.extend(terms);
+        &mut heap[..]
+    };
+    terms.sort_by(f64::total_cmp);
+    terms.iter().sum()
+}
+
+/// Scores one star net under the chosen method. The score does not
+/// depend on the order of the net's constraints, to the bit.
 pub fn score_star_net(net: &StarNet, method: RankMethod) -> f64 {
     let n_groups = net.n_groups();
     if n_groups == 0 {
@@ -68,30 +87,25 @@ pub fn score_star_net(net: &StarNet, method: RankMethod) -> f64 {
     }
     match method {
         RankMethod::Standard | RankMethod::NoGroupNumberNorm | RankMethod::NoGroupSizeNorm => {
-            let group_sum: f64 = net
-                .constraints
-                .iter()
-                .map(|c| {
-                    let sum = c.group.score_sum();
-                    let size = c.group.len() as f64;
-                    if size == 0.0 {
-                        return 0.0;
-                    }
-                    match method {
-                        RankMethod::NoGroupSizeNorm => sum / size,
-                        _ => sum / (size * (1.0 + size.ln())),
-                    }
-                })
-                .sum();
+            let group_sum = sum_in_order(net.constraints.iter().map(|c| {
+                let sum = c.group.score_sum();
+                let size = c.group.len() as f64;
+                if size == 0.0 {
+                    return 0.0;
+                }
+                match method {
+                    RankMethod::NoGroupSizeNorm => sum / size,
+                    _ => sum / (size * (1.0 + size.ln())),
+                }
+            }));
             match method {
                 RankMethod::NoGroupNumberNorm => group_sum,
                 _ => group_sum / (n_groups * n_groups) as f64,
             }
         }
         RankMethod::Baseline => {
-            let (sum, count) = net.constraints.iter().fold((0.0, 0usize), |(s, c), con| {
-                (s + con.group.score_sum(), c + con.group.len())
-            });
+            let sum = sum_in_order(net.constraints.iter().map(|c| c.group.score_sum()));
+            let count: usize = net.constraints.iter().map(|c| c.group.len()).sum();
             if count == 0 {
                 0.0
             } else {

@@ -93,6 +93,29 @@ proptest! {
         }
     }
 
+    /// A net's score does not depend on the order of its constraints, to
+    /// the bit, under every method: keyword order must not change it.
+    #[test]
+    fn permuting_constraints_keeps_every_score_bit_identical(
+        groups in proptest::collection::vec(
+            proptest::collection::vec(1e-3..1.0f64, 1..6), 2..12),
+        seed in any::<u64>(),
+    ) {
+        let mut permuted = groups.clone();
+        let mut rng = TestRng::for_case("constraint order", seed);
+        for i in (1..permuted.len()).rev() {
+            permuted.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let (net, other) = (net_from(groups), net_from(permuted));
+        for m in RankMethod::ALL {
+            prop_assert_eq!(
+                score_star_net(&net, m).to_bits(),
+                score_star_net(&other, m).to_bits(),
+                "method {:?}", m
+            );
+        }
+    }
+
     /// merge_series preserves totals for any valid split scheme.
     #[test]
     fn merge_preserves_mass(series in proptest::collection::vec(-100.0..100.0f64, 1..60),

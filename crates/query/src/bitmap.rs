@@ -13,13 +13,14 @@
 //! * **Run** — sorted `(start, end)` runs, for contiguous blocks
 //!   (`full()` is one run per block).
 //!
-//! Containers auto-convert at density thresholds: an array grows into a
-//! bitmap past [`ARRAY_MAX`], and every set-algebra result is
-//! re-canonicalized to the smallest of the three forms. A subspace is a
-//! conjunction of keyword constraints, so the one set operation is
-//! [`RowSet::intersect_with`]; word-granular entry points (`n_words`,
-//! `to_words`, `from_words`, `for_each_in_word_range`) keep the chunked
-//! kernels and their thread-count-invariant results working on top.
+//! A set is built whole from its words ([`RowSet::from_words`],
+//! [`RowSet::from_rows`]), each block in the smallest of the three forms,
+//! and every set-algebra result is re-canonicalized the same way. A
+//! subspace is a conjunction of keyword constraints, so the one set
+//! operation is [`RowSet::intersect_with`]; word-granular entry points
+//! (`n_words`, `to_words`, `from_words`, `for_each_in_word_range`) keep
+//! the chunked kernels and their thread-count-invariant results working
+//! on top.
 
 use crate::error::QueryError;
 
@@ -143,49 +144,6 @@ impl Container {
                 idx > 0 && rs[idx - 1].1 >= r
             }
         }
-    }
-
-    /// Inserts a row, converting the container when the current form
-    /// can't absorb it (array past [`ARRAY_MAX`], run with a new
-    /// non-contained row).
-    fn insert(&mut self, r: u16, limit: usize) {
-        match self {
-            Container::Array(a) => match a.last() {
-                // Fast path: ascending appends.
-                Some(&last) if last < r => {
-                    if a.len() == ARRAY_MAX {
-                        *self = self.to_bitmap(limit);
-                        self.insert(r, limit);
-                    } else {
-                        a.push(r);
-                    }
-                }
-                None => a.push(r),
-                _ => {
-                    if let Err(pos) = a.binary_search(&r) {
-                        if a.len() == ARRAY_MAX {
-                            *self = self.to_bitmap(limit);
-                            self.insert(r, limit);
-                        } else {
-                            a.insert(pos, r);
-                        }
-                    }
-                }
-            },
-            Container::Bitmap(w) => w[r as usize / 64] |= 1u64 << (r as usize % 64),
-            Container::Run(_) => {
-                if !self.contains(r) {
-                    *self = self.to_bitmap(limit);
-                    self.insert(r, limit);
-                }
-            }
-        }
-    }
-
-    fn to_bitmap(&self, limit: usize) -> Container {
-        let mut words = vec![0u64; limit.div_ceil(64)];
-        self.write_words(&mut words);
-        Container::Bitmap(words.into_boxed_slice())
     }
 
     /// Writes this container's bits into `out` (zeroing it first).
@@ -451,13 +409,15 @@ impl RowSet {
         s
     }
 
-    /// Builds a set from explicit row indices.
+    /// Builds a set from explicit row indices, in any order and with
+    /// repeats. Panics when a row is out of range (programming error).
     pub fn from_rows(nrows: usize, rows: impl IntoIterator<Item = usize>) -> Self {
-        let mut s = RowSet::empty(nrows);
+        let mut words = vec![0u64; nrows.div_ceil(64)];
         for r in rows {
-            s.insert(r);
+            assert!(r < nrows, "row {r} out of range {nrows}");
+            words[r / 64] |= 1u64 << (r % 64);
         }
-        s
+        Self::from_valid_words(nrows, &words)
     }
 
     /// Builds a set from its flat word representation. `words` must hold
@@ -485,13 +445,19 @@ impl RowSet {
                 });
             }
         }
-        let mut s = RowSet::empty(nrows);
-        for b in 0..s.blocks.len() {
-            let start_w = b * BLOCK_WORDS;
-            let end_w = (start_w + BLOCK_WORDS).min(words.len());
-            s.blocks[b] = Container::from_words(&words[start_w..end_w]);
+        Ok(Self::from_valid_words(nrows, &words))
+    }
+
+    /// [`RowSet::from_words`] on words already checked: each block in its
+    /// smallest container.
+    fn from_valid_words(nrows: usize, words: &[u64]) -> Self {
+        RowSet {
+            blocks: words
+                .chunks(BLOCK_WORDS)
+                .map(Container::from_words)
+                .collect(),
+            nrows,
         }
-        Ok(s)
     }
 
     /// Number of words in the flat `u64` representation
@@ -537,14 +503,6 @@ impl RowSet {
             }
         }
         h
-    }
-
-    /// Inserts one row. Panics when out of range (programming error).
-    pub fn insert(&mut self, row: usize) {
-        assert!(row < self.nrows, "row {row} out of range {}", self.nrows);
-        let b = row / BLOCK_ROWS;
-        let limit = self.block_limit(b);
-        self.blocks[b].insert((row % BLOCK_ROWS) as u16, limit);
     }
 
     /// Membership test.
@@ -635,7 +593,7 @@ impl PartialEq for RowSet {
             return false;
         }
         // Compare semantically: equal sets may sit in different container
-        // forms (e.g. an insert-built bitmap vs an op-canonicalized run).
+        // forms (an intersection keeps an array where a run is smaller).
         let mut wa = [0u64; BLOCK_WORDS];
         let mut wb = [0u64; BLOCK_WORDS];
         for (b, (x, y)) in self.blocks.iter().zip(&other.blocks).enumerate() {
@@ -735,11 +693,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_contains_iter() {
-        let mut s = RowSet::empty(100);
-        s.insert(0);
-        s.insert(64);
-        s.insert(99);
+    fn from_rows_contains_iter() {
+        let s = RowSet::from_rows(100, [99, 0, 64, 0]);
         assert!(s.contains(64));
         assert!(!s.contains(1));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 64, 99]);
@@ -747,36 +702,20 @@ mod tests {
     }
 
     #[test]
-    fn array_converts_to_bitmap_past_threshold() {
+    fn from_rows_picks_the_smallest_container() {
         let n = BLOCK_ROWS;
-        let mut s = RowSet::empty(n);
-        for r in 0..ARRAY_MAX {
-            s.insert(r * 2);
-        }
-        assert_eq!(s.container_histogram().arrays, 1);
-        s.insert(ARRAY_MAX * 2); // one past the array limit
+        let every_other = |k: usize| RowSet::from_rows(n, (0..k).map(|r| r * 2));
+        assert_eq!(every_other(ARRAY_MAX).container_histogram().arrays, 1);
+        let s = every_other(ARRAY_MAX + 1); // one past the array limit
         let h = s.container_histogram();
         assert_eq!((h.arrays, h.bitmaps), (0, 1));
         assert_eq!(s.len(), ARRAY_MAX + 1);
         for r in 0..=ARRAY_MAX {
             assert!(s.contains(r * 2), "row {}", r * 2);
         }
-    }
-
-    #[test]
-    fn run_absorbs_contained_inserts_and_converts_otherwise() {
-        let mut s = RowSet::full(100);
-        s.insert(50); // contained: run container survives
-        assert_eq!(s.container_histogram().runs, 1);
-        let mut t = RowSet::from_words(200, {
-            let mut f = RowSet::full(100).to_words();
-            f.resize(4, 0);
-            f
-        })
-        .unwrap();
-        // Blocks are canonicalized: rows 0..100 of a 200-universe → run.
+        // Contiguous rows are runs, in a 200-row universe as in a block.
+        let t = RowSet::from_rows(200, (0..100).chain([150]));
         assert_eq!(t.container_histogram().runs, 1);
-        t.insert(150); // outside the run → converts to bitmap
         assert!(t.contains(150));
         assert_eq!(t.len(), 101);
     }
@@ -809,26 +748,26 @@ mod tests {
     #[test]
     fn intersection_canonicalizes_to_smallest_container() {
         let n = BLOCK_ROWS;
-        let canonical = |s: &RowSet| RowSet::from_words(n, s.to_words()).unwrap();
+        let evens = |rows: std::ops::Range<usize>| rows.step_by(2);
         // Two dense bitmaps sharing ten scattered rows → tiny array.
-        let mut a = RowSet::from_rows(n, (0..n).step_by(2));
+        let mut a = RowSet::from_rows(n, evens(0..n));
         let b = RowSet::from_rows(n, (0..n).filter(|r| *r < 20 || r % 2 == 1));
         assert_eq!(b.container_histogram().bitmaps, 1);
         a.intersect_with(&b).unwrap();
         assert_eq!(
             a.iter().collect::<Vec<_>>(),
-            (0..20).step_by(2).collect::<Vec<_>>()
+            evens(0..20).collect::<Vec<_>>()
         );
         assert_eq!(a.container_histogram().arrays, 1);
         // Bitmap ∩ short run: the contiguous residual stays a run.
-        let mut c = RowSet::from_rows(n, 0..n - 1);
-        c.intersect_with(&canonical(&RowSet::from_rows(n, 0..10)))
-            .unwrap();
+        let mut c = RowSet::from_rows(n, (0..20).chain(evens(20..n)));
+        assert_eq!(c.container_histogram().bitmaps, 1);
+        c.intersect_with(&RowSet::from_rows(n, 0..10)).unwrap();
         assert_eq!(c.len(), 10);
         assert_eq!(c.container_histogram().runs, 1);
-        // Two overlapping insert-built bitmaps → one run container.
-        let mut lo = RowSet::from_rows(n, 0..3 * n / 4);
-        let hi = RowSet::from_rows(n, n / 4..n);
+        // Two bitmaps whose scattered rows miss each other → one run.
+        let mut lo = RowSet::from_rows(n, (n / 8..3 * n / 4).chain(evens(7 * n / 8..n)));
+        let hi = RowSet::from_rows(n, evens(0..n / 8).chain(n / 4..13 * n / 16));
         assert_eq!(lo.container_histogram().bitmaps, 1);
         assert_eq!(hi.container_histogram().bitmaps, 1);
         lo.intersect_with(&hi).unwrap();
@@ -839,8 +778,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn insert_out_of_range_panics() {
-        RowSet::empty(5).insert(5);
+    fn from_rows_out_of_range_panics() {
+        RowSet::from_rows(5, [5]);
     }
 
     #[test]
@@ -885,14 +824,18 @@ mod tests {
     #[test]
     fn equality_is_semantic_across_representations() {
         let n = BLOCK_ROWS;
-        // Same rows, three different container forms.
-        let via_inserts = RowSet::from_rows(n, 0..n); // bitmap (insert-built)
-        let via_full = RowSet::full(n); // run
+        // Rows 0..4 as an array (an intersection filters one) and as a run.
+        let mut via_array = RowSet::from_rows(n, [0, 1, 2, 3, 200, 300, 400]);
+        via_array
+            .intersect_with(&RowSet::from_rows(n, 0..100))
+            .unwrap();
+        let via_run = RowSet::from_rows(n, 0..4);
         assert_ne!(
-            via_inserts.container_histogram(),
-            via_full.container_histogram()
+            via_array.container_histogram(),
+            via_run.container_histogram()
         );
-        assert_eq!(via_inserts, via_full);
+        assert_eq!(via_array, via_run);
+        let via_full = RowSet::full(n);
         let mut different = via_full.clone();
         different
             .intersect_with(&RowSet::from_rows(n, (0..n).filter(|&r| r != 77)))
@@ -948,7 +891,7 @@ mod tests {
         let sparse = RowSet::from_rows(n, (0..n).step_by(10_000));
         let dense = RowSet::from_rows(n, (0..n).filter(|r| r % 3 == 0));
         // Runs and arrays are orders of magnitude below the flat bitmap
-        // cost (n/8 bytes); insert-built dense sets pay the bitmap cost.
+        // cost (n/8 bytes); dense scattered sets pay the bitmap cost.
         assert!(full.heap_bytes() < 2048, "{}", full.heap_bytes());
         assert!(sparse.heap_bytes() < 8192, "{}", sparse.heap_bytes());
         assert!(dense.heap_bytes() >= (n / 8) as u64);

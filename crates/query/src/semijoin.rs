@@ -52,16 +52,14 @@ impl RowMapper {
     }
 }
 
-/// One FK edge `child.fk → parent.pk`, resolved to row ids both ways.
+/// One FK edge `child.fk → parent.pk`, resolved to row ids.
 struct EdgeIndex {
     /// Child row → parent row, [`NO_ROW`] for a NULL key: the mapping
-    /// *up* from fact rows to dimension attributes.
+    /// *up* from fact rows to dimension attributes, and the one array the
+    /// semi-join *down* scans.
     parent_of: Arc<[u32]>,
-    /// CSR: the child rows of parent row `p`, ascending, are
-    /// `children[offsets[p]..offsets[p + 1]]` — the semi-join *down*
-    /// towards the fact table.
-    offsets: Vec<u32>,
-    children: Vec<u32>,
+    /// Rows of the parent table.
+    parent_rows: usize,
 }
 
 /// Every FK edge of a warehouse resolved to row ids, once.
@@ -125,32 +123,49 @@ impl JoinIndex {
     /// them. With the empty path this is just `target_rows` itself. A
     /// set that is not over the rows of the path's target table is a
     /// [`QueryError::UniverseMismatch`].
+    ///
+    /// One pass over the first edge's `parent_of`, against a mask of the
+    /// parent rows the rest of the path takes into `target_rows`: every
+    /// non-null key names exactly one parent row.
     pub fn rows_reaching(
         &self,
         path: &JoinPath,
         target_rows: &RowSet,
     ) -> Result<RowSet, QueryError> {
-        let mut current = target_rows.clone();
-        // Walk edges from the target back to the origin.
-        for &eid in path.edges().iter().rev() {
-            let edge = &self.edges[eid.0 as usize];
-            let parent_rows = edge.offsets.len() - 1;
-            if current.universe() != parent_rows {
-                return Err(QueryError::UniverseMismatch {
-                    left: current.universe(),
-                    right: parent_rows,
-                });
-            }
-            let mut next = RowSet::empty(edge.parent_of.len());
-            current.for_each_in_word_range(0..current.n_words(), |p| {
-                let range = edge.offsets[p] as usize..edge.offsets[p + 1] as usize;
-                for &child_row in &edge.children[range] {
-                    next.insert(child_row as usize);
-                }
+        let Some((first, rest)) = path.edges().split_first() else {
+            return Ok(target_rows.clone());
+        };
+        let target_universe = self.edges[rest.last().unwrap_or(first).0 as usize].parent_rows;
+        if target_rows.universe() != target_universe {
+            return Err(QueryError::UniverseMismatch {
+                left: target_rows.universe(),
+                right: target_universe,
             });
-            current = next;
         }
-        Ok(current)
+        let selected = target_rows.to_words();
+        let tail = self.tail(rest);
+        let first = &self.edges[first.0 as usize];
+        let n = first.parent_rows;
+        let mut hit: Vec<u8> = (0..n)
+            .map(|p| {
+                let t = tail.as_ref().map_or(p, |tail| tail[p] as usize);
+                // `NO_ROW` lies past the last word.
+                u8::from(selected.get(t / 64).is_some_and(|w| w >> (t % 64) & 1 == 1))
+            })
+            .collect();
+        // One trailing 0 absorbs `NO_ROW`, which the pass clamps to `n`;
+        // slicing to `n + 1` lets the compiler drop the bounds check.
+        hit.push(0);
+        let hit = &hit[..=n];
+        let mut words = Vec::with_capacity(first.parent_of.len().div_ceil(64));
+        for rows in first.parent_of.chunks(64) {
+            let mut w = 0u64;
+            for (k, &p) in rows.iter().enumerate() {
+                w |= u64::from(hit[(p as usize).min(n)]) << k;
+            }
+            words.push(w);
+        }
+        RowSet::from_words(first.parent_of.len(), words)
     }
 
     /// The origin→target row mapper of `path` (a valid chain, as
@@ -162,17 +177,22 @@ impl JoinIndex {
         let Some((first, rest)) = path.edges().split_first() else {
             return RowMapper::default();
         };
-        let tail = match rest {
+        RowMapper {
+            first: Some(self.edges[first.0 as usize].parent_of.clone()),
+            tail: self.tail(rest),
+        }
+    }
+
+    /// The hops after a path's first edge, as one array over the first
+    /// edge's parent table; `None` when there are none.
+    fn tail(&self, rest: &[EdgeId]) -> Option<Arc<[u32]>> {
+        match rest {
             [] => None,
             [second] => Some(self.edges[second.0 as usize].parent_of.clone()),
             _ => Some(match self.tails.get(rest) {
                 Some(composed) => composed.clone(),
                 None => self.compose(rest),
             }),
-        };
-        RowMapper {
-            first: Some(self.edges[first.0 as usize].parent_of.clone()),
-            tail,
         }
     }
 
@@ -188,8 +208,7 @@ impl JoinIndex {
     }
 }
 
-/// Resolves every key of `child` through `row_of_key`, then groups the
-/// child rows by parent row with a counting sort.
+/// Resolves every key of `child` through `row_of_key`.
 fn index_edge(
     wh: &Warehouse,
     child: ColRef,
@@ -201,24 +220,9 @@ fn index_edge(
     child_col.for_each_int(|_, key| {
         parent_of.push(key.and_then(|k| row_of_key.get(k)).unwrap_or(NO_ROW));
     });
-    let parent_of: Arc<[u32]> = parent_of.into();
-    let mut offsets = vec![0u32; parent_rows + 1];
-    for &p in parent_of.iter().filter(|&&p| p != NO_ROW) {
-        offsets[p as usize + 1] += 1;
-    }
-    for p in 0..parent_rows {
-        offsets[p + 1] += offsets[p];
-    }
-    let mut next = offsets.clone();
-    let mut children = vec![0u32; offsets[parent_rows] as usize];
-    for (row, &p) in parent_of.iter().enumerate().filter(|(_, &p)| p != NO_ROW) {
-        children[next[p as usize] as usize] = row as u32;
-        next[p as usize] += 1;
-    }
     EdgeIndex {
-        parent_of,
-        offsets,
-        children,
+        parent_of: parent_of.into(),
+        parent_rows,
     }
 }
 
@@ -520,6 +524,17 @@ mod tests {
             for row in 0..3 {
                 assert_eq!(mapper.get(row), walk_chain(&wh, hops, row), "{hops} hops");
             }
+            // Down the same tail: every subset of the target's three rows.
+            for picked in 0..8u32 {
+                let targets = (0..3).filter(|t| picked >> t & 1 == 1);
+                let reaching = idx
+                    .rows_reaching(&path, &RowSet::from_rows(3, targets))
+                    .unwrap();
+                let want: Vec<usize> = (0..3)
+                    .filter(|&r| walk_chain(&wh, hops, r).is_some_and(|t| picked >> t & 1 == 1))
+                    .collect();
+                assert_eq!(reaching.iter().collect::<Vec<_>>(), want, "{hops} hops");
+            }
             if hops <= MAX_PATH_LEN {
                 let again = idx.row_mapper(&path);
                 assert!(Arc::ptr_eq(
@@ -545,7 +560,7 @@ mod tests {
             4
         );
         // One row too wide, one too narrow: typed errors, not an index
-        // panic in the CSR walk.
+        // panic in the mask.
         for universe in [outer_rows + 1, outer_rows - 1] {
             let err = idx
                 .rows_reaching(&path, &RowSet::full(universe))

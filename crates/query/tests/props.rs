@@ -12,7 +12,7 @@ use kdap_query::{
 use kdap_warehouse::{Value, ValueType, Warehouse, WarehouseBuilder};
 
 proptest! {
-    /// RowSet agrees with a HashSet model under insert/intersect.
+    /// RowSet agrees with a HashSet model under from_rows/intersect.
     #[test]
     fn rowset_model(
         n in 1usize..200,

@@ -171,7 +171,10 @@ fn append<'a>(text: &mut Cow<'a, str>, piece: &'a str) {
 }
 
 /// Exports a table back to the typed CSV format [`load_csv_table`]
-/// understands, so warehouses round-trip through text.
+/// understands, so warehouses round-trip through text. A NULL is an empty
+/// field, except where that would make a blank line, which the loader
+/// skips: in a one-column table a NULL number is written `""`, and a NULL
+/// string has no spelling and is a [`WarehouseError::UnexportableNull`].
 pub fn export_table(wh: &crate::catalog::Warehouse, table: &str) -> Result<String, WarehouseError> {
     let tid = wh.table_id(table)?;
     let t = wh.table(tid);
@@ -198,7 +201,14 @@ pub fn export_table(wh: &crate::catalog::Warehouse, table: &str) -> Result<Strin
                 out.push(',');
             }
             match col.get(row) {
-                Value::Null => {}
+                Value::Null if t.ncols() > 1 => {}
+                Value::Null if col.value_type() != ValueType::Str => out.push_str("\"\""),
+                Value::Null => {
+                    return Err(WarehouseError::UnexportableNull {
+                        column: format!("{table}.{}", col.name()),
+                        row,
+                    })
+                }
                 Value::Int(v) => out.push_str(&v.to_string()),
                 Value::Float(v) => out.push_str(&v.to_string()),
                 Value::Str(s) => out.push_str(&quote_field(&s)),

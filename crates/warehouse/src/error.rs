@@ -59,6 +59,15 @@ pub enum WarehouseError {
         /// The repeated key.
         key: i64,
     },
+    /// A NULL in a table whose only column is a string column: CSV has no
+    /// spelling for it (an empty line is skipped, `""` is the empty
+    /// string), so the table cannot be exported.
+    UnexportableNull {
+        /// The column, as `Table.Column`.
+        column: String,
+        /// The first NULL row.
+        row: usize,
+    },
 }
 
 impl fmt::Display for WarehouseError {
@@ -102,6 +111,10 @@ impl fmt::Display for WarehouseError {
             WarehouseError::DuplicateKey { column, key } => {
                 write!(f, "duplicate key in parent column {column}: {key} repeats")
             }
+            WarehouseError::UnexportableNull { column, row } => write!(
+                f,
+                "row {row} of {column} is NULL, which a one-column CSV cannot spell"
+            ),
         }
     }
 }

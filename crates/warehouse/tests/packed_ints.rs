@@ -141,19 +141,13 @@ fn check(case: &Case, context: &str) {
     );
 }
 
-/// Saves a one-table warehouse holding the case's rows and loads it back.
+/// Saves a one-table, one-column warehouse holding the case's rows and
+/// loads it back.
 fn check_save_load(case: &Case, context: &str) {
-    // A row id beside the values: a one-column row that is NULL saves as
-    // an empty line, which the loader skips.
     let mut b = WarehouseBuilder::new();
-    b.table(
-        "T",
-        &[("Row", ValueType::Int, false), ("V", ValueType::Int, false)],
-    )
-    .unwrap();
-    for (row, v) in case.rows.iter().enumerate() {
-        let v = v.map_or(Value::Null, Value::Int);
-        b.row("T", vec![Value::Int(row as i64), v]).unwrap();
+    b.table("T", &[("V", ValueType::Int, false)]).unwrap();
+    for v in &case.rows {
+        b.row("T", vec![v.map_or(Value::Null, Value::Int)]).unwrap();
     }
     b.fact("T").unwrap();
     let wh = b.finish().unwrap();
@@ -166,8 +160,8 @@ fn check_save_load(case: &Case, context: &str) {
     let back = load_warehouse(&dir);
     std::fs::remove_dir_all(&dir).ok();
     let back = back.unwrap();
-    let col = wh.table(wh.schema().fact_table()).column(1);
-    let back_col = back.table(back.schema().fact_table()).column(1);
+    let col = wh.table(wh.schema().fact_table()).column(0);
+    let back_col = back.table(back.schema().fact_table()).column(0);
     assert_eq!(back_col.len(), case.rows.len(), "{context}");
     let mut got = Vec::new();
     back_col.for_each_int(|_, v| got.push(v));

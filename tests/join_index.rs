@@ -15,6 +15,9 @@
 //! are not row numbers, and empty tables. A table's keys step by 1, 3 or
 //! 2⁴⁰, so parent keys are resolved both through an array and through a
 //! hash map (the two forms of `KeyRows`).
+//!
+//! The property runs 96 cases by default; an `#[ignore]`d copy runs 2,000
+//! (`cargo test --release --test join_index -- --ignored`).
 
 use proptest::prelude::*;
 
@@ -122,52 +125,68 @@ fn snowflake(seed: u64) -> Warehouse {
     s.b.finish().unwrap()
 }
 
+/// Holds the index to [`KeyWalker`] on the snowflake of `seed`: for
+/// every origin table, every enumerated path and every row, up and down.
+fn check_both_directions(seed: u64) {
+    let wh = snowflake(seed);
+    let idx = JoinIndex::build(&wh);
+    let keys = KeyWalker::new(&wh);
+    let mut rng = TestRng::for_case("target sets", seed);
+    let tables = || (0..wh.tables().len() as u32).map(TableId);
+    for (origin, target) in tables().flat_map(|o| tables().map(move |t| (o, t))) {
+        let (n_origin, n_target) = (wh.table(origin).nrows(), wh.table(target).nrows());
+        for path in paths_between(wh.schema(), origin, target, MAX_PATH_LEN) {
+            let context = format!("seed {seed}: {}", path.display(&wh, origin));
+            // Up: every origin row lands where its keys lead.
+            let mapper = idx.row_mapper(&path);
+            let want: Vec<Option<usize>> = (0..n_origin).map(|r| keys.resolve(&path, r)).collect();
+            let got: Vec<Option<usize>> = (0..n_origin)
+                .map(|r| mapper.get(r).map(|t| t as usize))
+                .collect();
+            assert_eq!(&got, &want, "{context}");
+            // Down: a random target set is reached by exactly the
+            // rows whose keys lead into it.
+            let picked: Vec<usize> = (0..n_target).filter(|_| rng.below(2) == 0).collect();
+            let reaching = idx
+                .rows_reaching(&path, &RowSet::from_rows(n_target, picked.iter().copied()))
+                .unwrap();
+            let expect: Vec<usize> = (0..n_origin)
+                .filter(|&r| want[r].is_some_and(|t| picked.contains(&t)))
+                .collect();
+            assert_eq!(reaching.iter().collect::<Vec<_>>(), expect, "{context}");
+            // Up and down are one relation, target row by target row.
+            for t in 0..n_target {
+                let down = idx
+                    .rows_reaching(&path, &RowSet::from_rows(n_target, [t]))
+                    .unwrap();
+                for r in 0..n_origin {
+                    assert_eq!(
+                        down.contains(r),
+                        mapper.get(r) == Some(t as u32),
+                        "{context}: origin row {r} / target row {t}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn index_agrees_with_key_walking_in_both_directions(seed in any::<u64>()) {
-        let wh = snowflake(seed);
-        let idx = JoinIndex::build(&wh);
-        let keys = KeyWalker::new(&wh);
-        let mut rng = TestRng::for_case("target sets", seed);
-        let tables = || (0..wh.tables().len() as u32).map(TableId);
-        for (origin, target) in tables().flat_map(|o| tables().map(move |t| (o, t))) {
-            let (n_origin, n_target) = (wh.table(origin).nrows(), wh.table(target).nrows());
-            for path in paths_between(wh.schema(), origin, target, MAX_PATH_LEN) {
-                let context = format!("seed {seed}: {}", path.display(&wh, origin));
-                // Up: every origin row lands where its keys lead.
-                let mapper = idx.row_mapper(&path);
-                let want: Vec<Option<usize>> =
-                    (0..n_origin).map(|r| keys.resolve(&path, r)).collect();
-                let got: Vec<Option<usize>> =
-                    (0..n_origin).map(|r| mapper.get(r).map(|t| t as usize)).collect();
-                prop_assert_eq!(&got, &want, "{}", context);
-                // Down: a random target set is reached by exactly the
-                // rows whose keys lead into it.
-                let picked: Vec<usize> = (0..n_target).filter(|_| rng.below(2) == 0).collect();
-                let reaching = idx
-                    .rows_reaching(&path, &RowSet::from_rows(n_target, picked.iter().copied()))
-                    .unwrap();
-                let expect: Vec<usize> = (0..n_origin)
-                    .filter(|&r| want[r].is_some_and(|t| picked.contains(&t)))
-                    .collect();
-                prop_assert_eq!(reaching.iter().collect::<Vec<_>>(), expect, "{}", context);
-                // Up and down are one relation, target row by target row.
-                for t in 0..n_target {
-                    let down = idx
-                        .rows_reaching(&path, &RowSet::from_rows(n_target, [t]))
-                        .unwrap();
-                    for r in 0..n_origin {
-                        prop_assert_eq!(
-                            down.contains(r),
-                            mapper.get(r) == Some(t as u32),
-                            "{}: origin row {} / target row {}", context, r, t
-                        );
-                    }
-                }
-            }
-        }
+        check_both_directions(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    #[ignore = "fuzz smoke: run with --release -- --ignored"]
+    fn index_agrees_with_key_walking_in_both_directions_2k(seed in any::<u64>()) {
+        check_both_directions(seed);
     }
 }
 

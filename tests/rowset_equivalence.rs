@@ -135,8 +135,8 @@ proptest! {
         prop_assert_eq!(a.len(), rows_a.len());
 
         let expected: Vec<u64> = wa.iter().zip(&wb).map(|(&x, &y)| x & y).collect();
-        // Insert-built operands and their canonical twins (run containers
-        // appear only after canonicalization) must all give the same set.
+        // Operands built from rows and rebuilt from their words must all
+        // give the same set.
         let canonical = |s: &RowSet| RowSet::from_words(universe, s.to_words()).unwrap();
         for (lhs, rhs) in [(a.clone(), b.clone()), (canonical(&a), canonical(&b))] {
             let mut got = lhs;
@@ -194,25 +194,22 @@ proptest! {
     }
 }
 
-/// The `ARRAY_MAX`-th insert converts the container without disturbing
-/// the set's contents (deterministic edge kept outside proptest so the
-/// exact threshold is always exercised).
+/// One row past `ARRAY_MAX` turns the block from an array into a bitmap
+/// without disturbing the set's contents (deterministic edge kept outside
+/// proptest so the exact threshold is always exercised).
 #[test]
 fn conversion_threshold_preserves_contents() {
     let universe = BLOCK_ROWS + 7;
-    let mut set = RowSet::empty(universe);
     let mut model = vec![0u64; universe.div_ceil(64)];
     for i in 0..ARRAY_MAX + 2 {
         let row = i * 3 % BLOCK_ROWS;
-        set.insert(row);
         model[row / 64] |= 1 << (row % 64);
-        if i == ARRAY_MAX - 1 || i == ARRAY_MAX {
+        if i + 1 >= ARRAY_MAX {
+            let set = RowSet::from_rows(universe, (0..=i).map(|j| j * 3 % BLOCK_ROWS));
             assert_eq!(set.to_words(), model, "around the threshold at {i}");
+            let h = set.container_histogram();
+            let want = if i < ARRAY_MAX { (1, 0) } else { (0, 1) };
+            assert_eq!((h.arrays - 1, h.bitmaps), want, "{i} rows");
         }
     }
-    assert_eq!(set.to_words(), model);
-    assert!(
-        set.container_histogram().bitmaps >= 1,
-        "past ARRAY_MAX must be a bitmap"
-    );
 }

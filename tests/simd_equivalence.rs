@@ -105,10 +105,10 @@ proptest! {
 // RowSet level: container shapes against a naive model
 // ---------------------------------------------------------------------
 
-/// Fills `set` and `model` with the same rows from one shape recipe:
+/// Sets the rows of `model` that one shape recipe picks:
 /// 0 = sparse scatter (Array), 1 = dense runs (Run), 2 = random fill
 /// (Bitmap) — per block, so multi-block sets mix container kinds.
-fn fill_block(set: &mut RowSet, model: &mut [bool], block: usize, shape: u8, seed: u64) {
+fn fill_block(model: &mut [bool], block: usize, shape: u8, seed: u64) {
     let base = block * BLOCK_ROWS;
     let limit = model.len().min(base + BLOCK_ROWS);
     if base >= limit {
@@ -116,10 +116,7 @@ fn fill_block(set: &mut RowSet, model: &mut [bool], block: usize, shape: u8, see
     }
     let span = limit - base;
     let mut next = splitmix(seed);
-    let mut put = |row: usize| {
-        set.insert(row);
-        model[row] = true;
-    };
+    let mut put = |row: usize| model[row] = true;
     match shape {
         0 => {
             for _ in 0..200 {
@@ -188,14 +185,15 @@ proptest! {
         tail in 1usize..2000,
     ) {
         let universe = 2 * BLOCK_ROWS + tail;
-        let mut a = RowSet::empty(universe);
-        let mut b = RowSet::empty(universe);
         let mut ma = vec![false; universe];
         let mut mb = vec![false; universe];
         for blk in 0..3 {
-            fill_block(&mut a, &mut ma, blk, shapes_a[blk], seed ^ (blk as u64 + 1));
-            fill_block(&mut b, &mut mb, blk, shapes_b[blk], seed ^ (0x100 + blk as u64));
+            fill_block(&mut ma, blk, shapes_a[blk], seed ^ (blk as u64 + 1));
+            fill_block(&mut mb, blk, shapes_b[blk], seed ^ (0x100 + blk as u64));
         }
+        let rows = |model: &[bool]| (0..universe).filter(|&r| model[r]).collect::<Vec<_>>();
+        let a = RowSet::from_rows(universe, rows(&ma));
+        let b = RowSet::from_rows(universe, rows(&mb));
         prop_assert_eq!(a.len(), ma.iter().filter(|&&x| x).count());
         let check = |set: &RowSet, model: &[bool]| {
             let want: Vec<usize> =
