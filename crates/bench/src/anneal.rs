@@ -1,42 +1,40 @@
-//! Numerical domain partitioning by simulated annealing (paper §5.3.2,
-//! Algorithm 2).
+//! Algorithm 2 as the paper prints it (§5.3.2): numerical domain
+//! partitioning by simulated annealing — the subject of Fig 7 (E6).
 //!
-//! Given the `m` *basic intervals* computed during attribute ranking
-//! (aggregation series over DS′ and RUP(DS′)), merge adjacent intervals
-//! into `K` display ranges such that
+//! The engine solves the same problem exactly
+//! ([`kdap_core::facet::optimal_splits`]); this search is kept only to
+//! reproduce the paper's convergence curves against that optimum.
 //!
-//! 1. `K` is small enough for human browsing,
-//! 2. no merged range spans more than `L×` the basic intervals of the
-//!    smallest range (skew constraint), and
-//! 3. the correlation computed over the merged series stays as close as
-//!    possible to the correlation over the basic intervals.
-//!
-//! The algorithm starts from equal-width splitting; each step proposes a
-//! neighbor (one split point moved by one basic interval), keeps it as the
-//! best-so-far when it shrinks the correlation error, and randomly accepts
-//! it as the current state to escape local optima — exactly Algorithm 2 as
-//! printed. The whole search runs on in-memory arrays and never touches
-//! the storage engine.
+//! It merges `m` basic intervals into `K` ranges, no range more than
+//! `L×` the basic intervals of the smallest (`L` = 4, the engine's
+//! bound), minimising |corr(merged) − corr(basic)|. It starts from
+//! equal-width splitting; each step proposes a neighbor (one split point
+//! moved by one basic interval), keeps it as the best-so-far when it
+//! shrinks the error, and randomly accepts it as the current state to
+//! escape local optima.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::interest::pearson;
+use kdap_core::facet::merge_series;
+use kdap_core::pearson;
 
-/// Tuning parameters for Algorithm 2.
-#[derive(Debug, Clone, PartialEq)]
+/// Skew limit `L`: largest range ≤ `L ×` smallest range (in basic
+/// intervals).
+const SKEW_LIMIT: f64 = 4.0;
+
+/// Probability of accepting a proposed neighbor as the *current* state
+/// (Algorithm 2 line 14, `RANDOM() > some constant` with constant =
+/// 1 − this).
+const ACCEPT_PROB: f64 = 0.5;
+
+/// Tuning parameters of the annealing.
+#[derive(Debug, Clone)]
 pub struct AnnealConfig {
     /// Target number of merged ranges `K`.
     pub target_intervals: usize,
-    /// Skew limit `L`: largest range ≤ `L ×` smallest range (in basic
-    /// intervals).
-    pub skew_limit: f64,
     /// Iteration count `N`.
     pub iterations: usize,
-    /// Probability of accepting a proposed neighbor as the *current*
-    /// state (Algorithm 2 line 14, `RANDOM() > some constant` with
-    /// constant = 1 − accept_prob).
-    pub accept_prob: f64,
     /// RNG seed — runs are deterministic for a given seed.
     pub seed: u64,
 }
@@ -45,52 +43,25 @@ impl Default for AnnealConfig {
     fn default() -> Self {
         AnnealConfig {
             target_intervals: 5,
-            skew_limit: 4.0,
             iterations: 500,
-            accept_prob: 0.5,
             seed: 0x5EED,
         }
     }
 }
 
-/// Result of the interval merge.
+/// Result of the annealing.
 #[derive(Debug, Clone)]
-pub struct MergeResult {
+pub struct Annealed {
     /// `K−1` split positions: range `r` covers basic intervals
     /// `[splits[r−1], splits[r])` (with sentinels 0 and `m`).
     pub splits: Vec<usize>,
     /// |corr(merged) − corr(basic)| of the best scheme found.
     pub error: f64,
-    /// Correlation over the basic intervals (the reference value).
-    pub base_corr: f64,
-    /// Best error after each iteration (drives the Fig. 7 convergence
-    /// curves).
+    /// Best error after each iteration (the Fig. 7 convergence curve).
     pub history: Vec<f64>,
 }
 
-impl MergeResult {
-    /// Ranges as `(start, end)` basic-interval index pairs.
-    pub fn ranges(&self, m: usize) -> Vec<(usize, usize)> {
-        let mut bounds = Vec::with_capacity(self.splits.len() + 2);
-        bounds.push(0);
-        bounds.extend_from_slice(&self.splits);
-        bounds.push(m);
-        bounds.windows(2).map(|w| (w[0], w[1])).collect()
-    }
-}
-
-/// Sums `series` over the ranges defined by `splits`.
-pub fn merge_series(series: &[f64], splits: &[usize]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(splits.len() + 1);
-    let mut start = 0usize;
-    for &s in splits.iter().chain(std::iter::once(&series.len())) {
-        out.push(series[start..s].iter().sum());
-        start = s;
-    }
-    out
-}
-
-fn satisfies_skew(splits: &[usize], m: usize, l: f64) -> bool {
+fn satisfies_skew(splits: &[usize], m: usize) -> bool {
     let mut min_len = usize::MAX;
     let mut max_len = 0usize;
     let mut start = 0usize;
@@ -100,7 +71,7 @@ fn satisfies_skew(splits: &[usize], m: usize, l: f64) -> bool {
         max_len = max_len.max(len);
         start = s;
     }
-    min_len > 0 && (max_len as f64) <= l * (min_len as f64)
+    min_len > 0 && (max_len as f64) <= SKEW_LIMIT * (min_len as f64)
 }
 
 fn scheme_error(x: &[f64], y: &[f64], splits: &[usize], base_corr: f64) -> f64 {
@@ -108,21 +79,21 @@ fn scheme_error(x: &[f64], y: &[f64], splits: &[usize], base_corr: f64) -> f64 {
     (corr - base_corr).abs()
 }
 
-/// Runs Algorithm 2 on the basic-interval series `x` (DS′) and `y`
+/// Runs the annealing on the basic-interval series `x` (DS′) and `y`
 /// (RUP(DS′)).
 ///
-/// Panics when the series lengths differ. When `m ≤ K` the basic
-/// intervals are returned unmerged with zero error.
-pub fn merge_intervals(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> MergeResult {
+/// Panics when the series lengths differ, and when `K` = 1 < `m` (there
+/// is no split point to move). When `m ≤ K` the basic intervals are
+/// returned unmerged with zero error.
+pub fn anneal(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> Annealed {
     assert_eq!(x.len(), y.len(), "series length mismatch");
     let m = x.len();
     let k = cfg.target_intervals.max(1);
     let base_corr = pearson(x, y);
     if m <= k {
-        return MergeResult {
+        return Annealed {
             splits: (1..m).collect(),
             error: 0.0,
-            base_corr,
             history: vec![0.0; cfg.iterations],
         };
     }
@@ -151,7 +122,7 @@ pub fn merge_intervals(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> MergeResult 
                 continue;
             }
             cand[i] = moved as usize;
-            if satisfies_skew(&cand, m, cfg.skew_limit) {
+            if satisfies_skew(&cand, m) {
                 temp = Some(cand);
                 break;
             }
@@ -164,17 +135,16 @@ pub fn merge_intervals(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> MergeResult 
                 bsp = temp.clone();
             }
             // Line 14: random acceptance into the current state.
-            if rng.gen::<f64>() < cfg.accept_prob {
+            if rng.gen::<f64>() < ACCEPT_PROB {
                 csp = temp;
             }
         }
         history.push(best_err);
     }
 
-    MergeResult {
+    Annealed {
         splits: bsp,
         error: best_err,
-        base_corr,
         history,
     }
 }
@@ -183,32 +153,20 @@ pub fn merge_intervals(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> MergeResult 
 mod tests {
     use super::*;
 
-    fn linear_series(m: usize) -> (Vec<f64>, Vec<f64>) {
-        let x: Vec<f64> = (0..m).map(|i| i as f64).collect();
-        let y: Vec<f64> = (0..m).map(|i| 2.0 * i as f64 + 1.0).collect();
-        (x, y)
-    }
-
-    #[test]
-    fn merge_series_sums_segments() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(merge_series(&s, &[2, 4]), vec![3.0, 7.0, 5.0]);
-        assert_eq!(merge_series(&s, &[]), vec![15.0]);
-    }
-
     #[test]
     fn skew_constraint_checks_extremes() {
-        // Segments of 1, 1, 8 over m=10: 8 > 3×1.
-        assert!(!satisfies_skew(&[1, 2], 10, 3.0));
-        // Segments 3, 3, 4: fine for L=2.
-        assert!(satisfies_skew(&[3, 6], 10, 2.0));
+        // Segments of 1, 1, 8 over m=10: 8 > 4×1.
+        assert!(!satisfies_skew(&[1, 2], 10));
+        // Segments 2, 4, 4: fine; 4 ≤ 4×2.
+        assert!(satisfies_skew(&[2, 6], 10));
     }
 
     #[test]
     fn perfectly_correlated_series_stay_perfect() {
-        let (x, y) = linear_series(40);
-        let r = merge_intervals(&x, &y, &AnnealConfig::default());
-        assert!((r.base_corr - 1.0).abs() < 1e-9);
+        let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
+        let y: Vec<f64> = (0..40).map(|i| 2.0 * i as f64 + 1.0).collect();
+        let r = anneal(&x, &y, &AnnealConfig::default());
+        assert!((pearson(&x, &y) - 1.0).abs() < 1e-9);
         // Any merge of a linear pair stays perfectly correlated.
         assert!(r.error < 1e-9);
     }
@@ -217,7 +175,7 @@ mod tests {
     fn error_history_is_monotone_nonincreasing() {
         let x: Vec<f64> = (0..60).map(|i| ((i * 37) % 23) as f64).collect();
         let y: Vec<f64> = (0..60).map(|i| ((i * 17) % 19) as f64).collect();
-        let r = merge_intervals(&x, &y, &AnnealConfig::default());
+        let r = anneal(&x, &y, &AnnealConfig::default());
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0] + 1e-15);
         }
@@ -241,8 +199,7 @@ mod tests {
             iterations: 1000,
             ..AnnealConfig::default()
         };
-        let r = merge_intervals(&x, &y, &cfg);
-        assert!(r.error <= initial_err);
+        let r = anneal(&x, &y, &cfg);
         assert!(r.error < initial_err, "should strictly improve here");
     }
 
@@ -251,8 +208,8 @@ mod tests {
         let x: Vec<f64> = (0..40).map(|i| ((i * 13) % 11) as f64).collect();
         let y: Vec<f64> = (0..40).map(|i| ((i * 7) % 13) as f64).collect();
         let cfg = AnnealConfig::default();
-        let a = merge_intervals(&x, &y, &cfg);
-        let b = merge_intervals(&x, &y, &cfg);
+        let a = anneal(&x, &y, &cfg);
+        let b = anneal(&x, &y, &cfg);
         assert_eq!(a.splits, b.splits);
         assert_eq!(a.error, b.error);
     }
@@ -261,36 +218,15 @@ mod tests {
     fn splits_respect_skew_constraint() {
         let x: Vec<f64> = (0..40).map(|i| (i as f64).sin().abs() * 10.0).collect();
         let y: Vec<f64> = (0..40).map(|i| (i as f64).cos().abs() * 10.0).collect();
-        let cfg = AnnealConfig {
-            skew_limit: 2.0,
-            ..AnnealConfig::default()
-        };
-        let r = merge_intervals(&x, &y, &cfg);
-        assert!(satisfies_skew(&r.splits, 40, 2.0));
+        let r = anneal(&x, &y, &AnnealConfig::default());
+        assert_eq!(r.splits.len(), 4);
+        assert!(satisfies_skew(&r.splits, 40));
     }
 
     #[test]
     fn tiny_domains_pass_through() {
-        let r = merge_intervals(&[1.0, 2.0], &[2.0, 3.0], &AnnealConfig::default());
+        let r = anneal(&[1.0, 2.0], &[2.0, 3.0], &AnnealConfig::default());
         assert_eq!(r.splits, vec![1]);
         assert_eq!(r.error, 0.0);
-        assert_eq!(r.ranges(2), vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn ranges_partition_the_domain() {
-        let (x, y) = linear_series(37);
-        let cfg = AnnealConfig {
-            target_intervals: 6,
-            ..AnnealConfig::default()
-        };
-        let r = merge_intervals(&x, &y, &cfg);
-        let ranges = r.ranges(37);
-        assert_eq!(ranges.len(), 6);
-        assert_eq!(ranges[0].0, 0);
-        assert_eq!(ranges.last().unwrap().1, 37);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-        }
     }
 }

@@ -6,6 +6,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod anneal;
+
 use kdap_core::{Kdap, QueryRequest, RankedStarNet, StarNet, Verb};
 use kdap_datagen::LabeledQuery;
 use kdap_obs::{JsonWriter, Layout};

@@ -60,6 +60,12 @@ pub enum KdapError {
         /// What about it does not apply.
         reason: String,
     },
+    /// `KdapBuilder::build` got a `FacetConfig` with zero intervals or
+    /// ranges, or more splits than the exact interval merge enumerates.
+    BadFacetConfig {
+        /// What about it cannot be served.
+        reason: String,
+    },
 }
 
 impl fmt::Display for KdapError {
@@ -96,6 +102,7 @@ impl fmt::Display for KdapError {
                 }
             }
             KdapError::BadRefine { step, reason } => write!(f, "refine step {step}: {reason}"),
+            KdapError::BadFacetConfig { reason } => write!(f, "facet configuration: {reason}"),
         }
     }
 }

@@ -6,24 +6,25 @@
 //! each attribute the ranked instances (categorical) or merged numerical
 //! ranges (Algorithm 2).
 
-pub mod anneal;
 pub mod attr_rank;
 #[cfg(test)]
 mod attr_rank_tests;
 mod fused;
 pub mod instance_rank;
+pub mod merge;
 #[doc(hidden)]
 pub mod per_facet;
 
 use kdap_query::AggFunc;
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
+use crate::error::KdapError;
 use crate::interest::InterestMode;
 
-pub use anneal::{merge_intervals, merge_series, AnnealConfig, MergeResult};
 pub use attr_rank::{path_for_attr, NumericSeries, RankedAttr};
 pub use fused::{explore_subspace, DataspaceGroups};
 pub use instance_rank::RankedInstance;
+pub use merge::{merge_series, optimal_splits};
 
 /// How the selected group-by attributes are ordered inside a panel —
 /// the paper's §7 notes that fully dynamic organization "may become
@@ -63,8 +64,6 @@ pub struct FacetConfig {
     pub n_basic_intervals: usize,
     /// Number of merged display ranges `K`.
     pub display_intervals: usize,
-    /// Algorithm 2 parameters (skew limit `L`, iterations `N`, seed).
-    pub anneal: AnnealConfig,
 }
 
 impl Default for FacetConfig {
@@ -77,8 +76,23 @@ impl Default for FacetConfig {
             top_k_instances: 8,
             n_basic_intervals: 40,
             display_intervals: 3,
-            anneal: AnnealConfig::default(),
         }
+    }
+}
+
+impl FacetConfig {
+    /// Rejects zero intervals or ranges, or too many splits to enumerate.
+    pub(crate) fn validate(&self) -> Result<(), KdapError> {
+        let (m, k) = (self.n_basic_intervals, self.display_intervals);
+        let reason = if m == 0 || k == 0 {
+            "n_basic_intervals and display_intervals must be positive".to_string()
+        } else if merge::feasible_splits(m, k, merge::MAX_SPLITS) > merge::MAX_SPLITS {
+            let max = merge::MAX_SPLITS;
+            format!("{k} display ranges of {m} basic intervals have over {max} feasible splits")
+        } else {
+            return Ok(());
+        };
+        Err(KdapError::BadFacetConfig { reason })
     }
 }
 
@@ -179,14 +193,11 @@ pub(crate) fn push_facet_attr(
 /// ranges (Algorithm 2) and renders them as facet entries in natural
 /// order.
 pub(crate) fn numeric_entries(series: &NumericSeries, cfg: &FacetConfig) -> Vec<FacetEntry> {
-    let mut anneal_cfg = cfg.anneal.clone();
-    anneal_cfg.target_intervals = cfg.display_intervals;
-    let merged = merge_intervals(&series.ds, &series.rup, &anneal_cfg);
-    let m = series.ds.len();
-    merged
-        .ranges(m)
-        .into_iter()
-        .filter(|(s, e)| e > s)
+    let (splits, _) = optimal_splits(&series.ds, &series.rup, cfg.display_intervals);
+    let starts = std::iter::once(0).chain(splits.iter().copied());
+    let ends = splits.iter().copied().chain([series.ds.len()]);
+    starts
+        .zip(ends)
         .map(|(s, e)| {
             let (lo, _) = series.bucketizer.bounds(s);
             let (_, hi) = series.bucketizer.bounds(e - 1);

@@ -35,8 +35,8 @@ pub use api::{
 pub use cache::{Explored, SubspaceCache};
 pub use error::KdapError;
 pub use facet::{
-    explore_subspace, AnnealConfig, DataspaceGroups, Exploration, FacetAttr, FacetConfig,
-    FacetEntry, FacetOrder, FacetPanel, MergeResult,
+    explore_subspace, DataspaceGroups, Exploration, FacetAttr, FacetConfig, FacetEntry, FacetOrder,
+    FacetPanel,
 };
 pub use governor::{record_breach, CancelToken, Governor};
 pub use hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};

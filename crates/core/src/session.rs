@@ -155,8 +155,10 @@ impl KdapBuilder {
         self
     }
 
-    /// Builds the offline indexes and the session.
+    /// Builds the offline indexes and the session; a `FacetConfig` the
+    /// explore phase cannot serve is a [`KdapError::BadFacetConfig`].
     pub fn build(self) -> Result<Kdap, KdapError> {
+        self.facet.validate()?;
         let measure = match &self.measure {
             Some(name) => self
                 .wh

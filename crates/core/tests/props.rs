@@ -1,9 +1,11 @@
 //! Property-based tests for the KDAP core algorithms: correlation,
-//! ranking-formula, and Algorithm 2 invariants.
+//! ranking-formula, and Algorithm 2 invariants (the exact interval merge
+//! against a brute-force oracle; an `#[ignore]`d 2,000-case copy runs
+//! with `cargo test --release -p kdap-core --test props -- --ignored`).
 
 use proptest::prelude::*;
 
-use kdap_core::facet::{merge_intervals, merge_series, AnnealConfig};
+use kdap_core::facet::{merge_series, optimal_splits};
 use kdap_core::{pearson, score_star_net, Constraint, Hit, HitGroup, RankMethod, StarNet};
 use kdap_query::JoinPath;
 use kdap_warehouse::{ColRef, TableId};
@@ -130,39 +132,118 @@ proptest! {
         prop_assert!((a - b).abs() < 1e-6);
     }
 
-    /// Algorithm 2 output: split points sorted, strictly inside (0, m),
-    /// exactly K−1 of them (when m ≥ K), and the error is achievable
-    /// (consistent with re-evaluating the returned scheme).
+    /// Algorithm 2 output: exactly K−1 split points (when m > K), sorted,
+    /// strictly inside (0, m), and an error equal, to the bit, to
+    /// re-evaluating the returned split.
     #[test]
-    fn anneal_output_valid(
-        x in proptest::collection::vec(0.0..100.0f64, 8..50),
-        k in 2usize..7,
-        seed in 0u64..1000,
+    fn exact_merge_output_valid(
+        pairs in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 8..50),
+        k in 1usize..6,
     ) {
-        let y: Vec<f64> = x.iter().rev().cloned().collect();
-        let cfg = AnnealConfig {
-            target_intervals: k,
-            iterations: 120,
-            seed,
-            ..AnnealConfig::default()
-        };
-        let r = merge_intervals(&x, &y, &cfg);
-        prop_assert_eq!(r.splits.len(), k - 1);
-        for w in r.splits.windows(2) {
+        let (x, y): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+        let (splits, error) = optimal_splits(&x, &y, k);
+        prop_assert_eq!(splits.len(), k - 1);
+        for w in splits.windows(2) {
             prop_assert!(w[0] < w[1]);
         }
-        if let (Some(&first), Some(&last)) = (r.splits.first(), r.splits.last()) {
+        if let (Some(&first), Some(&last)) = (splits.first(), splits.last()) {
             prop_assert!(first >= 1);
             prop_assert!(last < x.len());
         }
-        let merged_corr = pearson(&merge_series(&x, &r.splits), &merge_series(&y, &r.splits));
-        prop_assert!(((merged_corr - r.base_corr).abs() - r.error).abs() < 1e-9);
-        // History is monotone non-increasing and ends at the final error.
-        for w in r.history.windows(2) {
-            prop_assert!(w[1] <= w[0] + 1e-15);
-        }
-        prop_assert!((r.history.last().copied().unwrap() - r.error).abs() < 1e-15);
+        prop_assert!(skew_feasible(&splits, x.len()));
+        prop_assert_eq!(error.to_bits(), split_error(&x, &y, &splits).to_bits());
     }
+
+    /// The pruned search returns what scoring every split returns.
+    #[test]
+    fn exact_merge_matches_the_brute_force_oracle(
+        pairs in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..15),
+        k in 1usize..6,
+        coarse in any::<bool>(),
+    ) {
+        check_against_oracle(pairs, k, coarse);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    #[ignore = "fuzz smoke: run with --release -- --ignored"]
+    fn exact_merge_matches_the_brute_force_oracle_2k(
+        pairs in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..15),
+        k in 1usize..6,
+        coarse in any::<bool>(),
+    ) {
+        check_against_oracle(pairs, k, coarse);
+    }
+}
+
+/// Skew limit `L` of Algorithm 2, as the engine applies it.
+const SKEW_LIMIT: usize = 4;
+
+/// No range of the split longer than `L×` the shortest, and none empty.
+fn skew_feasible(splits: &[usize], m: usize) -> bool {
+    let bounds: Vec<usize> = std::iter::once(0)
+        .chain(splits.iter().copied())
+        .chain(std::iter::once(m))
+        .collect();
+    let lens: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+    *min > 0 && *max <= SKEW_LIMIT * min
+}
+
+/// |corr(merged) − corr(basic)| of one split.
+fn split_error(x: &[f64], y: &[f64], splits: &[usize]) -> f64 {
+    (pearson(&merge_series(x, splits), &merge_series(y, splits)) - pearson(x, y)).abs()
+}
+
+/// The unpruned oracle: every (k−1)-subset of `1..m` in lexicographic
+/// order, the skew-infeasible ones dropped, the smallest error kept with
+/// strict `<` after starting from the equal-width split.
+fn brute_force(x: &[f64], y: &[f64], k: usize) -> (Vec<usize>, f64) {
+    let m = x.len();
+    if m <= k {
+        return ((1..m).collect(), 0.0);
+    }
+    let mut best: Vec<usize> = (1..k).map(|i| i * m / k).collect();
+    let mut best_err = split_error(x, y, &best);
+    let mut splits: Vec<usize> = (1..k).collect();
+    loop {
+        if skew_feasible(&splits, m) {
+            let err = split_error(x, y, &splits);
+            if err < best_err {
+                best_err = err;
+                best = splits.clone();
+            }
+        }
+        // The next subset: bump the rightmost point that has room.
+        let Some(i) = (0..splits.len())
+            .rev()
+            .find(|&i| splits[i] < m - (splits.len() - i))
+        else {
+            return (best, best_err);
+        };
+        splits[i] += 1;
+        for j in i + 1..splits.len() {
+            splits[j] = splits[j - 1] + 1;
+        }
+    }
+}
+
+/// `pairs` as two series — with `coarse`, rounded to four levels so that
+/// ties between splits are common — merged by the engine and the oracle.
+fn check_against_oracle(pairs: Vec<(f64, f64)>, k: usize, coarse: bool) {
+    let level = |v: f64| if coarse { (v / 25.0).floor() } else { v };
+    let (x, y): (Vec<f64>, Vec<f64>) = pairs.into_iter().map(|(a, b)| (level(a), level(b))).unzip();
+    let (splits, error) = optimal_splits(&x, &y, k);
+    let (want, want_error) = brute_force(&x, &y, k);
+    assert_eq!(splits, want, "x={x:?} y={y:?} k={k}");
+    assert_eq!(
+        error.to_bits(),
+        want_error.to_bits(),
+        "x={x:?} y={y:?} k={k}"
+    );
 }
 
 /// `query`'s ranked interpretations: `run` with `differentiate`.

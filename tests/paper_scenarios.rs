@@ -5,8 +5,8 @@ mod support;
 
 use std::time::Instant;
 
-use kdap_suite::core::facet::{merge_intervals, AnnealConfig};
-use kdap_suite::core::Kdap;
+use kdap_suite::core::facet::optimal_splits;
+use kdap_suite::core::{FacetConfig, Kdap};
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 
 use support::differentiate;
@@ -137,20 +137,20 @@ fn table2_product_panel_promotes_hit_attribute() {
     assert!(product.attrs[0].entries[0].is_hit);
 }
 
-/// §6.5: a 500-iteration interval merge takes well under 5 ms and never
-/// touches the storage engine.
+/// §6.5: the interval merge takes well under 5 ms and never touches the
+/// storage engine — the engine's exact merge at the default configuration
+/// (3 ranges of 40 basic intervals), debug builds included.
 #[test]
 fn interval_merge_latency_claim_holds() {
-    let x: Vec<f64> = (0..40).map(|i| ((i * 37) % 23) as f64).collect();
-    let y: Vec<f64> = (0..40).map(|i| ((i * 17) % 19) as f64).collect();
-    let cfg = AnnealConfig {
-        iterations: 500,
-        ..AnnealConfig::default()
-    };
-    let _ = merge_intervals(&x, &y, &cfg); // warm-up
+    let cfg = FacetConfig::default();
+    let m = cfg.n_basic_intervals;
+    let x: Vec<f64> = (0..m).map(|i| ((i * 37) % 23) as f64).collect();
+    let y: Vec<f64> = (0..m).map(|i| ((i * 17) % 19) as f64).collect();
+    let k = cfg.display_intervals;
+    let _ = optimal_splits(&x, &y, k); // warm-up
     let t = Instant::now();
     for _ in 0..20 {
-        let _ = std::hint::black_box(merge_intervals(&x, &y, &cfg));
+        let _ = std::hint::black_box(optimal_splits(&x, &y, k));
     }
     let per_run = t.elapsed().as_secs_f64() * 1000.0 / 20.0;
     assert!(

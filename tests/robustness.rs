@@ -7,10 +7,52 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use kdap_suite::core::{Explored, Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb};
+use kdap_suite::core::{
+    Explored, FacetConfig, Kdap, KdapError, QueryRequest, Refine, SubspaceCache, Verb,
+};
 use kdap_suite::datagen::{build_ebiz, EbizScale};
 
 use support::differentiate;
+
+/// A session over the small EBiz demo under `facet`.
+fn build_with(facet: FacetConfig) -> Result<Kdap, KdapError> {
+    Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap())
+        .facet_config(facet)
+        .build()
+}
+
+/// A facet configuration the explore phase cannot serve is a typed error
+/// at `build()`, not a panic in a later session: zero basic intervals
+/// (an empty bucketizer), zero display ranges, or more skew-feasible
+/// splits than the exact interval merge scores. The default (3 of 40) and
+/// 5 of 40 build, and a session with 5 ranges explores.
+#[test]
+fn unservable_facet_configs_are_rejected_at_build() {
+    let with = |n_basic_intervals, display_intervals| FacetConfig {
+        n_basic_intervals,
+        display_intervals,
+        ..FacetConfig::default()
+    };
+    for (n, k) in [(0, 3), (40, 0), (0, 0), (40, 6)] {
+        match build_with(with(n, k)) {
+            Err(KdapError::BadFacetConfig { reason }) => assert!(!reason.is_empty()),
+            Err(err) => panic!("{n} of {k}: {err}"),
+            Ok(_) => panic!("{k} ranges of {n} intervals must be rejected"),
+        }
+    }
+    build_with(FacetConfig::default()).expect("the default builds");
+    let kdap = build_with(with(40, 5)).expect("5 of 40 builds");
+    let ranked = differentiate(&kdap, "seattle lcd");
+    let ex = kdap.explore(&ranked[0].net).expect("star net evaluates");
+    let numeric = ex
+        .panels
+        .iter()
+        .flat_map(|p| &p.attrs)
+        .filter(|a| a.kind == kdap_suite::warehouse::AttrKind::Numerical);
+    for attr in numeric {
+        assert!(attr.entries.len() <= 5, "{}", attr.name);
+    }
+}
 
 fn session() -> Kdap {
     Kdap::builder(build_ebiz(EbizScale::small(), 7).unwrap())
