@@ -82,9 +82,9 @@ fn scheme_error(x: &[f64], y: &[f64], splits: &[usize], base_corr: f64) -> f64 {
 /// Runs the annealing on the basic-interval series `x` (DS′) and `y`
 /// (RUP(DS′)).
 ///
-/// Panics when the series lengths differ, and when `K` = 1 < `m` (there
-/// is no split point to move). When `m ≤ K` the basic intervals are
-/// returned unmerged with zero error.
+/// Panics when the series lengths differ. When `m ≤ K` the basic
+/// intervals are returned unmerged with zero error; when `K` = 1 < `m`
+/// the one range with no split, which no move can change.
 pub fn anneal(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> Annealed {
     assert_eq!(x.len(), y.len(), "series length mismatch");
     let m = x.len();
@@ -95,6 +95,14 @@ pub fn anneal(x: &[f64], y: &[f64], cfg: &AnnealConfig) -> Annealed {
             splits: (1..m).collect(),
             error: 0.0,
             history: vec![0.0; cfg.iterations],
+        };
+    }
+    if k == 1 {
+        let error = scheme_error(x, y, &[], base_corr);
+        return Annealed {
+            splits: Vec::new(),
+            error,
+            history: vec![error; cfg.iterations],
         };
     }
 
@@ -159,6 +167,21 @@ mod tests {
         assert!(!satisfies_skew(&[1, 2], 10));
         // Segments 2, 4, 4: fine; 4 ≤ 4×2.
         assert!(satisfies_skew(&[2, 6], 10));
+    }
+
+    #[test]
+    fn one_range_is_the_whole_series() {
+        let (x, y) = ([1.0, 4.0, 2.0, 8.0], [2.0, 3.0, 5.0, 7.0]);
+        let cfg = AnnealConfig {
+            target_intervals: 1,
+            iterations: 10,
+            seed: 1,
+        };
+        let one = anneal(&x, &y, &cfg);
+        assert!(one.splits.is_empty());
+        // One merged point has no correlation: the error is |corr(basic)|.
+        assert_eq!(one.error, pearson(&x, &y).abs());
+        assert_eq!(one.history, vec![one.error; 10]);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use kdap_core::{Kdap, QueryRequest, RankedStarNet, StarNet, Verb};
 use kdap_datagen::LabeledQuery;
 use kdap_obs::{JsonWriter, Layout};
 use kdap_query::{
-    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, JoinIndex,
-    JoinPath, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
+    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, Fold,
+    JoinIndex, JoinPath, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
 };
 use kdap_warehouse::{ColRef, Measure, Warehouse};
 
@@ -218,6 +218,7 @@ pub fn bucket_series(
             &specs,
             rows,
             mv,
+            Fold::Sum,
             &ExecConfig::serial(),
             DENSE_GROUP_LIMIT,
         )

@@ -11,7 +11,7 @@ proptest! {
     #[test]
     fn exact_error_is_never_above_the_annealing(
         pairs in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64), 2..50),
-        k in 2usize..6,
+        k in 1usize..6,
         iterations in 0usize..500,
         seed in 0u64..1000,
     ) {

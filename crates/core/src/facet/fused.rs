@@ -17,15 +17,21 @@
 //!    stats — shared by attribute scoring (Eq. 1) *and* instance ranking
 //!    (Eq. 2).
 //!
+//! Every scan folds only what the request's aggregation function reads
+//! (`cfg.agg`'s [`Fold`](kdap_query::Fold)).
+//!
 //! A row set that selects every fact is the whole dataspace DS — the
 //! roll-up of a constraint with no parent level is ALL — and its group-bys
-//! are the same for every query of the session. Every scan therefore goes
-//! through one helper that, over DS, takes the total, categorical and
-//! numeric-domain specs from [`DataspaceGroups`] and scans only the rest
-//! (nothing at all when the memo covers every spec). Bucket specs are
-//! never memoized: their bucketizer comes from DS′'s domain. Each spec
-//! accumulates independently of the others in a scan, so a memoized group
-//! is bit-equal to a fresh one.
+//! are the same for every query of the session under one fold. Every scan
+//! therefore goes through one helper that, over DS, takes what
+//! [`DataspaceGroups`] holds for its specs and scans only the rest
+//! (nothing at all when the memo covers every spec). A bucket spec's
+//! bucketizer comes from DS′'s domain, so the memo keeps one bucket
+//! group-by per numerical candidate and fold, under the widest bucketizer
+//! it has seen: the entry converges to the DS-wide split, the
+//! bucketizer of every subspace whose domain spans the attribute's. Each
+//! spec accumulates independently of the others in a scan, so a
+//! memoized group is bit-equal to a fresh one.
 //!
 //! Candidate `(attr, path)` pairs are deduplicated into one spec each, the
 //! measure is decoded once into a [`MeasureVector`], and row mappers
@@ -40,7 +46,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use kdap_obs::LeafData;
 use kdap_query::{
-    multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetGroups, FacetSpec, JoinIndex,
+    multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetGroups, FacetSpec, Fold, JoinIndex,
     JoinPath, MeasureVector, RowMapper, RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
@@ -58,59 +64,107 @@ use crate::interpret::StarNet;
 use crate::plan::Planner;
 use crate::rollup::try_rollup_spaces_planned;
 
-/// What one memoized whole-dataspace group-by aggregated.
+/// What one memo entry aggregated over the whole dataspace, and under
+/// which fold.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum GroupKey {
-    Total,
-    Categorical(ColRef, JoinPath),
-    NumericDomain(ColRef, JoinPath),
+    Total(Fold),
+    Categorical(ColRef, JoinPath, Fold),
+    /// A numerical candidate: its domain and its bucket group-by.
+    Numerical(ColRef, JoinPath, Fold),
 }
 
-/// The session's memo of group-bys over the whole dataspace DS: at most
-/// one entry per `(attr, path)` candidate plus the total, so its size is
-/// bounded by the schema, not by traffic. A group-by is inserted whole,
-/// as soon as the scan that computed it returned.
+/// The group-bys over DS of one [`GroupKey`].
+#[derive(Debug, Default)]
+struct Memoized {
+    /// The total's or a categorical candidate's groups, or a numerical
+    /// candidate's domain.
+    groups: Option<Arc<FacetGroups>>,
+    /// A numerical candidate's bucket group-by, under the widest
+    /// bucketizer a scan over DS has asked for.
+    buckets: Option<(Bucketizer, Arc<FacetGroups>)>,
+}
+
+impl Memoized {
+    /// The memoized groups of `spec`, if held (a bucket spec's only under
+    /// its own bucketizer).
+    fn get(&self, spec: &FacetSpec) -> Option<Arc<FacetGroups>> {
+        match spec {
+            FacetSpec::Buckets { buckets, .. } => {
+                let (held, groups) = self.buckets.as_ref()?;
+                (held == buckets).then(|| Arc::clone(groups))
+            }
+            _ => self.groups.clone(),
+        }
+    }
+
+    /// Keeps `groups`, just computed for `spec` over DS. A bucket
+    /// group-by replaces the held one only when its bucketizer spans the
+    /// held one's domain, so the entry widens toward the DS-wide split.
+    fn put(&mut self, spec: &FacetSpec, groups: &Arc<FacetGroups>) {
+        match spec {
+            FacetSpec::Buckets { buckets, .. } => {
+                let (lo, hi) = buckets.span();
+                let widens = self.buckets.as_ref().is_none_or(|(held, _)| {
+                    let (held_lo, held_hi) = held.span();
+                    held != buckets && lo <= held_lo && held_hi <= hi
+                });
+                if widens {
+                    self.buckets = Some((buckets.clone(), Arc::clone(groups)));
+                }
+            }
+            _ => {
+                self.groups.get_or_insert_with(|| Arc::clone(groups));
+            }
+        }
+    }
+}
+
+/// The session's memo of group-bys over the whole dataspace DS: one entry
+/// per `(attr, path)` candidate and fold plus the fold's total, so its
+/// size is bounded by the schema, not by traffic. A group-by is inserted
+/// whole, as soon as the scan that computed it returned.
 #[derive(Debug, Default)]
 pub struct DataspaceGroups {
-    memo: Mutex<HashMap<GroupKey, Arc<FacetGroups>>>,
+    memo: Mutex<HashMap<GroupKey, Memoized>>,
 }
 
 impl DataspaceGroups {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<GroupKey, Arc<FacetGroups>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<GroupKey, Memoized>> {
         // Entries are inserted whole, so a panic elsewhere cannot leave
         // one half-written.
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of memoized group-bys.
+    /// Number of memo entries.
     pub(crate) fn len(&self) -> usize {
         self.lock().len()
     }
 }
 
-/// The specs of one fused scan, each with its memo key (`None` for a
-/// bucket spec, which is never memoized).
+/// The specs of one fused scan, each with its memo key.
 #[derive(Default)]
 struct ScanSpecs {
     specs: Vec<FacetSpec>,
-    keys: Vec<Option<GroupKey>>,
+    keys: Vec<GroupKey>,
 }
 
 impl ScanSpecs {
     /// Appends `spec`, returning its index in the scan's results.
-    fn push(&mut self, spec: FacetSpec, key: Option<GroupKey>) -> usize {
+    fn push(&mut self, spec: FacetSpec, key: GroupKey) -> usize {
         self.specs.push(spec);
         self.keys.push(key);
         self.specs.len() - 1
     }
 }
 
-/// Runs every fused scan of one explore: over the whole dataspace it
-/// serves memoized specs from the session memo and inserts what it
-/// computes.
+/// Runs every fused scan of one explore under one fold: over the whole
+/// dataspace it serves memoized specs from the session memo and inserts
+/// what it computes.
 struct Scanner<'a> {
     wh: &'a Warehouse,
     mv: &'a MeasureVector,
+    fold: Fold,
     exec: &'a ExecConfig,
     memo: &'a DataspaceGroups,
 }
@@ -132,7 +186,8 @@ impl Scanner<'_> {
             let memo = self.memo.lock();
             scan.keys
                 .iter()
-                .map(|key| memo.get(key.as_ref()?).cloned())
+                .zip(&scan.specs)
+                .map(|(key, spec)| memo.get(key)?.get(spec))
                 .collect()
         };
         let memo_specs = out.iter().filter(|g| g.is_some()).count();
@@ -143,10 +198,9 @@ impl Scanner<'_> {
             let mut memo = self.memo.lock();
             for (i, groups) in missing.into_iter().zip(computed) {
                 let groups = Arc::new(groups);
-                if let Some(key) = &scan.keys[i] {
-                    memo.entry(key.clone())
-                        .or_insert_with(|| Arc::clone(&groups));
-                }
+                memo.entry(scan.keys[i].clone())
+                    .or_default()
+                    .put(&scan.specs[i], &groups);
                 out[i] = Some(groups);
             }
         }
@@ -159,6 +213,7 @@ impl Scanner<'_> {
             specs,
             rows,
             self.mv,
+            self.fold,
             self.exec,
             DENSE_GROUP_LIMIT,
         )?)
@@ -218,7 +273,14 @@ pub fn explore_subspace(
 ) -> Result<Exploration, KdapError> {
     let schema = wh.schema();
     let obs = exec.obs.clone();
-    let scanner = Scanner { wh, mv, exec, memo };
+    let fold = cfg.agg.fold();
+    let scanner = Scanner {
+        wh,
+        mv,
+        fold,
+        exec,
+        memo,
+    };
     let rups = {
         let _s = obs.span("explore.rollups");
         try_rollup_spaces_planned(wh, jidx, net, planner, exec)?
@@ -273,8 +335,9 @@ pub fn explore_subspace(
             attr: *attr,
             mapper: mappers[i].clone(),
         };
-        (spec, Some(GroupKey::Categorical(*attr, path.clone())))
+        (spec, GroupKey::Categorical(*attr, path.clone(), fold))
     };
+    let numerical_key = |i: usize| GroupKey::Numerical(slots[i].0, slots[i].1.clone(), fold);
     let buckets = |i: usize, bz: &Bucketizer| FacetSpec::Buckets {
         attr: slots[i].0,
         mapper: mappers[i].clone(),
@@ -283,9 +346,9 @@ pub fn explore_subspace(
 
     // Scan A over DS′: total + categorical groups + numerical domains.
     let mut specs_a = ScanSpecs::default();
-    specs_a.push(FacetSpec::Total, Some(GroupKey::Total));
+    specs_a.push(FacetSpec::Total, GroupKey::Total(fold));
     let mut a_idx: Vec<usize> = Vec::with_capacity(slots.len());
-    for (i, (attr, path, kind)) in slots.iter().enumerate() {
+    for (i, (attr, _, kind)) in slots.iter().enumerate() {
         let (spec, key) = match kind {
             AttrKind::Categorical => categorical(i),
             AttrKind::Numerical => (
@@ -293,7 +356,7 @@ pub fn explore_subspace(
                     attr: *attr,
                     mapper: mappers[i].clone(),
                 },
-                Some(GroupKey::NumericDomain(*attr, path.clone())),
+                numerical_key(i),
             ),
         };
         a_idx.push(specs_a.push(spec, key));
@@ -316,7 +379,7 @@ pub fn explore_subspace(
     for (i, (_, _, kind)) in slots.iter().enumerate() {
         if *kind == AttrKind::Numerical {
             if let Some(bz) = groups_a[a_idx[i]].bucketizer(cfg.n_basic_intervals) {
-                b_idx[i] = Some(specs_b.push(buckets(i, &bz), None));
+                b_idx[i] = Some(specs_b.push(buckets(i, &bz), numerical_key(i)));
                 bucketizers[i] = Some(bz);
             }
         }
@@ -336,7 +399,7 @@ pub fn explore_subspace(
     // Empty-domain categoricals and domain-less numericals are skipped —
     // their tasks fail scoring regardless of the roll-up series.
     let mut specs_r = ScanSpecs::default();
-    specs_r.push(FacetSpec::Total, Some(GroupKey::Total));
+    specs_r.push(FacetSpec::Total, GroupKey::Total(fold));
     let mut r_idx: Vec<Option<usize>> = vec![None; slots.len()];
     for (i, (_, _, kind)) in slots.iter().enumerate() {
         match kind {
@@ -348,7 +411,7 @@ pub fn explore_subspace(
             }
             AttrKind::Numerical => {
                 if let Some(bz) = &bucketizers[i] {
-                    r_idx[i] = Some(specs_r.push(buckets(i, bz), None));
+                    r_idx[i] = Some(specs_r.push(buckets(i, bz), numerical_key(i)));
                 }
             }
         }

@@ -28,8 +28,15 @@ use crate::facet::{numeric_entries, push_facet_attr, Exploration, FacetConfig, F
 use crate::interpret::StarNet;
 use crate::rollup::rollup_spaces;
 
-/// One single-spec scan of `rows` — the per-facet pipeline's unit of work.
-fn scan(wh: &Warehouse, spec: FacetSpec, rows: &RowSet, mv: &MeasureVector) -> FacetGroups {
+/// One single-spec scan of `rows` under `cfg.agg`'s fold — the
+/// per-facet pipeline's unit of work.
+fn scan(
+    wh: &Warehouse,
+    spec: FacetSpec,
+    rows: &RowSet,
+    mv: &MeasureVector,
+    cfg: &FacetConfig,
+) -> FacetGroups {
     // Infallible: a serial ungoverned config cannot breach any limit, and
     // one spec in yields one group set out.
     #[allow(clippy::expect_used)]
@@ -38,6 +45,7 @@ fn scan(wh: &Warehouse, spec: FacetSpec, rows: &RowSet, mv: &MeasureVector) -> F
         &[spec],
         rows,
         mv,
+        cfg.agg.fold(),
         &ExecConfig::serial(),
         DENSE_GROUP_LIMIT,
     )
@@ -57,7 +65,7 @@ pub fn explore_per_facet(
 ) -> Exploration {
     let schema = wh.schema();
     let rups = rollup_spaces(wh, jidx, net);
-    let total_aggregate = scan(wh, FacetSpec::Total, sub, mv).total(cfg.agg);
+    let total_aggregate = scan(wh, FacetSpec::Total, sub, mv, cfg).total(cfg.agg);
 
     // Hit codes per attribute (to pin hit instances).
     let mut hit_codes: HashMap<ColRef, HashSet<u32>> = HashMap::new();
@@ -163,14 +171,14 @@ fn score_categorical(
 ) -> Option<f64> {
     let mapper = jidx.row_mapper(path);
     let spec = FacetSpec::Categorical { attr, mapper };
-    let ds = scan(wh, spec.clone(), sub, mv);
+    let ds = scan(wh, spec.clone(), sub, mv, cfg);
     let dom = ds.domain();
     if dom.is_empty() {
         return None;
     }
     let y_maps: Vec<HashMap<u32, f64>> = rups
         .iter()
-        .map(|rup| scan(wh, spec.clone(), rup, mv).to_map(cfg.agg))
+        .map(|rup| scan(wh, spec.clone(), rup, mv, cfg).to_map(cfg.agg))
         .collect();
     categorical_correlation(&dom, &ds.to_map(cfg.agg), &y_maps)
 }
@@ -191,18 +199,18 @@ fn score_numerical(
         attr,
         mapper: mapper.clone(),
     };
-    let bucketizer = scan(wh, domain, sub, mv).bucketizer(cfg.n_basic_intervals)?;
+    let bucketizer = scan(wh, domain, sub, mv, cfg).bucketizer(cfg.n_basic_intervals)?;
     let spec = FacetSpec::Buckets {
         attr,
         mapper,
         buckets: bucketizer.clone(),
     };
-    let ds = scan(wh, spec.clone(), sub, mv);
+    let ds = scan(wh, spec.clone(), sub, mv, cfg);
     let x = ds.to_series(cfg.agg);
     let occupancy = ds.to_series(AggFunc::Count);
     let rup_ys: Vec<Vec<f64>> = rups
         .iter()
-        .map(|rup| scan(wh, spec.clone(), rup, mv).to_series(cfg.agg))
+        .map(|rup| scan(wh, spec.clone(), rup, mv, cfg).to_series(cfg.agg))
         .collect();
     let (corr, rup_series) = numeric_worst_correlation(&x, &occupancy, &rup_ys)?;
     Some((
@@ -230,16 +238,16 @@ pub fn rank_instances(
 ) -> Vec<RankedInstance> {
     let mapper = jidx.row_mapper(path);
     let spec = FacetSpec::Categorical { attr, mapper };
-    let ds = scan(wh, spec.clone(), sub, mv);
-    let g_ds = scan(wh, FacetSpec::Total, sub, mv).total(cfg.agg);
+    let ds = scan(wh, spec.clone(), sub, mv, cfg);
+    let g_ds = scan(wh, FacetSpec::Total, sub, mv, cfg).total(cfg.agg);
 
     // Per roll-up space: total and per-category aggregates.
     let rup_data: Vec<(f64, HashMap<u32, f64>)> = rups
         .iter()
         .map(|rup| {
             (
-                scan(wh, FacetSpec::Total, rup, mv).total(cfg.agg),
-                scan(wh, spec.clone(), rup, mv).to_map(cfg.agg),
+                scan(wh, FacetSpec::Total, rup, mv, cfg).total(cfg.agg),
+                scan(wh, spec.clone(), rup, mv, cfg).to_map(cfg.agg),
             )
         })
         .collect();

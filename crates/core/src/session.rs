@@ -459,8 +459,10 @@ impl Kdap {
         self.planner.cache().map(|c| c.len())
     }
 
-    /// Number of memoized whole-dataspace group-bys: at most one per
-    /// `(attribute, join path)` facet candidate, plus the total.
+    /// Number of entries in the whole-dataspace memo: at most one per
+    /// `(attribute, join path)` facet candidate and fold, plus one total
+    /// per fold. A numerical candidate's entry holds its domain and one
+    /// bucket group-by.
     pub fn dataspace_groups_len(&self) -> usize {
         self.dataspace_groups.len()
     }

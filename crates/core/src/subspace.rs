@@ -61,7 +61,8 @@ pub(crate) fn aggregate(
     use kdap_query::{multi_group_by_exec, FacetSpec, MeasureVector, DENSE_GROUP_LIMIT};
     let mv = MeasureVector::build(wh, measure);
     let exec = ExecConfig::serial();
-    multi_group_by_exec(wh, &[FacetSpec::Total], rows, &mv, &exec, DENSE_GROUP_LIMIT)
+    let total = [FacetSpec::Total];
+    multi_group_by_exec(wh, &total, rows, &mv, func.fold(), &exec, DENSE_GROUP_LIMIT)
         .map_or(f64::NAN, |groups| groups[0].total(func))
 }
 

@@ -1,6 +1,6 @@
 //! The vocabulary of group-by aggregation: aggregation functions, the
-//! streaming per-group accumulator, and the partitioning of numerical
-//! domains into *basic intervals* (§5.2.2).
+//! fold a scan keeps per group to answer one of them, and the
+//! partitioning of numerical domains into *basic intervals* (§5.2.2).
 //!
 //! The one scan that feeds these is [`crate::multi_group_by_exec`]; the
 //! row-at-a-time single-attribute kernels it is property-tested against
@@ -27,71 +27,51 @@ pub enum AggFunc {
     Max,
 }
 
-/// Streaming accumulator for one group.
-#[derive(Debug, Clone, Copy)]
-pub struct Accumulator {
-    /// Running sum.
-    pub sum: f64,
-    /// Number of values fed.
-    pub count: u64,
-    /// Smallest value seen (+∞ when empty).
-    pub min: f64,
-    /// Largest value seen (−∞ when empty).
-    pub max: f64,
-}
-
-impl Default for Accumulator {
-    fn default() -> Self {
-        Accumulator {
-            sum: 0.0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+impl AggFunc {
+    /// The fold a scan must run for its groups to answer this function:
+    /// SUM, AVG and COUNT read the running sum (COUNT only the count,
+    /// which every fold keeps), MIN and MAX their own extremum.
+    pub fn fold(self) -> Fold {
+        match self {
+            AggFunc::Sum | AggFunc::Count | AggFunc::Avg => Fold::Sum,
+            AggFunc::Min => Fold::Min,
+            AggFunc::Max => Fold::Max,
         }
     }
 }
 
-impl Accumulator {
-    /// Feeds one measure value.
-    pub fn add(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
+/// The one running value a group-by scan keeps per group. A scan folds
+/// only what its answer reads: a group's finished aggregate under any
+/// [`AggFunc`] whose [`AggFunc::fold`] is this fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fold {
+    /// `+`, from 0.
+    Sum,
+    /// `min`, from +∞.
+    Min,
+    /// `max`, from −∞.
+    Max,
+}
 
-    /// Folds another accumulator into this one. Parallel kernels build one
-    /// accumulator per chunk and merge them in chunk order.
-    pub fn merge(&mut self, other: &Accumulator) {
-        self.sum += other.sum;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Final aggregate under `func`.
-    ///
-    /// Empty groups follow SQL semantics: `SUM`/`COUNT` yield 0 (what the
-    /// score formulas expect for missing segments), while `AVG`/`MIN`/`MAX`
-    /// are undefined and yield NaN — surfacing 0.0 there would fabricate a
-    /// measure value that never occurred. Callers that need to distinguish
-    /// "no rows" explicitly should use [`Accumulator::finish_opt`].
-    pub fn finish(&self, func: AggFunc) -> f64 {
-        match func {
-            AggFunc::Sum => self.sum,
-            AggFunc::Count => self.count as f64,
-            _ if self.count == 0 => f64::NAN,
-            AggFunc::Avg => self.sum / self.count as f64,
-            AggFunc::Min => self.min,
-            AggFunc::Max => self.max,
+impl Fold {
+    /// The value of a group that has folded nothing.
+    pub(crate) fn identity(self) -> f64 {
+        match self {
+            Fold::Sum => 0.0,
+            Fold::Min => f64::INFINITY,
+            Fold::Max => f64::NEG_INFINITY,
         }
     }
 
-    /// Like [`Accumulator::finish`], but reports an empty group as `None`
-    /// for every function (including `SUM`/`COUNT`, whose 0 is otherwise
-    /// indistinguishable from a real aggregate of 0).
-    pub fn finish_opt(&self, func: AggFunc) -> Option<f64> {
-        (self.count > 0).then(|| self.finish(func))
+    /// `acc` with `v` folded in (a measure value, or another partial's
+    /// value when partials merge).
+    #[inline]
+    pub fn apply(self, acc: f64, v: f64) -> f64 {
+        match self {
+            Fold::Sum => acc + v,
+            Fold::Min => acc.min(v),
+            Fold::Max => acc.max(v),
+        }
     }
 }
 
@@ -191,26 +171,23 @@ impl Bucketizer {
             Bucketizer::Distinct { values } => (values[i], values[i]),
         }
     }
+
+    /// The closed value range the buckets span (empty, +∞ to −∞, for a
+    /// per-distinct bucketizer of no values).
+    pub fn span(&self) -> (f64, f64) {
+        match self {
+            Bucketizer::EqualWidth { min, max, .. } => (*min, *max),
+            Bucketizer::Distinct { values } => (
+                values.first().copied().unwrap_or(f64::INFINITY),
+                values.last().copied().unwrap_or(f64::NEG_INFINITY),
+            ),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn finish_opt_flags_empty_groups() {
-        let empty = Accumulator::default();
-        assert_eq!(empty.finish_opt(AggFunc::Sum), None);
-        assert_eq!(empty.finish_opt(AggFunc::Min), None);
-        let mut acc = Accumulator::default();
-        acc.add(3.0);
-        acc.add(5.0);
-        assert_eq!(acc.finish_opt(AggFunc::Sum), Some(8.0));
-        assert_eq!(acc.finish_opt(AggFunc::Min), Some(3.0));
-        assert_eq!(acc.finish_opt(AggFunc::Max), Some(5.0));
-        assert_eq!(acc.finish_opt(AggFunc::Avg), Some(4.0));
-        assert_eq!(acc.finish_opt(AggFunc::Count), Some(2.0));
-    }
 
     #[test]
     fn per_distinct_bucketizer_is_exact() {

@@ -17,11 +17,17 @@
 //! Numerical buckets run the same loop: a scan's predecode turns the
 //! attribute column into one bucket code per attribute-table row
 //! ([`Bucketizer::bucket_of`], `NULL_CODE` for NULL or out-of-domain
-//! values), so the per-fact-row work of every array-backed spec is one
-//! `stats[code]` accumulation and `bucket_of` runs once per dimension row,
-//! not once per fact row. The raw [`Accumulator`]s are kept per group, so
-//! one scan answers every aggregation function afterwards (e.g. SUM for
-//! the series *and* COUNT for bucket occupancy).
+//! values), so `bucket_of` runs once per dimension row, not once per fact
+//! row. The predecode then joins each spec's codes through every hop of
+//! its path after the first (`RowMapper::pre_join`), so a fact row
+//! costs one load of the first edge, one of the code and one
+//! `stats[code]` update.
+//!
+//! A scan folds one value per group, under the [`Fold`] its caller's
+//! aggregation function reads ([`AggFunc::fold`]): the running sum for
+//! SUM, AVG and COUNT, the extremum for MIN or MAX. Every group also
+//! counts its measure values and its rows, so the same scan answers
+//! COUNT (bucket occupancy) beside the function it folded for.
 //!
 //! The bitmap is cut into fixed 128-word (`AGG_CHUNK_WORDS`) chunks whose
 //! partials merge in chunk order — in the serial arm too — so results
@@ -35,12 +41,12 @@ use std::collections::HashMap;
 
 use kdap_warehouse::{ColRef, Measure, Warehouse};
 
-use crate::aggregate::{Accumulator, AggFunc, Bucketizer, AGG_CHUNK_WORDS};
+use crate::aggregate::{AggFunc, Bucketizer, Fold, AGG_CHUNK_WORDS};
 use crate::bitmap::RowSet;
 use crate::error::QueryError;
 use crate::exec::{chunk_ranges, par_map, ExecConfig};
 use crate::kernel::NULL_CODE;
-use crate::semijoin::RowMapper;
+use crate::semijoin::{PreJoined, RowMapper};
 
 /// Default dictionary-cardinality cutoff for the dense accumulator path.
 ///
@@ -133,26 +139,66 @@ pub enum FacetSpec {
     Total,
 }
 
-/// Accumulated state of one group: the measure accumulator plus a
-/// presence count.
+/// Accumulated state of one group: the scan's fold of the measure, and
+/// two counts.
 ///
 /// `rows` counts every row whose join reached a non-null attribute value
 /// — independent of whether the measure was NULL — which is what domain
-/// projection (`DOM(DS′, attr)`, §5.2) observes. `acc.count` only counts
+/// projection (`DOM(DS′, attr)`, §5.2) observes. `count` only counts
 /// rows that contributed a measure value, which is what the finished
 /// group-by maps are keyed by. Both views come out of the same scan.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct GroupStats {
-    /// Measure accumulator over the group's non-null-measure rows.
-    pub acc: Accumulator,
+    /// The scan's [`Fold`] over the group's non-null measure values.
+    pub value: f64,
+    /// Measure values folded into `value`.
+    pub count: u64,
     /// Rows that reached the group, measure-null or not.
     pub rows: u64,
 }
 
 impl GroupStats {
-    fn merge(&mut self, other: &GroupStats) {
-        self.acc.merge(&other.acc);
+    /// A group that has seen no row.
+    pub(crate) fn empty(fold: Fold) -> Self {
+        GroupStats {
+            value: fold.identity(),
+            count: 0,
+            rows: 0,
+        }
+    }
+
+    /// Counts one row of the group and folds its measure value `m` (NULL
+    /// as NaN, which counts as a row and folds nothing).
+    #[inline]
+    fn add(&mut self, m: f64, op: impl Fn(f64, f64) -> f64) {
+        self.rows += 1;
+        if !m.is_nan() {
+            self.value = op(self.value, m);
+            self.count += 1;
+        }
+    }
+
+    fn merge(&mut self, other: &GroupStats, fold: Fold) {
+        self.value = fold.apply(self.value, other.value);
+        self.count += other.count;
         self.rows += other.rows;
+    }
+
+    /// The group's aggregate under `func`, which must be a function the
+    /// scan's fold answers (`func.fold()`; COUNT under any fold).
+    ///
+    /// Empty groups follow SQL semantics: `SUM`/`COUNT` yield 0 (what the
+    /// score formulas expect for missing segments), while `AVG`/`MIN`/`MAX`
+    /// are undefined and yield NaN — surfacing 0.0 there would fabricate a
+    /// measure value that never occurred.
+    pub fn finish(&self, func: AggFunc) -> f64 {
+        match func {
+            AggFunc::Sum => self.value,
+            AggFunc::Count => self.count as f64,
+            _ if self.count == 0 => f64::NAN,
+            AggFunc::Avg => self.value / self.count as f64,
+            AggFunc::Min | AggFunc::Max => self.value,
+        }
     }
 }
 
@@ -191,54 +237,55 @@ pub enum FacetGroups {
 }
 
 impl FacetGroups {
-    /// Empty groups for `spec`: a categorical spec gets a dense array of
-    /// the column's cardinality when that is at most `dense_limit`.
-    fn new_for(spec: &FacetSpec, wh: &Warehouse, dense_limit: usize) -> Self {
+    /// Empty groups for `spec` under `fold`: a categorical spec gets a
+    /// dense array of the column's cardinality when that is at most
+    /// `dense_limit` ([`dense_slots`]).
+    fn new_for(spec: &FacetSpec, wh: &Warehouse, dense_limit: usize, fold: Fold) -> Self {
+        let empty = GroupStats::empty(fold);
         match spec {
-            FacetSpec::Categorical { attr, .. } => {
-                match wh.column(*attr).cardinality().filter(|&c| c <= dense_limit) {
-                    Some(card) => FacetGroups::Dense {
-                        stats: vec![GroupStats::default(); card],
-                    },
-                    None => FacetGroups::Sparse {
-                        stats: HashMap::new(),
-                    },
-                }
-            }
+            FacetSpec::Categorical { .. } => match dense_slots(spec, wh, dense_limit) {
+                Some(card) => FacetGroups::Dense {
+                    stats: vec![empty; card],
+                },
+                None => FacetGroups::Sparse {
+                    stats: HashMap::new(),
+                },
+            },
             FacetSpec::Buckets { buckets, .. } => FacetGroups::Buckets {
-                stats: vec![GroupStats::default(); buckets.n_buckets()],
+                stats: vec![empty; buckets.n_buckets()],
             },
             FacetSpec::NumericDomain { .. } => FacetGroups::Domain {
                 min: f64::INFINITY,
                 max: f64::NEG_INFINITY,
                 any: false,
             },
-            FacetSpec::Total => FacetGroups::Total {
-                stats: GroupStats::default(),
-            },
+            FacetSpec::Total => FacetGroups::Total { stats: empty },
         }
     }
 
     /// Folds another partial of the same shape into this one. Callers
     /// merge per-chunk partials in chunk order, which keeps every
     /// group's accumulation order identical to the serial scan.
-    fn merge(&mut self, other: &FacetGroups) {
+    fn merge(&mut self, other: &FacetGroups, fold: Fold) {
         match (self, other) {
             (FacetGroups::Dense { stats }, FacetGroups::Dense { stats: os }) => {
                 for (m, p) in stats.iter_mut().zip(os) {
                     if p.rows > 0 {
-                        m.merge(p);
+                        m.merge(p, fold);
                     }
                 }
             }
             (FacetGroups::Sparse { stats }, FacetGroups::Sparse { stats: os }) => {
                 for (code, p) in os {
-                    stats.entry(*code).or_default().merge(p);
+                    stats
+                        .entry(*code)
+                        .or_insert_with(|| GroupStats::empty(fold))
+                        .merge(p, fold);
                 }
             }
             (FacetGroups::Buckets { stats }, FacetGroups::Buckets { stats: os }) => {
                 for (m, p) in stats.iter_mut().zip(os) {
-                    m.merge(p);
+                    m.merge(p, fold);
                 }
             }
             (
@@ -254,7 +301,7 @@ impl FacetGroups {
                 *any |= oany;
             }
             (FacetGroups::Total { stats }, FacetGroups::Total { stats: os }) => {
-                stats.merge(os);
+                stats.merge(os, fold);
             }
             _ => unreachable!("partials of one spec share a shape"),
         }
@@ -271,7 +318,7 @@ impl FacetGroups {
         match self {
             FacetGroups::Dense { stats } => stats.iter().filter(|g| g.rows > 0).count(),
             FacetGroups::Sparse { stats } => stats.len(),
-            FacetGroups::Buckets { stats } => stats.iter().filter(|g| g.acc.count > 0).count(),
+            FacetGroups::Buckets { stats } => stats.iter().filter(|g| g.count > 0).count(),
             FacetGroups::Domain { any, .. } => usize::from(*any),
             FacetGroups::Total { stats } => usize::from(stats.rows > 0),
         }
@@ -302,29 +349,31 @@ impl FacetGroups {
     }
 
     /// Finished categorical aggregates keyed by code (groups whose every
-    /// measure value was NULL are absent).
+    /// measure value was NULL are absent). `func` must be one the scan's
+    /// fold answers ([`GroupStats::finish`]).
     pub fn to_map(&self, func: AggFunc) -> HashMap<u32, f64> {
         match self {
             FacetGroups::Dense { stats } => stats
                 .iter()
                 .enumerate()
-                .filter(|(_, g)| g.acc.count > 0)
-                .map(|(code, g)| (code as u32, g.acc.finish(func)))
+                .filter(|(_, g)| g.count > 0)
+                .map(|(code, g)| (code as u32, g.finish(func)))
                 .collect(),
             FacetGroups::Sparse { stats } => stats
                 .iter()
-                .filter(|(_, g)| g.acc.count > 0)
-                .map(|(code, g)| (*code, g.acc.finish(func)))
+                .filter(|(_, g)| g.count > 0)
+                .map(|(code, g)| (*code, g.finish(func)))
                 .collect(),
             _ => HashMap::new(),
         }
     }
 
     /// Finished per-bucket aggregates, one per basic interval (empty
-    /// buckets finish as the aggregate of no rows).
+    /// buckets finish as the aggregate of no rows). `func` must be one
+    /// the scan's fold answers.
     pub fn to_series(&self, func: AggFunc) -> Vec<f64> {
         match self {
-            FacetGroups::Buckets { stats } => stats.iter().map(|g| g.acc.finish(func)).collect(),
+            FacetGroups::Buckets { stats } => stats.iter().map(|g| g.finish(func)).collect(),
             _ => Vec::new(),
         }
     }
@@ -343,40 +392,107 @@ impl FacetGroups {
         }
     }
 
-    /// Finished total aggregate over the row set.
+    /// Finished total aggregate over the row set, under a `func` the
+    /// scan's fold answers.
     pub fn total(&self, func: AggFunc) -> f64 {
         match self {
-            FacetGroups::Total { stats } => stats.acc.finish(func),
+            FacetGroups::Total { stats } => stats.finish(func),
             _ => f64::NAN,
-        }
-    }
-
-    /// Heap bytes of the group state — what the memory budget charges.
-    pub(crate) fn heap_bytes(&self) -> u64 {
-        let unit = std::mem::size_of::<GroupStats>() as u64;
-        match self {
-            FacetGroups::Dense { stats } | FacetGroups::Buckets { stats } => {
-                stats.len() as u64 * unit
-            }
-            // Hash maps grow with the data; charge the entries themselves
-            // (bucket overhead is uncharged — see DESIGN.md).
-            FacetGroups::Sparse { stats } => stats.len() as u64 * (unit + 4),
-            FacetGroups::Domain { .. } | FacetGroups::Total { .. } => 0,
         }
     }
 }
 
-/// One spec's attribute column, predecoded once per scan.
+/// The dense array length of a categorical spec: its column's
+/// cardinality, when that is at most `dense_limit`.
+fn dense_slots(spec: &FacetSpec, wh: &Warehouse, dense_limit: usize) -> Option<usize> {
+    match spec {
+        FacetSpec::Categorical { attr, .. } => {
+            wh.column(*attr).cardinality().filter(|&c| c <= dense_limit)
+        }
+        _ => None,
+    }
+}
+
+/// Bytes of the fixed-size group state a chunk partial allocates for
+/// `spec`: its dense array or its bucket slots. A hash map starts empty
+/// and grows with the data uncharged (see DESIGN.md).
+fn fixed_group_bytes(spec: &FacetSpec, wh: &Warehouse, dense_limit: usize) -> u64 {
+    let slots = match spec {
+        FacetSpec::Buckets { buckets, .. } => buckets.n_buckets(),
+        _ => dense_slots(spec, wh, dense_limit).unwrap_or(0),
+    };
+    (slots * std::mem::size_of::<GroupStats>()) as u64
+}
+
+/// One spec's attribute column, predecoded and pre-joined to the spec's
+/// first edge once per scan.
 enum DecodedCol {
     /// Total spec, or a column the spec cannot decode (e.g. a categorical
     /// spec over a numeric column) — no row contributes.
     Missing,
-    /// Group codes per attribute-table row, [`NULL_CODE`] where no group
-    /// applies: dictionary codes for a categorical spec, bucket indices for
-    /// a bucket spec (NULL and out-of-domain values are `NULL_CODE`).
-    Codes(Vec<u32>),
-    /// Float values per attribute-table row, NULL as NaN (domain specs).
-    Floats(Vec<f64>),
+    /// The group code each fact row joins to, [`NULL_CODE`] where no
+    /// group applies: dictionary codes for a categorical spec, bucket
+    /// indices for a bucket spec (NULL and out-of-domain values, and
+    /// joins that dead-end, are `NULL_CODE`).
+    Codes(PreJoined<u32>),
+    /// The float value each fact row joins to, NaN for NULL or a join
+    /// that dead-ends (domain specs).
+    Floats(PreJoined<f64>),
+}
+
+impl DecodedCol {
+    /// Predecodes `spec`'s attribute column: once per attribute-table row,
+    /// then joined through the path's tail.
+    fn new(spec: &FacetSpec, wh: &Warehouse) -> Self {
+        match spec {
+            FacetSpec::Categorical { attr, mapper } => {
+                let col = wh.column(*attr);
+                // Room for the slot a NULL first hop reads.
+                let mut codes = Vec::with_capacity(col.len() + 1);
+                // Numeric columns have no codes: no row contributes.
+                if col.unpack_codes_into(&mut codes) {
+                    DecodedCol::Codes(mapper.pre_join(codes, NULL_CODE))
+                } else {
+                    DecodedCol::Missing
+                }
+            }
+            FacetSpec::Buckets {
+                attr,
+                mapper,
+                buckets,
+            } => {
+                let mut vals = Vec::new();
+                if wh.column(*attr).unpack_floats_into(&mut vals) {
+                    let mut codes = Vec::with_capacity(vals.len() + 1);
+                    codes.extend(
+                        vals.iter()
+                            .map(|&v| buckets.bucket_of(v).map_or(NULL_CODE, |b| b as u32)),
+                    );
+                    DecodedCol::Codes(mapper.pre_join(codes, NULL_CODE))
+                } else {
+                    DecodedCol::Missing
+                }
+            }
+            FacetSpec::NumericDomain { attr, mapper } => {
+                let col = wh.column(*attr);
+                let mut vals = Vec::with_capacity(col.len() + 1);
+                if col.unpack_floats_into(&mut vals) {
+                    DecodedCol::Floats(mapper.pre_join(vals, f64::NAN))
+                } else {
+                    DecodedCol::Missing
+                }
+            }
+            FacetSpec::Total => DecodedCol::Missing,
+        }
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            DecodedCol::Missing => 0,
+            DecodedCol::Codes(codes) => codes.heap_bytes(),
+            DecodedCol::Floats(vals) => vals.heap_bytes(),
+        }
+    }
 }
 
 thread_local! {
@@ -388,79 +504,112 @@ thread_local! {
 }
 
 /// The array-backed accumulation loop every dense categorical and every
-/// bucket spec runs: gathered row `k` adds into `stats[codes[t]]`, where
-/// `t` is the attribute-table row it maps to. Rows that map nowhere or
-/// whose code is [`NULL_CODE`] are skipped. Returns the first row whose
-/// code lies beyond `stats`, leaving it and every later row untouched.
+/// bucket spec runs: gathered row `k` counts into `stats[code]` and folds
+/// its measure value by `op`, where `code` is the one its fact row joins
+/// to. Rows whose code is [`NULL_CODE`] are skipped. Returns the first
+/// row whose code lies beyond `stats`, leaving it and every later row
+/// untouched.
+#[inline(always)]
 fn accumulate_codes(
     stats: &mut [GroupStats],
-    codes: &[u32],
-    mapper: &RowMapper,
+    codes: &PreJoined<u32>,
     row_buf: &[u32],
     meas_buf: &[f64],
+    op: impl Fn(f64, f64) -> f64 + Copy,
 ) -> Option<usize> {
     for (k, (&row, &m)) in row_buf.iter().zip(meas_buf).enumerate() {
-        let Some(t) = mapper.get(row as usize) else {
-            continue;
-        };
-        let code = codes[t as usize];
+        let code = codes.get(row as usize);
         if code == NULL_CODE {
             continue;
         }
         let Some(s) = stats.get_mut(code as usize) else {
             return Some(k);
         };
-        s.rows += 1;
-        if !m.is_nan() {
-            s.acc.add(m);
-        }
+        s.add(m, op);
     }
     None
 }
 
-/// The hash-map accumulation loop of a categorical spec above the dense
-/// cutoff: [`accumulate_codes`] keyed by code instead of indexed by it.
-fn accumulate_sparse(
-    stats: &mut HashMap<u32, GroupStats>,
-    codes: &[u32],
-    mapper: &RowMapper,
+/// One chunk's gathered rows folded into every spec's groups. `op` is
+/// `fold`'s operation as a function of its own, so each fold runs its own
+/// copy of the loops.
+#[inline(always)]
+fn fold_chunk(
+    groups: &mut [FacetGroups],
+    decoded: &[DecodedCol],
     row_buf: &[u32],
     meas_buf: &[f64],
+    fold: Fold,
+    op: impl Fn(f64, f64) -> f64 + Copy,
 ) {
-    for (&row, &m) in row_buf.iter().zip(meas_buf) {
-        let Some(t) = mapper.get(row as usize) else {
-            continue;
-        };
-        let code = codes[t as usize];
-        if code == NULL_CODE {
-            continue;
-        }
-        let s = stats.entry(code).or_default();
-        s.rows += 1;
-        if !m.is_nan() {
-            s.acc.add(m);
+    for (g, col) in groups.iter_mut().zip(decoded) {
+        match (g, col) {
+            (FacetGroups::Total { stats }, _) => {
+                for &m in meas_buf {
+                    stats.add(m, op);
+                }
+            }
+            // A dictionary code is below the column's cardinality, a
+            // bucket code below `n_buckets`: both below the length of
+            // `stats`.
+            (
+                FacetGroups::Dense { stats } | FacetGroups::Buckets { stats },
+                DecodedCol::Codes(codes),
+            ) => {
+                let stopped = accumulate_codes(stats, codes, row_buf, meas_buf, op);
+                assert_eq!(stopped, None, "codes index their own array");
+            }
+            // The hash-map loop of a categorical spec above the dense
+            // cutoff: `accumulate_codes` keyed by code.
+            (FacetGroups::Sparse { stats }, DecodedCol::Codes(codes)) => {
+                for (&row, &m) in row_buf.iter().zip(meas_buf) {
+                    let code = codes.get(row as usize);
+                    if code != NULL_CODE {
+                        stats
+                            .entry(code)
+                            .or_insert_with(|| GroupStats::empty(fold))
+                            .add(m, op);
+                    }
+                }
+            }
+            (FacetGroups::Domain { min, max, any }, DecodedCol::Floats(vals)) => {
+                for &row in row_buf {
+                    let v = vals.get(row as usize);
+                    if v.is_finite() {
+                        *min = min.min(v);
+                        *max = max.max(v);
+                        *any = true;
+                    }
+                }
+            }
+            (_, DecodedCol::Missing) => {}
+            _ => unreachable!("groups and decoded columns were built from the same specs"),
         }
     }
 }
 
-/// Scans `rows` once, feeding every spec's accumulators.
+/// Scans `rows` once, folding the measure into every spec's groups by
+/// `fold`.
 ///
-/// Returns one [`FacetGroups`] per spec, in spec order. Categorical specs
-/// whose dictionary cardinality is at most `dense_limit` use dense
-/// arrays; larger ones fall back to hash maps. A column's cardinality is
-/// its largest code plus one, so no dictionary code indexes past a dense
-/// array. The bitmap is cut into 128-word (`AGG_CHUNK_WORDS`) chunks
-/// (run serially below two chunks) whose partials merge in chunk order,
-/// so output is independent of the thread count.
+/// Returns one [`FacetGroups`] per spec, in spec order, whose aggregates
+/// finish under any function `fold` answers ([`AggFunc::fold`]).
+/// Categorical specs whose dictionary cardinality is at most
+/// `dense_limit` use dense arrays; larger ones fall back to hash maps. A
+/// column's cardinality is its largest code plus one, so no dictionary
+/// code indexes past a dense array. The bitmap is cut into 128-word
+/// (`AGG_CHUNK_WORDS`) chunks (run serially below two chunks) whose
+/// partials merge in chunk order, so output is independent of the thread
+/// count.
 ///
 /// Each chunk runs as a **batch**: the selected row indices are collected
 /// into a reusable buffer, their measure values gathered in one pass
-/// against predecoded attribute columns (bulk-unpacked through
-/// [`crate::kernel::unpack_words`]), and the per-spec accumulation runs as a
-/// tight loop per spec over those buffers. Every gathered row is visited
-/// in ascending order and floating-point accumulation stays strictly
-/// sequential per group, so the scan produces the row-at-a-time oracle's
-/// bits (`tests/simd_equivalence.rs`).
+/// against attribute columns predecoded and pre-joined once per scan
+/// (bulk-unpacked through [`crate::kernel::unpack_words`]), and the
+/// per-spec accumulation runs as a tight loop per spec over those
+/// buffers. Every gathered row is visited in ascending order and
+/// floating-point accumulation stays strictly sequential per group, so
+/// the scan produces the row-at-a-time oracle's bits
+/// (`tests/simd_equivalence.rs`).
 ///
 /// Governance (when `exec` carries a [`crate::QueryContext`]) is polled
 /// per chunk, and every chunk's accumulator allocation is charged to the
@@ -471,6 +620,7 @@ pub fn multi_group_by_exec(
     specs: &[FacetSpec],
     rows: &RowSet,
     mv: &MeasureVector,
+    fold: Fold,
     exec: &ExecConfig,
     dense_limit: usize,
 ) -> Result<Vec<FacetGroups>, QueryError> {
@@ -482,55 +632,21 @@ pub fn multi_group_by_exec(
             right: mv.len(),
         });
     }
-    // Predecode each spec's attribute column once per scan (codes with a
-    // NULL sentinel, floats with NaN) so chunk workers only gather. A
-    // bucket spec's values become bucket codes here, once per
-    // attribute-table row rather than once per fact row.
-    let mut decoded_bytes = 0u64;
-    let decoded: Vec<DecodedCol> = specs
-        .iter()
-        .map(|s| match s {
-            FacetSpec::Categorical { attr, .. } => {
-                let mut codes = Vec::new();
-                // Numeric columns have no codes: no row contributes.
-                if wh.column(*attr).unpack_codes_into(&mut codes) {
-                    decoded_bytes += codes.len() as u64 * 4;
-                    DecodedCol::Codes(codes)
-                } else {
-                    DecodedCol::Missing
-                }
-            }
-            FacetSpec::Buckets { attr, buckets, .. } => {
-                let mut vals = Vec::new();
-                if wh.column(*attr).unpack_floats_into(&mut vals) {
-                    decoded_bytes += vals.len() as u64 * 4;
-                    DecodedCol::Codes(
-                        vals.iter()
-                            .map(|&v| buckets.bucket_of(v).map_or(NULL_CODE, |b| b as u32))
-                            .collect(),
-                    )
-                } else {
-                    DecodedCol::Missing
-                }
-            }
-            FacetSpec::NumericDomain { attr, .. } => {
-                let mut vals = Vec::new();
-                if wh.column(*attr).unpack_floats_into(&mut vals) {
-                    decoded_bytes += vals.len() as u64 * 8;
-                    DecodedCol::Floats(vals)
-                } else {
-                    DecodedCol::Missing
-                }
-            }
-            FacetSpec::Total => DecodedCol::Missing,
-        })
-        .collect();
-    exec.charge("multi_group_by", decoded_bytes)?;
-    let accumulate = |range: std::ops::Range<usize>| {
-        let mut groups: Vec<FacetGroups> = specs
+    // Predecode each spec's attribute column once per scan so chunk
+    // workers only gather.
+    let decoded: Vec<DecodedCol> = specs.iter().map(|s| DecodedCol::new(s, wh)).collect();
+    exec.charge(
+        "multi_group_by",
+        decoded.iter().map(DecodedCol::heap_bytes).sum(),
+    )?;
+    let empty_groups = || -> Vec<FacetGroups> {
+        specs
             .iter()
-            .map(|s| FacetGroups::new_for(s, wh, dense_limit))
-            .collect();
+            .map(|s| FacetGroups::new_for(s, wh, dense_limit, fold))
+            .collect()
+    };
+    let accumulate = |range: std::ops::Range<usize>| {
+        let mut groups = empty_groups();
         BATCH_SCRATCH.with(|scratch| {
             let (row_buf, meas_buf) = &mut *scratch.borrow_mut();
             rows.collect_rows_in_word_range(range, row_buf);
@@ -542,55 +658,11 @@ pub fn multi_group_by_exec(
             let measures = mv.as_slice();
             meas_buf.clear();
             meas_buf.extend(row_buf.iter().map(|&r| measures[r as usize]));
-            for (i, spec) in specs.iter().enumerate() {
-                let g = &mut groups[i];
-                match (spec, &decoded[i]) {
-                    (
-                        FacetSpec::Categorical { mapper, .. } | FacetSpec::Buckets { mapper, .. },
-                        DecodedCol::Codes(codes),
-                    ) => match g {
-                        // A dictionary code is below the column's
-                        // cardinality, a bucket code below `n_buckets`:
-                        // both below the length of `stats`.
-                        FacetGroups::Dense { stats } | FacetGroups::Buckets { stats } => {
-                            let stopped = accumulate_codes(stats, codes, mapper, row_buf, meas_buf);
-                            assert_eq!(stopped, None, "codes index their own array");
-                        }
-                        FacetGroups::Sparse { stats } => {
-                            accumulate_sparse(stats, codes, mapper, row_buf, meas_buf);
-                        }
-                        _ => unreachable!("groups[i] was built from specs[i]"),
-                    },
-                    (FacetSpec::NumericDomain { mapper, .. }, DecodedCol::Floats(vals)) => {
-                        let FacetGroups::Domain { min, max, any } = g else {
-                            unreachable!("groups[i] was built from specs[i]")
-                        };
-                        for &row in row_buf.iter() {
-                            let Some(t) = mapper.get(row as usize) else {
-                                continue;
-                            };
-                            let v = vals[t as usize];
-                            if v.is_finite() {
-                                *min = min.min(v);
-                                *max = max.max(v);
-                                *any = true;
-                            }
-                        }
-                    }
-                    (FacetSpec::Total, _) => {
-                        let FacetGroups::Total { stats } = g else {
-                            unreachable!("groups[i] was built from specs[i]")
-                        };
-                        for &m in meas_buf.iter() {
-                            stats.rows += 1;
-                            if !m.is_nan() {
-                                stats.acc.add(m);
-                            }
-                        }
-                    }
-                    (_, DecodedCol::Missing) => {}
-                    _ => unreachable!("decoded[i] was built from specs[i]"),
-                }
+            let (rows, meas) = (&row_buf[..], &meas_buf[..]);
+            match fold {
+                Fold::Sum => fold_chunk(&mut groups, &decoded, rows, meas, fold, |a, m| a + m),
+                Fold::Min => fold_chunk(&mut groups, &decoded, rows, meas, fold, f64::min),
+                Fold::Max => fold_chunk(&mut groups, &decoded, rows, meas, fold, f64::max),
             }
         });
         groups
@@ -602,7 +674,7 @@ pub fn multi_group_by_exec(
     // bucket slots), charged to the budget before the chunk scans.
     let partial_bytes: u64 = specs
         .iter()
-        .map(|s| FacetGroups::new_for(s, wh, dense_limit).heap_bytes())
+        .map(|s| fixed_group_bytes(s, wh, dense_limit))
         .sum();
     // Each chunk polls governance, then measures its own wall time (a
     // no-op with obs off); the coordinator records them in chunk order.
@@ -627,13 +699,10 @@ pub fn multi_group_by_exec(
             .into_iter()
             .collect::<Result<_, _>>()?
     };
-    let mut merged: Vec<FacetGroups> = specs
-        .iter()
-        .map(|s| FacetGroups::new_for(s, wh, dense_limit))
-        .collect();
+    let mut merged = empty_groups();
     for (partial, _) in &partials {
         for (m, p) in merged.iter_mut().zip(partial) {
-            m.merge(p);
+            m.merge(p, fold);
         }
     }
     if exec.obs.is_enabled() {
@@ -752,18 +821,29 @@ mod tests {
         (wh, idx, path, measure)
     }
 
-    /// Serial scan with the default dense cutoff.
+    /// Serial SUM-fold scan with the default dense cutoff.
     fn scan(
         wh: &Warehouse,
         specs: &[FacetSpec],
         rows: &RowSet,
         mv: &MeasureVector,
     ) -> Vec<FacetGroups> {
+        scan_folding(wh, specs, rows, mv, Fold::Sum)
+    }
+
+    fn scan_folding(
+        wh: &Warehouse,
+        specs: &[FacetSpec],
+        rows: &RowSet,
+        mv: &MeasureVector,
+        fold: Fold,
+    ) -> Vec<FacetGroups> {
         multi_group_by_exec(
             wh,
             specs,
             rows,
             mv,
+            fold,
             &ExecConfig::serial(),
             DENSE_GROUP_LIMIT,
         )
@@ -821,9 +901,9 @@ mod tests {
         let columbus = dict.code_of("Columbus").unwrap();
         let seattle = dict.code_of("Seattle").unwrap();
         for dense_limit in [DENSE_GROUP_LIMIT, 0] {
+            let exec = ExecConfig::serial();
             let groups =
-                multi_group_by_exec(&wh, &specs, &all, &mv, &ExecConfig::serial(), dense_limit)
-                    .unwrap();
+                multi_group_by_exec(&wh, &specs, &all, &mv, Fold::Sum, &exec, dense_limit).unwrap();
             assert_eq!(groups[0].is_dense(), dense_limit > 0);
             // Columbus: 10 + 20 + 20; Seattle: 50 (+ one NULL-measure row).
             let map = groups[0].to_map(AggFunc::Sum);
@@ -840,9 +920,15 @@ mod tests {
             assert_eq!(groups[3].total(AggFunc::Sum), 100.0);
             assert_eq!(groups[3].total(AggFunc::Count), 4.0);
             assert_eq!(groups[3].total(AggFunc::Avg), 25.0);
-            assert_eq!(groups[3].total(AggFunc::Min), 10.0);
-            assert_eq!(groups[3].total(AggFunc::Max), 50.0);
         }
+        // A MIN or MAX scan folds the extremum instead, per group too.
+        let min = scan_folding(&wh, &specs, &all, &mv, Fold::Min);
+        assert_eq!(min[3].total(AggFunc::Min), 10.0);
+        assert_eq!(min[3].total(AggFunc::Count), 4.0);
+        assert_eq!(min[1].to_series(AggFunc::Min), vec![10.0, 20.0]);
+        let max = scan_folding(&wh, &specs, &all, &mv, Fold::Max);
+        assert_eq!(max[3].total(AggFunc::Max), 50.0);
+        assert_eq!(max[0].to_map(AggFunc::Max)[&columbus], 20.0);
         // A subset of the rows restricts every group.
         let subset = RowSet::from_rows(wh.fact_rows(), [0, 2]);
         let map = scan(&wh, &specs[..1], &subset, &mv)[0].to_map(AggFunc::Sum);
@@ -855,14 +941,16 @@ mod tests {
         let (wh, _, _, measure) = setup();
         let mv = MeasureVector::build(&wh, &measure);
         let none = RowSet::empty(wh.fact_rows());
-        let total = &scan(&wh, &[FacetSpec::Total], &none, &mv)[0];
+        let total = |func: AggFunc| {
+            scan_folding(&wh, &[FacetSpec::Total], &none, &mv, func.fold())[0].total(func)
+        };
         // SUM/COUNT over nothing are 0, per SQL.
-        assert_eq!(total.total(AggFunc::Sum), 0.0);
-        assert_eq!(total.total(AggFunc::Count), 0.0);
+        assert_eq!(total(AggFunc::Sum), 0.0);
+        assert_eq!(total(AggFunc::Count), 0.0);
         // MIN/MAX/AVG over nothing are undefined — NaN, never a fake 0.0.
-        assert!(total.total(AggFunc::Min).is_nan());
-        assert!(total.total(AggFunc::Max).is_nan());
-        assert!(total.total(AggFunc::Avg).is_nan());
+        assert!(total(AggFunc::Min).is_nan());
+        assert!(total(AggFunc::Max).is_nan());
+        assert!(total(AggFunc::Avg).is_nan());
     }
 
     #[test]
@@ -901,7 +989,8 @@ mod tests {
         for threads in [2, 4] {
             let exec = ExecConfig::with_threads(threads);
             let par =
-                multi_group_by_exec(&wh, &specs, &all, &mv, &exec, DENSE_GROUP_LIMIT).unwrap();
+                multi_group_by_exec(&wh, &specs, &all, &mv, Fold::Sum, &exec, DENSE_GROUP_LIMIT)
+                    .unwrap();
             assert_eq!(par[0].to_map(AggFunc::Sum), serial[0].to_map(AggFunc::Sum));
             assert_eq!(
                 par[1].total(AggFunc::Sum).to_bits(),
@@ -927,8 +1016,8 @@ mod tests {
         let cancel = Arc::new(AtomicBool::new(true));
         let ctx = Arc::new(QueryContext::new(None, None, cancel));
         let exec = ExecConfig::serial().with_govern(ctx);
-        let err =
-            multi_group_by_exec(&wh, &specs, &all, &mv, &exec, DENSE_GROUP_LIMIT).unwrap_err();
+        let err = multi_group_by_exec(&wh, &specs, &all, &mv, Fold::Sum, &exec, DENSE_GROUP_LIMIT)
+            .unwrap_err();
         assert!(matches!(
             err,
             QueryError::Governed {
@@ -945,8 +1034,8 @@ mod tests {
             Arc::new(AtomicBool::new(false)),
         ));
         let exec = ExecConfig::serial().with_govern(ctx);
-        let err =
-            multi_group_by_exec(&wh, &specs, &all, &mv, &exec, DENSE_GROUP_LIMIT).unwrap_err();
+        let err = multi_group_by_exec(&wh, &specs, &all, &mv, Fold::Sum, &exec, DENSE_GROUP_LIMIT)
+            .unwrap_err();
         assert!(matches!(
             err,
             QueryError::Governed {
@@ -962,7 +1051,8 @@ mod tests {
             Arc::new(AtomicBool::new(false)),
         ));
         let exec = ExecConfig::serial().with_govern(ctx.clone());
-        let groups = multi_group_by_exec(&wh, &specs, &all, &mv, &exec, DENSE_GROUP_LIMIT);
+        let groups =
+            multi_group_by_exec(&wh, &specs, &all, &mv, Fold::Sum, &exec, DENSE_GROUP_LIMIT);
         assert!(groups.is_ok());
         assert!(ctx.charged() > 0, "allocations were charged");
     }

@@ -20,7 +20,7 @@ pub mod path;
 pub mod plan;
 pub mod semijoin;
 
-pub use aggregate::{Accumulator, AggFunc, Bucketizer};
+pub use aggregate::{AggFunc, Bucketizer, Fold};
 pub use aggregate_multi::{
     multi_group_by_exec, FacetGroups, FacetSpec, GroupStats, MeasureVector, DENSE_GROUP_LIMIT,
 };

@@ -50,6 +50,67 @@ impl RowMapper {
         };
         (at != NO_ROW).then_some(at)
     }
+
+    /// `per_target` (one value per row of the path's target table)
+    /// gathered through every hop after the first: one value per row of
+    /// the first edge's parent table, `none` where the tail dead-ends on
+    /// a NULL key. A path of at most one edge keeps `per_target` as it
+    /// is. A scan then joins each origin row with one load of the first
+    /// edge and one of the result.
+    pub(crate) fn pre_join<T: Copy>(&self, mut per_target: Vec<T>, none: T) -> PreJoined<T> {
+        let mut values = match &self.tail {
+            Some(tail) => {
+                let mut joined = Vec::with_capacity(tail.len() + 1);
+                // `NO_ROW` lies past the end of `per_target`.
+                joined.extend(
+                    tail.iter()
+                        .map(|&t| per_target.get(t as usize).copied().unwrap_or(none)),
+                );
+                joined
+            }
+            None => {
+                per_target.reserve_exact(1);
+                per_target
+            }
+        };
+        // The slot a `NO_ROW` first hop is clamped to.
+        values.push(none);
+        PreJoined {
+            first: self.first.clone(),
+            values,
+        }
+    }
+}
+
+/// Values of a join path's target table pre-joined to the path's first
+/// edge ([`RowMapper::pre_join`]): `get(row)` is the value of the target
+/// row that origin row `row` joins to.
+#[derive(Debug)]
+pub(crate) struct PreJoined<T> {
+    /// The path's first edge, as in its [`RowMapper`].
+    first: Option<Arc<[u32]>>,
+    /// One value per row of the first edge's parent table (per origin
+    /// row for the empty path), then the `none` a `NO_ROW` hop reads.
+    values: Vec<T>,
+}
+
+impl<T: Copy> PreJoined<T> {
+    /// The value origin row `row` joins to, the `none` it was built with
+    /// when the join dead-ends on a NULL key.
+    #[inline]
+    pub(crate) fn get(&self, row: usize) -> T {
+        let at = match &self.first {
+            // `NO_ROW` clamps to the trailing `none`.
+            Some(first) => (first[row] as usize).min(self.values.len() - 1),
+            None => row,
+        };
+        self.values[at]
+    }
+
+    /// Heap bytes of the joined values (the first edge is the index's).
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        (self.values.len() * std::mem::size_of::<T>()) as u64
+    }
 }
 
 /// One FK edge `child.fk → parent.pk`, resolved to row ids.
@@ -542,6 +603,25 @@ mod tests {
                     again.tail.as_ref().unwrap()
                 ));
             }
+        }
+    }
+
+    #[test]
+    fn pre_joined_values_are_what_the_mapper_reaches() {
+        // One hop, then tails whose second hop is NULL for row 2 of T1.
+        for hops in [0, 1, 2, 3, MAX_PATH_LEN + 1] {
+            let wh = chain(hops);
+            let idx = JoinIndex::build(&wh);
+            let fact = wh.schema().fact_table();
+            let edges = (0..hops as u32).map(EdgeId).collect();
+            let path = JoinPath::new(wh.schema(), fact, edges).unwrap();
+            let mapper = idx.row_mapper(&path);
+            let joined = mapper.pre_join(vec![10u32, 11, 12], NO_ROW);
+            for row in 0..3 {
+                let want = mapper.get(row).map_or(NO_ROW, |t| 10 + t);
+                assert_eq!(joined.get(row), want, "{hops} hops, row {row}");
+            }
+            assert_eq!(joined.heap_bytes(), 4 * 4, "{hops} hops");
         }
     }
 

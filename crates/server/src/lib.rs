@@ -50,7 +50,7 @@ use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -145,8 +145,8 @@ pub struct KdapServer {
 }
 
 impl KdapServer {
-    /// Binds the listener and starts the accept loop, the worker pool
-    /// and the disconnect monitor. Returns once the socket is live —
+    /// Binds the listener and starts the worker pool, then the accept
+    /// loop and the disconnect monitor. Returns once the socket is live —
     /// `addr()` is immediately routable (with `port: 0`, it carries the
     /// ephemeral port picked by the OS).
     pub fn start(registry: EngineRegistry, config: &ServerConfig) -> io::Result<KdapServer> {
@@ -168,23 +168,38 @@ impl KdapServer {
 
         let (tx, rx) = channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
+        // Every worker is running before the accept loop and the monitor
+        // start. A thread takes its heap arena from the allocator as it
+        // starts, and glibc gives a new thread the arena of the thread
+        // that exited last. `shutdown` joins the workers last, so the
+        // workers of a server started after another in the same process
+        // take over the arenas the earlier workers filled, instead of
+        // racing the accept and monitor threads for them; the process's
+        // resident memory then does not depend on which thread started
+        // first.
+        let started = Arc::new(Barrier::new(pool + 1));
         let workers = (0..pool)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let state = Arc::clone(&state);
-                thread::spawn(move || loop {
-                    let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    match next {
-                        Ok(stream) => {
-                            serve_connection(&state, stream);
-                            state.unserved.fetch_sub(1, Ordering::Relaxed);
+                let started = Arc::clone(&started);
+                thread::spawn(move || {
+                    started.wait();
+                    loop {
+                        let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                        match next {
+                            Ok(stream) => {
+                                serve_connection(&state, stream);
+                                state.unserved.fetch_sub(1, Ordering::Relaxed);
+                            }
+                            // Sender dropped: the server is shutting down.
+                            Err(_) => break,
                         }
-                        // Sender dropped: the server is shutting down.
-                        Err(_) => break,
                     }
                 })
             })
             .collect();
+        started.wait();
 
         let accept_state = Arc::clone(&state);
         let accept_thread = thread::spawn(move || {

@@ -10,7 +10,7 @@ use kdap_suite::core::{
 };
 use kdap_suite::datagen::{build_aw_online, build_ebiz, EbizScale, Scale};
 use kdap_suite::query::{
-    multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, JoinIndex, MeasureVector,
+    multi_group_by_exec, AggFunc, ExecConfig, FacetSpec, Fold, JoinIndex, MeasureVector,
     DENSE_GROUP_LIMIT,
 };
 use kdap_suite::textindex::TextIndex;
@@ -109,7 +109,8 @@ fn measures_agree_between_direct_and_facet_aggregation() {
     // The ungrouped one-spec case of the group-by scan.
     let mv = MeasureVector::build(wh, kdap.measure());
     let exec = ExecConfig::serial();
-    let direct = multi_group_by_exec(wh, &[FacetSpec::Total], &sub, &mv, &exec, DENSE_GROUP_LIMIT)
+    let total = [FacetSpec::Total];
+    let direct = multi_group_by_exec(wh, &total, &sub, &mv, Fold::Sum, &exec, DENSE_GROUP_LIMIT)
         .expect("an ungoverned scan")[0]
         .total(AggFunc::Sum);
     let ex = kdap.explore(net).expect("star net evaluates");

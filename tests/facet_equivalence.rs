@@ -9,7 +9,7 @@
 
 mod support;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
@@ -18,8 +18,8 @@ use kdap_suite::core::{
     materialize, rollup_constraint, rollup_spaces, Constraint, Kdap, Rollup, StarNet,
 };
 use kdap_suite::query::{
-    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, MeasureVector,
-    RowSet, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
+    multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, Fold,
+    MeasureVector, RowSet, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
 };
 use kdap_suite::warehouse::ColRef;
 
@@ -28,8 +28,18 @@ use support::{
     project_categorical, project_numeric, workload, KeyWalker,
 };
 
-/// Scans every candidate spec of `kdap` over `rows` in one pass and holds
-/// each result to the single-attribute oracle.
+/// The functions whose finished values a scan under `fold` answers.
+fn functions_of(fold: Fold) -> &'static [AggFunc] {
+    match fold {
+        Fold::Sum => &[AggFunc::Sum, AggFunc::Count, AggFunc::Avg],
+        Fold::Min => &[AggFunc::Min, AggFunc::Count],
+        Fold::Max => &[AggFunc::Max, AggFunc::Count],
+    }
+}
+
+/// Scans every candidate spec of `kdap` over `rows` in one pass per fold
+/// and holds each result to the single-attribute oracle, under every
+/// function the fold answers.
 fn check_kernel(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
     let wh = kdap.warehouse();
     let keys = KeyWalker::new(wh);
@@ -38,49 +48,62 @@ fn check_kernel(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) 
     let exec = ExecConfig::with_threads(threads);
     let tagged = candidate_specs(kdap, &keys, rows);
     let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
-    let groups = multi_group_by_exec(wh, &specs, rows, &mv, &exec, dense_limit).unwrap();
-    assert_eq!(groups.len(), specs.len());
-    for ((path, spec), fg) in tagged.iter().zip(&groups) {
-        match spec {
-            FacetSpec::Total => {
-                let expect = aggregate_total(wh, measure, rows).finish(AggFunc::Sum);
-                let got = fg.total(AggFunc::Sum);
-                assert!(
-                    got == expect || (got.is_nan() && expect.is_nan()),
-                    "total {} vs {}",
-                    got,
-                    expect
-                );
-            }
-            FacetSpec::Categorical { attr, .. } => {
-                if dense_limit > 0 {
-                    assert!(fg.is_dense());
+    for fold in [Fold::Sum, Fold::Min, Fold::Max] {
+        let groups = multi_group_by_exec(wh, &specs, rows, &mv, fold, &exec, dense_limit).unwrap();
+        assert_eq!(groups.len(), specs.len());
+        for ((path, spec), fg) in tagged.iter().zip(&groups) {
+            match spec {
+                FacetSpec::Total => {
+                    let expect = aggregate_total(wh, measure, rows);
+                    for &func in functions_of(fold) {
+                        assert_eq!(
+                            fg.total(func).to_bits(),
+                            expect.finish(func).to_bits(),
+                            "total {func:?}"
+                        );
+                    }
                 }
-                let expect = group_by_categorical(&keys, path, *attr, rows, measure);
-                assert_eq!(
-                    fg.to_map(AggFunc::Sum),
-                    expect
-                        .iter()
-                        .map(|(c, a)| (*c, a.finish(AggFunc::Sum)))
-                        .collect()
-                );
-                assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
-            }
-            FacetSpec::Buckets { attr, buckets, .. } => {
-                let expect = group_by_buckets(&keys, path, *attr, rows, measure, buckets);
-                for func in [AggFunc::Sum, AggFunc::Count] {
-                    assert_eq!(
-                        fg.to_series(func),
-                        expect.iter().map(|a| a.finish(func)).collect::<Vec<_>>(),
-                        "{:?} {:?}",
-                        buckets,
-                        func
-                    );
+                FacetSpec::Categorical { attr, .. } => {
+                    if dense_limit > 0 {
+                        assert!(fg.is_dense());
+                    }
+                    let expect = group_by_categorical(&keys, path, *attr, rows, measure);
+                    for &func in functions_of(fold) {
+                        let bits = |m: HashMap<u32, f64>| -> BTreeMap<u32, u64> {
+                            m.into_iter().map(|(c, v)| (c, v.to_bits())).collect()
+                        };
+                        assert_eq!(
+                            bits(fg.to_map(func)),
+                            bits(
+                                expect
+                                    .iter()
+                                    .filter(|(_, a)| a.count > 0)
+                                    .map(|(c, a)| (*c, a.finish(func)))
+                                    .collect()
+                            ),
+                            "{func:?}"
+                        );
+                    }
+                    assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
                 }
-            }
-            FacetSpec::NumericDomain { attr, .. } => {
-                let values = project_numeric(&keys, path, *attr, rows);
-                assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
+                FacetSpec::Buckets { attr, buckets, .. } => {
+                    let expect = group_by_buckets(&keys, path, *attr, rows, measure, buckets);
+                    for &func in functions_of(fold) {
+                        let bits =
+                            |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+                        assert_eq!(
+                            bits(fg.to_series(func)),
+                            bits(expect.iter().map(|a| a.finish(func)).collect()),
+                            "{:?} {:?}",
+                            buckets,
+                            func
+                        );
+                    }
+                }
+                FacetSpec::NumericDomain { attr, .. } => {
+                    let values = project_numeric(&keys, path, *attr, rows);
+                    assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
+                }
             }
         }
     }

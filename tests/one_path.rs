@@ -642,3 +642,40 @@ fn a_cached_session_answers_every_request_as_an_uncached_one() {
         }
     }
 }
+
+/// The whole-dataspace memo keys every group-by by the fold it ran: one
+/// session explores an AW query whose roll-up is ALL under every
+/// aggregation function in turn, then SUM again, and each body is byte
+/// for byte a fresh session's. (A memo that served a SUM fold's groups to
+/// a MIN request would answer with sums.)
+#[test]
+fn one_session_answers_every_aggregate_as_a_fresh_session() {
+    let wh = build_aw_online(Scale::small(), 42).expect("generator is valid");
+    let session = || Kdap::builder(wh.clone()).build().expect("measure defined");
+    let kdap = session();
+    for agg in [
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Sum,
+    ] {
+        let mut request = QueryRequest::new(Verb::Explore, "clothing");
+        request.options.agg = Some(agg);
+        let body = |kdap: &Kdap| {
+            let response = kdap.run(&request).expect("`clothing` explores");
+            response.encode(WireFormat::Json).expect("JSON encodes")
+        };
+        assert_eq!(body(&kdap), body(&session()), "{agg:?}");
+    }
+    // SUM, AVG and COUNT share one fold; MIN and MAX have their own.
+    let fresh = session();
+    fresh
+        .run(&QueryRequest::new(Verb::Explore, "clothing"))
+        .expect("`clothing` explores");
+    assert_eq!(
+        kdap.dataspace_groups_len(),
+        3 * fresh.dataspace_groups_len()
+    );
+}

@@ -4,8 +4,8 @@
 //! model and canonicalize to the form their counts say, and the batch
 //! group-by scan built on them must reproduce the row-at-a-time oracle
 //! of `tests/support` bit-for-bit — across bit widths, container shapes,
-//! null bitmaps, thread counts, and the dense-array and hash-fallback
-//! accumulator paths.
+//! null bitmaps, thread counts, folds, and the dense-array and
+//! hash-fallback accumulator paths.
 
 mod support;
 
@@ -17,14 +17,14 @@ use kdap_suite::core::{materialize, Kdap};
 use kdap_suite::datagen::{build_aw_online, Scale};
 use kdap_suite::query::bitmap::{ARRAY_MAX, BLOCK_ROWS};
 use kdap_suite::query::{
-    multi_group_by_exec, Accumulator, ContainerHistogram, ExecConfig, FacetGroups, FacetSpec,
+    multi_group_by_exec, ContainerHistogram, ExecConfig, FacetGroups, FacetSpec, Fold, GroupStats,
     MeasureVector, QueryError, RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_suite::warehouse::kernel;
 
 use support::{
     aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical, hostile_floats,
-    project_categorical, project_numeric, workload, KeyWalker,
+    project_categorical, project_numeric, workload, Accumulator, KeyWalker,
 };
 
 /// Deterministic pseudo-random words (splitmix64).
@@ -221,36 +221,35 @@ proptest! {
 // Group-by scan: row-at-a-time oracle vs the batch scan
 // ---------------------------------------------------------------------
 
-/// The accumulators of a finished spec, keyed like the oracle's results
-/// (categorical: code; buckets: position; total: 0). Groups whose every
-/// measure value was NULL carry no accumulator on either side.
-fn accumulators(fg: &FacetGroups) -> BTreeMap<u32, Accumulator> {
+/// The groups of a finished spec as the bits its scan keeps (count,
+/// rows, folded value), keyed like the oracle's results (categorical:
+/// code; buckets: position; total: 0). Categorical groups no row reached
+/// are absent on both sides.
+fn group_bits(fg: &FacetGroups) -> BTreeMap<u32, (u64, u64, u64)> {
+    let bits = |s: &GroupStats| (s.count, s.rows, s.value.to_bits());
     match fg {
         FacetGroups::Dense { stats } => stats
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.acc.count > 0)
-            .map(|(i, s)| (i as u32, s.acc))
+            .filter(|(_, s)| s.rows > 0)
+            .map(|(i, s)| (i as u32, bits(s)))
             .collect(),
         // Buckets keep empty slots: the series is positional.
         FacetGroups::Buckets { stats } => stats
             .iter()
             .enumerate()
-            .map(|(i, s)| (i as u32, s.acc))
+            .map(|(i, s)| (i as u32, bits(s)))
             .collect(),
-        FacetGroups::Sparse { stats } => stats
-            .iter()
-            .filter(|(_, s)| s.acc.count > 0)
-            .map(|(k, s)| (*k, s.acc))
-            .collect(),
-        FacetGroups::Total { stats } => [(0, stats.acc)].into(),
+        FacetGroups::Sparse { stats } => stats.iter().map(|(k, s)| (*k, bits(s))).collect(),
+        FacetGroups::Total { stats } => [(0, bits(stats))].into(),
         FacetGroups::Domain { .. } => BTreeMap::new(),
     }
 }
 
 /// Scans every candidate spec of `kdap` over `rows` in one engine pass
-/// and holds each result to the oracle: same groups, same domains, same
-/// accumulator bit patterns (count, sum, min, max).
+/// per fold and holds each result to the oracle: same groups, same
+/// domains, same bits (count and rows always, and the sum under SUM, the
+/// minimum under MIN, the maximum under MAX).
 fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
     let wh = kdap.warehouse();
     let keys = KeyWalker::new(wh);
@@ -259,13 +258,11 @@ fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_l
     let exec = ExecConfig::with_threads(threads);
     let tagged = candidate_specs(kdap, &keys, rows);
     let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
-    let got = multi_group_by_exec(wh, &specs, rows, &mv, &exec, dense_limit).unwrap();
-    assert_eq!(got.len(), specs.len());
-    for (i, ((path, spec), fg)) in tagged.iter().zip(&got).enumerate() {
-        let want: BTreeMap<u32, Accumulator> = match spec {
+    let want: Vec<BTreeMap<u32, Accumulator>> = tagged
+        .iter()
+        .map(|(path, spec)| match spec {
             FacetSpec::Total => [(0, aggregate_total(wh, measure, rows))].into(),
             FacetSpec::Categorical { attr, .. } => {
-                assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
                 group_by_categorical(&keys, path, *attr, rows, measure)
                     .into_iter()
                     .collect()
@@ -277,27 +274,36 @@ fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_l
                     .map(|(b, acc)| (b as u32, acc))
                     .collect()
             }
-            FacetSpec::NumericDomain { attr, .. } => {
-                let values = project_numeric(&keys, path, *attr, rows);
-                let finite = || values.iter().copied().filter(|v| v.is_finite());
-                let FacetGroups::Domain { min, max, any } = fg else {
-                    panic!("domain spec yields a domain");
-                };
-                assert_eq!(*any, finite().next().is_some());
-                assert_eq!(*min, finite().fold(f64::INFINITY, f64::min));
-                assert_eq!(*max, finite().fold(f64::NEG_INFINITY, f64::max));
-                BTreeMap::new()
+            FacetSpec::NumericDomain { .. } => BTreeMap::new(),
+        })
+        .collect();
+    for fold in [Fold::Sum, Fold::Min, Fold::Max] {
+        let got = multi_group_by_exec(wh, &specs, rows, &mv, fold, &exec, dense_limit).unwrap();
+        assert_eq!(got.len(), specs.len());
+        for (i, (((path, spec), fg), want)) in tagged.iter().zip(&got).zip(&want).enumerate() {
+            match spec {
+                FacetSpec::Categorical { attr, .. } => {
+                    assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
+                }
+                FacetSpec::NumericDomain { attr, .. } => {
+                    let values = project_numeric(&keys, path, *attr, rows);
+                    let finite = || values.iter().copied().filter(|v| v.is_finite());
+                    let FacetGroups::Domain { min, max, any } = fg else {
+                        panic!("domain spec yields a domain");
+                    };
+                    assert_eq!(*any, finite().next().is_some());
+                    assert_eq!(*min, finite().fold(f64::INFINITY, f64::min));
+                    assert_eq!(*max, finite().fold(f64::NEG_INFINITY, f64::max));
+                }
+                FacetSpec::Total | FacetSpec::Buckets { .. } => {}
             }
-        };
-        let got_bits: Vec<_> = accumulators(fg)
-            .iter()
-            .map(|(k, a)| (*k, bits(a)))
-            .collect();
-        let want_bits: Vec<_> = want.iter().map(|(k, a)| (*k, bits(a))).collect();
-        assert_eq!(
-            got_bits, want_bits,
-            "spec {i} ({spec:?}) threads={threads} dense_limit={dense_limit}"
-        );
+            let got_bits: Vec<_> = group_bits(fg).into_iter().collect();
+            let want_bits: Vec<_> = want.iter().map(|(k, a)| (*k, bits(a, fold))).collect();
+            assert_eq!(
+                got_bits, want_bits,
+                "spec {i} ({spec:?}) {fold:?} threads={threads} dense_limit={dense_limit}"
+            );
+        }
     }
 }
 
@@ -366,6 +372,7 @@ fn row_set_wider_than_the_measure_vector_is_a_typed_error() {
             &[FacetSpec::Total],
             &rows,
             &mv,
+            Fold::Sum,
             &exec,
             DENSE_GROUP_LIMIT,
         )

@@ -29,7 +29,7 @@ use kdap_suite::core::{
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::obs::{json_string, Obs};
 use kdap_suite::query::{
-    fact_paths_by_table, Accumulator, Bucketizer, FacetSpec, Fingerprint, JoinPath, Predicate,
+    fact_paths_by_table, AggFunc, Bucketizer, FacetSpec, Fingerprint, Fold, JoinPath, Predicate,
     RowSet, Selection, MAX_PATH_LEN,
 };
 use kdap_suite::textindex::TextIndex;
@@ -250,25 +250,93 @@ fn chunks(rows: &RowSet) -> impl Iterator<Item = std::ops::Range<usize>> {
         .map(move |w| w..(w + CHUNK_WORDS).min(n))
 }
 
-/// The bit patterns of an accumulator, for exact comparison.
-pub fn bits(acc: &Accumulator) -> (u64, u64, u64, u64) {
-    (
-        acc.count,
-        acc.sum.to_bits(),
-        acc.min.to_bits(),
-        acc.max.to_bits(),
-    )
+/// The oracle's state of one group: every aggregate any fold of the
+/// engine keeps, at once, and the rows that reached the group.
+#[derive(Debug, Clone, Copy)]
+pub struct Accumulator {
+    /// Running sum.
+    pub sum: f64,
+    /// Number of measure values fed.
+    pub count: u64,
+    /// Smallest value seen (+∞ when empty).
+    pub min: f64,
+    /// Largest value seen (−∞ when empty).
+    pub max: f64,
+    /// Rows that reached the group, measure-null or not.
+    pub rows: u64,
 }
 
-/// The measure accumulated over an entire row set.
+impl Default for Accumulator {
+    fn default() -> Self {
+        Accumulator {
+            sum: 0.0,
+            count: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            rows: 0,
+        }
+    }
+}
+
+impl Accumulator {
+    /// Counts one row that reached the group and feeds its measure value,
+    /// when it has one.
+    pub fn add_row(&mut self, measure: Option<f64>) {
+        self.rows += 1;
+        if let Some(v) = measure {
+            self.sum += v;
+            self.count += 1;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+    }
+
+    /// Folds another chunk's accumulator into this one.
+    pub fn merge(&mut self, other: &Accumulator) {
+        self.sum += other.sum;
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.rows += other.rows;
+    }
+
+    /// The value a scan under `fold` keeps for this group.
+    pub fn folded(&self, fold: Fold) -> f64 {
+        match fold {
+            Fold::Sum => self.sum,
+            Fold::Min => self.min,
+            Fold::Max => self.max,
+        }
+    }
+
+    /// Final aggregate under `func`, with SQL's empty-group semantics
+    /// (SUM/COUNT 0, AVG/MIN/MAX NaN).
+    pub fn finish(&self, func: AggFunc) -> f64 {
+        match func {
+            AggFunc::Sum => self.sum,
+            AggFunc::Count => self.count as f64,
+            _ if self.count == 0 => f64::NAN,
+            AggFunc::Avg => self.sum / self.count as f64,
+            AggFunc::Min => self.min,
+            AggFunc::Max => self.max,
+        }
+    }
+}
+
+/// The bit patterns a scan under `fold` must reproduce: count and rows
+/// always, and the folded value.
+pub fn bits(acc: &Accumulator, fold: Fold) -> (u64, u64, u64) {
+    (acc.count, acc.rows, acc.folded(fold).to_bits())
+}
+
+/// The measure accumulated over an entire row set (every row counts as
+/// a row of the one group).
 pub fn aggregate_total(wh: &Warehouse, measure: &Measure, rows: &RowSet) -> Accumulator {
     let mut total = Accumulator::default();
     for chunk in chunks(rows) {
         let mut partial = Accumulator::default();
         for row in rows.iter_word_range(chunk) {
-            if let Some(v) = wh.eval_measure(measure, row) {
-                partial.add(v);
-            }
+            partial.add_row(wh.eval_measure(measure, row));
         }
         total.merge(&partial);
     }
@@ -276,8 +344,9 @@ pub fn aggregate_total(wh: &Warehouse, measure: &Measure, rows: &RowSet) -> Accu
 }
 
 /// Groups `rows` (origin-table rows) by the dictionary code of `attr`
-/// reached via `path`, accumulating the measure. Rows with NULL joins,
-/// NULL attribute values or a NULL measure are skipped.
+/// reached via `path`, accumulating the measure. Rows with NULL joins or
+/// NULL attribute values are skipped; a row with a NULL measure counts
+/// for its group's rows only.
 pub fn group_by_categorical(
     keys: &KeyWalker,
     path: &JoinPath,
@@ -294,9 +363,10 @@ pub fn group_by_categorical(
             let Some(code) = keys.resolve(path, row).and_then(|t| col.get_code(t)) else {
                 continue;
             };
-            if let Some(v) = wh.eval_measure(measure, row) {
-                partial.entry(code).or_default().add(v);
-            }
+            partial
+                .entry(code)
+                .or_default()
+                .add_row(wh.eval_measure(measure, row));
         }
         for (code, acc) in partial {
             merged.entry(code).or_default().merge(&acc);
@@ -328,9 +398,7 @@ pub fn group_by_buckets(
             else {
                 continue;
             };
-            if let Some(m) = wh.eval_measure(measure, row) {
-                partial[b].add(m);
-            }
+            partial[b].add_row(wh.eval_measure(measure, row));
         }
         for (m, p) in merged.iter_mut().zip(&partial) {
             m.merge(p);
@@ -509,29 +577,57 @@ const HOSTILE_WEIGHTS: [Option<f64>; 12] = [
     Some(1.5),
 ];
 
-/// A one-dimension star whose float attribute `Item.Weight` holds every
-/// value a bucket code must survive: NULL, NaN, ±∞, −0.0 beside +0.0,
-/// a duplicate, and values [`bucketizers_for`]'s middle-half arm leaves
-/// outside its domain. Its 20,000 facts span three 8192-row chunks; every
-/// seventh has a NULL foreign key and every eleventh a NULL measure.
+/// `Maker.Rating`, one per maker row of [`hostile_floats`].
+const HOSTILE_RATINGS: [Option<f64>; 4] = [Some(2.5), None, Some(-0.0), Some(9.0)];
+
+/// A one-dimension snowflake whose float attribute `Item.Weight` holds
+/// every value a bucket code must survive: NULL, NaN, ±∞, −0.0 beside
+/// +0.0, a duplicate, and values [`bucketizers_for`]'s middle-half arm
+/// leaves outside its domain. Its 20,000 facts span three 8192-row
+/// chunks; every seventh has a NULL foreign key and every eleventh a
+/// NULL measure. Every third item has a NULL `MakerKey`, so the path to
+/// `Maker` dead-ends on its tail hop as well as on its first.
 pub fn hostile_floats() -> &'static Kdap {
     static SESSION: OnceLock<Kdap> = OnceLock::new();
     SESSION.get_or_init(|| {
         let build = || -> Result<Warehouse, WarehouseError> {
             let mut b = WarehouseBuilder::new();
             b.table(
+                "Maker",
+                &[
+                    ("MakerKey", ValueType::Int, false),
+                    ("Name", ValueType::Str, true),
+                    ("Rating", ValueType::Float, false),
+                ],
+            )?;
+            for (m, r) in HOSTILE_RATINGS.iter().enumerate() {
+                let name = if m == 3 {
+                    Value::Null
+                } else {
+                    format!("maker {m}").into()
+                };
+                let rating = r.map_or(Value::Null, Value::Float);
+                b.row("Maker", vec![(m as i64).into(), name, rating])?;
+            }
+            b.table(
                 "Item",
                 &[
                     ("ItemKey", ValueType::Int, false),
                     ("Label", ValueType::Str, true),
                     ("Weight", ValueType::Float, false),
+                    ("MakerKey", ValueType::Int, false),
                 ],
             )?;
             for (i, w) in HOSTILE_WEIGHTS.iter().enumerate() {
                 let weight = w.map_or(Value::Null, Value::Float);
+                let maker = if i % 3 == 2 {
+                    Value::Null
+                } else {
+                    ((i % 4) as i64).into()
+                };
                 b.row(
                     "Item",
-                    vec![(i as i64).into(), format!("item {i}").into(), weight],
+                    vec![(i as i64).into(), format!("item {i}").into(), weight, maker],
                 )?;
             }
             b.table(
@@ -556,13 +652,16 @@ pub fn hostile_floats() -> &'static Kdap {
                 b.row("Sale", vec![r.into(), item, amount])?;
             }
             b.edge("Sale.ItemKey", "Item.ItemKey", None, Some("Item"))?;
+            b.edge("Item.MakerKey", "Maker.MakerKey", None, None)?;
             b.dimension(
                 "Item",
-                &["Item"],
+                &["Item", "Maker"],
                 vec![],
                 vec![
                     ("Item.Label", AttrKind::Categorical),
                     ("Item.Weight", AttrKind::Numerical),
+                    ("Maker.Name", AttrKind::Categorical),
+                    ("Maker.Rating", AttrKind::Numerical),
                 ],
             )?;
             b.fact("Sale")?;
