@@ -13,7 +13,8 @@ use kdap_datagen::LabeledQuery;
 use kdap_obs::{JsonWriter, Layout};
 use kdap_query::{
     multi_group_by_exec, paths_between, AggFunc, Bucketizer, ExecConfig, FacetSpec, Fold,
-    JoinIndex, JoinPath, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT, MAX_PATH_LEN,
+    JoinIndex, JoinPath, JoinedColumn, MeasureVector, RowSet, Selection, DENSE_GROUP_LIMIT,
+    MAX_PATH_LEN,
 };
 use kdap_warehouse::{ColRef, Measure, Warehouse};
 
@@ -209,7 +210,7 @@ pub fn bucket_series(
 ) -> BucketSeries {
     let specs = [FacetSpec::Buckets {
         attr,
-        mapper: jidx.row_mapper(attr_path),
+        column: JoinedColumn::new(wh, attr, &jidx.row_mapper(attr_path)).into(),
         buckets: buckets.clone(),
     }];
     let scan = |rows: &RowSet| {

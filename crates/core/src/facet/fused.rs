@@ -33,9 +33,13 @@
 //! spec accumulates independently of the others in a scan, so a
 //! memoized group is bit-equal to a fresh one.
 //!
-//! Candidate `(attr, path)` pairs are deduplicated into one spec each, the
-//! measure is decoded once into a [`MeasureVector`], and row mappers
-//! share the arrays of the session's `JoinIndex`. The scoring math
+//! Candidate `(attr, path)` pairs are deduplicated into one spec each, and
+//! the measure is decoded once into a [`MeasureVector`]. Each candidate's
+//! attribute column is decoded once per session too: [`JoinedColumns`]
+//! keeps it pre-joined to the path's first edge ([`JoinedColumn`]), one
+//! entry per `(attr, path)`, built on first use and inserted whole. So a scan pays for its rows: it decodes no column and
+//! joins no tail; a bucket spec maps its column's floats through its
+//! bucketizer once per scan. The scoring math
 //! ([`categorical_correlation`], [`numeric_worst_correlation`],
 //! [`rank_instances_from`]) is shared with the one-scan-per-facet
 //! reference in [`per_facet`](super::per_facet), which
@@ -47,7 +51,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use kdap_obs::LeafData;
 use kdap_query::{
     multi_group_by_exec, AggFunc, Bucketizer, ExecConfig, FacetGroups, FacetSpec, Fold, JoinIndex,
-    JoinPath, MeasureVector, RowMapper, RowSet, DENSE_GROUP_LIMIT,
+    JoinPath, JoinedColumn, MeasureVector, RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{AttrKind, ColRef, Warehouse};
 
@@ -139,6 +143,79 @@ impl DataspaceGroups {
     /// Number of memo entries.
     pub(crate) fn len(&self) -> usize {
         self.lock().len()
+    }
+}
+
+/// The session's attribute columns pre-joined to their paths' first edges
+/// ([`JoinedColumn`]): one entry per `(attr, path)` candidate, so, like
+/// [`DataspaceGroups`], its size is bounded by the schema, not by
+/// traffic. A column is built on its first use and
+/// inserted whole.
+#[derive(Debug, Default)]
+pub struct JoinedColumns {
+    memo: Mutex<HashMap<(ColRef, JoinPath), Arc<JoinedColumn>>>,
+}
+
+impl JoinedColumns {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(ColRef, JoinPath), Arc<JoinedColumn>>> {
+        // Entries are inserted whole, so a panic elsewhere cannot leave
+        // one half-written.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Number of memo entries.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// The column of every slot's `(attr, path)`, in slot order: held
+    /// ones from the memo, the rest built. What was built is polled and
+    /// charged as the scans' set-up (`multi_group_by`) before any of it
+    /// is inserted, so a request cancelled or over budget there leaves no
+    /// entry.
+    fn get_all(
+        &self,
+        wh: &Warehouse,
+        jidx: &JoinIndex,
+        slots: &[(ColRef, JoinPath, AttrKind)],
+        exec: &ExecConfig,
+    ) -> Result<Vec<Arc<JoinedColumn>>, KdapError> {
+        let held: Vec<Option<Arc<JoinedColumn>>> = {
+            let memo = self.lock();
+            slots
+                .iter()
+                .map(|(attr, path, _)| memo.get(&(*attr, path.clone())).cloned())
+                .collect()
+        };
+        let mut built: Vec<((ColRef, JoinPath), Arc<JoinedColumn>)> = Vec::new();
+        let mut out = Vec::with_capacity(slots.len());
+        for (&(attr, ref path, _), held) in slots.iter().zip(held) {
+            let column = match held {
+                Some(column) => column,
+                None => match built.iter().find(|((a, p), _)| *a == attr && p == path) {
+                    Some((_, column)) => Arc::clone(column),
+                    None => {
+                        let column = JoinedColumn::new(wh, attr, &jidx.row_mapper(path));
+                        let column = Arc::new(column);
+                        built.push(((attr, path.clone()), Arc::clone(&column)));
+                        column
+                    }
+                },
+            };
+            out.push(column);
+        }
+        if !built.is_empty() {
+            exec.check("multi_group_by")?;
+            exec.charge(
+                "multi_group_by",
+                built.iter().map(|(_, column)| column.heap_bytes()).sum(),
+            )?;
+            let mut memo = self.lock();
+            for (key, column) in built {
+                memo.entry(key).or_insert(column);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -257,8 +334,9 @@ struct NumSlot {
 /// they share with the materialization of the subspace; scans fan out
 /// over `exec`'s workers and poll its governance context.
 /// Scans over the whole dataspace read `memo` and insert each group-by
-/// they computed as soon as its scan returns. Results are identical for
-/// every thread count and memo state.
+/// they computed as soon as its scan returns. Every candidate reads its
+/// column from `columns`, which builds and keeps the ones it lacks.
+/// Results are identical for every thread count and memo state.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_subspace(
     wh: &Warehouse,
@@ -270,6 +348,7 @@ pub fn explore_subspace(
     planner: &Planner,
     exec: &ExecConfig,
     memo: &DataspaceGroups,
+    columns: &JoinedColumns,
 ) -> Result<Exploration, KdapError> {
     let schema = wh.schema();
     let obs = exec.obs.clone();
@@ -324,23 +403,20 @@ pub fn explore_subspace(
             slots.len() - 1
         });
     }
-    let mappers: Vec<RowMapper> = slots
-        .iter()
-        .map(|(_, path, _)| jidx.row_mapper(path))
-        .collect();
+    let columns = columns.get_all(wh, jidx, &slots, exec)?;
 
     let categorical = |i: usize| {
         let (attr, path, _) = &slots[i];
         let spec = FacetSpec::Categorical {
             attr: *attr,
-            mapper: mappers[i].clone(),
+            column: Arc::clone(&columns[i]),
         };
         (spec, GroupKey::Categorical(*attr, path.clone(), fold))
     };
     let numerical_key = |i: usize| GroupKey::Numerical(slots[i].0, slots[i].1.clone(), fold);
     let buckets = |i: usize, bz: &Bucketizer| FacetSpec::Buckets {
         attr: slots[i].0,
-        mapper: mappers[i].clone(),
+        column: Arc::clone(&columns[i]),
         buckets: bz.clone(),
     };
 
@@ -354,7 +430,7 @@ pub fn explore_subspace(
             AttrKind::Numerical => (
                 FacetSpec::NumericDomain {
                     attr: *attr,
-                    mapper: mappers[i].clone(),
+                    column: Arc::clone(&columns[i]),
                 },
                 numerical_key(i),
             ),
@@ -606,4 +682,73 @@ pub fn explore_subspace(
         total_aggregate,
         panels,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicBool;
+
+    use kdap_query::{paths_between, QueryContext, MAX_PATH_LEN};
+
+    use super::*;
+    use crate::testutil::ebiz_fixture;
+
+    /// Every declared group-by candidate of the fixture, on its first
+    /// path from the fact table, each slot twice.
+    fn slots(wh: &Warehouse) -> Vec<(ColRef, JoinPath, AttrKind)> {
+        let schema = wh.schema();
+        let mut slots = Vec::new();
+        for dim in schema.dimensions() {
+            for g in &dim.groupby_candidates {
+                let paths = paths_between(schema, schema.fact_table(), g.attr.table, MAX_PATH_LEN);
+                let slot = (g.attr, paths[0].clone(), g.kind);
+                slots.push(slot.clone());
+                slots.push(slot);
+            }
+        }
+        assert!(!slots.is_empty(), "the fixture declares candidates");
+        slots
+    }
+
+    fn governed(ctx: QueryContext) -> ExecConfig {
+        ExecConfig::serial().with_govern(Arc::new(ctx))
+    }
+
+    /// Columns are polled and charged before any is inserted: a cancel at
+    /// their poll (the first of the call) or a budget they overrun leaves
+    /// the memo empty, and a call that passes both inserts one column per
+    /// distinct `(attr, path)`, shared by the slots that repeat it.
+    #[test]
+    fn columns_are_inserted_only_after_their_poll_and_charge() {
+        let fx = ebiz_fixture();
+        let slots = slots(&fx.wh);
+        let limits = |budget| QueryContext::new(None, budget, Arc::new(AtomicBool::new(false)));
+
+        let columns = JoinedColumns::default();
+        let cancelled = governed(limits(None).cancel_at_poll(1));
+        let err = columns.get_all(&fx.wh, &fx.jidx, &slots, &cancelled);
+        assert!(matches!(
+            err,
+            Err(KdapError::Cancelled {
+                stage: "multi_group_by"
+            })
+        ));
+        assert_eq!(columns.len(), 0);
+        let over_budget = governed(limits(Some(1)));
+        let err = columns.get_all(&fx.wh, &fx.jidx, &slots, &over_budget);
+        assert!(matches!(err, Err(KdapError::BudgetExceeded { .. })));
+        assert_eq!(columns.len(), 0);
+
+        let out = columns
+            .get_all(&fx.wh, &fx.jidx, &slots, &ExecConfig::serial())
+            .unwrap();
+        assert_eq!(columns.len(), slots.len() / 2);
+        for pair in out.chunks(2) {
+            assert!(Arc::ptr_eq(&pair[0], &pair[1]));
+        }
+        // Held columns are neither polled nor charged again.
+        let strict = governed(limits(Some(1)).cancel_at_poll(1));
+        let again = columns.get_all(&fx.wh, &fx.jidx, &slots, &strict).unwrap();
+        assert!(out.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
 }

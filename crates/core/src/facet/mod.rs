@@ -22,7 +22,7 @@ use crate::error::KdapError;
 use crate::interest::InterestMode;
 
 pub use attr_rank::{path_for_attr, NumericSeries, RankedAttr};
-pub use fused::{explore_subspace, DataspaceGroups};
+pub use fused::{explore_subspace, DataspaceGroups, JoinedColumns};
 pub use instance_rank::RankedInstance;
 pub use merge::{merge_series, optimal_splits};
 
@@ -246,6 +246,7 @@ mod tests {
             &Planner::default(),
             &ExecConfig::serial(),
             &DataspaceGroups::default(),
+            &JoinedColumns::default(),
         )
         .unwrap()
     }

@@ -12,10 +12,11 @@
 //! there to check.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use kdap_query::{
     multi_group_by_exec, AggFunc, ExecConfig, FacetGroups, FacetSpec, JoinIndex, JoinPath,
-    MeasureVector, RowSet, DENSE_GROUP_LIMIT,
+    JoinedColumn, MeasureVector, RowSet, DENSE_GROUP_LIMIT,
 };
 use kdap_warehouse::{AttrKind, ColRef, Dimension, Warehouse};
 
@@ -169,8 +170,8 @@ fn score_categorical(
     mv: &MeasureVector,
     cfg: &FacetConfig,
 ) -> Option<f64> {
-    let mapper = jidx.row_mapper(path);
-    let spec = FacetSpec::Categorical { attr, mapper };
+    let column = JoinedColumn::new(wh, attr, &jidx.row_mapper(path)).into();
+    let spec = FacetSpec::Categorical { attr, column };
     let ds = scan(wh, spec.clone(), sub, mv, cfg);
     let dom = ds.domain();
     if dom.is_empty() {
@@ -194,15 +195,15 @@ fn score_numerical(
     mv: &MeasureVector,
     cfg: &FacetConfig,
 ) -> Option<(f64, NumericSeries)> {
-    let mapper = jidx.row_mapper(path);
+    let column: Arc<JoinedColumn> = JoinedColumn::new(wh, attr, &jidx.row_mapper(path)).into();
     let domain = FacetSpec::NumericDomain {
         attr,
-        mapper: mapper.clone(),
+        column: Arc::clone(&column),
     };
     let bucketizer = scan(wh, domain, sub, mv, cfg).bucketizer(cfg.n_basic_intervals)?;
     let spec = FacetSpec::Buckets {
         attr,
-        mapper,
+        column,
         buckets: bucketizer.clone(),
     };
     let ds = scan(wh, spec.clone(), sub, mv, cfg);
@@ -236,8 +237,8 @@ pub fn rank_instances(
     cfg: &FacetConfig,
     hit_codes: &HashSet<u32>,
 ) -> Vec<RankedInstance> {
-    let mapper = jidx.row_mapper(path);
-    let spec = FacetSpec::Categorical { attr, mapper };
+    let column = JoinedColumn::new(wh, attr, &jidx.row_mapper(path)).into();
+    let spec = FacetSpec::Categorical { attr, column };
     let ds = scan(wh, spec.clone(), sub, mv, cfg);
     let g_ds = scan(wh, FacetSpec::Total, sub, mv, cfg).total(cfg.agg);
 

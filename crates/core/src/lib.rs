@@ -36,7 +36,7 @@ pub use cache::{Explored, SubspaceCache};
 pub use error::KdapError;
 pub use facet::{
     explore_subspace, DataspaceGroups, Exploration, FacetAttr, FacetConfig, FacetEntry, FacetOrder,
-    FacetPanel,
+    FacetPanel, JoinedColumns,
 };
 pub use governor::{record_breach, CancelToken, Governor};
 pub use hit::{build_hit_sets, Hit, HitConfig, HitGroup, HitSet};

@@ -23,7 +23,7 @@ use crate::api::{
 };
 use crate::cache::{Explored, SubspaceCache};
 use crate::error::KdapError;
-use crate::facet::{explore_subspace, DataspaceGroups, Exploration, FacetConfig};
+use crate::facet::{explore_subspace, DataspaceGroups, Exploration, FacetConfig, JoinedColumns};
 use crate::governor::{record_breach, CancelToken, Governor};
 use crate::interpret::{try_generate_star_nets, GenConfig, NetText, StarNet};
 use crate::navigate::refine;
@@ -205,6 +205,7 @@ impl KdapBuilder {
             },
             measure_vector: OnceLock::new(),
             dataspace_groups: DataspaceGroups::default(),
+            joined_columns: JoinedColumns::default(),
         })
     }
 }
@@ -233,6 +234,9 @@ pub struct Kdap {
     /// Facet group-bys over the whole dataspace (the roll-up to ALL),
     /// computed once per session; bounded by the schema's candidates.
     dataspace_groups: DataspaceGroups,
+    /// Candidate attribute columns pre-joined to their paths' first
+    /// edges, built once per session; bounded by the schema's candidates.
+    joined_columns: JoinedColumns,
 }
 
 impl Kdap {
@@ -413,6 +417,7 @@ impl Kdap {
             &self.planner,
             exec,
             &self.dataspace_groups,
+            &self.joined_columns,
         )?;
         span.rows_out(exploration.subspace_size as u64);
         let explored = Arc::new(Explored {
@@ -465,6 +470,12 @@ impl Kdap {
     /// bucket group-by.
     pub fn dataspace_groups_len(&self) -> usize {
         self.dataspace_groups.len()
+    }
+
+    /// Number of pre-joined columns the session holds: one per
+    /// `(attribute, join path)` facet candidate an explore has read.
+    pub fn joined_columns_len(&self) -> usize {
+        self.joined_columns.len()
     }
 
     /// Always zero — the join index has no row-mapper cache. Kept only

@@ -7,21 +7,26 @@
 //! measure per row. This module fuses them: **one scan** of the row set
 //! feeds the accumulators of *all* facet specs at once, over
 //! session-materialized inputs — a [`MeasureVector`] decoded once per
-//! session and [`RowMapper`]s sharing the arrays of the session's
-//! [`JoinIndex`](crate::JoinIndex). A single-attribute group-by is the
-//! one-spec case of the same scan.
+//! session and one pre-joined column per spec. A single-attribute
+//! group-by is the one-spec case of the same scan.
 //!
-//! Low-cardinality categorical attributes accumulate into **dense arrays
-//! sized by dictionary cardinality** (`stats[code as usize]`, no hashing);
-//! attributes above [`DENSE_GROUP_LIMIT`] fall back to the hash path.
-//! Numerical buckets run the same loop: a scan's predecode turns the
-//! attribute column into one bucket code per attribute-table row
-//! ([`Bucketizer::bucket_of`], `NULL_CODE` for NULL or out-of-domain
-//! values), so `bucket_of` runs once per dimension row, not once per fact
-//! row. The predecode then joins each spec's codes through every hop of
-//! its path after the first (`RowMapper::pre_join`), so a fact row
-//! costs one load of the first edge, one of the code and one
-//! `stats[code]` update.
+//! Every spec reads its attribute as a [`JoinedColumn`]: the column
+//! decoded once and joined through every hop of its path after the first
+//! (`RowMapper::pre_join`), one dictionary code or float per row of the
+//! first edge's parent table. The caller builds it, and the explore
+//! pipeline keeps one per `(attr, path)` for the life of its session, so
+//! a scan decodes nothing. Low-cardinality categorical attributes
+//! accumulate into **dense arrays sized by dictionary cardinality**
+//! (`stats[code as usize]`, no hashing); attributes above
+//! [`DENSE_GROUP_LIMIT`] fall back to the hash path. Numerical buckets
+//! run the dense loop: a bucket spec maps its column's floats through its
+//! [`Bucketizer`] once per scan (`NULL_CODE` for NULL or out-of-domain
+//! values), so `bucket_of` runs once per parent row, not once per fact
+//! row.
+//!
+//! The scan is row-major per first edge. Specs that share one are folded
+//! together: each gathered row loads its parent row once, then each of
+//! the edge's specs loads a code and updates `stats[code]` for it.
 //!
 //! A scan folds one value per group, under the [`Fold`] its caller's
 //! aggregation function reads ([`AggFunc::fold`]): the running sum for
@@ -29,15 +34,17 @@
 //! counts its measure values and its rows, so the same scan answers
 //! COUNT (bucket occupancy) beside the function it folded for.
 //!
-//! The bitmap is cut into fixed 128-word (`AGG_CHUNK_WORDS`) chunks whose
-//! partials merge in chunk order — in the serial arm too — so results
-//! depend only on the data, never on the thread count. That chunk-then-
-//! merge order is the engine's floating-point contract: the row-at-a-time
-//! oracle in `tests/support/` reproduces it, and
-//! `tests/facet_equivalence.rs` holds the scan to it bit for bit.
+//! The bitmap is cut into fixed 128-word (`AGG_CHUNK_WORDS`) chunks. A
+//! chunk that holds no row gets no partial (it would merge as the fold's
+//! identity); the others' partials merge in chunk order — in the serial
+//! arm too — so results depend only on the data, never on the thread
+//! count. That chunk-then-merge order is the engine's floating-point
+//! contract: the row-at-a-time oracle in `tests/support/` reproduces it,
+//! and `tests/facet_equivalence.rs` holds the scan to it bit for bit.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use kdap_warehouse::{ColRef, Measure, Warehouse};
 
@@ -103,27 +110,71 @@ impl MeasureVector {
     }
 }
 
+/// An attribute column decoded once and pre-joined to its join path's
+/// first edge: one value per row of the first edge's parent table (per
+/// origin row for the empty path), so a fact row reaches its value with
+/// one load of the edge and one of the value.
+///
+/// A string column holds dictionary codes, [`NULL_CODE`] for NULL; a
+/// numeric one holds floats, NaN for NULL. A join that dead-ends on a
+/// NULL key reads the same NULL. It shares the first edge with the
+/// session's [`JoinIndex`](crate::JoinIndex); what it owns is the values.
+#[derive(Debug)]
+pub struct JoinedColumn(Joined);
+
+#[derive(Debug)]
+enum Joined {
+    Codes(PreJoined<u32>),
+    Floats(PreJoined<f64>),
+}
+
+impl JoinedColumn {
+    /// Decodes `attr`'s column and joins it through `mapper`'s hops after
+    /// the first: one pass over the attribute's table, one over the first
+    /// edge's parent table.
+    pub fn new(wh: &Warehouse, attr: ColRef, mapper: &RowMapper) -> Self {
+        let col = wh.column(attr);
+        let mut codes = Vec::new();
+        if col.unpack_codes_into(&mut codes) {
+            return JoinedColumn(Joined::Codes(mapper.pre_join(codes, NULL_CODE)));
+        }
+        // Every column that is not a string column is numeric.
+        let mut vals = Vec::new();
+        col.unpack_floats_into(&mut vals);
+        JoinedColumn(Joined::Floats(mapper.pre_join(vals, f64::NAN)))
+    }
+
+    /// Heap bytes of the joined values.
+    pub fn heap_bytes(&self) -> u64 {
+        match &self.0 {
+            Joined::Codes(codes) => codes.heap_bytes(),
+            Joined::Floats(vals) => vals.heap_bytes(),
+        }
+    }
+}
+
 /// One group-by requested from the fused scan.
 ///
-/// Every variant that reads an attribute carries its own fact→target row
-/// mapper (sharing the arrays of the session's
-/// [`JoinIndex`](crate::JoinIndex)), so the scan itself touches no locks
-/// and builds no joins.
+/// Every variant that reads an attribute carries the attribute's
+/// [`JoinedColumn`], shared with whoever built it, so the scan itself
+/// touches no locks, builds no joins and decodes no column. A spec whose
+/// column does not hold what it reads (a categorical spec over a numeric
+/// column, a numerical one over a string column) reaches no group.
 #[derive(Debug, Clone)]
 pub enum FacetSpec {
     /// Group by the dictionary code of a categorical attribute.
     Categorical {
         /// The group-by attribute.
         attr: ColRef,
-        /// Fact row → attribute-table row.
-        mapper: RowMapper,
+        /// The attribute's column, pre-joined along its path.
+        column: Arc<JoinedColumn>,
     },
     /// Group a numerical attribute into basic intervals.
     Buckets {
         /// The group-by attribute.
         attr: ColRef,
-        /// Fact row → attribute-table row.
-        mapper: RowMapper,
+        /// The attribute's column, pre-joined along its path.
+        column: Arc<JoinedColumn>,
         /// The interval partitioning.
         buckets: Bucketizer,
     },
@@ -132,8 +183,8 @@ pub enum FacetSpec {
     NumericDomain {
         /// The attribute whose domain is measured.
         attr: ColRef,
-        /// Fact row → attribute-table row.
-        mapper: RowMapper,
+        /// The attribute's column, pre-joined along its path.
+        column: Arc<JoinedColumn>,
     },
     /// Total aggregate of the measure over the row set (no grouping).
     Total,
@@ -424,166 +475,249 @@ fn fixed_group_bytes(spec: &FacetSpec, wh: &Warehouse, dense_limit: usize) -> u6
     (slots * std::mem::size_of::<GroupStats>()) as u64
 }
 
-/// One spec's attribute column, predecoded and pre-joined to the spec's
-/// first edge once per scan.
-enum DecodedCol {
-    /// Total spec, or a column the spec cannot decode (e.g. a categorical
-    /// spec over a numeric column) — no row contributes.
-    Missing,
-    /// The group code each fact row joins to, [`NULL_CODE`] where no
-    /// group applies: dictionary codes for a categorical spec, bucket
-    /// indices for a bucket spec (NULL and out-of-domain values, and
-    /// joins that dead-end, are `NULL_CODE`).
-    Codes(PreJoined<u32>),
-    /// The float value each fact row joins to, NaN for NULL or a join
-    /// that dead-ends (domain specs).
-    Floats(PreJoined<f64>),
+/// What one spec reads in one scan.
+enum Input<'a> {
+    /// The measure of every gathered row (a total spec).
+    Total,
+    /// A group code per parent row: dictionary codes, or bucket indices
+    /// mapped for this scan.
+    Codes(&'a PreJoined<u32>),
+    /// A float per parent row (a domain spec).
+    Floats(&'a PreJoined<f64>),
+    /// A column that does not hold what the spec reads: no row
+    /// contributes.
+    Nothing,
 }
 
-impl DecodedCol {
-    /// Predecodes `spec`'s attribute column: once per attribute-table row,
-    /// then joined through the path's tail.
-    fn new(spec: &FacetSpec, wh: &Warehouse) -> Self {
-        match spec {
-            FacetSpec::Categorical { attr, mapper } => {
-                let col = wh.column(*attr);
-                // Room for the slot a NULL first hop reads.
-                let mut codes = Vec::with_capacity(col.len() + 1);
-                // Numeric columns have no codes: no row contributes.
-                if col.unpack_codes_into(&mut codes) {
-                    DecodedCol::Codes(mapper.pre_join(codes, NULL_CODE))
-                } else {
-                    DecodedCol::Missing
+/// The specs of one scan that read through one first edge.
+struct Edge<'a> {
+    /// Origin row → parent row; `None` for the empty path.
+    first: Option<&'a [u32]>,
+    /// Rows of the parent table: the slot a `NO_ROW` hop clamps to.
+    parent_rows: usize,
+    /// Dense categorical and bucket specs, in spec order, folded in one
+    /// pass.
+    arrays: Vec<usize>,
+    /// Hash-map categorical and domain specs, in spec order.
+    others: Vec<usize>,
+}
+
+/// How one scan reads its specs: each spec's input, the specs that read a
+/// column grouped by first edge (in order of first appearance), and the
+/// totals.
+struct Plan<'a> {
+    inputs: Vec<Input<'a>>,
+    edges: Vec<Edge<'a>>,
+    totals: Vec<usize>,
+}
+
+impl<'a> Plan<'a> {
+    /// `bucket_codes` holds, per spec, a bucket spec's codes for this
+    /// scan ([`bucket_codes`]).
+    fn new(
+        specs: &'a [FacetSpec],
+        bucket_codes: &'a [Option<PreJoined<u32>>],
+        wh: &Warehouse,
+        dense_limit: usize,
+    ) -> Self {
+        let mut plan = Plan {
+            inputs: Vec::with_capacity(specs.len()),
+            edges: Vec::new(),
+            totals: Vec::new(),
+        };
+        for (i, (spec, bucketed)) in specs.iter().zip(bucket_codes).enumerate() {
+            let column = match (spec, bucketed) {
+                (FacetSpec::Total, _) => {
+                    plan.totals.push(i);
+                    plan.inputs.push(Input::Total);
+                    continue;
                 }
+                (FacetSpec::Buckets { .. }, Some(codes)) => Some((Input::Codes(codes), true)),
+                (FacetSpec::Buckets { .. }, None) => None,
+                (FacetSpec::Categorical { column, .. }, _) => match &column.0 {
+                    Joined::Codes(codes) => {
+                        let dense = dense_slots(spec, wh, dense_limit).is_some();
+                        Some((Input::Codes(codes), dense))
+                    }
+                    Joined::Floats(_) => None,
+                },
+                (FacetSpec::NumericDomain { column, .. }, _) => match &column.0 {
+                    Joined::Floats(vals) => Some((Input::Floats(vals), false)),
+                    Joined::Codes(_) => None,
+                },
+            };
+            match column {
+                Some((input, array)) => plan.place(i, input, array),
+                None => plan.inputs.push(Input::Nothing),
             }
-            FacetSpec::Buckets {
-                attr,
-                mapper,
-                buckets,
-            } => {
-                let mut vals = Vec::new();
-                if wh.column(*attr).unpack_floats_into(&mut vals) {
-                    let mut codes = Vec::with_capacity(vals.len() + 1);
-                    codes.extend(
-                        vals.iter()
-                            .map(|&v| buckets.bucket_of(v).map_or(NULL_CODE, |b| b as u32)),
-                    );
-                    DecodedCol::Codes(mapper.pre_join(codes, NULL_CODE))
-                } else {
-                    DecodedCol::Missing
-                }
-            }
-            FacetSpec::NumericDomain { attr, mapper } => {
-                let col = wh.column(*attr);
-                let mut vals = Vec::with_capacity(col.len() + 1);
-                if col.unpack_floats_into(&mut vals) {
-                    DecodedCol::Floats(mapper.pre_join(vals, f64::NAN))
-                } else {
-                    DecodedCol::Missing
-                }
-            }
-            FacetSpec::Total => DecodedCol::Missing,
         }
+        plan
     }
 
-    fn heap_bytes(&self) -> u64 {
-        match self {
-            DecodedCol::Missing => 0,
-            DecodedCol::Codes(codes) => codes.heap_bytes(),
-            DecodedCol::Floats(vals) => vals.heap_bytes(),
+    /// Appends spec `i`'s `input` (a column) and files it under its first
+    /// edge, among the array specs when `array`.
+    fn place(&mut self, i: usize, input: Input<'a>, array: bool) {
+        let (first, parent_rows) = match input {
+            Input::Codes(codes) => (codes.first(), codes.parent_rows()),
+            Input::Floats(vals) => (vals.first(), vals.parent_rows()),
+            Input::Total | Input::Nothing => unreachable!("only columns are placed"),
+        };
+        let first = first.map(|f| &f[..]);
+        let same = |e: &Edge| {
+            e.parent_rows == parent_rows
+                && e.first.map(<[u32]>::as_ptr) == first.map(<[u32]>::as_ptr)
+        };
+        let at = match self.edges.iter().position(same) {
+            Some(at) => at,
+            None => {
+                self.edges.push(Edge {
+                    first,
+                    parent_rows,
+                    arrays: Vec::new(),
+                    others: Vec::new(),
+                });
+                self.edges.len() - 1
+            }
+        };
+        let edge = &mut self.edges[at];
+        if array {
+            edge.arrays.push(i);
+        } else {
+            edge.others.push(i);
         }
+        self.inputs.push(input);
+    }
+}
+
+/// A bucket spec's group code per parent row for one scan: its column's
+/// floats through its bucketizer, [`NULL_CODE`] for NULL, out-of-domain
+/// values and joins that dead-end. `None` for every other spec, and for a
+/// bucket spec over a string column.
+fn bucket_codes(spec: &FacetSpec) -> Option<PreJoined<u32>> {
+    let FacetSpec::Buckets {
+        column, buckets, ..
+    } = spec
+    else {
+        return None;
+    };
+    match &column.0 {
+        Joined::Floats(vals) => {
+            Some(vals.map(|v| buckets.bucket_of(v).map_or(NULL_CODE, |b| b as u32)))
+        }
+        Joined::Codes(_) => None,
     }
 }
 
 thread_local! {
-    /// Per-worker batch buffers: selected row indices and their gathered
-    /// measure values for one chunk (≤ 8192 rows = 96 KiB), reused across
-    /// chunks so the steady-state scan allocates nothing.
-    static BATCH_SCRATCH: RefCell<(Vec<u32>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-worker batch buffers: selected row indices, their gathered
+    /// measure values and their parent rows on one edge, for one chunk
+    /// (≤ 8192 rows = 128 KiB), reused across chunks so the steady-state
+    /// scan allocates nothing but its partials.
+    static BATCH_SCRATCH: RefCell<(Vec<u32>, Vec<f64>, Vec<u32>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
-/// The array-backed accumulation loop every dense categorical and every
-/// bucket spec runs: gathered row `k` counts into `stats[code]` and folds
-/// its measure value by `op`, where `code` is the one its fact row joins
-/// to. Rows whose code is [`NULL_CODE`] are skipped. Returns the first
-/// row whose code lies beyond `stats`, leaving it and every later row
-/// untouched.
+/// Every array spec of one edge folds a chunk: for each gathered row `k`
+/// in ascending order, each spec loads the code of parent row
+/// `parents[k]` and, unless it is [`NULL_CODE`], counts the row into
+/// `stats[code]` and folds its measure by `op`.
 #[inline(always)]
-fn accumulate_codes(
-    stats: &mut [GroupStats],
-    codes: &PreJoined<u32>,
-    row_buf: &[u32],
-    meas_buf: &[f64],
+fn fold_arrays(
+    groups: &mut [FacetGroups],
+    inputs: &[Input],
+    arrays: &[usize],
+    parents: &[u32],
+    meas: &[f64],
     op: impl Fn(f64, f64) -> f64 + Copy,
-) -> Option<usize> {
-    for (k, (&row, &m)) in row_buf.iter().zip(meas_buf).enumerate() {
-        let code = codes.get(row as usize);
-        if code == NULL_CODE {
+) {
+    // `arrays` is in ascending spec order.
+    let mut next = arrays.iter().peekable();
+    let mut lanes: Vec<(&[u32], &mut [GroupStats])> = Vec::with_capacity(arrays.len());
+    for (i, (g, input)) in groups.iter_mut().zip(inputs).enumerate() {
+        if next.next_if_eq(&&i).is_none() {
             continue;
         }
-        let Some(s) = stats.get_mut(code as usize) else {
-            return Some(k);
-        };
-        s.add(m, op);
+        match (g, input) {
+            (
+                FacetGroups::Dense { stats } | FacetGroups::Buckets { stats },
+                Input::Codes(codes),
+            ) => lanes.push((codes.values(), stats.as_mut_slice())),
+            _ => unreachable!("array specs read codes into arrays"),
+        }
     }
-    None
+    for (&p, &m) in parents.iter().zip(meas) {
+        for (codes, stats) in lanes.iter_mut() {
+            let code = codes[p as usize];
+            if code != NULL_CODE {
+                // A dictionary code is below the column's cardinality, a
+                // bucket code below `n_buckets`: both index `stats`.
+                stats[code as usize].add(m, op);
+            }
+        }
+    }
 }
 
-/// One chunk's gathered rows folded into every spec's groups. `op` is
+/// One chunk's gathered rows (`rows`, their measures `meas`) folded into
+/// every spec's groups, edge by edge: `parents` is refilled with each
+/// row's parent row on the edge, then the edge's specs read it. `op` is
 /// `fold`'s operation as a function of its own, so each fold runs its own
 /// copy of the loops.
 #[inline(always)]
 fn fold_chunk(
     groups: &mut [FacetGroups],
-    decoded: &[DecodedCol],
-    row_buf: &[u32],
-    meas_buf: &[f64],
+    plan: &Plan,
+    rows: &[u32],
+    meas: &[f64],
+    parents: &mut Vec<u32>,
     fold: Fold,
     op: impl Fn(f64, f64) -> f64 + Copy,
 ) {
-    for (g, col) in groups.iter_mut().zip(decoded) {
-        match (g, col) {
-            (FacetGroups::Total { stats }, _) => {
-                for &m in meas_buf {
-                    stats.add(m, op);
-                }
+    for &i in &plan.totals {
+        let FacetGroups::Total { stats } = &mut groups[i] else {
+            unreachable!("a total spec folds into a total")
+        };
+        meas.iter().for_each(|&m| stats.add(m, op));
+    }
+    for edge in &plan.edges {
+        parents.clear();
+        match edge.first {
+            // `NO_ROW` clamps to the trailing NULL slot.
+            Some(first) => {
+                let none = edge.parent_rows as u32;
+                parents.extend(rows.iter().map(|&r| first[r as usize].min(none)));
             }
-            // A dictionary code is below the column's cardinality, a
-            // bucket code below `n_buckets`: both below the length of
-            // `stats`.
-            (
-                FacetGroups::Dense { stats } | FacetGroups::Buckets { stats },
-                DecodedCol::Codes(codes),
-            ) => {
-                let stopped = accumulate_codes(stats, codes, row_buf, meas_buf, op);
-                assert_eq!(stopped, None, "codes index their own array");
-            }
-            // The hash-map loop of a categorical spec above the dense
-            // cutoff: `accumulate_codes` keyed by code.
-            (FacetGroups::Sparse { stats }, DecodedCol::Codes(codes)) => {
-                for (&row, &m) in row_buf.iter().zip(meas_buf) {
-                    let code = codes.get(row as usize);
-                    if code != NULL_CODE {
-                        stats
-                            .entry(code)
-                            .or_insert_with(|| GroupStats::empty(fold))
-                            .add(m, op);
+            None => parents.extend_from_slice(rows),
+        }
+        fold_arrays(groups, &plan.inputs, &edge.arrays, parents, meas, op);
+        for &i in &edge.others {
+            match (&mut groups[i], &plan.inputs[i]) {
+                // The hash-map loop of a categorical spec above the dense
+                // cutoff: the dense loop keyed by code.
+                (FacetGroups::Sparse { stats }, Input::Codes(codes)) => {
+                    let codes = codes.values();
+                    for (&p, &m) in parents.iter().zip(meas) {
+                        let code = codes[p as usize];
+                        if code != NULL_CODE {
+                            stats
+                                .entry(code)
+                                .or_insert_with(|| GroupStats::empty(fold))
+                                .add(m, op);
+                        }
                     }
                 }
-            }
-            (FacetGroups::Domain { min, max, any }, DecodedCol::Floats(vals)) => {
-                for &row in row_buf {
-                    let v = vals.get(row as usize);
-                    if v.is_finite() {
-                        *min = min.min(v);
-                        *max = max.max(v);
-                        *any = true;
+                (FacetGroups::Domain { min, max, any }, Input::Floats(vals)) => {
+                    let vals = vals.values();
+                    for &p in parents.iter() {
+                        let v = vals[p as usize];
+                        if v.is_finite() {
+                            *min = min.min(v);
+                            *max = max.max(v);
+                            *any = true;
+                        }
                     }
                 }
+                _ => unreachable!("groups and inputs were built from the same specs"),
             }
-            (_, DecodedCol::Missing) => {}
-            _ => unreachable!("groups and decoded columns were built from the same specs"),
         }
     }
 }
@@ -597,24 +731,24 @@ fn fold_chunk(
 /// `dense_limit` use dense arrays; larger ones fall back to hash maps. A
 /// column's cardinality is its largest code plus one, so no dictionary
 /// code indexes past a dense array. The bitmap is cut into 128-word
-/// (`AGG_CHUNK_WORDS`) chunks (run serially below two chunks) whose
-/// partials merge in chunk order, so output is independent of the thread
-/// count.
+/// (`AGG_CHUNK_WORDS`) chunks; those that hold a row are scanned (serially
+/// below two of them) into partials that merge in chunk order, so output
+/// is independent of the thread count.
 ///
 /// Each chunk runs as a **batch**: the selected row indices are collected
-/// into a reusable buffer, their measure values gathered in one pass
-/// against attribute columns predecoded and pre-joined once per scan
-/// (bulk-unpacked through [`crate::kernel::unpack_words`]), and the
-/// per-spec accumulation runs as a tight loop per spec over those
-/// buffers. Every gathered row is visited in ascending order and
-/// floating-point accumulation stays strictly sequential per group, so
-/// the scan produces the row-at-a-time oracle's bits
+/// into a reusable buffer and their measure values gathered in one pass.
+/// Then, per first edge, each row's parent row is gathered once and the
+/// edge's specs fold the rows row-major, all in one pass, against their
+/// [`JoinedColumn`]s. Every group sees its rows in ascending order
+/// and floating-point accumulation stays strictly sequential per group,
+/// so the scan produces the row-at-a-time oracle's bits
 /// (`tests/simd_equivalence.rs`).
 ///
 /// Governance (when `exec` carries a [`crate::QueryContext`]) is polled
-/// per chunk, and every chunk's accumulator allocation is charged to the
-/// memory budget; breaches return [`QueryError::Governed`]. A row set
-/// over more rows than `mv` holds is a [`QueryError::UniverseMismatch`].
+/// per chunk scanned, and the bucket codes and every chunk's accumulator
+/// allocation are charged to the memory budget; breaches return
+/// [`QueryError::Governed`]. A row set over more rows than `mv` holds is
+/// a [`QueryError::UniverseMismatch`].
 pub fn multi_group_by_exec(
     wh: &Warehouse,
     specs: &[FacetSpec],
@@ -632,13 +766,12 @@ pub fn multi_group_by_exec(
             right: mv.len(),
         });
     }
-    // Predecode each spec's attribute column once per scan so chunk
-    // workers only gather.
-    let decoded: Vec<DecodedCol> = specs.iter().map(|s| DecodedCol::new(s, wh)).collect();
+    let bucketed: Vec<Option<PreJoined<u32>>> = specs.iter().map(bucket_codes).collect();
     exec.charge(
         "multi_group_by",
-        decoded.iter().map(DecodedCol::heap_bytes).sum(),
+        bucketed.iter().flatten().map(PreJoined::heap_bytes).sum(),
     )?;
+    let plan = Plan::new(specs, &bucketed, wh, dense_limit);
     let empty_groups = || -> Vec<FacetGroups> {
         specs
             .iter()
@@ -648,27 +781,29 @@ pub fn multi_group_by_exec(
     let accumulate = |range: std::ops::Range<usize>| {
         let mut groups = empty_groups();
         BATCH_SCRATCH.with(|scratch| {
-            let (row_buf, meas_buf) = &mut *scratch.borrow_mut();
+            let (row_buf, meas_buf, parents) = &mut *scratch.borrow_mut();
             rows.collect_rows_in_word_range(range, row_buf);
-            if row_buf.is_empty() {
-                return;
-            }
             // Bounds-checked gather; the entry check makes every index
             // valid, so the check never fires.
             let measures = mv.as_slice();
             meas_buf.clear();
             meas_buf.extend(row_buf.iter().map(|&r| measures[r as usize]));
             let (rows, meas) = (&row_buf[..], &meas_buf[..]);
+            let g = &mut groups;
             match fold {
-                Fold::Sum => fold_chunk(&mut groups, &decoded, rows, meas, fold, |a, m| a + m),
-                Fold::Min => fold_chunk(&mut groups, &decoded, rows, meas, fold, f64::min),
-                Fold::Max => fold_chunk(&mut groups, &decoded, rows, meas, fold, f64::max),
+                Fold::Sum => fold_chunk(g, &plan, rows, meas, parents, fold, |a, m| a + m),
+                Fold::Min => fold_chunk(g, &plan, rows, meas, parents, fold, f64::min),
+                Fold::Max => fold_chunk(g, &plan, rows, meas, parents, fold, f64::max),
             }
         });
         groups
     };
-    let nwords = rows.n_words();
-    let ranges = chunk_ranges(nwords, AGG_CHUNK_WORDS);
+    // A chunk that holds no row gets no partial: it would merge as the
+    // fold's identity.
+    let ranges: Vec<std::ops::Range<usize>> = chunk_ranges(rows.n_words(), AGG_CHUNK_WORDS)
+        .into_iter()
+        .filter(|r| rows.any_in_word_range(r.clone()))
+        .collect();
     let nchunks = ranges.len() as u64;
     // Fixed-size accumulator state of one chunk partial (dense arrays and
     // bucket slots), charged to the budget before the chunk scans.
@@ -687,8 +822,7 @@ pub fn multi_group_by_exec(
     };
     // Both arms chunk identically and merge in chunk order, so the result
     // depends only on the data, never on the thread count.
-    let partials: Vec<(Vec<FacetGroups>, u64)> = if exec.is_serial() || nwords < 2 * AGG_CHUNK_WORDS
-    {
+    let partials: Vec<(Vec<FacetGroups>, u64)> = if exec.is_serial() || ranges.len() < 2 {
         ranges
             .iter()
             .enumerate()
@@ -871,7 +1005,7 @@ mod tests {
         let mapper = idx.row_mapper(&path);
         let domain = FacetSpec::NumericDomain {
             attr: sqft,
-            mapper: mapper.clone(),
+            column: JoinedColumn::new(&wh, sqft, &mapper).into(),
         };
         let buckets = scan(&wh, std::slice::from_ref(&domain), &all, &mv)[0]
             .bucketizer(2)
@@ -887,11 +1021,11 @@ mod tests {
         let specs = vec![
             FacetSpec::Categorical {
                 attr: city,
-                mapper: mapper.clone(),
+                column: JoinedColumn::new(&wh, city, &mapper).into(),
             },
             FacetSpec::Buckets {
                 attr: sqft,
-                mapper: mapper.clone(),
+                column: JoinedColumn::new(&wh, sqft, &mapper).into(),
                 buckets,
             },
             domain,
@@ -961,7 +1095,10 @@ mod tests {
         let mapper = idx.row_mapper(&path);
         // Only the NULL-measure fact (row 4, Seattle).
         let only_null = RowSet::from_rows(wh.fact_rows(), [4]);
-        let specs = vec![FacetSpec::Categorical { attr: city, mapper }];
+        let specs = vec![FacetSpec::Categorical {
+            attr: city,
+            column: JoinedColumn::new(&wh, city, &mapper).into(),
+        }];
         let groups = scan(&wh, &specs, &only_null, &mv);
         let seattle = wh.column(city).dict().unwrap().code_of("Seattle").unwrap();
         // Seattle is present in the domain…
@@ -980,7 +1117,7 @@ mod tests {
         let specs = vec![
             FacetSpec::Categorical {
                 attr: city,
-                mapper: mapper.clone(),
+                column: JoinedColumn::new(&wh, city, &mapper).into(),
             },
             FacetSpec::Total,
         ];
@@ -1000,6 +1137,74 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_that_holds_no_row_is_not_scanned() {
+        // SALES(3 chunks of 8192 rows) → STORE(3 rows), measure = price.
+        let mut b = WarehouseBuilder::new();
+        let cols = [
+            ("SKey", ValueType::Int, false),
+            ("Price", ValueType::Float, false),
+        ];
+        b.table("SALES", &cols).unwrap();
+        let cols = [
+            ("SKey", ValueType::Int, false),
+            ("City", ValueType::Str, true),
+        ];
+        b.table("STORE", &cols).unwrap();
+        for (k, city) in ["Columbus", "Seattle", "Austin"].iter().enumerate() {
+            b.row("STORE", vec![(k as i64).into(), (*city).into()])
+                .unwrap();
+        }
+        let n = 3 * 8192;
+        let sales = (0..n).map(|r| vec![(r as i64 % 3).into(), (r as f64 * 0.1).into()]);
+        b.rows("SALES", sales.collect()).unwrap();
+        b.edge("SALES.SKey", "STORE.SKey", None, Some("Store"))
+            .unwrap();
+        b.dimension("Store", &["STORE"], vec![], vec![]).unwrap();
+        b.fact("SALES").unwrap();
+        b.measure_column("Revenue", "SALES.Price").unwrap();
+        let wh = b.finish().unwrap();
+        let idx = JoinIndex::build(&wh);
+        let fact = wh.schema().fact_table();
+        let store = wh.table_id("STORE").unwrap();
+        let path = paths_between(wh.schema(), fact, store, 4).remove(0);
+        let city = wh.col_ref("STORE", "City").unwrap();
+        let measure = wh.schema().measure_by_name("Revenue").unwrap().clone();
+        let mv = MeasureVector::build(&wh, &measure);
+        let specs = [
+            FacetSpec::Categorical {
+                attr: city,
+                column: JoinedColumn::new(&wh, city, &idx.row_mapper(&path)).into(),
+            },
+            FacetSpec::Total,
+        ];
+        // Rows in the first and the last chunk, none in the middle one.
+        let ends = RowSet::from_rows(n, (0..n).filter(|r| r % 8192 < 100 && r / 8192 != 1));
+        for (rows, scanned) in [(&ends, 2), (&RowSet::empty(n), 0), (&RowSet::full(n), 3)] {
+            for threads in [1, 2] {
+                let obs = kdap_obs::Obs::enabled().profiled("q");
+                let exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
+                let groups = multi_group_by_exec(
+                    &wh,
+                    &specs,
+                    rows,
+                    &mv,
+                    Fold::Sum,
+                    &exec,
+                    DENSE_GROUP_LIMIT,
+                )
+                .unwrap();
+                assert_eq!(groups[1].total(AggFunc::Count), rows.len() as f64);
+                let histograms = obs.metrics_snapshot().histograms;
+                let chunks = histograms.get("query.agg_chunk_ns").map_or(0, |h| h.count);
+                assert_eq!(chunks, scanned, "threads={threads}");
+                let leaf = &obs.take_profile().unwrap().roots[0];
+                let note = leaf.notes.iter().find(|(k, _)| k == "chunks").unwrap();
+                assert_eq!(note.1, scanned.to_string(), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
     fn governed_scan_honors_cancellation_and_budget() {
         use crate::govern::QueryContext;
         use std::sync::atomic::AtomicBool;
@@ -1009,7 +1214,10 @@ mod tests {
         let city = wh.col_ref("STORE", "City").unwrap();
         let mv = MeasureVector::build(&wh, &measure);
         let mapper = idx.row_mapper(&path);
-        let specs = vec![FacetSpec::Categorical { attr: city, mapper }];
+        let specs = vec![FacetSpec::Categorical {
+            attr: city,
+            column: JoinedColumn::new(&wh, city, &mapper).into(),
+        }];
         let all = RowSet::full(wh.fact_rows());
 
         // Pre-cancelled token: the first chunk check aborts the scan.

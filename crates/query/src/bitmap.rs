@@ -567,6 +567,26 @@ impl RowSet {
         self.for_each_in_word_range(words, |r| out.push(r as u32));
     }
 
+    /// True when some set row lies in the given word range: a chunked
+    /// kernel's test for an empty chunk, without visiting its rows.
+    pub fn any_in_word_range(&self, words: std::ops::Range<usize>) -> bool {
+        let end = (words.end * 64).min(self.nrows);
+        let mut row = words.start * 64;
+        while row < end {
+            let b = row / BLOCK_ROWS;
+            let base = b * BLOCK_ROWS;
+            let local_end = (end - base).min(BLOCK_ROWS);
+            if self.blocks[b]
+                .next_from(row - base)
+                .is_some_and(|r| r < local_end)
+            {
+                return true;
+            }
+            row = base + local_end;
+        }
+        false
+    }
+
     /// Visits every set row in the given word range in ascending order —
     /// the tight-loop twin of [`RowSet::iter_word_range`] for hot
     /// kernels: bitmap blocks decode 64 rows per word load, run blocks
@@ -859,6 +879,7 @@ mod tests {
             RowSet::full(n),
             RowSet::from_rows(n, (0..n).step_by(701)),
             RowSet::from_rows(n, (0..n).filter(|r| r % 2 == 0)),
+            RowSet::from_rows(n, (0..n).filter(|r| r % 6000 < 64)),
             RowSet::empty(n),
         ];
         for s in &sets {
@@ -879,6 +900,20 @@ mod tests {
                     seen,
                     s.iter_word_range(range.clone()).collect::<Vec<_>>(),
                     "range {range:?}"
+                );
+                assert_eq!(
+                    s.any_in_word_range(range.clone()),
+                    !seen.is_empty(),
+                    "range {range:?}"
+                );
+            }
+            // Every one-word range: a row just before or after the range
+            // is not in it.
+            for w in 0..s.n_words() {
+                assert_eq!(
+                    s.any_in_word_range(w..w + 1),
+                    s.iter_word_range(w..w + 1).next().is_some(),
+                    "word {w}"
                 );
             }
         }

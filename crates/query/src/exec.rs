@@ -140,8 +140,10 @@ impl Default for ExecConfig {
 ///
 /// With a serial config (or fewer than two items) this is a plain
 /// iterator map — no threads are spawned. Otherwise `exec.threads`
-/// scoped workers pull indices from a shared counter, so uneven item
-/// costs balance dynamically. A panic in `f` propagates to the caller.
+/// workers — the calling thread and `threads − 1` scoped ones — pull
+/// indices from a shared counter, so uneven item costs balance
+/// dynamically and the caller works instead of waiting for the spawns. A
+/// panic in `f` propagates to the caller.
 pub fn par_map<T, R, F>(exec: &ExecConfig, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -154,31 +156,27 @@ where
     }
     let workers = exec.threads.min(n);
     let counter = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = counter.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i, &items[i])));
+        }
+        local
+    };
     let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Infallible unless `f` itself panicked, in which case
-            // re-raising the panic on the caller's thread is the contract.
-            .map(|h| {
-                #[allow(clippy::expect_used)]
-                h.join().expect("parallel worker panicked")
-            })
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut buckets = vec![work()];
+        // Infallible unless `f` itself panicked, in which case re-raising
+        // the panic on the caller's thread is the contract.
+        buckets.extend(handles.into_iter().map(|h| {
+            #[allow(clippy::expect_used)]
+            h.join().expect("parallel worker panicked")
+        }));
+        buckets
     });
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for (i, r) in buckets.into_iter().flatten() {
@@ -233,6 +231,28 @@ mod tests {
             });
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn par_map_runs_one_worker_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        // Items 0 and 1 each wait (up to 10 s) until both have started,
+        // so two different workers run them.
+        let started = AtomicUsize::new(0);
+        let ran_on = par_map(&ExecConfig::with_threads(2), &items, |i, _| {
+            if i < 2 {
+                started.fetch_add(1, Ordering::SeqCst);
+                let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < give_up {
+                    std::hint::spin_loop();
+                }
+            }
+            std::thread::current().id()
+        });
+        let workers: std::collections::HashSet<_> = ran_on.iter().collect();
+        assert_eq!(workers.len(), 2, "two workers");
+        assert!(workers.contains(&caller), "one of them is the caller");
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub mod semijoin;
 
 pub use aggregate::{AggFunc, Bucketizer, Fold};
 pub use aggregate_multi::{
-    multi_group_by_exec, FacetGroups, FacetSpec, GroupStats, MeasureVector, DENSE_GROUP_LIMIT,
+    multi_group_by_exec, FacetGroups, FacetSpec, GroupStats, JoinedColumn, MeasureVector,
+    DENSE_GROUP_LIMIT,
 };
 pub use bitmap::{ContainerHistogram, RowSet};
 pub use error::QueryError;

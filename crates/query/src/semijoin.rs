@@ -83,8 +83,9 @@ impl RowMapper {
 }
 
 /// Values of a join path's target table pre-joined to the path's first
-/// edge ([`RowMapper::pre_join`]): `get(row)` is the value of the target
-/// row that origin row `row` joins to.
+/// edge ([`RowMapper::pre_join`]): `values()[first[row]]`, with a
+/// `NO_ROW` first hop clamped to the trailing slot, is the value of the
+/// target row that origin row `row` joins to.
 #[derive(Debug)]
 pub(crate) struct PreJoined<T> {
     /// The path's first edge, as in its [`RowMapper`].
@@ -95,16 +96,31 @@ pub(crate) struct PreJoined<T> {
 }
 
 impl<T: Copy> PreJoined<T> {
-    /// The value origin row `row` joins to, the `none` it was built with
-    /// when the join dead-ends on a NULL key.
-    #[inline]
-    pub(crate) fn get(&self, row: usize) -> T {
-        let at = match &self.first {
-            // `NO_ROW` clamps to the trailing `none`.
-            Some(first) => (first[row] as usize).min(self.values.len() - 1),
-            None => row,
-        };
-        self.values[at]
+    /// The path's first edge, origin row → parent row ([`NO_ROW`] for a
+    /// NULL key); `None` for the empty path.
+    pub(crate) fn first(&self) -> Option<&Arc<[u32]>> {
+        self.first.as_ref()
+    }
+
+    /// Rows of the first edge's parent table (of the origin table for the
+    /// empty path): the index of the trailing `none` that a `NO_ROW` hop
+    /// clamps to.
+    pub(crate) fn parent_rows(&self) -> usize {
+        self.values.len() - 1
+    }
+
+    /// One value per parent row, then the trailing `none`.
+    pub(crate) fn values(&self) -> &[T] {
+        &self.values
+    }
+
+    /// The same join with every value, the trailing `none` included,
+    /// mapped through `f`.
+    pub(crate) fn map<U>(&self, f: impl Fn(T) -> U) -> PreJoined<U> {
+        PreJoined {
+            first: self.first.clone(),
+            values: self.values.iter().map(|&v| f(v)).collect(),
+        }
     }
 
     /// Heap bytes of the joined values (the first edge is the index's).
@@ -618,8 +634,13 @@ mod tests {
             let mapper = idx.row_mapper(&path);
             let joined = mapper.pre_join(vec![10u32, 11, 12], NO_ROW);
             for row in 0..3 {
+                // How a scan reads it: `NO_ROW` clamps to the trailing slot.
+                let at = match joined.first() {
+                    Some(first) => (first[row] as usize).min(joined.parent_rows()),
+                    None => row,
+                };
                 let want = mapper.get(row).map_or(NO_ROW, |t| 10 + t);
-                assert_eq!(joined.get(row), want, "{hops} hops, row {row}");
+                assert_eq!(joined.values()[at], want, "{hops} hops, row {row}");
             }
             assert_eq!(joined.heap_bytes(), 4 * 4, "{hops} hops");
         }

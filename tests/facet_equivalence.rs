@@ -24,8 +24,9 @@ use kdap_suite::query::{
 use kdap_suite::warehouse::ColRef;
 
 use support::{
-    aggregate_total, candidate_specs, group_by_buckets, group_by_categorical, hostile_floats,
-    project_categorical, project_numeric, workload, KeyWalker,
+    aggregate_total, candidate_specs, chunk_shapes, group_by_buckets, group_by_categorical,
+    hostile_floats, project_categorical, project_numeric, spec_layouts, workload, Accumulator,
+    KeyWalker,
 };
 
 /// The functions whose finished values a scan under `fold` answers.
@@ -37,9 +38,17 @@ fn functions_of(fold: Fold) -> &'static [AggFunc] {
     }
 }
 
-/// Scans every candidate spec of `kdap` over `rows` in one pass per fold
-/// and holds each result to the single-attribute oracle, under every
-/// function the fold answers.
+/// What the single-attribute oracle expects of one candidate spec.
+enum Expected {
+    Total(Accumulator),
+    Categorical(BTreeMap<u32, Accumulator>, Vec<u32>),
+    Buckets(Vec<Accumulator>),
+    Domain(Option<Bucketizer>),
+}
+
+/// Scans every candidate spec of `kdap` over `rows` in one pass per fold,
+/// then again in every [`spec_layouts`] scan, and holds each result to
+/// the single-attribute oracle, under every function the fold answers.
 fn check_kernel(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
     let wh = kdap.warehouse();
     let keys = KeyWalker::new(wh);
@@ -47,62 +56,82 @@ fn check_kernel(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) 
     let mv = MeasureVector::build(wh, measure);
     let exec = ExecConfig::with_threads(threads);
     let tagged = candidate_specs(kdap, &keys, rows);
-    let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
-    for fold in [Fold::Sum, Fold::Min, Fold::Max] {
-        let groups = multi_group_by_exec(wh, &specs, rows, &mv, fold, &exec, dense_limit).unwrap();
-        assert_eq!(groups.len(), specs.len());
-        for ((path, spec), fg) in tagged.iter().zip(&groups) {
-            match spec {
-                FacetSpec::Total => {
-                    let expect = aggregate_total(wh, measure, rows);
-                    for &func in functions_of(fold) {
-                        assert_eq!(
-                            fg.total(func).to_bits(),
-                            expect.finish(func).to_bits(),
-                            "total {func:?}"
-                        );
+    let expected: Vec<Expected> = tagged
+        .iter()
+        .map(|(path, spec)| match spec {
+            FacetSpec::Total => Expected::Total(aggregate_total(wh, measure, rows)),
+            FacetSpec::Categorical { attr, .. } => Expected::Categorical(
+                group_by_categorical(&keys, path, *attr, rows, measure)
+                    .into_iter()
+                    .collect(),
+                project_categorical(&keys, path, *attr, rows),
+            ),
+            FacetSpec::Buckets { attr, buckets, .. } => {
+                Expected::Buckets(group_by_buckets(&keys, path, *attr, rows, measure, buckets))
+            }
+            FacetSpec::NumericDomain { attr, .. } => Expected::Domain(Bucketizer::equal_width(
+                project_numeric(&keys, path, *attr, rows),
+                8,
+            )),
+        })
+        .collect();
+    let every: Vec<usize> = (0..tagged.len()).collect();
+    for layout in std::iter::once(every).chain(spec_layouts(&tagged)) {
+        let specs: Vec<FacetSpec> = layout.iter().map(|&i| tagged[i].1.clone()).collect();
+        for fold in [Fold::Sum, Fold::Min, Fold::Max] {
+            let groups =
+                multi_group_by_exec(wh, &specs, rows, &mv, fold, &exec, dense_limit).unwrap();
+            assert_eq!(groups.len(), specs.len());
+            for (&i, fg) in layout.iter().zip(&groups) {
+                let context = format!("spec {i} of {layout:?} {fold:?} threads={threads}");
+                match &expected[i] {
+                    Expected::Total(expect) => {
+                        for &func in functions_of(fold) {
+                            assert_eq!(
+                                fg.total(func).to_bits(),
+                                expect.finish(func).to_bits(),
+                                "total {func:?} {context}"
+                            );
+                        }
                     }
-                }
-                FacetSpec::Categorical { attr, .. } => {
-                    if dense_limit > 0 {
-                        assert!(fg.is_dense());
+                    Expected::Categorical(expect, domain) => {
+                        if dense_limit > 0 {
+                            assert!(fg.is_dense());
+                        }
+                        for &func in functions_of(fold) {
+                            let bits = |m: HashMap<u32, f64>| -> BTreeMap<u32, u64> {
+                                m.into_iter().map(|(c, v)| (c, v.to_bits())).collect()
+                            };
+                            assert_eq!(
+                                bits(fg.to_map(func)),
+                                bits(
+                                    expect
+                                        .iter()
+                                        .filter(|(_, a)| a.count > 0)
+                                        .map(|(c, a)| (*c, a.finish(func)))
+                                        .collect()
+                                ),
+                                "{func:?} {context}"
+                            );
+                        }
+                        assert_eq!(&fg.domain(), domain, "{context}");
                     }
-                    let expect = group_by_categorical(&keys, path, *attr, rows, measure);
-                    for &func in functions_of(fold) {
-                        let bits = |m: HashMap<u32, f64>| -> BTreeMap<u32, u64> {
-                            m.into_iter().map(|(c, v)| (c, v.to_bits())).collect()
-                        };
-                        assert_eq!(
-                            bits(fg.to_map(func)),
-                            bits(
-                                expect
-                                    .iter()
-                                    .filter(|(_, a)| a.count > 0)
-                                    .map(|(c, a)| (*c, a.finish(func)))
-                                    .collect()
-                            ),
-                            "{func:?}"
-                        );
+                    Expected::Buckets(expect) => {
+                        for &func in functions_of(fold) {
+                            let bits = |v: Vec<f64>| -> Vec<u64> {
+                                v.iter().map(|x| x.to_bits()).collect()
+                            };
+                            assert_eq!(
+                                bits(fg.to_series(func)),
+                                bits(expect.iter().map(|a| a.finish(func)).collect()),
+                                "{:?} {func:?} {context}",
+                                tagged[i].1
+                            );
+                        }
                     }
-                    assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
-                }
-                FacetSpec::Buckets { attr, buckets, .. } => {
-                    let expect = group_by_buckets(&keys, path, *attr, rows, measure, buckets);
-                    for &func in functions_of(fold) {
-                        let bits =
-                            |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-                        assert_eq!(
-                            bits(fg.to_series(func)),
-                            bits(expect.iter().map(|a| a.finish(func)).collect()),
-                            "{:?} {:?}",
-                            buckets,
-                            func
-                        );
+                    Expected::Domain(bucketizer) => {
+                        assert_eq!(&fg.bucketizer(8), bucketizer, "{context}");
                     }
-                }
-                FacetSpec::NumericDomain { attr, .. } => {
-                    let values = project_numeric(&keys, path, *attr, rows);
-                    assert_eq!(fg.bucketizer(8), Bucketizer::equal_width(values, 8));
                 }
             }
         }
@@ -181,12 +210,15 @@ proptest! {
     /// count, on both the dense-array path and the hash fallback (forced
     /// by a zero dense limit). The inputs are the workload's subspaces and
     /// row subsets of a star whose float attribute holds NULL, NaN, ±∞,
-    /// −0.0 and values outside a bucketizer's domain; bucket specs run
-    /// under equal-width, per-distinct-value and middle-half bucketizers.
+    /// −0.0 and values outside a bucketizer's domain, strided and in the
+    /// chunk shapes of `chunk_shapes`; bucket specs run under
+    /// equal-width, per-distinct-value and middle-half bucketizers. Each
+    /// scan runs with every candidate spec and in every `spec_layouts`
+    /// scan (one to nine specs on one first edge, edges interleaved).
     #[test]
     fn multi_aggregate_kernel_matches_per_facet_kernels(
         query_idx in 0usize..64,
-        threads in proptest::sample::select(vec![1usize, 4]),
+        threads in proptest::sample::select(vec![1usize, 2, 4]),
         dense in any::<bool>(),
     ) {
         let fx = workload();
@@ -202,6 +234,11 @@ proptest! {
         let stride = query_idx % 5 + 1;
         let rows = RowSet::from_rows(n, (0..n).filter(|r| r % stride == query_idx % stride));
         check_kernel(hostile, &rows, threads, dense_limit);
+        // One of the chunk shapes: one to three chunks, an empty one
+        // between non-empty ones, chunks with and without a NULL measure.
+        let mv = MeasureVector::build(hostile.warehouse(), hostile.measure());
+        let shapes = chunk_shapes(n, |r| mv.get(r).is_none());
+        check_kernel(hostile, &shapes[query_idx % shapes.len()], threads, dense_limit);
     }
 
     /// Whole-pipeline check: an exploration through the session equals

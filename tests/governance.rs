@@ -357,6 +357,63 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
     }
 }
 
+/// A cold session builds every pre-joined column an explore reads, then
+/// polls and charges for them, then inserts them all, before its first
+/// facet scan. So a cancel at the first poll of stage `multi_group_by`
+/// leaves none of them, a cancel at any poll leaves none or all of them,
+/// never some, and the next request's body is byte-equal to a fresh
+/// session's. (That the columns' own poll comes before their insert is
+/// pinned by `columns_are_inserted_only_after_their_poll_and_charge` in
+/// `crates/core/src/facet/fused.rs`.)
+#[test]
+fn a_cancel_while_building_columns_leaves_none() {
+    let aw = build_aw_online(Scale::small(), 42).unwrap();
+    for threads in THREADS {
+        for victim in ["mountain bikes", "clothing"] {
+            let session = || Kdap::builder(aw.clone()).threads(threads).build().unwrap();
+            let fresh = render(&session(), victim);
+            let all = {
+                let kdap = session();
+                render(&kdap, victim);
+                kdap.joined_columns_len()
+            };
+            assert!(all > 0, "`{victim}` reads pre-joined columns");
+            // Columns left by each cancel, in poll order, and by the
+            // first cancel in `multi_group_by`.
+            let mut seen = Vec::new();
+            let mut at_first_scan_poll = None;
+            for k in 1.. {
+                let context = format!("threads={threads} `{victim}` k={k}");
+                let kdap = session();
+                let token = CancelToken::cancelling_at_poll(k);
+                let outcome = kdap.run_cancellable(&explore(victim), Some(token));
+                let columns = kdap.joined_columns_len();
+                assert!(
+                    columns == 0 || columns == all,
+                    "{context}: {columns} of {all}"
+                );
+                seen.push(columns);
+                assert_eq!(render(&kdap, victim), fresh, "{context}");
+                match outcome {
+                    Ok(_) => break,
+                    Err(KdapError::Cancelled {
+                        stage: "multi_group_by",
+                    }) => {
+                        at_first_scan_poll.get_or_insert(columns);
+                    }
+                    Err(KdapError::Cancelled { .. }) => {}
+                    Err(other) => panic!("{context}: {other:?}"),
+                }
+            }
+            assert_eq!(at_first_scan_poll, Some(0), "threads={threads} `{victim}`");
+            assert!(
+                seen.is_sorted() && seen.last() == Some(&all),
+                "threads={threads} `{victim}`: columns after each cancel {seen:?}"
+            );
+        }
+    }
+}
+
 /// An ungoverned explore of `keywords`' top interpretation.
 fn explore(keywords: &str) -> QueryRequest {
     QueryRequest::new(Verb::Explore, keywords)
@@ -391,16 +448,20 @@ fn facet_candidates(wh: &Warehouse, net: &StarNet) -> Vec<(ColRef, JoinPath)> {
 
 /// Session memory bounded by design, not by traffic: after the whole
 /// workload population, the whole-dataspace memo holds at most one group
-/// per distinct `(attribute, join path)` candidate, plus the total.
+/// per distinct `(attribute, join path)` candidate, plus the total, and
+/// the session holds exactly one pre-joined column per distinct
+/// candidate. A second pass over the population adds to neither.
 #[test]
 fn the_dataspace_memo_is_bounded_by_the_candidates() {
     let ebiz = build_ebiz(EbizScale::small(), 7).unwrap();
     let aw = build_aw_online(Scale::small(), 42).unwrap();
-    for wh in [ebiz, aw] {
+    let aw_full = build_aw_online(Scale::full(), 42).unwrap();
+    for wh in [ebiz, aw, aw_full] {
         let kdap = Kdap::builder(wh).build().unwrap();
         let wh = kdap.warehouse();
+        let population = generate_workload(wh, &WorkloadConfig::default());
         let mut candidates = HashSet::new();
-        for q in generate_workload(wh, &WorkloadConfig::default()) {
+        for q in &population {
             for r in differentiate(&kdap, &q.text()).iter().take(3) {
                 kdap.explore(&r.net).unwrap();
                 candidates.extend(facet_candidates(wh, &r.net));
@@ -413,6 +474,15 @@ fn the_dataspace_memo_is_bounded_by_the_candidates() {
             "{memo} groups for {} candidates",
             candidates.len()
         );
+        let joined = candidates.len();
+        assert_eq!(kdap.joined_columns_len(), joined);
+        for q in &population {
+            for r in differentiate(&kdap, &q.text()).iter().take(3) {
+                kdap.explore(&r.net).unwrap();
+            }
+        }
+        assert_eq!(kdap.dataspace_groups_len(), memo, "second pass");
+        assert_eq!(kdap.joined_columns_len(), joined, "second pass");
     }
 }
 
@@ -443,6 +513,11 @@ fn a_budget_breach_at_any_charge_commits_no_partial_state() {
                     .unwrap()
             };
             let fresh = render(&session(), victim);
+            let all_columns = {
+                let kdap = session();
+                render(&kdap, victim);
+                kdap.joined_columns_len()
+            };
             let mut answered = None;
             let mut stages = BTreeSet::new();
             for k in 0..=40 {
@@ -467,6 +542,12 @@ fn a_budget_breach_at_any_charge_commits_no_partial_state() {
                         charged_bytes,
                     }) => {
                         assert!(answered.is_none(), "{context}: breached after an answer");
+                        // The columns go in whole after their charge.
+                        let columns = kdap.joined_columns_len();
+                        assert!(
+                            columns == 0 || columns == all_columns,
+                            "{context}: {columns} of {all_columns} columns"
+                        );
                         assert_eq!(budget_bytes, 1 << k, "{context}");
                         assert!(charged_bytes > budget_bytes, "{context}");
                         assert_eq!(kdap.subspace_cache_len(), Some(0), "{context}");

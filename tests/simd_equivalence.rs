@@ -23,8 +23,9 @@ use kdap_suite::query::{
 use kdap_suite::warehouse::kernel;
 
 use support::{
-    aggregate_total, bits, candidate_specs, group_by_buckets, group_by_categorical, hostile_floats,
-    project_categorical, project_numeric, workload, Accumulator, KeyWalker,
+    aggregate_total, bits, candidate_specs, chunk_shapes, group_by_buckets, group_by_categorical,
+    hostile_floats, project_categorical, project_numeric, spec_layouts, workload, Accumulator,
+    KeyWalker,
 };
 
 /// Deterministic pseudo-random words (splitmix64).
@@ -247,9 +248,10 @@ fn group_bits(fg: &FacetGroups) -> BTreeMap<u32, (u64, u64, u64)> {
 }
 
 /// Scans every candidate spec of `kdap` over `rows` in one engine pass
-/// per fold and holds each result to the oracle: same groups, same
-/// domains, same bits (count and rows always, and the sum under SUM, the
-/// minimum under MIN, the maximum under MAX).
+/// per fold, then again in every [`spec_layouts`] scan, and holds each
+/// result to the oracle: same groups, same domains, same bits (count and
+/// rows always, and the sum under SUM, the minimum under MIN, the maximum
+/// under MAX).
 fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_limit: usize) {
     let wh = kdap.warehouse();
     let keys = KeyWalker::new(wh);
@@ -257,7 +259,6 @@ fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_l
     let mv = MeasureVector::build(wh, measure);
     let exec = ExecConfig::with_threads(threads);
     let tagged = candidate_specs(kdap, &keys, rows);
-    let specs: Vec<FacetSpec> = tagged.iter().map(|(_, s)| s.clone()).collect();
     let want: Vec<BTreeMap<u32, Accumulator>> = tagged
         .iter()
         .map(|(path, spec)| match spec {
@@ -277,32 +278,53 @@ fn check_scan_against_oracle(kdap: &Kdap, rows: &RowSet, threads: usize, dense_l
             FacetSpec::NumericDomain { .. } => BTreeMap::new(),
         })
         .collect();
-    for fold in [Fold::Sum, Fold::Min, Fold::Max] {
-        let got = multi_group_by_exec(wh, &specs, rows, &mv, fold, &exec, dense_limit).unwrap();
-        assert_eq!(got.len(), specs.len());
-        for (i, (((path, spec), fg), want)) in tagged.iter().zip(&got).zip(&want).enumerate() {
-            match spec {
-                FacetSpec::Categorical { attr, .. } => {
-                    assert_eq!(fg.domain(), project_categorical(&keys, path, *attr, rows));
-                }
-                FacetSpec::NumericDomain { attr, .. } => {
-                    let values = project_numeric(&keys, path, *attr, rows);
-                    let finite = || values.iter().copied().filter(|v| v.is_finite());
-                    let FacetGroups::Domain { min, max, any } = fg else {
-                        panic!("domain spec yields a domain");
-                    };
-                    assert_eq!(*any, finite().next().is_some());
-                    assert_eq!(*min, finite().fold(f64::INFINITY, f64::min));
-                    assert_eq!(*max, finite().fold(f64::NEG_INFINITY, f64::max));
-                }
-                FacetSpec::Total | FacetSpec::Buckets { .. } => {}
+    // Each categorical spec's domain, each domain spec's finite values.
+    let projected: Vec<(Vec<u32>, Vec<f64>)> = tagged
+        .iter()
+        .map(|(path, spec)| match spec {
+            FacetSpec::Categorical { attr, .. } => {
+                (project_categorical(&keys, path, *attr, rows), Vec::new())
             }
-            let got_bits: Vec<_> = group_bits(fg).into_iter().collect();
-            let want_bits: Vec<_> = want.iter().map(|(k, a)| (*k, bits(a, fold))).collect();
-            assert_eq!(
-                got_bits, want_bits,
-                "spec {i} ({spec:?}) {fold:?} threads={threads} dense_limit={dense_limit}"
-            );
+            FacetSpec::NumericDomain { attr, .. } => {
+                let mut values = project_numeric(&keys, path, *attr, rows);
+                values.retain(|v| v.is_finite());
+                (Vec::new(), values)
+            }
+            FacetSpec::Total | FacetSpec::Buckets { .. } => (Vec::new(), Vec::new()),
+        })
+        .collect();
+    let every: Vec<usize> = (0..tagged.len()).collect();
+    for layout in std::iter::once(every).chain(spec_layouts(&tagged)) {
+        let specs: Vec<FacetSpec> = layout.iter().map(|&i| tagged[i].1.clone()).collect();
+        for fold in [Fold::Sum, Fold::Min, Fold::Max] {
+            let got = multi_group_by_exec(wh, &specs, rows, &mv, fold, &exec, dense_limit).unwrap();
+            assert_eq!(got.len(), specs.len());
+            for (&i, fg) in layout.iter().zip(&got) {
+                let spec = &tagged[i].1;
+                let (domain, finite) = &projected[i];
+                match spec {
+                    FacetSpec::Categorical { .. } => assert_eq!(&fg.domain(), domain),
+                    FacetSpec::NumericDomain { .. } => {
+                        let FacetGroups::Domain { min, max, any } = fg else {
+                            panic!("domain spec yields a domain");
+                        };
+                        assert_eq!(*any, !finite.is_empty());
+                        assert_eq!(*min, finite.iter().copied().fold(f64::INFINITY, f64::min));
+                        assert_eq!(
+                            *max,
+                            finite.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+                        );
+                    }
+                    FacetSpec::Total | FacetSpec::Buckets { .. } => {}
+                }
+                let got_bits: Vec<_> = group_bits(fg).into_iter().collect();
+                let want_bits: Vec<_> = want[i].iter().map(|(k, a)| (*k, bits(a, fold))).collect();
+                assert_eq!(
+                    got_bits, want_bits,
+                    "spec {i} ({spec:?}) of {layout:?} {fold:?} threads={threads} \
+                     dense_limit={dense_limit}"
+                );
+            }
         }
     }
 }
@@ -332,10 +354,13 @@ proptest! {
 /// The floating-point contract on a warehouse wide enough to chunk
 /// (24k facts: two full 8192-row chunks and a partial one, which also
 /// takes the threaded arm): rows accumulate in ascending order within
-/// fixed chunks and partials merge in chunk order, so the scan equals the
-/// oracle bit-for-bit at any thread count — on the whole dataspace and on
-/// a scattered subset that leaves chunks unevenly filled, of AW_ONLINE and
-/// of the star whose float attribute holds NULL, NaN, ±∞ and −0.0.
+/// fixed chunks, chunks that hold no row are skipped, and partials merge
+/// in chunk order, so the scan equals the oracle bit-for-bit at any
+/// thread count — on the whole dataspace, on a scattered subset that
+/// leaves chunks unevenly filled, and on [`chunk_shapes`] (universes of
+/// one to three chunks, an empty chunk between non-empty ones, chunks
+/// with and without a NULL measure), of AW_ONLINE and of the star whose
+/// float attribute holds NULL, NaN, ±∞ and −0.0.
 #[test]
 fn chunked_scan_keeps_the_chunk_then_merge_order() {
     let wh = build_aw_online(Scale::small().scaled(10), 42).expect("generator is valid");
@@ -343,13 +368,19 @@ fn chunked_scan_keeps_the_chunk_then_merge_order() {
     for kdap in [&aw, hostile_floats()] {
         let n = kdap.warehouse().fact_rows();
         assert!(n > 2 * 8192, "fixture must span several chunks");
+        let mv = MeasureVector::build(kdap.warehouse(), kdap.measure());
         let all = RowSet::full(n);
         let scattered = RowSet::from_rows(n, (0..n).filter(|r| r % 7 == 0 || r % 8192 < 40));
         for rows in [&all, &scattered] {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 for dense_limit in [DENSE_GROUP_LIMIT, 0] {
                     check_scan_against_oracle(kdap, rows, threads, dense_limit);
                 }
+            }
+        }
+        for rows in &chunk_shapes(n, |r| mv.get(r).is_none()) {
+            for threads in [1usize, 2] {
+                check_scan_against_oracle(kdap, rows, threads, DENSE_GROUP_LIMIT);
             }
         }
     }

@@ -18,7 +18,7 @@
 
 #![allow(dead_code)]
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use kdap_suite::core::phrase::merged_group_pool;
@@ -29,12 +29,12 @@ use kdap_suite::core::{
 use kdap_suite::datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
 use kdap_suite::obs::{json_string, Obs};
 use kdap_suite::query::{
-    fact_paths_by_table, AggFunc, Bucketizer, FacetSpec, Fingerprint, Fold, JoinPath, Predicate,
-    RowSet, Selection, MAX_PATH_LEN,
+    fact_paths_by_table, AggFunc, Bucketizer, FacetSpec, Fingerprint, Fold, JoinPath, JoinedColumn,
+    Predicate, RowSet, Selection, MAX_PATH_LEN,
 };
 use kdap_suite::textindex::TextIndex;
 use kdap_suite::warehouse::{
-    AttrKind, ColRef, Measure, TableId, Value, ValueType, Warehouse, WarehouseBuilder,
+    AttrKind, ColRef, EdgeId, Measure, TableId, Value, ValueType, Warehouse, WarehouseBuilder,
     WarehouseError,
 };
 
@@ -479,12 +479,16 @@ pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(Joi
         let mapper = jidx.row_mapper(path);
         for (c, col) in wh.tables()[t as usize].columns().iter().enumerate() {
             let attr = ColRef::new(tid, c as u32);
+            if col.dict().is_none() && col.value_type() != ValueType::Float {
+                continue;
+            }
+            let column: Arc<JoinedColumn> = JoinedColumn::new(wh, attr, &mapper).into();
             if col.dict().is_some() {
                 out.push((
                     path.clone(),
                     FacetSpec::Categorical {
                         attr,
-                        mapper: mapper.clone(),
+                        column: Arc::clone(&column),
                     },
                 ));
             } else if col.value_type() == ValueType::Float {
@@ -492,7 +496,7 @@ pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(Joi
                     path.clone(),
                     FacetSpec::NumericDomain {
                         attr,
-                        mapper: mapper.clone(),
+                        column: Arc::clone(&column),
                     },
                 ));
                 let values = project_numeric(keys, path, attr, rows);
@@ -501,7 +505,7 @@ pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(Joi
                         path.clone(),
                         FacetSpec::Buckets {
                             attr,
-                            mapper: mapper.clone(),
+                            column: Arc::clone(&column),
                             buckets,
                         },
                     ));
@@ -510,6 +514,67 @@ pub fn candidate_specs(kdap: &Kdap, keys: &KeyWalker, rows: &RowSet) -> Vec<(Joi
         }
     }
     out
+}
+
+/// Scans that exercise the group-by's row-major loop per first edge, as
+/// lists of indices into `tagged` (a [`candidate_specs`] list, in scan
+/// order): one to nine specs that read through the first edge with the
+/// most candidates (cycling through them, a spec repeated when there are
+/// fewer); then every spec, the first edges interleaved in spec order,
+/// the total first.
+pub fn spec_layouts(tagged: &[(JoinPath, FacetSpec)]) -> Vec<Vec<usize>> {
+    let mut by_edge: BTreeMap<Option<EdgeId>, Vec<usize>> = BTreeMap::new();
+    let mut totals = Vec::new();
+    for (i, (path, spec)) in tagged.iter().enumerate() {
+        match spec {
+            FacetSpec::Total => totals.push(i),
+            _ => by_edge
+                .entry(path.edges().first().copied())
+                .or_default()
+                .push(i),
+        }
+    }
+    let mut layouts = Vec::new();
+    if let Some(widest) = by_edge.values().max_by_key(|specs| specs.len()) {
+        for n in 1..=9 {
+            layouts.push((0..n).map(|k| widest[k % widest.len()]).collect());
+        }
+    }
+    let longest = by_edge.values().map(Vec::len).max().unwrap_or(0);
+    let mut interleaved = totals;
+    for k in 0..longest {
+        interleaved.extend(by_edge.values().filter_map(|specs| specs.get(k)));
+    }
+    layouts.push(interleaved);
+    layouts
+}
+
+/// Row sets that exercise the group-by's 8,192-row chunks, over
+/// universes of one, two and three chunks (as far as `n` facts reach;
+/// `null_measure` says which facts have a NULL measure). Per universe: a
+/// pattern whose chunks cycle through rows with no NULL measure, no row
+/// and every fifth row, so an empty chunk lies between two non-empty ones
+/// and a chunk without a NULL measure beside one that may hold some; and
+/// the same cycle one chunk on.
+pub fn chunk_shapes(n: usize, null_measure: impl Fn(usize) -> bool) -> Vec<RowSet> {
+    const CHUNK_ROWS: usize = 8192;
+    let mut universes = vec![n.min(CHUNK_ROWS / 2), n.min(CHUNK_ROWS + 700), n];
+    universes.dedup();
+    let mut shapes = Vec::new();
+    for universe in universes {
+        for shift in 0..2 {
+            let keep = |r: usize| match (r / CHUNK_ROWS + shift) % 3 {
+                0 => !null_measure(r) && r.is_multiple_of(3),
+                1 => false,
+                _ => r.is_multiple_of(5),
+            };
+            shapes.push(RowSet::from_rows(
+                universe,
+                (0..universe).filter(|&r| keep(r)),
+            ));
+        }
+    }
+    shapes
 }
 
 /// The JSON array a client sends as a request's `refine` field.
