@@ -18,8 +18,9 @@
 use std::collections::HashSet;
 
 use kdap_bench::print_table;
+use kdap_bench::tuple_index::TupleIndex;
 use kdap_datagen::{build_aw_online, generate_workload, Scale, WorkloadConfig};
-use kdap_textindex::{SearchOptions, TextIndex, TupleIndex};
+use kdap_textindex::{SearchOptions, TextIndex};
 
 fn main() {
     let scale = if std::env::args().any(|a| a.contains("small")) {

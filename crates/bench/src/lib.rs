@@ -7,6 +7,7 @@
 #![forbid(unsafe_code)]
 
 pub mod anneal;
+pub mod tuple_index;
 
 use kdap_core::{Kdap, QueryRequest, RankedStarNet, StarNet, Verb};
 use kdap_datagen::LabeledQuery;

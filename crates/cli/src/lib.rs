@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 
 pub mod command;
+pub mod render;
 pub mod repl;
 pub mod stats;
 

@@ -7,11 +7,10 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
+use kdap_cli::render::render_interpretations;
 use kdap_cli::stats::{stats_json, stats_text};
 use kdap_cli::{parse_args, CliArgs, CliMode, Command, DataSource, Repl};
-use kdap_core::{
-    render_interpretations, ApiError, CancelToken, Kdap, KdapError, QueryRequest, Verb, WireFormat,
-};
+use kdap_core::{ApiError, CancelToken, Kdap, KdapError, QueryRequest, Verb, WireFormat};
 use kdap_obs::{chrome_trace, LedgerEntry, QueryProfile, SlowQueryLedger, TraceId};
 use kdap_server::{EngineRegistry, KdapServer, ServerConfig};
 

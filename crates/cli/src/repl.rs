@@ -5,12 +5,12 @@
 use std::io::Write;
 
 use kdap_core::{
-    render_exploration, render_interpretations, Exploration, Kdap, KdapError, QueryOptions,
-    QueryRequest, QueryResponse, Refine, Verb,
+    Exploration, Kdap, KdapError, QueryOptions, QueryRequest, QueryResponse, Refine, Verb,
 };
 use kdap_warehouse::AttrKind;
 
 use crate::command::Command;
+use crate::render::{render_exploration, render_interpretations};
 
 /// Interactive session state: one [`QueryRequest`]. `q` sets its
 /// keywords, `pick` its interpretation, `drill`/`up`/`drop` append

@@ -20,13 +20,12 @@ pub mod numeric_hits;
 pub mod phrase;
 pub mod plan;
 pub mod rank;
-pub mod render;
 pub mod rollup;
 pub mod session;
 pub mod subspace;
 
-#[doc(hidden)]
-pub mod testutil;
+#[cfg(test)]
+mod testutil;
 
 pub use api::{
     ApiError, ConstraintSummary, InterpretationSummary, QueryOptions, QueryRequest, QueryResponse,
@@ -47,7 +46,6 @@ pub use numeric_hits::{numeric_groups, NumericConfig};
 pub use phrase::merged_group_pool;
 pub use plan::{Planner, PlannerConfig};
 pub use rank::{rank_star_nets, score_star_net, RankMethod, RankedStarNet};
-pub use render::{render_exploration, render_interpretations};
 pub use rollup::{rollup_constraint, rollup_spaces, try_rollup_spaces_planned, Rollup};
 pub use session::{split_query, Kdap, KdapBuilder};
 pub use subspace::{materialize, materialize_planned};

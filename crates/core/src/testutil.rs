@@ -2,13 +2,6 @@
 //! both ambiguity kinds — the shared `LOC` table reachable via Store,
 //! Buyer and Seller paths (join-path ambiguity) and "Columbus" as a city
 //! and a holiday (attribute-instance ambiguity).
-//!
-//! Exposed (hidden from docs) so the crate's integration tests can reuse
-//! the fixture; not part of the public API.
-#![allow(missing_docs)]
-// Test-only fixture construction: panicking on a malformed fixture is the
-// desired behavior, exactly as in #[cfg(test)] code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use kdap_query::JoinIndex;
 use kdap_textindex::TextIndex;

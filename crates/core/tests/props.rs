@@ -245,91 +245,3 @@ fn check_against_oracle(pairs: Vec<(f64, f64)>, k: usize, coarse: bool) {
         "x={x:?} y={y:?} k={k}"
     );
 }
-
-/// `query`'s ranked interpretations: `run` with `differentiate`.
-fn differentiate(kdap: &kdap_core::Kdap, query: &str) -> Vec<kdap_core::RankedStarNet> {
-    let request = kdap_core::QueryRequest::new(kdap_core::Verb::Differentiate, query);
-    kdap.run(&request).expect("a vocabulary query").ranked
-}
-
-fn session_with_threads(threads: usize) -> kdap_core::Kdap {
-    kdap_core::Kdap::builder(kdap_core::testutil::ebiz_fixture().wh)
-        .threads(threads)
-        .build()
-        .expect("fixture declares Revenue")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The parallel engine (threads ∈ {2, 4, 8}) produces an `Exploration`
-    /// identical to the serial one for any vocabulary query: same panels,
-    /// same attribute order, same entries, same aggregates.
-    #[test]
-    fn parallel_explore_equals_serial(
-        words in proptest::collection::vec(
-            proptest::sample::select(vec![
-                "columbus", "seattle", "plasma", "lcd", "projector",
-                "alice", "ohio", "slimline",
-            ]),
-            1..4,
-        )
-    ) {
-        let serial = session_with_threads(1);
-        let query = words.join(" ");
-        let ranked = differentiate(&serial, &query);
-        for threads in [2usize, 4, 8] {
-            let par = session_with_threads(threads);
-            for r in ranked.iter().take(3) {
-                let a = serial.explore(&r.net).unwrap();
-                let b = par.explore(&r.net).unwrap();
-                prop_assert_eq!(&a, &b, "threads={} query={:?}", threads, query);
-            }
-        }
-    }
-}
-
-/// Eight threads hammering one `SubspaceCache` stay consistent: every
-/// hit is the exploration a direct explore of that net computes, the
-/// capacity bound holds, and the hit/miss accounting adds up.
-#[test]
-fn cache_consistent_under_hammering() {
-    use kdap_core::Explored;
-    let fx = kdap_core::testutil::ebiz_fixture();
-    let kdap = kdap_core::Kdap::builder(fx.wh).build().expect("measure");
-    let cache = kdap_core::SubspaceCache::new(3);
-    let nets: Vec<_> = ["columbus", "seattle", "plasma", "lcd"]
-        .iter()
-        .flat_map(|q| differentiate(&kdap, q))
-        .map(|r| r.net)
-        .collect();
-    assert!(nets.len() >= 4, "fixture yields several interpretations");
-    let facet = kdap.facet_config();
-    const THREADS: usize = 8;
-    const ITERS: usize = 50;
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let (kdap, cache, nets) = (&kdap, &cache, &nets);
-            s.spawn(move || {
-                for i in 0..ITERS {
-                    let net = &nets[(t * 31 + i * 7) % nets.len()];
-                    let direct = kdap.explore(net).expect("fixture nets explore");
-                    let key = net.explore_key();
-                    match cache.get(&key, facet) {
-                        Some(hit) => assert_eq!(hit.exploration, direct),
-                        None => cache.insert(
-                            key,
-                            Arc::new(Explored {
-                                facet: facet.clone(),
-                                exploration: direct,
-                            }),
-                        ),
-                    }
-                }
-            });
-        }
-    });
-    assert!(cache.len() <= cache.capacity(), "capacity bound holds");
-    let counters = cache.counters();
-    assert_eq!(counters.hits + counters.misses, (THREADS * ITERS) as u64);
-}

@@ -304,7 +304,7 @@ mod tests {
         let wh = build_aw_online(Scale::small(), 42).unwrap();
         let fact = wh.table(wh.table_id("FactInternetSales").unwrap());
         assert_eq!(fact.nrows(), Scale::small().facts);
-        let cust_col = fact.column_by_name("CustomerKey").unwrap();
+        let cust_col = wh.column(wh.col_ref("FactInternetSales", "CustomerKey").unwrap());
         let max_key = (0..fact.nrows())
             .filter_map(|r| cust_col.get_int(r))
             .max()

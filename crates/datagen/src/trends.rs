@@ -309,8 +309,8 @@ mod tests {
         let wh = build_trends(TrendsScale::small(), 3).unwrap();
         let log = wh.table(wh.table_id("QUERYLOG").unwrap());
         let month_tbl = wh.table(wh.table_id("MONTH").unwrap());
-        let term_col = log.column_by_name("TermKey").unwrap();
-        let month_col = log.column_by_name("MonthKey").unwrap();
+        let term_col = wh.column(wh.col_ref("QUERYLOG", "TermKey").unwrap());
+        let month_col = wh.column(wh.col_ref("QUERYLOG", "MonthKey").unwrap());
         let christmas_key = TERMS
             .iter()
             .position(|(t, _, _)| *t == "christmas gifts")

@@ -232,16 +232,6 @@ impl CacheCounters {
             evictions,
         }
     }
-
-    /// `hits / (hits + misses)`, `0.0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// The registry: name → instrument. Lookup takes a mutex; the returned
@@ -562,12 +552,5 @@ mod tests {
         assert_eq!(snap.gauges["g"], -5);
         assert_eq!(snap.histograms["h"].count, 1);
         assert!(snap.render().contains("a = 3"));
-    }
-
-    #[test]
-    fn cache_counters_hit_rate() {
-        let c = CacheCounters::new(3, 1, 2);
-        assert_eq!(c.hit_rate(), 0.75);
-        assert_eq!(CacheCounters::default().hit_rate(), 0.0);
     }
 }

@@ -608,7 +608,11 @@ mod tests {
         let wh = fixture();
         let jidx = JoinIndex::build(&wh);
         let attr = wh.col_ref("FACT", "Score").unwrap();
-        let range = Selection::by_range(crate::path::JoinPath::empty(), attr, 2.0, 5.0);
+        let range = Selection {
+            path: JoinPath::empty(),
+            attr,
+            predicate: Predicate::Range { lo: 2.0, hi: 5.0 },
+        };
         let sels = [
             tag_selection(&wh, "hot"),
             range,

@@ -2,14 +2,13 @@
 //! mapping — the executor primitives behind subspace materialization and
 //! group-by aggregation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use kdap_warehouse::{ColRef, EdgeId, FkEdge, KeyRows, TableId, Warehouse};
 
 use crate::bitmap::RowSet;
 use crate::error::QueryError;
-use crate::path::{paths_from, JoinPath, MAX_PATH_LEN};
+use crate::path::JoinPath;
 
 /// "No parent row": the child's key is NULL.
 const NO_ROW: u32 = u32::MAX;
@@ -18,11 +17,13 @@ const NO_ROW: u32 = u32::MAX;
 /// the row of the path's target table the origin row joins to, `None`
 /// when the join dead-ends on a NULL key.
 ///
-/// A mapper owns nothing sized by its origin table: it shares the arrays
-/// of the [`JoinIndex`] it came from, so a clone is two reference-count
-/// bumps and a lookup at most two array loads. The representation is
-/// private to this module; the default mapper is the empty path's, the
-/// identity.
+/// A mapper owns nothing sized by its origin table: it shares the first
+/// edge's array of the [`JoinIndex`] it came from, and for a path of two
+/// edges the second's too. A longer path's later hops are composed into
+/// one array over the first edge's parent table when the mapper is made.
+/// A clone is two reference-count bumps and a lookup at most two array
+/// loads. The representation is private to this module; the default
+/// mapper is the empty path's, the identity.
 #[derive(Debug, Clone, Default)]
 pub struct RowMapper {
     /// The path's first edge, child row → parent row; `None` for the
@@ -139,18 +140,16 @@ struct EdgeIndex {
     parent_rows: usize,
 }
 
-/// Every FK edge of a warehouse resolved to row ids, once.
+/// Every FK edge of a warehouse resolved to row ids, once: one
+/// `parent_of` array per edge, and nothing else.
 ///
 /// Immutable after [`JoinIndex::build`]: no query builds, locks or counts
-/// anything here, and a [`RowMapper`] for any enumerated path is assembled
-/// from the index's own arrays without allocating one.
+/// anything here. A reader of a path of three or more edges composes its
+/// later hops where it reads them ([`JoinIndex::row_mapper`],
+/// [`JoinIndex::rows_reaching`]).
 pub struct JoinIndex {
     /// Indexed by [`EdgeId`].
     edges: Vec<EdgeIndex>,
-    /// The hops after the first of every simple path of three to
-    /// [`MAX_PATH_LEN`] edges, composed into one array over the table
-    /// they start at (a dimension table) and keyed by those hops.
-    tails: HashMap<Vec<EdgeId>, Arc<[u32]>>,
 }
 
 impl JoinIndex {
@@ -158,8 +157,7 @@ impl JoinIndex {
     /// parent key column is shared by the edges into it (role-playing
     /// ones such as Buyer/Seller) and dropped before the next is built.
     pub fn build(wh: &Warehouse) -> Self {
-        let schema = wh.schema();
-        let mut by_parent: Vec<&FkEdge> = schema.edges().iter().collect();
+        let mut by_parent: Vec<&FkEdge> = wh.schema().edges().iter().collect();
         by_parent.sort_by_key(|e| e.parent);
         let mut edges: Vec<(EdgeId, EdgeIndex)> = Vec::with_capacity(by_parent.len());
         for group in by_parent.chunk_by(|a, b| a.parent == b.parent) {
@@ -174,25 +172,9 @@ impl JoinIndex {
             }
         }
         edges.sort_by_key(|(id, _)| *id);
-        let mut idx = JoinIndex {
+        JoinIndex {
             edges: edges.into_iter().map(|(_, index)| index).collect(),
-            tails: HashMap::new(),
-        };
-        // A tail starts where a first edge ends: at a parent table.
-        let mut starts: Vec<TableId> = by_parent.iter().map(|e| e.parent.table).collect();
-        starts.dedup();
-        for start in starts {
-            for tail in paths_from(schema, start, MAX_PATH_LEN - 1)
-                .into_values()
-                .flatten()
-            {
-                if tail.len() >= 2 {
-                    let composed = idx.compose(tail.edges());
-                    idx.tails.insert(tail.edges().to_vec(), composed);
-                }
-            }
         }
-        idx
     }
 
     /// Semi-joins a set of *target-table* rows back down `path` to the
@@ -203,7 +185,9 @@ impl JoinIndex {
     ///
     /// One pass over the first edge's `parent_of`, against a mask of the
     /// parent rows the rest of the path takes into `target_rows`: every
-    /// non-null key names exactly one parent row.
+    /// non-null key names exactly one parent row. A path of three or more
+    /// edges composes that rest first, one array over the first edge's
+    /// parent table.
     pub fn rows_reaching(
         &self,
         path: &JoinPath,
@@ -246,10 +230,9 @@ impl JoinIndex {
     }
 
     /// The origin→target row mapper of `path` (a valid chain, as
-    /// [`JoinPath::new`] guarantees). Only a path [`JoinIndex::build`] did
-    /// not foresee — longer than [`MAX_PATH_LEN`], or of three or more
-    /// hops and revisiting a table — composes an array here, and it is
-    /// not kept.
+    /// [`JoinPath::new`] guarantees). A path of at most two edges shares
+    /// the index's arrays; a longer one composes its later hops here, into
+    /// an array the mapper owns.
     pub fn row_mapper(&self, path: &JoinPath) -> RowMapper {
         let Some((first, rest)) = path.edges().split_first() else {
             return RowMapper::default();
@@ -260,28 +243,17 @@ impl JoinIndex {
         }
     }
 
-    /// The hops after a path's first edge, as one array over the first
-    /// edge's parent table; `None` when there are none.
+    /// The hops after a path's first edge applied in order, as one array
+    /// over the first edge's parent table; `None` when there are none. One
+    /// hop is the edge's own array; each further hop costs one pass.
     fn tail(&self, rest: &[EdgeId]) -> Option<Arc<[u32]>> {
-        match rest {
-            [] => None,
-            [second] => Some(self.edges[second.0 as usize].parent_of.clone()),
-            _ => Some(match self.tails.get(rest) {
-                Some(composed) => composed.clone(),
-                None => self.compose(rest),
-            }),
-        }
-    }
-
-    /// The hops of the non-empty `chain` applied in order, as one array
-    /// over the rows of the table it starts at.
-    fn compose(&self, chain: &[EdgeId]) -> Arc<[u32]> {
         let hop = |e: &EdgeId| &self.edges[e.0 as usize].parent_of;
-        chain[1..].iter().fold(hop(&chain[0]).clone(), |so_far, e| {
+        let (second, later) = rest.split_first()?;
+        Some(later.iter().fold(hop(second).clone(), |so_far, e| {
             // `NO_ROW` lies past the end of every array, so it maps to itself.
             let next = |&p: &u32| hop(e).get(p as usize).copied().unwrap_or(NO_ROW);
             so_far.iter().map(next).collect()
-        })
+        }))
     }
 }
 
@@ -344,15 +316,6 @@ impl Selection {
         }
     }
 
-    /// Numeric selection by inclusive value range.
-    pub fn by_range(path: JoinPath, attr: ColRef, lo: f64, hi: f64) -> Self {
-        Selection {
-            path,
-            attr,
-            predicate: Predicate::Range { lo, hi },
-        }
-    }
-
     /// Evaluates the selection: origin-table rows whose joined target row
     /// satisfies the predicate. An attribute off the path's target table
     /// is a typed [`QueryError`].
@@ -390,7 +353,7 @@ impl Selection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::paths_between;
+    use crate::path::{paths_between, MAX_PATH_LEN};
     use kdap_warehouse::{ValueType, WarehouseBuilder};
 
     /// FACT(4 rows) → DIM(2 rows) → OUTER(2 rows)
@@ -584,19 +547,13 @@ mod tests {
     }
 
     #[test]
-    fn long_paths_use_precomposed_tails_or_compose_on_the_spot() {
-        // The tail of a path of up to MAX_PATH_LEN edges is pre-composed;
-        // one more hop leaves a tail one edge too long for that.
+    fn long_paths_compose_their_later_hops_where_read() {
         for hops in [3, MAX_PATH_LEN, MAX_PATH_LEN + 1] {
             let wh = chain(hops);
             let idx = JoinIndex::build(&wh);
             let fact = wh.schema().fact_table();
             let edges = (0..hops as u32).map(EdgeId).collect();
             let path = JoinPath::new(wh.schema(), fact, edges).unwrap();
-            assert_eq!(
-                idx.tails.contains_key(&path.edges()[1..]),
-                hops <= MAX_PATH_LEN
-            );
             let mapper = idx.row_mapper(&path);
             for row in 0..3 {
                 assert_eq!(mapper.get(row), walk_chain(&wh, hops, row), "{hops} hops");
@@ -611,13 +568,6 @@ mod tests {
                     .filter(|&r| walk_chain(&wh, hops, r).is_some_and(|t| picked >> t & 1 == 1))
                     .collect();
                 assert_eq!(reaching.iter().collect::<Vec<_>>(), want, "{hops} hops");
-            }
-            if hops <= MAX_PATH_LEN {
-                let again = idx.row_mapper(&path);
-                assert!(Arc::ptr_eq(
-                    mapper.tail.as_ref().unwrap(),
-                    again.tail.as_ref().unwrap()
-                ));
             }
         }
     }

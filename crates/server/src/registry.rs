@@ -231,13 +231,13 @@ impl EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdap_core::testutil::ebiz_fixture;
+    use kdap_datagen::{build_ebiz, EbizScale};
 
     fn tiny_registry() -> EngineRegistry {
-        let fx = ebiz_fixture();
+        let wh = build_ebiz(EbizScale::small(), 7).unwrap();
         EngineRegistry::new().with(
             "ebiz",
-            Arc::new(Kdap::builder(fx.wh).cache_capacity(8).build().unwrap()),
+            Arc::new(Kdap::builder(wh).cache_capacity(8).build().unwrap()),
         )
     }
 

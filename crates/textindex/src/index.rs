@@ -158,11 +158,6 @@ impl TextIndex {
         self.docs.len()
     }
 
-    /// Number of distinct (stemmed) terms.
-    pub fn n_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Document metadata.
     pub fn doc(&self, id: DocId) -> &DocMeta {
         &self.docs[id.0 as usize]
@@ -243,7 +238,7 @@ mod tests {
         let idx = sample();
         assert_eq!(idx.n_docs(), 5);
         // mountain, bike, road, 200, black, california, 345, street
-        assert_eq!(idx.n_terms(), 8);
+        assert_eq!(idx.stats().terms, 8);
         assert_eq!(idx.doc(DocId(0)).len, 2);
         assert_eq!(idx.doc(DocId(4)).len, 3);
     }

@@ -34,11 +34,9 @@ pub mod scoring;
 pub mod search;
 pub mod stemmer;
 pub mod tokenizer;
-pub mod tuple_index;
 
 pub use doc::{DocId, DocMeta};
 pub use index::{Posting, TextIndex, TextIndexStats};
 pub use search::{SearchHit, SearchOptions};
 pub use stemmer::stem;
 pub use tokenizer::{tokenize, tokenize_terms, Token};
-pub use tuple_index::{TupleDoc, TupleHit, TupleIndex};

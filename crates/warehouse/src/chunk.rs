@@ -468,16 +468,6 @@ impl PackedCodes {
         self.max_code
     }
 
-    /// Number of sealed (bit-packed) chunks.
-    pub fn n_sealed_chunks(&self) -> usize {
-        self.chunks.sealed.len()
-    }
-
-    /// Rows still in the unpacked tail.
-    pub fn tail_len(&self) -> usize {
-        self.chunks.tail.len()
-    }
-
     /// Code at `row`; panics when out of bounds (same contract as vector
     /// indexing — callers index within `0..len()`).
     #[inline]
@@ -778,11 +768,11 @@ mod tests {
             pc.push(*v);
         }
         assert_eq!(pc.len(), n);
-        assert_eq!(pc.n_sealed_chunks(), 2);
-        assert_eq!(pc.tail_len(), 1234);
+        assert_eq!(pc.chunks.sealed.len(), 2);
+        assert_eq!(pc.chunks.tail.len(), 1234);
         pc.freeze();
-        assert_eq!(pc.n_sealed_chunks(), 3);
-        assert_eq!(pc.tail_len(), 0);
+        assert_eq!(pc.chunks.sealed.len(), 3);
+        assert_eq!(pc.chunks.tail.len(), 0);
         for (i, v) in expected.iter().enumerate() {
             assert_eq!(pc.get(i), *v, "row {i}");
         }
@@ -844,13 +834,13 @@ mod tests {
             pc.push(Some(i));
         }
         pc.freeze();
-        assert_eq!(pc.n_sealed_chunks(), 1);
+        assert_eq!(pc.chunks.sealed.len(), 1);
         // A partial chunk is sealed; further appends must not seal again
         // (that would break row/CHUNK_ROWS addressing) but must read back.
         for i in 10..20u32 {
             pc.push(Some(i));
         }
-        assert_eq!(pc.tail_len(), 10);
+        assert_eq!(pc.chunks.tail.len(), 10);
         for i in 0..20u32 {
             assert_eq!(pc.get(i as usize), Some(i));
         }

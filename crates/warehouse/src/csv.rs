@@ -249,8 +249,8 @@ mod tests {
         assert_eq!(t.nrows(), 2);
         assert_eq!(t.row(0)[1].as_str(), Some("Widget"));
         assert_eq!(t.row(1)[2].as_float(), Some(3.25));
-        assert!(t.column_by_name("Name").unwrap().is_searchable());
-        assert!(!t.column_by_name("PKey").unwrap().is_searchable());
+        assert!(t.column(t.col_index("Name").unwrap()).is_searchable());
+        assert!(!t.column(t.col_index("PKey").unwrap()).is_searchable());
     }
 
     #[test]

@@ -69,16 +69,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column, WarehouseError> {
-        self.col_index(name)
-            .map(|i| &self.columns[i])
-            .ok_or_else(|| WarehouseError::UnknownColumn {
-                table: self.name.clone(),
-                column: name.to_string(),
-            })
-    }
-
     /// All columns in definition order.
     pub fn columns(&self) -> &[Column] {
         &self.columns
@@ -157,7 +147,6 @@ mod tests {
         assert_eq!(t.n_searchable(), 1);
         assert_eq!(t.col_index("SqFt"), Some(2));
         assert!(t.col_index("Nope").is_none());
-        assert!(t.column_by_name("Nope").is_err());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! Run: `cargo run --release --example trends_demo`
 
+use kdap_cli::render::render_exploration;
 use kdap_suite::core::interest::InterestMode;
-use kdap_suite::core::{render_exploration, FacetConfig, Kdap, QueryOptions, QueryRequest, Verb};
+use kdap_suite::core::{FacetConfig, Kdap, QueryOptions, QueryRequest, Verb};
 use kdap_suite::datagen::{build_trends, TrendsScale};
 
 fn main() {

@@ -11,8 +11,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use kdap_suite::core::facet::path_for_attr;
 use kdap_suite::core::{
-    render_exploration, CancelToken, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest,
-    StarNet, Verb,
+    CancelToken, Kdap, KdapBuilder, KdapError, QueryOptions, QueryRequest, StarNet, Verb,
 };
 use kdap_suite::datagen::{
     build_aw_online, build_ebiz, generate_workload, EbizScale, Scale, WorkloadConfig,
@@ -242,8 +241,8 @@ fn timed_out_query_leaves_caches_unpoisoned() {
         let control = session(threads);
         let control_ranked = differentiate(&control, "columbus");
         let control_ex = control.explore(&control_ranked[0].net).unwrap();
-        assert_eq!(render_exploration(&warm), render_exploration(&again));
-        assert_eq!(render_exploration(&again), render_exploration(&control_ex));
+        assert_eq!(format!("{warm:?}"), format!("{again:?}"));
+        assert_eq!(format!("{again:?}"), format!("{control_ex:?}"));
     }
 }
 
@@ -315,7 +314,7 @@ fn a_cancel_at_any_poll_commits_no_session_cache_entry() {
                     // its whole-dataspace groups (`clothing` rolls up to ALL).
                     Ok(response) => {
                         let answer = response.exploration.unwrap();
-                        assert_eq!(render_exploration(&answer), fresh, "{context}");
+                        assert_eq!(format!("{answer:?}"), fresh, "{context}");
                         let end = kdap.subspace_cache_counters().unwrap();
                         assert_eq!(kdap.subspace_cache_len(), Some(2), "{context}");
                         assert_eq!(end.evictions, 1, "{context}");
@@ -419,10 +418,11 @@ fn explore(keywords: &str) -> QueryRequest {
     QueryRequest::new(Verb::Explore, keywords)
 }
 
-/// The rendered answer of an ungoverned explore of `keywords` on `kdap`.
+/// The answer of an ungoverned explore of `keywords` on `kdap`, as its
+/// `Debug` text: every float to the last bit.
 fn render(kdap: &Kdap, keywords: &str) -> String {
     let response = kdap.run(&explore(keywords)).unwrap();
-    render_exploration(&response.exploration.unwrap())
+    format!("{:?}", response.exploration.unwrap())
 }
 
 /// The `(attribute, join path)` facet candidates an explore of `net`
@@ -531,7 +531,7 @@ fn a_budget_breach_at_any_charge_commits_no_partial_state() {
                     Ok(response) => {
                         answered.get_or_insert(k);
                         let answer = response.exploration.unwrap();
-                        assert_eq!(render_exploration(&answer), fresh, "{context}");
+                        assert_eq!(format!("{answer:?}"), fresh, "{context}");
                         if victim == "clothing" {
                             assert!(kdap.dataspace_groups_len() > 0, "{context}");
                         }
